@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 
-use swf_core::{ExperimentConfig, IntegratedFactory, Provisioning, TestBed};
+use swf_core::{ExperimentConfig, Provisioning, TestBed};
 use swf_knative::Knative;
 use swf_pegasus::{Pegasus, ReplicaLocation, Transformation};
 use swf_simcore::{secs, Sim};
@@ -152,18 +152,10 @@ pub fn run_app_with(
                 .replicas()
                 .register(name, ReplicaLocation::SharedFs(name.clone()));
         }
-        let tarball = bed.stage_image_tarball();
+        let (factory, tarball) = bed.factory();
         pegasus
             .replicas()
             .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
-        let factory = IntegratedFactory::new(
-            bed.knative.clone(),
-            bed.k8s.clone(),
-            bed.image.clone(),
-            config.container_staging,
-            Some(tarball),
-        )
-        .with_serialization_rate(config.serialization_rate);
 
         let dyn_cfg = DynamicRunConfig {
             rescue: run.rescue,

@@ -1,5 +1,5 @@
-//! Ablation studies over the design choices DESIGN.md calls out, shared
-//! between the `ablations` binary and the `suite` runner:
+//! Ablation studies over the design choices DESIGN.md calls out (the
+//! suite's `ablations` scenario):
 //!
 //! 1. container reuse (shared warm containers vs one-per-request),
 //! 2. pre-staged vs deferred provisioning (`min-scale` vs `initial-scale: 0`),
@@ -36,7 +36,7 @@ pub struct AblationRow {
 pub struct AblationsResult {
     /// Measured rows in fixed group order.
     pub rows: Vec<AblationRow>,
-    /// Per-variant span collectors (enabled only when traced).
+    /// Per-variant span collectors.
     pub collectors: Vec<(String, swf_obs::Obs)>,
 }
 
@@ -93,7 +93,7 @@ fn scale(quick: bool) -> (usize, usize) {
 
 /// Ablation 1 — container concurrency: shared containers (cc=0) vs
 /// strict one-request-per-container (cc=1) on the all-serverless workload.
-fn ablate_reuse(quick: bool, traced: bool, out: &mut AblationsResult) {
+fn ablate_reuse(quick: bool, out: &mut AblationsResult) {
     let (workflows, tasks) = scale(quick);
     for (label, cc) in [
         ("containerConcurrency=1", 1u32),
@@ -101,7 +101,7 @@ fn ablate_reuse(quick: bool, traced: bool, out: &mut AblationsResult) {
     ] {
         let mut config = ExperimentConfig::quick();
         config.container_concurrency = cc;
-        config.trace = traced;
+        config.trace = true;
         let o = run_once(
             &config,
             ConcurrentParams {
@@ -122,7 +122,7 @@ fn ablate_reuse(quick: bool, traced: bool, out: &mut AblationsResult) {
 }
 
 /// Ablation 2 — provisioning: pre-staged warm pods vs deferred downloads.
-fn ablate_provisioning(quick: bool, traced: bool, out: &mut AblationsResult) {
+fn ablate_provisioning(quick: bool, out: &mut AblationsResult) {
     let (workflows, tasks) = scale(quick);
     for (label, mode) in [
         ("min-scale pre-staged", Provisioning::PreStage),
@@ -130,7 +130,7 @@ fn ablate_provisioning(quick: bool, traced: bool, out: &mut AblationsResult) {
     ] {
         let mut config = ExperimentConfig::quick();
         config.provisioning = mode;
-        config.trace = traced;
+        config.trace = true;
         let o = run_once(
             &config,
             ConcurrentParams {
@@ -152,7 +152,7 @@ fn ablate_provisioning(quick: bool, traced: bool, out: &mut AblationsResult) {
 }
 
 /// Ablation 3 — pass-by-value serialization on vs off (node-resident data).
-fn ablate_payload(quick: bool, traced: bool, out: &mut AblationsResult) {
+fn ablate_payload(quick: bool, out: &mut AblationsResult) {
     let (workflows, tasks) = scale(quick);
     for (label, rate) in [
         ("pass-by-value (4 MB/s ser.)", 4.0e6),
@@ -160,7 +160,7 @@ fn ablate_payload(quick: bool, traced: bool, out: &mut AblationsResult) {
     ] {
         let mut config = ExperimentConfig::quick();
         config.serialization_rate = rate;
-        config.trace = traced;
+        config.trace = true;
         // Use paper-sized matrices so payload costs are visible.
         config.matrix_dim = if quick { 64 } else { 350 };
         let o = run_once(
@@ -183,11 +183,11 @@ fn ablate_payload(quick: bool, traced: bool, out: &mut AblationsResult) {
 }
 
 /// Ablation 4 — task clustering levels (§IX-C task resizing).
-fn ablate_clustering(quick: bool, traced: bool, out: &mut AblationsResult) {
+fn ablate_clustering(quick: bool, out: &mut AblationsResult) {
     let (workflows, tasks) = scale(quick);
     for level in [1usize, 2, 4] {
         let mut config = ExperimentConfig::quick();
-        config.trace = traced;
+        config.trace = true;
         let o = run_once(
             &config,
             ConcurrentParams {
@@ -213,16 +213,12 @@ fn ablate_clustering(quick: bool, traced: bool, out: &mut AblationsResult) {
 
 /// Ablation 5 — routing: round-robin vs least-loaded redirection (§IX-D)
 /// under a skewed background load.
-fn ablate_routing(traced: bool, out: &mut AblationsResult) {
+fn ablate_routing(out: &mut AblationsResult) {
     for (label, policy) in [
         ("round-robin", RoutingPolicy::RoundRobin),
         ("least-loaded (§IX-D)", RoutingPolicy::LeastLoaded),
     ] {
-        let obs = if traced {
-            swf_obs::Obs::enabled()
-        } else {
-            swf_obs::Obs::disabled()
-        };
+        let obs = swf_obs::Obs::enabled();
         let obs2 = obs.clone();
         let sim = Sim::new();
         let mean_latency = sim.block_on(async move {
@@ -275,13 +271,14 @@ fn ablate_routing(traced: bool, out: &mut AblationsResult) {
     }
 }
 
-/// Run all five ablations at the given scale and tracing mode.
-pub fn run_ablations(quick: bool, traced: bool) -> AblationsResult {
+/// Run all five ablations at the given scale, tracing on (the scenario
+/// document wants populated span collectors).
+pub fn run_ablations(quick: bool) -> AblationsResult {
     let mut out = AblationsResult::default();
-    ablate_reuse(quick, traced, &mut out);
-    ablate_provisioning(quick, traced, &mut out);
-    ablate_payload(quick, traced, &mut out);
-    ablate_clustering(quick, traced, &mut out);
-    ablate_routing(traced, &mut out);
+    ablate_reuse(quick, &mut out);
+    ablate_provisioning(quick, &mut out);
+    ablate_payload(quick, &mut out);
+    ablate_clustering(quick, &mut out);
+    ablate_routing(&mut out);
     out
 }

@@ -1,7 +1,6 @@
 //! The swf-apps benchmark scenario: every application × every execution
 //! venue, with runtime-expansion statistics and the cross-venue bitwise
-//! equality verdict. Shared between the `apps` binary and the suite's
-//! `apps` label.
+//! equality verdict: the suite's `apps` scenario.
 
 use swf_apps::{AppKind, AppRun};
 use swf_workloads::ExecEnv;
@@ -59,13 +58,8 @@ impl AppsResult {
         let mut apps = serde_json::Map::new();
         for kind in AppKind::ALL {
             let label = kind.label();
-            let app_rows = self.app_rows(label);
-            if app_rows.is_empty() {
-                // A filtered run (`apps --app <name>`) skips the others.
-                continue;
-            }
             let mut envs = serde_json::Map::new();
-            for row in app_rows {
+            for row in self.app_rows(label) {
                 let mut expansions = serde_json::Map::new();
                 for (trigger, jobs_added) in &row.expansions {
                     expansions.insert(trigger.clone(), serde_json::Value::from(*jobs_added));
@@ -110,14 +104,8 @@ impl AppsResult {
 /// Run every application in every venue at quick or paper scale, tracing
 /// on (the scenario document wants populated span collectors).
 pub fn run_apps(quick: bool) -> AppsResult {
-    run_apps_only(quick, &AppKind::ALL)
-}
-
-/// Run a subset of the applications (the `apps` binary's `--app` filter)
-/// in every venue.
-pub fn run_apps_only(quick: bool, kinds: &[AppKind]) -> AppsResult {
     let mut rows = Vec::new();
-    for &kind in kinds {
+    for kind in AppKind::ALL {
         for env in ENVS {
             let mut run = AppRun::quick(kind, env).with_trace();
             run.quick = quick;

@@ -20,11 +20,10 @@
 //! Final rescue DAGs of workflows that still failed are printed and
 //! embedded in the `--json` record so CI can archive them as artifacts.
 
-use swf_bench::record::ScenarioMeter;
 use swf_bench::{
-    cli_config, dump_observability, emit_scenario_json, install_cli_obs, is_quick, json_out,
+    dump_observability, emit_scenario_json, flag_value, is_quick, is_traced, ScenarioMeter,
 };
-use swf_chaos::{run_chaos, ChaosProfile, ChaosRunConfig, FaultPlan, SERVICE};
+use swf_chaos::{experiment_config, run_chaos, ChaosProfile, ChaosRunConfig, FaultPlan, SERVICE};
 use swf_core::experiments::setup_header;
 use swf_simcore::secs;
 
@@ -32,19 +31,7 @@ use swf_simcore::secs;
 /// sweeps a half-open range, `--seeds <n>` sweeps `0..n`, and the default
 /// is `0..8` under `--quick`, `0..32` otherwise.
 fn seed_list() -> Vec<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<String> {
-        for (i, a) in args.iter().enumerate() {
-            if a == flag {
-                return args.get(i + 1).cloned();
-            }
-            if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-        }
-        None
-    };
-    if let Some(v) = value_of("--seed") {
+    if let Some(v) = flag_value("--seed") {
         match v.parse() {
             Ok(n) => return vec![n],
             Err(_) => {
@@ -53,7 +40,7 @@ fn seed_list() -> Vec<u64> {
             }
         }
     }
-    if let Some(v) = value_of("--seed-range") {
+    if let Some(v) = flag_value("--seed-range") {
         if let Some((a, b)) = v.split_once("..") {
             if let (Ok(a), Ok(b)) = (a.parse::<u64>(), b.parse::<u64>()) {
                 if a < b {
@@ -64,7 +51,7 @@ fn seed_list() -> Vec<u64> {
         eprintln!("error: --seed-range requires <a>..<b> with a < b, got {v:?}");
         std::process::exit(2);
     }
-    if let Some(v) = value_of("--seeds") {
+    if let Some(v) = flag_value("--seeds") {
         match v.parse::<u64>() {
             Ok(n) => return (0..n).collect(),
             Err(_) => {
@@ -85,24 +72,8 @@ fn seed_list() -> Vec<u64> {
 /// [`swf_chaos::UnknownProfile`] error: the sweep refuses to run rather
 /// than silently falling back to the default profile.
 fn profile_from_args() -> (String, ChaosProfile) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut name: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if a == "--profile" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with('-') => name = Some(v.clone()),
-                _ => {
-                    eprintln!("error: --profile requires a name argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix("--profile=") {
-            name = Some(v.to_string());
-        }
-    }
-    let name = name.unwrap_or_else(|| {
-        if args.iter().any(|a| a == "--heavy") {
+    let name = flag_value("--profile").unwrap_or_else(|| {
+        if std::env::args().any(|a| a == "--heavy") {
             "heavy".to_string()
         } else {
             "light".to_string()
@@ -118,14 +89,20 @@ fn profile_from_args() -> (String, ChaosProfile) {
 }
 
 fn main() {
-    // cli_config() is called for flag validation/uniformity; the chaos
-    // harness derives its own jitter-free config from the seed.
-    let config = cli_config();
-    let (obs, _guard) = install_cli_obs();
-    println!("{}", setup_header(&config));
+    // An enabled ambient collector is picked up by every `run_chaos`, so a
+    // traced sweep sees the injector's spans; untraced runs keep their own.
+    let obs = if is_traced() {
+        swf_obs::Obs::enabled()
+    } else {
+        swf_obs::Obs::disabled()
+    };
+    let _guard = swf_obs::install(obs.clone());
     let profile = profile_from_args();
     let rescue = std::env::args().any(|a| a == "--rescue");
     let seeds = seed_list();
+    // The harness derives its jitter-free config from each seed; nothing
+    // the header shows depends on which.
+    println!("{}", setup_header(&experiment_config(0)));
     println!(
         "## chaos seed sweep ({} profile, {} seeds{})",
         profile.0,
@@ -256,7 +233,8 @@ fn main() {
         println!("\nseed {seed} workflow {wf} final rescue DAG:");
         println!("{json}");
     }
-    if json_out().is_some() {
+    dump_observability(&[("chaos", &obs)]);
+    if flag_value("--json").is_some() {
         // The machine-readable record carries the sweep rows; failing
         // plans and final rescue DAGs are embedded so CI can archive
         // them as artifacts.
@@ -283,7 +261,6 @@ fn main() {
                     .collect(),
             ),
         );
-        dump_observability(&[("chaos", &obs)]);
         emit_scenario_json(
             "chaos",
             is_quick(),
@@ -291,7 +268,5 @@ fn main() {
             &[("chaos", &obs)],
             meter,
         );
-    } else {
-        dump_observability(&[("chaos", &obs)]);
     }
 }

@@ -1,52 +1,39 @@
-//! The unified benchmark suite and perf-regression gate.
+//! The benchmark suite and perf-regression gate.
 //!
-//! Run every figure scenario (fig1, fig2, fig5, fig6, coldstart,
-//! ablations) with span collection on, and write one machine-readable
-//! `BENCH_<label>.json` at the workspace root — per-scenario virtual-time
-//! results, swf-obs metrics/critical-path snapshots, and the host-side
-//! engine profile (build with `--features host-profiling` for wall-clock
-//! and events/sec). Or compare two recorded documents, classifying every
-//! delta as drift (virtual-time change — always an error), regression /
-//! improvement (wall-clock beyond the noise threshold), or info.
+//! Run the scenario table (`swf_bench::suite`) — by default the six
+//! figure scenarios fig1, fig2, fig5, fig6, coldstart, ablations — with
+//! span collection on: print the §V-A setup header and each scenario's
+//! report (reproduced rows beside the paper's values), and write one
+//! machine-readable `BENCH_<label>.json` at the workspace root —
+//! per-scenario virtual-time results, swf-obs metrics/critical-path
+//! snapshots, and the host-side engine profile (build with `--features
+//! host-profiling` for wall-clock and events/sec). Or compare two
+//! recorded documents, classifying every delta as drift (virtual-time
+//! change — always an error), regression / improvement (wall-clock beyond
+//! the noise threshold), or info.
 //!
 //! Usage:
-//!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
+//!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--only <name>[,<name>…]] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
 //!   cargo run --release -p swf-bench --bin suite -- --list
 //!   cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json> [--noise <frac>] [--fail-on-regression]
 //!
-//! `--label apps` runs the swf-apps scenario set (every application ×
-//! every venue) instead of the figure scenarios, writing
-//! `BENCH_apps.json`. `--list` enumerates every label and its scenarios.
+//! `--only fig6` (or `--only fig2,coldstart`) runs just those scenarios:
+//! the way to regenerate one figure. An unknown name exits 2 listing the
+//! valid ones. `--label apps` runs the swf-apps scenario (every
+//! application × every venue) instead of the figure scenarios, writing
+//! `BENCH_apps.json`; `--label elastic` likewise. `--list` enumerates
+//! every label and its scenarios.
 //!
-//! `--trace-out` additionally writes the whole suite as one Chrome-trace
-//! file (the same export as the figure binaries' `--trace` flags).
-//! `--spans-out` writes the lossless `swf-spans/v1` export — the `obsq`
-//! query CLI's input. `--series-out` writes every scenario's sampled
-//! telemetry time series. All three are deterministic: running the suite
-//! twice produces byte-identical files.
+//! `--trace-out` additionally writes every scenario run as one
+//! Chrome-trace file. `--spans-out` writes the lossless `swf-spans/v1`
+//! export — the `obsq` query CLI's input. `--series-out` writes every
+//! scenario's sampled telemetry time series. All three are deterministic:
+//! running the suite twice produces byte-identical files.
 
-use swf_bench::record::{json_out, workspace_root};
-use swf_bench::suite::{run_suite, scenario_names};
-use swf_bench::{is_quick, trace_out, write_chrome_trace};
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let eq = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with('-') => return Some(v.clone()),
-                _ => {
-                    eprintln!("error: {name} requires a value");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use swf_bench::record::workspace_root;
+use swf_bench::suite::{run_suite, scenario_names, select, suite_config};
+use swf_bench::{flag_value, is_quick, write_chrome_trace};
+use swf_core::experiments::setup_header;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -58,7 +45,7 @@ fn main() {
         list_main();
         return;
     }
-    run_main(&args);
+    run_main();
 }
 
 fn list_main() {
@@ -72,22 +59,34 @@ fn list_main() {
             "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
         ),
     ] {
-        println!("  {label:<6} {}", scenario_names(label).join(", "));
-        println!("  {:<6}   {note}", "");
+        println!("  {label:<7} {}", scenario_names(label).join(", "));
+        println!("  {:<7}   {note}", "");
     }
-    println!("run one with: suite [--quick] --label <label>");
+    println!("run one label with: suite [--quick] --label <label>");
+    println!("run chosen scenarios with: suite [--quick] --only <name>[,<name>…]");
 }
 
-fn run_main(args: &[String]) {
+fn run_main() {
     let quick = is_quick();
-    let label = flag_value(args, "--label")
-        .unwrap_or_else(|| if quick { "quick" } else { "paper" }.to_string());
-    let run = run_suite(&label, quick, |name| {
+    let label =
+        flag_value("--label").unwrap_or_else(|| if quick { "quick" } else { "paper" }.to_string());
+    let names = match flag_value("--only") {
+        Some(only) => select(&only).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+        None => scenario_names(&label),
+    };
+    println!("{}", setup_header(&suite_config(quick)));
+    let run = run_suite(&label, quick, &names, |name| {
         eprintln!(
             "suite: running {name} ({})",
             if quick { "quick" } else { "paper" }
         );
     });
+    for report in &run.reports {
+        println!("{report}");
+    }
 
     // Per-scenario host summary.
     println!("## suite — host profile per scenario");
@@ -117,7 +116,7 @@ fn run_main(args: &[String]) {
         ),
     }
 
-    let path = json_out().unwrap_or_else(|| {
+    let path = flag_value("--json").unwrap_or_else(|| {
         workspace_root()
             .join(format!("BENCH_{label}.json"))
             .to_string_lossy()
@@ -134,7 +133,7 @@ fn run_main(args: &[String]) {
         .iter()
         .map(|(l, o)| (l.as_str(), o))
         .collect();
-    if let Some(trace_path) = trace_out() {
+    if let Some(trace_path) = flag_value("--trace-out") {
         match write_chrome_trace(&trace_path, &refs) {
             Ok(()) => println!("chrome trace written to {trace_path}"),
             Err(e) => {
@@ -143,7 +142,7 @@ fn run_main(args: &[String]) {
             }
         }
     }
-    if let Some(spans_path) = flag_value(args, "--spans-out") {
+    if let Some(spans_path) = flag_value("--spans-out") {
         let doc = swf_obs::spans_to_json(&refs);
         if let Err(e) = std::fs::write(&spans_path, doc.to_string()) {
             eprintln!("error: failed to write spans to {spans_path}: {e}");
@@ -151,7 +150,7 @@ fn run_main(args: &[String]) {
         }
         println!("span export written to {spans_path}");
     }
-    if let Some(series_path) = flag_value(args, "--series-out") {
+    if let Some(series_path) = flag_value("--series-out") {
         let doc = swf_bench::record::series_json(&refs);
         if let Err(e) = std::fs::write(&series_path, doc.to_string()) {
             eprintln!("error: failed to write series to {series_path}: {e}");
@@ -197,7 +196,7 @@ fn compare_main(args: &[String]) {
         );
         std::process::exit(2);
     };
-    let noise = match flag_value(args, "--noise") {
+    let noise = match flag_value("--noise") {
         Some(v) => match v.parse::<f64>() {
             Ok(f) if f >= 0.0 => f,
             _ => {

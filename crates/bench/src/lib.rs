@@ -1,12 +1,13 @@
 //! # swf-bench
 //!
-//! Shared rendering for the figure-regeneration binaries. Each binary runs
-//! its experiment at paper scale (or `--quick`) and prints the §V-A setup
-//! header, the reproduced rows, the fitted slopes, and the paper-reported
-//! values side by side. The `suite` binary runs every scenario in one go,
-//! writing the machine-readable `BENCH_*.json` record ([`record`]) that
-//! `suite compare` gates future changes against; [`ablations`] holds the
-//! ablation logic shared between its binary and the suite.
+//! The paper's evaluation as one table of scenarios ([`suite`]): each row
+//! defines an experiment's parameters once and yields its machine-readable
+//! record ([`record`]) and its human report (the `*_report` renderers
+//! here, printing the reproduced rows, the fitted slopes, and the
+//! paper-reported values side by side). The `suite` binary runs the table,
+//! or the rows chosen with `--only`, and writes the `BENCH_*.json` document
+//! that `suite compare` gates future changes against; the `chaos` binary
+//! is the fault-injection seed sweep.
 
 #![warn(missing_docs)]
 
@@ -16,59 +17,44 @@ pub mod elastic;
 pub mod record;
 pub mod suite;
 
-pub use record::{emit_scenario_json, json_out, ScenarioMeter};
+pub use record::{emit_scenario_json, ScenarioMeter};
 
-use swf_core::experiments::{Fig1Result, Fig2Result, Fig5Result, Fig6Result};
-use swf_core::ExperimentConfig;
+use swf_core::experiments::{ColdStartResult, Fig1Result, Fig2Result, Fig5Result, Fig6Result};
 use swf_metrics::Table;
+
+/// The value of a `--name <value>` (or `--name=<value>`) flag. Exits with
+/// an error when the flag is present without a value, so the mistake
+/// surfaces before the experiment runs rather than as a silently ignored
+/// flag.
+pub fn flag_value(name: &str) -> Option<String> {
+    let args: Vec<String> = std::env::args().collect();
+    let eq = format!("{name}=");
+    for (i, a) in args.iter().enumerate() {
+        if a == name {
+            match args.get(i + 1) {
+                Some(v) if !v.starts_with('-') => return Some(v.clone()),
+                _ => {
+                    eprintln!("error: {name} requires a value");
+                    std::process::exit(2);
+                }
+            }
+        }
+        if let Some(v) = a.strip_prefix(&eq) {
+            return Some(v.to_string());
+        }
+    }
+    None
+}
 
 /// Parse the common `--quick` flag.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
 }
 
-/// Parse the `--trace-out <path>` flag (also `--trace-out=<path>`).
-/// Exits with an error when the flag is present without a path, so the
-/// mistake surfaces before the experiment runs rather than as a silently
-/// untraced run.
-pub fn trace_out() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--trace-out" {
-            match args.get(i + 1) {
-                Some(p) if !p.starts_with('-') => return Some(p.clone()),
-                _ => {
-                    eprintln!("error: --trace-out requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
-
 /// True when span collection is requested (`--trace`, or implied by
 /// `--trace-out`).
 pub fn is_traced() -> bool {
-    trace_out().is_some() || std::env::args().any(|a| a == "--trace")
-}
-
-/// The experiment config selected by the CLI flags.
-pub fn cli_config() -> ExperimentConfig {
-    let mut c = if is_quick() {
-        let mut c = ExperimentConfig::quick();
-        // Quick harness runs still use paper-shaped timing but small
-        // matrices, so real compute stays cheap.
-        c.matrix_dim = 32;
-        c
-    } else {
-        ExperimentConfig::paper()
-    };
-    c.trace = is_traced();
-    c
+    flag_value("--trace-out").is_some() || std::env::args().any(|a| a == "--trace")
 }
 
 /// Merge labelled span collectors into one Chrome-trace JSON array
@@ -89,28 +75,6 @@ pub fn write_chrome_trace(path: &str, collectors: &[(&str, &swf_obs::Obs)]) -> s
     std::fs::write(path, serde_json::Value::Array(events).to_string())
 }
 
-/// Render the metrics registries of labelled collectors as one JSON object.
-pub fn metrics_json(collectors: &[(&str, &swf_obs::Obs)]) -> serde_json::Value {
-    let mut map = serde_json::Map::new();
-    for (label, obs) in collectors {
-        map.insert(label.to_string(), obs.metrics_json());
-    }
-    serde_json::Value::Object(map)
-}
-
-/// Install a process-wide span collector driven by the tracing CLI flags:
-/// enabled when `--trace`/`--trace-out` is present, a disabled handle
-/// otherwise. Keep the returned guard alive for the duration of the run.
-pub fn install_cli_obs() -> (swf_obs::Obs, swf_obs::InstallGuard) {
-    let obs = if is_traced() {
-        swf_obs::Obs::enabled()
-    } else {
-        swf_obs::Obs::disabled()
-    };
-    let guard = swf_obs::install(obs.clone());
-    (obs, guard)
-}
-
 /// Honour the tracing CLI flags for a finished run: print the metrics
 /// registry as JSON and write the Chrome-trace file when `--trace-out` was
 /// given. No-op when tracing was not requested.
@@ -118,8 +82,12 @@ pub fn dump_observability(collectors: &[(&str, &swf_obs::Obs)]) {
     if !is_traced() {
         return;
     }
-    println!("\nmetrics: {}", metrics_json(collectors));
-    if let Some(path) = trace_out() {
+    let mut metrics = serde_json::Map::new();
+    for (label, obs) in collectors {
+        metrics.insert(label.to_string(), obs.metrics_json());
+    }
+    println!("\nmetrics: {}", serde_json::Value::Object(metrics));
+    if let Some(path) = flag_value("--trace-out") {
         match write_chrome_trace(&path, collectors) {
             Ok(()) => println!("chrome trace written to {path}"),
             Err(e) => {
@@ -280,6 +248,17 @@ pub fn fig6_report(r: &Fig6Result) -> String {
         }
     }
     s
+}
+
+/// Render the §III-B cold-start measurement.
+pub fn coldstart_report(r: &ColdStartResult) -> String {
+    format!(
+        "## §III-B cold start\n\
+         first request (cold): {:.3} s\n\
+         cold start (minus compute): {:.3} s   [paper: 1.48 s]\n\
+         warm request: {:.3} s\n",
+        r.first_request, r.cold_start, r.warm_request
+    )
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! Machine-readable benchmark records (`BENCH_*.json`).
 //!
-//! Every figure binary and the unified `suite` runner emit the same
-//! document shape, so individual runs and full-suite runs can be fed to
-//! `suite compare` interchangeably:
+//! A full suite run, a `suite --only` selection and the `chaos` sweep all
+//! emit the same document shape, so any two records can be fed to
+//! `suite compare`:
 //!
 //! ```json
 //! {
@@ -32,27 +32,6 @@ use swf_simcore::perf::{self, ExecProfile, HostStopwatch};
 
 /// Schema identifier stamped into every document.
 pub const SCHEMA: &str = "swf-bench/v1";
-
-/// Parse the `--json <path>` flag (also `--json=<path>`). Exits with an
-/// error when the flag is present without a path, mirroring `trace_out`.
-pub fn json_out() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--json" {
-            match args.get(i + 1) {
-                Some(p) if !p.starts_with('-') => return Some(p.clone()),
-                _ => {
-                    eprintln!("error: --json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
 
 /// Measures one scenario's host-side cost: executor counter deltas plus
 /// (under `host-profiling`) wall-clock time. Start right before the
@@ -262,28 +241,12 @@ pub fn series_json(collectors: &[(&str, &swf_obs::Obs)]) -> serde_json::Value {
     serde_json::Value::Object(obj)
 }
 
-/// Assemble one scenario entry from its four sections.
-pub fn scenario_json(
-    virtual_section: serde_json::Value,
-    obs_section: serde_json::Value,
-    slo_section: serde_json::Value,
-    host_section: serde_json::Value,
-) -> serde_json::Value {
-    scenario_json_with_cost(
-        virtual_section,
-        obs_section,
-        slo_section,
-        None,
-        host_section,
-    )
-}
-
-/// Assemble one scenario entry, optionally carrying a `cost` section.
-/// Like `virtual`/`obs`/`slo`, `cost` is a pure function of the simulated
+/// Assemble one scenario entry from its sections. Like
+/// `virtual`/`obs`/`slo`, `cost` is a pure function of the simulated
 /// program — `suite compare` diffs it bitwise — so only cost-aware
-/// scenarios (the `elastic` label) emit it; everything else omits the key
-/// and compares Null against Null.
-pub fn scenario_json_with_cost(
+/// scenarios (`elastic`) emit it; everything else omits the key and
+/// compares Null against Null.
+pub fn scenario_json(
     virtual_section: serde_json::Value,
     obs_section: serde_json::Value,
     slo_section: serde_json::Value,
@@ -382,7 +345,7 @@ pub fn workspace_root() -> std::path::PathBuf {
 }
 
 /// Write a single-scenario document to the `--json` path when the flag
-/// is present: the uniform tail call of every figure binary.
+/// is present (the `chaos` sweep's record).
 pub fn emit_scenario_json(
     name: &str,
     quick: bool,
@@ -390,11 +353,14 @@ pub fn emit_scenario_json(
     collectors: &[(&str, &swf_obs::Obs)],
     meter: ScenarioMeter,
 ) {
-    let Some(path) = json_out() else { return };
+    let Some(path) = crate::flag_value("--json") else {
+        return;
+    };
     let scenario = scenario_json(
         virtual_section,
         obs_json(collectors),
         slo_json(collectors),
+        None,
         meter.finish(),
     );
     let doc = bench_document(name, quick, vec![(name.to_string(), scenario)]);

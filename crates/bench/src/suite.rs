@@ -1,30 +1,33 @@
-//! The unified benchmark suite: every figure scenario in one run,
-//! emitting one machine-readable `BENCH_<label>.json` document.
+//! The scenario table: the one definition of every experiment this repo
+//! runs (counts, config overrides, human report), and the runner that
+//! turns a selection of its rows into one machine-readable
+//! `BENCH_<label>.json` document.
 //!
-//! Each scenario mirrors its standalone binary's configuration exactly
-//! (same counts, same config overrides), runs with span collection
-//! enabled, and is metered by [`crate::record::ScenarioMeter`] so the
-//! document carries every section per scenario: `virtual` results,
-//! `obs` snapshots, the `host` engine profile, and (for the `elastic`
-//! label) the `cost` ledger.
+//! Each scenario runs with span collection enabled and is metered by
+//! [`crate::record::ScenarioMeter`], so the document carries every
+//! section per scenario: `virtual` results, `obs` snapshots, the `host`
+//! engine profile, and (for `elastic`) the `cost` ledger.
 
 use swf_core::experiments::{coldstart, fig1, fig2, run_fig5, run_fig6};
 use swf_core::ExperimentConfig;
 
-use crate::ablations::run_ablations;
+use crate::ablations::{run_ablations, AblationsResult};
 use crate::record::{
     bench_document, coldstart_json, fig1_json, fig2_json, fig5_json, fig6_json, obs_json,
-    scenario_json_with_cost, slo_json, ScenarioMeter,
+    scenario_json, slo_json, ScenarioMeter,
 };
 
 /// What one scenario yields: the deterministic `virtual` section, its
-/// labelled span collectors, and (for cost-aware scenarios) the `cost`
-/// section.
+/// labelled span collectors, the human report, and (for cost-aware
+/// scenarios) the `cost` section.
 pub struct ScenarioOutput {
     /// The `virtual` JSON section.
     pub virtual_section: serde_json::Value,
     /// Labelled collectors for the `obs`/`slo` sections and trace export.
     pub collectors: Vec<(String, swf_obs::Obs)>,
+    /// The rendered tables a person reads: reproduced rows beside the
+    /// paper's values.
+    pub report: String,
     /// The `cost` JSON section; `None` for scenarios without a ledger.
     pub cost: Option<serde_json::Value>,
 }
@@ -33,31 +36,36 @@ impl ScenarioOutput {
     fn plain(
         virtual_section: serde_json::Value,
         collectors: Vec<(String, swf_obs::Obs)>,
+        report: String,
     ) -> ScenarioOutput {
         ScenarioOutput {
             virtual_section,
             collectors,
+            report,
             cost: None,
         }
     }
 }
 
-/// One full suite run: the document plus every labelled span collector
-/// (for an optional combined Chrome-trace export).
+/// One suite run: the document, every scenario's human report, and every
+/// labelled span collector (for the trace, span and series exports).
 pub struct SuiteRun {
     /// The assembled `BENCH_*.json` document.
     pub document: serde_json::Value,
+    /// Each scenario's report, in scenario order.
+    pub reports: Vec<String>,
     /// Every scenario's labelled collectors, in scenario order.
     pub collectors: Vec<(String, swf_obs::Obs)>,
 }
 
-/// The suite's experiment config: quick or paper scale, tracing always
-/// on (the document's `obs` section wants populated collectors; span
-/// collection never changes virtual-time results).
-fn suite_config(quick: bool) -> ExperimentConfig {
+/// The experiment config every scenario starts from: quick or paper
+/// scale, tracing always on (the document's `obs` section wants populated
+/// collectors; span collection never changes virtual-time results).
+pub fn suite_config(quick: bool) -> ExperimentConfig {
     let mut c = if quick {
         let mut c = ExperimentConfig::quick();
-        // Match `cli_config`: paper-shaped timing, small matrices.
+        // Paper-shaped timing but small matrices, so real compute stays
+        // cheap.
         c.matrix_dim = 32;
         c
     } else {
@@ -80,13 +88,19 @@ fn scenario_fig1(quick: bool) -> ScenarioOutput {
         vec![10, 20, 40, 80, 120, 160]
     };
     let r = fig1::run(&config, &counts).expect("fig1 scenario failed");
-    ScenarioOutput::plain(fig1_json(&r), vec![("fig1".to_string(), obs)])
+    ScenarioOutput::plain(
+        fig1_json(&r),
+        vec![("fig1".to_string(), obs)],
+        crate::fig1_report(&r),
+    )
 }
 
 fn scenario_fig2(quick: bool) -> ScenarioOutput {
     let mut config = suite_config(quick);
-    // Mirror the fig2 binary: one burst of independent jobs, negotiation-
-    // bound — calibrated so the native slope lands near the paper's 0.28.
+    // The parallel experiment submits one burst of independent jobs: no
+    // DAGMan, no claim reuse — per-job latency is negotiation-bound, not
+    // activation-bound. Calibrated so the native slope lands near the
+    // paper's 0.28 s/task.
     config.condor.negotiator.cycle_interval = swf_simcore::secs(5.0);
     config.condor.negotiator.activation_delay = swf_simcore::SimDuration::ZERO;
     let obs = swf_obs::Obs::enabled();
@@ -97,7 +111,11 @@ fn scenario_fig2(quick: bool) -> ScenarioOutput {
         vec![4, 8, 16, 24, 32, 48, 64]
     };
     let r = fig2::run(&config, &counts);
-    ScenarioOutput::plain(fig2_json(&r), vec![("fig2".to_string(), obs)])
+    ScenarioOutput::plain(
+        fig2_json(&r),
+        vec![("fig2".to_string(), obs)],
+        crate::fig2_report(&r),
+    )
 }
 
 fn scenario_fig5(quick: bool) -> ScenarioOutput {
@@ -118,7 +136,7 @@ fn scenario_fig5(quick: bool) -> ScenarioOutput {
             )
         })
         .collect();
-    ScenarioOutput::plain(fig5_json(&r), collectors)
+    ScenarioOutput::plain(fig5_json(&r), collectors, crate::fig5_report(&r))
 }
 
 fn scenario_fig6(quick: bool) -> ScenarioOutput {
@@ -130,7 +148,7 @@ fn scenario_fig6(quick: bool) -> ScenarioOutput {
         .iter()
         .map(|row| (format!("fig6/{}", row.label), row.obs.clone()))
         .collect();
-    ScenarioOutput::plain(fig6_json(&r), collectors)
+    ScenarioOutput::plain(fig6_json(&r), collectors, crate::fig6_report(&r))
 }
 
 fn scenario_coldstart(quick: bool) -> ScenarioOutput {
@@ -138,23 +156,27 @@ fn scenario_coldstart(quick: bool) -> ScenarioOutput {
     let obs = swf_obs::Obs::enabled();
     let _guard = swf_obs::install(obs.clone());
     let r = coldstart::run(&config).expect("coldstart scenario failed");
-    ScenarioOutput::plain(coldstart_json(&r), vec![("coldstart".to_string(), obs)])
+    ScenarioOutput::plain(
+        coldstart_json(&r),
+        vec![("coldstart".to_string(), obs)],
+        crate::coldstart_report(&r),
+    )
 }
 
 fn scenario_ablations(quick: bool) -> ScenarioOutput {
-    let r = run_ablations(quick, true);
+    let r = run_ablations(quick);
     let collectors = r
         .collectors
         .iter()
         .map(|(label, obs)| (format!("ablations/{label}"), obs.clone()))
         .collect();
-    ScenarioOutput::plain(r.to_json(), collectors)
+    let report = format!("{}\n{}\n", r.table().render(), AblationsResult::METRIC_NOTE);
+    ScenarioOutput::plain(r.to_json(), collectors, report)
 }
 
 fn scenario_apps(quick: bool) -> ScenarioOutput {
     let r = crate::apps::run_apps(quick);
-    let collectors = r.collectors();
-    ScenarioOutput::plain(r.to_json(), collectors)
+    ScenarioOutput::plain(r.to_json(), r.collectors(), crate::apps::apps_report(&r))
 }
 
 fn scenario_elastic(quick: bool) -> ScenarioOutput {
@@ -162,48 +184,91 @@ fn scenario_elastic(quick: bool) -> ScenarioOutput {
     ScenarioOutput {
         virtual_section: r.to_json(),
         collectors: r.collectors(),
+        report: r.report(),
         cost: Some(r.cost_json()),
     }
 }
 
 type ScenarioFn = fn(bool) -> ScenarioOutput;
 
-/// The default (figure) scenario set, run under the `quick`/`paper`
-/// labels. The `apps` label runs the swf-apps scenario on its own so its
-/// document never perturbs the figure baselines.
-const FIGURE_SCENARIOS: [(&str, ScenarioFn); 6] = [
+/// Every scenario, in the order a run executes them: the paper's six
+/// figure scenarios, which the `quick`/`paper` labels run, then `apps` and
+/// `elastic`, which run under their own labels so their documents never
+/// perturb the figure baselines.
+const SCENARIOS: [(&str, ScenarioFn); 8] = [
     ("fig1", scenario_fig1),
     ("fig2", scenario_fig2),
     ("fig5", scenario_fig5),
     ("fig6", scenario_fig6),
     ("coldstart", scenario_coldstart),
     ("ablations", scenario_ablations),
+    ("apps", scenario_apps),
+    ("elastic", scenario_elastic),
 ];
 
-const APPS_SCENARIOS: [(&str, ScenarioFn); 1] = [("apps", scenario_apps)];
+fn table_names() -> impl Iterator<Item = &'static str> {
+    SCENARIOS.iter().map(|(name, _)| *name)
+}
 
-const ELASTIC_SCENARIOS: [(&str, ScenarioFn); 1] = [("elastic", scenario_elastic)];
-
-fn scenarios_for(label: &str) -> &'static [(&'static str, ScenarioFn)] {
-    match label {
-        "apps" => &APPS_SCENARIOS,
-        "elastic" => &ELASTIC_SCENARIOS,
-        _ => &FIGURE_SCENARIOS,
+/// The scenario names the given suite label runs when `--only` does not
+/// narrow it (`--list` support).
+pub fn scenario_names(label: &str) -> Vec<&'static str> {
+    let own_label = |n: &&str| matches!(*n, "apps" | "elastic");
+    if own_label(&label) {
+        table_names().filter(|n| *n == label).collect()
+    } else {
+        table_names().filter(|n| !own_label(n)).collect()
     }
 }
 
-/// The scenario names the given suite label runs (`--list` support).
-pub fn scenario_names(label: &str) -> Vec<&'static str> {
-    scenarios_for(label).iter().map(|(n, _)| *n).collect()
+/// A `--only` entry that names no scenario of the table (an empty list
+/// fails here too, on its empty name).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct UnknownScenario {
+    /// The name that failed to resolve.
+    pub name: String,
 }
 
-/// Run every scenario of the given label and assemble the benchmark
-/// document. `on_scenario` is called with each scenario's name as it
-/// starts, so callers can narrate progress.
-pub fn run_suite(label: &str, quick: bool, mut on_scenario: impl FnMut(&str)) -> SuiteRun {
+impl std::fmt::Display for UnknownScenario {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown scenario {:?}; valid scenarios: {}",
+            self.name,
+            table_names().collect::<Vec<_>>().join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownScenario {}
+
+/// Resolve a comma-separated `--only` list against the table. The result
+/// is in table order with each name once, whatever the list's order and
+/// repeats.
+pub fn select(only: &str) -> Result<Vec<&'static str>, UnknownScenario> {
+    let wanted: Vec<&str> = only.split(',').map(str::trim).collect();
+    if let Some(unknown) = wanted.iter().find(|w| !table_names().any(|n| n == **w)) {
+        return Err(UnknownScenario {
+            name: unknown.to_string(),
+        });
+    }
+    Ok(table_names().filter(|n| wanted.contains(n)).collect())
+}
+
+/// Run the named scenarios (see [`scenario_names`] and [`select`]) in
+/// table order and assemble the benchmark document. `on_scenario` is
+/// called with each scenario's name as it starts, so callers can narrate
+/// progress.
+pub fn run_suite(
+    label: &str,
+    quick: bool,
+    names: &[&str],
+    mut on_scenario: impl FnMut(&str),
+) -> SuiteRun {
     let mut entries = Vec::new();
+    let mut reports = Vec::new();
     let mut all_collectors = Vec::new();
-    for &(name, run) in scenarios_for(label) {
+    for &(name, run) in SCENARIOS.iter().filter(|(n, _)| names.contains(n)) {
         on_scenario(name);
         let meter = ScenarioMeter::start();
         let out = run(quick);
@@ -215,7 +280,7 @@ pub fn run_suite(label: &str, quick: bool, mut on_scenario: impl FnMut(&str)) ->
             .collect();
         entries.push((
             name.to_string(),
-            scenario_json_with_cost(
+            scenario_json(
                 out.virtual_section,
                 obs_json(&refs),
                 slo_json(&refs),
@@ -223,10 +288,46 @@ pub fn run_suite(label: &str, quick: bool, mut on_scenario: impl FnMut(&str)) ->
                 host,
             ),
         ));
+        reports.push(out.report);
         all_collectors.extend(out.collectors);
     }
     SuiteRun {
         document: bench_document(label, quick, entries),
+        reports,
         collectors: all_collectors,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn select_orders_by_table_and_drops_repeats() {
+        assert_eq!(
+            select("coldstart,fig2,coldstart").unwrap(),
+            ["fig2", "coldstart"]
+        );
+        assert_eq!(select(" apps , fig1").unwrap(), ["fig1", "apps"]);
+    }
+
+    #[test]
+    fn select_rejects_unknown_and_empty_names_listing_the_table() {
+        let err = select("fig1,fig3").unwrap_err();
+        assert_eq!(err.name, "fig3");
+        let msg = err.to_string();
+        for (name, _) in SCENARIOS {
+            assert!(msg.contains(name), "error must list {name}: {msg}");
+        }
+        assert_eq!(select("").unwrap_err().name, "");
+        assert_eq!(select("fig1,").unwrap_err().name, "");
+    }
+
+    #[test]
+    fn every_label_resolves_to_rows_of_the_table() {
+        assert_eq!(scenario_names("quick"), scenario_names("paper"));
+        assert_eq!(scenario_names("quick").len(), 6);
+        assert_eq!(scenario_names("apps"), ["apps"]);
+        assert_eq!(scenario_names("elastic"), ["elastic"]);
     }
 }

@@ -13,7 +13,6 @@ use swf_workloads::{concurrent_workflows, EnvMix};
 
 use crate::builder::{matmul_transformation, stage_chain_workflow};
 use crate::config::{ExperimentConfig, Provisioning};
-use crate::factory::IntegratedFactory;
 use crate::function::register_matmul;
 use crate::testbed::TestBed;
 
@@ -86,7 +85,8 @@ pub fn run_once(
         let obs = obs2;
         let _obs_guard = swf_obs::install(obs.clone());
         let bed = TestBed::boot(&config);
-        let tarball = bed.stage_image_tarball();
+        let (factory, tarball) = bed.factory();
+        let factory = Rc::new(factory);
         register_matmul(&bed.knative, &config);
         if config.provisioning == Provisioning::PreStage {
             bed.knative
@@ -105,16 +105,6 @@ pub fn run_once(
         pegasus
             .replicas()
             .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
-        let factory = Rc::new(
-            IntegratedFactory::new(
-                bed.knative.clone(),
-                bed.k8s.clone(),
-                bed.image.clone(),
-                config.container_staging,
-                Some(tarball),
-            )
-            .with_serialization_rate(config.serialization_rate),
-        );
 
         let chains = concurrent_workflows(
             params.workflows,

@@ -13,7 +13,6 @@ use swf_simcore::{now, secs, Sim};
 use swf_workloads::ExecEnv;
 
 use crate::config::{ExperimentConfig, Provisioning};
-use crate::factory::IntegratedFactory;
 use crate::function::register_matmul;
 use crate::testbed::TestBed;
 
@@ -78,7 +77,7 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> f64 {
     }
     sim.block_on(async move {
         let bed = TestBed::boot(&config);
-        let tarball = bed.stage_image_tarball();
+        let (factory, _tarball) = bed.factory();
         register_matmul(&bed.knative, &config);
         if env == ExecEnv::Serverless && config.provisioning == Provisioning::PreStage {
             bed.knative
@@ -86,14 +85,6 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> f64 {
                 .await
                 .expect("function ready");
         }
-        let factory = IntegratedFactory::new(
-            bed.knative.clone(),
-            bed.k8s.clone(),
-            bed.image.clone(),
-            config.container_staging,
-            Some(tarball.clone()),
-        )
-        .with_serialization_rate(config.serialization_rate);
         // Stage the shared input matrices (real data) on the submit node.
         let mut rng = swf_simcore::DetRng::new(config.seed, "fig2-inputs");
         let a = swf_workloads::Matrix::random(

@@ -283,7 +283,6 @@ impl JobFactory for IntegratedFactory {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::config::{ExperimentConfig, Provisioning};
     use crate::testbed::TestBed;
     use swf_pegasus::{NativeFactory, Pegasus, ReplicaLocation};
@@ -296,7 +295,7 @@ mod tests {
         sim.block_on(async move {
             let config = ExperimentConfig::quick();
             let bed = TestBed::boot(&config);
-            let tarball = bed.stage_image_tarball();
+            let (factory, tarball) = bed.factory();
             crate::function::register_matmul(&bed.knative, &config);
             if config.provisioning == Provisioning::PreStage {
                 bed.knative
@@ -320,13 +319,6 @@ mod tests {
             pegasus
                 .replicas()
                 .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
-            let factory = IntegratedFactory::new(
-                bed.knative.clone(),
-                bed.k8s.clone(),
-                bed.image.clone(),
-                config.container_staging,
-                Some(tarball),
-            );
             let (_stats, _report) = pegasus.run(&wf, &factory).await.unwrap();
             // Reference result via pure native execution on a fresh bed is
             // overkill; recompute expected product directly instead.

@@ -8,6 +8,7 @@ use swf_k8s::K8s;
 use swf_knative::Knative;
 
 use crate::config::ExperimentConfig;
+use crate::factory::IntegratedFactory;
 
 /// A fully booted reproduction of the paper's environment.
 pub struct TestBed {
@@ -77,6 +78,23 @@ impl TestBed {
             .shared_fs()
             .stage(&name, swf_cluster::zeroed_bytes(size as usize));
         name
+    }
+
+    /// Stage the image tarball and build the paper's integrated factory
+    /// from this bed and its config (container staging mode,
+    /// serialization rate). Returns the factory and the tarball's logical
+    /// file name, which a Pegasus run must also register as a replica.
+    pub fn factory(&self) -> (IntegratedFactory, String) {
+        let tarball = self.stage_image_tarball();
+        let factory = IntegratedFactory::new(
+            self.knative.clone(),
+            self.k8s.clone(),
+            self.image.clone(),
+            self.config.container_staging,
+            Some(tarball.clone()),
+        )
+        .with_serialization_rate(self.config.serialization_rate);
+        (factory, tarball)
     }
 }
 

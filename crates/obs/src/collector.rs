@@ -331,32 +331,6 @@ impl Drop for SpanGuard {
     }
 }
 
-/// Adapter letting the flat `swf-simcore` [`Trace`](swf_simcore::Trace)
-/// ring emit into a collector as zero-length "instant" spans, so one
-/// sink sees both the legacy event log and the span tree.
-pub struct ObsTraceSink {
-    obs: Obs,
-}
-
-impl ObsTraceSink {
-    /// Sink forwarding into `obs`.
-    pub fn new(obs: Obs) -> Self {
-        ObsTraceSink { obs }
-    }
-}
-
-impl swf_simcore::TraceSink for ObsTraceSink {
-    fn event(&self, at: SimTime, component: &str, event: &str, detail: &str) {
-        let name = if detail.is_empty() {
-            event.to_string()
-        } else {
-            format!("{event}: {detail}")
-        };
-        self.obs
-            .record_span(SpanContext::NONE, component, name, Category::Other, at, at);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,7 +49,7 @@ mod slo;
 mod span;
 
 pub use chrome::{chrome_trace, chrome_trace_to_string};
-pub use collector::{current, install, InstallGuard, Obs, ObsTraceSink, SpanGuard};
+pub use collector::{current, install, InstallGuard, Obs, SpanGuard};
 pub use critpath::{critical_path, roots, CritStep, CriticalPath};
 pub use export::{spans_from_json, spans_to_json, SPANS_FORMAT};
 pub use hist::LogHistogram;

@@ -40,7 +40,6 @@ pub mod resource;
 pub mod retry;
 pub mod rng;
 pub mod time;
-pub mod trace;
 mod wheel;
 
 /// Synchronization primitives in virtual time.
@@ -64,4 +63,3 @@ pub use resource::{Claim, Resource};
 pub use retry::RetryPolicy;
 pub use rng::DetRng;
 pub use time::{micros, millis, secs, SimDuration, SimTime};
-pub use trace::{Trace, TraceEvent, TraceSink};

@@ -16,7 +16,7 @@ pub struct Config {
     /// Workspace-relative files exempt from D3 (the seeded-RNG
     /// implementation itself).
     pub rng_exempt: Vec<String>,
-    /// Run the structural S-rules (crate docs, bench `--trace`).
+    /// Run the structural S-rule (crate docs).
     pub check_structure: bool,
     /// Path substrings that opt a file into the C-rules (checked
     /// arithmetic): codec/records/registry-style files where size

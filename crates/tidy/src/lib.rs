@@ -19,10 +19,8 @@
 //! - **R1** `unwrap`: `unwrap()`/`expect()`/`panic!`-family sites in
 //!   non-test simulation code are counted against a checked-in baseline
 //!   ([`Baseline`]) that can only ratchet down.
-//! - **S-rules**: every crate gates `missing_docs` and carries crate-level
-//!   docs; every bench binary wires the uniform `--trace` flags
-//!   (`bench-trace`) and the machine-readable `--json` record flag
-//!   (`bench-json`).
+//! - **S1** `crate-docs`: every crate gates `missing_docs` and carries
+//!   crate-level docs.
 //!
 //! Run it as `cargo run -p swf-tidy -- check` (add `--json` for
 //! machine-readable output, `--bless` to regenerate the baseline).
@@ -54,7 +52,7 @@ pub use sarif::to_sarif;
 /// The outcome of one full `check` pass.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// All violations (A/D/C/M/L-rules, R1 baseline deltas, S-rules),
+    /// All violations (A/D/C/M/L-rules, R1 baseline deltas, S1),
     /// sorted by file then line.
     pub violations: Vec<Violation>,
     /// Files scanned under the D/R rules.
@@ -149,7 +147,7 @@ fn rel(root: &Path, path: &Path) -> String {
 }
 
 /// Run the full check: D/R rules over every simulation crate's `src/`
-/// tree, the R1 baseline comparison, and the structural S-rules.
+/// tree, the R1 baseline comparison, and the structural S1 rule.
 pub fn run_check(config: &Config) -> Result<Report, String> {
     let mut report = Report::default();
     let baseline = Baseline::load(&config.root.join(&config.baseline))?;
@@ -308,7 +306,7 @@ fn check_against_baseline(
     }
 }
 
-/// S-rules: crate docs gate and uniform bench tracing flags.
+/// S1: every crate gates its docs and carries a crate-level header.
 fn check_structure(config: &Config, violations: &mut Vec<Violation>) {
     let crates_dir = config.root.join("crates");
     let Ok(entries) = std::fs::read_dir(&crates_dir) else {
@@ -338,64 +336,6 @@ fn check_structure(config: &Config, violations: &mut Vec<Violation>) {
                 file: rel_path,
                 line: 1,
                 message: "crate has no crate-level `//!` documentation header".into(),
-            });
-        }
-    }
-
-    // Every bench binary must wire the shared tracing CLI (`--trace` /
-    // `--trace-out`) through swf-bench's helpers.
-    let bins = config.root.join("crates/bench/src/bin");
-    for path in rust_files(&bins) {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel_path = rel(&config.root, &path);
-        let wired = source.contains("install_cli_obs")
-            || source.contains("dump_observability")
-            || source.contains("cli_config")
-            || source.contains("write_chrome_trace");
-        if !wired {
-            violations.push(Violation {
-                rule: rules::BENCH_TRACE,
-                file: rel_path.clone(),
-                line: 1,
-                message: "bench binary does not wire the uniform tracing CLI — use \
-                          `swf_bench::install_cli_obs()` / `dump_observability()`"
-                    .into(),
-            });
-        }
-        if !source.contains("--trace") {
-            violations.push(Violation {
-                rule: rules::BENCH_TRACE,
-                file: rel_path.clone(),
-                line: 1,
-                message: "bench binary usage header does not document the `--trace` / \
-                          `--trace-out` flags"
-                    .into(),
-            });
-        }
-
-        // S3: every bench binary must also emit the machine-readable
-        // `BENCH_*.json` record on request, through the shared helpers.
-        let json_wired = source.contains("emit_scenario_json") || source.contains("json_out");
-        if !json_wired {
-            violations.push(Violation {
-                rule: rules::BENCH_JSON,
-                file: rel_path.clone(),
-                line: 1,
-                message: "bench binary does not wire the `--json` record flag — use \
-                          `swf_bench::emit_scenario_json()` (or `json_out()` directly)"
-                    .into(),
-            });
-        }
-        if !source.contains("--json") {
-            violations.push(Violation {
-                rule: rules::BENCH_JSON,
-                file: rel_path,
-                line: 1,
-                message: "bench binary usage header does not document the `--json <path>` \
-                          flag"
-                    .into(),
             });
         }
     }

@@ -25,10 +25,6 @@ pub const AMBIENT_RNG: &str = "ambient-rng";
 pub const UNWRAP: &str = "unwrap";
 /// S1: every crate gates `missing_docs` and has crate-level docs.
 pub const CRATE_DOCS: &str = "crate-docs";
-/// S2: every bench binary wires the uniform `--trace` flags.
-pub const BENCH_TRACE: &str = "bench-trace";
-/// S3: every bench binary wires the uniform `--json` record flag.
-pub const BENCH_JSON: &str = "bench-json";
 /// A1: no `.await` while a `RefCell` borrow / lock guard is live.
 pub const AWAIT_BORROW: &str = "await-borrow";
 /// D4: no float accumulation over hash-ordered iterators.

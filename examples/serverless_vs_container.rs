@@ -4,11 +4,8 @@
 //!
 //! Run with: `cargo run --release --example serverless_vs_container`
 
-use std::rc::Rc;
-
 use swf_core::{
-    matmul_transformation, register_matmul, stage_chain_workflow, ExperimentConfig,
-    IntegratedFactory, TestBed,
+    matmul_transformation, register_matmul, stage_chain_workflow, ExperimentConfig, TestBed,
 };
 use swf_pegasus::{Pegasus, ReplicaLocation};
 use swf_simcore::{secs, Sim};
@@ -20,7 +17,7 @@ fn run_venue(label: &str, mix: EnvMix) -> (f64, u64) {
     sim.block_on(async move {
         let config = ExperimentConfig::quick();
         let bed = TestBed::boot(&config);
-        let tarball = bed.stage_image_tarball();
+        let (factory, tarball) = bed.factory();
         register_matmul(&bed.knative, &config);
         bed.knative
             .wait_ready("matmul", config.min_scale as usize, secs(600.0))
@@ -38,17 +35,7 @@ fn run_venue(label: &str, mix: EnvMix) -> (f64, u64) {
         let mut rng = swf_simcore::DetRng::new(11, "example");
         let chain = chain_workflow(0, 6, mix, &mut rng);
         let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &config);
-        let factory = Rc::new(
-            IntegratedFactory::new(
-                bed.knative.clone(),
-                bed.k8s.clone(),
-                bed.image.clone(),
-                config.container_staging,
-                Some(tarball),
-            )
-            .with_serialization_rate(config.serialization_rate),
-        );
-        let (stats, _report) = pegasus.run(&wf, factory.as_ref()).await.expect("workflow");
+        let (stats, _report) = pegasus.run(&wf, &factory).await.expect("workflow");
         let bytes_moved = bed.cluster.network().bytes_moved();
         println!(
             "{label:<22} makespan {:>7.1}s   bytes moved {:>10}",

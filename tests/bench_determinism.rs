@@ -1,9 +1,15 @@
 //! The benchmark suite is a pure function of its inputs: two quick-suite
 //! runs in the same process must produce bitwise-identical virtual-time
-//! and observability sections, and `swf_metrics::compare` must report
-//! neither drift nor regression between them.
+//! and observability sections, `swf_metrics::compare` must report
+//! neither drift nor regression between them, and a `--only` selection
+//! must reproduce its scenarios exactly as the full run records them.
 
-use swf_bench::suite::run_suite;
+use swf_bench::suite::{scenario_names, select, SuiteRun};
+
+/// The full quick figure suite, as `suite --quick --label <label>` runs it.
+fn run_suite(label: &str) -> SuiteRun {
+    swf_bench::suite::run_suite(label, true, &scenario_names(label), |_| {})
+}
 
 /// Strip the host section (the only legitimately run-dependent part:
 /// wall-clock under `host-profiling`) so the rest can be compared as text.
@@ -25,8 +31,8 @@ fn deterministic_sections(doc: &serde_json::Value) -> String {
 
 #[test]
 fn quick_suite_is_bitwise_deterministic() {
-    let first = run_suite("determinism", true, |_| {});
-    let second = run_suite("determinism", true, |_| {});
+    let first = run_suite("determinism");
+    let second = run_suite("determinism");
 
     // Virtual + obs sections must be byte-identical across runs. The
     // serializer renders f64 leaves exactly, so text equality here is bit
@@ -83,8 +89,47 @@ fn quick_suite_is_bitwise_deterministic() {
 }
 
 #[test]
+fn selected_scenarios_match_the_full_run_in_table_order() {
+    let full = run_suite("selection");
+    // `--only coldstart,fig2`: given out of table order on purpose.
+    let names = select("coldstart,fig2").expect("both names are in the table");
+    let mut started = Vec::new();
+    let part = swf_bench::suite::run_suite("selection", true, &names, |name| {
+        started.push(name.to_string());
+    });
+    assert_eq!(
+        started,
+        ["fig2", "coldstart"],
+        "rows must run in table order"
+    );
+    assert_eq!(part.reports.len(), 2);
+
+    let scenarios = part.document["scenarios"]
+        .as_object()
+        .expect("scenarios object");
+    assert_eq!(scenarios.len(), 2, "only the selected rows are recorded");
+    // A scenario's sections do not depend on which other rows ran: each
+    // selected entry is byte-identical to the full run's entry.
+    let sections = |run: &SuiteRun, name: &str| {
+        let mut scenario = run.document["scenarios"][name].clone();
+        scenario
+            .as_object_mut()
+            .expect("scenario object")
+            .remove("host");
+        scenario.to_string()
+    };
+    for name in ["fig2", "coldstart"] {
+        assert_eq!(
+            sections(&part, name),
+            sections(&full, name),
+            "scenario {name} differs between the selection and the full run"
+        );
+    }
+}
+
+#[test]
 fn compare_flags_injected_slo_drift() {
-    let run = run_suite("slo-drift", true, |_| {});
+    let run = run_suite("slo-drift");
     let mut tampered = run.document.clone();
     let slo = tampered
         .get_mut("scenarios")
@@ -100,7 +145,7 @@ fn compare_flags_injected_slo_drift() {
 
 #[test]
 fn compare_flags_injected_virtual_drift() {
-    let run = run_suite("drift", true, |_| {});
+    let run = run_suite("drift");
     let mut tampered = run.document.clone();
     let row = tampered
         .get_mut("scenarios")

@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use swf_core::{
     matmul_transformation, register_matmul, stage_chain_workflow, ContainerStaging,
-    ExperimentConfig, IntegratedFactory, Provisioning, TestBed,
+    ExperimentConfig, Provisioning, TestBed,
 };
 use swf_pegasus::{Pegasus, PlanOptions, ReplicaLocation};
 use swf_simcore::{secs, Sim};
@@ -24,7 +24,7 @@ fn run_chain(
     let config = config.clone();
     sim.block_on(async move {
         let bed = TestBed::boot(&config);
-        let tarball = bed.stage_image_tarball();
+        let (factory, tarball) = bed.factory();
         register_matmul(&bed.knative, &config);
         if config.provisioning == Provisioning::PreStage {
             bed.knative
@@ -46,14 +46,6 @@ fn run_chain(
         let mut rng = swf_simcore::DetRng::new(99, "itest");
         let chain: ChainWorkflow = chain_workflow(0, length, mix, &mut rng);
         let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &config);
-        let factory = IntegratedFactory::new(
-            bed.knative.clone(),
-            bed.k8s.clone(),
-            bed.image.clone(),
-            config.container_staging,
-            Some(tarball),
-        )
-        .with_serialization_rate(config.serialization_rate);
         let (stats, _report) = pegasus.run(&wf, &factory).await.unwrap();
 
         // Recompute the expected final product from the staged seeds.
