@@ -134,7 +134,9 @@ pub fn chrome_trace(spans: &[Span], prefix: &str) -> serde_json::Value {
 
 /// [`chrome_trace`] rendered to its on-disk JSON string.
 pub fn chrome_trace_to_string(spans: &[Span], prefix: &str) -> String {
-    chrome_trace(spans, prefix).to_string()
+    // Straight into one `String`, which cannot fail; `Display` would pay
+    // a dynamic call per token through its formatter.
+    serde_json::to_string(&chrome_trace(spans, prefix)).unwrap_or_default()
 }
 
 #[cfg(test)]

@@ -176,28 +176,66 @@ fn secs_of(t: SimTime) -> f64 {
 
 struct Analyzer<'a> {
     spans: &'a [Span],
-    children: BTreeMap<SpanId, Vec<SpanId>>,
+    /// Child ids of the span at slice index `i` are
+    /// `children[child_offsets[i]..child_offsets[i + 1]]`, in slice order.
+    child_offsets: Vec<usize>,
+    children: Vec<SpanId>,
     steps: Vec<CritStep>,
     breakdown: BTreeMap<Category, f64>,
 }
 
+/// Slice index of a span id under the collector's dense numbering
+/// (`spans[id - 1].id == id`), if it is inside the slice at all.
+fn dense_index(id: SpanId, len: usize) -> Option<usize> {
+    let idx = usize::try_from(id.0).ok()?.checked_sub(1)?;
+    (idx < len).then_some(idx)
+}
+
 impl<'a> Analyzer<'a> {
-    fn get(&self, id: SpanId) -> Option<&'a Span> {
-        let idx = id.0 as usize;
-        if idx == 0 || idx > self.spans.len() {
-            return None;
+    /// Index every span's children with two counting passes. A parent
+    /// id outside the slice gets no bucket: [`Analyzer::get`] never
+    /// yields such a span, so its children are never asked for.
+    fn new(spans: &'a [Span]) -> Self {
+        let parent_index = |s: &Span| dense_index(s.parent, spans.len());
+        let mut child_offsets = vec![0usize; spans.len() + 1];
+        for p in spans.iter().filter_map(parent_index) {
+            child_offsets[p + 1] += 1;
         }
-        let s = &self.spans[idx - 1];
+        for i in 0..spans.len() {
+            child_offsets[i + 1] += child_offsets[i];
+        }
+        let mut next = child_offsets.clone();
+        let mut children = vec![SpanId::NONE; child_offsets[spans.len()]];
+        for s in spans {
+            if let Some(p) = parent_index(s) {
+                children[next[p]] = s.id;
+                next[p] += 1;
+            }
+        }
+        Analyzer {
+            spans,
+            child_offsets,
+            children,
+            steps: Vec::new(),
+            breakdown: BTreeMap::new(),
+        }
+    }
+
+    fn get(&self, id: SpanId) -> Option<&'a Span> {
+        let s = &self.spans[dense_index(id, self.spans.len())?];
         (s.id == id).then_some(s)
     }
 
+    /// Children first (slice order), then causal links. `s` came from
+    /// [`Analyzer::get`], so its id names its own slice index.
     fn contributors(&self, s: &Span) -> Vec<&'a Span> {
-        let mut out: Vec<&Span> = Vec::new();
-        if let Some(kids) = self.children.get(&s.id) {
-            out.extend(kids.iter().filter_map(|&id| self.get(id)));
-        }
-        out.extend(s.links.iter().filter_map(|&id| self.get(id)));
-        out
+        let kids = dense_index(s.id, self.spans.len()).map_or(&[][..], |i| {
+            &self.children[self.child_offsets[i]..self.child_offsets[i + 1]]
+        });
+        kids.iter()
+            .chain(&s.links)
+            .filter_map(|&id| self.get(id))
+            .collect()
     }
 
     /// Attribute the window `[lo, hi)` of span `s`, walking backwards.
@@ -268,18 +306,7 @@ impl<'a> Analyzer<'a> {
 ///
 /// Returns an empty default if `root` is unknown or zero-length.
 pub fn critical_path(spans: &[Span], root: SpanId) -> CriticalPath {
-    let mut children: BTreeMap<SpanId, Vec<SpanId>> = BTreeMap::new();
-    for s in spans {
-        if !s.parent.is_none() {
-            children.entry(s.parent).or_default().push(s.id);
-        }
-    }
-    let mut analyzer = Analyzer {
-        spans,
-        children,
-        steps: Vec::new(),
-        breakdown: BTreeMap::new(),
-    };
+    let mut analyzer = Analyzer::new(spans);
     let Some(root_span) = analyzer.get(root) else {
         return CriticalPath::default();
     };
