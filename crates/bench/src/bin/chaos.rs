@@ -2,14 +2,14 @@
 //! fault profile, per-seed, with the calm baseline alongside.
 //!
 //! Usage: `cargo run --release -p swf-bench --bin chaos
-//! [--quick] [--seeds <n>] [--seed <n>] [--seed-range <a>..<b>]
-//! [--profile <name>] [--heavy] [--rescue] [--trace] [--trace-out <path>]
-//! [--json <path>]`
+//! [--quick] [--seeds <n | a..b>] [--profile <name>] [--rescue] [--trace]
+//! [--trace-out <path>] [--json <path>]`
 //!
-//! `--profile` selects a named fault profile (see
+//! `--seeds <n>` sweeps seeds `0..n`, `--seeds <a>..<b>` the half-open
+//! range (`--seeds 5..6` replays seed 5 alone); an empty or malformed set
+//! is a usage error. `--profile` selects a named fault profile (see
 //! `swf_chaos::ChaosProfile::NAMES`); an unknown name is a hard error
-//! listing the valid profiles. `--heavy` stays as an alias for
-//! `--profile heavy`.
+//! listing the valid profiles.
 //!
 //! Prints one row per seed (faults injected, task failures, workflows
 //! completed, calm vs chaos makespan) and, for any seed whose workflows
@@ -18,7 +18,10 @@
 //! liveness probes, circuit breaker) and reports goodput per seed:
 //! rescue rounds, nodes and task-seconds salvaged, task-seconds wasted.
 //! Final rescue DAGs of workflows that still failed are printed and
-//! embedded in the `--json` record so CI can archive them as artifacts.
+//! embedded in the `--json` record so CI can archive them as artifacts,
+//! and the sweep then exits 1: under `--rescue` completion is the
+//! invariant. Without it an incomplete workflow is data and the exit
+//! code stays 0.
 
 use swf_bench::{
     dump_observability, emit_scenario_json, flag_value, is_quick, is_traced, ScenarioMeter,
@@ -27,58 +30,40 @@ use swf_chaos::{experiment_config, run_chaos, ChaosProfile, ChaosRunConfig, Faul
 use swf_core::experiments::setup_header;
 use swf_simcore::secs;
 
-/// The seed pool: `--seed <n>` pins one seed, `--seed-range <a>..<b>`
-/// sweeps a half-open range, `--seeds <n>` sweeps `0..n`, and the default
-/// is `0..8` under `--quick`, `0..32` otherwise.
-fn seed_list() -> Vec<u64> {
-    if let Some(v) = flag_value("--seed") {
-        match v.parse() {
-            Ok(n) => return vec![n],
-            Err(_) => {
-                eprintln!("error: --seed requires a number, got {v:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if let Some(v) = flag_value("--seed-range") {
-        if let Some((a, b)) = v.split_once("..") {
-            if let (Ok(a), Ok(b)) = (a.parse::<u64>(), b.parse::<u64>()) {
-                if a < b {
-                    return (a..b).collect();
-                }
-            }
-        }
-        eprintln!("error: --seed-range requires <a>..<b> with a < b, got {v:?}");
-        std::process::exit(2);
-    }
-    if let Some(v) = flag_value("--seeds") {
-        match v.parse::<u64>() {
-            Ok(n) => return (0..n).collect(),
-            Err(_) => {
-                eprintln!("error: --seeds requires a number, got {v:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if is_quick() {
-        (0..8).collect()
-    } else {
-        (0..32).collect()
+/// The seed set a `--seeds` value names: `<n>` is `0..n`, `<a>..<b>` the
+/// half-open range. An empty set is an error, like a malformed one: a
+/// sweep over no seeds checks nothing and must not pass.
+fn parse_seeds(v: &str) -> Result<std::ops::Range<u64>, String> {
+    let range = match v.split_once("..") {
+        Some((a, b)) => a.parse().and_then(|a| b.parse().map(|b| a..b)),
+        None => v.parse().map(|n| 0..n),
+    };
+    match range {
+        Ok(r) if !r.is_empty() => Ok(r),
+        _ => Err(format!(
+            "--seeds requires <n> or <a>..<b> naming at least one seed, got {v:?}"
+        )),
     }
 }
 
-/// The fault profile selected by `--profile <name>` (or the legacy
-/// `--heavy` alias; `light` by default). An unknown name is a typed
-/// [`swf_chaos::UnknownProfile`] error: the sweep refuses to run rather
-/// than silently falling back to the default profile.
+/// The seed pool: `--seeds`, else `0..8` under `--quick`, `0..32` otherwise.
+fn seeds_from_args() -> std::ops::Range<u64> {
+    match flag_value("--seeds") {
+        Some(v) => parse_seeds(&v).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+        None if is_quick() => 0..8,
+        None => 0..32,
+    }
+}
+
+/// The fault profile selected by `--profile <name>` (`light` by default).
+/// An unknown name is a typed [`swf_chaos::UnknownProfile`] error: the
+/// sweep refuses to run rather than silently falling back to the default
+/// profile.
 fn profile_from_args() -> (String, ChaosProfile) {
-    let name = flag_value("--profile").unwrap_or_else(|| {
-        if std::env::args().any(|a| a == "--heavy") {
-            "heavy".to_string()
-        } else {
-            "light".to_string()
-        }
-    });
+    let name = flag_value("--profile").unwrap_or_else(|| "light".to_string());
     match ChaosProfile::by_name(&name) {
         Ok(p) => (name, p),
         Err(e) => {
@@ -99,14 +84,14 @@ fn main() {
     let _guard = swf_obs::install(obs.clone());
     let profile = profile_from_args();
     let rescue = std::env::args().any(|a| a == "--rescue");
-    let seeds = seed_list();
+    let seeds = seeds_from_args();
     // The harness derives its jitter-free config from each seed; nothing
     // the header shows depends on which.
     println!("{}", setup_header(&experiment_config(0)));
     println!(
         "## chaos seed sweep ({} profile, {} seeds{})",
         profile.0,
-        seeds.len(),
+        seeds.end - seeds.start,
         if rescue { ", rescue-resume armed" } else { "" }
     );
     if rescue {
@@ -121,7 +106,7 @@ fn main() {
     let mut rows = Vec::new();
     let mut failing: Vec<(u64, FaultPlan)> = Vec::new();
     let mut rescue_artifacts: Vec<(u64, String, String)> = Vec::new();
-    for &seed in &seeds {
+    for seed in seeds {
         let cfg = if rescue {
             ChaosRunConfig::rescue(seed)
         } else {
@@ -268,5 +253,26 @@ fn main() {
             &[("chaos", &obs)],
             meter,
         );
+    }
+    if rescue && !failing.is_empty() {
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seeds;
+
+    #[test]
+    fn seed_sets_parse_or_are_refused() {
+        assert_eq!(parse_seeds("32"), Ok(0..32));
+        assert_eq!(parse_seeds("5..6"), Ok(5..6));
+        assert_eq!(parse_seeds("0..32"), Ok(0..32));
+        for bad in [
+            "0", "7..7", "9..3", "", "..", "3..", "..4", "a..b", "-1", "1..2..3", "x",
+        ] {
+            let err = parse_seeds(bad).expect_err(bad);
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 }

@@ -64,11 +64,6 @@ impl Cluster {
         }
     }
 
-    /// The paper's 4-node testbed with default fabric.
-    pub fn paper_testbed() -> Self {
-        Cluster::new(&ClusterConfig::default())
-    }
-
     /// The submit node (HTCondor schedd + k8s control plane + shared FS).
     pub fn submit_node(&self) -> &Node {
         &self.nodes[0]
@@ -146,7 +141,7 @@ mod tests {
     fn paper_testbed_shape() {
         let sim = Sim::new();
         sim.block_on(async {
-            let c = Cluster::paper_testbed();
+            let c = Cluster::new(&ClusterConfig::default());
             assert_eq!(c.nodes().len(), 4);
             assert_eq!(c.worker_nodes().len(), 3);
             assert_eq!(c.submit_node().id(), NodeId(0));
@@ -171,7 +166,7 @@ mod tests {
     fn shared_fs_roundtrip_from_worker() {
         let sim = Sim::new();
         sim.block_on(async {
-            let c = Cluster::paper_testbed();
+            let c = Cluster::new(&ClusterConfig::default());
             let worker = c.worker_nodes()[0].id();
             c.shared_write_from(worker, "in.mat", Bytes::from(vec![9u8; 1024]))
                 .await

@@ -131,7 +131,6 @@ type ListenerMap = BTreeMap<(NodeId, u16), mpsc::Sender<Incoming>>;
 pub struct HttpStack {
     network: Network,
     listeners: Rc<RefCell<ListenerMap>>,
-    requests: Rc<RefCell<u64>>,
 }
 
 impl HttpStack {
@@ -140,7 +139,6 @@ impl HttpStack {
         HttpStack {
             network,
             listeners: Rc::new(RefCell::new(BTreeMap::new())),
-            requests: Rc::new(RefCell::new(0)),
         }
     }
 
@@ -155,11 +153,6 @@ impl HttpStack {
     /// Remove a listener; true if one was bound.
     pub fn unlisten(&self, node: NodeId, port: u16) -> bool {
         self.listeners.borrow_mut().remove(&(node, port)).is_some()
-    }
-
-    /// Is anything listening at `(node, port)`?
-    pub fn is_bound(&self, node: NodeId, port: u16) -> bool {
-        self.listeners.borrow().contains_key(&(node, port))
     }
 
     /// Perform a full HTTP round trip from `from` to `(to, port)`.
@@ -198,13 +191,7 @@ impl HttpStack {
         self.network
             .transfer(to, from, response.wire_size())
             .await?;
-        *self.requests.borrow_mut() += 1;
         Ok(response)
-    }
-
-    /// Completed request/response round trips.
-    pub fn completed_requests(&self) -> u64 {
-        *self.requests.borrow()
     }
 
     /// The underlying network (for byte accounting).
@@ -264,7 +251,6 @@ mod tests {
                 .unwrap();
             assert!(resp.is_success());
             assert_eq!(&resp.body[..], &[2, 4, 6]);
-            assert_eq!(st.completed_requests(), 1);
         });
     }
 
@@ -321,7 +307,6 @@ mod tests {
         sim.block_on(async {
             let st = stack(1);
             let _rx = st.listen(NodeId(0), 80);
-            assert!(st.is_bound(NodeId(0), 80));
             assert!(st.unlisten(NodeId(0), 80));
             assert!(!st.unlisten(NodeId(0), 80));
             let err = st

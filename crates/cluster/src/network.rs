@@ -61,14 +61,6 @@ pub struct LinkQuality {
     pub bandwidth_factor: f64,
 }
 
-impl LinkQuality {
-    /// The undegraded link.
-    pub const NOMINAL: LinkQuality = LinkQuality {
-        latency_factor: 1.0,
-        bandwidth_factor: 1.0,
-    };
-}
-
 struct State {
     nics: BTreeMap<NodeId, Nic>,
     transfers: u64,

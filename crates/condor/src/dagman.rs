@@ -50,12 +50,6 @@ impl DagSpec {
         }
     }
 
-    /// Set the workflow name (builder style).
-    pub fn with_name(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
     /// The workflow name ("dag" when unset).
     pub fn name(&self) -> &str {
         if self.name.is_empty() {

@@ -9,8 +9,6 @@ use bytes::Bytes;
 use swf_cluster::{Cluster, Node, NodeId};
 use swf_simcore::{SimDuration, SimTime};
 
-use crate::classad::{ClassAd, Expr};
-
 /// Job identifier (cluster id in HTCondor terms).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct JobId(pub u64);
@@ -66,20 +64,12 @@ impl JobContext {
 pub struct JobSpec {
     /// Program to run on the worker.
     pub program: JobFn,
-    /// Machine constraints.
-    pub requirements: Expr,
     /// Cores requested (slot granularity is one core; >1 claims several).
     pub request_cpus: u32,
-    /// Memory requested (bytes) — advisory in the ad.
-    pub request_memory: u64,
     /// Files staged submit-node → worker sandbox before the program runs.
     pub input_files: Vec<String>,
     /// Files staged worker sandbox → submit node after success.
     pub output_files: Vec<String>,
-    /// Higher runs first within a negotiation cycle.
-    pub priority: i32,
-    /// Extra job-ad attributes.
-    pub ad: ClassAd,
     /// Tracing parent for every span of this job's lifecycle (queue,
     /// negotiate, activation, transfer, execute). DAGMan sets it to the
     /// workflow node's span; `NONE` leaves the job spans as roots.
@@ -93,13 +83,9 @@ impl JobSpec {
     ) -> Self {
         JobSpec {
             program: Rc::new(program),
-            requirements: Expr::True,
             request_cpus: 1,
-            request_memory: swf_cluster::mib(512),
             input_files: Vec::new(),
             output_files: Vec::new(),
-            priority: 0,
-            ad: ClassAd::new(),
             span: swf_obs::SpanContext::NONE,
         }
     }
@@ -107,12 +93,6 @@ impl JobSpec {
     /// Set the tracing parent (builder style).
     pub fn with_span(mut self, span: swf_obs::SpanContext) -> Self {
         self.span = span;
-        self
-    }
-
-    /// Set requirements (builder style).
-    pub fn with_requirements(mut self, req: Expr) -> Self {
-        self.requirements = req;
         self
     }
 
@@ -126,20 +106,6 @@ impl JobSpec {
     pub fn with_outputs(mut self, files: Vec<String>) -> Self {
         self.output_files = files;
         self
-    }
-
-    /// Set priority (builder style).
-    pub fn with_priority(mut self, p: i32) -> Self {
-        self.priority = p;
-        self
-    }
-
-    /// The job's ClassAd including request attributes.
-    pub fn job_ad(&self) -> ClassAd {
-        let mut ad = self.ad.clone();
-        ad.insert("RequestCpus", i64::from(self.request_cpus));
-        ad.insert("RequestMemory", self.request_memory as i64);
-        ad
     }
 }
 
@@ -181,18 +147,6 @@ impl JobResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn job_ad_carries_requests() {
-        let spec = JobSpec::new(|_ctx| Box::pin(async { Ok(Bytes::new()) }))
-            .with_priority(5)
-            .with_inputs(vec!["a.mat".into()]);
-        let ad = spec.job_ad();
-        assert_eq!(ad.get_int("RequestCpus"), Some(1));
-        assert!(ad.get_int("RequestMemory").unwrap() > 0);
-        assert_eq!(spec.priority, 5);
-        assert_eq!(spec.input_files, vec!["a.mat"]);
-    }
 
     #[test]
     fn result_execution_time() {

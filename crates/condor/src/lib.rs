@@ -1,7 +1,7 @@
 //! # swf-condor
 //!
 //! HTCondor-style batch system for the *Serverless Computing for Dynamic HPC
-//! Workflows* reproduction: a schedd job queue, ClassAd-lite matchmaking in
+//! Workflows* reproduction: a schedd job queue, slot-fit matchmaking in
 //! periodic negotiation cycles, per-node startds with slot claims and
 //! sandbox file transfer, and a DAGMan engine with dependencies, retries and
 //! throttles.
@@ -13,8 +13,6 @@
 
 #![warn(missing_docs)]
 
-pub mod classad;
-pub mod classad_parser;
 pub mod dagman;
 pub mod error;
 pub mod job;
@@ -25,8 +23,6 @@ pub mod rescue;
 pub mod schedd;
 pub mod startd;
 
-pub use classad::{AdValue, ClassAd, CmpOp, Expr};
-pub use classad_parser::{parse_expr, ParseError};
 pub use dagman::{
     run_dag, run_dag_resumable, DagNode, DagReport, DagRun, DagSpec, DagmanConfig, FailurePolicy,
 };

@@ -104,17 +104,17 @@ impl Negotiator {
     /// One negotiation cycle. Returns the jobs matched.
     pub async fn cycle(&self) -> Vec<JobId> {
         let mut matched = Vec::new();
-        swf_obs::current().gauge_set("condor.idle_jobs", self.schedd.idle_jobs().len() as f64);
+        let idle = self.schedd.idle_jobs();
+        swf_obs::current().gauge_set("condor.idle_jobs", idle.len() as f64);
         // Track slots reserved within this cycle so one cycle cannot
         // overcommit a startd before the claims land.
         let mut reserved: Vec<usize> = self.startds.iter().map(|_| 0).collect();
-        for job_id in self.schedd.idle_jobs() {
+        for job_id in idle {
             let Ok(spec) = self.schedd.spec(job_id) else {
                 continue;
             };
-            let job_ad = spec.job_ad();
             let want = spec.request_cpus.max(1) as usize;
-            // Candidates: requirement match + enough unreserved free slots.
+            // Candidates: up, not draining, enough unreserved free slots.
             // Prefer the startd with the most free slots (spread), then
             // stable order.
             let mut best: Option<(usize, usize)> = None; // (free, idx)
@@ -124,9 +124,6 @@ impl Negotiator {
                 }
                 let free = startd.free_slots().saturating_sub(reserved[idx]);
                 if free < want {
-                    continue;
-                }
-                if !spec.requirements.eval(&job_ad, &startd.machine_ad()) {
                     continue;
                 }
                 if best.map(|(f, _)| free > f).unwrap_or(true) {
@@ -201,7 +198,6 @@ impl Negotiator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classad::Expr;
     use crate::job::{JobContext, JobSpec};
     use bytes::Bytes;
     use swf_cluster::{Cluster, ClusterConfig};
@@ -282,10 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn requirements_filter_machines() {
+    fn a_job_wider_than_any_free_startd_waits_for_slots() {
         let sim = Sim::new();
         sim.block_on(async {
-            let (_c, schedd, startds) = rig();
+            let (_c, schedd, startds) = rig(); // 3 workers × 8 slots
             let negotiator = Negotiator::new(
                 schedd.clone(),
                 startds,
@@ -295,12 +291,23 @@ mod tests {
                     ..NegotiatorConfig::default()
                 },
             );
-            // Impossible requirement: never matched.
-            let id =
-                schedd.submit(quick_job(0.1).with_requirements(Expr::target_ge("Cpus", 1000i64)));
-            let matched = negotiator.cycle().await;
-            assert!(matched.is_empty());
+            // One single-core job per startd leaves 7 free slots everywhere.
+            let fillers: Vec<_> = (0..3).map(|_| schedd.submit(quick_job(5.0))).collect();
+            assert_eq!(negotiator.cycle().await, fillers);
+            // Let the claims land (a startd counts a slot taken once the
+            // spawned claim acquires it).
+            swf_simcore::sleep(secs(1.0)).await;
+            let mut wide = quick_job(0.1);
+            wide.request_cpus = 8;
+            let id = schedd.submit(wide);
+            assert!(negotiator.cycle().await.is_empty());
             assert_eq!(schedd.status(id).unwrap(), crate::job::JobStatus::Idle);
+            // The fillers finish and free their slots; the next cycle matches.
+            for f in fillers {
+                schedd.wait(f).await.unwrap();
+            }
+            assert_eq!(negotiator.cycle().await, vec![id]);
+            assert!(schedd.wait(id).await.unwrap().success);
         });
     }
 

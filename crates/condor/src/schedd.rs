@@ -134,17 +134,15 @@ impl Schedd {
             .ok_or(CondorError::NoSuchJob(id))
     }
 
-    /// Idle jobs in negotiation order: priority desc, then submit order.
+    /// Idle jobs in negotiation order: submit order, which is id order — a
+    /// requeued job keeps its id and so its place.
     pub fn idle_jobs(&self) -> Vec<JobId> {
         let s = self.state.borrow();
-        let mut idle: Vec<(i32, JobId)> = s
-            .jobs
+        s.jobs
             .iter()
             .filter(|(_, r)| r.status == JobStatus::Idle)
-            .map(|(id, r)| (r.spec.priority, *id))
-            .collect();
-        idle.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        idle.into_iter().map(|(_, id)| id).collect()
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Update a job's status.
@@ -278,14 +276,19 @@ mod tests {
     }
 
     #[test]
-    fn idle_order_respects_priority_then_fifo() {
+    fn idle_order_is_submit_order() {
         let s = Schedd::new();
         let a = s.submit(noop_spec());
-        let b = s.submit(noop_spec().with_priority(10));
+        let b = s.submit(noop_spec());
         let c = s.submit(noop_spec());
-        assert_eq!(s.idle_jobs(), vec![b, a, c]);
+        assert_eq!(s.idle_jobs(), vec![a, b, c]);
         s.set_status(a, JobStatus::Running(NodeId(1)));
         assert_eq!(s.idle_jobs(), vec![b, c]);
+        // A job reclaimed from a lost node re-enters at its original
+        // position, ahead of everything submitted after it.
+        let d = s.submit(noop_spec());
+        s.requeue_running_on(NodeId(1));
+        assert_eq!(s.idle_jobs(), vec![a, b, c, d]);
     }
 
     #[test]

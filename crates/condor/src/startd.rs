@@ -12,7 +12,6 @@ use swf_cluster::{Cluster, Node};
 use swf_simcore::sync::Semaphore;
 use swf_simcore::{now, sleep, SimDuration};
 
-use crate::classad::ClassAd;
 use crate::error::CondorError;
 use crate::job::{JobContext, JobId, JobResult, JobSpec, JobStatus};
 use crate::schedd::Schedd;
@@ -104,20 +103,6 @@ impl Startd {
     /// Total slots.
     pub fn total_slots(&self) -> usize {
         self.slots.capacity()
-    }
-
-    /// The machine ClassAd advertised to the negotiator.
-    pub fn machine_ad(&self) -> ClassAd {
-        ClassAd::new()
-            .set("Machine", self.node.name())
-            .set("Cpus", self.total_slots() as i64)
-            .set("FreeSlots", self.free_slots() as i64)
-            .set(
-                "Memory",
-                (self.node.memory().capacity() / (1024 * 1024)) as i64,
-            )
-            .set("Arch", "X86_64")
-            .set("HasDocker", true)
     }
 
     /// Execute a matched job to completion, reporting status to `schedd`
@@ -278,18 +263,6 @@ mod tests {
         let node = cluster.worker_nodes()[0].clone();
         let startd = Startd::new(node, cluster.clone(), StartdConfig::default());
         (cluster, startd, Schedd::new())
-    }
-
-    #[test]
-    fn machine_ad_shape() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let (_c, startd, _s) = rig();
-            let ad = startd.machine_ad();
-            assert_eq!(ad.get_int("Cpus"), Some(8));
-            assert_eq!(ad.get_int("FreeSlots"), Some(8));
-            assert!(ad.get_int("Memory").unwrap() >= 32_000);
-        });
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl ResourceLimits {
         }
         compute.mul_f64(1000.0 / f64::from(self.cpu_millis))
     }
-
-    /// Number of whole cores this limit can occupy at once (≥ 1 core slot is
-    /// always claimed while running so quota enforcement is conservative).
-    pub fn core_slots(&self) -> usize {
-        usize::max(1, (self.cpu_millis / 1000) as usize)
-    }
 }
 
 #[cfg(test)]
@@ -60,7 +54,6 @@ mod tests {
     fn full_core_is_identity() {
         let l = ResourceLimits::one_core(256);
         assert_eq!(l.scale_compute(secs(2.0)), secs(2.0));
-        assert_eq!(l.core_slots(), 1);
     }
 
     #[test]
@@ -73,13 +66,12 @@ mod tests {
     }
 
     #[test]
-    fn multi_core_quota_claims_slots_but_does_not_shrink() {
+    fn multi_core_quota_does_not_shrink() {
         let l = ResourceLimits {
             cpu_millis: 2500,
             memory: 0,
         };
         assert_eq!(l.scale_compute(secs(2.0)), secs(2.0));
-        assert_eq!(l.core_slots(), 2);
     }
 
     #[test]
@@ -89,6 +81,5 @@ mod tests {
             memory: 0,
         };
         assert_eq!(l.scale_compute(secs(1.0)), secs(1.0));
-        assert_eq!(l.core_slots(), 1);
     }
 }

@@ -228,16 +228,6 @@ impl Registry {
         self.state.borrow().failed_pulls
     }
 
-    /// Bytes streamed to one node (conservation ledger entry).
-    pub fn bytes_pulled_by(&self, node: NodeId) -> u64 {
-        self.state
-            .borrow()
-            .bytes_by_node
-            .get(&node)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// The conservation ledger: per-node streamed bytes, ascending node id.
     /// Its sum always equals [`Registry::bytes_served`].
     pub fn bytes_ledger(&self) -> Vec<(NodeId, u64)> {
@@ -319,10 +309,6 @@ mod tests {
             // Conservation: per-node ledger sums to bytes_served.
             let ledger_sum: u64 = r.bytes_ledger().iter().map(|(_, b)| *b).sum();
             assert_eq!(ledger_sum, r.bytes_served());
-            assert_eq!(
-                r.bytes_pulled_by(NodeId(1)) + r.bytes_pulled_by(NodeId(2)),
-                ledger_sum
-            );
         });
     }
 

@@ -91,11 +91,9 @@ pub struct ExecResult {
 }
 
 struct Ctr {
-    image: ImageRef,
     limits: ResourceLimits,
     phase: ContainerPhase,
     _memory: MemoryLease,
-    execs: u64,
 }
 
 struct RtState {
@@ -183,11 +181,9 @@ impl ContainerRuntime {
         s.containers.insert(
             id,
             Ctr {
-                image: image.clone(),
                 limits,
                 phase: ContainerPhase::Created,
                 _memory: memory,
-                execs: 0,
             },
         );
         Ok(ContainerId(id))
@@ -229,13 +225,7 @@ impl ContainerRuntime {
         let t0 = now();
         let core_wait = self.node.cores().serve(scaled).await;
         let output = (workload.run)().map_err(ContainerError::TaskFailed)?;
-        {
-            let mut s = self.state.borrow_mut();
-            s.execs_total += 1;
-            if let Some(ctr) = s.containers.get_mut(&id.0) {
-                ctr.execs += 1;
-            }
-        }
+        self.state.borrow_mut().execs_total += 1;
         Ok(ExecResult {
             output,
             core_wait,
@@ -297,26 +287,6 @@ impl ContainerRuntime {
             .containers
             .get(&id.0)
             .map(|c| c.phase)
-            .ok_or(ContainerError::NoSuchContainer(id.0))
-    }
-
-    /// Image of a container.
-    pub fn image_of(&self, id: ContainerId) -> Result<ImageRef, ContainerError> {
-        self.state
-            .borrow()
-            .containers
-            .get(&id.0)
-            .map(|c| c.image.clone())
-            .ok_or(ContainerError::NoSuchContainer(id.0))
-    }
-
-    /// Execs completed inside a container (container-reuse accounting).
-    pub fn execs_of(&self, id: ContainerId) -> Result<u64, ContainerError> {
-        self.state
-            .borrow()
-            .containers
-            .get(&id.0)
-            .map(|c| c.execs)
             .ok_or(ContainerError::NoSuchContainer(id.0))
     }
 
@@ -521,7 +491,6 @@ mod tests {
             for _ in 0..5 {
                 rt.exec(id, Workload::synthetic(secs(0.1))).await.unwrap();
             }
-            assert_eq!(rt.execs_of(id).unwrap(), 5);
             assert_eq!(rt.execs_total(), 5);
             assert_eq!(rt.created_total(), 1); // reuse: one container, many tasks
         });

@@ -8,7 +8,7 @@
 //! forest to the paper's question: which overhead category dominates each
 //! environment mix's makespan.
 
-use swf_obs::{critical_path, roots, Category, CriticalPath, Obs};
+use swf_obs::{critical_path, roots, CriticalPath, Obs};
 
 /// Critical path of the slowest traced workflow in `obs`: among root spans
 /// named `workflow:*`, the one with the longest duration (matching the
@@ -28,18 +28,6 @@ pub fn slowest_workflow_breakdown(obs: &Obs) -> Option<CriticalPath> {
     Some(critical_path(&spans, root))
 }
 
-/// Share of the makespan the paper attributes to useful scheduling work:
-/// compute plus claim activation.
-pub fn compute_share(cp: &CriticalPath) -> f64 {
-    cp.share(&[Category::Compute, Category::Activation])
-}
-
-/// Share of the makespan spent on container lifecycle (pull + create +
-/// destroy) — zero on the all-native path.
-pub fn container_lifecycle_share(cp: &CriticalPath) -> f64 {
-    cp.share(&[Category::Pull, Category::Create, Category::Destroy])
-}
-
 /// Render one labelled mix's breakdown as an indented table block.
 pub fn render_mix_breakdown(label: &str, cp: &CriticalPath) -> String {
     let mut out = format!("{label}: {} makespan {:.1}s\n", cp.root_name, cp.makespan_s);
@@ -54,6 +42,7 @@ pub fn render_mix_breakdown(label: &str, cp: &CriticalPath) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swf_obs::Category;
     use swf_simcore::{secs, sleep, Sim};
 
     #[test]
@@ -85,8 +74,7 @@ mod tests {
         let cp = slowest_workflow_breakdown(&obs).expect("traced workflows");
         assert_eq!(cp.root_name, "workflow:long");
         assert!((cp.makespan_s - 5.0).abs() < 1e-9);
-        assert!((compute_share(&cp) - 1.0).abs() < 1e-9);
-        assert_eq!(container_lifecycle_share(&cp), 0.0);
+        assert!((cp.share(&[Category::Compute]) - 1.0).abs() < 1e-9);
         let rendered = render_mix_breakdown("all-native", &cp);
         assert!(rendered.contains("workflow:long"));
         assert!(rendered.contains("compute"));

@@ -114,17 +114,7 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> f64 {
             let program = factory.build(&task);
             let mut input_files = task.inputs.clone();
             input_files.extend(factory.extra_inputs(&task));
-            let spec = JobSpec {
-                program,
-                requirements: swf_condor::Expr::True,
-                request_cpus: 1,
-                request_memory: swf_cluster::mib(512),
-                input_files,
-                output_files: Vec::new(),
-                priority: 0,
-                ad: swf_condor::ClassAd::new(),
-                span: swf_obs::SpanContext::NONE,
-            };
+            let spec = JobSpec::new(move |ctx| program(ctx)).with_inputs(input_files);
             ids.push(bed.condor.submit(spec));
         }
         for id in ids {

@@ -43,9 +43,7 @@ pub mod factory;
 pub mod function;
 pub mod testbed;
 
-pub use breakdown::{
-    compute_share, container_lifecycle_share, render_mix_breakdown, slowest_workflow_breakdown,
-};
+pub use breakdown::{render_mix_breakdown, slowest_workflow_breakdown};
 pub use builder::{matmul_transformation, stage_chain_workflow};
 pub use config::{ContainerStaging, ExperimentConfig, Provisioning};
 pub use error::ExperimentError;

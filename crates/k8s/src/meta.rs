@@ -38,12 +38,6 @@ impl ObjectMeta {
         self
     }
 
-    /// Add one annotation (builder style).
-    pub fn with_annotation(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.annotations.insert(k.into(), v.into());
-        self
-    }
-
     /// Set the owner (builder style).
     pub fn owned_by(mut self, owner: impl Into<String>) -> Self {
         self.owner = Some(owner.into());
@@ -96,10 +90,11 @@ mod tests {
 
     #[test]
     fn builder_and_annotation_parse() {
-        let m = ObjectMeta::named("p")
+        let mut m = ObjectMeta::named("p")
             .with_label("app", "matmul")
-            .with_annotation("autoscaling.knative.dev/min-scale", "3")
             .owned_by("rs-1");
+        m.annotations
+            .insert("autoscaling.knative.dev/min-scale".into(), "3".into());
         assert_eq!(m.name, "p");
         assert_eq!(m.labels["app"], "matmul");
         assert_eq!(

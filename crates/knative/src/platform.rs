@@ -2,7 +2,6 @@
 //! routing on top of a running Kubernetes control plane.
 
 use swf_cluster::{Cluster, NodeId, Request, Response};
-use swf_container::ResourceLimits;
 use swf_k8s::Store;
 use swf_simcore::{spawn, SimDuration};
 
@@ -98,11 +97,6 @@ impl Knative {
         self.ksvcs.put(ksvc.meta.name.clone(), ksvc);
     }
 
-    /// Remove a KService (its revision, deployment and pods cascade away).
-    pub fn unregister(&self, service: &str) {
-        self.ksvcs.delete(service);
-    }
-
     /// Synchronously invoke a function from `from`.
     pub async fn invoke(
         &self,
@@ -169,11 +163,6 @@ impl Knative {
     /// The underlying orchestrator handle.
     pub fn k8s(&self) -> &swf_k8s::K8s {
         &self.k8s
-    }
-
-    /// Default resource shape for the paper's matmul function pods.
-    pub fn default_function_resources() -> ResourceLimits {
-        ResourceLimits::one_core(512)
     }
 }
 

@@ -3,7 +3,7 @@
 //! Measurement toolkit for the reproduction's experiment harness: summary
 //! statistics and percentiles, ordinary least-squares regression (the
 //! paper's slope analysis in Figs. 1 and 2), ternary mix grids for Fig. 5,
-//! uniform table/CSV/JSON report rendering, and benchmark-run comparison
+//! uniform table/JSON report rendering, and benchmark-run comparison
 //! (the drift / regression / improvement gate behind `suite compare`).
 
 #![warn(missing_docs)]
@@ -17,5 +17,5 @@ pub mod ternary;
 pub use compare::{compare, CompareReport, Delta, DeltaClass};
 pub use regression::{fit, Line};
 pub use report::Table;
-pub use stats::{geomean, percentile, Summary};
+pub use stats::{percentile, Summary};
 pub use ternary::{fig6_mixes, simplex_grid, MixPoint};

@@ -1,4 +1,4 @@
-//! Report rendering: aligned text tables, CSV, and JSON.
+//! Report rendering: aligned text tables and JSON.
 //!
 //! Every figure-regeneration binary prints a table through this module so
 //! outputs are uniform and machine-readable (EXPERIMENTS.md is generated
@@ -76,35 +76,6 @@ impl Table {
         out
     }
 
-    /// Render as CSV (headers + rows, comma-separated, quotes on demand).
-    pub fn to_csv(&self) -> String {
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
     /// Render as a JSON array of objects keyed by header.
     pub fn to_json(&self) -> serde_json::Value {
         serde_json::Value::Array(
@@ -150,22 +121,9 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_json() {
-        let t = sample();
-        let csv = t.to_csv();
-        assert!(csv.starts_with("tasks,docker_s,knative_s\n"));
-        assert!(csv.contains("160,100,78"));
-        let json = t.to_json();
+    fn json_rows_are_keyed_by_header() {
+        let json = sample().to_json();
         assert_eq!(json[1]["docker_s"], serde_json::json!(100.0));
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new("", &["name", "v"]);
-        t.row(&["a,b".to_string(), "say \"hi\"".to_string()]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"a,b\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -71,17 +71,6 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     }
 }
 
-/// Geometric mean (positive samples; non-positive values are clamped to
-/// the smallest positive float, `NaN`s are dropped).
-pub fn geomean(xs: &[f64]) -> f64 {
-    let kept: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
-    if kept.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = kept.iter().map(|x| x.max(f64::MIN_POSITIVE).ln()).sum();
-    (log_sum / kept.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,13 +162,5 @@ mod tests {
         // All-NaN behaves like empty; a NaN p yields 0 rather than NaN.
         assert_eq!(percentile(&[f64::NAN], 50.0), 0.0);
         assert_eq!(percentile(&xs, f64::NAN), 0.0);
-    }
-
-    #[test]
-    fn geomean_value() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert_eq!(geomean(&[]), 0.0);
-        assert!((geomean(&[2.0, f64::NAN, 8.0]) - 4.0).abs() < 1e-12);
-        assert_eq!(geomean(&[f64::NAN]), 0.0);
     }
 }

@@ -33,13 +33,6 @@ pub struct CritStep {
     pub exit_s: f64,
 }
 
-impl CritStep {
-    /// Segment length in seconds.
-    pub fn duration_s(&self) -> f64 {
-        self.exit_s - self.enter_s
-    }
-}
-
 /// The analyzed critical path of one root span.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CriticalPath {

@@ -165,12 +165,6 @@ impl LogHistogram {
             *self.buckets.entry(idx).or_insert(0) += n;
         }
     }
-
-    /// Number of occupied buckets — the memory bound, independent of
-    /// observation count.
-    pub fn occupied_buckets(&self) -> usize {
-        self.buckets.len() + usize::from(self.zeros > 0)
-    }
 }
 
 #[cfg(test)]
@@ -209,7 +203,7 @@ mod tests {
             );
         }
         // Memory is bounded by distinct magnitudes, not observations.
-        assert!(h.occupied_buckets() < 250, "{}", h.occupied_buckets());
+        assert!(h.buckets.len() < 250, "{}", h.buckets.len());
     }
 
     #[test]

@@ -175,17 +175,9 @@ pub fn plan(
         let program = factory.build(task);
         let mut input_files = task.inputs.clone();
         input_files.extend(factory.extra_inputs(task));
-        let spec = JobSpec {
-            program,
-            requirements: swf_condor::Expr::True,
-            request_cpus: 1,
-            request_memory: swf_cluster::mib(512),
-            input_files,
-            output_files: task.outputs.clone(),
-            priority: 0,
-            ad: swf_condor::ClassAd::new(),
-            span: swf_obs::SpanContext::NONE,
-        };
+        let spec = JobSpec::new(move |ctx| program(ctx))
+            .with_inputs(input_files)
+            .with_outputs(task.outputs.clone());
         dag.add_node_with_retries(task.name.clone(), spec, options.retries);
     }
     for (p, c) in edges {

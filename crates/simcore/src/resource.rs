@@ -15,7 +15,6 @@ use crate::time::{SimDuration, SimTime};
 #[derive(Default, Clone, Debug)]
 struct Stats {
     served: u64,
-    total_wait: SimDuration,
     total_service: SimDuration,
     max_wait: SimDuration,
     busy_time: SimDuration,
@@ -81,7 +80,6 @@ impl Resource {
             st.busy_time += elapsed.mul_f64(in_service);
             st.last_change = acquired;
             st.in_service += 1;
-            st.total_wait += wait;
             if wait > st.max_wait {
                 st.max_wait = wait;
             }
@@ -107,16 +105,6 @@ impl Resource {
     /// Number of completed services.
     pub fn served(&self) -> u64 {
         self.stats.borrow().served
-    }
-
-    /// Mean queue wait across completed acquisitions.
-    pub fn mean_wait(&self) -> SimDuration {
-        let st = self.stats.borrow();
-        if st.served == 0 {
-            SimDuration::ZERO
-        } else {
-            st.total_wait / st.served
-        }
     }
 
     /// Maximum queue wait observed.
@@ -195,7 +183,6 @@ mod tests {
             join_all(handles).await;
             assert_eq!(r.served(), 4);
             // Two waited 0, two waited 1s.
-            assert_eq!(r.mean_wait(), secs(0.5));
             assert_eq!(r.max_wait(), secs(1.0));
             // 4 server-seconds of work over 2 servers × 2 seconds.
             let u = r.utilization(now());

@@ -94,11 +94,6 @@ impl SimDuration {
         self.0
     }
 
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds (for reporting only).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9

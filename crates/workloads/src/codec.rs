@@ -85,35 +85,6 @@ pub const fn encoded_size(r: usize, c: usize) -> usize {
     12 + r * c * 8
 }
 
-/// Encode a pair of matrices into one request payload (the paper passes
-/// both input matrices by value in the invocation request).
-pub fn encode_pair(a: &Matrix, b: &Matrix) -> Bytes {
-    let ea = encode(a);
-    let eb = encode(b);
-    let mut buf = BytesMut::with_capacity(ea.len().saturating_add(eb.len()).saturating_add(8));
-    buf.put_u64_le(ea.len() as u64);
-    buf.put_slice(&ea);
-    buf.put_slice(&eb);
-    buf.freeze()
-}
-
-/// Decode a pair encoded by [`encode_pair`].
-pub fn decode_pair(mut data: Bytes) -> Result<(Matrix, Matrix), CodecError> {
-    if data.len() < 8 {
-        return Err(CodecError::BadHeader);
-    }
-    let alen = data.get_u64_le() as usize;
-    if data.len() < alen {
-        return Err(CodecError::Truncated {
-            expected: alen,
-            actual: data.len(),
-        });
-    }
-    let a = decode(data.split_to(alen))?;
-    let b = decode(data)?;
-    Ok((a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,30 +122,6 @@ mod tests {
         let enc = encode(&m);
         let cut = enc.slice(0..enc.len() - 4);
         assert!(matches!(decode(cut), Err(CodecError::Truncated { .. })));
-    }
-
-    #[test]
-    fn pair_roundtrip() {
-        let mut rng = DetRng::new(6, "pair");
-        let a = Matrix::random(4, 5, &mut rng, -10, 10);
-        let b = Matrix::random(5, 6, &mut rng, -10, 10);
-        let enc = encode_pair(&a, &b);
-        let (da, db) = decode_pair(enc).unwrap();
-        assert_eq!(da, a);
-        assert_eq!(db, b);
-    }
-
-    #[test]
-    fn pair_bad_inputs() {
-        assert!(decode_pair(Bytes::from_static(b"xy")).is_err());
-        let mut buf = bytes::BytesMut::new();
-        use bytes::BufMut;
-        buf.put_u64_le(1_000_000);
-        buf.put_slice(b"short");
-        assert!(matches!(
-            decode_pair(buf.freeze()),
-            Err(CodecError::Truncated { .. })
-        ));
     }
 
     #[test]
@@ -236,16 +183,6 @@ mod tests {
             let junk: Vec<u8> = (0..len).map(|_| rng.uniform_u64(0, 255) as u8).collect();
             // Any result is fine — the decoder just must not panic.
             let _ = decode(Bytes::from(junk));
-        }
-
-        #[test]
-        fn pair_truncation_never_panics(seed in 0u64..200, cut in 1usize..48) {
-            let mut rng = DetRng::new(seed, "pair-cut");
-            let a = Matrix::random(3, 4, &mut rng, -10, 10);
-            let b = Matrix::random(4, 2, &mut rng, -10, 10);
-            let enc = encode_pair(&a, &b);
-            let keep = enc.len().saturating_sub(cut);
-            prop_assert!(decode_pair(enc.slice(0..keep)).is_err());
         }
     }
 }

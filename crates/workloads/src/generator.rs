@@ -58,11 +58,6 @@ impl EnvMix {
         serverless: 0.5,
         container: 0.0,
     };
-    /// Half container, half native (Fig. 6 red bar).
-    pub const HALF_CONTAINER: EnvMix = EnvMix {
-        serverless: 0.0,
-        container: 0.5,
-    };
 
     /// The native fraction (remainder).
     pub fn native(&self) -> f64 {
@@ -171,7 +166,6 @@ mod tests {
         assert_eq!(EnvMix::ALL_NATIVE.native(), 1.0);
         assert_eq!(EnvMix::ALL_SERVERLESS.native(), 0.0);
         assert_eq!(EnvMix::HALF_SERVERLESS.native(), 0.5);
-        assert_eq!(EnvMix::HALF_CONTAINER.native(), 0.5);
     }
 
     #[test]

@@ -15,10 +15,10 @@ pub mod matmul;
 pub mod matrix;
 pub mod task;
 
-pub use codec::{decode, decode_pair, encode, encode_pair, encoded_size, CodecError};
+pub use codec::{decode, encode, encoded_size, CodecError};
 pub use generator::{
     chain_workflow, concurrent_workflows, ChainTask, ChainWorkflow, EnvMix, ExecEnv,
 };
 pub use matmul::{matmul, Kernel};
 pub use matrix::Matrix;
-pub use task::{multiply_encoded, multiply_pair_payload, ComputeModel};
+pub use task::{multiply_encoded, ComputeModel};

@@ -52,17 +52,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// The paper's task input: 350×350, entries in [-100, 100].
-    pub fn paper_random(rng: &mut DetRng) -> Self {
-        Matrix::random(
-            Self::PAPER_DIM,
-            Self::PAPER_DIM,
-            rng,
-            Self::PAPER_RANGE.0,
-            Self::PAPER_RANGE.1,
-        )
-    }
-
     /// Row count.
     pub fn rows(&self) -> usize {
         self.rows

@@ -5,7 +5,7 @@ use bytes::Bytes;
 
 use swf_simcore::{secs, SimDuration};
 
-use crate::codec::{decode, decode_pair, encode, CodecError};
+use crate::codec::{decode, encode};
 use crate::matmul::{matmul, Kernel};
 
 /// Multiply two encoded matrices; returns the encoded product.
@@ -22,16 +22,6 @@ pub fn multiply_encoded(a: Bytes, b: Bytes, kernel: Kernel) -> Result<Bytes, Str
         ));
     }
     Ok(encode(&matmul(&ma, &mb, kernel)))
-}
-
-/// Multiply a request payload holding an encoded pair (the pass-by-value
-/// serverless invocation body); returns the encoded product.
-pub fn multiply_pair_payload(payload: Bytes, kernel: Kernel) -> Result<Bytes, String> {
-    let (a, b) = decode_pair(payload).map_err(|e: CodecError| e.to_string())?;
-    if a.cols() != b.rows() {
-        return Err("dimension mismatch".to_string());
-    }
-    Ok(encode(&matmul(&a, &b, kernel)))
 }
 
 /// Virtual compute time charged for one task.
@@ -105,7 +95,6 @@ impl ComputeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::encode_pair;
     use crate::matrix::Matrix;
     use swf_simcore::DetRng;
 
@@ -135,16 +124,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("input A"));
-    }
-
-    #[test]
-    fn pair_payload_path() {
-        let mut rng = DetRng::new(2, "p");
-        let a = Matrix::random(5, 6, &mut rng, -10, 10);
-        let b = Matrix::random(6, 4, &mut rng, -10, 10);
-        let out = multiply_pair_payload(encode_pair(&a, &b), Kernel::Blocked).unwrap();
-        assert_eq!(decode(out).unwrap().rows(), 5);
-        assert!(multiply_pair_payload(Bytes::from_static(b"x"), Kernel::Naive).is_err());
     }
 
     #[test]
