@@ -2,25 +2,31 @@
 //!
 //! Experiments stage large synthetic blobs — container-image tarballs,
 //! benchmark transfer bodies — whose *size* matters to the simulation but
-//! whose content is all zeros. Building each one as `Bytes::from(vec![0u8;
-//! len])` allocates and copies the whole payload every time (the 450 MiB
-//! image tarball is re-staged on every testbed boot, which used to dominate
-//! the quick suite's wall clock in page-fault churn). Instead, every caller
-//! gets an O(1) window into one thread-local zero pool that grows
-//! geometrically to the largest size ever requested.
+//! whose content is all zeros and is never read. Every caller gets an O(1)
+//! window into one thread-local zero pool that grows geometrically to the
+//! largest size ever requested, so a testbed boot re-stages the 450 MiB
+//! image tarball for a refcount bump.
+//!
+//! The pool costs address space, not memory. A growth is `vec![0u8; cap]`,
+//! which for any size that matters arrives from `calloc` as a lazily
+//! zeroed mapping, and `Bytes::from(Vec<u8>)` keeps the buffer it is given
+//! (the `bytes` shim's ownership rule) — so nothing ever writes the pool's
+//! pages and the kernel never backs them. `tests/bulk_rss.rs` holds the
+//! data path to that: staging and moving the tarball must not grow the
+//! process.
 
 use std::cell::RefCell;
 
 use bytes::Bytes;
 
 thread_local! {
-    static ZERO_POOL: RefCell<Bytes> = RefCell::new(Bytes::new());
+    static ZERO_POOL: RefCell<Bytes> = const { RefCell::new(Bytes::new()) };
 }
 
 /// A zero-filled buffer of `len` bytes, sharing one thread-local backing
 /// allocation across all callers. Byte-for-byte identical to
 /// `Bytes::from(vec![0u8; len])`, but repeated requests cost a refcount
-/// bump and a slice instead of a fresh allocation-and-copy.
+/// bump and a slice instead of a fresh allocation.
 pub fn zeroed_bytes(len: usize) -> Bytes {
     ZERO_POOL.with(|pool| {
         let mut pool = pool.borrow_mut();

@@ -973,10 +973,10 @@ mod tests {
             // The doomed node fails on its first life and succeeds after
             // resume (the "operator fixed it" scenario).
             let fixed = Rc::new(RefCell::new(false));
-            let counted = |name: &str, out: &[u8]| {
+            let counted = |name: &str, out: &'static [u8]| {
                 let execs = Rc::clone(&execs);
                 let name = name.to_string();
-                let out = Bytes::copy_from_slice(out);
+                let out = Bytes::from_static(out);
                 JobSpec::new(move |ctx: JobContext| {
                     let execs = Rc::clone(&execs);
                     let name = name.clone();

@@ -1,7 +1,7 @@
 //! The schedd: job queue, status tracking, completion waiting.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use swf_simcore::sync::Notify;
@@ -23,9 +23,43 @@ struct JobRecord {
 
 struct State {
     jobs: BTreeMap<JobId, JobRecord>,
+    /// Ids of the jobs whose status is `Idle`, so a negotiation cycle costs
+    /// the idle count and not every job the schedd ever held. Every write
+    /// of a `JobRecord::status` keeps it in step.
+    idle: BTreeSet<JobId>,
     next_id: u64,
     submitted_total: u64,
     completed_total: u64,
+}
+
+impl State {
+    /// Write a job's status (with the idle index and the completed count),
+    /// unless the job is unknown or `epoch` is given and is not the job's
+    /// current claim epoch. Returns whether the write happened.
+    fn set_status(&mut self, id: JobId, epoch: Option<u64>, status: JobStatus) -> bool {
+        let Some(rec) = self.jobs.get_mut(&id) else {
+            return false;
+        };
+        if epoch.is_some_and(|e| e != rec.epoch) {
+            return false;
+        }
+        if matches!(status, JobStatus::Completed(_))
+            && !matches!(rec.status, JobStatus::Completed(_))
+        {
+            self.completed_total += 1;
+        }
+        match (rec.status == JobStatus::Idle, status == JobStatus::Idle) {
+            (true, false) => {
+                self.idle.remove(&id);
+            }
+            (false, true) => {
+                self.idle.insert(id);
+            }
+            _ => {}
+        }
+        rec.status = status;
+        true
+    }
 }
 
 /// The job queue daemon.
@@ -48,6 +82,7 @@ impl Schedd {
         Schedd {
             state: Rc::new(RefCell::new(State {
                 jobs: BTreeMap::new(),
+                idle: BTreeSet::new(),
                 next_id: 1,
                 submitted_total: 0,
                 completed_total: 0,
@@ -99,6 +134,7 @@ impl Schedd {
                 epoch: 0,
             },
         );
+        s.idle.insert(id);
         drop(s);
         self.bump();
         id
@@ -137,28 +173,12 @@ impl Schedd {
     /// Idle jobs in negotiation order: submit order, which is id order — a
     /// requeued job keeps its id and so its place.
     pub fn idle_jobs(&self) -> Vec<JobId> {
-        let s = self.state.borrow();
-        s.jobs
-            .iter()
-            .filter(|(_, r)| r.status == JobStatus::Idle)
-            .map(|(id, _)| *id)
-            .collect()
+        self.state.borrow().idle.iter().copied().collect()
     }
 
     /// Update a job's status.
     pub fn set_status(&self, id: JobId, status: JobStatus) {
-        let mut s = self.state.borrow_mut();
-        if let Some(rec) = s.jobs.get_mut(&id) {
-            if matches!(status, JobStatus::Completed(_))
-                && !matches!(rec.status, JobStatus::Completed(_))
-            {
-                s.completed_total += 1;
-            }
-            if let Some(rec) = s.jobs.get_mut(&id) {
-                rec.status = status;
-            }
-        }
-        drop(s);
+        self.state.borrow_mut().set_status(id, None, status);
         self.bump();
     }
 
@@ -177,15 +197,11 @@ impl Schedd {
     /// through this path so a claim superseded by [`Schedd::requeue_running_on`]
     /// cannot resurrect a stale Running/Completed state.
     pub fn set_status_epoch(&self, id: JobId, epoch: u64, status: JobStatus) -> bool {
-        {
-            let s = self.state.borrow();
-            match s.jobs.get(&id) {
-                Some(rec) if rec.epoch == epoch => {}
-                _ => return false,
-            }
+        let accepted = self.state.borrow_mut().set_status(id, Some(epoch), status);
+        if accepted {
+            self.bump();
         }
-        self.set_status(id, status);
-        true
+        accepted
     }
 
     /// Reclaim every job currently Running on `node`: back to Idle with a
@@ -196,10 +212,12 @@ impl Schedd {
         let mut requeued = Vec::new();
         {
             let mut s = self.state.borrow_mut();
-            for (id, rec) in s.jobs.iter_mut() {
+            let State { jobs, idle, .. } = &mut *s;
+            for (id, rec) in jobs.iter_mut() {
                 if rec.status == JobStatus::Running(node) {
                     rec.status = JobStatus::Idle;
                     rec.epoch += 1;
+                    idle.insert(*id);
                     requeued.push(*id);
                 }
             }
@@ -219,6 +237,7 @@ impl Schedd {
         match rec.status {
             JobStatus::Idle => {
                 rec.status = JobStatus::Removed;
+                s.idle.remove(&id);
                 drop(s);
                 self.bump();
                 Ok(())
@@ -390,6 +409,45 @@ mod tests {
         assert_eq!(s.status(a).unwrap(), JobStatus::Running(NodeId(1)));
         assert_eq!(s.epoch(a).unwrap(), 0);
         assert_eq!(s.epoch(b).unwrap(), 1);
+    }
+
+    proptest::proptest! {
+        /// The idle index against the full scan it replaced: after any
+        /// sequence of status writes — stale epochs, unknown ids, repeated
+        /// and terminal states included — they name the same jobs in the
+        /// same order.
+        #[test]
+        fn idle_index_equals_the_full_scan(
+            ops in proptest::collection::vec((0u8..8, 1u64..12, 0u64..3, 0usize..3), 0..120),
+        ) {
+            let s = Schedd::new();
+            let done = |node| {
+                JobStatus::Completed(JobResult {
+                    success: true,
+                    output: Bytes::new(),
+                    node,
+                    started: SimTime::ZERO,
+                    finished: SimTime::ZERO,
+                })
+            };
+            for (op, id, epoch, node) in ops {
+                let (id, node) = (JobId(id), NodeId(node));
+                match op {
+                    0 | 1 => drop(s.submit(noop_spec())),
+                    2 => s.set_status(id, JobStatus::Running(node)),
+                    3 => s.set_status(id, JobStatus::Idle),
+                    4 => s.set_status(id, done(node)),
+                    5 => drop(s.set_status_epoch(id, epoch, JobStatus::Running(node))),
+                    6 => drop(s.requeue_running_on(node)),
+                    _ => drop(s.remove(id)),
+                }
+                let scan: Vec<JobId> = (1..=s.queue_len() as u64)
+                    .map(JobId)
+                    .filter(|id| s.status(*id).unwrap() == JobStatus::Idle)
+                    .collect();
+                proptest::prop_assert_eq!(s.idle_jobs(), scan);
+            }
+        }
     }
 
     #[test]

@@ -72,8 +72,8 @@ impl TestBed {
             .expect("image pushed at boot")
             .total_size();
         // The tarball is opaque bulk data: real size, synthetic content.
-        // `zeroed_bytes` shares one backing allocation across boots, so
-        // re-staging per experiment arm is O(1) instead of a 450 MiB copy.
+        // `zeroed_bytes` shares one never-written backing allocation
+        // across boots, so staging is O(1) and the 450 MiB stay virtual.
         self.cluster
             .shared_fs()
             .stage(&name, swf_cluster::zeroed_bytes(size as usize));
