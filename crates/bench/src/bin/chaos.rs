@@ -9,7 +9,8 @@
 //! range (`--seeds 5..6` replays seed 5 alone); an empty or malformed set
 //! is a usage error. `--profile` selects a named fault profile (see
 //! `swf_chaos::ChaosProfile::NAMES`); an unknown name is a hard error
-//! listing the valid profiles.
+//! listing the valid profiles. Any other argument is refused the same way
+//! (exit 2): a misspelt or retired flag must not run the default sweep.
 //!
 //! Prints one row per seed (faults injected, task failures, workflows
 //! completed, calm vs chaos makespan) and, for any seed whose workflows
@@ -46,6 +47,33 @@ fn parse_seeds(v: &str) -> Result<std::ops::Range<u64>, String> {
     }
 }
 
+/// Flags that stand alone, and flags that take a value (`--flag <v>` or
+/// `--flag=<v>`). The readers are `main` below and `swf_bench`'s
+/// `flag_value`, `is_quick` and `is_traced`: a flag they learn belongs
+/// here too, or it is refused.
+const SWITCHES: [&str; 4] = ["--quick", "-q", "--rescue", "--trace"];
+const VALUED: [&str; 4] = ["--seeds", "--profile", "--trace-out", "--json"];
+
+/// The first argument that is neither one of this binary's flags nor a
+/// flag's value.
+fn unknown_argument(args: &[String]) -> Option<&str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if VALUED.contains(&name) {
+            if !inline_value {
+                args.next();
+            }
+        } else if !SWITCHES.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
 /// The seed pool: `--seeds`, else `0..8` under `--quick`, `0..32` otherwise.
 fn seeds_from_args() -> std::ops::Range<u64> {
     match flag_value("--seeds") {
@@ -74,6 +102,14 @@ fn profile_from_args() -> (String, ChaosProfile) {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(arg) = unknown_argument(&args) {
+        eprintln!(
+            "error: unknown argument {arg:?}; flags are {}",
+            [SWITCHES, VALUED].concat().join(", ")
+        );
+        std::process::exit(2);
+    }
     // An enabled ambient collector is picked up by every `run_chaos`, so a
     // traced sweep sees the injector's spans; untraced runs keep their own.
     let obs = if is_traced() {
@@ -83,7 +119,7 @@ fn main() {
     };
     let _guard = swf_obs::install(obs.clone());
     let profile = profile_from_args();
-    let rescue = std::env::args().any(|a| a == "--rescue");
+    let rescue = args.iter().any(|a| a == "--rescue");
     let seeds = seeds_from_args();
     // The harness derives its jitter-free config from each seed; nothing
     // the header shows depends on which.
@@ -261,7 +297,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_seeds;
+    use super::{parse_seeds, unknown_argument};
 
     #[test]
     fn seed_sets_parse_or_are_refused() {
@@ -273,6 +309,28 @@ mod tests {
         ] {
             let err = parse_seeds(bad).expect_err(bad);
             assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_arguments_are_refused() {
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
+        for good in [
+            "--quick --seeds 5..6 --profile heavy --rescue --trace",
+            "-q --seeds=8 --json=out.json --trace-out t.json",
+            // A flag's value is never read as a flag.
+            "--json --heavy",
+        ] {
+            assert_eq!(unknown_argument(&args(good)), None, "{good}");
+        }
+        assert_eq!(unknown_argument(&[]), None);
+        for (bad, culprit) in [
+            ("--quick --heavy", "--heavy"),
+            ("--seed 5", "--seed"),
+            ("--rescue=yes", "--rescue=yes"),
+            ("--profile heavy light", "light"),
+        ] {
+            assert_eq!(unknown_argument(&args(bad)), Some(culprit), "{bad}");
         }
     }
 }

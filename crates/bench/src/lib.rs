@@ -59,20 +59,15 @@ pub fn is_traced() -> bool {
 
 /// Merge labelled span collectors into one Chrome-trace JSON array
 /// (Perfetto / `chrome://tracing` loadable) and write it to `path`. Each
-/// label becomes a process-name prefix so several runs coexist in one view.
+/// label becomes a process-name prefix and each collector gets pids and
+/// flow ids of its own, so several runs coexist in one view.
 pub fn write_chrome_trace(path: &str, collectors: &[(&str, &swf_obs::Obs)]) -> std::io::Result<()> {
-    let mut events = Vec::new();
+    let mut trace = swf_obs::ChromeTraceWriter::new(String::new());
     for (label, obs) in collectors {
-        let spans = obs.spans();
-        if spans.is_empty() {
-            continue;
-        }
-        match swf_obs::chrome_trace(&spans, label) {
-            serde_json::Value::Array(evs) => events.extend(evs),
-            other => events.push(other),
-        }
+        obs.with_spans(|spans| trace.group(spans, label))
+            .map_err(std::io::Error::other)?;
     }
-    std::fs::write(path, serde_json::Value::Array(events).to_string())
+    std::fs::write(path, trace.finish().map_err(std::io::Error::other)?)
 }
 
 /// Honour the tracing CLI flags for a finished run: print the metrics

@@ -219,7 +219,7 @@ pub fn slo_json(collectors: &[(&str, &swf_obs::Obs)]) -> serde_json::Value {
         if !obs.is_enabled() {
             continue;
         }
-        let report = swf_obs::evaluate_slo(&spec, &obs.metrics(), &obs.spans());
+        let report = obs.with_spans(|spans| swf_obs::evaluate_slo(&spec, &obs.metrics(), spans));
         reports.insert(label.to_string(), report.to_json());
     }
     let mut obj = serde_json::Map::new();

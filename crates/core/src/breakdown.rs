@@ -15,17 +15,18 @@ use swf_obs::{critical_path, roots, CriticalPath, Obs};
 /// paper's slowest-of-N-concurrent-workflows metric). `None` when tracing
 /// was disabled or no workflow root was recorded.
 pub fn slowest_workflow_breakdown(obs: &Obs) -> Option<CriticalPath> {
-    let spans = obs.spans();
-    let root = roots(&spans)
-        .into_iter()
-        .filter(|s| s.name.starts_with("workflow:"))
-        .max_by(|a, b| {
-            a.duration_secs()
-                .total_cmp(&b.duration_secs())
-                .then(a.id.0.cmp(&b.id.0))
-        })?
-        .id;
-    Some(critical_path(&spans, root))
+    obs.with_spans(|spans| {
+        let root = roots(spans)
+            .into_iter()
+            .filter(|s| s.name.starts_with("workflow:"))
+            .max_by(|a, b| {
+                a.duration_secs()
+                    .total_cmp(&b.duration_secs())
+                    .then(a.id.0.cmp(&b.id.0))
+            })?
+            .id;
+        Some(critical_path(spans, root))
+    })
 }
 
 /// Render one labelled mix's breakdown as an indented table block.
@@ -74,7 +75,7 @@ mod tests {
         let cp = slowest_workflow_breakdown(&obs).expect("traced workflows");
         assert_eq!(cp.root_name, "workflow:long");
         assert!((cp.makespan_s - 5.0).abs() < 1e-9);
-        assert!((cp.share(&[Category::Compute]) - 1.0).abs() < 1e-9);
+        assert!((cp.seconds(Category::Compute) - 5.0).abs() < 1e-9);
         let rendered = render_mix_breakdown("all-native", &cp);
         assert!(rendered.contains("workflow:long"));
         assert!(rendered.contains("compute"));

@@ -190,9 +190,16 @@ impl Obs {
 
     /// Snapshot of all recorded spans (creation order).
     pub fn spans(&self) -> Vec<Span> {
+        self.with_spans(<[Span]>::to_vec)
+    }
+
+    /// Read the recorded spans in place (creation order), without the
+    /// copy [`spans`](Obs::spans) makes. `read` must not record into
+    /// this collector: the span list stays borrowed until it returns.
+    pub fn with_spans<R>(&self, read: impl FnOnce(&[Span]) -> R) -> R {
         match &self.inner {
-            Some(inner) => inner.borrow().spans.clone(),
-            None => Vec::new(),
+            Some(inner) => read(&inner.borrow().spans),
+            None => read(&[]),
         }
     }
 

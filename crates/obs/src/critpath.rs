@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use swf_simcore::SimTime;
 
-use crate::span::{Category, Span, SpanId};
+use crate::span::{Category, Span, SpanId, SpanIndex};
 
 /// One leaf segment of the critical path.
 #[derive(Clone, Debug, PartialEq)]
@@ -52,14 +52,6 @@ impl CriticalPath {
     /// Seconds attributed to `category`.
     pub fn seconds(&self, category: Category) -> f64 {
         self.breakdown.get(&category).copied().unwrap_or(0.0)
-    }
-
-    /// Fraction of the makespan attributed to the given categories.
-    pub fn share(&self, categories: &[Category]) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        categories.iter().map(|c| self.seconds(*c)).sum::<f64>() / self.makespan_s
     }
 
     /// Render the per-category table, largest share first.
@@ -168,7 +160,7 @@ fn secs_of(t: SimTime) -> f64 {
 }
 
 struct Analyzer<'a> {
-    spans: &'a [Span],
+    index: SpanIndex<'a>,
     /// Child ids of the span at slice index `i` are
     /// `children[child_offsets[i]..child_offsets[i + 1]]`, in slice order.
     child_offsets: Vec<usize>,
@@ -177,19 +169,13 @@ struct Analyzer<'a> {
     breakdown: BTreeMap<Category, f64>,
 }
 
-/// Slice index of a span id under the collector's dense numbering
-/// (`spans[id - 1].id == id`), if it is inside the slice at all.
-fn dense_index(id: SpanId, len: usize) -> Option<usize> {
-    let idx = usize::try_from(id.0).ok()?.checked_sub(1)?;
-    (idx < len).then_some(idx)
-}
-
 impl<'a> Analyzer<'a> {
     /// Index every span's children with two counting passes. A parent
     /// id outside the slice gets no bucket: [`Analyzer::get`] never
     /// yields such a span, so its children are never asked for.
     fn new(spans: &'a [Span]) -> Self {
-        let parent_index = |s: &Span| dense_index(s.parent, spans.len());
+        let index = SpanIndex::new(spans);
+        let parent_index = |s: &Span| index.position(s.parent);
         let mut child_offsets = vec![0usize; spans.len() + 1];
         for p in spans.iter().filter_map(parent_index) {
             child_offsets[p + 1] += 1;
@@ -206,7 +192,7 @@ impl<'a> Analyzer<'a> {
             }
         }
         Analyzer {
-            spans,
+            index,
             child_offsets,
             children,
             steps: Vec::new(),
@@ -215,14 +201,12 @@ impl<'a> Analyzer<'a> {
     }
 
     fn get(&self, id: SpanId) -> Option<&'a Span> {
-        let s = &self.spans[dense_index(id, self.spans.len())?];
-        (s.id == id).then_some(s)
+        self.index.get(id)
     }
 
-    /// Children first (slice order), then causal links. `s` came from
-    /// [`Analyzer::get`], so its id names its own slice index.
+    /// Children first (slice order), then causal links.
     fn contributors(&self, s: &Span) -> Vec<&'a Span> {
-        let kids = dense_index(s.id, self.spans.len()).map_or(&[][..], |i| {
+        let kids = self.index.position(s.id).map_or(&[][..], |i| {
             &self.children[self.child_offsets[i]..self.child_offsets[i + 1]]
         });
         kids.iter()
@@ -456,7 +440,6 @@ mod tests {
         assert!(table.contains("compute"));
         assert!(table.contains("makespan"));
         assert!(!cp.render_chain().is_empty());
-        assert!((cp.share(&[Category::Compute, Category::Negotiate]) - 3.5 / 4.5).abs() < 1e-9);
         let json = cp.to_json();
         assert_eq!(json["root_name"].as_str(), Some("workflow:w0"));
         assert_eq!(json["makespan_s"].as_f64(), Some(cp.makespan_s));

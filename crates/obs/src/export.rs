@@ -1,8 +1,8 @@
 //! Span export/import: the `swf-spans/v1` JSON interchange format.
 //!
-//! Chrome-trace export ([`crate::chrome_trace`]) is lossy — it flattens
-//! the span tree into begin/end event pairs for a viewer. This format
-//! is the lossless one: every field of every [`Span`] round-trips, so
+//! Chrome-trace export ([`crate::chrome_trace_to_string`]) is lossy — it
+//! flattens the span tree into events for a viewer. This format is the
+//! lossless one: every field of every [`Span`] round-trips, so
 //! the `obsq` binary can query a file produced by a previous suite run
 //! exactly as it would query a live collector, and golden tests can
 //! check in a fixture trace.
@@ -86,12 +86,10 @@ pub fn spans_to_json(groups: &[(&str, &Obs)]) -> serde_json::Value {
     let groups: Vec<serde_json::Value> = groups
         .iter()
         .map(|(label, obs)| {
+            let spans = obs.with_spans(|spans| spans.iter().map(span_to_json).collect());
             let mut obj = serde_json::Map::new();
             obj.insert("label".to_string(), serde_json::Value::from(*label));
-            obj.insert(
-                "spans".to_string(),
-                serde_json::Value::Array(obs.spans().iter().map(span_to_json).collect()),
-            );
+            obj.insert("spans".to_string(), serde_json::Value::Array(spans));
             serde_json::Value::Object(obj)
         })
         .collect();

@@ -25,8 +25,9 @@
 //!   [`top_slowest`], [`folded_stacks`]) plus the lossless
 //!   `swf-spans/v1` interchange format ([`spans_to_json`]) — the
 //!   library behind the `obsq` binary.
-//! - **Chrome-trace / Perfetto export** ([`chrome_trace`]): one trace
-//!   "process" per simulated node, one "thread" per component.
+//! - **Chrome-trace / Perfetto export** ([`chrome_trace_to_string`],
+//!   [`ChromeTraceWriter`]): one trace "process" per simulated node, one
+//!   "thread" per component, printed straight from the spans.
 //!
 //! Instrumentation is *zero-cost when disabled*: the default ambient
 //! collector is [`Obs::disabled`], and every recording method is a
@@ -48,7 +49,7 @@ mod series;
 mod slo;
 mod span;
 
-pub use chrome::{chrome_trace, chrome_trace_to_string};
+pub use chrome::{chrome_trace_to_string, ChromeTraceWriter};
 pub use collector::{current, install, InstallGuard, Obs, SpanGuard};
 pub use critpath::{critical_path, roots, CritStep, CriticalPath};
 pub use export::{spans_from_json, spans_to_json, SPANS_FORMAT};

@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use crate::hist::LogHistogram;
-use crate::span::{Category, Span};
+use crate::span::{Category, Span, SpanIndex};
 
 /// A span predicate: all set fields must match.
 #[derive(Clone, Debug, Default)]
@@ -189,32 +189,46 @@ pub fn group_rows_json(rows: &[GroupRow]) -> serde_json::Value {
     )
 }
 
+/// Self time of every span, by slice position: its duration minus that
+/// of its children in the slice, clamped at zero.
+fn self_times(spans: &[Span], index: &SpanIndex) -> Vec<f64> {
+    let mut child_time = vec![0.0; spans.len()];
+    for span in spans {
+        if let Some(parent) = index.position(span.parent) {
+            child_time[parent] += span.duration_secs();
+        }
+    }
+    // Spans that share an id (an imported document can hold such) share
+    // the children charged to it.
+    let of_children = |s: &Span| index.position(s.id).map_or(0.0, |i| child_time[i]);
+    spans
+        .iter()
+        .map(|s| (s.duration_secs() - of_children(s)).max(0.0))
+        .collect()
+}
+
 /// Fold a span tree into flamegraph-compatible stack lines:
 /// `root;child;grandchild <self-time-µs>`, one line per span with
 /// positive self time (duration minus children, clamped at zero),
 /// lexicographically sorted. Feed the output straight to
 /// `flamegraph.pl` or any folded-stack viewer.
+///
+/// Any slice folds: a stack ends where a span's parent is not in it, so a
+/// filtered slice folds into the stacks of the spans that matched.
 pub fn folded_stacks(spans: &[Span]) -> Vec<String> {
-    let index: BTreeMap<_, _> = spans.iter().map(|s| (s.id, s)).collect();
-    let mut child_time: BTreeMap<crate::span::SpanId, f64> = BTreeMap::new();
-    for span in spans {
-        if !span.parent.is_none() {
-            *child_time.entry(span.parent).or_insert(0.0) += span.duration_secs();
-        }
-    }
+    let index = SpanIndex::new(spans);
     let mut lines = Vec::new();
-    for span in spans {
-        let self_s =
-            (span.duration_secs() - child_time.get(&span.id).copied().unwrap_or(0.0)).max(0.0);
+    for (span, self_s) in spans.iter().zip(self_times(spans, &index)) {
         let self_us = (self_s * 1e6).round() as u64;
         if self_us == 0 {
             continue;
         }
-        // Walk up to the root to build the stack (frames are `name`;
-        // cycles are impossible because parents precede children).
+        // Walk up to the root to build the stack (frames are `name`). A
+        // collector records parents before children; a stack deeper than
+        // the slice is a cycle in an imported document, and is cut there.
         let mut frames = vec![span.name.as_str()];
         let mut at = span.parent;
-        while let Some(parent) = index.get(&at) {
+        while let Some(parent) = index.get(at).filter(|_| frames.len() <= spans.len()) {
             frames.push(parent.name.as_str());
             at = parent.parent;
         }
@@ -232,16 +246,8 @@ pub fn folded_stacks(spans: &[Span]) -> Vec<String> {
 /// the dominant cost (≈74 s of the 79.8 s ablation makespan). Returns
 /// `None` on an empty trace.
 pub fn top_offender(spans: &[Span]) -> Option<String> {
-    let mut child_time: BTreeMap<crate::span::SpanId, f64> = BTreeMap::new();
-    for span in spans {
-        if !span.parent.is_none() {
-            *child_time.entry(span.parent).or_insert(0.0) += span.duration_secs();
-        }
-    }
     let mut by_category: BTreeMap<&'static str, (u64, f64)> = BTreeMap::new();
-    for span in spans {
-        let self_s =
-            (span.duration_secs() - child_time.get(&span.id).copied().unwrap_or(0.0)).max(0.0);
+    for (span, self_s) in spans.iter().zip(self_times(spans, &SpanIndex::new(spans))) {
         let entry = by_category.entry(span.category.label()).or_insert((0, 0.0));
         entry.0 += 1;
         entry.1 += self_s;
@@ -359,6 +365,35 @@ mod tests {
         let mut sorted = lines.clone();
         sorted.sort_unstable();
         assert_eq!(lines, sorted);
+    }
+
+    #[test]
+    fn folded_stacks_fold_any_slice() {
+        let spans = fixture();
+        let keep = |filter: SpanFilter| -> Vec<Span> {
+            filter.apply(&spans).into_iter().cloned().collect()
+        };
+        // `run` (id 3, parent 1) alone: id 1 names slot 0, which is `run`
+        // itself and not its parent.
+        let compute = keep(SpanFilter::all().category(Category::Compute));
+        assert_eq!(folded_stacks(&compute), ["run 4000000"]);
+        assert_eq!(
+            top_offender(&compute).unwrap(),
+            "top offender: compute — 4.0s self time across 1 spans"
+        );
+        // The root and one child of three, not at the slot of its id.
+        let mut some = keep(SpanFilter::all().min_duration(10.0));
+        some.swap(0, 1);
+        assert_eq!(
+            folded_stacks(&some),
+            ["workflow:a 6000000", "workflow:a;activate 10000000"]
+        );
+        // A parent cycle (no collector records one) is cut, not followed.
+        some[1].parent = some[0].id;
+        assert_eq!(
+            folded_stacks(&some),
+            ["workflow:a;activate;workflow:a 6000000"]
+        );
     }
 
     #[test]

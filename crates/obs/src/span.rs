@@ -1,5 +1,7 @@
 //! Span types: identities, contexts, categories and the span record.
 
+use std::collections::BTreeMap;
+
 use swf_simcore::SimTime;
 
 /// Identity of one span inside a run's collector (1-based; 0 = none).
@@ -166,15 +168,55 @@ impl Span {
 
     /// The `process` half of the component path.
     pub fn process(&self) -> &str {
-        self.component.split('/').next().unwrap_or(&self.component)
+        split_component(&self.component).0
     }
 
     /// The `thread` half of the component path (process itself if flat).
     pub fn thread(&self) -> &str {
-        match self.component.split_once('/') {
-            Some((_, t)) => t,
-            None => &self.component,
+        split_component(&self.component).1
+    }
+}
+
+/// `(process, thread)` of a component path: the parts before and after
+/// the first `/`, or the whole path twice when it has none.
+pub(crate) fn split_component(component: &str) -> (&str, &str) {
+    component.split_once('/').unwrap_or((component, component))
+}
+
+/// Finds the spans of one slice by id.
+///
+/// A collector numbers its spans densely (`spans[id - 1].id == id`), and
+/// then an id is its own slot and nothing is built. Any other slice — a
+/// filtered one, an imported document — gets a map (the last span of an
+/// id wins), so a lookup never yields a span of another id.
+pub(crate) struct SpanIndex<'a> {
+    spans: &'a [Span],
+    sparse: Option<BTreeMap<SpanId, usize>>,
+}
+
+impl<'a> SpanIndex<'a> {
+    pub(crate) fn new(spans: &'a [Span]) -> Self {
+        let dense = spans.iter().zip(1u64..).all(|(s, slot)| s.id.0 == slot);
+        let by_id = || spans.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+        SpanIndex {
+            spans,
+            sparse: (!dense).then(by_id),
         }
+    }
+
+    /// Where in the slice the span of this id sits, if it is there.
+    pub(crate) fn position(&self, id: SpanId) -> Option<usize> {
+        match &self.sparse {
+            Some(by_id) => by_id.get(&id).copied(),
+            None => {
+                let slot = usize::try_from(id.0).ok()?.checked_sub(1)?;
+                (slot < self.spans.len()).then_some(slot)
+            }
+        }
+    }
+
+    pub(crate) fn get(&self, id: SpanId) -> Option<&'a Span> {
+        self.position(id).map(|i| &self.spans[i])
     }
 }
 
@@ -206,6 +248,34 @@ mod tests {
         assert_eq!(s.process(), "node-2");
         assert_eq!(s.thread(), "kubelet");
         assert_eq!(s.duration_secs(), 0.0);
+    }
+
+    #[test]
+    fn span_index_finds_ids_and_nothing_else() {
+        let span = |id| Span {
+            id: SpanId(id),
+            parent: SpanId::NONE,
+            component: "a/b".into(),
+            name: format!("s{id}"),
+            category: Category::Other,
+            start: SimTime::ZERO,
+            end: None,
+            links: vec![],
+        };
+        let dense = [span(1), span(2), span(3)];
+        let sparse = [span(2), span(7), span(3)];
+        for (spans, ids) in [(&dense, [1, 2, 3]), (&sparse, [2, 7, 3])] {
+            let index = SpanIndex::new(spans);
+            for (slot, id) in ids.into_iter().enumerate() {
+                assert_eq!(index.position(SpanId(id)), Some(slot));
+                assert_eq!(index.get(SpanId(id)).unwrap().id, SpanId(id));
+            }
+            for absent in [0, 4, 99, u64::MAX] {
+                assert_eq!(index.position(SpanId(absent)), None);
+            }
+        }
+        assert!(SpanIndex::new(&dense).sparse.is_none());
+        assert_eq!(SpanIndex::new(&sparse).position(SpanId(1)), None);
     }
 
     #[test]

@@ -70,6 +70,26 @@ fn folded_matches_golden() {
     assert!(out.contains("ablation;workflow:wf-0 1000000\n"), "{out}");
 }
 
+/// A filter hands `folded` a slice whose ids are no longer its
+/// positions: stacks end at the nearest ancestor that did not match, and
+/// only matched children are taken off a span's self time.
+#[test]
+fn folded_folds_a_filtered_slice() {
+    assert_eq!(
+        obsq(&["folded", "--category", "compute"]),
+        "ablation;run:task-0 4600000\n\
+         serverless;exec:matmul 2000000\n\
+         serverless;exec:reduce 20000000\n"
+    );
+    // `cold-wait` (id 3) sits at slot 1 of the two matched spans, where
+    // its parent's id points: it must find `invoke:matmul` and not itself.
+    assert_eq!(
+        obsq(&["folded", "--component", "knative"]),
+        "serverless;invoke:matmul 2000000\n\
+         serverless;invoke:matmul;cold-wait 8000000\n"
+    );
+}
+
 #[test]
 fn filters_and_errors_behave() {
     // --label restricts to one group.

@@ -12,11 +12,6 @@ pub struct Matrix {
 }
 
 impl Matrix {
-    /// The paper's matrix dimension.
-    pub const PAPER_DIM: usize = 350;
-    /// The paper's element range (inclusive).
-    pub const PAPER_RANGE: (i64, i64) = (-100, 100);
-
     /// Zero matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {
@@ -149,11 +144,5 @@ mod tests {
         let m = Matrix::random(4, 7, &mut rng, -5, 5);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().get(2, 3), m.get(3, 2));
-    }
-
-    #[test]
-    fn paper_parameters() {
-        assert_eq!(Matrix::PAPER_DIM, 350);
-        assert_eq!(Matrix::PAPER_RANGE, (-100, 100));
     }
 }
