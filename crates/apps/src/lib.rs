@@ -17,6 +17,9 @@
 //! rescue-DAG resumption, the integrated venue factory and Knative).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 use bytes::Bytes;
 

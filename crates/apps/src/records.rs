@@ -6,6 +6,8 @@
 //! a job failure), never panic, and every format round-trips bit-exactly
 //! — the foundation of the cross-environment equivalence guarantee.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -134,7 +136,7 @@ pub fn encode_samples(s: &SampleSet) -> Bytes {
     );
     buf.put_slice(b"SWFS");
     buf.put_u32_le(u32::try_from(s.labels.len()).unwrap_or(u32::MAX));
-    buf.put_u32_le(s.feats as u32);
+    buf.put_u32_le(u32::try_from(s.feats).unwrap_or(u32::MAX));
     for &l in &s.labels {
         buf.put_i64_le(l);
     }

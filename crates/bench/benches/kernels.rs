@@ -13,7 +13,7 @@ fn kernels(c: &mut Criterion) {
         let a = Matrix::random(dim, dim, &mut rng, -100, 100);
         let b = Matrix::random(dim, dim, &mut rng, -100, 100);
         group.sample_size(10);
-        for kernel in [Kernel::Naive, Kernel::Blocked, Kernel::Parallel] {
+        for kernel in [Kernel::Naive, Kernel::Blocked] {
             // Naive at 350 is slow; skip to keep bench time sane.
             if dim == 350 && kernel == Kernel::Naive {
                 continue;

@@ -163,8 +163,8 @@ impl Injector {
             Self::apply(&ev.kind, &stack, disruptor.as_ref()).await;
             Self::track_outage(&ev.kind, &mut open, &obs);
             obs.counter_add("chaos.injected", 1);
-            // tidy: allow(metric-unknown) — per-kind counter; the name set is the
-            // closed FaultKind::label() list, not free-form runtime input
+            // Per-kind counter: the name set is the closed FaultKind::label()
+            // list, not free-form runtime input.
             obs.counter_add(&format!("chaos.{label}"), 1);
             injected += 1;
         }
@@ -179,8 +179,8 @@ impl Injector {
     fn track_outage(kind: &FaultKind, open: &mut BTreeMap<String, SimTime>, obs: &swf_obs::Obs) {
         let close = |open: &mut BTreeMap<String, SimTime>, key: String, class: &str| {
             if let Some(opened) = open.remove(&key) {
-                // tidy: allow(metric-unknown) — per-class histogram; `class` is
-                // the closed outage-class set below, not free-form runtime input
+                // Per-class histogram: `class` is the closed outage-class set
+                // below, not free-form runtime input.
                 obs.observe(
                     &format!("chaos.outage_s.{class}"),
                     (now() - opened).as_secs_f64(),

@@ -31,6 +31,9 @@
 //!   wasted, rounds spent, and recovery latency.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod experiment;
 pub mod inject;

@@ -10,6 +10,9 @@
 //! while infrastructure costs are modelled.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod bulk;
 pub mod cluster;

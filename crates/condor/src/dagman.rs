@@ -306,7 +306,10 @@ fn rescue_to_error(rescue: &RescueDag) -> CondorError {
 /// a previous run as `resume` pre-marks its done nodes — they are provably
 /// never resubmitted, and their recorded results (output bytes, exact
 /// timestamps) are injected verbatim into the new report.
-#[allow(clippy::needless_range_loop)] // indices address parallel state vectors
+#[allow(
+    clippy::needless_range_loop,
+    reason = "indices address parallel state vectors"
+)]
 pub async fn run_dag_resumable(
     condor: &Condor,
     dag: &DagSpec,

@@ -5,6 +5,8 @@
 //! many nodes contend, which is what makes per-task container distribution
 //! expensive in the Fig. 2 HTCondor-container path.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;

@@ -89,6 +89,10 @@ pub fn run_once(
         let factory = Rc::new(factory);
         register_matmul(&bed.knative, &config);
         if config.provisioning == Provisioning::PreStage {
+            #[expect(
+                clippy::expect_used,
+                reason = "experiment harness: a failed boot or workflow leaves no figure to report"
+            )]
             bed.knative
                 .wait_ready("matmul", config.min_scale as usize, secs(3600.0))
                 .await
@@ -126,6 +130,10 @@ pub fn run_once(
             let phase = swf_simcore::SimDuration::from_secs_f64(phase_rng.uniform(0.0, poll));
             handles.push(swf_simcore::spawn(async move {
                 swf_simcore::sleep(phase).await;
+                #[expect(
+                    clippy::expect_used,
+                    reason = "experiment harness: a failed boot or workflow leaves no figure to report"
+                )]
                 let (stats, _report) = pegasus
                     .run(&wf, factory.as_ref())
                     .await

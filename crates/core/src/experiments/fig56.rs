@@ -37,6 +37,7 @@ pub struct Fig5Result {
 
 impl Fig5Result {
     /// The fastest sampled mix.
+    #[expect(clippy::expect_used, reason = "`run_fig5` samples at least one mix")]
     pub fn best(&self) -> Fig5Row {
         *self
             .rows
@@ -46,6 +47,7 @@ impl Fig5Result {
     }
 
     /// The slowest sampled mix.
+    #[expect(clippy::expect_used, reason = "`run_fig5` samples at least one mix")]
     pub fn worst(&self) -> Fig5Row {
         *self
             .rows
@@ -121,6 +123,10 @@ pub struct Fig6Result {
 
 impl Fig6Result {
     /// Bar by label.
+    #[expect(
+        clippy::expect_used,
+        reason = "callers pass one of the five fixed bar labels"
+    )]
     pub fn bar(&self, label: &str) -> &Fig6Row {
         self.rows
             .iter()

@@ -33,6 +33,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod breakdown;
 pub mod builder;

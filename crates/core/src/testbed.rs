@@ -66,6 +66,10 @@ impl TestBed {
     /// Returns the logical file name.
     pub fn stage_image_tarball(&self) -> String {
         let name = "images/matmul.tar".to_string();
+        #[expect(
+            clippy::expect_used,
+            reason = "`boot` pushed this image to this registry"
+        )]
         let size = self
             .registry
             .manifest(&self.image)

@@ -13,6 +13,9 @@
 //! virtual time (see DESIGN.md for the substitution argument).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod api;
 pub mod autoscaler;

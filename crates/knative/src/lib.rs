@@ -12,6 +12,9 @@
 //! the paper (§III-B / Fig. 1).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod autoscaler;
 pub mod breaker;

@@ -7,6 +7,9 @@
 //! (the drift / regression / improvement gate behind `suite compare`).
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod compare;
 pub mod regression;

@@ -37,6 +37,9 @@
 //! timings — the spans are a pure annotation layer.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 mod chrome;
 mod collector;

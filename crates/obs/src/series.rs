@@ -44,8 +44,8 @@ impl SeriesConfig {
         }
     }
 
-    /// Restrict sampling to a named metric (repeatable). Names given here
-    /// are checked against `metrics.registry` by swf-tidy's M-rules.
+    /// Restrict sampling to a named metric (repeatable). Nothing checks the
+    /// name: one that no component emits yields no series.
     pub fn track(mut self, name: &str) -> SeriesConfig {
         self.tracked.push(name.to_string());
         self

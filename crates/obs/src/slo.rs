@@ -45,7 +45,7 @@ impl Pctl {
 /// One latency objective: `metric`'s `pctl` must stay at or below `max_s`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LatencyObjective {
-    /// Histogram metric name (must be listed in `metrics.registry`).
+    /// Histogram metric name.
     pub metric: String,
     /// Which percentile the ceiling applies to.
     pub pctl: Pctl,
@@ -76,8 +76,8 @@ impl SloSpec {
         }
     }
 
-    /// Add a latency objective. The metric name is checked against
-    /// `metrics.registry` by swf-tidy's M-rules.
+    /// Add a latency objective. Nothing checks the metric name: one that
+    /// no component emits reports `observed_s: None` and is not evaluated.
     pub fn objective(mut self, metric: &str, pctl: Pctl, max_s: f64) -> SloSpec {
         self.objectives.push(LatencyObjective {
             metric: metric.to_string(),

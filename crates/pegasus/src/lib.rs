@@ -9,10 +9,12 @@
 //! serverless form, exactly the surface the paper modifies.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod abstract_wf;
 pub mod catalog;
-#[allow(clippy::module_inception)]
 pub mod pegasus;
 pub mod planner;
 

@@ -272,6 +272,7 @@ fn enter(sim: &Sim) -> EnterGuard {
 ///
 /// # Panics
 /// Panics when called outside a running simulation.
+#[expect(clippy::expect_used, reason = "the documented `# Panics` above")]
 pub fn current() -> Sim {
     CURRENT.with(|c| {
         c.borrow()
@@ -442,6 +443,10 @@ impl Sim {
         TimerHandle { state }
     }
 
+    #[expect(
+        clippy::panic,
+        reason = "the step limit is the wake-loop backstop and `run_until_idle` returns no error"
+    )]
     fn poll_one(&self, index: u32) {
         let (mut fut, waker) = {
             let mut tasks = self.inner.tasks.borrow_mut();
@@ -561,6 +566,7 @@ impl Sim {
     {
         match self.try_block_on(fut) {
             Ok(out) => out,
+            #[expect(clippy::panic, reason = "the documented `# Panics` above")]
             Err(e) => panic!("swf-simcore: {e}"),
         }
     }
@@ -671,6 +677,10 @@ impl<T> Future for JoinHandle<T> {
         }
         match std::mem::replace(&mut *s, JoinState::Taken) {
             JoinState::Done(v) => Poll::Ready(v),
+            #[expect(
+                clippy::panic,
+                reason = "polling a future again after `Ready` breaks the `Future` contract"
+            )]
             JoinState::Pending(_) | JoinState::Taken => {
                 panic!("JoinHandle polled after completion")
             }

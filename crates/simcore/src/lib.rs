@@ -31,6 +31,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod combinators;
 pub mod error;
@@ -63,3 +66,39 @@ pub use resource::{Claim, Resource};
 pub use retry::RetryPolicy;
 pub use rng::DetRng;
 pub use time::{micros, millis, secs, SimDuration, SimTime};
+
+/// A quiet linter must fail. One deliberate offence per ban of the root
+/// `clippy.toml` (DESIGN.md §9), each expected: rename the file, mistype a
+/// path or lose a lint and the expectation is unfulfilled, which the CI
+/// `clippy` job (`--all-targets`, `-D warnings`) refuses.
+#[cfg(test)]
+mod lint_canaries {
+    #[test]
+    #[expect(clippy::disallowed_methods, reason = "canary: the wall-clock ban")]
+    fn wall_clock() {
+        let _ = std::time::Instant::now();
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "canary: the hash-order ban")]
+    fn hash_collection() {
+        let _ = std::collections::HashMap::<u8, u8>::new();
+    }
+
+    #[test]
+    #[expect(clippy::disallowed_types, reason = "canary: the blocking-lock ban")]
+    fn blocking_lock() {
+        let _ = std::sync::Mutex::new(0u8);
+    }
+
+    #[test]
+    #[expect(clippy::await_holding_refcell_ref, reason = "canary: clippy's own")]
+    fn refcell_guard_across_await() {
+        crate::Sim::new().block_on(async {
+            let cell = std::cell::RefCell::new(0u8);
+            let guard = cell.borrow_mut();
+            crate::yield_now().await;
+            drop(guard);
+        });
+    }
+}

@@ -20,6 +20,10 @@
 //! order; a run is a pure function of the program and its RNG seeds.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the `Mutex` in `WakeQueue`: required by the Waker contract, never contended"
+)]
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -30,7 +34,6 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 // `Waker` must be `Send + Sync`, so the ready queue lives behind a real
 // mutex even though the simulation is single-threaded (see `WakeQueue`).
-// tidy: allow(real-sync) — required by the Waker contract; never contended
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 

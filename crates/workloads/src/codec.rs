@@ -4,6 +4,8 @@
 //! and disk representation used across the simulated filesystems and HTTP
 //! payloads: magic `SWFM`, u32 rows, u32 cols, little-endian i64 entries.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::matrix::Matrix;
@@ -45,8 +47,10 @@ impl std::error::Error for CodecError {}
 pub fn encode(m: &Matrix) -> Bytes {
     let mut buf = BytesMut::with_capacity(m.as_slice().len().saturating_mul(8).saturating_add(12));
     buf.put_slice(MAGIC);
-    buf.put_u32_le(m.rows() as u32);
-    buf.put_u32_le(m.cols() as u32);
+    // A dimension past u32 saturates instead of wrapping into a different
+    // shape; `decode`'s length check then refuses the payload.
+    buf.put_u32_le(u32::try_from(m.rows()).unwrap_or(u32::MAX));
+    buf.put_u32_le(u32::try_from(m.cols()).unwrap_or(u32::MAX));
     for &v in m.as_slice() {
         buf.put_i64_le(v);
     }

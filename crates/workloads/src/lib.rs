@@ -1,13 +1,16 @@
 //! # swf-workloads
 //!
 //! The paper's workload, for real: dense integer matrices (350×350, entries
-//! in [-100, 100]), three agreeing matmul kernels (naive / blocked /
-//! rayon-parallel), a binary codec for files and pass-by-value request
-//! payloads, workflow-shape generators (Fig. 3 chains, Fig. 4 concurrent
-//! sets with random environment assignment), and a compute-time calibration
-//! harness connecting real kernel runtime to the simulator's charged time.
+//! in [-100, 100]), two agreeing matmul kernels (naive / blocked), a binary
+//! codec for files and pass-by-value request payloads, workflow-shape
+//! generators (Fig. 3 chains, Fig. 4 concurrent sets with random
+//! environment assignment), and a compute-time calibration harness
+//! connecting real kernel runtime to the simulator's charged time.
 
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::allow_attributes_without_reason)]
 
 pub mod codec;
 pub mod generator;

@@ -1,12 +1,10 @@
 //! Matrix multiplication kernels.
 //!
-//! Three implementations of the paper's task: a naive triple loop (the
-//! honest Python-equivalent), a cache-blocked transposed kernel, and a
-//! rayon row-parallel kernel. All produce identical results; property tests
-//! pin the algebra, and the calibration harness measures the real runtime
-//! to parameterize the simulator's compute model.
-
-use rayon::prelude::*;
+//! Two implementations of the paper's task: a naive triple loop (the
+//! honest Python-equivalent) and a cache-blocked transposed kernel. Both
+//! produce identical results; property tests pin the algebra, and the
+//! calibration harness measures the real runtime to parameterize the
+//! simulator's compute model.
 
 use crate::matrix::Matrix;
 
@@ -19,8 +17,6 @@ pub enum Kernel {
     /// Transpose-B then dot rows (cache friendly).
     #[default]
     Blocked,
-    /// Row-parallel with rayon.
-    Parallel,
 }
 
 /// Multiply `a × b` with the chosen kernel.
@@ -40,7 +36,6 @@ pub fn matmul(a: &Matrix, b: &Matrix, kernel: Kernel) -> Matrix {
     match kernel {
         Kernel::Naive => naive(a, b),
         Kernel::Blocked => blocked(a, b),
-        Kernel::Parallel => parallel(a, b),
     }
 }
 
@@ -77,25 +72,6 @@ fn blocked(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn parallel(a: &Matrix, b: &Matrix) -> Matrix {
-    let bt = b.transpose();
-    let (n, m) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(n, m);
-    {
-        let cols = m;
-        out.data_mut()
-            .par_chunks_mut(cols)
-            .enumerate()
-            .for_each(|(i, row_out)| {
-                let arow = a.row(i);
-                for (j, cell) in row_out.iter_mut().enumerate() {
-                    *cell = dot(arow, bt.row(j));
-                }
-            });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +89,6 @@ mod tests {
         let b = random_matrix(23, 11, 2);
         let naive = matmul(&a, &b, Kernel::Naive);
         assert_eq!(naive, matmul(&a, &b, Kernel::Blocked));
-        assert_eq!(naive, matmul(&a, &b, Kernel::Parallel));
     }
 
     #[test]
@@ -187,7 +162,7 @@ mod tests {
             prop_assert_eq!(left, right);
         }
 
-        /// All three kernels agree on random shapes.
+        /// Both kernels agree on random shapes.
         #[test]
         fn kernels_agree_prop(seed in 0u64..1000, n in 1usize..16, k in 1usize..16, m in 1usize..16) {
             let a = {
@@ -200,7 +175,6 @@ mod tests {
             };
             let x = matmul(&a, &b, Kernel::Naive);
             prop_assert_eq!(&x, &matmul(&a, &b, Kernel::Blocked));
-            prop_assert_eq!(&x, &matmul(&a, &b, Kernel::Parallel));
         }
     }
 }

@@ -92,11 +92,6 @@ impl Matrix {
         }
         t
     }
-
-    /// Mutable access to the backing vector (kernels only).
-    pub(crate) fn data_mut(&mut self) -> &mut [i64] {
-        &mut self.data
-    }
 }
 
 #[cfg(test)]

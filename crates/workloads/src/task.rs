@@ -79,7 +79,10 @@ impl ComputeModel {
         let b = crate::matrix::Matrix::random(dim, dim, &mut rng, -100, 100);
         // Calibration deliberately measures the real kernel's wall time
         // once, outside any simulation; the result feeds a fixed constant.
-        // tidy: allow(wall-clock) — real measurement, not simulated time
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "real measurement, not simulated time"
+        )]
         let t0 = std::time::Instant::now();
         let c = matmul(&a, &b, kernel);
         let wall = t0.elapsed().as_secs_f64();
