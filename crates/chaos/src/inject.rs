@@ -332,11 +332,8 @@ impl Injector {
                     }
                     let idle = stack
                         .condor
-                        .startds()
-                        .iter()
-                        .find(|s| s.node().id() == id)
-                        .map(|s| s.free_slots() == s.total_slots())
-                        .unwrap_or(true);
+                        .startd(id)
+                        .is_none_or(|s| s.free_slots() == s.total_slots());
                     let obs = swf_obs::current();
                     if idle {
                         obs.counter_add("chaos.spot_graceful_exits", 1);

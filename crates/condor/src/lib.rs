@@ -21,7 +21,6 @@ pub mod error;
 pub mod job;
 pub mod negotiator;
 pub mod pool;
-pub mod poolscaler;
 pub mod rescue;
 pub mod schedd;
 pub mod startd;
@@ -33,7 +32,6 @@ pub use error::{CondorError, DagProgress};
 pub use job::{JobContext, JobFn, JobId, JobResult, JobSpec, JobStatus, LocalBoxFuture};
 pub use negotiator::{Negotiator, NegotiatorConfig};
 pub use pool::{Condor, CondorConfig};
-pub use poolscaler::{PoolScaleDecision, PoolScaleListener, PoolScaler, PoolScalerConfig};
 pub use rescue::{NodeOutcome, RescueDag, RescueNode};
 pub use schedd::Schedd;
 pub use startd::{Startd, StartdConfig};

@@ -1,6 +1,6 @@
 //! Pool assembly: schedd + one startd per worker + negotiator.
 
-use swf_cluster::Cluster;
+use swf_cluster::{Cluster, NodeId};
 use swf_simcore::spawn;
 
 use crate::error::CondorError;
@@ -80,27 +80,20 @@ impl Condor {
         self.startds.iter().map(|s| s.free_slots()).sum()
     }
 
+    /// The startd of a worker node, if it has one.
+    pub fn startd(&self, node: NodeId) -> Option<&Startd> {
+        self.startds.iter().find(|s| s.node().id() == node)
+    }
+
     /// Drain a worker: running jobs complete, no new matches land there
     /// (`condor_drain`). Returns false if the node has no startd.
-    pub fn drain_node(&self, node: swf_cluster::NodeId) -> bool {
-        match self.startds.iter().find(|s| s.node().id() == node) {
-            Some(s) => {
-                s.drain();
-                true
-            }
-            None => false,
-        }
+    pub fn drain_node(&self, node: NodeId) -> bool {
+        self.startd(node).map(Startd::drain).is_some()
     }
 
     /// Resume matching on a drained worker.
-    pub fn undrain_node(&self, node: swf_cluster::NodeId) -> bool {
-        match self.startds.iter().find(|s| s.node().id() == node) {
-            Some(s) => {
-                s.undrain();
-                true
-            }
-            None => false,
-        }
+    pub fn undrain_node(&self, node: NodeId) -> bool {
+        self.startd(node).map(Startd::undrain).is_some()
     }
 
     /// Crash a worker (fault injection): the negotiator stops matching
@@ -108,40 +101,28 @@ impl Condor {
     /// claim epoch, so the next cycle re-matches the stranded work onto
     /// healthy nodes. Late reports from the lost claims are discarded.
     /// Returns false when the node has no startd.
-    pub fn fail_node(&self, node: swf_cluster::NodeId) -> bool {
-        match self.startds.iter().find(|s| s.node().id() == node) {
-            Some(s) => {
-                s.fail();
-                let requeued = self.schedd.requeue_running_on(node);
-                let obs = swf_obs::current();
-                obs.counter_add("condor.node_failures", 1);
-                if !requeued.is_empty() {
-                    obs.counter_add("condor.stranded_jobs", requeued.len() as u64);
-                }
-                true
-            }
-            None => false,
+    pub fn fail_node(&self, node: NodeId) -> bool {
+        let Some(s) = self.startd(node) else {
+            return false;
+        };
+        s.fail();
+        let requeued = self.schedd.requeue_running_on(node);
+        let obs = swf_obs::current();
+        obs.counter_add("condor.node_failures", 1);
+        if !requeued.is_empty() {
+            obs.counter_add("condor.stranded_jobs", requeued.len() as u64);
         }
+        true
     }
 
     /// Bring a crashed worker back: the negotiator may match there again.
-    pub fn recover_node(&self, node: swf_cluster::NodeId) -> bool {
-        match self.startds.iter().find(|s| s.node().id() == node) {
-            Some(s) => {
-                s.recover();
-                true
-            }
-            None => false,
-        }
+    pub fn recover_node(&self, node: NodeId) -> bool {
+        self.startd(node).map(Startd::recover).is_some()
     }
 
     /// Is the worker currently crashed?
-    pub fn node_is_failed(&self, node: swf_cluster::NodeId) -> bool {
-        self.startds
-            .iter()
-            .find(|s| s.node().id() == node)
-            .map(|s| s.is_failed())
-            .unwrap_or(false)
+    pub fn node_is_failed(&self, node: NodeId) -> bool {
+        self.startd(node).is_some_and(Startd::is_failed)
     }
 }
 

@@ -2,9 +2,10 @@
 //! virtual clock.
 //!
 //! A pooled node bills whenever it is *active* — from [`CostLedger::open_all`]
-//! at boot until something deactivates it: an autoscaler scale-in (wired
-//! through the scaler's listener) or a spot revocation's hard-kill instant
-//! (derived from the fault plan by [`CostLedger::track_plan`]). Closed
+//! at boot until something deactivates it: a scale-in by the
+//! [`PoolAutoscaler`](crate::PoolAutoscaler) or a spot revocation's
+//! hard-kill instant (derived from the fault plan by
+//! [`CostLedger::track_plan`]). Closed
 //! intervals are observed as `cost.node_s.on_demand` / `cost.node_s.spot`
 //! the moment they close, so the metrics snapshot carries the billed
 //! history; the final [`CostReport`] additionally clips still-open
@@ -91,8 +92,8 @@ impl CostLedger {
     }
 
     /// Transition a node's billing state. Opening an open node or closing
-    /// a closed one is a no-op, so autoscaler listeners and the plan
-    /// tracker can overlap without double-billing. Closing observes the
+    /// a closed one is a no-op, so the autoscaler and the plan tracker
+    /// can overlap without double-billing. Closing observes the
     /// interval under the class's `cost.node_s.*` metric.
     pub fn set_active(&self, node: usize, active: bool) {
         let Some(class) = self.pools.class_of(node) else {

@@ -3,19 +3,16 @@
 //!
 //! [`run_elastic`] wraps [`swf_chaos::run_chaos_with`]: same testbed,
 //! same workflow chains, same injector — plus, through the setup hook, a
-//! [`swf_condor::PoolScaler`] and [`swf_k8s::NodePoolAutoscaler`] over
-//! the spot pool and a [`CostLedger`] billing every pooled node. With
-//! `autoscale` off and an all-on-demand pool set, the run is the plain
-//! chaos run plus passive billing: same fingerprint, same outcomes.
-
-use std::rc::Rc;
+//! [`PoolAutoscaler`] over the spot pool and a [`CostLedger`] billing
+//! every pooled node. With `autoscale` off and an all-on-demand pool set,
+//! the run is the plain chaos run plus passive billing: same fingerprint,
+//! same outcomes.
 
 use swf_chaos::{ChaosOutcome, ChaosProfile, ChaosRunConfig, FaultPlan};
 use swf_cluster::NodeId;
-use swf_condor::{PoolScaler, PoolScalerConfig};
-use swf_k8s::{NodePoolAutoscaler, NodePoolConfig};
-use swf_simcore::{secs, SimDuration};
+use swf_simcore::SimDuration;
 
+use crate::autoscaler::PoolAutoscaler;
 use crate::cost::{CostLedger, CostModel, CostReport};
 use crate::pool::PoolSet;
 
@@ -28,13 +25,10 @@ pub struct ElasticRunConfig {
     pub pools: PoolSet,
     /// Prices.
     pub model: CostModel,
-    /// Spawn the condor pool scaler and the k8s node-pool autoscaler
-    /// over the spot pool (spot capacity then starts scaled in and grows
-    /// on queue pressure). Off = the static cluster the chaos suite has
-    /// always run.
+    /// Spawn the [`PoolAutoscaler`] over the spot pool (spot capacity
+    /// then starts scaled in and grows on demand). Off = the static
+    /// cluster the chaos suite has always run.
     pub autoscale: bool,
-    /// Autoscaler idle cooldown before scale-in.
-    pub idle_cooldown: SimDuration,
 }
 
 impl ElasticRunConfig {
@@ -50,7 +44,6 @@ impl ElasticRunConfig {
             pools: PoolSet::split(vec![1], vec![2, 3]),
             model: CostModel::default(),
             autoscale: true,
-            idle_cooldown: secs(20.0),
         }
     }
 
@@ -132,43 +125,14 @@ pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOu
     let pools = cfg.pools.clone();
     let hook_plan = plan.clone();
     let autoscale = cfg.autoscale;
-    let idle_cooldown = cfg.idle_cooldown;
     let chaos = swf_chaos::run_chaos_with(&cfg.chaos, plan, move |bed| {
         hook_ledger.open_all();
         swf_simcore::spawn(hook_ledger.clone().track_plan(hook_plan));
         let spot: Vec<NodeId> = pools.spot_nodes().into_iter().map(NodeId).collect();
         if autoscale && !spot.is_empty() {
-            let billing = hook_ledger.clone();
-            let scaler = PoolScaler::new(
-                bed.condor.clone(),
-                PoolScalerConfig {
-                    nodes: spot.clone(),
-                    min_active: 0,
-                    max_active: spot.len(),
-                    max_scale_up_per_tick: 1,
-                    start_drained: true,
-                    tick: secs(1.0),
-                    idle_cooldown,
-                },
-            )
-            .with_listener(Rc::new(move |n: NodeId, active: bool| {
-                billing.set_active(n.0, active)
-            }));
+            let api = bed.k8s.api().clone();
+            let scaler = PoolAutoscaler::new(bed.condor.clone(), api, spot, hook_ledger);
             swf_simcore::spawn(scaler.run());
-            // The k8s mirror keeps pods off scaled-in spot nodes. No
-            // listener: compute billing follows the condor pool, not the
-            // pod view, so the two scalers never double-bill a node.
-            let nodepool = NodePoolAutoscaler::new(
-                bed.k8s.api().clone(),
-                NodePoolConfig {
-                    nodes: spot,
-                    min_ready: 0,
-                    start_parked: true,
-                    tick: secs(1.0),
-                    idle_cooldown,
-                },
-            );
-            swf_simcore::spawn(nodepool.run());
         }
     })?;
     let useful_task_s =
@@ -186,6 +150,7 @@ pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swf_simcore::secs;
 
     #[test]
     fn static_calm_run_matches_plain_chaos_fingerprint_and_bills_flat() {

@@ -107,10 +107,7 @@ impl ApiServer {
     /// components work in partial test setups without a node store.
     pub fn node_ready(&self, id: swf_cluster::NodeId) -> bool {
         self.nodes
-            .list()
-            .iter()
-            .find(|n| n.id == id)
-            .map(|n| n.ready)
+            .read(|nodes| nodes.values().find(|n| n.id == id).map(|n| n.ready))
             .unwrap_or(true)
     }
 

@@ -139,11 +139,13 @@ impl ReplicaSetController {
                 }
             }
             // Status write-on-change.
-            let ready = self
-                .api
-                .pods()
-                .filter(|p| p.meta.owner.as_deref() == Some(rs_name.as_str()) && p.is_routable())
-                .len() as u32;
+            let ready = self.api.pods().read(|pods| {
+                pods.values()
+                    .filter(|p| {
+                        p.meta.owner.as_deref() == Some(rs_name.as_str()) && p.is_routable()
+                    })
+                    .count() as u32
+            });
             if rs.ready_replicas != ready {
                 self.api
                     .replicasets()
@@ -151,12 +153,18 @@ impl ReplicaSetController {
             }
         }
         // Orphan cleanup: pods owned by a vanished ReplicaSet.
-        for (name, pod) in self.api.pods().entries() {
-            if let Some(owner) = &pod.meta.owner {
-                if !self.api.replicasets().contains(owner) && !pod.meta.deletion_requested {
-                    let _ = self.api.delete_pod(&name).await;
-                }
-            }
+        let orphans: Vec<String> = self.api.pods().read(|pods| {
+            pods.iter()
+                .filter(|(_, p)| {
+                    let owner = p.meta.owner.as_ref();
+                    !p.meta.deletion_requested
+                        && owner.is_some_and(|o| !self.api.replicasets().contains(o))
+                })
+                .map(|(name, _)| name.clone())
+                .collect()
+        });
+        for name in orphans {
+            let _ = self.api.delete_pod(&name).await;
         }
     }
 
@@ -168,10 +176,11 @@ impl ReplicaSetController {
         let observed = self
             .api
             .pods()
-            .entries()
-            .iter()
-            .filter_map(|(n, _)| n.strip_prefix(&prefix).and_then(|s| s.parse::<u64>().ok()))
-            .max()
+            .read(|pods| {
+                pods.keys()
+                    .filter_map(|n| n.strip_prefix(&prefix).and_then(|s| s.parse::<u64>().ok()))
+                    .max()
+            })
             .map(|m| m + 1)
             .unwrap_or(0);
         let mut counters = self.counters.borrow_mut();
@@ -206,20 +215,19 @@ impl EndpointsController {
     /// One pass.
     pub fn reconcile(&self) {
         for (svc_name, svc) in self.api.services().entries() {
-            let mut ready: Vec<Endpoint> = self
-                .api
-                .pods()
-                .filter(|p| p.is_routable() && svc.selector.matches(&p.meta.labels))
-                .into_iter()
-                .filter_map(|p| {
-                    // `is_routable` implies a node assignment; a pod without
-                    // one simply isn't an endpoint yet.
-                    p.status.node.map(|node| Endpoint {
-                        node,
-                        port: p.status.port,
+            let mut ready: Vec<Endpoint> = self.api.pods().read(|pods| {
+                pods.values()
+                    .filter(|p| p.is_routable() && svc.selector.matches(&p.meta.labels))
+                    .filter_map(|p| {
+                        // `is_routable` implies a node assignment; a pod
+                        // without one simply isn't an endpoint yet.
+                        p.status.node.map(|node| Endpoint {
+                            node,
+                            port: p.status.port,
+                        })
                     })
-                })
-                .collect();
+                    .collect()
+            });
             ready.sort_by_key(|e| (e.node, e.port));
             let current = self.api.endpoints().get(&svc_name);
             let changed = current.map(|c| c.ready != ready).unwrap_or(true);

@@ -67,20 +67,26 @@ impl Kubelet {
     /// One reconcile pass (non-blocking: work is spawned).
     pub fn reconcile(&self) {
         let my_node = self.runtime.node().id();
-        let mine: Vec<Pod> = self.api.pods().filter(|p| p.status.node == Some(my_node));
-        for pod in mine {
-            let name = pod.meta.name.clone();
-            if self.inflight.borrow().contains(&name) {
-                continue;
-            }
-            if pod.meta.deletion_requested {
+        // `(name, deleting)` of the pods this pass acts on: running and
+        // dead pods bound here are looked at, not copied.
+        let todo: Vec<(String, bool)> = self.api.pods().read(|pods| {
+            let inflight = self.inflight.borrow();
+            pods.values()
+                .filter(|p| p.status.node == Some(my_node))
+                .filter(|p| p.meta.deletion_requested || p.status.phase == PodPhase::Scheduled)
+                .filter(|p| !inflight.contains(&p.meta.name))
+                .map(|p| (p.meta.name.clone(), p.meta.deletion_requested))
+                .collect()
+        });
+        for (name, deleting) in todo {
+            if deleting {
                 self.inflight.borrow_mut().insert(name.clone());
                 let this = self.clone();
                 spawn(async move {
                     this.teardown(&name).await;
                     this.inflight.borrow_mut().remove(&name);
                 });
-            } else if pod.status.phase == PodPhase::Scheduled && self.api.node_ready(my_node) {
+            } else if self.api.node_ready(my_node) {
                 self.inflight.borrow_mut().insert(name.clone());
                 let this = self.clone();
                 spawn(async move {

@@ -18,7 +18,6 @@
 #![warn(clippy::allow_attributes_without_reason)]
 
 pub mod api;
-pub mod autoscaler;
 pub mod control_plane;
 pub mod controllers;
 pub mod error;
@@ -33,7 +32,6 @@ pub mod store;
 pub mod workload_api;
 
 pub use api::{ApiConfig, ApiServer};
-pub use autoscaler::{NodePoolAutoscaler, NodePoolConfig, ScaleListener};
 pub use control_plane::{K8s, K8sConfig};
 pub use controllers::{DeploymentController, EndpointsController, ReplicaSetController};
 pub use error::K8sError;

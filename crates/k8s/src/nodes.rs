@@ -47,28 +47,27 @@ impl NodeController {
         let down: Vec<NodeId> = self
             .api
             .nodes()
-            .list()
-            .into_iter()
-            .filter(|n| !n.ready)
-            .map(|n| n.id)
-            .collect();
+            .read(|nodes| nodes.values().filter(|n| !n.ready).map(|n| n.id).collect());
         if down.is_empty() {
             return;
         }
-        for (name, pod) in self.api.pods().entries() {
-            let Some(node) = pod.status.node else {
-                continue;
-            };
-            if !down.contains(&node) {
-                continue;
-            }
-            if pod.status.phase != PodPhase::Failed {
-                self.api.pods().update(&name, |p| {
-                    p.status.phase = PodPhase::Failed;
-                    p.status.ready = false;
-                    p.status.message = format!("node {node} is not ready");
-                });
-            }
+        // Pods already `Failed` stay in the store for good, so a pass
+        // names only the ones it is about to fail.
+        let stranded: Vec<(String, NodeId)> = self.api.pods().read(|pods| {
+            pods.iter()
+                .filter(|(_, p)| p.status.phase != PodPhase::Failed)
+                .filter_map(|(name, p)| {
+                    let node = p.status.node.filter(|n| down.contains(n))?;
+                    Some((name.clone(), node))
+                })
+                .collect()
+        });
+        for (name, node) in stranded {
+            self.api.pods().update(&name, |p| {
+                p.status.phase = PodPhase::Failed;
+                p.status.ready = false;
+                p.status.message = format!("node {node} is not ready");
+            });
         }
     }
 }

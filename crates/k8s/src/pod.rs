@@ -127,6 +127,13 @@ impl Pod {
         }
     }
 
+    /// The node whose capacity the pod occupies: the one it is bound to,
+    /// until it terminates (`Succeeded` or `Failed`).
+    pub fn live_on(&self) -> Option<NodeId> {
+        let terminated = matches!(self.status.phase, PodPhase::Succeeded | PodPhase::Failed);
+        self.status.node.filter(|_| !terminated)
+    }
+
     /// Routable: running, ready, not being deleted.
     pub fn is_routable(&self) -> bool {
         self.status.phase == PodPhase::Running && self.status.ready && !self.meta.deletion_requested

@@ -128,15 +128,15 @@ impl Scheduler {
     /// hasher state.
     fn committed(&self) -> BTreeMap<NodeId, (u64, u64)> {
         let mut used: BTreeMap<NodeId, (u64, u64)> = BTreeMap::new();
-        for p in self.api.pods().list() {
-            if let Some(n) = p.status.node {
-                if p.status.phase != PodPhase::Succeeded && p.status.phase != PodPhase::Failed {
+        self.api.pods().read(|pods| {
+            for p in pods.values() {
+                if let Some(n) = p.live_on() {
                     let e = used.entry(n).or_default();
                     e.0 += u64::from(p.spec.resources.cpu_millis);
                     e.1 += p.spec.resources.memory;
                 }
             }
-        }
+        });
         used
     }
 

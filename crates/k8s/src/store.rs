@@ -86,6 +86,15 @@ impl<T: Clone> Store<T> {
         r
     }
 
+    /// Inspect the objects in place, copying none of them. The closure
+    /// must not write the store it reads: the store's borrow is held while
+    /// it runs, so a `put`/`update`/`delete` inside it panics. A caller
+    /// that keeps objects across an `.await` takes a snapshot
+    /// ([`get`](Self::get), [`filter`](Self::filter)) instead.
+    pub fn read<R>(&self, f: impl FnOnce(&BTreeMap<String, T>) -> R) -> R {
+        f(&self.inner.borrow().objects)
+    }
+
     /// Snapshot all objects (sorted by name).
     pub fn list(&self) -> Vec<T> {
         self.inner.borrow().objects.values().cloned().collect()
@@ -238,6 +247,34 @@ mod tests {
             assert_eq!(v, 5);
             assert!(!w.check());
         });
+    }
+
+    #[test]
+    fn read_clones_nothing_and_filter_clones_only_its_matches() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        struct Counted(u32, Rc<Cell<usize>>);
+        impl Clone for Counted {
+            fn clone(&self) -> Self {
+                self.1.set(self.1.get() + 1);
+                Counted(self.0, Rc::clone(&self.1))
+            }
+        }
+        let clones = Rc::new(Cell::new(0));
+        let s: Store<Counted> = Store::new();
+        for i in 0..10 {
+            s.put(format!("k{i}"), Counted(i, Rc::clone(&clones)));
+        }
+        let (sum, names) = s.read(|objects| {
+            let sum: u32 = objects.values().map(|c| c.0).sum();
+            (sum, objects.keys().filter(|k| k.as_str() > "k7").count())
+        });
+        assert_eq!((sum, names), (45, 2));
+        assert_eq!(clones.get(), 0, "read copies no object");
+        assert_eq!(s.filter(|c| c.0 % 5 == 0).len(), 2);
+        assert_eq!(clones.get(), 2, "filter copies its matches and no more");
+        assert_eq!(s.list().len(), 10);
+        assert_eq!(clones.get(), 12, "list copies everything");
     }
 
     #[test]
