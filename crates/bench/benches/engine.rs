@@ -5,26 +5,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use swf_obs::{spans_to_json, Category, Obs, SpanContext};
-use swf_simcore::{join_all, secs, sleep, spawn, Resource, Sim, SimTime};
+use swf_simcore::{join_all, secs, spawn, Resource, Sim, SimTime};
 
 fn executor_throughput(c: &mut Criterion) {
-    c.bench_function("engine/10k_timers", |b| {
-        b.iter(|| {
-            let sim = Sim::new();
-            sim.block_on(async {
-                let handles: Vec<_> = (0..10_000u64)
-                    .map(|i| {
-                        spawn(async move {
-                            sleep(swf_simcore::SimDuration::from_nanos(i % 997)).await;
-                        })
-                    })
-                    .collect();
-                join_all(handles).await;
-            });
-            sim.steps()
-        })
-    });
-
     c.bench_function("engine/fifo_resource_5k", |b| {
         b.iter(|| {
             let sim = Sim::new();

@@ -25,7 +25,8 @@
 //! code stays 0.
 
 use swf_bench::{
-    dump_observability, emit_scenario_json, flag_value, is_quick, is_traced, ScenarioMeter,
+    dump_observability, emit_scenario_json, flag_value, is_quick, is_traced,
+    refuse_unknown_arguments, ScenarioMeter,
 };
 use swf_chaos::{experiment_config, run_chaos, ChaosProfile, ChaosRunConfig, FaultPlan, SERVICE};
 use swf_core::experiments::setup_header;
@@ -53,26 +54,6 @@ fn parse_seeds(v: &str) -> Result<std::ops::Range<u64>, String> {
 /// here too, or it is refused.
 const SWITCHES: [&str; 4] = ["--quick", "-q", "--rescue", "--trace"];
 const VALUED: [&str; 4] = ["--seeds", "--profile", "--trace-out", "--json"];
-
-/// The first argument that is neither one of this binary's flags nor a
-/// flag's value.
-fn unknown_argument(args: &[String]) -> Option<&str> {
-    let mut args = args.iter();
-    while let Some(arg) = args.next() {
-        let (name, inline_value) = match arg.split_once('=') {
-            Some((name, _)) => (name, true),
-            None => (arg.as_str(), false),
-        };
-        if VALUED.contains(&name) {
-            if !inline_value {
-                args.next();
-            }
-        } else if !SWITCHES.contains(&arg.as_str()) {
-            return Some(arg);
-        }
-    }
-    None
-}
 
 /// The seed pool: `--seeds`, else `0..8` under `--quick`, `0..32` otherwise.
 fn seeds_from_args() -> std::ops::Range<u64> {
@@ -103,13 +84,7 @@ fn profile_from_args() -> (String, ChaosProfile) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(arg) = unknown_argument(&args) {
-        eprintln!(
-            "error: unknown argument {arg:?}; flags are {}",
-            [SWITCHES, VALUED].concat().join(", ")
-        );
-        std::process::exit(2);
-    }
+    refuse_unknown_arguments(&args, &SWITCHES, &VALUED);
     // An enabled ambient collector is picked up by every `run_chaos`, so a
     // traced sweep sees the injector's spans; untraced runs keep their own.
     let obs = if is_traced() {
@@ -297,7 +272,7 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::{parse_seeds, unknown_argument};
+    use super::parse_seeds;
 
     #[test]
     fn seed_sets_parse_or_are_refused() {
@@ -309,28 +284,6 @@ mod tests {
         ] {
             let err = parse_seeds(bad).expect_err(bad);
             assert!(err.contains(&format!("{bad:?}")), "{err}");
-        }
-    }
-
-    #[test]
-    fn unknown_arguments_are_refused() {
-        let args = |line: &str| -> Vec<String> { line.split(' ').map(String::from).collect() };
-        for good in [
-            "--quick --seeds 5..6 --profile heavy --rescue --trace",
-            "-q --seeds=8 --json=out.json --trace-out t.json",
-            // A flag's value is never read as a flag.
-            "--json --heavy",
-        ] {
-            assert_eq!(unknown_argument(&args(good)), None, "{good}");
-        }
-        assert_eq!(unknown_argument(&[]), None);
-        for (bad, culprit) in [
-            ("--quick --heavy", "--heavy"),
-            ("--seed 5", "--seed"),
-            ("--rescue=yes", "--rescue=yes"),
-            ("--profile heavy light", "light"),
-        ] {
-            assert_eq!(unknown_argument(&args(bad)), Some(culprit), "{bad}");
         }
     }
 }

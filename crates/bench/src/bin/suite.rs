@@ -22,7 +22,9 @@
 //! valid ones. `--label apps` runs the swf-apps scenario (every
 //! application × every venue) instead of the figure scenarios, writing
 //! `BENCH_apps.json`; `--label elastic` likewise. `--list` enumerates
-//! every label and its scenarios.
+//! every label and its scenarios. An unknown label or argument also exits
+//! 2 before anything runs: a typo must not run the figure scenarios.
+//! `compare` takes its two paths first, then its flags.
 //!
 //! `--trace-out` additionally writes every scenario run as one
 //! Chrome-trace file. `--spans-out` writes the lossless `swf-spans/v1`
@@ -31,16 +33,32 @@
 //! running the suite twice produces byte-identical files.
 
 use swf_bench::record::workspace_root;
-use swf_bench::suite::{run_suite, scenario_names, select, suite_config};
-use swf_bench::{flag_value, is_quick, write_chrome_trace};
+use swf_bench::suite::{check_label, run_suite, scenario_names, select, suite_config, LABELS};
+use swf_bench::{flag_value, is_quick, refuse_unknown_arguments, write_chrome_trace};
 use swf_core::experiments::setup_header;
 
+/// Flags that stand alone and flags that take a value, for a run and for
+/// `compare`. Their readers are this file and `swf_bench`'s `flag_value`
+/// and `is_quick`: a flag they learn belongs here too, or it is refused.
+const SWITCHES: [&str; 3] = ["--quick", "-q", "--list"];
+const VALUED: [&str; 6] = [
+    "--label",
+    "--only",
+    "--json",
+    "--trace-out",
+    "--spans-out",
+    "--series-out",
+];
+const COMPARE_SWITCHES: [&str; 1] = ["--fail-on-regression"];
+const COMPARE_VALUED: [&str; 1] = ["--noise"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args.get(1).map(String::as_str) == Some("compare") {
-        compare_main(&args[2..]);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.first().map(String::as_str) == Some("compare") {
+        compare_main(&args[1..]);
         return;
     }
+    refuse_unknown_arguments(&args, &SWITCHES, &VALUED);
     if args.iter().any(|a| a == "--list") {
         list_main();
         return;
@@ -50,15 +68,7 @@ fn main() {
 
 fn list_main() {
     println!("## suite — labels and their scenarios");
-    for (label, note) in [
-        ("quick", "figure scenarios at CI scale (--quick default)"),
-        ("paper", "figure scenarios at paper scale (default)"),
-        ("apps", "swf-apps: every application × every venue"),
-        (
-            "elastic",
-            "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
-        ),
-    ] {
+    for (label, note) in LABELS {
         println!("  {label:<7} {}", scenario_names(label).join(", "));
         println!("  {:<7}   {note}", "");
     }
@@ -70,6 +80,10 @@ fn run_main() {
     let quick = is_quick();
     let label =
         flag_value("--label").unwrap_or_else(|| if quick { "quick" } else { "paper" }.to_string());
+    if let Err(e) = check_label(&label) {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
     let names = match flag_value("--only") {
         Some(only) => select(&only).unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -178,24 +192,13 @@ fn read_doc(path: &str) -> serde_json::Value {
 }
 
 fn compare_main(args: &[String]) {
-    // Positionals are everything that is neither a flag nor the value of a
-    // value-taking flag (`compare a.json b.json --noise 0.90` must not read
-    // `0.90` as a third path).
-    let mut paths: Vec<&String> = Vec::new();
-    let mut iter = args.iter();
-    while let Some(a) = iter.next() {
-        if a == "--noise" {
-            iter.next();
-        } else if !a.starts_with('-') {
-            paths.push(a);
-        }
-    }
-    let [old_path, new_path] = paths[..] else {
+    let [old_path, new_path, flags @ ..] = args else {
         eprintln!(
             "usage: suite compare <old.json> <new.json> [--noise <frac>] [--fail-on-regression]"
         );
         std::process::exit(2);
     };
+    refuse_unknown_arguments(flags, &COMPARE_SWITCHES, &COMPARE_VALUED);
     let noise = match flag_value("--noise") {
         Some(v) => match v.parse::<f64>() {
             Ok(f) if f >= 0.0 => f,

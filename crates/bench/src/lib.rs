@@ -46,6 +46,44 @@ pub fn flag_value(name: &str) -> Option<String> {
     None
 }
 
+/// The first of `args` that is neither one of the calling binary's flags
+/// nor a flag's value. `switches` stand alone; `valued` flags take a value
+/// (`--flag <v>` or `--flag=<v>`), which is never itself read as a flag.
+pub fn unknown_argument<'a>(
+    args: &'a [String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Option<&'a str> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        if valued.contains(&name) {
+            if !inline_value {
+                args.next();
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Some(arg);
+        }
+    }
+    None
+}
+
+/// Exit 2, naming the culprit and the valid flags, when
+/// [`unknown_argument`] finds one: a misspelt or retired flag must not run
+/// the default experiment.
+pub fn refuse_unknown_arguments(args: &[String], switches: &[&str], valued: &[&str]) {
+    if let Some(arg) = unknown_argument(args, switches, valued) {
+        eprintln!(
+            "error: unknown argument {arg:?}; flags are {}",
+            [switches, valued].concat().join(", ")
+        );
+        std::process::exit(2);
+    }
+}
+
 /// Parse the common `--quick` flag.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
@@ -261,6 +299,35 @@ mod tests {
     use super::*;
     use swf_core::experiments::{Fig1Row, Fig6Row};
     use swf_metrics::{Line, MixPoint};
+
+    #[test]
+    fn unknown_arguments_are_refused() {
+        let unknown = |line: &str| {
+            let args: Vec<String> = line.split(' ').map(String::from).collect();
+            let switches = ["--quick", "-q", "--rescue", "--trace"];
+            let valued = ["--seeds", "--profile", "--trace-out", "--json"];
+            unknown_argument(&args, &switches, &valued).map(String::from)
+        };
+        for good in [
+            "--quick --seeds 5..6 --profile heavy --rescue --trace",
+            "-q --seeds=8 --json=out.json --trace-out t.json",
+            // A flag's value is never read as a flag.
+            "--json --heavy",
+        ] {
+            assert_eq!(unknown(good), None, "{good}");
+        }
+        assert_eq!(unknown_argument(&[], &["-q"], &[]), None);
+        for (bad, culprit) in [
+            ("--quick --heavy", "--heavy"),
+            ("--seed 5", "--seed"),
+            ("--rescue=yes", "--rescue=yes"),
+            ("--profile heavy light", "light"),
+            // Another binary's flag: the lists are the caller's own.
+            ("--quick --label apps", "--label"),
+        ] {
+            assert_eq!(unknown(bad).as_deref(), Some(culprit), "{bad}");
+        }
+    }
 
     #[test]
     fn fig1_report_contains_slopes_and_paper_refs() {

@@ -210,6 +210,28 @@ fn table_names() -> impl Iterator<Item = &'static str> {
     SCENARIOS.iter().map(|(name, _)| *name)
 }
 
+/// The labels `suite --label` accepts, each with the note `--list` prints.
+pub const LABELS: [(&str, &str); 4] = [
+    ("quick", "figure scenarios at CI scale (--quick default)"),
+    ("paper", "figure scenarios at paper scale (default)"),
+    ("apps", "swf-apps: every application × every venue"),
+    (
+        "elastic",
+        "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
+    ),
+];
+
+/// Refuse a `--label` value that is not one of [`LABELS`]: a misspelt one
+/// would run the figure scenarios and stamp their document with the typo.
+pub fn check_label(label: &str) -> Result<(), String> {
+    let valid = LABELS.map(|(known, _)| known);
+    if valid.contains(&label) {
+        return Ok(());
+    }
+    let valid = valid.join(", ");
+    Err(format!("unknown label {label:?}; valid labels: {valid}"))
+}
+
 /// The scenario names the given suite label runs when `--only` does not
 /// narrow it (`--list` support).
 pub fn scenario_names(label: &str) -> Vec<&'static str> {
@@ -321,6 +343,20 @@ mod tests {
         }
         assert_eq!(select("").unwrap_err().name, "");
         assert_eq!(select("fig1,").unwrap_err().name, "");
+    }
+
+    #[test]
+    fn check_label_rejects_unknown_labels_listing_the_valid_ones() {
+        for (label, _) in LABELS {
+            assert_eq!(check_label(label), Ok(()));
+        }
+        for bad in ["chaoz", "", "Quick", "elastic "] {
+            let msg = check_label(bad).unwrap_err();
+            assert!(msg.contains(&format!("{bad:?}")), "{msg}");
+            for (label, _) in LABELS {
+                assert!(msg.contains(label), "error must list {label}: {msg}");
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,6 @@ struct State {
     /// of a `JobRecord::status` keeps it in step.
     idle: BTreeSet<JobId>,
     next_id: u64,
-    submitted_total: u64,
     completed_total: u64,
 }
 
@@ -84,7 +83,6 @@ impl Schedd {
                 jobs: BTreeMap::new(),
                 idle: BTreeSet::new(),
                 next_id: 1,
-                submitted_total: 0,
                 completed_total: 0,
             })),
             changed: Notify::new(),
@@ -124,7 +122,6 @@ impl Schedd {
         let mut s = self.state.borrow_mut();
         let id = JobId(s.next_id);
         s.next_id += 1;
-        s.submitted_total += 1;
         s.jobs.insert(
             id,
             JobRecord {
@@ -261,11 +258,6 @@ impl Schedd {
     /// Jobs in the queue, any state.
     pub fn queue_len(&self) -> usize {
         self.state.borrow().jobs.len()
-    }
-
-    /// Jobs submitted over the schedd's lifetime.
-    pub fn submitted_total(&self) -> u64 {
-        self.state.borrow().submitted_total
     }
 
     /// Jobs completed over the schedd's lifetime.

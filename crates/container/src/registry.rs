@@ -53,7 +53,6 @@ pub struct PullStats {
 struct State {
     images: BTreeMap<ImageRef, Image>,
     node_caches: BTreeMap<NodeId, BTreeSet<LayerId>>,
-    pulls: u64,
     bytes_served: u64,
     /// Bytes streamed to each node — the conservation ledger: the sum over
     /// nodes always equals `bytes_served` (nothing is lost or
@@ -82,7 +81,6 @@ impl Registry {
             state: Rc::new(RefCell::new(State {
                 images: BTreeMap::new(),
                 node_caches: BTreeMap::new(),
-                pulls: 0,
                 bytes_served: 0,
                 bytes_by_node: BTreeMap::new(),
                 outage: false,
@@ -165,7 +163,6 @@ impl Registry {
                 .insert(layer.id);
         }
         let mut s = self.state.borrow_mut();
-        s.pulls += 1;
         s.bytes_served += bytes;
         *s.bytes_by_node.entry(node).or_default() += bytes;
         Ok(PullStats {
@@ -201,11 +198,6 @@ impl Registry {
                 cache.remove(&l.id);
             }
         }
-    }
-
-    /// Total completed pulls (cache-hit pulls included).
-    pub fn pulls(&self) -> u64 {
-        self.state.borrow().pulls
     }
 
     /// Total bytes streamed.

@@ -12,7 +12,7 @@ use swf_condor::{CondorConfig, DagmanConfig, NegotiatorConfig, StartdConfig};
 use swf_container::{OverheadModel, RegistryConfig};
 use swf_k8s::K8sConfig;
 use swf_knative::{AutoscalerConfig, KnativeConfig};
-use swf_simcore::{millis, secs, RetryPolicy, SimDuration};
+use swf_simcore::{millis, secs, RetryPolicy};
 use swf_workloads::ComputeModel;
 
 /// How Pegasus provisions container images for traditional-container tasks.
@@ -174,11 +174,6 @@ impl ExperimentConfig {
             ..AutoscalerConfig::default()
         };
         c
-    }
-
-    /// Virtual time the whole experiment may take before harnesses abort.
-    pub fn deadline(&self) -> SimDuration {
-        SimDuration::from_secs(24 * 3600)
     }
 
     /// The function image reference used by every experiment.

@@ -66,12 +66,6 @@ impl FunctionBuilder {
         self
     }
 
-    /// Set pod resources (builder style).
-    pub fn resources(mut self, r: ResourceLimits) -> Self {
-        self.resources = r;
-        self
-    }
-
     /// Register with Knative: the paper's manual pre-execution step.
     /// The handler decodes the pass-by-value payload (all input files are
     /// in the request body), charges the modelled compute, runs the real

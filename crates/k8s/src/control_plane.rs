@@ -6,7 +6,7 @@ use std::rc::Rc;
 
 use swf_cluster::{Cluster, NodeId};
 use swf_container::{ContainerRuntime, OverheadModel, Registry};
-use swf_simcore::{millis, sleep, spawn, timeout, Elapsed, SimDuration};
+use swf_simcore::{spawn, timeout, Elapsed, SimDuration};
 
 use crate::api::{ApiConfig, ApiServer};
 use crate::error::K8sError;
@@ -167,11 +167,6 @@ impl K8s {
         }
     }
 
-    /// Convenience: sleep a beat so controllers settle (tests only).
-    pub async fn settle(&self) {
-        sleep(millis(100)).await;
-    }
-
     /// Failure injection: mark a node not ready. The node controller fails
     /// its pods; ReplicaSets replace them on healthy nodes; the scheduler
     /// stops binding there.
@@ -201,7 +196,7 @@ mod tests {
     use crate::workload_api::{Deployment, PodTemplate};
     use swf_cluster::{mib, ClusterConfig};
     use swf_container::{Image, ImageRef, RegistryConfig};
-    use swf_simcore::{secs, Sim};
+    use swf_simcore::{secs, sleep, Sim};
 
     fn boot() -> (Cluster, K8s, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());

@@ -1,4 +1,4 @@
-//! Pegasus catalogs: transformations, replicas, sites.
+//! Pegasus catalogs: transformations and replicas.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -74,44 +74,6 @@ impl ReplicaCatalog {
     }
 }
 
-/// A compute site (the paper has one: the condor pool).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Site {
-    /// Site handle, e.g. `condorpool`.
-    pub handle: String,
-    /// Worker count.
-    pub workers: usize,
-    /// Cores per worker.
-    pub cores_per_worker: usize,
-}
-
-/// The site catalog.
-#[derive(Clone, Default)]
-pub struct SiteCatalog {
-    sites: Rc<RefCell<Vec<Site>>>,
-}
-
-impl SiteCatalog {
-    /// Empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a site.
-    pub fn register(&self, site: Site) {
-        self.sites.borrow_mut().push(site);
-    }
-
-    /// Find a site by handle.
-    pub fn lookup(&self, handle: &str) -> Option<Site> {
-        self.sites
-            .borrow()
-            .iter()
-            .find(|s| s.handle == handle)
-            .cloned()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,17 +99,5 @@ mod tests {
             Some(ReplicaLocation::SharedFs("seed_a".into()))
         );
         assert!(!cat.contains("other"));
-    }
-
-    #[test]
-    fn site_catalog_lookup() {
-        let cat = SiteCatalog::new();
-        cat.register(Site {
-            handle: "condorpool".into(),
-            workers: 3,
-            cores_per_worker: 8,
-        });
-        assert_eq!(cat.lookup("condorpool").unwrap().workers, 3);
-        assert!(cat.lookup("aws").is_none());
     }
 }

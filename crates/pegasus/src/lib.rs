@@ -3,7 +3,7 @@
 //! Pegasus-style workflow management system for the *Serverless Computing
 //! for Dynamic HPC Workflows* reproduction: abstract workflows whose
 //! dependencies derive from producer/consumer file relations, the
-//! transformation/replica/site catalogs, and a planner that emits
+//! transformation and replica catalogs, and a planner that emits
 //! executable HTCondor DAGs — with task clustering and pluggable execution
 //! venues so the integration crate can rewrite tasks into containerized or
 //! serverless form, exactly the surface the paper modifies.
@@ -19,7 +19,7 @@ pub mod pegasus;
 pub mod planner;
 
 pub use abstract_wf::{AbstractJob, AbstractWorkflow, TaskLogic, Transformation, WorkflowError};
-pub use catalog::{ReplicaCatalog, ReplicaLocation, Site, SiteCatalog, TransformationCatalog};
+pub use catalog::{ReplicaCatalog, ReplicaLocation, TransformationCatalog};
 pub use pegasus::{Pegasus, PegasusError, WorkflowRunStats};
 pub use planner::{
     plan, run_native, ExecutableWorkflow, JobFactory, NativeFactory, PlanError, PlanOptions,

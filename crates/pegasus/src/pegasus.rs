@@ -4,7 +4,7 @@ use swf_condor::{run_dag, run_dag_resumable, Condor, DagReport, DagRun, DagmanCo
 use swf_simcore::{SimDuration, SimTime};
 
 use crate::abstract_wf::AbstractWorkflow;
-use crate::catalog::{ReplicaCatalog, SiteCatalog, TransformationCatalog};
+use crate::catalog::{ReplicaCatalog, TransformationCatalog};
 use crate::planner::{plan, JobFactory, PlanError, PlanOptions};
 
 /// Errors from end-to-end workflow runs.
@@ -75,7 +75,6 @@ pub struct Pegasus {
     condor: Condor,
     tcat: TransformationCatalog,
     rcat: ReplicaCatalog,
-    scat: SiteCatalog,
     plan_options: PlanOptions,
     dagman: DagmanConfig,
 }
@@ -87,7 +86,6 @@ impl Pegasus {
             condor,
             tcat: TransformationCatalog::new(),
             rcat: ReplicaCatalog::new(),
-            scat: SiteCatalog::new(),
             plan_options: PlanOptions::default(),
             dagman: DagmanConfig::default(),
         }
@@ -113,11 +111,6 @@ impl Pegasus {
     /// The replica catalog.
     pub fn replicas(&self) -> &ReplicaCatalog {
         &self.rcat
-    }
-
-    /// The site catalog.
-    pub fn sites(&self) -> &SiteCatalog {
-        &self.scat
     }
 
     /// The condor pool.

@@ -23,11 +23,14 @@
 //!   coalesced by a per-task `queued` flag (cleared when a poll starts), so
 //!   a task is enqueued at most once per poll round and a wake costs two
 //!   index writes — no allocation, no locking.
-//! - **Timer wheel**: pending timers sit in the hierarchical wheel of
-//!   [`crate::wheel`], which advances to the next deadline by scanning
-//!   per-level occupancy bitmaps instead of popping a comparison heap.
+//! - **Timer heap**: pending timers sit in a `BinaryHeap` keyed by
+//!   `(at, seq)` — the structure the oracle has always used. Cancellation
+//!   is lazy, and same-instant ties are neighbouring keys popped in
+//!   registration order.
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
@@ -36,7 +39,6 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::error::SimError;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
 
 /// Identifier of a spawned task: the slab slot index in the low 32 bits and
 /// the slot's generation at spawn time in the high 32 bits. Ids are unique
@@ -165,7 +167,7 @@ struct Inner {
     ready_tail: Cell<u32>,
     ready_len: Cell<usize>,
     live_tasks: Cell<usize>,
-    timers: RefCell<TimerWheel>,
+    timers: RefCell<TimerHeap>,
     next_timer_seq: Cell<u64>,
     steps: Cell<u64>,
     step_limit: Cell<u64>,
@@ -315,7 +317,7 @@ impl Sim {
                 ready_tail: Cell::new(NONE_IDX),
                 ready_len: Cell::new(0),
                 live_tasks: Cell::new(0),
-                timers: RefCell::new(TimerWheel::new()),
+                timers: RefCell::new(TimerHeap::default()),
                 next_timer_seq: Cell::new(0),
                 steps: Cell::new(0),
                 step_limit: Cell::new(u64::MAX),
@@ -430,15 +432,13 @@ impl Sim {
             cancelled: Cell::new(false),
         });
         if state.fired.get() {
-            // Born fired: a deadline at or before now never enters the wheel.
+            // Born fired: a deadline at or before now never enters the heap.
             crate::perf::note_timer_fired();
         } else {
-            self.inner.timers.borrow_mut().insert(
-                at.as_nanos(),
-                seq,
-                Rc::clone(&state),
-                self.now().as_nanos(),
-            );
+            self.inner
+                .timers
+                .borrow_mut()
+                .push(at, seq, Rc::clone(&state));
         }
         TimerHandle { state }
     }
@@ -517,15 +517,17 @@ impl Sim {
     /// Fire every timer scheduled for the earliest pending instant, advancing
     /// the clock to it. Returns false if no timers remain.
     fn advance_to_next_timer(&self) -> bool {
-        // The wheel skips cancelled timers without advancing time for them.
-        let Some((at, batch)) = self.inner.timers.borrow_mut().pop_next_due() else {
+        let Some(at) = self.inner.timers.borrow_mut().next_deadline() else {
             return false;
         };
-        let at = SimTime::from_nanos(at);
         debug_assert!(at >= self.now(), "timer in the past");
         self.inner.clock.set(at);
         crate::perf::note_clock_advance();
-        for entry in batch {
+        loop {
+            // One borrow per pop: the heap is not held while a waker runs.
+            let Some(entry) = self.inner.timers.borrow_mut().pop_due(at) else {
+                break;
+            };
             entry.state.fired.set(true);
             crate::perf::note_timer_fired();
             let waker = entry.state.waker.borrow_mut().take();
@@ -602,15 +604,79 @@ impl Sim {
 // Timers
 // ---------------------------------------------------------------------------
 
-/// Per-timer flags shared between the wheel entry and the owning future.
-pub(crate) struct TimerState {
+/// Per-timer flags shared between the heap entry and the owning future.
+struct TimerState {
     /// Waker of the task awaiting this timer, if it has been polled.
-    pub(crate) waker: RefCell<Option<Waker>>,
+    waker: RefCell<Option<Waker>>,
     /// Set when the deadline is reached (or at registration, for a
     /// deadline at or before now).
-    pub(crate) fired: Cell<bool>,
-    /// Set by [`TimerHandle::cancel`]; the wheel drops the entry lazily.
-    pub(crate) cancelled: Cell<bool>,
+    fired: Cell<bool>,
+    /// Set by [`TimerHandle::cancel`]; the heap drops the entry lazily.
+    cancelled: Cell<bool>,
+}
+
+/// One pending timer. The ordering is reversed so that the earliest
+/// `(at, seq)` is the `BinaryHeap`'s maximum.
+struct TimerEntry {
+    at: SimTime,
+    /// Registration sequence number; ties on `at` fire in `seq` order.
+    seq: u64,
+    state: Rc<TimerState>,
+}
+
+impl PartialEq for TimerEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+impl Eq for TimerEntry {}
+impl PartialOrd for TimerEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for TimerEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The executor's pending-timer store: a binary heap on `(at, seq)` with
+/// lazy cancellation, as in the `swf-simref` oracle.
+#[derive(Default)]
+struct TimerHeap {
+    heap: BinaryHeap<TimerEntry>,
+}
+
+impl TimerHeap {
+    fn push(&mut self, at: SimTime, seq: u64, state: Rc<TimerState>) {
+        self.heap.push(TimerEntry { at, seq, state });
+    }
+
+    /// The earliest live deadline. Cancelled entries at the top are dropped
+    /// on the way, so the caller's clock never advances to an instant at
+    /// which only cancelled timers were due.
+    fn next_deadline(&mut self) -> Option<SimTime> {
+        loop {
+            let top = self.heap.peek()?;
+            if !top.state.cancelled.get() {
+                return Some(top.at);
+            }
+            self.heap.pop();
+        }
+    }
+
+    /// Pop the next live timer due exactly at `at`; successive calls yield
+    /// the instant's timers in registration order, then `None`.
+    fn pop_due(&mut self, at: SimTime) -> Option<TimerEntry> {
+        while self.heap.peek()?.at == at {
+            let entry = self.heap.pop()?;
+            if !entry.state.cancelled.get() {
+                return Some(entry);
+            }
+        }
+        None
+    }
 }
 
 pub(crate) struct TimerHandle {
@@ -732,9 +798,7 @@ impl Drop for Sleep {
 /// at the next multiple of the period from the ticker's creation, so a
 /// periodic task (e.g. the swf-obs snapshot scheduler) fires on an
 /// exact, drift-free grid regardless of how long its body appears to
-/// take between awaits. Each tick is one wheel insert; the bitmap scan
-/// jumps straight to the grid point without visiting the empty slots in
-/// between.
+/// take between awaits. Each tick registers one timer.
 pub struct Interval {
     next: SimTime,
     period: SimDuration,
@@ -936,6 +1000,20 @@ mod tests {
     }
 
     #[test]
+    fn block_on_stops_at_the_live_deadline_not_a_cancelled_earlier_one() {
+        let sim = Sim::new();
+        let before = crate::perf::snapshot();
+        sim.block_on(async {
+            drop(sleep(secs(1.0)));
+            sleep(secs(5.0)).await;
+        });
+        assert_eq!(sim.now(), SimTime::ZERO + secs(5.0));
+        // One advance: the cancelled 1 s deadline was not visited on the way.
+        let advances = crate::perf::snapshot().delta(&before).clock_advances;
+        assert_eq!(advances, 1);
+    }
+
+    #[test]
     #[should_panic(expected = "step limit")]
     fn step_limit_catches_wake_loops() {
         let sim = Sim::new();
@@ -1096,5 +1174,138 @@ mod tests {
             h.await;
         });
         assert_eq!(sim.live_tasks(), 0);
+    }
+
+    // -- timer store: behaviour against a sorted-`Vec` oracle --------------
+
+    fn state() -> Rc<TimerState> {
+        Rc::new(TimerState {
+            waker: RefCell::new(None),
+            fired: Cell::new(false),
+            cancelled: Cell::new(false),
+        })
+    }
+
+    impl TimerHeap {
+        fn insert(&mut self, at: u64, seq: u64, state: Rc<TimerState>) {
+            self.push(SimTime::from_nanos(at), seq, state);
+        }
+
+        /// One advance as `advance_to_next_timer` makes it: the earliest
+        /// live instant and the `seq`s fired at it, in firing order.
+        fn pop_next_due(&mut self) -> Option<(u64, Vec<u64>)> {
+            let at = self.next_deadline()?;
+            let seqs = std::iter::from_fn(|| self.pop_due(at)).map(|e| e.seq);
+            Some((at.as_nanos(), seqs.collect()))
+        }
+    }
+
+    /// The oracle: a plain vector, sorted by `(at, seq)` on every pop.
+    type Oracle = Vec<(u64, u64, Rc<TimerState>)>;
+
+    fn oracle_pop_next_due(entries: &mut Oracle) -> Option<(u64, Vec<u64>)> {
+        entries.retain(|(_, _, s)| !s.cancelled.get());
+        entries.sort_by_key(|&(at, seq, _)| (at, seq));
+        let at = entries.first()?.0;
+        let due = entries.iter().take_while(|e| e.0 == at).count();
+        Some((at, entries.drain(..due).map(|e| e.1).collect()))
+    }
+
+    #[test]
+    fn same_deadline_fires_in_registration_order() {
+        let mut timers = TimerHeap::default();
+        let at = 3_000_000_007;
+        // Pushed in reverse so heap order, not push order, decides.
+        for seq in (0..10u64).rev() {
+            timers.insert(at, seq, state());
+        }
+        assert_eq!(timers.pop_next_due(), Some((at, (0..10).collect())));
+        assert_eq!(timers.pop_next_due(), None);
+    }
+
+    #[test]
+    fn cancelled_only_deadlines_never_surface() {
+        let mut timers = TimerHeap::default();
+        let doomed = state();
+        timers.insert(500, 0, Rc::clone(&doomed));
+        timers.insert(900, 1, state());
+        doomed.cancelled.set(true);
+        // The cancelled 500ns deadline is skipped without being reported.
+        assert_eq!(timers.pop_next_due(), Some((900, vec![1])));
+        assert_eq!(timers.pop_next_due(), None);
+    }
+
+    #[test]
+    fn cancel_then_reinsert_at_same_deadline() {
+        let mut timers = TimerHeap::default();
+        let doomed = state();
+        timers.insert(1_000_000, 0, state());
+        timers.insert(1_000_000, 1, Rc::clone(&doomed));
+        doomed.cancelled.set(true);
+        timers.insert(1_000_000, 2, state());
+        // Cancelled in the middle of its instant's batch, not at the top.
+        assert_eq!(timers.pop_next_due(), Some((1_000_000, vec![0, 2])));
+        assert_eq!(timers.pop_next_due(), None);
+    }
+
+    #[test]
+    fn insert_after_cancelled_drain_fires_at_its_deadline() {
+        // Draining a cancelled far-future timer must leave nothing behind
+        // that strands an earlier timer inserted afterwards.
+        let mut timers = TimerHeap::default();
+        let doomed = state();
+        timers.insert(1_000_000_000_000, 0, Rc::clone(&doomed));
+        doomed.cancelled.set(true);
+        assert_eq!(timers.pop_next_due(), None);
+        timers.insert(1_000, 1, state());
+        assert_eq!(timers.pop_next_due(), Some((1_000, vec![1])));
+    }
+
+    #[test]
+    fn randomized_programs_match_sorted_vec_oracle() {
+        // Seeded insert/cancel/advance programs, heap vs oracle in
+        // lockstep. Durations mix a coarse grid (forcing same-deadline
+        // ties), fine offsets, and far-future outliers.
+        for seed in 0..64u64 {
+            let mut rng = crate::rng::DetRng::new(seed, "timer-store-property");
+            let mut timers = TimerHeap::default();
+            let mut oracle = Oracle::new();
+            let mut live: Vec<Rc<TimerState>> = Vec::new();
+            let mut now = 0u64;
+            let advance = |timers: &mut TimerHeap, oracle: &mut Oracle| {
+                let got = timers.pop_next_due();
+                assert_eq!(got, oracle_pop_next_due(oracle), "seed {seed}");
+                got.map(|(at, _)| at)
+            };
+            for seq in 0..400 {
+                match rng.uniform_u64(0, 10) {
+                    // insert (weighted heaviest)
+                    0..=5 => {
+                        let d = match rng.uniform_u64(0, 4) {
+                            0 => 250_000_000 * rng.uniform_u64(1, 16), // coarse grid: ties
+                            1 => rng.uniform_u64(1, 5_000_000_000),    // fine
+                            2 => 1_000_000_000 * rng.uniform_u64(1, 300),
+                            _ => 1_000_000_000 * rng.uniform_u64(1, 20_000), // far future
+                        };
+                        let s = state();
+                        timers.insert(now + d, seq, Rc::clone(&s));
+                        oracle.push((now + d, seq, Rc::clone(&s)));
+                        live.push(s);
+                    }
+                    // cancel a random live timer
+                    6..=7 if !live.is_empty() => {
+                        let idx = rng.index(live.len());
+                        live.swap_remove(idx).cancelled.set(true);
+                    }
+                    6..=7 => {}
+                    // advance one batch
+                    _ => {
+                        now = advance(&mut timers, &mut oracle).unwrap_or(now);
+                    }
+                }
+            }
+            // Drain to empty: both sides must agree on every remaining batch.
+            while advance(&mut timers, &mut oracle).is_some() {}
+        }
     }
 }

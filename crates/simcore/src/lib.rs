@@ -43,7 +43,6 @@ pub mod resource;
 pub mod retry;
 pub mod rng;
 pub mod time;
-mod wheel;
 
 /// Synchronization primitives in virtual time.
 pub mod sync {

@@ -109,11 +109,6 @@ impl DetRng {
             items.swap(i, j);
         }
     }
-
-    /// Access the underlying `rand` RNG for anything else.
-    pub fn raw(&mut self) -> &mut StdRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! The **reference oracle executor**: a verbatim copy of `swf-simcore`'s
 //! original simple executor (FIFO `VecDeque` ready queue, `BTreeMap` task
-//! storage, `BinaryHeap` timer queue) from before the timer-wheel/slab
-//! rewrite, with the engine self-profiling hooks stripped.
+//! storage, `BinaryHeap` timer queue) from before the slab/ready-list
+//! rewrite, with the engine self-profiling hooks stripped. The production
+//! executor keeps this timer queue; its task storage and ready queue differ.
 //!
 //! This crate exists for exactly one purpose: the differential scheduler
 //! harness in `tests/executor_equivalence.rs` runs seeded random

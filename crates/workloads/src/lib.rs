@@ -4,8 +4,8 @@
 //! in [-100, 100]), two agreeing matmul kernels (naive / blocked), a binary
 //! codec for files and pass-by-value request payloads, workflow-shape
 //! generators (Fig. 3 chains, Fig. 4 concurrent sets with random
-//! environment assignment), and a compute-time calibration harness
-//! connecting real kernel runtime to the simulator's charged time.
+//! environment assignment), and the compute-time model that charges
+//! virtual time for a task.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

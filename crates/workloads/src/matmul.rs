@@ -2,9 +2,7 @@
 //!
 //! Two implementations of the paper's task: a naive triple loop (the
 //! honest Python-equivalent) and a cache-blocked transposed kernel. Both
-//! produce identical results; property tests pin the algebra, and the
-//! calibration harness measures the real runtime to parameterize the
-//! simulator's compute model.
+//! produce identical results; property tests pin the algebra.
 
 use crate::matrix::Matrix;
 

@@ -68,31 +68,6 @@ impl ComputeModel {
         let scale = (dim as f64 / base).powi(3);
         self.per_task.mul_f64(scale)
     }
-
-    /// Calibrate from a real kernel run: measures wall time of one `dim`
-    /// multiply and returns a model scaled by `slowdown` (the Python/NumPy
-    /// vs Rust factor; the paper's environment is documented in
-    /// EXPERIMENTS.md).
-    pub fn calibrate(dim: usize, kernel: Kernel, slowdown: f64) -> Self {
-        let mut rng = swf_simcore::DetRng::new(0xCA11B, "calibrate");
-        let a = crate::matrix::Matrix::random(dim, dim, &mut rng, -100, 100);
-        let b = crate::matrix::Matrix::random(dim, dim, &mut rng, -100, 100);
-        // Calibration deliberately measures the real kernel's wall time
-        // once, outside any simulation; the result feeds a fixed constant.
-        #[allow(
-            clippy::disallowed_methods,
-            reason = "real measurement, not simulated time"
-        )]
-        let t0 = std::time::Instant::now();
-        let c = matmul(&a, &b, kernel);
-        let wall = t0.elapsed().as_secs_f64();
-        // Keep the product alive so the measurement isn't optimized away.
-        std::hint::black_box(c.checksum());
-        ComputeModel {
-            per_task: secs(wall * slowdown),
-            scale_with_dim: true,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -136,11 +111,5 @@ mod tests {
         // Cubic scaling: doubling the dimension is 8× the time.
         let d700 = m.for_dim(700).as_secs_f64();
         assert!((d700 - 0.458 * 8.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn calibration_produces_positive_time() {
-        let m = ComputeModel::calibrate(64, Kernel::Blocked, 10.0);
-        assert!(m.per_task > SimDuration::ZERO);
     }
 }

@@ -1,7 +1,7 @@
 //! Differential scheduler harness: the production executor (`swf-simcore`,
-//! timer wheel + slab tasks + intrusive ready list) versus the reference
-//! oracle (`swf-simref`, the pre-rewrite BinaryHeap/BTreeMap/VecDeque
-//! implementation, kept verbatim as a dev-dependency).
+//! slab tasks + intrusive ready list + `(at, seq)` timer heap) versus the
+//! reference oracle (`swf-simref`, the pre-rewrite BinaryHeap/BTreeMap/
+//! VecDeque implementation, kept verbatim as a dev-dependency).
 //!
 //! Two layers of evidence that the rewrite is bit-exact (DESIGN.md §16):
 //!
@@ -28,7 +28,7 @@ use std::task::{Context, Poll, Waker};
 use swf_simcore::DetRng;
 
 /// One program op. Durations are raw nanoseconds so the generator controls
-/// deadline collisions and wheel-level boundaries exactly.
+/// deadline collisions exactly.
 #[derive(Clone, Debug)]
 enum Op {
     /// Sleep for the given span and resume.
@@ -63,8 +63,8 @@ struct Program {
 }
 
 /// A coarse grid for some sleeps forces same-instant deadline collisions;
-/// fine values exercise wheel slot boundaries; large values exercise the
-/// upper wheel levels and the overflow cascade.
+/// fine values interleave between the grid points; large values park
+/// far-future timers under everything else.
 fn gen_duration(rng: &mut DetRng) -> u64 {
     match rng.uniform_u64(0, 10) {
         0 => 0,
