@@ -15,10 +15,11 @@
 //! Determinism contract: trigger actions are pure functions of the output
 //! bytes they are handed, so two runs with the same inputs expand to the
 //! same DAG shape — [`DynamicReport::shape_fingerprint`] is the testable
-//! witness. Rescue composition: each round can run under DAGMan's
-//! continue-others policy; a halted round persists its rescue DAG (JSON
-//! round-trip, like real DAGMan's rescue file) and resumes with completed
-//! expanded nodes salvaged verbatim, never re-executed.
+//! witness. Rescue composition: a round whose DAG halts is resumed through
+//! [`swf_condor::run_with_resumes`] within the caller's budget (re-planned
+//! through Pegasus against the reloaded rescue DAG, completed expanded nodes
+//! salvaged verbatim, never re-executed); past the budget — 0 means no
+//! resume — the run fails with DAGMan's typed error for the halted round.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -26,9 +27,11 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use swf_cluster::Cluster;
-use swf_condor::{DagRun, RescueDag};
-use swf_pegasus::{AbstractJob, AbstractWorkflow, JobFactory, Pegasus, ReplicaLocation};
-use swf_simcore::{now, secs, sleep, SimDuration};
+use swf_condor::run_with_resumes;
+use swf_pegasus::{
+    AbstractJob, AbstractWorkflow, JobFactory, Pegasus, PegasusError, ReplicaLocation,
+};
+use swf_simcore::{now, SimDuration};
 
 use crate::records::{fnv1a, fnv1a_extend};
 
@@ -197,28 +200,6 @@ impl DynamicReport {
     }
 }
 
-/// Options for a dynamic run.
-#[derive(Clone, Copy, Debug)]
-pub struct DynamicRunConfig {
-    /// Resume halted rounds from their rescue DAGs (requires the Pegasus
-    /// DAGMan config to use [`swf_condor::FailurePolicy::ContinueOthers`]).
-    pub rescue: bool,
-    /// Maximum rescue resumptions per round before giving up.
-    pub max_rescue_rounds: u32,
-    /// Wait between a halt and its resumption (operator reaction time).
-    pub rescue_wait: SimDuration,
-}
-
-impl Default for DynamicRunConfig {
-    fn default() -> Self {
-        DynamicRunConfig {
-            rescue: false,
-            max_rescue_rounds: 0,
-            rescue_wait: secs(5.0),
-        }
-    }
-}
-
 /// Hard cap on expansion rounds — a trigger set that keeps adding work
 /// past this is a bug, not a workflow.
 const MAX_ROUNDS: usize = 64;
@@ -239,13 +220,14 @@ fn shape_line(round: usize, dj: &DynamicJob) -> String {
 /// Execute a dynamic workflow to completion: run the current frontier as a
 /// planned DAG, fire newly satisfied triggers on the real output bytes,
 /// append their jobs, repeat. Outputs of completed jobs are registered in
-/// the replica catalog so later rounds can consume them.
+/// the replica catalog so later rounds can consume them. A halted round is
+/// resumed from its rescue DAG up to `max_rescue_rounds` times (0 = never).
 pub async fn run_dynamic(
     pegasus: &Pegasus,
     factory: &dyn JobFactory,
     cluster: &Cluster,
     dwf: &DynamicWorkflow,
-    cfg: &DynamicRunConfig,
+    max_rescue_rounds: u32,
 ) -> Result<DynamicReport, String> {
     if dwf.initial_jobs().is_empty() {
         return Err(format!("dynamic workflow {} has no initial jobs", dwf.name));
@@ -296,41 +278,26 @@ pub async fn run_dynamic(
             wf.add_job(dj.job.clone());
         }
 
-        // Run the round, resuming from rescue DAGs when configured.
+        // Run the round, resuming from its rescue DAGs within the budget; a
+        // round still halted past it fails the run with the typed error.
         let round_started = now();
-        let mut resume: Option<RescueDag> = None;
-        let mut rescue_rounds = 0u32;
-        loop {
-            let (_stats, run) = pegasus
-                .run_resumable(&wf, factory, resume.as_ref())
-                .await
-                .map_err(|e| format!("round {round} of {}: {e}", dwf.name))?;
-            match run {
-                DagRun::Completed(_) => break,
-                DagRun::Halted { rescue, .. } => {
-                    if !cfg.rescue || rescue_rounds >= cfg.max_rescue_rounds {
-                        return Err(format!(
-                            "round {round} of {} halted; failed nodes: {:?}",
-                            dwf.name,
-                            rescue.failed_nodes()
-                        ));
-                    }
-                    rescue_rounds += 1;
-                    // Persist and reload the artifact — the same JSON
-                    // round-trip a rescue file on disk would make.
-                    let text = rescue.to_json().to_string();
-                    let reloaded = RescueDag::parse(&text)?;
-                    nodes_salvaged += reloaded.done_nodes().len();
-                    resume = Some(reloaded);
-                    sleep(cfg.rescue_wait).await;
-                }
-            }
-        }
+        let in_round = |e: &dyn std::fmt::Display| format!("round {round} of {}: {e}", dwf.name);
+        let resumed = run_with_resumes(max_rescue_rounds, async |resume| {
+            let run = pegasus.run_resumable(&wf, factory, resume).await;
+            run.map(|(_stats, run)| run)
+        })
+        .await
+        .map_err(|e| in_round(&e))?;
+        resumed
+            .run
+            .into_result()
+            .map_err(|e| in_round(&PegasusError::Execution(e)))?;
+        nodes_salvaged += resumed.nodes_salvaged;
         rounds.push(RoundStats {
             index: round,
             jobs: pending.len(),
             makespan: now() - round_started,
-            rescue_rounds,
+            rescue_rounds: resumed.rounds,
         });
 
         // Register the round's outputs so later rounds can consume them.

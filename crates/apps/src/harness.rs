@@ -11,7 +11,7 @@ use swf_pegasus::{Pegasus, ReplicaLocation, Transformation};
 use swf_simcore::{secs, Sim};
 use swf_workloads::ExecEnv;
 
-use crate::dynamic::{run_dynamic, DynamicReport, DynamicRunConfig};
+use crate::dynamic::{run_dynamic, DynamicReport};
 use crate::records::fnv1a;
 use crate::{build_app, AppKind, AppSpec};
 
@@ -28,10 +28,10 @@ pub struct AppRun {
     pub quick: bool,
     /// Collect spans/metrics (enables the observability pipeline).
     pub trace: bool,
-    /// Resume halted rounds from rescue DAGs (switches DAGMan to
-    /// continue-others).
+    /// Resume halted rounds from their rescue DAGs.
     pub rescue: bool,
-    /// Maximum rescue resumptions per round.
+    /// Maximum rescue resumptions per round (ignored unless `rescue` is
+    /// set).
     pub max_rescue_rounds: u32,
 }
 
@@ -115,9 +115,6 @@ pub fn run_app_with(
             ExperimentConfig::paper()
         };
         config.trace = run.trace;
-        if run.rescue {
-            config.dagman.on_failure = swf_condor::FailurePolicy::ContinueOthers;
-        }
         let obs = if config.trace {
             swf_obs::Obs::enabled()
         } else {
@@ -157,13 +154,8 @@ pub fn run_app_with(
             .replicas()
             .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
 
-        let dyn_cfg = DynamicRunConfig {
-            rescue: run.rescue,
-            max_rescue_rounds: run.max_rescue_rounds,
-            ..DynamicRunConfig::default()
-        };
-        let report =
-            run_dynamic(&pegasus, &factory, &bed.cluster, &spec.workflow, &dyn_cfg).await?;
+        let budget = if run.rescue { run.max_rescue_rounds } else { 0 };
+        let report = run_dynamic(&pegasus, &factory, &bed.cluster, &spec.workflow, budget).await?;
         let output = bed
             .cluster
             .shared_fs()
@@ -177,4 +169,34 @@ pub fn run_app_with(
             obs,
         })
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::AppKind;
+
+    #[test]
+    fn unrescued_validator_failure_is_reported_after_its_siblings_finish() {
+        // Quick FINRA expands to five validators; the first one invoked
+        // fails. Without rescue the run ends in DAGMan's typed error, and
+        // only once the other four have completed.
+        let run = AppRun::quick(AppKind::Finra, ExecEnv::Native);
+        assert!(!run.rescue);
+        let result = run_app_with(&run, |spec| {
+            let mut ts = spec.transformations.iter_mut();
+            let t = ts.find(|t| t.name == "finra-validate").unwrap();
+            let (logic, invoked) = (t.logic.clone(), std::cell::Cell::new(false));
+            *t = Transformation::new("finra-validate", t.compute, move |inputs| {
+                if invoked.replace(true) {
+                    logic(inputs)
+                } else {
+                    Err("injected fault: first invocation".into())
+                }
+            });
+        });
+        let err = result.err().expect("run without rescue must fail");
+        assert!(err.contains("injected fault"), "{err}");
+        assert!(err.contains("(4 done, 0 pending)"), "{err}");
+    }
 }

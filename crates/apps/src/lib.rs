@@ -36,8 +36,8 @@ pub mod records;
 pub mod wordcount;
 
 pub use dynamic::{
-    DynamicJob, DynamicReport, DynamicRunConfig, DynamicWorkflow, Expansion, ExpansionStats,
-    RoundStats, Trigger, TriggerContext, TriggerOn,
+    DynamicJob, DynamicReport, DynamicWorkflow, Expansion, ExpansionStats, RoundStats, Trigger,
+    TriggerContext, TriggerOn,
 };
 pub use harness::{run_app, run_app_with, AppOutcome, AppRun};
 

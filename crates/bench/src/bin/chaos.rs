@@ -15,8 +15,8 @@
 //! Prints one row per seed (faults injected, task failures, workflows
 //! completed, calm vs chaos makespan) and, for any seed whose workflows
 //! did not all complete, the replayable `FaultPlan` JSON. With `--rescue`
-//! the sweep arms rescue-resume and self-healing (continue-others DAGs,
-//! liveness probes, circuit breaker) and reports goodput per seed:
+//! the sweep gives every workflow a resume budget and arms self-healing
+//! (liveness probes, circuit breaker) and reports goodput per seed:
 //! rescue rounds, nodes and task-seconds salvaged, task-seconds wasted.
 //! Final rescue DAGs of workflows that still failed are printed and
 //! embedded in the `--json` record so CI can archive them as artifacts,
@@ -171,8 +171,13 @@ fn main() {
         }
         if !chaos.all_completed() {
             failing.push((seed, plan.clone()));
-            for (wf, json) in &chaos.rescue_dags {
-                rescue_artifacts.push((seed, wf.clone(), json.clone()));
+            // Without `--rescue` a failed workflow is data, and its replay
+            // handle is the plan; its rescue DAG is an artifact only of a
+            // sweep whose invariant is completion.
+            if rescue {
+                for (wf, json) in &chaos.rescue_dags {
+                    rescue_artifacts.push((seed, wf.clone(), json.clone()));
+                }
             }
         }
         let mut row = serde_json::Map::new();

@@ -8,6 +8,14 @@
 //! policies in DAGMan and the Knative router (so the stack rides out
 //! faults instead of exhausting immediate retries), and with workflow
 //! tasks wired to the [`Disruptor`] so flaky/slow windows reach them.
+//!
+//! Every workflow takes the same path whatever the configuration: DAGMan
+//! runs it, a node out of retries halts its descendants and a rescue DAG is
+//! written, and [`swf_condor::run_with_resumes`] resumes it from that rescue
+//! up to [`ChaosRunConfig::max_rescue_rounds`] times — 0 in
+//! [`ChaosRunConfig::quick`], where a halt is simply the workflow's typed
+//! failure. The harness adds its invariants around each run: nodes a rescue
+//! records done never execute again, and their outputs never change.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -16,7 +24,8 @@ use std::rc::Rc;
 use bytes::Bytes;
 use swf_cluster::Request;
 use swf_condor::{
-    run_dag, run_dag_resumable, DagRun, DagSpec, FailurePolicy, JobContext, JobSpec, RescueDag,
+    run_dag_resumable, run_with_resumes, DagRun, DagSpec, JobContext, JobSpec, NodeOutcome,
+    ResumeError,
 };
 use swf_container::Workload;
 use swf_core::config::ExperimentConfig;
@@ -51,15 +60,12 @@ pub struct ChaosRunConfig {
     /// Root seed: drives the testbed, the disruptor coin flips, and the
     /// router's retry jitter.
     pub seed: u64,
-    /// Run DAGs under [`FailurePolicy::ContinueOthers`] and resume every
-    /// halted workflow from its rescue DAG (persisted through a JSON
-    /// round-trip each round) until it completes or `max_rescue_rounds`
-    /// is spent. Also arms the self-healing stack: liveness probes on
-    /// function pods, the per-revision circuit breaker, and a bounded
-    /// queue-proxy depth.
+    /// Arm the self-healing stack: liveness probes on function pods, the
+    /// per-revision circuit breaker, and a bounded queue-proxy depth.
     pub rescue: bool,
-    /// Rescue-resume rounds allowed per workflow (ignored unless
-    /// `rescue` is set).
+    /// Times a halted workflow is resumed from its rescue DAG (persisted
+    /// through a JSON round-trip each round) before it counts as failed;
+    /// 0 = never resume.
     pub max_rescue_rounds: u32,
 }
 
@@ -108,9 +114,9 @@ pub enum WorkflowOutcome {
     },
 }
 
-/// Goodput accounting for a rescue-resume run: how much completed work
-/// the rescue DAGs carried across rounds versus how much compute failed
-/// attempts threw away. All zeros when rescue mode is off.
+/// Goodput accounting: how much completed work the rescue DAGs carried
+/// across resume rounds versus how much compute failed attempts threw
+/// away. With a resume budget of zero only `wasted_task_s` can be non-zero.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GoodputReport {
     /// Task-seconds of completed work injected from rescue DAGs instead
@@ -161,7 +167,7 @@ pub struct ChaosOutcome {
     pub settled_at: SimTime,
     /// Full metrics registry snapshot (fault counters live here).
     pub metrics: swf_obs::MetricsSnapshot,
-    /// Goodput accounting (all zeros unless the run used rescue mode).
+    /// Goodput accounting.
     pub goodput: GoodputReport,
     /// Final rescue DAGs (workflow name, JSON text) of workflows that
     /// still failed after the round budget — the artifacts CI uploads.
@@ -272,10 +278,9 @@ pub fn run_chaos_with(
         };
         let mut config = experiment_config(cfg.seed);
         if cfg.rescue {
-            // Arm the self-healing stack: continue-others DAGs, liveness
-            // probes on function pods, the per-revision circuit breaker,
-            // and a bounded queue-proxy depth with typed overload 503s.
-            config.dagman.on_failure = FailurePolicy::ContinueOthers;
+            // Arm the self-healing stack: liveness probes on function
+            // pods, the per-revision circuit breaker, and a bounded
+            // queue-proxy depth with typed overload 503s.
             config.knative.pod_probe = Some(swf_k8s::ProbeSpec {
                 period: secs(1.0),
                 unready_threshold: 1,
@@ -319,38 +324,13 @@ pub fn run_chaos_with(
             let condor = bed.condor.clone();
             let dagman = config.dagman;
             let deadline = cfg.deadline;
-            let rescue_mode = cfg.rescue;
             let max_rounds = cfg.max_rescue_rounds;
             // Deterministic stagger stands in for the zeroed phase jitter.
             let stagger = SimDuration::from_secs_f64(0.25 * w as f64);
             handles.push(spawn(async move {
                 sleep(stagger).await;
-                let run = if rescue_mode {
-                    timeout(
-                        deadline,
-                        run_workflow_rescued(condor, dag, dagman, max_rounds, execs),
-                    )
-                    .await
-                } else {
-                    timeout(deadline, async {
-                        match run_dag(&condor, &dag, dagman).await {
-                            Ok(report) => (
-                                WorkflowOutcome::Completed {
-                                    makespan: report.makespan(),
-                                },
-                                WorkflowStats::default(),
-                            ),
-                            Err(e) => (
-                                WorkflowOutcome::Failed {
-                                    error: e.to_string(),
-                                },
-                                WorkflowStats::default(),
-                            ),
-                        }
-                    })
-                    .await
-                };
-                let (outcome, stats) = match run {
+                let run = run_workflow(condor, dag, dagman, max_rounds, execs);
+                let (outcome, stats) = match timeout(deadline, run).await {
                     Ok(pair) => pair,
                     Err(Elapsed) => (
                         WorkflowOutcome::Failed {
@@ -415,7 +395,7 @@ pub fn run_chaos_with(
     })
 }
 
-/// Per-workflow bookkeeping the rescue loop threads back to [`run_chaos`].
+/// Per-workflow bookkeeping [`run_workflow`] threads back to [`run_chaos`].
 #[derive(Clone, Debug, Default)]
 struct WorkflowStats {
     rounds: u64,
@@ -428,14 +408,13 @@ struct WorkflowStats {
     rescue_json: Option<String>,
 }
 
-/// Run one workflow to completion through rescue-resume rounds: each halt
-/// persists a rescue DAG as JSON text, parses it back (the durability
-/// path a real submit node would take through disk), waits out the fault,
-/// and resubmits the same DAG against the parsed rescue. Completed nodes
-/// are frozen the first time a rescue records them done: their execution
-/// counters must never move again and their final outputs must compare
-/// bit-identical to the recorded bytes.
-async fn run_workflow_rescued(
+/// Run one workflow through [`run_with_resumes`] with a budget of
+/// `max_rounds` resumes. Completed nodes are frozen the first time a rescue
+/// records them done: their execution counters must never move again and
+/// their final outputs must compare bit-identical to the recorded bytes. A
+/// workflow still halted past the budget, or whose rescue does not read
+/// back, is a typed failure carrying its last rescue text, never a panic.
+async fn run_workflow(
     condor: swf_condor::Condor,
     dag: DagSpec,
     dagman: swf_condor::DagmanConfig,
@@ -445,97 +424,72 @@ async fn run_workflow_rescued(
     let mut stats = WorkflowStats::default();
     // Node name → (execution count at freeze, recorded output bytes).
     let mut frozen: BTreeMap<String, (u64, Bytes)> = BTreeMap::new();
-    let mut rescue: Option<RescueDag> = None;
     let mut first_halt: Option<SimTime> = None;
-    loop {
-        let run = run_dag_resumable(&condor, &dag, dagman, rescue.as_ref()).await;
-        {
-            // No frozen node may have executed again this round.
-            let counts = execs.borrow();
-            for (name, (frozen_count, _)) in &frozen {
-                if counts.get(name).copied().unwrap_or(0) > *frozen_count {
-                    stats.reexecuted += 1;
+    let resumed = run_with_resumes(max_rounds, async |rescue| {
+        let run = run_dag_resumable(&condor, &dag, dagman, rescue).await;
+        // No frozen node may have executed again this round.
+        let counts = execs.borrow();
+        for (name, (frozen_count, _)) in &frozen {
+            if counts.get(name).copied().unwrap_or(0) > *frozen_count {
+                stats.reexecuted += 1;
+            }
+        }
+        let run = run?;
+        stats.wasted_s += run.report().wasted_compute.as_secs_f64();
+        if let DagRun::Halted { rescue, .. } = &run {
+            first_halt.get_or_insert(now());
+            for n in &rescue.nodes {
+                if let NodeOutcome::Done { result } = &n.outcome {
+                    frozen.entry(n.name.clone()).or_insert_with(|| {
+                        (
+                            counts.get(&n.name).copied().unwrap_or(0),
+                            result.output.clone(),
+                        )
+                    });
                 }
             }
         }
-        match run {
-            Ok(DagRun::Completed(report)) => {
-                stats.wasted_s += report.wasted_compute.as_secs_f64();
-                for (name, (_, recorded)) in &frozen {
-                    match report.node_results.get(name) {
-                        Some(r) if r.output == *recorded => {}
-                        _ => stats.output_mismatches += 1,
-                    }
-                }
-                if let Some(h) = first_halt {
-                    stats.recovery_s = Some((now() - h).as_secs_f64());
-                }
-                return (
-                    WorkflowOutcome::Completed {
-                        makespan: report.makespan(),
-                    },
-                    stats,
-                );
+        Ok::<_, swf_condor::CondorError>(run)
+    })
+    .await;
+    let resumed = match resumed {
+        Ok(resumed) => resumed,
+        Err(e) => {
+            let error = e.to_string();
+            if let ResumeError::Unreadable { text, .. } = e {
+                stats.rescue_json = Some(text);
             }
-            Ok(DagRun::Halted { rescue: r, report }) => {
-                stats.wasted_s += report.wasted_compute.as_secs_f64();
-                first_halt.get_or_insert(now());
-                let text = r.to_json().to_string();
-                if stats.rounds >= u64::from(max_rounds) {
-                    stats.rescue_json = Some(text);
-                    return (
-                        WorkflowOutcome::Failed {
-                            error: format!("rescue budget exhausted after {} rounds", stats.rounds),
-                        },
-                        stats,
-                    );
-                }
-                {
-                    let counts = execs.borrow();
-                    for n in &r.nodes {
-                        if let swf_condor::NodeOutcome::Done { result } = &n.outcome {
-                            frozen.entry(n.name.clone()).or_insert_with(|| {
-                                (
-                                    counts.get(&n.name).copied().unwrap_or(0),
-                                    result.output.clone(),
-                                )
-                            });
-                        }
-                    }
-                }
-                // Persist through the JSON text form and resume from the
-                // parsed copy — a parse failure is a typed workflow
-                // failure, never a panic.
-                match RescueDag::parse(&text) {
-                    Ok(back) => {
-                        stats.rounds += 1;
-                        stats.salvaged_s += back.salvaged_compute().as_secs_f64();
-                        stats.nodes_salvaged += back.done_nodes().len() as u64;
-                        rescue = Some(back);
-                    }
-                    Err(e) => {
-                        stats.rescue_json = Some(text);
-                        return (
-                            WorkflowOutcome::Failed {
-                                error: format!("rescue persistence: {e}"),
-                            },
-                            stats,
-                        );
-                    }
-                }
-                // Give the fault that halted us time to clear before the
-                // resume round resubmits.
-                sleep(secs(5.0)).await;
-            }
-            Err(e) => {
-                return (
-                    WorkflowOutcome::Failed {
-                        error: e.to_string(),
-                    },
-                    stats,
-                )
-            }
+            return (WorkflowOutcome::Failed { error }, stats);
         }
+    };
+    stats.rounds = u64::from(resumed.rounds);
+    stats.salvaged_s = resumed.salvaged_task_s;
+    stats.nodes_salvaged = resumed.nodes_salvaged as u64;
+    stats.rescue_json = resumed.rescue_text;
+    match resumed.run.into_result() {
+        Ok(report) => {
+            for (name, (_, recorded)) in &frozen {
+                match report.node_results.get(name) {
+                    Some(r) if r.output == *recorded => {}
+                    _ => stats.output_mismatches += 1,
+                }
+            }
+            if let Some(h) = first_halt {
+                stats.recovery_s = Some((now() - h).as_secs_f64());
+            }
+            (
+                WorkflowOutcome::Completed {
+                    makespan: report.makespan(),
+                },
+                stats,
+            )
+        }
+        Err(e) => (
+            WorkflowOutcome::Failed {
+                error: e.to_string(),
+            },
+            stats,
+        ),
     }
 }
 

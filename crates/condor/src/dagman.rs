@@ -131,19 +131,6 @@ impl DagSpec {
     }
 }
 
-/// What DAGMan does when a node exhausts its retries.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum FailurePolicy {
-    /// Abort the whole DAG immediately with a typed error — the historical
-    /// behaviour, kept as the default so existing runs do not drift.
-    #[default]
-    Abort,
-    /// Real DAGMan's continue-others policy: let every node not depending
-    /// on the failure run to completion, then halt and emit a
-    /// [`RescueDag`] recording done/failed/pending nodes for a resume run.
-    ContinueOthers,
-}
-
 /// DAGMan parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct DagmanConfig {
@@ -165,9 +152,6 @@ pub struct DagmanConfig {
     /// its job log on the same cadence). The per-node retry *count* stays
     /// on [`DagNode::retries`]; only the spacing comes from the policy.
     pub retry: RetryPolicy,
-    /// Failure handling: abort (historical default) or continue-others
-    /// with a rescue DAG, like real DAGMan.
-    pub on_failure: FailurePolicy,
 }
 
 impl Default for DagmanConfig {
@@ -177,7 +161,6 @@ impl Default for DagmanConfig {
             max_jobs: 0,
             poll_jitter_cv: 0.0,
             retry: RetryPolicy::immediate(1),
-            on_failure: FailurePolicy::Abort,
         }
     }
 }
@@ -221,7 +204,7 @@ enum NodeState {
         attempt: u32,
     },
     Done,
-    /// Exhausted its retries under the continue-others policy.
+    /// Exhausted its retries.
     Failed,
     /// Unreachable: a (transitive) parent failed, so it can never run.
     Futile,
@@ -232,8 +215,8 @@ enum NodeState {
 pub enum DagRun {
     /// Every node ran (or was salvaged) to success.
     Completed(DagReport),
-    /// Under [`FailurePolicy::ContinueOthers`], at least one node exhausted
-    /// its retries; every independent sibling ran to completion first.
+    /// At least one node exhausted its retries; every node not downstream
+    /// of a failure ran to completion first.
     Halted {
         /// The persistent rescue artifact a resume run loads.
         rescue: RescueDag,
@@ -250,62 +233,60 @@ impl DagRun {
             DagRun::Halted { report, .. } => report,
         }
     }
+
+    /// Collapse a halt into [`CondorError::DagNodeFailed`], for callers that
+    /// do not resume: the first failed node is reported, with the rescue's
+    /// done and pending node sets.
+    pub fn into_result(self) -> Result<DagReport, CondorError> {
+        let rescue = match self {
+            DagRun::Completed(report) => return Ok(report),
+            DagRun::Halted { rescue, .. } => rescue,
+        };
+        let (node, attempts, last_error) = rescue
+            .nodes
+            .iter()
+            .find_map(|n| match &n.outcome {
+                NodeOutcome::Failed {
+                    attempts,
+                    last_error,
+                } => Some((n.name.clone(), *attempts, last_error.clone())),
+                _ => None,
+            })
+            .unwrap_or(("<none>".to_string(), 0, "no failed node".to_string()));
+        let names = |nodes: Vec<&str>| nodes.into_iter().map(str::to_string).collect();
+        Err(CondorError::DagNodeFailed {
+            node,
+            attempts,
+            last_error,
+            progress: Box::new(DagProgress {
+                done: names(rescue.done_nodes()),
+                pending: names(rescue.pending_nodes()),
+            }),
+        })
+    }
 }
 
-/// Execute a DAG on a condor pool to completion.
-///
-/// This is the historical abort-on-failure entry point: under
-/// [`FailurePolicy::Abort`] (the default) a node that exhausts its retries
-/// fails the whole DAG with a typed [`CondorError::DagNodeFailed`]. When the
-/// config opts into continue-others, a halt is mapped onto the same error
-/// (first failed node); use [`run_dag_resumable`] to get the rescue DAG.
+/// Execute a DAG on a condor pool to completion, for callers that do not
+/// resume: a halt surfaces as [`CondorError::DagNodeFailed`] once every
+/// node not downstream of the failure has finished. Use
+/// [`run_dag_resumable`] to get the rescue DAG.
 pub async fn run_dag(
     condor: &Condor,
     dag: &DagSpec,
     config: DagmanConfig,
 ) -> Result<DagReport, CondorError> {
-    match run_dag_resumable(condor, dag, config, None).await? {
-        DagRun::Completed(report) => Ok(report),
-        DagRun::Halted { rescue, .. } => Err(rescue_to_error(&rescue)),
-    }
+    run_dag_resumable(condor, dag, config, None)
+        .await?
+        .into_result()
 }
 
-/// Collapse a halt into the abort-style error, for callers that do not
-/// resume: the first failed node is reported, with the full node sets.
-fn rescue_to_error(rescue: &RescueDag) -> CondorError {
-    let (node, attempts, last_error) = rescue
-        .nodes
-        .iter()
-        .find_map(|n| match &n.outcome {
-            NodeOutcome::Failed {
-                attempts,
-                last_error,
-            } => Some((n.name.clone(), *attempts, last_error.clone())),
-            _ => None,
-        })
-        .unwrap_or(("<none>".to_string(), 0, "no failed node".to_string()));
-    CondorError::DagNodeFailed {
-        node,
-        attempts,
-        last_error,
-        progress: Box::new(DagProgress {
-            done: rescue.done_nodes().iter().map(|s| s.to_string()).collect(),
-            pending: rescue
-                .pending_nodes()
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-            running: Vec::new(),
-        }),
-    }
-}
-
-/// Execute a DAG with rescue semantics: under
-/// [`FailurePolicy::ContinueOthers`] a failed node halts only its
-/// descendants, and the run returns a [`RescueDag`]. Passing the rescue of
-/// a previous run as `resume` pre-marks its done nodes — they are provably
-/// never resubmitted, and their recorded results (output bytes, exact
-/// timestamps) are injected verbatim into the new report.
+/// Execute a DAG the way real DAGMan does: a node that exhausts its retries
+/// halts only its descendants, everything else runs to completion, and the
+/// run then returns [`DagRun::Halted`] with the [`RescueDag`] it wrote.
+/// Passing the rescue of a previous run as `resume` pre-marks its done
+/// nodes — they are provably never resubmitted, and their recorded results
+/// (output bytes, exact timestamps) are injected verbatim into the new
+/// report.
 #[allow(
     clippy::needless_range_loop,
     reason = "indices address parallel state vectors"
@@ -350,7 +331,7 @@ pub async fn run_dag_resumable(
     let mut in_flight = 0usize;
     let mut jobs_submitted = 0u32;
     let mut wasted = SimDuration::ZERO;
-    // Per-node (attempts, last_error) of continue-others failures.
+    // Per-node (attempts, last_error) of nodes that exhausted their retries.
     let mut failures: BTreeMap<usize, (u32, String)> = BTreeMap::new();
 
     // Inject the salvage: every node the rescue DAG marks DONE starts in
@@ -424,107 +405,57 @@ pub async fn run_dag_resumable(
             let NodeState::Submitted { id, attempt } = states[i] else {
                 continue;
             };
-            match condor.status(id)? {
-                JobStatus::Completed(result) if result.success => {
-                    obs.end(node_spans[i]);
-                    results.insert(dag.nodes[i].name.clone(), result);
-                    states[i] = NodeState::Done;
+            let JobStatus::Completed(result) = condor.status(id)? else {
+                continue;
+            };
+            in_flight -= 1;
+            if result.success {
+                obs.end(node_spans[i]);
+                results.insert(dag.nodes[i].name.clone(), result);
+                states[i] = NodeState::Done;
+                done += 1;
+                for &c in &dag.children[i] {
+                    if let NodeState::Waiting { missing_parents } = &mut states[c] {
+                        *missing_parents -= 1;
+                        if *missing_parents == 0 {
+                            states[c] = NodeState::Ready;
+                        }
+                    }
+                }
+                continue;
+            }
+            // The attempt ran and failed: its execution time is wasted
+            // compute, the other side of goodput accounting.
+            wasted += result.execution_time();
+            if attempt < dag.nodes[i].retries {
+                obs.counter_add("dagman.node_retries", 1);
+                // A zero delay is due at once: the submit scan the loop
+                // returns to without sleeping resubmits it at this same
+                // instant, within the throttle.
+                let delay = config.retry.delay_for(attempt + 1, &mut retry_rng);
+                states[i] = NodeState::Backoff {
+                    until: now() + delay,
+                    attempt: attempt + 1,
+                };
+                continue;
+            }
+            obs.end(node_spans[i]);
+            obs.counter_add("dagman.node_failures", 1);
+            let last_error = String::from_utf8_lossy(&result.output).to_string();
+            failures.insert(i, (attempt + 1, last_error));
+            states[i] = NodeState::Failed;
+            done += 1;
+            // Everything downstream of the failure can never run; settle it
+            // as futile so the run halts once the independent siblings
+            // finish. Strict descendants are necessarily still Waiting
+            // (this node never completed).
+            let mut stack = dag.children[i].clone();
+            while let Some(c) = stack.pop() {
+                if matches!(states[c], NodeState::Waiting { .. }) {
+                    states[c] = NodeState::Futile;
                     done += 1;
-                    in_flight -= 1;
-                    for &c in &dag.children[i] {
-                        if let NodeState::Waiting { missing_parents } = &mut states[c] {
-                            *missing_parents -= 1;
-                            if *missing_parents == 0 {
-                                states[c] = NodeState::Ready;
-                            }
-                        }
-                    }
+                    stack.extend(dag.children[c].iter().copied());
                 }
-                JobStatus::Completed(result) => {
-                    // The attempt ran and failed: its execution time is
-                    // wasted compute, the other side of goodput accounting.
-                    wasted += result.execution_time();
-                    if attempt < dag.nodes[i].retries {
-                        obs.counter_add("dagman.node_retries", 1);
-                        let delay = config.retry.delay_for(attempt + 1, &mut retry_rng);
-                        if delay.is_zero() {
-                            // Immediate policy: resubmit within the same
-                            // poll tick, exactly as historical DAGMan did.
-                            let id =
-                                condor.submit(dag.nodes[i].job.clone().with_span(node_spans[i]));
-                            jobs_submitted += 1;
-                            states[i] = NodeState::Submitted {
-                                id,
-                                attempt: attempt + 1,
-                            };
-                        } else {
-                            in_flight -= 1;
-                            states[i] = NodeState::Backoff {
-                                until: now() + delay,
-                                attempt: attempt + 1,
-                            };
-                        }
-                    } else {
-                        let attempts = attempt + 1;
-                        let last_error = String::from_utf8_lossy(&result.output).to_string();
-                        obs.end(node_spans[i]);
-                        match config.on_failure {
-                            FailurePolicy::Abort => {
-                                obs.end(root);
-                                let mut done_set = Vec::new();
-                                let mut pending = Vec::new();
-                                let mut running = Vec::new();
-                                for (j, st) in states.iter().enumerate() {
-                                    if j == i {
-                                        continue;
-                                    }
-                                    let name = dag.nodes[j].name.clone();
-                                    match st {
-                                        NodeState::Done => done_set.push(name),
-                                        NodeState::Submitted { .. } | NodeState::Backoff { .. } => {
-                                            running.push(name)
-                                        }
-                                        NodeState::Waiting { .. }
-                                        | NodeState::Ready
-                                        | NodeState::Failed
-                                        | NodeState::Futile => pending.push(name),
-                                    }
-                                }
-                                return Err(CondorError::DagNodeFailed {
-                                    node: dag.nodes[i].name.clone(),
-                                    attempts,
-                                    last_error,
-                                    progress: Box::new(DagProgress {
-                                        done: done_set,
-                                        pending,
-                                        running,
-                                    }),
-                                });
-                            }
-                            FailurePolicy::ContinueOthers => {
-                                obs.counter_add("dagman.node_failures", 1);
-                                failures.insert(i, (attempts, last_error));
-                                states[i] = NodeState::Failed;
-                                done += 1;
-                                in_flight -= 1;
-                                // Everything downstream of the failure can
-                                // never run; settle it as futile so the run
-                                // halts once the independent siblings finish.
-                                // Strict descendants are necessarily still
-                                // Waiting (this node never completed).
-                                let mut stack = dag.children[i].clone();
-                                while let Some(c) = stack.pop() {
-                                    if matches!(states[c], NodeState::Waiting { .. }) {
-                                        states[c] = NodeState::Futile;
-                                        done += 1;
-                                        stack.extend(dag.children[c].iter().copied());
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -541,7 +472,7 @@ pub async fn run_dag_resumable(
     if failures.is_empty() {
         return Ok(DagRun::Completed(report));
     }
-    // At least one node failed under continue-others: write the rescue DAG.
+    // At least one node failed: write the rescue DAG.
     obs.counter_add("dagman.rescues_written", 1);
     obs.observe("dagman.wasted_task_s", wasted.as_secs_f64());
     let nodes = dag
@@ -724,14 +655,15 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let condor = fast_pool();
-            let attempts = Rc::new(RefCell::new(0u32));
+            // Start instant of every attempt.
+            let attempts = Rc::new(RefCell::new(Vec::new()));
             let attempts2 = Rc::clone(&attempts);
             let flaky = JobSpec::new(move |_ctx| {
                 let attempts = Rc::clone(&attempts2);
                 Box::pin(async move {
                     let mut a = attempts.borrow_mut();
-                    *a += 1;
-                    if *a < 3 {
+                    a.push(now());
+                    if a.len() < 3 {
                         Err("flaky".to_string())
                     } else {
                         Ok(Bytes::new())
@@ -740,11 +672,28 @@ mod tests {
             });
             let mut dag = DagSpec::new();
             dag.add_node_with_retries("flaky", flaky, 3);
-            let report = run_dag(&condor, &dag, DagmanConfig::default())
-                .await
-                .unwrap();
-            assert_eq!(*attempts.borrow(), 3);
-            assert_eq!(report.jobs_submitted, 3);
+            dag.add_node("other", compute_job(0.1));
+            let config = DagmanConfig {
+                max_jobs: 1,
+                ..DagmanConfig::default()
+            };
+            let report = run_dag(&condor, &dag, config).await.unwrap();
+            assert_eq!(report.jobs_submitted, 4);
+            // A zero-delay retry is resubmitted at the poll that saw the
+            // failure, not one later: attempt k starts within a negotiation
+            // cycle of the 5k s poll.
+            let starts: Vec<f64> = attempts.borrow().iter().map(|t| t.as_secs_f64()).collect();
+            assert_eq!(starts.len(), 3);
+            for (k, start) in starts.iter().enumerate() {
+                assert!(
+                    (5.0 * k as f64..5.0 * k as f64 + 2.0).contains(start),
+                    "{starts:?}"
+                );
+            }
+            // And it keeps its place in the throttle: the slot a failure
+            // frees goes back to the retry, `other` runs after the last one.
+            let results = &report.node_results;
+            assert!(results["other"].started >= results["flaky"].finished);
         });
     }
 
@@ -895,7 +844,7 @@ mod tests {
     }
 
     #[test]
-    fn abort_error_carries_the_node_sets() {
+    fn run_dag_reports_a_failure_after_independent_siblings_finish() {
         let sim = Sim::new();
         sim.block_on(async {
             let condor = fast_pool();
@@ -917,12 +866,13 @@ mod tests {
             match err {
                 CondorError::DagNodeFailed { node, progress, .. } => {
                     assert_eq!(node, "doomed");
-                    assert_eq!(progress.done, vec!["fast"]);
+                    assert_eq!(progress.done, vec!["fast", "slow-sibling"]);
                     assert_eq!(progress.pending, vec!["child"]);
-                    assert_eq!(progress.running, vec!["slow-sibling"]);
                 }
                 other => panic!("unexpected {other}"),
             }
+            // The failure surfaces only once the sibling has completed.
+            assert!(now() >= SimTime::from_nanos(0) + secs(500.0));
         });
     }
 
@@ -943,10 +893,7 @@ mod tests {
             for i in 0..3 {
                 dag.add_node(format!("sib{i}"), compute_job(5.0 + i as f64));
             }
-            let config = DagmanConfig {
-                on_failure: FailurePolicy::ContinueOthers,
-                ..DagmanConfig::default()
-            };
+            let config = DagmanConfig::default();
             let run = run_dag_resumable(&condor, &dag, config, None)
                 .await
                 .unwrap();
@@ -1014,10 +961,7 @@ mod tests {
             dag.add_edge(a, b).unwrap();
             dag.add_edge(b, c).unwrap();
             dag.add_node("side", counted("side", b"out-side"));
-            let config = DagmanConfig {
-                on_failure: FailurePolicy::ContinueOthers,
-                ..DagmanConfig::default()
-            };
+            let config = DagmanConfig::default();
             let DagRun::Halted { rescue, .. } = run_dag_resumable(&condor, &dag, config, None)
                 .await
                 .unwrap()

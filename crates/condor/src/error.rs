@@ -4,22 +4,17 @@ use std::fmt;
 
 use crate::job::JobId;
 
-/// Snapshot of DAG progress at the instant a node failure surfaced —
-/// what a rescue DAG would record, attached to the abort-style error so
-/// non-resuming callers still see what was lost. Boxed inside
-/// [`CondorError::DagNodeFailed`] to keep the error small on the `Ok`
-/// path.
+/// DAG progress when a halted run ended — what its rescue DAG records,
+/// attached to the error so non-resuming callers still see what was lost.
+/// Nothing is in flight at a halt: every node not downstream of a failure
+/// has finished. Boxed inside [`CondorError::DagNodeFailed`] to keep the
+/// error small on the `Ok` path.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DagProgress {
-    /// Names of nodes that had completed when the failure surfaced
-    /// (what a rescue DAG would mark DONE).
+    /// Names of nodes that completed (what the rescue DAG marks DONE).
     pub done: Vec<String>,
-    /// Names of nodes that had not yet started (waiting on parents, or
-    /// unreachable behind the failure).
+    /// Names of nodes that never ran: unreachable behind a failure.
     pub pending: Vec<String>,
-    /// Names of nodes with an attempt in flight (submitted or backing
-    /// off between retries) at failure time.
-    pub running: Vec<String>,
 }
 
 /// Errors from the HTCondor-style substrate.
@@ -45,7 +40,7 @@ pub enum CondorError {
         attempts: u32,
         /// Last error text.
         last_error: String,
-        /// Done/pending/running node sets at failure time.
+        /// Done and pending node sets at the halt.
         progress: Box<DagProgress>,
     },
 }
@@ -67,10 +62,9 @@ impl fmt::Display for CondorError {
             } => write!(
                 f,
                 "DAG node {node} failed after {attempts} attempts \
-                 ({} done, {} pending, {} running): {last_error}",
+                 ({} done, {} pending): {last_error}",
                 progress.done.len(),
-                progress.pending.len(),
-                progress.running.len()
+                progress.pending.len()
             ),
         }
     }

@@ -25,13 +25,11 @@ pub mod rescue;
 pub mod schedd;
 pub mod startd;
 
-pub use dagman::{
-    run_dag, run_dag_resumable, DagNode, DagReport, DagRun, DagSpec, DagmanConfig, FailurePolicy,
-};
+pub use dagman::{run_dag, run_dag_resumable, DagNode, DagReport, DagRun, DagSpec, DagmanConfig};
 pub use error::{CondorError, DagProgress};
 pub use job::{JobContext, JobFn, JobId, JobResult, JobSpec, JobStatus, LocalBoxFuture};
 pub use negotiator::{Negotiator, NegotiatorConfig};
 pub use pool::{Condor, CondorConfig};
-pub use rescue::{NodeOutcome, RescueDag, RescueNode};
+pub use rescue::{run_with_resumes, NodeOutcome, RescueDag, RescueNode, ResumeError, ResumedRun};
 pub use schedd::Schedd;
 pub use startd::{Startd, StartdConfig};

@@ -1,19 +1,22 @@
-//! Rescue DAGs: the persistent record of a partially completed workflow.
+//! Rescue DAGs: the persistent record of a partially completed workflow,
+//! and the one loop that resumes from it.
 //!
 //! Real DAGMan writes a *rescue DAG* (`<dag>.rescue001`) whenever a node
-//! exhausts its retries under the continue-others policy: every node that
-//! already completed is marked DONE, and resubmitting the same DAG against
-//! the rescue file re-executes only the failed and never-started nodes.
-//! This module reproduces that artifact as a JSON document that round-trips
-//! bit-exactly (like `swf_chaos::FaultPlan`): completed node results carry
-//! their output bytes and exact start/finish nanosecond timestamps, so a
-//! resumed run can inject them verbatim and provably re-execute nothing.
+//! exhausts its retries: every node that already completed is marked DONE,
+//! and resubmitting the same DAG against the rescue file re-executes only
+//! the failed and never-started nodes. This module reproduces that artifact
+//! as a JSON document that round-trips bit-exactly (like
+//! `swf_chaos::FaultPlan`): completed node results carry their output bytes
+//! and exact start/finish nanosecond timestamps, so a resumed run can inject
+//! them verbatim and provably re-execute nothing. [`run_with_resumes`] is
+//! the operator's side: persist the rescue, read it back, wait, resubmit.
 
 use bytes::Bytes;
 use serde_json::{Map, Value};
 use swf_cluster::NodeId;
-use swf_simcore::{SimDuration, SimTime};
+use swf_simcore::{sleep, SimDuration, SimTime};
 
+use crate::dagman::DagRun;
 use crate::job::JobResult;
 
 /// What a rescue DAG records about one node.
@@ -194,6 +197,84 @@ impl std::fmt::Display for RescueDag {
     }
 }
 
+/// Wait between a halt and its resumption: operator reaction time, and
+/// room for the fault that halted the run to clear.
+const RESUME_WAIT: SimDuration = SimDuration::from_secs(5);
+
+/// What [`run_with_resumes`] did.
+#[derive(Clone, Debug)]
+pub struct ResumedRun {
+    /// The last run: completed, or the halt that found the budget spent.
+    pub run: DagRun,
+    /// Resumes spent.
+    pub rounds: u32,
+    /// Node results carried over from rescue DAGs, summed over resumes.
+    pub nodes_salvaged: usize,
+    /// Execution seconds of those results: work no resume re-spent.
+    pub salvaged_task_s: f64,
+    /// The last rescue DAG as persisted, when `run` is a halt.
+    pub rescue_text: Option<String>,
+}
+
+/// Why [`run_with_resumes`] stopped without a last run to report.
+#[derive(Clone, Debug)]
+pub enum ResumeError<E> {
+    /// The caller's run failed outright.
+    Run(E),
+    /// The persisted rescue did not read back.
+    Unreadable {
+        /// The rescue text as persisted.
+        text: String,
+        /// What the parser said.
+        error: String,
+    },
+}
+
+impl<E: std::fmt::Display> std::fmt::Display for ResumeError<E> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ResumeError::Run(e) => e.fmt(f),
+            ResumeError::Unreadable { error, .. } => write!(f, "rescue persistence: {error}"),
+        }
+    }
+}
+
+/// Run a DAG, resuming it from its rescue DAG up to `budget` times (0 = run
+/// once, never resume). `run_once` is one DAGMan run against the rescue it
+/// is handed (`None` first). Each halt persists its rescue as JSON text and
+/// resumes from the parsed copy — the path a rescue file takes through a
+/// submit node's disk — after [`RESUME_WAIT`].
+pub async fn run_with_resumes<E>(
+    budget: u32,
+    mut run_once: impl AsyncFnMut(Option<&RescueDag>) -> Result<DagRun, E>,
+) -> Result<ResumedRun, ResumeError<E>> {
+    let mut out = ResumedRun {
+        run: run_once(None).await.map_err(ResumeError::Run)?,
+        rounds: 0,
+        nodes_salvaged: 0,
+        salvaged_task_s: 0.0,
+        rescue_text: None,
+    };
+    while let DagRun::Halted { rescue, .. } = &out.run {
+        let text = rescue.to_string();
+        if out.rounds >= budget {
+            out.rescue_text = Some(text);
+            break;
+        }
+        let reloaded = reload(text)?;
+        out.rounds += 1;
+        out.nodes_salvaged += reloaded.done_nodes().len();
+        out.salvaged_task_s += reloaded.salvaged_compute().as_secs_f64();
+        sleep(RESUME_WAIT).await;
+        out.run = run_once(Some(&reloaded)).await.map_err(ResumeError::Run)?;
+    }
+    Ok(out)
+}
+
+fn reload<E>(text: String) -> Result<RescueDag, ResumeError<E>> {
+    RescueDag::parse(&text).map_err(|error| ResumeError::Unreadable { text, error })
+}
+
 fn to_hex(b: &Bytes) -> String {
     use std::fmt::Write;
     let mut s = String::with_capacity(b.len() * 2);
@@ -236,6 +317,61 @@ fn get_str<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dagman::DagReport;
+    use swf_simcore::{now, Sim};
+
+    /// A run that halted with `sample()`, or completed.
+    fn run_of(halted: bool) -> DagRun {
+        let report = DagReport {
+            node_results: Default::default(),
+            started: now(),
+            finished: now(),
+            jobs_submitted: 0,
+            wasted_compute: SimDuration::ZERO,
+            root_span: swf_obs::SpanContext::NONE,
+        };
+        match halted {
+            true => DagRun::Halted {
+                rescue: sample(),
+                report,
+            },
+            false => DagRun::Completed(report),
+        }
+    }
+
+    #[test]
+    fn budget_zero_returns_the_halt_without_sleeping_or_resubmitting() {
+        Sim::new().block_on(async {
+            let mut calls = 0;
+            let run_once = async |_: Option<&RescueDag>| {
+                calls += 1;
+                Ok::<_, ()>(run_of(true))
+            };
+            let out = run_with_resumes(0, run_once).await.unwrap();
+            assert_eq!((calls, now()), (1, SimTime::ZERO));
+            assert!(matches!(out.run, DagRun::Halted { .. }));
+            assert_eq!((out.rounds, out.nodes_salvaged), (0, 0));
+            assert_eq!(out.rescue_text, Some(sample().to_string()));
+        });
+    }
+
+    #[test]
+    fn one_failure_inside_the_budget_completes_in_one_round() {
+        Sim::new().block_on(async {
+            // Halts once; the resume gets the reloaded rescue after the wait.
+            let run_once = async |resume: Option<&RescueDag>| {
+                if let Some(rescue) = resume {
+                    assert_eq!((rescue, now()), (&sample(), SimTime::ZERO + RESUME_WAIT));
+                }
+                Ok::<_, ()>(run_of(resume.is_none()))
+            };
+            let out = run_with_resumes(2, run_once).await.unwrap();
+            assert!(matches!(out.run, DagRun::Completed(_)));
+            assert_eq!((out.rounds, out.nodes_salvaged), (1, 1));
+            assert_eq!(out.salvaged_task_s, 17.0);
+            assert_eq!(out.rescue_text, None);
+        });
+    }
 
     fn sample() -> RescueDag {
         RescueDag {
@@ -302,5 +438,11 @@ mod tests {
         assert!(RescueDag::parse("{\"workflow\": \"w\"}").is_err());
         let bad_hex = sample().to_string().replace("00ff7f800a", "zz");
         assert!(RescueDag::parse(&bad_hex).is_err());
+        // The resume loop's reader keeps the text it could not read.
+        let Err(ResumeError::Unreadable { text, error }) = reload::<()>(bad_hex.clone()) else {
+            panic!("a bad hex digit must not read back");
+        };
+        assert_eq!(text, bad_hex);
+        assert!(error.contains("hex"), "{error}");
     }
 }

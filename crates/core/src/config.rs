@@ -137,7 +137,6 @@ impl ExperimentConfig {
                 // Immediate resubmission — the pre-chaos behaviour; chaos
                 // experiments opt into spaced backoff explicitly.
                 retry: RetryPolicy::immediate(1),
-                on_failure: swf_condor::FailurePolicy::Abort,
             },
             matrix_dim: 350,
             compute: ComputeModel::paper(),

@@ -1,6 +1,6 @@
 //! The Pegasus facade: plan, submit to DAGMan, collect statistics.
 
-use swf_condor::{run_dag, run_dag_resumable, Condor, DagReport, DagRun, DagmanConfig, RescueDag};
+use swf_condor::{run_dag_resumable, Condor, DagReport, DagRun, DagmanConfig, RescueDag};
 use swf_simcore::{SimDuration, SimTime};
 
 use crate::abstract_wf::AbstractWorkflow;
@@ -118,32 +118,26 @@ impl Pegasus {
         &self.condor
     }
 
-    /// Plan and execute an abstract workflow to completion.
+    /// Plan and execute an abstract workflow to completion; a halt is the
+    /// typed [`swf_condor::CondorError::DagNodeFailed`] of
+    /// [`DagRun::into_result`].
     pub async fn run(
         &self,
         wf: &AbstractWorkflow,
         factory: &dyn JobFactory,
     ) -> Result<(WorkflowRunStats, DagReport), PegasusError> {
-        let exec = plan(wf, &self.tcat, &self.rcat, factory, self.plan_options)
-            .map_err(PegasusError::Plan)?;
-        let task_count = exec.tasks.len();
-        let report = run_dag(&self.condor, &exec.dag, self.dagman)
-            .await
-            .map_err(PegasusError::Execution)?;
-        Ok((
-            WorkflowRunStats::from_report(&wf.name, task_count, &report),
-            report,
-        ))
+        let (stats, run) = self.run_resumable(wf, factory, None).await?;
+        let report = run.into_result().map_err(PegasusError::Execution)?;
+        Ok((stats, report))
     }
 
-    /// Plan and execute an abstract workflow with rescue-DAG semantics:
-    /// under [`swf_condor::FailurePolicy::ContinueOthers`] a failed node
-    /// halts only its descendants and the run returns
-    /// [`DagRun::Halted`] with the rescue artifact. Passing a previous
-    /// halt's rescue as `resume` salvages its completed nodes verbatim —
-    /// they are provably never resubmitted. The plan must be identical
-    /// between the halted and resumed runs (same workflow, same options);
-    /// a mismatch is rejected by the rescue compatibility check.
+    /// Plan and execute an abstract workflow as DAGMan does: a failed node
+    /// halts only its descendants and the run returns [`DagRun::Halted`]
+    /// with the rescue artifact. Passing a previous halt's rescue as
+    /// `resume` salvages its completed nodes verbatim — they are provably
+    /// never resubmitted. The plan must be identical between the halted and
+    /// resumed runs (same workflow, same options); a mismatch is rejected
+    /// by the rescue compatibility check.
     pub async fn run_resumable(
         &self,
         wf: &AbstractWorkflow,

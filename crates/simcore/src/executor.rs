@@ -18,11 +18,11 @@
 //!   list. A [`TaskId`] packs the slot index with a per-slot generation
 //!   counter, so a waker aimed at a completed task can never reach the
 //!   slot's next occupant.
-//! - **Intrusive ready list**: each slot carries a `next_ready` link; the
-//!   ready queue is just head/tail indices into the slab. Wakes are
-//!   coalesced by a per-task `queued` flag (cleared when a poll starts), so
-//!   a task is enqueued at most once per poll round and a wake costs two
-//!   index writes — no allocation, no locking.
+//! - **Ready queue**: a `VecDeque` of `(slot index, generation)` pairs.
+//!   Wakes are coalesced by a per-task `queued` flag (cleared when a poll
+//!   starts), so a task is enqueued at most once per poll round; the
+//!   generation is checked when an entry is pushed and again when it is
+//!   popped, so an entry that outlives its task is skipped.
 //! - **Timer heap**: pending timers sit in a `BinaryHeap` keyed by
 //!   `(at, seq)` — the structure the oracle has always used. Cancellation
 //!   is lazy, and same-instant ties are neighbouring keys popped in
@@ -30,7 +30,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::mem::ManuallyDrop;
 use std::pin::Pin;
@@ -54,7 +54,7 @@ impl TaskId {
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Sentinel for "no slot" in the free list and ready list links.
+/// Sentinel for "no slot" in the free list.
 const NONE_IDX: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
@@ -70,7 +70,7 @@ struct WakerData {
     /// Coalesces wakes between polls: set when the task is enqueued,
     /// cleared at the start of its next poll, so however many timers and
     /// channels wake a task in one round, it occupies exactly one ready
-    /// link. On a completed task the flag latches `true`, making every
+    /// entry. On a completed task the flag latches `true`, making every
     /// later stale wake a no-op.
     queued: Cell<bool>,
 }
@@ -93,8 +93,9 @@ impl WakerData {
 }
 
 // SAFETY: `Waker` is nominally `Send + Sync`, but this executor is strictly
-// single-threaded — the workspace linter's D1 rule bans `std::thread` in
-// every simulation crate, so a waker can never leave the thread it was
+// single-threaded — the root `clippy.toml` bans `std::thread::spawn`,
+// `std::thread::scope` and `std::thread::Builder::spawn` in every crate the
+// CI clippy job lints, so a waker can never leave the thread it was
 // created on. The vtable therefore manages a plain `Rc<WakerData>` by hand:
 // `clone` bumps the strong count, `wake` consumes one reference,
 // `wake_by_ref` borrows without consuming, `drop` releases. The previous
@@ -141,19 +142,12 @@ enum SlotState {
     Vacant { next_free: u32 },
     /// A spawned, not-yet-completed task.
     Live(TaskCell),
-    /// Completed while still linked in the ready list. The slot stays
-    /// reserved (not on the free list) until the stale link is popped, so
-    /// the link can never deliver a poll to a later occupant — see the
-    /// slab-reuse regression tests.
-    Dead,
 }
 
 struct Slot {
     /// Bumped when the slot is freed; wakers carry the generation they
     /// were created under and are ignored once it goes stale.
     gen: u32,
-    /// Intrusive ready-list link (`NONE_IDX` = unlinked or tail).
-    next_ready: u32,
     state: SlotState,
 }
 
@@ -162,10 +156,8 @@ struct Inner {
     tasks: RefCell<Vec<Slot>>,
     /// Head of the vacant-slot free list.
     free_head: Cell<u32>,
-    /// FIFO ready list threaded through `Slot::next_ready`.
-    ready_head: Cell<u32>,
-    ready_tail: Cell<u32>,
-    ready_len: Cell<usize>,
+    /// FIFO ready queue of `(slot index, generation)`.
+    ready: RefCell<VecDeque<(u32, u32)>>,
     live_tasks: Cell<usize>,
     timers: RefCell<TimerHeap>,
     next_timer_seq: Cell<u64>,
@@ -175,64 +167,33 @@ struct Inner {
 }
 
 impl Inner {
-    /// Link a live task at the ready-list tail. Stale wakes — generation
-    /// mismatch or a completed/vacated slot — fall through silently: the
-    /// pre-rewrite executor pushed a stale id that the pop side skipped;
-    /// here the skip happens at link time.
-    fn ready_push(&self, index: u32, gen: u32) {
-        let mut tasks = self.tasks.borrow_mut();
-        match tasks.get_mut(index as usize) {
-            Some(slot) if slot.gen == gen && matches!(slot.state, SlotState::Live(_)) => {
-                slot.next_ready = NONE_IDX;
-            }
-            _ => return,
-        }
-        let tail = self.ready_tail.get();
-        if tail == NONE_IDX {
-            self.ready_head.set(index);
-        } else if let Some(prev) = tasks.get_mut(tail as usize) {
-            prev.next_ready = index;
-        }
-        self.ready_tail.set(index);
-        let depth = self.ready_len.get() + 1;
-        self.ready_len.set(depth);
-        crate::perf::note_ready_depth(depth);
+    /// Is `index` occupied by a live task of generation `gen`?
+    fn is_live(&self, index: u32, gen: u32) -> bool {
+        matches!(
+            self.tasks.borrow().get(index as usize),
+            Some(slot) if slot.gen == gen && matches!(slot.state, SlotState::Live(_))
+        )
     }
 
-    /// Unlink the next live task from the ready list, lazily retiring
-    /// `Dead` slots (tasks that completed while linked) on the way.
+    /// Enqueue a live task. Stale wakes — generation mismatch or a vacated
+    /// slot — fall through silently.
+    fn ready_push(&self, index: u32, gen: u32) {
+        if !self.is_live(index, gen) {
+            return;
+        }
+        let mut ready = self.ready.borrow_mut();
+        ready.push_back((index, gen));
+        crate::perf::note_ready_depth(ready.len());
+    }
+
+    /// Dequeue the next live task. A task that re-woke itself during its
+    /// final poll leaves an entry behind; its generation no longer matches
+    /// the slot (or the slot's next tenant), so it is dropped here.
     fn ready_pop(&self) -> Option<u32> {
         loop {
-            let head = self.ready_head.get();
-            if head == NONE_IDX {
-                return None;
-            }
-            let mut tasks = self.tasks.borrow_mut();
-            let Some(slot) = tasks.get_mut(head as usize) else {
-                // Unreachable: links always point at allocated slots.
-                self.ready_head.set(NONE_IDX);
-                self.ready_tail.set(NONE_IDX);
-                return None;
-            };
-            self.ready_head.set(slot.next_ready);
-            if slot.next_ready == NONE_IDX {
-                self.ready_tail.set(NONE_IDX);
-            }
-            slot.next_ready = NONE_IDX;
-            self.ready_len.set(self.ready_len.get().saturating_sub(1));
-            match slot.state {
-                SlotState::Live(_) => return Some(head),
-                SlotState::Dead => {
-                    // The stale link is gone; the slot may now be reused.
-                    slot.gen = slot.gen.wrapping_add(1);
-                    slot.state = SlotState::Vacant {
-                        next_free: self.free_head.get(),
-                    };
-                    self.free_head.set(head);
-                }
-                SlotState::Vacant { .. } => {
-                    debug_assert!(false, "vacant slot linked in ready list");
-                }
+            let (index, gen) = self.ready.borrow_mut().pop_front()?;
+            if self.is_live(index, gen) {
+                return Some(index);
             }
         }
     }
@@ -313,9 +274,7 @@ impl Sim {
                 clock: Cell::new(SimTime::ZERO),
                 tasks: RefCell::new(Vec::new()),
                 free_head: Cell::new(NONE_IDX),
-                ready_head: Cell::new(NONE_IDX),
-                ready_tail: Cell::new(NONE_IDX),
-                ready_len: Cell::new(0),
+                ready: RefCell::new(VecDeque::new()),
                 live_tasks: Cell::new(0),
                 timers: RefCell::new(TimerHeap::default()),
                 next_timer_seq: Cell::new(0),
@@ -383,7 +342,6 @@ impl Sim {
                 NONE_IDX => {
                     tasks.push(Slot {
                         gen: 0,
-                        next_ready: NONE_IDX,
                         state: SlotState::Vacant {
                             next_free: NONE_IDX,
                         },
@@ -394,7 +352,7 @@ impl Sim {
                     let next = match tasks[idx as usize].state {
                         SlotState::Vacant { next_free } => next_free,
                         // Unreachable: the free list only chains vacant slots.
-                        SlotState::Live(_) | SlotState::Dead => NONE_IDX,
+                        SlotState::Live(_) => NONE_IDX,
                     };
                     self.inner.free_head.set(next);
                     idx
@@ -405,7 +363,7 @@ impl Sim {
                 exec: Rc::downgrade(&self.inner),
                 index,
                 gen,
-                queued: Cell::new(true), // linked right below
+                queued: Cell::new(true), // enqueued right below
             });
             tasks[index as usize].state = SlotState::Live(TaskCell {
                 fut: Some(wrapped),
@@ -460,7 +418,7 @@ impl Sim {
                 return;
             };
             // Clear the coalescing flag before polling so a wake arriving
-            // mid-poll re-links the task for another round.
+            // mid-poll re-enqueues the task for another round.
             cell.waker.queued.set(false);
             (fut, Rc::clone(&cell.waker))
         };
@@ -486,28 +444,23 @@ impl Sim {
                 }
             }
             Poll::Ready(()) => {
-                self.retire(index, &waker);
+                self.retire(index);
                 // `fut` itself drops at the end of this call, after the
                 // slab borrow is released, so destructors may spawn/wake.
             }
         }
     }
 
-    /// Free a completed task's slot — or park it as `Dead` if the task
-    /// re-woke itself during its final poll and is still linked.
-    fn retire(&self, index: u32, waker: &Rc<WakerData>) {
+    /// Free a completed task's slot. Bumping the generation is what turns
+    /// every waker and ready entry still aimed at the task stale.
+    fn retire(&self, index: u32) {
         let mut tasks = self.inner.tasks.borrow_mut();
         if let Some(slot) = tasks.get_mut(index as usize) {
-            slot.state = if waker.queued.get() {
-                SlotState::Dead
-            } else {
-                slot.gen = slot.gen.wrapping_add(1);
-                let vacant = SlotState::Vacant {
-                    next_free: self.inner.free_head.get(),
-                };
-                self.inner.free_head.set(index);
-                vacant
+            slot.gen = slot.gen.wrapping_add(1);
+            slot.state = SlotState::Vacant {
+                next_free: self.inner.free_head.get(),
             };
+            self.inner.free_head.set(index);
         }
         self.inner
             .live_tasks
@@ -1162,15 +1115,30 @@ mod tests {
 
     #[test]
     fn task_completing_while_requeued_retires_safely() {
-        // A task that wakes itself and then completes leaves a stale link
-        // in the ready list. The slot must stay reserved until that link
-        // is popped, and later spawns must run normally.
+        // A task that wakes itself and then completes leaves a stale entry
+        // in the ready queue while its slot goes straight back on the free
+        // list. The next spawn takes that slot before the entry is popped;
+        // the entry's generation must keep it from polling the new tenant.
         let sim = Sim::new();
         sim.block_on(async {
             let h = spawn(WakeThenDone);
-            yield_now().await; // executor pops the dead link here
-            let h2 = spawn(async { 42 });
-            assert_eq!(h2.await, 42);
+            yield_now().await; // `h` runs; its stale entry queues behind us
+            let flag = Rc::new(Cell::new(false));
+            let polls = Rc::new(Cell::new(0));
+            let waker: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
+            let h2 = spawn(FlagWait {
+                flag: Rc::clone(&flag),
+                polls: Rc::clone(&polls),
+                waker: Rc::clone(&waker),
+            });
+            assert_eq!(h2.id().0 & 0xffff_ffff, h.id().0 & 0xffff_ffff);
+            yield_now().await; // the stale entry is popped, then `h2` polls
+            yield_now().await;
+            assert_eq!(polls.get(), 1, "stale entry polled the slot's new tenant");
+            flag.set(true);
+            waker.borrow_mut().take().unwrap().wake();
+            h2.await;
+            assert_eq!(polls.get(), 2);
             h.await;
         });
         assert_eq!(sim.live_tasks(), 0);

@@ -4,12 +4,56 @@
 //! experiment seed plus a stable stream label, so adding a new component
 //! never perturbs the draws of existing ones.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 /// Deterministic RNG with distribution helpers for service-time models.
 pub struct DetRng {
-    rng: StdRng,
+    rng: Xoshiro256,
+}
+
+/// xoshiro256** seeded through SplitMix64: the same sequence for a seed on
+/// every platform and toolchain. Every recorded result is a function of
+/// this exact stream and of how the draws below map it onto ranges (modulo
+/// bias included), so neither may change.
+struct Xoshiro256 {
+    s: [u64; 4],
+}
+
+impl Xoshiro256 {
+    fn seeded(seed: u64) -> Self {
+        // SplitMix64 expansion, the reference seeding for xoshiro.
+        let mut x = seed;
+        let mut next = || {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        Xoshiro256 {
+            s: [next(), next(), next(), next()],
+        }
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
+        let t = self.s[1] << 17;
+        self.s[2] ^= self.s[0];
+        self.s[3] ^= self.s[1];
+        self.s[1] ^= self.s[2];
+        self.s[0] ^= self.s[3];
+        self.s[2] ^= t;
+        self.s[3] = self.s[3].rotate_left(45);
+        result
+    }
+
+    /// Uniform in `[0, 1)`: the 53 high bits, at full double precision.
+    fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// Uniform in `[0, width)`; `width` must be non-zero.
+    fn below(&mut self, width: u64) -> u64 {
+        self.next_u64() % width
+    }
 }
 
 /// Derive a 64-bit stream id from a label (FNV-1a).
@@ -28,7 +72,7 @@ impl DetRng {
     pub fn new(seed: u64, stream: &str) -> Self {
         let mixed = seed ^ hash_label(stream).rotate_left(17);
         DetRng {
-            rng: StdRng::seed_from_u64(mixed),
+            rng: Xoshiro256::seeded(mixed),
         }
     }
 
@@ -37,7 +81,7 @@ impl DetRng {
         if hi <= lo {
             return lo;
         }
-        self.rng.gen_range(lo..hi)
+        lo + self.rng.unit() * (hi - lo)
     }
 
     /// Uniform integer in `[lo, hi)`.
@@ -45,7 +89,7 @@ impl DetRng {
         if hi <= lo {
             return lo;
         }
-        self.rng.gen_range(lo..hi)
+        lo + self.rng.below(hi - lo)
     }
 
     /// Uniform integer in `[lo, hi)` (i64).
@@ -53,7 +97,8 @@ impl DetRng {
         if hi <= lo {
             return lo;
         }
-        self.rng.gen_range(lo..hi)
+        // The width of any non-empty i64 range fits a u64.
+        lo.wrapping_add(self.rng.below(hi.wrapping_sub(lo) as u64) as i64)
     }
 
     /// Exponential with the given mean.
@@ -61,14 +106,14 @@ impl DetRng {
         if mean <= 0.0 {
             return 0.0;
         }
-        let u: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
+        let u = self.uniform(f64::MIN_POSITIVE, 1.0);
         -mean * u.ln()
     }
 
     /// Normal via Box–Muller; result clamped at `min`.
     pub fn normal_clamped(&mut self, mean: f64, std_dev: f64, min: f64) -> f64 {
-        let u1: f64 = self.rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let u1 = self.uniform(f64::MIN_POSITIVE, 1.0);
+        let u2 = self.uniform(0.0, 1.0);
         let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
         (mean + std_dev * z).max(min)
     }
@@ -90,7 +135,7 @@ impl DetRng {
 
     /// Bernoulli draw.
     pub fn chance(&mut self, p: f64) -> bool {
-        self.rng.gen_bool(p.clamp(0.0, 1.0))
+        self.rng.unit() < p.clamp(0.0, 1.0)
     }
 
     /// Pick a uniformly random element index for a slice of length `n`.
@@ -98,14 +143,14 @@ impl DetRng {
         if n <= 1 {
             0
         } else {
-            self.rng.gen_range(0..n)
+            self.rng.below(n as u64) as usize
         }
     }
 
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
-            let j = self.rng.gen_range(0..=i);
+            let j = self.rng.below(i as u64 + 1) as usize;
             items.swap(i, j);
         }
     }
@@ -114,6 +159,51 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn seeding_is_deterministic() {
+        let mut a = Xoshiro256::seeded(42);
+        let mut b = Xoshiro256::seeded(42);
+        // The reference xoshiro256** stream for this SplitMix64 seed.
+        assert_eq!(a.next_u64(), 0x1578_0b2e_0c2e_c716);
+        assert_eq!(a.next_u64(), 0x6104_d986_6d11_3a7e);
+        b.next_u64();
+        b.next_u64();
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
+        }
+    }
+
+    #[test]
+    fn ranges_stay_in_bounds() {
+        let mut r = DetRng::new(7, "ranges");
+        for _ in 0..1000 {
+            let f = r.uniform(0.25, 0.75);
+            assert!((0.25..0.75).contains(&f));
+            let u = r.uniform_u64(10, 20);
+            assert!((10..20).contains(&u));
+            let i = r.uniform_i64(-5, 5);
+            assert!((-5..5).contains(&i));
+            assert!(r.index(4) < 4);
+        }
+        assert!((i64::MIN..i64::MAX).contains(&r.uniform_i64(i64::MIN, i64::MAX)));
+    }
+
+    #[test]
+    fn chance_tracks_probability() {
+        let mut r = DetRng::new(11, "chance");
+        let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
+        assert!((2_700..3_300).contains(&hits), "hits = {hits}");
+    }
+
+    #[test]
+    fn uniform_mean_is_centered() {
+        let mut r = DetRng::new(3, "uniform");
+        let n = 20_000;
+        let sum: f64 = (0..n).map(|_| r.uniform(0.0, 1.0)).sum();
+        let mean = sum / f64::from(n);
+        assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
+    }
 
     #[test]
     fn same_seed_same_stream_same_sequence() {

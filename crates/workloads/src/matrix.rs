@@ -77,11 +77,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Sum of all entries (cheap integrity probe used by tests/benches).
-    pub fn checksum(&self) -> i64 {
-        self.data.iter().copied().fold(0i64, i64::wrapping_add)
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(m.get(0, 2), 3);
         assert_eq!(m.get(1, 0), 4);
         assert_eq!(m.row(1), &[4, 5, 6]);
-        assert_eq!(m.checksum(), 21);
     }
 
     #[test]
@@ -118,7 +112,7 @@ mod tests {
     #[test]
     fn identity_has_trace_n() {
         let m = Matrix::identity(5);
-        assert_eq!(m.checksum(), 5);
+        assert_eq!(m.as_slice().iter().sum::<i64>(), 5);
         assert_eq!(m.get(3, 3), 1);
         assert_eq!(m.get(3, 4), 0);
     }
