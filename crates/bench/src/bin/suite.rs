@@ -1,4 +1,4 @@
-//! The benchmark suite and perf-regression gate.
+//! The benchmark suite and its exact gate.
 //!
 //! Run the scenario table (`swf_bench::suite`) — by default the six
 //! figure scenarios fig1, fig2, fig5, fig6, coldstart, ablations — with
@@ -6,25 +6,24 @@
 //! report (reproduced rows beside the paper's values), and write one
 //! machine-readable `BENCH_<label>.json` at the workspace root —
 //! per-scenario virtual-time results, swf-obs metrics/critical-path
-//! snapshots, and the host-side engine profile (build with `--features
-//! host-profiling` for wall-clock and events/sec). Or compare two
-//! recorded documents, classifying every delta as drift (virtual-time
-//! change — always an error), regression / improvement (wall-clock beyond
-//! the noise threshold), or info.
+//! snapshots, and the executor's event counts. The document is a pure
+//! function of program and seed, byte for byte. Or compare two recorded
+//! documents: any leaf that differs is drift, and drift exits 1.
 //!
 //! Usage:
 //!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--only <name>[,<name>…]] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
 //!   cargo run --release -p swf-bench --bin suite -- --list
-//!   cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json> [--noise <frac>] [--fail-on-regression]
+//!   cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json>
 //!
-//! `--only fig6` (or `--only fig2,coldstart`) runs just those scenarios:
-//! the way to regenerate one figure. An unknown name exits 2 listing the
-//! valid ones. `--label apps` runs the swf-apps scenario (every
-//! application × every venue) instead of the figure scenarios, writing
-//! `BENCH_apps.json`; `--label elastic` likewise. `--list` enumerates
-//! every label and its scenarios. An unknown label or argument also exits
-//! 2 before anything runs: a typo must not run the figure scenarios.
-//! `compare` takes its two paths first, then its flags.
+//! `--only fig6` (or `--only fig2,coldstart`) runs just those scenarios
+//! of the label: the way to regenerate one figure. A name the label does
+//! not run exits 2 listing the ones it does. `--label apps` runs the
+//! swf-apps scenario (every application × every venue) instead of the
+//! figure scenarios, writing `BENCH_apps.json`; `--label elastic`
+//! likewise. `--list` enumerates every label and its scenarios. An
+//! unknown label or argument also exits 2 before anything runs: a typo
+//! must not run the figure scenarios. `compare` takes two paths and
+//! nothing else.
 //!
 //! `--trace-out` additionally writes every scenario run as one
 //! Chrome-trace file. `--spans-out` writes the lossless `swf-spans/v1`
@@ -37,9 +36,9 @@ use swf_bench::suite::{check_label, run_suite, scenario_names, select, suite_con
 use swf_bench::{flag_value, is_quick, refuse_unknown_arguments, write_chrome_trace};
 use swf_core::experiments::setup_header;
 
-/// Flags that stand alone and flags that take a value, for a run and for
-/// `compare`. Their readers are this file and `swf_bench`'s `flag_value`
-/// and `is_quick`: a flag they learn belongs here too, or it is refused.
+/// Flags that stand alone and flags that take a value. Their readers are
+/// this file and `swf_bench`'s `flag_value` and `is_quick`: a flag they
+/// learn belongs here too, or it is refused.
 const SWITCHES: [&str; 3] = ["--quick", "-q", "--list"];
 const VALUED: [&str; 6] = [
     "--label",
@@ -49,8 +48,6 @@ const VALUED: [&str; 6] = [
     "--spans-out",
     "--series-out",
 ];
-const COMPARE_SWITCHES: [&str; 1] = ["--fail-on-regression"];
-const COMPARE_VALUED: [&str; 1] = ["--noise"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -85,7 +82,7 @@ fn run_main() {
         std::process::exit(2);
     }
     let names = match flag_value("--only") {
-        Some(only) => select(&only).unwrap_or_else(|e| {
+        Some(only) => select(&label, &only).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         }),
@@ -103,32 +100,23 @@ fn run_main() {
     }
 
     // Per-scenario host summary.
-    println!("## suite — host profile per scenario");
+    println!("## suite — executor work per scenario");
     if let Some(scenarios) = run.document.get("scenarios").and_then(|s| s.as_object()) {
         for (name, scenario) in scenarios.iter() {
             let host = &scenario["host"];
-            let wall = match host["wall_ms"].as_f64() {
-                Some(ms) => format!("{ms:.0} ms"),
-                None => "n/a (build with --features host-profiling)".to_string(),
-            };
             println!(
-                "  {name:<10} events={:<9} peak_ready_queue={:<5} wall={wall}",
+                "  {name:<10} events={:<9} peak_ready_queue={}",
                 host["events_processed"].as_u64().unwrap_or(0),
                 host["peak_ready_queue"].as_u64().unwrap_or(0),
             );
         }
     }
-    let total = &run.document["host"];
-    match (total["wall_ms"].as_f64(), total["events_per_sec"].as_f64()) {
-        (Some(ms), Some(eps)) => println!(
-            "  total      events={} wall={ms:.0} ms ({eps:.0} events/sec)",
-            total["events_processed"].as_u64().unwrap_or(0)
-        ),
-        _ => println!(
-            "  total      events={}",
-            total["events_processed"].as_u64().unwrap_or(0)
-        ),
-    }
+    println!(
+        "  total      events={}",
+        run.document["host"]["events_processed"]
+            .as_u64()
+            .unwrap_or(0)
+    );
 
     let path = flag_value("--json").unwrap_or_else(|| {
         workspace_root()
@@ -192,38 +180,25 @@ fn read_doc(path: &str) -> serde_json::Value {
 }
 
 fn compare_main(args: &[String]) {
-    let [old_path, new_path, flags @ ..] = args else {
-        eprintln!(
-            "usage: suite compare <old.json> <new.json> [--noise <frac>] [--fail-on-regression]"
-        );
+    let [old_path, new_path] = args else {
+        match args.get(2) {
+            Some(extra) => {
+                eprintln!("error: unknown argument {extra:?}; compare takes two paths and no flags")
+            }
+            None => eprintln!("usage: suite compare <old.json> <new.json>"),
+        }
         std::process::exit(2);
     };
-    refuse_unknown_arguments(flags, &COMPARE_SWITCHES, &COMPARE_VALUED);
-    let noise = match flag_value("--noise") {
-        Some(v) => match v.parse::<f64>() {
-            Ok(f) if f >= 0.0 => f,
-            _ => {
-                eprintln!("error: --noise must be a non-negative fraction (e.g. 0.10)");
-                std::process::exit(2);
-            }
-        },
-        None => 0.10,
-    };
-    let fail_on_regression = args.iter().any(|a| a == "--fail-on-regression");
 
     let old = read_doc(old_path);
     let new = read_doc(new_path);
-    let report = swf_metrics::compare(&old, &new, noise);
+    // The threshold reaches only wall-clock leaves, which no document
+    // this workspace writes has.
+    let report = swf_metrics::compare(&old, &new, 0.10);
     println!("## suite compare — {old_path} vs {new_path}");
     print!("{}", report.render());
     if report.has_drift() {
-        eprintln!("FAIL: virtual-time drift — the simulation's results changed");
-    } else if report.has_regression() {
-        let verdict = if fail_on_regression { "FAIL" } else { "WARN" };
-        eprintln!(
-            "{verdict}: host-side performance regressed beyond the {:.0}% noise threshold",
-            noise * 100.0
-        );
+        eprintln!("FAIL: drift — the simulation's results or the executor's work changed");
     }
-    std::process::exit(report.exit_code(fail_on_regression));
+    std::process::exit(report.exit_code());
 }

@@ -13,75 +13,60 @@
 //!     "fig1": {
 //!       "virtual": { ...figure rows/fits, virtual seconds... },
 //!       "obs":     { "metrics": {...}, "critical_paths": {...} },
-//!       "host":    { "polls": n, ..., "wall_ms": null|x }
+//!       "host":    { "polls": n, "wakes": n, ...executor counts... }
 //!     }
 //!   },
 //!   "host": { ...summed counters... }
 //! }
 //! ```
 //!
-//! `virtual` and `obs` are pure functions of the simulated program and
-//! its seeds — `suite compare` treats any bitwise difference there as
-//! **drift**. `host` describes the cost of *running* the simulation
-//! (engine counters always; `wall_ms`/`events_per_sec` only under the
-//! `host-profiling` feature) and is compared with a noise threshold.
+//! Every leaf is a pure function of the simulated program and its seeds:
+//! `virtual` and `obs` are what the model did, `host` what the executor
+//! did to simulate it (counts, never a clock reading). `suite compare`
+//! treats any bitwise difference anywhere as **drift**, so a document is
+//! reproducible byte for byte.
 
 use swf_core::experiments::{ColdStartResult, Fig1Result, Fig2Result, Fig5Result, Fig6Result};
 use swf_metrics::Line;
-use swf_simcore::perf::{self, ExecProfile, HostStopwatch};
+use swf_simcore::perf::{self, ExecProfile};
 
 /// Schema identifier stamped into every document.
 pub const SCHEMA: &str = "swf-bench/v1";
 
-/// Measures one scenario's host-side cost: executor counter deltas plus
-/// (under `host-profiling`) wall-clock time. Start right before the
-/// scenario runs; `finish()` yields the `host` JSON section.
+/// Measures the executor work one scenario costs, as counter deltas.
+/// Start right before the scenario runs; `finish()` yields the `host`
+/// JSON section.
 pub struct ScenarioMeter {
     before: ExecProfile,
-    watch: HostStopwatch,
 }
 
 impl ScenarioMeter {
-    /// Start metering: snapshot counters, reset the ready-queue
-    /// high-water mark, start the (feature-gated) stopwatch.
-    #[allow(clippy::new_without_default)]
+    /// Start metering: reset the ready-queue high-water mark, snapshot
+    /// the counters.
     pub fn start() -> ScenarioMeter {
         perf::reset_ready_peak();
         ScenarioMeter {
             before: perf::snapshot(),
-            watch: HostStopwatch::start(),
         }
     }
 
     /// Stop metering and render the `host` section.
     pub fn finish(self) -> serde_json::Value {
-        let wall_ms = self.watch.elapsed_ms();
-        let delta = perf::snapshot().delta(&self.before);
-        host_json(&delta, wall_ms)
+        let p = perf::snapshot().delta(&self.before);
+        let mut host = serde_json::Map::new();
+        host.insert("polls", serde_json::Value::from(p.polls));
+        host.insert("spawned", serde_json::Value::from(p.spawned));
+        host.insert("wakes", serde_json::Value::from(p.wakes));
+        host.insert(
+            "timers_registered",
+            serde_json::Value::from(p.timers_registered),
+        );
+        host.insert("timers_fired", serde_json::Value::from(p.timers_fired));
+        host.insert("clock_advances", serde_json::Value::from(p.clock_advances));
+        host.insert("peak_ready_queue", serde_json::Value::from(p.ready_peak));
+        host.insert("events_processed", serde_json::Value::from(p.events()));
+        serde_json::Value::Object(host)
     }
-}
-
-/// Render an executor profile (plus optional wall time) as the `host`
-/// JSON section.
-pub fn host_json(p: &ExecProfile, wall_ms: Option<f64>) -> serde_json::Value {
-    let mut host = serde_json::Map::new();
-    host.insert("polls", serde_json::Value::from(p.polls));
-    host.insert("spawned", serde_json::Value::from(p.spawned));
-    host.insert("wakes", serde_json::Value::from(p.wakes));
-    host.insert(
-        "timers_registered",
-        serde_json::Value::from(p.timers_registered),
-    );
-    host.insert("timers_fired", serde_json::Value::from(p.timers_fired));
-    host.insert("clock_advances", serde_json::Value::from(p.clock_advances));
-    host.insert("peak_ready_queue", serde_json::Value::from(p.ready_peak));
-    host.insert("events_processed", serde_json::Value::from(p.events()));
-    host.insert("wall_ms", serde_json::Value::from(wall_ms));
-    host.insert(
-        "events_per_sec",
-        serde_json::Value::from(perf::events_per_sec(p.events(), wall_ms)),
-    );
-    serde_json::Value::Object(host)
 }
 
 fn line_json(l: &Line) -> serde_json::Value {
@@ -272,7 +257,6 @@ pub fn bench_document(
     scenarios: Vec<(String, serde_json::Value)>,
 ) -> serde_json::Value {
     let mut total = serde_json::Map::new();
-    let mut wall_ms_total: Option<f64> = None;
     let counter_keys = [
         "polls",
         "spawned",
@@ -295,22 +279,7 @@ pub fn bench_document(
                 .unwrap_or(0);
             total.insert(key, serde_json::Value::from(slot + v));
         }
-        if let Some(ms) = host
-            .and_then(|h| h.get("wall_ms"))
-            .and_then(serde_json::Value::as_f64)
-        {
-            wall_ms_total = Some(wall_ms_total.unwrap_or(0.0) + ms);
-        }
     }
-    let events = total
-        .get("events_processed")
-        .and_then(serde_json::Value::as_u64)
-        .unwrap_or(0);
-    total.insert("wall_ms", serde_json::Value::from(wall_ms_total));
-    total.insert(
-        "events_per_sec",
-        serde_json::Value::from(perf::events_per_sec(events, wall_ms_total)),
-    );
 
     let mut scen_map = serde_json::Map::new();
     for (name, scenario) in scenarios {

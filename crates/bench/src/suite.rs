@@ -243,38 +243,47 @@ pub fn scenario_names(label: &str) -> Vec<&'static str> {
     }
 }
 
-/// A `--only` entry that names no scenario of the table (an empty list
+/// A `--only` entry that names no scenario of its label (an empty list
 /// fails here too, on its empty name).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnknownScenario {
     /// The name that failed to resolve.
     pub name: String,
+    /// The label it was resolved against.
+    pub label: String,
 }
 
 impl std::fmt::Display for UnknownScenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "unknown scenario {:?}; valid scenarios: {}",
+            "label {:?} has no scenario {:?}; its scenarios: {} (--list shows every label)",
+            self.label,
             self.name,
-            table_names().collect::<Vec<_>>().join(", ")
+            scenario_names(&self.label).join(", ")
         )
     }
 }
 
 impl std::error::Error for UnknownScenario {}
 
-/// Resolve a comma-separated `--only` list against the table. The result
-/// is in table order with each name once, whatever the list's order and
+/// Resolve a comma-separated `--only` list against the scenarios `label`
+/// runs: a document stamped with a label holds nothing else. The result is
+/// in table order with each name once, whatever the list's order and
 /// repeats.
-pub fn select(only: &str) -> Result<Vec<&'static str>, UnknownScenario> {
+pub fn select(label: &str, only: &str) -> Result<Vec<&'static str>, UnknownScenario> {
+    let of_label = scenario_names(label);
     let wanted: Vec<&str> = only.split(',').map(str::trim).collect();
-    if let Some(unknown) = wanted.iter().find(|w| !table_names().any(|n| n == **w)) {
+    if let Some(unknown) = wanted.iter().find(|w| !of_label.contains(w)) {
         return Err(UnknownScenario {
             name: unknown.to_string(),
+            label: label.to_string(),
         });
     }
-    Ok(table_names().filter(|n| wanted.contains(n)).collect())
+    Ok(of_label
+        .into_iter()
+        .filter(|n| wanted.contains(n))
+        .collect())
 }
 
 /// Run the named scenarios (see [`scenario_names`] and [`select`]) in
@@ -327,22 +336,23 @@ mod tests {
     #[test]
     fn select_orders_by_table_and_drops_repeats() {
         assert_eq!(
-            select("coldstart,fig2,coldstart").unwrap(),
+            select("quick", "coldstart,fig2,coldstart").unwrap(),
             ["fig2", "coldstart"]
         );
-        assert_eq!(select(" apps , fig1").unwrap(), ["fig1", "apps"]);
+        assert_eq!(select("paper", " fig6 , fig1").unwrap(), ["fig1", "fig6"]);
+        assert_eq!(select("apps", "apps").unwrap(), ["apps"]);
     }
 
     #[test]
-    fn select_rejects_unknown_and_empty_names_listing_the_table() {
-        let err = select("fig1,fig3").unwrap_err();
+    fn select_rejects_unknown_and_empty_names_listing_the_labels_scenarios() {
+        let err = select("quick", "fig1,fig3").unwrap_err();
         assert_eq!(err.name, "fig3");
         let msg = err.to_string();
-        for (name, _) in SCENARIOS {
+        for name in scenario_names("quick") {
             assert!(msg.contains(name), "error must list {name}: {msg}");
         }
-        assert_eq!(select("").unwrap_err().name, "");
-        assert_eq!(select("fig1,").unwrap_err().name, "");
+        assert_eq!(select("quick", "").unwrap_err().name, "");
+        assert_eq!(select("quick", "fig1,").unwrap_err().name, "");
     }
 
     #[test]
@@ -356,6 +366,27 @@ mod tests {
             for (label, _) in LABELS {
                 assert!(msg.contains(label), "error must list {label}: {msg}");
             }
+        }
+    }
+
+    #[test]
+    fn select_rejects_a_scenario_its_label_does_not_run() {
+        // `--label apps --only fig1` would stamp `apps` on a fig1 record;
+        // `--only apps` alone would write an apps run to BENCH_quick.json.
+        for (label, only) in [
+            ("apps", "fig1"),
+            ("quick", "apps"),
+            ("elastic", "apps,elastic"),
+        ] {
+            let err = select(label, only).unwrap_err();
+            assert_eq!(err.label, label);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("{label:?}")), "{msg}");
+            assert!(msg.contains(&format!("{:?}", err.name)), "{msg}");
+            assert!(
+                msg.contains(&scenario_names(label).join(", ")),
+                "error must list the label's scenarios: {msg}"
+            );
         }
     }
 

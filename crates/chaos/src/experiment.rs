@@ -41,6 +41,16 @@ use crate::plan::FaultPlan;
 /// The KService chaos workflows invoke for their serverless tasks.
 pub const SERVICE: &str = "chaos-fn";
 
+/// Every n-th task of a chain invokes the Knative function instead of
+/// running natively.
+const SERVERLESS_EVERY: usize = 4;
+/// Nominal per-task compute.
+pub const TASK_COMPUTE: SimDuration = SimDuration::from_secs(2);
+/// DAGMan retries per node.
+const NODE_RETRIES: u32 = 4;
+/// Per-workflow liveness deadline; exceeding it is a typed failure.
+const DEADLINE: SimDuration = SimDuration::from_secs(3600);
+
 /// Shape of one chaos experiment run.
 #[derive(Clone, Debug)]
 pub struct ChaosRunConfig {
@@ -48,15 +58,6 @@ pub struct ChaosRunConfig {
     pub workflows: usize,
     /// Tasks per chain.
     pub tasks_per_workflow: usize,
-    /// Every n-th task invokes the Knative function instead of running
-    /// natively (0 = all-native).
-    pub serverless_every: usize,
-    /// Nominal per-task compute.
-    pub task_secs: f64,
-    /// DAGMan retries per node.
-    pub node_retries: u32,
-    /// Per-workflow liveness deadline; exceeding it is a typed failure.
-    pub deadline: SimDuration,
     /// Root seed: drives the testbed, the disruptor coin flips, and the
     /// router's retry jitter.
     pub seed: u64,
@@ -77,10 +78,6 @@ impl ChaosRunConfig {
         ChaosRunConfig {
             workflows: 3,
             tasks_per_workflow: 4,
-            serverless_every: 4,
-            task_secs: 2.0,
-            node_retries: 4,
-            deadline: secs(3600.0),
             seed,
             rescue: false,
             max_rescue_rounds: 0,
@@ -293,22 +290,19 @@ pub fn run_chaos_with(
         setup(&bed);
         let disruptor = Disruptor::new(cfg.seed);
 
-        if cfg.serverless_every > 0 {
-            let task = SimDuration::from_secs_f64(cfg.task_secs);
-            let d = disruptor.clone();
-            bed.knative.register_fn(
-                KService::new(SERVICE, bed.image.clone()).with_min_scale(1),
-                move |req| {
-                    let body = req.body.clone();
-                    let dur = d.scale_compute(task);
-                    Workload::new(dur, move || Ok(body))
-                },
-            );
-            bed.knative
-                .wait_ready(SERVICE, 1, secs(3600.0))
-                .await
-                .map_err(|e| format!("chaos harness: {SERVICE} never became ready: {e}"))?;
-        }
+        let d = disruptor.clone();
+        bed.knative.register_fn(
+            KService::new(SERVICE, bed.image.clone()).with_min_scale(1),
+            move |req| {
+                let body = req.body.clone();
+                let dur = d.scale_compute(TASK_COMPUTE);
+                Workload::new(dur, move || Ok(body))
+            },
+        );
+        bed.knative
+            .wait_ready(SERVICE, 1, secs(3600.0))
+            .await
+            .map_err(|e| format!("chaos harness: {SERVICE} never became ready: {e}"))?;
 
         let t0 = now();
         let injector = Injector::new(plan.clone());
@@ -323,14 +317,13 @@ pub fn run_chaos_with(
             let dag = build_chain(&cfg, w, &bed, &disruptor, &execs)?;
             let condor = bed.condor.clone();
             let dagman = config.dagman;
-            let deadline = cfg.deadline;
             let max_rounds = cfg.max_rescue_rounds;
             // Deterministic stagger stands in for the zeroed phase jitter.
             let stagger = SimDuration::from_secs_f64(0.25 * w as f64);
             handles.push(spawn(async move {
                 sleep(stagger).await;
                 let run = run_workflow(condor, dag, dagman, max_rounds, execs);
-                let (outcome, stats) = match timeout(deadline, run).await {
+                let (outcome, stats) = match timeout(DEADLINE, run).await {
                     Ok(pair) => pair,
                     Err(Elapsed) => (
                         WorkflowOutcome::Failed {
@@ -494,7 +487,7 @@ async fn run_workflow(
 }
 
 /// One workflow: a sequential chain of `tasks_per_workflow` tasks, every
-/// `serverless_every`-th one invoking the Knative function from the node
+/// [`SERVERLESS_EVERY`]-th one invoking the Knative function from the node
 /// the wrapper job landed on, the rest computing natively. Every task
 /// consults the disruptor.
 fn build_chain(
@@ -504,11 +497,10 @@ fn build_chain(
     disruptor: &Disruptor,
     execs: &Rc<RefCell<BTreeMap<String, u64>>>,
 ) -> Result<DagSpec, String> {
-    let base = SimDuration::from_secs_f64(cfg.task_secs);
     let mut dag = DagSpec::named(format!("chaos-wf{w}"));
     let mut prev: Option<usize> = None;
     for t in 0..cfg.tasks_per_workflow {
-        let serverless = cfg.serverless_every > 0 && (t + 1) % cfg.serverless_every == 0;
+        let serverless = (t + 1) % SERVERLESS_EVERY == 0;
         let name = format!("wf{w}-t{t}");
         let job = if serverless {
             let kn = bed.knative.clone();
@@ -545,12 +537,12 @@ fn build_chain(
                     if d.should_fail() {
                         return Err("chaos: injected task failure".to_string());
                     }
-                    ctx.compute(d.scale_compute(base)).await;
+                    ctx.compute(d.scale_compute(TASK_COMPUTE)).await;
                     Ok(Bytes::from_static(b"ok"))
                 })
             })
         };
-        let idx = dag.add_node_with_retries(name, job, cfg.node_retries);
+        let idx = dag.add_node_with_retries(name, job, NODE_RETRIES);
         if let Some(p) = prev {
             dag.add_edge(p, idx).map_err(|e| e.to_string())?;
         }

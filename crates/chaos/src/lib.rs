@@ -42,7 +42,7 @@ pub mod profile;
 
 pub use experiment::{
     experiment_config, run_chaos, run_chaos_with, ChaosOutcome, ChaosRunConfig, GoodputReport,
-    WorkflowOutcome, SERVICE,
+    WorkflowOutcome, SERVICE, TASK_COMPUTE,
 };
 pub use inject::{Disruptor, Injector, Stack};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};

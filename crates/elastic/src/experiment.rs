@@ -4,9 +4,9 @@
 //! [`run_elastic`] wraps [`swf_chaos::run_chaos_with`]: same testbed,
 //! same workflow chains, same injector — plus, through the setup hook, a
 //! [`PoolAutoscaler`] over the spot pool and a [`CostLedger`] billing
-//! every pooled node. With `autoscale` off and an all-on-demand pool set,
-//! the run is the plain chaos run plus passive billing: same fingerprint,
-//! same outcomes.
+//! every pooled node. With an all-on-demand pool set there is nothing to
+//! scale, and the run is the plain chaos run plus passive billing: same
+//! fingerprint, same outcomes.
 
 use swf_chaos::{ChaosOutcome, ChaosProfile, ChaosRunConfig, FaultPlan};
 use swf_cluster::NodeId;
@@ -21,14 +21,11 @@ use crate::pool::PoolSet;
 pub struct ElasticRunConfig {
     /// The underlying chaos-run shape (workflows, tasks, rescue budget).
     pub chaos: ChaosRunConfig,
-    /// Which workers exist at which price class.
+    /// Which workers exist at which price class. A [`PoolAutoscaler`]
+    /// runs over the spot pool when there is one (spot capacity then
+    /// starts scaled in and grows on demand); without spot workers this
+    /// is the static cluster the chaos suite has always run.
     pub pools: PoolSet,
-    /// Prices.
-    pub model: CostModel,
-    /// Spawn the [`PoolAutoscaler`] over the spot pool (spot capacity
-    /// then starts scaled in and grows on demand). Off = the static
-    /// cluster the chaos suite has always run.
-    pub autoscale: bool,
 }
 
 impl ElasticRunConfig {
@@ -42,17 +39,14 @@ impl ElasticRunConfig {
         ElasticRunConfig {
             chaos,
             pools: PoolSet::split(vec![1], vec![2, 3]),
-            model: CostModel::default(),
-            autoscale: true,
         }
     }
 
-    /// The static baseline: every worker on-demand, no autoscaling —
+    /// The static baseline: every worker on-demand, so no autoscaling —
     /// the pre-elastic cluster with a price tag attached.
     pub fn static_cluster(seed: u64) -> ElasticRunConfig {
         let mut c = ElasticRunConfig::burst(seed);
         c.pools = PoolSet::all_on_demand(&[1, 2, 3]);
-        c.autoscale = false;
         c
     }
 }
@@ -120,23 +114,23 @@ impl ElasticOutcome {
 /// Run one elastic experiment. `Err` only on harness setup failure, as
 /// with [`swf_chaos::run_chaos`].
 pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOutcome, String> {
-    let ledger = CostLedger::new(cfg.pools.clone(), cfg.model);
+    let ledger = CostLedger::new(cfg.pools.clone(), CostModel::default());
     let hook_ledger = ledger.clone();
     let pools = cfg.pools.clone();
     let hook_plan = plan.clone();
-    let autoscale = cfg.autoscale;
     let chaos = swf_chaos::run_chaos_with(&cfg.chaos, plan, move |bed| {
         hook_ledger.open_all();
         swf_simcore::spawn(hook_ledger.clone().track_plan(hook_plan));
         let spot: Vec<NodeId> = pools.spot_nodes().into_iter().map(NodeId).collect();
-        if autoscale && !spot.is_empty() {
+        if !spot.is_empty() {
             let api = bed.k8s.api().clone();
             let scaler = PoolAutoscaler::new(bed.condor.clone(), api, spot, hook_ledger);
             swf_simcore::spawn(scaler.run());
         }
     })?;
-    let useful_task_s =
-        chaos.completed() as f64 * cfg.chaos.tasks_per_workflow as f64 * cfg.chaos.task_secs;
+    let useful_task_s = chaos.completed() as f64
+        * cfg.chaos.tasks_per_workflow as f64
+        * swf_chaos::TASK_COMPUTE.as_secs_f64();
     let cost = ledger.report_at(chaos.settled_at);
     let perf_per_dollar = cost.perf_per_dollar(useful_task_s);
     Ok(ElasticOutcome {

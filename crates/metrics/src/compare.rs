@@ -1,20 +1,19 @@
-//! Benchmark-run comparison: the perf-regression gate.
+//! Benchmark-run comparison: the exact gate.
 //!
 //! [`compare`] takes two `BENCH_*.json` documents (see `swf-bench`'s
-//! `suite` binary) and classifies every difference:
+//! `suite` binary) and reports every difference as **drift**: a leaf
+//! differs *bitwise*, or the structure around it does. That covers every
+//! section alike — `virtual`, `obs`, `slo`, `cost`, and the executor
+//! counts under `host`. The simulation is deterministic, so a changed
+//! leaf means the model or the engine's work changed; drift is always an
+//! error regardless of direction or magnitude, and a PR that means it
+//! re-blesses the baseline.
 //!
-//! - **Drift** — a virtual-time field differs *bitwise* (the `virtual`,
-//!   `obs`, `slo`, and `cost` sections, plus document structure). The
-//!   simulation is deterministic, so any such change means model behaviour
-//!   changed; drift is always an error regardless of direction or magnitude.
-//! - **Regression** / **Improvement** — a host-side wall-clock metric
-//!   (`wall_ms` lower-is-better, `events_per_sec` higher-is-better)
-//!   moved beyond the noise threshold. These never gate by default:
-//!   shared CI runners are noisy, so callers opt in via
-//!   [`CompareReport::exit_code`]'s `fail_on_regression`.
-//! - **Info** — a deterministic host-side counter (polls, spawns, peak
-//!   queue depth …) changed. Engine refactors legitimately change these
-//!   without touching virtual results, so they are report-only.
+//! No workspace binary writes a clock reading into a document. For the
+//! ones that come from elsewhere carrying `host.wall_ms` (lower is
+//! better) or `host.events_per_sec` (higher is better), those two leaves
+//! alone are judged against the `noise` threshold and reported as
+//! **regression** / **improvement**, which never fail the comparison.
 //!
 //! Bitwise comparison leans on the vendored `serde_json` serializer
 //! being exact-roundtrip for `f64`: two numbers render to the same text
@@ -28,14 +27,12 @@ use serde_json::Value;
 /// Classification of one observed difference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeltaClass {
-    /// Virtual-time or structural difference — always an error.
+    /// An exact leaf or the document structure differs — always an error.
     Drift,
-    /// Host-side metric got worse beyond the noise threshold.
+    /// A wall-clock leaf got worse beyond the noise threshold.
     Regression,
-    /// Host-side metric got better beyond the noise threshold.
+    /// A wall-clock leaf got better beyond the noise threshold.
     Improvement,
-    /// Deterministic host counter changed — report-only.
-    Info,
 }
 
 impl DeltaClass {
@@ -45,7 +42,6 @@ impl DeltaClass {
             DeltaClass::Drift => "drift",
             DeltaClass::Regression => "regression",
             DeltaClass::Improvement => "improvement",
-            DeltaClass::Info => "info",
         }
     }
 }
@@ -72,33 +68,19 @@ pub struct CompareReport {
     pub deltas: Vec<Delta>,
     /// Scenarios present in both documents.
     pub scenarios_compared: usize,
-    /// Virtual-time leaves compared bitwise.
+    /// Leaves compared bitwise: every one but the two wall-clock leaves.
     pub virtual_leaves: usize,
 }
 
 impl CompareReport {
-    /// True if any virtual-time field drifted.
+    /// True if any exact leaf drifted.
     pub fn has_drift(&self) -> bool {
         self.deltas.iter().any(|d| d.class == DeltaClass::Drift)
     }
 
-    /// True if any host metric regressed beyond the noise threshold.
-    pub fn has_regression(&self) -> bool {
-        self.deltas
-            .iter()
-            .any(|d| d.class == DeltaClass::Regression)
-    }
-
-    /// Process exit code: 1 for drift (always fatal), 2 for regression
-    /// when `fail_on_regression`, otherwise 0.
-    pub fn exit_code(&self, fail_on_regression: bool) -> i32 {
-        if self.has_drift() {
-            1
-        } else if fail_on_regression && self.has_regression() {
-            2
-        } else {
-            0
-        }
+    /// Process exit code: 1 for drift, otherwise 0.
+    pub fn exit_code(&self) -> i32 {
+        i32::from(self.has_drift())
     }
 
     /// Render the comparison as a table plus a one-line verdict.
@@ -107,7 +89,7 @@ impl CompareReport {
         if self.deltas.is_empty() {
             let _ = writeln!(
                 out,
-                "identical: {} scenarios, {} virtual-time leaves compared bitwise",
+                "identical: {} scenarios, {} leaves compared bitwise",
                 self.scenarios_compared, self.virtual_leaves
             );
             return out;
@@ -138,11 +120,10 @@ impl CompareReport {
         let count = |class: DeltaClass| self.deltas.iter().filter(|d| d.class == class).count();
         let _ = writeln!(
             out,
-            "{} drift, {} regression, {} improvement, {} info over {} scenarios ({} virtual leaves)",
+            "{} drift, {} regression, {} improvement over {} scenarios ({} exact leaves)",
             count(DeltaClass::Drift),
             count(DeltaClass::Regression),
             count(DeltaClass::Improvement),
-            count(DeltaClass::Info),
             self.scenarios_compared,
             self.virtual_leaves
         );
@@ -150,8 +131,8 @@ impl CompareReport {
     }
 }
 
-/// Host metrics compared against the noise threshold, with direction.
-/// `true` = higher is better.
+/// The `host` leaves compared against the noise threshold, with
+/// direction. `true` = higher is better.
 const NOISY_HOST_METRICS: &[(&str, bool)] = &[("wall_ms", false), ("events_per_sec", true)];
 
 /// Compare two benchmark documents; `noise` is the relative threshold
@@ -189,10 +170,8 @@ pub fn compare(old: &Value, new: &Value, noise: f64) -> CompareReport {
         match (old_scen.get(name), new_scen.get(name)) {
             (Some(o), Some(n)) => {
                 report.scenarios_compared += 1;
-                // Virtual-time sections: bitwise (`slo` and `cost` are
-                // pure functions of virtual results, so they get the
-                // same treatment; scenarios without a `cost` section
-                // compare Null against Null).
+                // Scenarios without a `cost` section compare Null
+                // against Null.
                 for section in ["virtual", "obs", "slo", "cost"] {
                     let path = format!("{name}.{section}");
                     diff_bitwise(
@@ -202,7 +181,6 @@ pub fn compare(old: &Value, new: &Value, noise: f64) -> CompareReport {
                         &mut report,
                     );
                 }
-                // Host section: thresholded metrics + info counters.
                 compare_host(
                     name,
                     o.get("host").unwrap_or(&Value::Null),
@@ -248,8 +226,8 @@ fn push_drift(report: &mut CompareReport, path: &str, old: &str, new: &str, note
     });
 }
 
-/// Recursive bitwise diff of a virtual-time subtree. Leaf text equality
-/// under the deterministic serializer is bit equality (see module docs).
+/// Recursive bitwise diff of a subtree. Leaf text equality under the
+/// deterministic serializer is bit equality (see module docs).
 fn diff_bitwise(path: &str, old: &Value, new: &Value, report: &mut CompareReport) {
     match (old, new) {
         (Value::Object(o), Value::Object(n)) => {
@@ -296,19 +274,16 @@ fn diff_bitwise(path: &str, old: &Value, new: &Value, report: &mut CompareReport
             report.virtual_leaves += 1;
             let (o, n) = (old.to_string(), new.to_string());
             if o != n {
-                push_drift(report, path, &o, &n, "virtual-time value changed");
+                push_drift(report, path, &o, &n, "value changed");
             }
         }
     }
 }
 
-/// Compare one scenario's (or the aggregate's) host section.
+/// Compare one scenario's (or the aggregate's) host section: the two
+/// wall-clock leaves against the noise threshold, everything else — the
+/// executor counts — bitwise, like any other section.
 fn compare_host(scope: &str, old: &Value, new: &Value, noise: f64, report: &mut CompareReport) {
-    if matches!(old, Value::Null) && matches!(new, Value::Null) {
-        return;
-    }
-    // Thresholded wall-clock metrics — skipped when either side is
-    // null/absent (default builds have no wall clock).
     for &(metric, higher_is_better) in NOISY_HOST_METRICS {
         let o = old.get(metric).and_then(Value::as_f64);
         let n = new.get(metric).and_then(Value::as_f64);
@@ -337,24 +312,17 @@ fn compare_host(scope: &str, old: &Value, new: &Value, noise: f64, report: &mut 
             note: format!("{:+.1}% (noise {:.0}%)", rel * 100.0, noise * 100.0),
         });
     }
-    // Deterministic counters — any change is report-only info.
-    if let (Some(o), Some(n)) = (old.as_object(), new.as_object()) {
-        for (k, ov) in o.iter() {
-            if NOISY_HOST_METRICS.iter().any(|&(m, _)| m == k) {
-                continue;
-            }
-            let Some(nv) = n.get(k) else { continue };
-            if ov != nv {
-                report.deltas.push(Delta {
-                    path: format!("{scope}.host.{k}"),
-                    class: DeltaClass::Info,
-                    old: ov.to_string(),
-                    new: nv.to_string(),
-                    note: "host counter changed (report-only)".to_string(),
-                });
-            }
-        }
-    }
+    let exact = |host: &Value| match host.as_object() {
+        Some(fields) => Value::Object(
+            fields
+                .iter()
+                .filter(|(k, _)| !NOISY_HOST_METRICS.iter().any(|&(m, _)| m == *k))
+                .map(|(k, v)| (k.clone(), v.clone()))
+                .collect(),
+        ),
+        None => host.clone(),
+    };
+    diff_bitwise(&format!("{scope}.host"), &exact(old), &exact(new), report);
 }
 
 #[cfg(test)]
@@ -389,7 +357,7 @@ mod tests {
         assert!(report.deltas.is_empty(), "{:?}", report.deltas);
         assert_eq!(report.scenarios_compared, 1);
         assert!(report.virtual_leaves >= 4);
-        assert_eq!(report.exit_code(true), 0);
+        assert_eq!(report.exit_code(), 0);
         assert!(report.render().contains("identical"));
     }
 
@@ -397,7 +365,7 @@ mod tests {
     fn virtual_change_is_drift_and_fatal() {
         let report = compare(&doc(12.5, None, 400), &doc(12.6, None, 400), 0.10);
         assert!(report.has_drift());
-        assert_eq!(report.exit_code(false), 1);
+        assert_eq!(report.exit_code(), 1);
         let d = &report.deltas[0];
         assert_eq!(d.class, DeltaClass::Drift);
         assert!(d.path.contains("fig1.virtual"), "{}", d.path);
@@ -414,16 +382,17 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_worse_is_regression_only_when_opted_in() {
+    fn wall_clock_worse_is_a_regression_and_not_drift() {
         let report = compare(
             &doc(12.5, Some(100.0), 400),
             &doc(12.5, Some(130.0), 400),
             0.10,
         );
-        assert!(!report.has_drift());
-        assert!(report.has_regression());
-        assert_eq!(report.exit_code(false), 0);
-        assert_eq!(report.exit_code(true), 2);
+        assert!(!report.deltas.is_empty());
+        for d in &report.deltas {
+            assert_eq!(d.class, DeltaClass::Regression, "{d:?}");
+        }
+        assert_eq!(report.exit_code(), 0);
     }
 
     #[test]
@@ -433,12 +402,11 @@ mod tests {
             &doc(12.5, Some(70.0), 400),
             0.10,
         );
-        assert!(!report.has_regression());
-        assert!(report
-            .deltas
-            .iter()
-            .any(|d| d.class == DeltaClass::Improvement));
-        assert_eq!(report.exit_code(true), 0);
+        assert!(!report.deltas.is_empty());
+        for d in &report.deltas {
+            assert_eq!(d.class, DeltaClass::Improvement, "{d:?}");
+        }
+        assert_eq!(report.exit_code(), 0);
     }
 
     #[test]
@@ -453,18 +421,45 @@ mod tests {
 
     #[test]
     fn null_wall_clock_is_skipped() {
-        // Default builds have no wall clock: nothing to threshold.
+        // The documents the suite writes have no wall clock: nothing to
+        // threshold.
         let report = compare(&doc(12.5, None, 400), &doc(12.5, None, 400), 0.10);
         assert!(report.deltas.is_empty(), "{:?}", report.deltas);
     }
 
     #[test]
-    fn counter_change_is_report_only_info() {
+    fn counter_change_is_drift() {
         let report = compare(&doc(12.5, None, 400), &doc(12.5, None, 380), 0.10);
-        assert!(!report.has_drift());
-        assert!(report.deltas.iter().all(|d| d.class == DeltaClass::Info));
-        assert!(!report.deltas.is_empty());
-        assert_eq!(report.exit_code(true), 0);
+        let paths: Vec<&str> = report.deltas.iter().map(|d| d.path.as_str()).collect();
+        assert_eq!(paths, ["fig1.host.polls", "total.host.polls"]);
+        for d in &report.deltas {
+            assert_eq!(d.class, DeltaClass::Drift, "{d:?}");
+        }
+        assert_eq!(report.exit_code(), 1);
+    }
+
+    #[test]
+    fn one_sided_counter_is_drift_in_both_directions() {
+        let with = doc(12.5, Some(100.0), 400);
+        let mut without = with.clone();
+        if let Some(Value::Object(host)) = without
+            .get_mut("scenarios")
+            .and_then(|s| s.get_mut("fig1"))
+            .and_then(|f| f.get_mut("host"))
+        {
+            host.remove("polls");
+        }
+        for (old, new, note) in [
+            (&with, &without, "field removed"),
+            (&without, &with, "field added"),
+        ] {
+            let report = compare(old, new, 0.10);
+            assert_eq!(report.deltas.len(), 1, "{:?}", report.deltas);
+            let d = &report.deltas[0];
+            assert_eq!(d.path, "fig1.host.polls");
+            assert_eq!((d.class, d.note.as_str()), (DeltaClass::Drift, note));
+            assert_eq!(report.exit_code(), 1);
+        }
     }
 
     #[test]

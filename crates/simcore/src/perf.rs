@@ -1,27 +1,18 @@
 //! Self-profiling of the simulation engine itself.
 //!
 //! Everything else in this crate observes *virtual* time; this module
-//! observes the **host-side cost of simulating**: how many executor
-//! events (task polls, spawns, wakes, timers) a run processed, how deep
-//! the ready queue got, and — behind the `host-profiling` feature — how
-//! much wall-clock time a scenario took. The counters feed the
-//! `swf-bench` suite's `BENCH_*.json` host profile, which is what lets a
-//! later PR distinguish a *correctness drift* (virtual results changed)
-//! from a *performance regression* (the simulator got slower).
+//! counts the **work the executor did to simulate it**: how many task
+//! polls, spawns, wakes and timers a run processed and how deep the ready
+//! queue got. The counters feed the `host` sections of the `swf-bench`
+//! suite's `BENCH_*.json` documents, where `suite compare` holds them to
+//! the same rule as every virtual result: any difference is drift.
 //!
-//! Two invariants keep this sound:
-//!
-//! 1. **Profiling never feeds back into the simulation.** The counters
-//!    are write-only from the executor's point of view; no model code
-//!    reads them, so enabling profiling cannot change virtual-time
-//!    results. All event counts are pure functions of the program and
-//!    its seeds and are therefore themselves deterministic.
-//! 2. **Wall-clock is quarantined.** `std::time::Instant::now` is called
-//!    only inside a `#[cfg(feature = "host-profiling")]` item under a
-//!    reasoned `#[allow(clippy::disallowed_methods)]` (the ban itself is
-//!    in the root `clippy.toml`), and [`HostStopwatch::elapsed_ms`]
-//!    returns `Option<f64>` — `None` without the feature — so callers
-//!    cannot accidentally treat wall time as a simulation result.
+//! That rule is sound because the counters are write-only from the
+//! executor's point of view — no model code reads them, so they cannot
+//! change virtual-time results — and every count is a pure function of
+//! the program and its seeds. How *fast* the simulator runs is a
+//! wall-clock question, and no simulation crate reads the host clock: it
+//! belongs to the `benchmark/` package (DESIGN.md §4).
 //!
 //! Counters are accumulated per thread (the executor is single-threaded
 //! per simulation), cumulatively across every [`crate::Sim`] that runs
@@ -56,8 +47,7 @@ pub struct ExecProfile {
 }
 
 impl ExecProfile {
-    /// Events processed: the total of polls, wakes and timer fires —
-    /// the engine-throughput numerator used for events/sec.
+    /// Events processed: the total of polls, wakes and timer fires.
     pub fn events(&self) -> u64 {
         self.polls + self.wakes + self.timers_fired
     }
@@ -145,60 +135,6 @@ pub(crate) fn note_clock_advance() {
     TOTALS.with(|t| t.clock_advances.set(t.clock_advances.get() + 1));
 }
 
-// Wall-clock lives ONLY here, feature-gated: host-side profiling of the
-// simulator's own speed. It is never observable from model code and
-// never influences virtual time (DESIGN.md "Determinism contract").
-#[cfg(feature = "host-profiling")]
-use std::time::Instant;
-
-/// Wall-clock stopwatch for host-side profiling of the simulator.
-///
-/// Without the `host-profiling` feature this is a zero-sized no-op whose
-/// [`elapsed_ms`](HostStopwatch::elapsed_ms) is always `None`, so wall
-/// time can never masquerade as a result in default builds.
-#[derive(Clone, Copy, Debug)]
-pub struct HostStopwatch {
-    #[cfg(feature = "host-profiling")]
-    started: Instant,
-}
-
-impl HostStopwatch {
-    /// Start timing now (a no-op without `host-profiling`).
-    pub fn start() -> HostStopwatch {
-        HostStopwatch {
-            #[cfg(feature = "host-profiling")]
-            #[allow(
-                clippy::disallowed_methods,
-                reason = "host-profiling stopwatch measuring how fast the DES itself runs; \
-                          Option-typed, cfg-gated, its reading never feeds back into virtual time"
-            )]
-            started: Instant::now(),
-        }
-    }
-
-    /// Milliseconds of wall-clock time since [`start`](Self::start), or
-    /// `None` when the `host-profiling` feature is disabled.
-    pub fn elapsed_ms(&self) -> Option<f64> {
-        #[cfg(feature = "host-profiling")]
-        {
-            Some(self.started.elapsed().as_secs_f64() * 1e3)
-        }
-        #[cfg(not(feature = "host-profiling"))]
-        {
-            None
-        }
-    }
-}
-
-/// Engine throughput in events per second, if wall time is available
-/// and non-zero.
-pub fn events_per_sec(events: u64, wall_ms: Option<f64>) -> Option<f64> {
-    match wall_ms {
-        Some(ms) if ms > 0.0 => Some(events as f64 / (ms / 1e3)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,18 +217,5 @@ mod tests {
         assert!(snapshot().ready_peak > 0);
         reset_ready_peak();
         assert_eq!(snapshot().ready_peak, 0);
-    }
-
-    #[test]
-    fn stopwatch_is_option_typed() {
-        let sw = HostStopwatch::start();
-        let ms = sw.elapsed_ms();
-        #[cfg(feature = "host-profiling")]
-        assert!(ms.is_some());
-        #[cfg(not(feature = "host-profiling"))]
-        assert!(ms.is_none());
-        assert_eq!(events_per_sec(1000, None), None);
-        assert_eq!(events_per_sec(1000, Some(0.0)), None);
-        assert_eq!(events_per_sec(1000, Some(500.0)), Some(2000.0));
     }
 }

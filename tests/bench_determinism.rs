@@ -1,8 +1,9 @@
 //! The benchmark suite is a pure function of its inputs: two quick-suite
-//! runs in the same process must produce bitwise-identical virtual-time
-//! and observability sections, `swf_metrics::compare` must report
-//! neither drift nor regression between them, and a `--only` selection
-//! must reproduce its scenarios exactly as the full run records them.
+//! runs in the same process must produce byte-identical documents —
+//! virtual results, observability snapshots and executor counts alike —
+//! `swf_metrics::compare` must report no drift between them, and a
+//! `--only` selection must reproduce its scenarios exactly as the full run
+//! records them.
 
 use swf_bench::suite::{scenario_names, select, SuiteRun};
 
@@ -11,50 +12,29 @@ fn run_suite(label: &str) -> SuiteRun {
     swf_bench::suite::run_suite(label, true, &scenario_names(label), |_| {})
 }
 
-/// Strip the host section (the only legitimately run-dependent part:
-/// wall-clock under `host-profiling`) so the rest can be compared as text.
-fn deterministic_sections(doc: &serde_json::Value) -> String {
-    let mut doc = doc.clone();
-    if let Some(obj) = doc.as_object_mut() {
-        obj.remove("host");
-        if let Some(scenarios) = obj.get_mut("scenarios").and_then(|s| s.as_object_mut()) {
-            let names: Vec<String> = scenarios.iter().map(|(k, _)| k.clone()).collect();
-            for name in names {
-                if let Some(s) = scenarios.get_mut(&name).and_then(|s| s.as_object_mut()) {
-                    s.remove("host");
-                }
-            }
-        }
-    }
-    doc.to_string()
-}
-
 #[test]
 fn quick_suite_is_bitwise_deterministic() {
     let first = run_suite("determinism");
     let second = run_suite("determinism");
 
-    // Virtual + obs sections must be byte-identical across runs. The
-    // serializer renders f64 leaves exactly, so text equality here is bit
-    // equality of every simulated number.
+    // The whole document, nothing stripped, must be byte-identical across
+    // runs. The serializer renders f64 leaves exactly, so text equality
+    // here is bit equality of every simulated number and every count.
     assert_eq!(
-        deterministic_sections(&first.document),
-        deterministic_sections(&second.document),
-        "two quick-suite runs disagreed in their virtual/obs sections"
+        first.document.to_string(),
+        second.document.to_string(),
+        "two quick-suite runs wrote different documents"
     );
 
-    // The perf gate must agree: no drift, no regression, clean exit.
+    // The gate must agree: no drift, clean exit.
     let report = swf_metrics::compare(&first.document, &second.document, 0.10);
     assert!(
         !report.has_drift(),
         "compare reported drift between identical runs:\n{}",
         report.render()
     );
-    assert!(
-        report.virtual_leaves > 0,
-        "compare walked no virtual leaves"
-    );
-    assert_eq!(report.exit_code(false), 0);
+    assert!(report.virtual_leaves > 0, "compare walked no leaves");
+    assert_eq!(report.exit_code(), 0);
 
     // Sanity: the document carries all six scenarios with all four
     // sections each.
@@ -92,7 +72,7 @@ fn quick_suite_is_bitwise_deterministic() {
 fn selected_scenarios_match_the_full_run_in_table_order() {
     let full = run_suite("selection");
     // `--only coldstart,fig2`: given out of table order on purpose.
-    let names = select("coldstart,fig2").expect("both names are in the table");
+    let names = select("selection", "coldstart,fig2").expect("both names are in the table");
     let mut started = Vec::new();
     let part = swf_bench::suite::run_suite("selection", true, &names, |name| {
         started.push(name.to_string());
@@ -108,20 +88,13 @@ fn selected_scenarios_match_the_full_run_in_table_order() {
         .as_object()
         .expect("scenarios object");
     assert_eq!(scenarios.len(), 2, "only the selected rows are recorded");
-    // A scenario's sections do not depend on which other rows ran: each
-    // selected entry is byte-identical to the full run's entry.
-    let sections = |run: &SuiteRun, name: &str| {
-        let mut scenario = run.document["scenarios"][name].clone();
-        scenario
-            .as_object_mut()
-            .expect("scenario object")
-            .remove("host");
-        scenario.to_string()
-    };
+    // A scenario's entry does not depend on which other rows ran: each
+    // selected entry, `host` counts included, is byte-identical to the
+    // full run's entry.
     for name in ["fig2", "coldstart"] {
         assert_eq!(
-            sections(&part, name),
-            sections(&full, name),
+            part.document["scenarios"][name].to_string(),
+            full.document["scenarios"][name].to_string(),
             "scenario {name} differs between the selection and the full run"
         );
     }
@@ -140,7 +113,7 @@ fn compare_flags_injected_slo_drift() {
     slo.insert("spec", serde_json::Value::Null);
     let report = swf_metrics::compare(&run.document, &tampered, 0.10);
     assert!(report.has_drift(), "injected slo change not flagged");
-    assert_eq!(report.exit_code(false), 1);
+    assert_eq!(report.exit_code(), 1);
 }
 
 #[test]
@@ -159,5 +132,5 @@ fn compare_flags_injected_virtual_drift() {
     row.insert("docker_total", serde_json::Value::from(1.0e9));
     let report = swf_metrics::compare(&run.document, &tampered, 0.10);
     assert!(report.has_drift(), "injected virtual change not flagged");
-    assert_eq!(report.exit_code(false), 1);
+    assert_eq!(report.exit_code(), 1);
 }
