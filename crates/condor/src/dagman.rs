@@ -328,7 +328,6 @@ pub async fn run_dag_resumable(
         .collect();
     let mut results: BTreeMap<String, JobResult> = BTreeMap::new();
     let mut done = 0usize;
-    let mut in_flight = 0usize;
     let mut jobs_submitted = 0u32;
     let mut wasted = SimDuration::ZERO;
     // Per-node (attempts, last_error) of nodes that exhausted their retries.
@@ -365,17 +364,28 @@ pub async fn run_dag_resumable(
         obs.observe("dagman.salvaged_task_s", salvaged.as_secs_f64());
     }
 
+    // Two indexes over `states`, so a tick costs what it touches and not
+    // the DAG's width: `ready` holds the nodes a submit scan may pick
+    // (`Ready`, and `Backoff` until it is due), `in_flight` the `Submitted`
+    // ones. Both must stay in node order: a walk then visits nodes as a
+    // scan of all of them would, so submissions, job ids, spans and RNG
+    // draws come in the same order.
+    let mut ready: Vec<usize> = (0..dag.nodes.len())
+        .filter(|&i| matches!(states[i], NodeState::Ready))
+        .collect();
+    let mut in_flight: Vec<usize> = Vec::new();
+
     while done < dag.nodes.len() {
         // Submit every ready node — and every node whose backoff expired —
         // within the throttle.
-        for i in 0..dag.nodes.len() {
+        ready.retain(|&i| {
             let attempt = match states[i] {
                 NodeState::Ready => 0,
                 NodeState::Backoff { until, attempt } if now() >= until => attempt,
-                _ => continue,
+                _ => return true,
             };
-            if config.max_jobs != 0 && in_flight >= config.max_jobs {
-                continue;
+            if config.max_jobs != 0 && in_flight.len() >= config.max_jobs {
+                return true;
             }
             if attempt == 0 {
                 // First submission opens the node span; resubmissions reuse
@@ -389,9 +399,10 @@ pub async fn run_dag_resumable(
             }
             let id = condor.submit(dag.nodes[i].job.clone().with_span(node_spans[i]));
             jobs_submitted += 1;
-            in_flight += 1;
+            insert_sorted(&mut in_flight, i);
             states[i] = NodeState::Submitted { id, attempt };
-        }
+            false
+        });
         let poll = if config.poll_jitter_cv > 0.0 {
             SimDuration::from_secs_f64(
                 poll_rng.lognormal(config.poll_interval.as_secs_f64(), config.poll_jitter_cv),
@@ -401,32 +412,45 @@ pub async fn run_dag_resumable(
         };
         sleep(poll).await;
         // Poll submitted nodes.
-        for i in 0..dag.nodes.len() {
+        let mut k = 0;
+        while let Some(&i) = in_flight.get(k) {
             let NodeState::Submitted { id, attempt } = states[i] else {
+                k += 1;
                 continue;
             };
-            let JobStatus::Completed(result) = condor.status(id)? else {
-                continue;
+            let result = match condor.status(id)? {
+                JobStatus::Completed(result) => Some(result),
+                // A removed node job (`condor_rm`) is a failed attempt
+                // that never ran, as it is to HTCondor's DAGMan.
+                JobStatus::Removed => None,
+                JobStatus::Idle | JobStatus::Running(_) => {
+                    k += 1;
+                    continue;
+                }
             };
-            in_flight -= 1;
-            if result.success {
-                obs.end(node_spans[i]);
-                results.insert(dag.nodes[i].name.clone(), result);
-                states[i] = NodeState::Done;
-                done += 1;
-                for &c in &dag.children[i] {
-                    if let NodeState::Waiting { missing_parents } = &mut states[c] {
-                        *missing_parents -= 1;
-                        if *missing_parents == 0 {
-                            states[c] = NodeState::Ready;
+            in_flight.remove(k);
+            match result {
+                Some(result) if result.success => {
+                    obs.end(node_spans[i]);
+                    results.insert(dag.nodes[i].name.clone(), result);
+                    states[i] = NodeState::Done;
+                    done += 1;
+                    for &c in &dag.children[i] {
+                        if let NodeState::Waiting { missing_parents } = &mut states[c] {
+                            *missing_parents -= 1;
+                            if *missing_parents == 0 {
+                                states[c] = NodeState::Ready;
+                                insert_sorted(&mut ready, c);
+                            }
                         }
                     }
+                    continue;
                 }
-                continue;
+                // The attempt ran and failed: its execution time is wasted
+                // compute, the other side of goodput accounting.
+                Some(ref result) => wasted += result.execution_time(),
+                None => {}
             }
-            // The attempt ran and failed: its execution time is wasted
-            // compute, the other side of goodput accounting.
-            wasted += result.execution_time();
             if attempt < dag.nodes[i].retries {
                 obs.counter_add("dagman.node_retries", 1);
                 // A zero delay is due at once: the submit scan the loop
@@ -437,11 +461,15 @@ pub async fn run_dag_resumable(
                     until: now() + delay,
                     attempt: attempt + 1,
                 };
+                insert_sorted(&mut ready, i);
                 continue;
             }
             obs.end(node_spans[i]);
             obs.counter_add("dagman.node_failures", 1);
-            let last_error = String::from_utf8_lossy(&result.output).to_string();
+            let last_error = match result {
+                Some(result) => String::from_utf8_lossy(&result.output).to_string(),
+                None => CondorError::JobRemoved(id).to_string(),
+            };
             failures.insert(i, (attempt + 1, last_error));
             states[i] = NodeState::Failed;
             done += 1;
@@ -506,6 +534,12 @@ pub async fn run_dag_resumable(
         },
         report,
     })
+}
+
+/// Insert node `i` into an ascending node index, keeping it ascending.
+fn insert_sorted(index: &mut Vec<usize>, i: usize) {
+    let at = index.partition_point(|&j| j < i);
+    index.insert(at, i);
 }
 
 /// A resume must target the same DAG that wrote the rescue: same workflow
@@ -840,6 +874,113 @@ mod tests {
             // 6 jobs, 2 at a time, 3s each → at least 9s of pure compute.
             assert!((now() - t0).as_secs_f64() >= 9.0);
             assert_eq!(report.node_results.len(), 6);
+        });
+    }
+
+    #[test]
+    fn throttled_wide_dag_with_backoff_submits_in_node_order() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let condor = fast_pool();
+            // (node, job) of every attempt.
+            let runs: Rc<RefCell<Vec<(usize, JobId)>>> = Rc::new(RefCell::new(Vec::new()));
+            let mut dag = DagSpec::new();
+            for node in 0..9 {
+                let runs = Rc::clone(&runs);
+                let job = JobSpec::new(move |ctx: JobContext| {
+                    let runs = Rc::clone(&runs);
+                    Box::pin(async move {
+                        let attempt = {
+                            let mut runs = runs.borrow_mut();
+                            runs.push((node, ctx.job));
+                            runs.iter().filter(|&&(n, _)| n == node).count()
+                        };
+                        ctx.compute(secs(0.5)).await;
+                        // Every third node fails its first two attempts.
+                        if node % 3 == 0 && attempt < 3 {
+                            Err("flaky".to_string())
+                        } else {
+                            Ok(Bytes::new())
+                        }
+                    })
+                });
+                dag.add_node_with_retries(format!("n{node}"), job, 2);
+            }
+            let config = DagmanConfig {
+                poll_interval: secs(1.0),
+                max_jobs: 2,
+                retry: RetryPolicy::exponential(3, secs(1.0), secs(10.0)),
+                ..DagmanConfig::default()
+            };
+            let report = run_dag(&condor, &dag, config).await.unwrap();
+            assert_eq!(report.node_results.len(), 9);
+            assert_eq!(report.jobs_submitted, 9 + 3 * 2);
+            // Jobs submitted at one poll carry ascending ids, and ascending
+            // ids there mean ascending node index: retries re-enter the
+            // ready set at their node's place, not at its end.
+            let mut by_job = runs.borrow().clone();
+            by_job.sort_by_key(|&(_, job)| job);
+            let schedd = condor.schedd();
+            for pair in by_job.windows(2) {
+                let [(a_node, a_job), (b_node, b_job)] = [pair[0], pair[1]];
+                if schedd.submitted_at(a_job).unwrap() == schedd.submitted_at(b_job).unwrap() {
+                    assert!(a_node < b_node, "{by_job:?}");
+                }
+            }
+            // And the backoff did interleave retries with fresh nodes: some
+            // later job runs an earlier node.
+            assert!(by_job.windows(2).any(|p| p[0].0 > p[1].0), "{by_job:?}");
+        });
+    }
+
+    #[test]
+    fn a_removed_node_job_is_a_failed_attempt_and_halts_with_a_rescue() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let condor = fast_pool();
+            // Wider than any startd, so the job stays Idle until removed.
+            let mut stuck = compute_job(0.1);
+            stuck.request_cpus = 64;
+            let mut dag = DagSpec::named("wf-rm");
+            let s = dag.add_node_with_retries("stuck", stuck, 1);
+            let after = dag.add_node("after", compute_job(0.1));
+            dag.add_edge(s, after).unwrap();
+            dag.add_node("ok", compute_job(0.1));
+            // `condor_rm` every attempt of the stuck node.
+            let schedd = condor.schedd().clone();
+            swf_simcore::spawn(async move {
+                loop {
+                    swf_simcore::sleep(secs(0.5)).await;
+                    for id in schedd.idle_jobs() {
+                        if schedd.request_cpus(id).unwrap() == 64 {
+                            schedd.remove(id).unwrap();
+                        }
+                    }
+                }
+            });
+            let run = run_dag_resumable(&condor, &dag, DagmanConfig::default(), None)
+                .await
+                .unwrap();
+            let DagRun::Halted { rescue, report } = run else {
+                panic!("expected a halted run");
+            };
+            assert_eq!(rescue.failed_nodes(), vec!["stuck"]);
+            assert_eq!(rescue.pending_nodes(), vec!["after"]);
+            assert_eq!(rescue.done_nodes(), vec!["ok"]);
+            // One retry, as for any failed attempt; neither ran.
+            assert_eq!(report.jobs_submitted, 3);
+            assert_eq!(report.wasted_compute, SimDuration::ZERO);
+            let NodeOutcome::Failed {
+                attempts,
+                last_error,
+            } = &rescue.nodes[s].outcome
+            else {
+                panic!("stuck must be recorded failed");
+            };
+            assert_eq!(*attempts, 2);
+            assert!(last_error.contains("removed"), "{last_error}");
+            // Halted at the poll after the second removal, not never.
+            assert_eq!(now(), SimTime::ZERO + secs(10.0));
         });
     }
 

@@ -110,10 +110,10 @@ impl Negotiator {
         // overcommit a startd before the claims land.
         let mut reserved: Vec<usize> = self.startds.iter().map(|_| 0).collect();
         for job_id in idle {
-            let Ok(spec) = self.schedd.spec(job_id) else {
+            let Ok(cpus) = self.schedd.request_cpus(job_id) else {
                 continue;
             };
-            let want = spec.request_cpus.max(1) as usize;
+            let want = cpus.max(1) as usize;
             // Candidates: up, not draining, enough unreserved free slots.
             // Prefer the startd with the most free slots (spread), then
             // stable order.
@@ -131,6 +131,9 @@ impl Negotiator {
                 }
             }
             if let Some((_, idx)) = best {
+                let Ok(spec) = self.schedd.spec(job_id) else {
+                    continue;
+                };
                 reserved[idx] += want;
                 let obs = swf_obs::current();
                 let t_match = swf_simcore::now();

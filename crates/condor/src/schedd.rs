@@ -1,7 +1,7 @@
 //! The schedd: job queue, status tracking, completion waiting.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use swf_simcore::sync::Notify;
@@ -22,21 +22,34 @@ struct JobRecord {
 }
 
 struct State {
-    jobs: BTreeMap<JobId, JobRecord>,
+    /// Every job the schedd ever held, indexed by id: ids are issued densely
+    /// from 1 and never dropped, so `JobId(n)` lives at `n - 1`.
+    jobs: Vec<JobRecord>,
     /// Ids of the jobs whose status is `Idle`, so a negotiation cycle costs
     /// the idle count and not every job the schedd ever held. Every write
     /// of a `JobRecord::status` keeps it in step.
     idle: BTreeSet<JobId>,
-    next_id: u64,
     completed_total: u64,
 }
 
+/// Where `id` lives in `State::jobs`; `None` for `JobId(0)`, which is never
+/// issued.
+fn slot(id: JobId) -> Option<usize> {
+    usize::try_from(id.0.checked_sub(1)?).ok()
+}
+
 impl State {
+    fn job(&self, id: JobId) -> Result<&JobRecord, CondorError> {
+        slot(id)
+            .and_then(|n| self.jobs.get(n))
+            .ok_or(CondorError::NoSuchJob(id))
+    }
+
     /// Write a job's status (with the idle index and the completed count),
     /// unless the job is unknown or `epoch` is given and is not the job's
     /// current claim epoch. Returns whether the write happened.
     fn set_status(&mut self, id: JobId, epoch: Option<u64>, status: JobStatus) -> bool {
-        let Some(rec) = self.jobs.get_mut(&id) else {
+        let Some(rec) = slot(id).and_then(|n| self.jobs.get_mut(n)) else {
             return false;
         };
         if epoch.is_some_and(|e| e != rec.epoch) {
@@ -80,9 +93,8 @@ impl Schedd {
     pub fn new() -> Self {
         Schedd {
             state: Rc::new(RefCell::new(State {
-                jobs: BTreeMap::new(),
+                jobs: Vec::new(),
                 idle: BTreeSet::new(),
-                next_id: 1,
                 completed_total: 0,
             })),
             changed: Notify::new(),
@@ -120,17 +132,13 @@ impl Schedd {
             SimTime::ZERO
         };
         let mut s = self.state.borrow_mut();
-        let id = JobId(s.next_id);
-        s.next_id += 1;
-        s.jobs.insert(
-            id,
-            JobRecord {
-                spec,
-                status: JobStatus::Idle,
-                submitted,
-                epoch: 0,
-            },
-        );
+        s.jobs.push(JobRecord {
+            spec,
+            status: JobStatus::Idle,
+            submitted,
+            epoch: 0,
+        });
+        let id = JobId(s.jobs.len() as u64);
         s.idle.insert(id);
         drop(s);
         self.bump();
@@ -139,32 +147,23 @@ impl Schedd {
 
     /// When a job entered the queue (for queue-time spans).
     pub fn submitted_at(&self, id: JobId) -> Result<SimTime, CondorError> {
-        self.state
-            .borrow()
-            .jobs
-            .get(&id)
-            .map(|r| r.submitted)
-            .ok_or(CondorError::NoSuchJob(id))
+        self.state.borrow().job(id).map(|r| r.submitted)
     }
 
     /// Current status of a job.
     pub fn status(&self, id: JobId) -> Result<JobStatus, CondorError> {
-        self.state
-            .borrow()
-            .jobs
-            .get(&id)
-            .map(|r| r.status.clone())
-            .ok_or(CondorError::NoSuchJob(id))
+        self.state.borrow().job(id).map(|r| r.status.clone())
     }
 
     /// The spec of a job (for the negotiator/startd).
     pub fn spec(&self, id: JobId) -> Result<JobSpec, CondorError> {
-        self.state
-            .borrow()
-            .jobs
-            .get(&id)
-            .map(|r| r.spec.clone())
-            .ok_or(CondorError::NoSuchJob(id))
+        self.state.borrow().job(id).map(|r| r.spec.clone())
+    }
+
+    /// Cores a job requests, read in place (a negotiation cycle sizes every
+    /// idle job but copies the spec only of the ones it matches).
+    pub fn request_cpus(&self, id: JobId) -> Result<u32, CondorError> {
+        self.state.borrow().job(id).map(|r| r.spec.request_cpus)
     }
 
     /// Idle jobs in negotiation order: submit order, which is id order — a
@@ -181,12 +180,7 @@ impl Schedd {
 
     /// The job's current claim epoch (see [`Schedd::set_status_epoch`]).
     pub fn epoch(&self, id: JobId) -> Result<u64, CondorError> {
-        self.state
-            .borrow()
-            .jobs
-            .get(&id)
-            .map(|r| r.epoch)
-            .ok_or(CondorError::NoSuchJob(id))
+        self.state.borrow().job(id).map(|r| r.epoch)
     }
 
     /// Update a job's status only when `epoch` is still the job's current
@@ -210,12 +204,12 @@ impl Schedd {
         {
             let mut s = self.state.borrow_mut();
             let State { jobs, idle, .. } = &mut *s;
-            for (id, rec) in jobs.iter_mut() {
+            for (id, rec) in (1..).map(JobId).zip(jobs.iter_mut()) {
                 if rec.status == JobStatus::Running(node) {
                     rec.status = JobStatus::Idle;
                     rec.epoch += 1;
-                    idle.insert(*id);
-                    requeued.push(*id);
+                    idle.insert(id);
+                    requeued.push(id);
                 }
             }
         }
@@ -230,17 +224,13 @@ impl Schedd {
     /// Remove a job from the queue (only Idle jobs can be removed cleanly).
     pub fn remove(&self, id: JobId) -> Result<(), CondorError> {
         let mut s = self.state.borrow_mut();
-        let rec = s.jobs.get_mut(&id).ok_or(CondorError::NoSuchJob(id))?;
-        match rec.status {
-            JobStatus::Idle => {
-                rec.status = JobStatus::Removed;
-                s.idle.remove(&id);
-                drop(s);
-                self.bump();
-                Ok(())
-            }
-            _ => Err(CondorError::NotIdle(id)),
+        if s.job(id)?.status != JobStatus::Idle {
+            return Err(CondorError::NotIdle(id));
         }
+        s.set_status(id, None, JobStatus::Removed);
+        drop(s);
+        self.bump();
+        Ok(())
     }
 
     /// Await a job's completion.
@@ -284,6 +274,30 @@ mod tests {
         assert_eq!(s.status(id).unwrap(), JobStatus::Idle);
         assert_eq!(s.queue_len(), 1);
         assert!(s.status(JobId(99)).is_err());
+    }
+
+    #[test]
+    fn ids_never_issued_are_no_such_job() {
+        let s = Schedd::new();
+        let id = s.submit(noop_spec());
+        assert_eq!(id, JobId(1));
+        assert_eq!(s.request_cpus(id).unwrap(), 1);
+        // Ids start at 1: `JobId(0)` is never issued, nor is anything past
+        // the last submission.
+        fn no_such<T>(r: Result<T, CondorError>, id: JobId) -> bool {
+            matches!(r, Err(CondorError::NoSuchJob(e)) if e == id)
+        }
+        for ghost in [JobId(0), JobId(2), JobId(u64::MAX)] {
+            assert!(no_such(s.status(ghost), ghost));
+            assert!(no_such(s.spec(ghost), ghost));
+            assert!(no_such(s.epoch(ghost), ghost));
+            assert!(no_such(s.submitted_at(ghost), ghost));
+            assert!(no_such(s.request_cpus(ghost), ghost));
+            assert!(no_such(s.remove(ghost), ghost));
+            assert!(!s.set_status_epoch(ghost, 0, JobStatus::Idle));
+        }
+        assert_eq!(s.queue_len(), 1);
+        assert_eq!(s.idle_jobs(), vec![id]);
     }
 
     #[test]

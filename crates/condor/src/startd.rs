@@ -139,6 +139,9 @@ impl Startd {
 
         let sandbox = format!("sandbox/{id}/");
         let outcome = self.run_in_sandbox(id, &spec, &sandbox).await;
+        // Every exit path — a failed stage-in or stage-out included —
+        // leaves the node's filesystem as the claim found it.
+        self.cleanup_sandbox(&sandbox);
 
         let (success, output) = match outcome {
             Ok(bytes) => (true, bytes),
@@ -203,18 +206,12 @@ impl Startd {
         };
         let result = (spec.program)(ctx).await;
         drop(exec);
-        let bytes = match result {
-            Ok(b) => b,
-            Err(e) => {
-                self.cleanup_sandbox(sandbox);
-                return Err(CondorError::DagNodeFailed {
-                    node: id.to_string(),
-                    attempts: 1,
-                    last_error: e,
-                    progress: Box::default(),
-                });
-            }
-        };
+        let bytes = result.map_err(|e| CondorError::DagNodeFailed {
+            node: id.to_string(),
+            attempts: 1,
+            last_error: e,
+            progress: Box::default(),
+        })?;
         // Stage out: sandbox → submit node shared fs.
         if !spec.output_files.is_empty() {
             let stage = obs.span(
@@ -238,7 +235,6 @@ impl Startd {
             }
             drop(stage);
         }
-        self.cleanup_sandbox(sandbox);
         Ok(bytes)
     }
 
@@ -308,14 +304,20 @@ mod tests {
     fn missing_input_fails_job() {
         let sim = Sim::new();
         sim.block_on(async {
-            let (_cluster, startd, schedd) = rig();
+            let (cluster, startd, schedd) = rig();
+            // The first input stages into the sandbox before the second is
+            // found missing: the failed stage-in must not leak it.
+            cluster
+                .shared_fs()
+                .stage("in.mat", Bytes::from_static(b"x"));
             let spec = JobSpec::new(|_ctx| Box::pin(async { Ok(Bytes::new()) }))
-                .with_inputs(vec!["ghost.mat".into()]);
+                .with_inputs(vec!["in.mat".into(), "ghost.mat".into()]);
             let id = schedd.submit(spec.clone());
             startd.execute(id, spec, schedd.clone()).await;
             let r = schedd.wait(id).await.unwrap();
             assert!(!r.success);
             assert!(String::from_utf8_lossy(&r.output).contains("missing input"));
+            assert_eq!(startd.node().fs().file_count(), 0);
         });
     }
 
@@ -324,13 +326,22 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, startd, schedd) = rig();
-            let spec = JobSpec::new(|_ctx| Box::pin(async { Ok(Bytes::new()) }))
-                .with_outputs(vec!["never-written.mat".into()]);
+            let spec = JobSpec::new(|ctx: JobContext| {
+                Box::pin(async move {
+                    ctx.node
+                        .fs()
+                        .write(ctx.sandbox_path("a.mat"), Bytes::from_static(b"a"))
+                        .await;
+                    Ok(Bytes::new())
+                })
+            })
+            .with_outputs(vec!["a.mat".into(), "never-written.mat".into()]);
             let id = schedd.submit(spec.clone());
             startd.execute(id, spec, schedd.clone()).await;
             let r = schedd.wait(id).await.unwrap();
             assert!(!r.success);
             assert!(String::from_utf8_lossy(&r.output).contains("missing output"));
+            assert_eq!(startd.node().fs().file_count(), 0);
         });
     }
 

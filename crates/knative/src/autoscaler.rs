@@ -70,13 +70,7 @@ impl Autoscaler {
         for (rev_name, rev) in self.revisions.entries() {
             let decision = self.decide(&rev_name, &rev);
             let dep_name = rev.deployment_name();
-            let current = self
-                .k8s
-                .api()
-                .deployments()
-                .get(&dep_name)
-                .map(|d| d.replicas);
-            if let Some(current) = current {
+            if let Some(current) = self.replicas(&dep_name) {
                 if current != decision.desired {
                     let _ = self
                         .k8s
@@ -86,6 +80,14 @@ impl Autoscaler {
                 }
             }
         }
+    }
+
+    /// A Deployment's replica count, read in place.
+    fn replicas(&self, deployment: &str) -> Option<u32> {
+        self.k8s
+            .api()
+            .deployments()
+            .read(|deployments| deployments.get(deployment).map(|d| d.replicas))
     }
 
     /// Compute the decision for one revision (pure given metrics state).
@@ -99,13 +101,7 @@ impl Autoscaler {
         let instant = self.hub.concurrency(rev_name);
         let target = rev.target.max(0.01);
 
-        let current = self
-            .k8s
-            .api()
-            .deployments()
-            .get(&rev.deployment_name())
-            .map(|d| d.replicas)
-            .unwrap_or(0);
+        let current = self.replicas(&rev.deployment_name()).unwrap_or(0);
 
         let desired_stable = (stable / target).ceil() as u32;
         let desired_panic = (panic / target).ceil() as u32;

@@ -17,7 +17,9 @@ struct RevisionMetric {
     in_flight: u64,
     /// Requests buffered at the activator (count toward demand).
     buffered: u64,
-    /// (time, concurrency) samples pushed on every change + scrape.
+    /// (time, concurrency) samples pushed on every change + scrape, at the
+    /// virtual clock's `now()` and so in non-decreasing time order — which
+    /// lets a window find its start by binary search.
     samples: VecDeque<(SimTime, f64)>,
     /// Lifetime counters.
     total_served: u64,
@@ -49,12 +51,18 @@ impl MetricHub {
 
     fn with<R>(&self, revision: &str, f: impl FnOnce(&mut RevisionMetric) -> R) -> R {
         let mut map = self.revisions.borrow_mut();
-        let m = map.entry(revision.to_string()).or_default();
-        f(m)
+        if let Some(m) = map.get_mut(revision) {
+            return f(m);
+        }
+        f(map.entry(revision.to_string()).or_default())
     }
 
     fn record_sample(m: &mut RevisionMetric) {
         let c = (m.in_flight + m.buffered) as f64;
+        debug_assert!(
+            m.samples.back().is_none_or(|&(t, _)| t <= now()),
+            "metric samples must be pushed in time order"
+        );
         m.samples.push_back((now(), c));
         // Bound memory: keep ~10 minutes of samples.
         let horizon = now()
@@ -109,43 +117,45 @@ impl MetricHub {
     /// between two samples is the earlier sample's level.
     pub fn average_concurrency(&self, revision: &str, window: SimDuration) -> f64 {
         let end = now();
-        let start_t = SimTime::from_nanos(end.as_nanos().saturating_sub(window.as_nanos()));
         self.with(revision, |m| {
             // Push a synthetic "now" sample so the integral covers the tail.
             Self::record_sample(m);
-            let mut area = 0.0;
-            let mut covered = 0.0;
-            // Level before the first in-window sample: find the last sample
-            // at or before start_t.
-            let mut level_before = 0.0;
-            for (t, c) in m.samples.iter() {
-                if *t <= start_t {
-                    level_before = *c;
-                } else {
-                    break;
-                }
-            }
-            let mut prev_t = start_t;
-            let mut prev_c = level_before;
-            for (t, c) in m.samples.iter() {
-                if *t <= start_t {
-                    continue;
-                }
-                let dt = t.since(prev_t).as_secs_f64();
-                area += prev_c * dt;
-                covered += dt;
-                prev_t = *t;
-                prev_c = *c;
-            }
-            let dt = end.since(prev_t).as_secs_f64();
-            area += prev_c * dt;
-            covered += dt;
-            if covered <= 0.0 {
-                prev_c
-            } else {
-                area / window.as_secs_f64().max(covered)
-            }
+            window_average(&m.samples, end, window)
         })
+    }
+}
+
+/// Time-weighted average of `samples` over the `window` ending at `end`.
+/// The samples at or before the window start form a prefix (they are in
+/// time order), so the start is a binary search and the sum visits only
+/// the samples inside the window.
+fn window_average(samples: &VecDeque<(SimTime, f64)>, end: SimTime, window: SimDuration) -> f64 {
+    let start_t = SimTime::from_nanos(end.as_nanos().saturating_sub(window.as_nanos()));
+    let first = samples.partition_point(|&(t, _)| t <= start_t);
+    // Level before the first in-window sample: the last one at or before
+    // the window start.
+    let level_before = first
+        .checked_sub(1)
+        .and_then(|k| samples.get(k))
+        .map_or(0.0, |&(_, c)| c);
+    let mut area = 0.0;
+    let mut covered = 0.0;
+    let mut prev_t = start_t;
+    let mut prev_c = level_before;
+    for &(t, c) in samples.range(first..) {
+        let dt = t.since(prev_t).as_secs_f64();
+        area += prev_c * dt;
+        covered += dt;
+        prev_t = t;
+        prev_c = c;
+    }
+    let dt = end.since(prev_t).as_secs_f64();
+    area += prev_c * dt;
+    covered += dt;
+    if covered <= 0.0 {
+        prev_c
+    } else {
+        area / window.as_secs_f64().max(covered)
     }
 }
 
@@ -245,5 +255,89 @@ mod tests {
             let tight = hub.average_concurrency("r", secs(1.0));
             assert!((tight - 1.0).abs() < 1e-9, "tight {tight}");
         });
+    }
+
+    /// The linear scan `average_concurrency` ran before the window start
+    /// became a binary search, kept as the oracle.
+    fn linear_scan_average(
+        samples: &VecDeque<(SimTime, f64)>,
+        end: SimTime,
+        window: SimDuration,
+    ) -> f64 {
+        let start_t = SimTime::from_nanos(end.as_nanos().saturating_sub(window.as_nanos()));
+        let mut area = 0.0;
+        let mut covered = 0.0;
+        let mut level_before = 0.0;
+        for (t, c) in samples.iter() {
+            if *t <= start_t {
+                level_before = *c;
+            } else {
+                break;
+            }
+        }
+        let mut prev_t = start_t;
+        let mut prev_c = level_before;
+        for (t, c) in samples.iter() {
+            if *t <= start_t {
+                continue;
+            }
+            let dt = t.since(prev_t).as_secs_f64();
+            area += prev_c * dt;
+            covered += dt;
+            prev_t = *t;
+            prev_c = *c;
+        }
+        let dt = end.since(prev_t).as_secs_f64();
+        area += prev_c * dt;
+        covered += dt;
+        if covered <= 0.0 {
+            prev_c
+        } else {
+            area / window.as_secs_f64().max(covered)
+        }
+    }
+
+    #[test]
+    fn window_average_equals_the_linear_scan_bitwise() {
+        let mut rng = swf_simcore::DetRng::new(25, "kpa-window-oracle");
+        for stream in 0..256 {
+            // 0..40 samples: empty and one-sample histories included.
+            let n = rng.index(40);
+            let mut t = rng.uniform_u64(0, 5_000_000_000);
+            let mut samples = VecDeque::new();
+            for _ in 0..n {
+                // A third of the samples repeat the previous instant.
+                if !rng.chance(1.0 / 3.0) {
+                    t += rng.uniform_u64(1, 2_000_000_000);
+                }
+                samples.push_back((SimTime::from_nanos(t), rng.index(9) as f64 * 0.5));
+            }
+            let end = SimTime::from_nanos(t + rng.uniform_u64(0, 1_000_000_000));
+            // Random windows, an empty one, one past the whole history, and
+            // one starting exactly on each sample.
+            let mut windows = vec![
+                SimDuration::ZERO,
+                SimDuration::from_nanos(rng.uniform_u64(1, 20_000_000_000)),
+                SimDuration::from_secs(600),
+            ];
+            windows.extend(samples.iter().map(|&(ts, _)| end.since(ts)));
+            for window in windows {
+                assert_eq!(
+                    window_average(&samples, end, window).to_bits(),
+                    linear_scan_average(&samples, end, window).to_bits(),
+                    "stream {stream}, window {window:?}, samples {samples:?}"
+                );
+            }
+        }
+        let one = VecDeque::from([(SimTime::from_nanos(3), 2.0)]);
+        for (samples, end) in [(VecDeque::new(), 0), (VecDeque::new(), 9), (one, 3)] {
+            for window in [SimDuration::ZERO, SimDuration::from_nanos(3)] {
+                let end = SimTime::from_nanos(end);
+                assert_eq!(
+                    window_average(&samples, end, window).to_bits(),
+                    linear_scan_average(&samples, end, window).to_bits()
+                );
+            }
+        }
     }
 }
