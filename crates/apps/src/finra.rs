@@ -16,7 +16,10 @@ use swf_simcore::DetRng;
 use swf_workloads::ExecEnv;
 
 use crate::dynamic::{DynamicWorkflow, Expansion, TriggerOn};
-use crate::records::{decode_params, decode_trades, encode_params, encode_trades, fnv1a, Trade};
+use crate::records::{
+    decode_params, decode_trade_range, decode_trades, encode_params, encode_trades, fnv1a,
+    fnv1a_extend, trade_count, Trade,
+};
 use crate::{calibrated, AppSpec};
 
 /// FINRA workload parameters.
@@ -94,7 +97,7 @@ pub fn transformations(params: &FinraParams) -> Vec<Transformation> {
         "finra-ingest",
         calibrated(40.0, 2.0, params.trades),
         |inputs| {
-            let mut trades = decode_trades(inputs[0].clone())?;
+            let mut trades = decode_trades(&inputs[0])?;
             // Normalize: canonical (symbol, ts) order.
             trades.sort_by_key(|t| (t.symbol, t.ts));
             Ok(vec![encode_trades(&trades)])
@@ -104,18 +107,19 @@ pub fn transformations(params: &FinraParams) -> Vec<Transformation> {
         "finra-validate",
         calibrated(15.0, 6.0, params.shard),
         |inputs| {
-            let trades = decode_trades(inputs[0].clone())?;
-            let p = decode_params(inputs[1].clone())?;
+            // Validate the batch before the parameters, as a whole-batch
+            // decode would, then decode this shard's records only.
+            trade_count(&inputs[0])?;
+            let p = decode_params(&inputs[1])?;
             let [shard, start, end] = p[..] else {
                 return Err("validate: want [shard, start, end] params".into());
             };
-            let slice = trades
-                .get(start as usize..end as usize)
+            let slice = decode_trade_range(&inputs[0], start as usize, end as usize)?
                 .ok_or("validate: shard range outside batch")?;
             let mut valid = 0u64;
             let mut flagged = 0u64;
             let mut notional = 0u64;
-            for t in slice {
+            for t in &slice {
                 if t.price_cents > 0 && t.qty > 0 {
                     valid += 1;
                     notional += t.price_cents as u64 * t.qty as u64;
@@ -123,7 +127,7 @@ pub fn transformations(params: &FinraParams) -> Vec<Transformation> {
                     flagged += 1;
                 }
             }
-            let fp = fnv1a(&encode_trades(slice));
+            let fp = fnv1a(&encode_trades(&slice));
             Ok(vec![encode_params(&[
                 shard,
                 slice.len() as u64,
@@ -142,7 +146,7 @@ pub fn transformations(params: &FinraParams) -> Vec<Transformation> {
             let (mut n, mut valid, mut flagged, mut notional) = (0u64, 0u64, 0u64, 0u64);
             let mut combined = fnv1a(b"finra-report");
             for payload in &inputs {
-                let s = decode_params(payload.clone())?;
+                let s = decode_params(payload)?;
                 let [_, sn, sv, sf, snot, sfp] = s[..] else {
                     return Err("aggregate: malformed shard summary".into());
                 };
@@ -150,7 +154,7 @@ pub fn transformations(params: &FinraParams) -> Vec<Transformation> {
                 valid += sv;
                 flagged += sf;
                 notional += snot;
-                combined = crate::records::fnv1a_extend(combined, &sfp.to_le_bytes());
+                combined = fnv1a_extend(combined, &sfp.to_le_bytes());
             }
             Ok(vec![encode_params(&[
                 inputs.len() as u64,
@@ -195,7 +199,7 @@ pub fn workflow(params: &FinraParams) -> DynamicWorkflow {
                 .outputs
                 .get(CLEAN)
                 .ok_or("fanout-validate: clean batch missing")?;
-            let n = decode_trades(clean.clone())?.len();
+            let n = trade_count(clean)?;
             let shards = n.div_ceil(shard);
             let mut expansion = Expansion::default();
             for s in 0..shards {
@@ -256,7 +260,67 @@ pub fn spec(params: &FinraParams, seed: u64) -> AppSpec {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::oracle;
+
+    /// `finra-validate` as it shipped when every shard decoded the whole
+    /// batch and sliced it: the oracle for the shard kernel.
+    fn validate_oracle(inputs: Vec<Bytes>) -> Result<Vec<Bytes>, String> {
+        let trades = oracle::decode_trades(inputs[0].clone())?;
+        let p = oracle::decode_params(inputs[1].clone())?;
+        let [shard, start, end] = p[..] else {
+            return Err("validate: want [shard, start, end] params".into());
+        };
+        let slice = trades
+            .get(start as usize..end as usize)
+            .ok_or("validate: shard range outside batch")?;
+        let mut valid = 0u64;
+        let mut flagged = 0u64;
+        let mut notional = 0u64;
+        for t in slice {
+            if t.price_cents > 0 && t.qty > 0 {
+                valid += 1;
+                notional += t.price_cents as u64 * t.qty as u64;
+            } else {
+                flagged += 1;
+            }
+        }
+        let fp = fnv1a(&oracle::encode_trades(slice));
+        Ok(vec![oracle::encode_params(&[
+            shard,
+            slice.len() as u64,
+            valid,
+            flagged,
+            notional,
+            fp,
+        ])])
+    }
+
+    proptest! {
+        #[test]
+        fn validate_matches_the_whole_batch_oracle(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let batch = oracle::trade_batch(&mut rng);
+            let n = oracle::decode_trades(batch.clone()).map_or(40, |t| t.len());
+            let inputs = vec![batch, oracle::shard_params(&mut rng, n)];
+            let validate = &transformations(&quick(ExecEnv::Native))[1].logic;
+            prop_assert_eq!(validate(inputs.clone()), validate_oracle(inputs));
+        }
+
+        #[test]
+        fn fanout_validate_counts_records_from_the_header(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let params = quick(ExecEnv::Native);
+            let batch = oracle::trade_batch(&mut rng);
+            let plan = oracle::decode_trades(batch.clone())
+                .map(|t| oracle::shard_plan(t.len(), params.shard));
+            let workflow = workflow(&params);
+            let fanout = &workflow.triggers()[0];
+            prop_assert_eq!(oracle::fire(fanout, CLEAN, batch), plan);
+        }
+    }
 
     #[test]
     fn kernels_are_deterministic_and_flag_corrupt_records() {
@@ -265,18 +329,18 @@ mod tests {
         assert_eq!(feed.len(), 1);
         let ts = transformations(&params);
         let clean = (ts[0].logic)(vec![feed[0].1.clone()]).unwrap();
-        let trades = decode_trades(clean[0].clone()).unwrap();
+        let trades = decode_trades(&clean[0]).unwrap();
         assert_eq!(trades.len(), params.trades);
         // Validate the whole batch as one shard.
         let p = encode_params(&[0, 0, trades.len() as u64]);
         let summary = (ts[1].logic)(vec![clean[0].clone(), p]).unwrap();
-        let s = decode_params(summary[0].clone()).unwrap();
+        let s = decode_params(&summary[0]).unwrap();
         assert_eq!(s[1], params.trades as u64);
         assert!(s[3] > 0, "the seeded feed contains corrupt records");
         assert_eq!(s[2] + s[3], s[1]);
         // The aggregate of one shard carries its totals through.
         let report = (ts[2].logic)(vec![summary[0].clone()]).unwrap();
-        let r = decode_params(report[0].clone()).unwrap();
+        let r = decode_params(&report[0]).unwrap();
         assert_eq!(r[0], 1);
         assert_eq!(r[1], s[1]);
     }

@@ -32,6 +32,8 @@ pub mod finra;
 pub mod harness;
 pub mod mlinfer;
 pub mod mltrain;
+#[cfg(test)]
+mod oracle;
 pub mod records;
 pub mod wordcount;
 

@@ -14,8 +14,8 @@ use swf_workloads::ExecEnv;
 
 use crate::dynamic::{DynamicJob, DynamicWorkflow, Expansion, TriggerOn};
 use crate::records::{
-    decode_i64s, decode_params, decode_samples, encode_i64s, encode_params, encode_samples,
-    SampleSet,
+    decode_i64s, decode_params, decode_sample_rows, decode_samples, encode_i64s, encode_params,
+    encode_samples, sample_shape, SampleSet,
 };
 use crate::{calibrated, AppSpec};
 
@@ -98,7 +98,7 @@ pub fn transformations(params: &MlInferParams) -> Vec<Transformation> {
         "mli-preprocess",
         calibrated(25.0, 1.2, params.rows * params.feats),
         |inputs| {
-            let s = decode_samples(inputs[0].clone())?;
+            let s = decode_samples(&inputs[0])?;
             if s.rows() == 0 {
                 return Err("preprocess: empty batch".into());
             }
@@ -116,22 +116,22 @@ pub fn transformations(params: &MlInferParams) -> Vec<Transformation> {
         "mli-predict",
         calibrated(18.0, 5.0, batch_cells),
         |inputs| {
-            let prep = decode_samples(inputs[0].clone())?;
-            let model = decode_i64s(inputs[1].clone())?;
-            let p = decode_params(inputs[2].clone())?;
+            // Validate the batch before the model and parameters, as a
+            // whole-batch decode would, then decode this batch's rows only.
+            let (_, feats) = sample_shape(&inputs[0])?;
+            let model = decode_i64s(&inputs[1])?;
+            let p = decode_params(&inputs[2])?;
             let [_, start, end] = p[..] else {
                 return Err("predict: want [batch, start, end] params".into());
             };
-            if model.len() != prep.feats {
+            if model.len() != feats {
                 return Err("predict: model arity mismatch".into());
             }
-            let (start, end) = (start as usize, end as usize);
-            if end > prep.rows() || start > end {
-                return Err("predict: batch range outside prep".into());
-            }
-            let scores: Vec<i64> = (start..end)
+            let rows = decode_sample_rows(&inputs[0], start as usize, end as usize)?
+                .ok_or("predict: batch range outside prep")?;
+            let scores: Vec<i64> = (0..rows.rows())
                 .map(|r| {
-                    prep.row(r)
+                    rows.row(r)
                         .iter()
                         .zip(&model)
                         .map(|(x, w)| (w * x) >> 16)
@@ -148,7 +148,7 @@ pub fn transformations(params: &MlInferParams) -> Vec<Transformation> {
         |inputs| {
             let mut all = Vec::new();
             for payload in &inputs {
-                all.extend(decode_i64s(payload.clone())?);
+                all.extend(decode_i64s(payload)?);
             }
             Ok(vec![encode_i64s(&all)])
         },
@@ -181,7 +181,7 @@ pub fn workflow(params: &MlInferParams) -> DynamicWorkflow {
                 .outputs
                 .get(PREP)
                 .ok_or("fanout-predict: preprocessed batch missing")?;
-            let rows = decode_samples(prep.clone())?.rows();
+            let (rows, _) = sample_shape(prep)?;
             let batches = rows.div_ceil(per_batch);
             let mut expansion = Expansion::default();
             for b in 0..batches {
@@ -242,7 +242,68 @@ pub fn spec(params: &MlInferParams, seed: u64) -> AppSpec {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::oracle;
+
+    /// `mli-predict` as it shipped when every batch task decoded the whole
+    /// preprocessed batch: the oracle for the shard kernel.
+    fn predict_oracle(inputs: Vec<Bytes>) -> Result<Vec<Bytes>, String> {
+        let prep = oracle::decode_samples(inputs[0].clone())?;
+        let model = oracle::decode_i64s(inputs[1].clone())?;
+        let p = oracle::decode_params(inputs[2].clone())?;
+        let [_, start, end] = p[..] else {
+            return Err("predict: want [batch, start, end] params".into());
+        };
+        if model.len() != prep.feats {
+            return Err("predict: model arity mismatch".into());
+        }
+        let (start, end) = (start as usize, end as usize);
+        if end > prep.rows() || start > end {
+            return Err("predict: batch range outside prep".into());
+        }
+        let scores: Vec<i64> = (start..end)
+            .map(|r| {
+                prep.row(r)
+                    .iter()
+                    .zip(&model)
+                    .map(|(x, w)| (w * x) >> 16)
+                    .sum()
+            })
+            .collect();
+        Ok(vec![oracle::encode_i64s(&scores)])
+    }
+
+    proptest! {
+        #[test]
+        fn predict_matches_the_whole_batch_oracle(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let feats = oracle::below(&mut rng, 5);
+            let prep = oracle::sample_batch(&mut rng, Some(feats));
+            let n = oracle::decode_samples(prep.clone()).map_or(40, |s| s.rows());
+            // Mostly the batch's arity, sometimes one off; sometimes mangled.
+            let arity = feats + usize::from(oracle::below(&mut rng, 4) == 0);
+            let weights: Vec<i64> =
+                (0..arity).map(|_| (rng.next_u64() % (1 << 21)) as i64 - (1 << 20)).collect();
+            let model = oracle::mangle(&mut rng, oracle::encode_i64s(&weights), 8);
+            let inputs = vec![prep, model, oracle::shard_params(&mut rng, n)];
+            let predict = &transformations(&quick(ExecEnv::Native))[1].logic;
+            prop_assert_eq!(predict(inputs.clone()), predict_oracle(inputs));
+        }
+
+        #[test]
+        fn fanout_predict_counts_rows_from_the_header(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let params = quick(ExecEnv::Native);
+            let prep = oracle::sample_batch(&mut rng, None);
+            let plan = oracle::decode_samples(prep.clone())
+                .map(|s| oracle::shard_plan(s.rows(), params.rows_per_batch));
+            let workflow = workflow(&params);
+            let fanout = &workflow.triggers()[0];
+            prop_assert_eq!(oracle::fire(fanout, PREP, prep), plan);
+        }
+    }
 
     #[test]
     fn scoring_matches_manual_fixed_point() {
@@ -252,11 +313,11 @@ mod tests {
         let prep = (ts[0].logic)(vec![inputs[0].1.clone()]).unwrap();
         let p = encode_params(&[0, 0, params.rows as u64]);
         let scores = (ts[1].logic)(vec![prep[0].clone(), inputs[1].1.clone(), p]).unwrap();
-        let s = decode_i64s(scores[0].clone()).unwrap();
+        let s = decode_i64s(&scores[0]).unwrap();
         assert_eq!(s.len(), params.rows);
         // Manual check of row 0.
-        let batch = decode_samples(prep[0].clone()).unwrap();
-        let model = decode_i64s(inputs[1].1.clone()).unwrap();
+        let batch = decode_samples(&prep[0]).unwrap();
+        let model = decode_i64s(&inputs[1].1).unwrap();
         let want: i64 = batch
             .row(0)
             .iter()
@@ -266,7 +327,7 @@ mod tests {
         assert_eq!(s[0], want);
         // Postprocess of two half-batches equals postprocess of the whole.
         let whole = (ts[2].logic)(vec![scores[0].clone()]).unwrap();
-        assert_eq!(decode_i64s(whole[0].clone()).unwrap(), s);
+        assert_eq!(decode_i64s(&whole[0]).unwrap(), s);
     }
 
     #[test]

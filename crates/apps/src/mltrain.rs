@@ -17,8 +17,8 @@ use swf_workloads::ExecEnv;
 
 use crate::dynamic::{DynamicJob, DynamicWorkflow, Expansion, TriggerOn};
 use crate::records::{
-    decode_i64s, decode_params, decode_samples, encode_i64s, encode_params, encode_samples,
-    SampleSet, FIXED_POINT,
+    decode_i64s, decode_params, decode_sample_rows, decode_samples, encode_i64s, encode_params,
+    encode_samples, sample_shape, SampleSet, FIXED_POINT,
 };
 use crate::{calibrated, AppSpec};
 
@@ -97,24 +97,13 @@ pub fn generate_dataset(params: &MlTrainParams, seed: u64) -> Vec<(String, Bytes
     )]
 }
 
-fn shard_slice(s: &SampleSet, start: usize, end: usize) -> Result<SampleSet, String> {
-    if end > s.rows() || start > end {
-        return Err("shard range outside dataset".into());
-    }
-    Ok(SampleSet {
-        feats: s.feats,
-        labels: s.labels[start..end].to_vec(),
-        features: s.features[start * s.feats..end * s.feats].to_vec(),
-    })
-}
-
 /// The four transformations with calibrated per-row compute models.
 pub fn transformations(params: &MlTrainParams) -> Vec<Transformation> {
     let image = swf_core::ExperimentConfig::image_name();
     let cells = params.rows * params.feats;
     let shard_cells = params.rows_per_shard * params.feats;
     let partition = Transformation::new("mlt-partition", calibrated(30.0, 1.5, cells), |inputs| {
-        let s = decode_samples(inputs[0].clone())?;
+        let s = decode_samples(&inputs[0])?;
         if s.rows() == 0 || s.feats == 0 {
             return Err("partition: empty dataset".into());
         }
@@ -126,12 +115,15 @@ pub fn transformations(params: &MlTrainParams) -> Vec<Transformation> {
         "mlt-featurize",
         calibrated(20.0, 4.0, shard_cells),
         |inputs| {
-            let s = decode_samples(inputs[0].clone())?;
-            let p = decode_params(inputs[1].clone())?;
+            // Validate the dataset before the parameters, as a whole-set
+            // decode would, then decode this shard's rows only.
+            sample_shape(&inputs[0])?;
+            let p = decode_params(&inputs[1])?;
             let [_, start, end] = p[..] else {
                 return Err("featurize: want [shard, start, end] params".into());
             };
-            let mut shard = shard_slice(&s, start as usize, end as usize)?;
+            let mut shard = decode_sample_rows(&inputs[0], start as usize, end as usize)?
+                .ok_or("shard range outside dataset")?;
             // Center each feature column on its truncated shard mean.
             let rows = shard.rows() as i64;
             for j in 0..shard.feats {
@@ -146,7 +138,7 @@ pub fn transformations(params: &MlTrainParams) -> Vec<Transformation> {
     )
     .with_container(image);
     let train = Transformation::new("mlt-train", calibrated(60.0, 9.0, shard_cells), |inputs| {
-        let shard = decode_samples(inputs[0].clone())?;
+        let shard = decode_samples(&inputs[0])?;
         let mut weights = Vec::with_capacity(shard.feats);
         for j in 0..shard.feats {
             let mut num = 0i64;
@@ -172,10 +164,10 @@ pub fn transformations(params: &MlTrainParams) -> Vec<Transformation> {
             if inputs.is_empty() {
                 return Err("merge: no shard weights".into());
             }
-            let first = decode_i64s(inputs[0].clone())?;
+            let first = decode_i64s(&inputs[0])?;
             let mut sums = vec![0i64; first.len()];
             for payload in &inputs {
-                let w = decode_i64s(payload.clone())?;
+                let w = decode_i64s(payload)?;
                 if w.len() != sums.len() {
                     return Err("merge: shard weight arity mismatch".into());
                 }
@@ -219,7 +211,7 @@ pub fn workflow(params: &MlTrainParams) -> DynamicWorkflow {
                 .outputs
                 .get(CLEAN)
                 .ok_or("fanout-shards: partitioned dataset missing")?;
-            let rows = decode_samples(clean.clone())?.rows();
+            let (rows, _) = sample_shape(clean)?;
             let shards = rows.div_ceil(per_shard);
             let mut expansion = Expansion::default();
             for s in 0..shards {
@@ -288,7 +280,53 @@ pub fn spec(params: &MlTrainParams, seed: u64) -> AppSpec {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
+    use crate::oracle;
+
+    /// `mlt-featurize` as it shipped when every shard decoded the whole
+    /// dataset and copied its rows out: the oracle for the shard kernel.
+    fn featurize_oracle(inputs: Vec<Bytes>) -> Result<Vec<Bytes>, String> {
+        let s = oracle::decode_samples(inputs[0].clone())?;
+        let p = oracle::decode_params(inputs[1].clone())?;
+        let [_, start, end] = p[..] else {
+            return Err("featurize: want [shard, start, end] params".into());
+        };
+        let mut shard = oracle::shard_slice(&s, start as usize, end as usize)?;
+        let rows = shard.rows() as i64;
+        for j in 0..shard.feats {
+            let mean: i64 = (0..shard.rows()).map(|r| shard.row(r)[j]).sum::<i64>() / rows.max(1);
+            for r in 0..rows as usize {
+                shard.features[r * shard.feats + j] -= mean;
+            }
+        }
+        Ok(vec![oracle::encode_samples(&shard)])
+    }
+
+    proptest! {
+        #[test]
+        fn featurize_matches_the_whole_set_oracle(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let set = oracle::sample_batch(&mut rng, None);
+            let n = oracle::decode_samples(set.clone()).map_or(40, |s| s.rows());
+            let inputs = vec![set, oracle::shard_params(&mut rng, n)];
+            let featurize = &transformations(&quick(ExecEnv::Native))[1].logic;
+            prop_assert_eq!(featurize(inputs.clone()), featurize_oracle(inputs));
+        }
+
+        #[test]
+        fn fanout_shards_counts_rows_from_the_header(seed in any::<u64>()) {
+            let mut rng = TestRng::new(seed);
+            let params = quick(ExecEnv::Native);
+            let set = oracle::sample_batch(&mut rng, None);
+            let plan = oracle::decode_samples(set.clone())
+                .map(|s| oracle::shard_plan(s.rows(), params.rows_per_shard));
+            let workflow = workflow(&params);
+            let fanout = &workflow.triggers()[0];
+            prop_assert_eq!(oracle::fire(fanout, CLEAN, set), plan);
+        }
+    }
 
     #[test]
     fn training_recovers_hidden_weight_signs() {
@@ -299,7 +337,7 @@ mod tests {
         let p = encode_params(&[0, 0, params.rows as u64]);
         let feats = (ts[1].logic)(vec![clean[0].clone(), p]).unwrap();
         let weights = (ts[2].logic)(vec![feats[0].clone()]).unwrap();
-        let w = decode_i64s(weights[0].clone()).unwrap();
+        let w = decode_i64s(&weights[0]).unwrap();
         assert_eq!(w.len(), params.feats);
         // Training on the full set twice is bitwise identical.
         let p2 = encode_params(&[0, 0, params.rows as u64]);
@@ -307,18 +345,27 @@ mod tests {
         assert_eq!((ts[2].logic)(vec![feats2[0].clone()]).unwrap(), weights);
         // Merging a single shard is the identity.
         let model = (ts[3].logic)(vec![weights[0].clone()]).unwrap();
-        assert_eq!(decode_i64s(model[0].clone()).unwrap(), w);
+        assert_eq!(decode_i64s(&model[0]).unwrap(), w);
     }
 
     #[test]
-    fn shard_slice_rejects_out_of_range() {
-        let s = SampleSet {
+    fn featurize_rejects_a_shard_outside_the_dataset() {
+        let params = quick(ExecEnv::Native);
+        let set = encode_samples(&SampleSet {
             feats: 2,
             labels: vec![1, 2],
             features: vec![1, 2, 3, 4],
-        };
-        assert!(shard_slice(&s, 0, 3).is_err());
-        assert!(shard_slice(&s, 2, 1).is_err());
-        assert_eq!(shard_slice(&s, 1, 2).unwrap().labels, vec![2]);
+        });
+        let featurize = &transformations(&params)[1].logic;
+        for (start, end) in [(0, 3), (2, 1), (3, 3)] {
+            let p = encode_params(&[0, start, end]);
+            assert_eq!(
+                featurize(vec![set.clone(), p]),
+                Err("shard range outside dataset".to_string())
+            );
+        }
+        let p = encode_params(&[0, 1, 2]);
+        let shard = decode_samples(&featurize(vec![set, p]).unwrap()[0]).unwrap();
+        assert_eq!((shard.labels, shard.features), (vec![2], vec![0, 0]));
     }
 }

@@ -117,15 +117,44 @@ pub fn generate_corpus(params: &WordCountParams, seed: u64) -> Vec<(String, Byte
     vec![(CORPUS.to_string(), Bytes::from(text))]
 }
 
-fn corpus_words(data: &Bytes) -> Result<Vec<String>, String> {
-    let text = std::str::from_utf8(data).map_err(|_| "corpus is not UTF-8".to_string())?;
-    Ok(text.split_whitespace().map(str::to_string).collect())
+fn corpus_text(data: &[u8]) -> Result<&str, String> {
+    std::str::from_utf8(data).map_err(|_| "corpus is not UTF-8".to_string())
+}
+
+/// Words `start..end` of `words`, counted into `reducers` buckets by word
+/// hash, or `None` when the range is outside the corpus. A word is copied
+/// only the first time its bucket sees it.
+fn bucket_counts<'a>(
+    mut words: impl Iterator<Item = &'a str>,
+    start: usize,
+    end: usize,
+    reducers: usize,
+) -> Option<Vec<BTreeMap<String, u64>>> {
+    let len = end.checked_sub(start)?;
+    // Counted rather than `skip`ped: an empty range that starts past the
+    // last word is still outside the corpus.
+    if words.by_ref().take(start).count() < start {
+        return None;
+    }
+    let mut buckets: Vec<BTreeMap<String, u64>> = vec![BTreeMap::new(); reducers];
+    let mut taken = 0;
+    for word in words.take(len) {
+        let bucket = &mut buckets[(fnv1a(word.as_bytes()) % reducers as u64) as usize];
+        match bucket.get_mut(word) {
+            Some(n) => *n += 1,
+            None => {
+                bucket.insert(word.to_string(), 1);
+            }
+        }
+        taken += 1;
+    }
+    (taken == len).then_some(buckets)
 }
 
 fn merge_tables(inputs: &[Bytes]) -> Result<BTreeMap<String, u64>, String> {
     let mut merged = BTreeMap::new();
     for payload in inputs {
-        for (word, n) in decode_counts(payload.clone())? {
+        for (word, n) in decode_counts(payload)? {
             *merged.entry(word).or_insert(0) += n;
         }
     }
@@ -139,7 +168,7 @@ pub fn transformations(params: &WordCountParams) -> Vec<Transformation> {
     let image = swf_core::ExperimentConfig::image_name();
     let reducers = params.reducers;
     let split = Transformation::new("wc-split", calibrated(20.0, 0.6, params.words), |inputs| {
-        let words = corpus_words(&inputs[0])?;
+        let words: Vec<&str> = corpus_text(&inputs[0])?.split_whitespace().collect();
         if words.is_empty() {
             return Err("split: empty corpus".into());
         }
@@ -150,19 +179,20 @@ pub fn transformations(params: &WordCountParams) -> Vec<Transformation> {
         "wc-map",
         calibrated(15.0, 3.0, params.words_per_map),
         move |inputs| {
-            let words = corpus_words(&inputs[0])?;
-            let p = decode_params(inputs[1].clone())?;
+            // Validate the corpus before the parameters, as splitting it
+            // into words would, then walk only up to this mapper's range.
+            let text = corpus_text(&inputs[0])?;
+            let p = decode_params(&inputs[1])?;
             let [_, start, end] = p[..] else {
                 return Err("map: want [mapper, start, end] params".into());
             };
-            let slice = words
-                .get(start as usize..end as usize)
-                .ok_or("map: word range outside corpus")?;
-            let mut buckets: Vec<BTreeMap<String, u64>> = vec![BTreeMap::new(); reducers];
-            for word in slice {
-                let b = (fnv1a(word.as_bytes()) % reducers as u64) as usize;
-                *buckets[b].entry(word.clone()).or_insert(0) += 1;
-            }
+            let buckets = bucket_counts(
+                text.split_whitespace(),
+                start as usize,
+                end as usize,
+                reducers,
+            )
+            .ok_or("map: word range outside corpus")?;
             Ok(buckets.iter().map(encode_counts).collect())
         },
     )
@@ -208,7 +238,7 @@ pub fn workflow(params: &WordCountParams) -> DynamicWorkflow {
                 .outputs
                 .get(CLEAN)
                 .ok_or("fanout-map: clean corpus missing")?;
-            let words = corpus_words(clean)?.len();
+            let words = corpus_text(clean)?.split_whitespace().count();
             let mappers = words.div_ceil(per_map);
             let mut expansion = Expansion::default();
             for m in 0..mappers {
@@ -299,8 +329,106 @@ pub fn spec(params: &WordCountParams, seed: u64) -> AppSpec {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::records::decode_counts;
+    use crate::oracle;
+
+    /// `wc-split` as it shipped, over owned words: the oracle.
+    fn split_oracle(inputs: Vec<Bytes>) -> Result<Vec<Bytes>, String> {
+        let words = oracle::corpus_words(&inputs[0])?;
+        if words.is_empty() {
+            return Err("split: empty corpus".into());
+        }
+        Ok(vec![Bytes::from(words.join(" "))])
+    }
+
+    /// `wc-map` as it shipped, splitting the whole corpus into owned words
+    /// to count its range: the oracle.
+    fn map_oracle(inputs: Vec<Bytes>, reducers: usize) -> Result<Vec<Bytes>, String> {
+        let words = oracle::corpus_words(&inputs[0])?;
+        let p = oracle::decode_params(inputs[1].clone())?;
+        let [_, start, end] = p[..] else {
+            return Err("map: want [mapper, start, end] params".into());
+        };
+        let slice = words
+            .get(start as usize..end as usize)
+            .ok_or("map: word range outside corpus")?;
+        let mut buckets: Vec<BTreeMap<String, u64>> = vec![BTreeMap::new(); reducers];
+        for word in slice {
+            let b = (fnv1a(word.as_bytes()) % reducers as u64) as usize;
+            *buckets[b].entry(word.clone()).or_insert(0) += 1;
+        }
+        Ok(buckets.iter().map(oracle::encode_counts).collect())
+    }
+
+    type Kernel<'a> = &'a dyn Fn(Vec<Bytes>) -> Result<Vec<Bytes>, String>;
+
+    /// The map property on one generated case: `map` agrees with the oracle.
+    fn map_agrees(map: Kernel, rng: &mut TestRng) -> Result<(), TestCaseError> {
+        let corpus = oracle::corpus(rng);
+        let n = oracle::corpus_words(&corpus).map_or(40, |w| w.len());
+        let inputs = vec![corpus, oracle::shard_params(rng, n)];
+        let reducers = quick(ExecEnv::Native).reducers;
+        prop_assert_eq!(map(inputs.clone()), map_oracle(inputs, reducers));
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn map_matches_the_owned_words_oracle(seed in any::<u64>()) {
+            let map = &transformations(&quick(ExecEnv::Native))[1].logic;
+            map_agrees(&**map, &mut TestRng::new(seed))?;
+        }
+
+        #[test]
+        fn split_matches_the_owned_words_oracle(seed in any::<u64>()) {
+            let inputs = vec![oracle::corpus(&mut TestRng::new(seed))];
+            let split = &transformations(&quick(ExecEnv::Native))[0].logic;
+            prop_assert_eq!(split(inputs.clone()), split_oracle(inputs));
+        }
+
+        #[test]
+        fn fanout_map_counts_words_without_collecting_them(seed in any::<u64>()) {
+            let params = quick(ExecEnv::Native);
+            let corpus = oracle::corpus(&mut TestRng::new(seed));
+            let plan = oracle::corpus_words(&corpus)
+                .map(|w| oracle::shard_plan(w.len(), params.words_per_map));
+            let workflow = workflow(&params);
+            let fanout = &workflow.triggers()[0];
+            prop_assert_eq!(oracle::fire(fanout, CLEAN, corpus), plan);
+        }
+    }
+
+    /// The generated corpora are strong enough to tell `split_whitespace`
+    /// from a plausible stand-in: the same map kernel splitting on
+    /// `u8::is_ascii_whitespace` (blind to U+000B and to every non-ASCII
+    /// space) fails the map property.
+    #[test]
+    fn an_ascii_whitespace_mapper_fails_the_map_property() {
+        let reducers = quick(ExecEnv::Native).reducers;
+        let ascii_map = |inputs: Vec<Bytes>| -> Result<Vec<Bytes>, String> {
+            let text = corpus_text(&inputs[0])?;
+            let p = decode_params(&inputs[1])?;
+            let [_, start, end] = p[..] else {
+                return Err("map: want [mapper, start, end] params".into());
+            };
+            let words = text
+                .split(|c: char| u8::try_from(c).is_ok_and(|b| b.is_ascii_whitespace()))
+                .filter(|w| !w.is_empty());
+            let buckets = bucket_counts(words, start as usize, end as usize, reducers)
+                .ok_or("map: word range outside corpus")?;
+            Ok(buckets.iter().map(encode_counts).collect())
+        };
+        let mut rng = TestRng::new(proptest::fnv("ascii whitespace mutant"));
+        let failures = (0..256)
+            .filter(|_| map_agrees(&ascii_map, &mut rng).is_err())
+            .count();
+        assert!(
+            failures > 0,
+            "no generated corpus told the predicates apart"
+        );
+    }
 
     #[test]
     fn map_reduce_counts_every_word_exactly_once() {
@@ -308,10 +436,10 @@ mod tests {
         let corpus = generate_corpus(&params, 9);
         let ts = transformations(&params);
         let clean = (ts[0].logic)(vec![corpus[0].1.clone()]).unwrap();
-        let words = corpus_words(&clean[0]).unwrap();
-        assert_eq!(words.len(), params.words);
+        let words = corpus_text(&clean[0]).unwrap().split_whitespace().count();
+        assert_eq!(words, params.words);
         // Map the whole corpus as one task, reduce each bucket, merge.
-        let p = encode_params(&[0, 0, words.len() as u64]);
+        let p = encode_params(&[0, 0, words as u64]);
         let buckets = (ts[1].logic)(vec![clean[0].clone(), p]).unwrap();
         assert_eq!(buckets.len(), params.reducers);
         let reduced: Vec<_> = buckets
@@ -319,13 +447,13 @@ mod tests {
             .map(|b| (ts[2].logic)(vec![b.clone()]).unwrap().remove(0))
             .collect();
         let merged = (ts[3].logic)(reduced).unwrap();
-        let counts = decode_counts(merged[0].clone()).unwrap();
+        let counts = decode_counts(&merged[0]).unwrap();
         let total: u64 = counts.values().sum();
         assert_eq!(total, params.words as u64);
         // Words land in disjoint hash buckets.
         let per_bucket: usize = buckets
             .iter()
-            .map(|b| decode_counts(b.clone()).unwrap().len())
+            .map(|b| decode_counts(b).unwrap().len())
             .sum();
         assert_eq!(per_bucket, counts.len());
     }

@@ -25,7 +25,7 @@
 //! code stays 0.
 
 use swf_bench::{
-    dump_observability, emit_scenario_json, flag_value, is_quick, is_traced,
+    dump_observability, emit_scenario_json, flag_value, is_quick, is_traced, outln,
     refuse_unknown_arguments, ScenarioMeter,
 };
 use swf_chaos::{experiment_config, run_chaos, ChaosProfile, ChaosRunConfig, FaultPlan, SERVICE};
@@ -98,19 +98,19 @@ fn main() {
     let seeds = seeds_from_args();
     // The harness derives its jitter-free config from each seed; nothing
     // the header shows depends on which.
-    println!("{}", setup_header(&experiment_config(0)));
-    println!(
+    outln!("{}", setup_header(&experiment_config(0)));
+    outln!(
         "## chaos seed sweep ({} profile, {} seeds{})",
         profile.0,
         seeds.end - seeds.start,
         if rescue { ", rescue-resume armed" } else { "" }
     );
     if rescue {
-        println!(
+        outln!(
             "seed  inj  task-fail  done  calm [s]  chaos [s]  slowdown  rounds  salvaged  salv [s]  waste [s]"
         );
     } else {
-        println!("seed  inj  task-fail  done  calm [s]  chaos [s]  slowdown");
+        outln!("seed  inj  task-fail  done  calm [s]  chaos [s]  slowdown");
     }
 
     let meter = ScenarioMeter::start();
@@ -149,7 +149,7 @@ fn main() {
         let chaos_s = chaos.makespan.as_secs_f64();
         let slowdown = if calm_s > 0.0 { chaos_s / calm_s } else { 1.0 };
         if rescue {
-            println!(
+            outln!(
                 "{seed:>4}  {:>3}  {:>9}  {:>2}/{}  {calm_s:>8.3}  {chaos_s:>9.3}  {slowdown:>7.2}x  {:>6}  {:>8}  {:>8.3}  {:>9.3}",
                 chaos.injected,
                 chaos.task_failures,
@@ -161,7 +161,7 @@ fn main() {
                 chaos.goodput.wasted_task_s,
             );
         } else {
-            println!(
+            outln!(
                 "{seed:>4}  {:>3}  {:>9}  {:>2}/{}  {calm_s:>8.3}  {chaos_s:>9.3}  {slowdown:>7.2}x",
                 chaos.injected,
                 chaos.task_failures,
@@ -227,12 +227,12 @@ fn main() {
     }
 
     for (seed, plan) in &failing {
-        println!("\nseed {seed} did not complete every workflow; replay with this plan:");
-        println!("{plan}");
+        outln!("\nseed {seed} did not complete every workflow; replay with this plan:");
+        outln!("{plan}");
     }
     for (seed, wf, json) in &rescue_artifacts {
-        println!("\nseed {seed} workflow {wf} final rescue DAG:");
-        println!("{json}");
+        outln!("\nseed {seed} workflow {wf} final rescue DAG:");
+        outln!("{json}");
     }
     dump_observability(&[("chaos", &obs)]);
     if flag_value("--json").is_some() {

@@ -33,7 +33,7 @@
 
 use swf_bench::record::workspace_root;
 use swf_bench::suite::{check_label, run_suite, scenario_names, select, suite_config, LABELS};
-use swf_bench::{flag_value, is_quick, refuse_unknown_arguments, write_chrome_trace};
+use swf_bench::{flag_value, is_quick, outln, refuse_unknown_arguments, write_chrome_trace};
 use swf_core::experiments::setup_header;
 
 /// Flags that stand alone and flags that take a value. Their readers are
@@ -64,13 +64,13 @@ fn main() {
 }
 
 fn list_main() {
-    println!("## suite — labels and their scenarios");
+    outln!("## suite — labels and their scenarios");
     for (label, note) in LABELS {
-        println!("  {label:<7} {}", scenario_names(label).join(", "));
-        println!("  {:<7}   {note}", "");
+        outln!("  {label:<7} {}", scenario_names(label).join(", "));
+        outln!("  {:<7}   {note}", "");
     }
-    println!("run one label with: suite [--quick] --label <label>");
-    println!("run chosen scenarios with: suite [--quick] --only <name>[,<name>…]");
+    outln!("run one label with: suite [--quick] --label <label>");
+    outln!("run chosen scenarios with: suite [--quick] --only <name>[,<name>…]");
 }
 
 fn run_main() {
@@ -88,7 +88,7 @@ fn run_main() {
         }),
         None => scenario_names(&label),
     };
-    println!("{}", setup_header(&suite_config(quick)));
+    outln!("{}", setup_header(&suite_config(quick)));
     let run = run_suite(&label, quick, &names, |name| {
         eprintln!(
             "suite: running {name} ({})",
@@ -96,22 +96,22 @@ fn run_main() {
         );
     });
     for report in &run.reports {
-        println!("{report}");
+        outln!("{report}");
     }
 
     // Per-scenario host summary.
-    println!("## suite — executor work per scenario");
+    outln!("## suite — executor work per scenario");
     if let Some(scenarios) = run.document.get("scenarios").and_then(|s| s.as_object()) {
         for (name, scenario) in scenarios.iter() {
             let host = &scenario["host"];
-            println!(
+            outln!(
                 "  {name:<10} events={:<9} peak_ready_queue={}",
                 host["events_processed"].as_u64().unwrap_or(0),
                 host["peak_ready_queue"].as_u64().unwrap_or(0),
             );
         }
     }
-    println!(
+    outln!(
         "  total      events={}",
         run.document["host"]["events_processed"]
             .as_u64()
@@ -128,7 +128,7 @@ fn run_main() {
         eprintln!("error: failed to write {path}: {e}");
         std::process::exit(1);
     }
-    println!("bench record written to {path}");
+    outln!("bench record written to {path}");
 
     let refs: Vec<(&str, &swf_obs::Obs)> = run
         .collectors
@@ -137,7 +137,7 @@ fn run_main() {
         .collect();
     if let Some(trace_path) = flag_value("--trace-out") {
         match write_chrome_trace(&trace_path, &refs) {
-            Ok(()) => println!("chrome trace written to {trace_path}"),
+            Ok(()) => outln!("chrome trace written to {trace_path}"),
             Err(e) => {
                 eprintln!("error: failed to write chrome trace to {trace_path}: {e}");
                 std::process::exit(1);
@@ -150,7 +150,7 @@ fn run_main() {
             eprintln!("error: failed to write spans to {spans_path}: {e}");
             std::process::exit(1);
         }
-        println!("span export written to {spans_path}");
+        outln!("span export written to {spans_path}");
     }
     if let Some(series_path) = flag_value("--series-out") {
         let doc = swf_bench::record::series_json(&refs);
@@ -158,7 +158,7 @@ fn run_main() {
             eprintln!("error: failed to write series to {series_path}: {e}");
             std::process::exit(1);
         }
-        println!("series export written to {series_path}");
+        outln!("series export written to {series_path}");
     }
 }
 
@@ -195,8 +195,8 @@ fn compare_main(args: &[String]) {
     // The threshold reaches only wall-clock leaves, which no document
     // this workspace writes has.
     let report = swf_metrics::compare(&old, &new, 0.10);
-    println!("## suite compare — {old_path} vs {new_path}");
-    print!("{}", report.render());
+    outln!("## suite compare — {old_path} vs {new_path}");
+    swf_bench::print_out(format_args!("{}", report.render()));
     if report.has_drift() {
         eprintln!("FAIL: drift — the simulation's results or the executor's work changed");
     }

@@ -19,6 +19,9 @@ pub mod suite;
 
 pub use record::{emit_scenario_json, ScenarioMeter};
 
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use swf_core::experiments::{ColdStartResult, Fig1Result, Fig2Result, Fig5Result, Fig6Result};
 use swf_metrics::Table;
 
@@ -84,6 +87,35 @@ pub fn refuse_unknown_arguments(args: &[String], switches: &[&str], valued: &[&s
     }
 }
 
+/// Set once a write to stdout has failed; later output is dropped.
+static STDOUT_CLOSED: AtomicBool = AtomicBool::new(false);
+
+/// Write to stdout, the way `print!` does, except that a reader that
+/// stopped reading (`suite … | head -1`) ends the printing, not the run:
+/// a failed write drops this and every later line, and the binary still
+/// writes its records and exits with the code its run or comparison
+/// decided. Any failure other than a closed pipe is reported once on
+/// stderr. Use through [`outln!`].
+pub fn print_out(args: std::fmt::Arguments) {
+    if STDOUT_CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        STDOUT_CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+        }
+    }
+}
+
+/// `println!` through [`print_out`]: survives a closed stdout.
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::print_out(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Parse the common `--quick` flag.
 pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
@@ -119,10 +151,10 @@ pub fn dump_observability(collectors: &[(&str, &swf_obs::Obs)]) {
     for (label, obs) in collectors {
         metrics.insert(label.to_string(), obs.metrics_json());
     }
-    println!("\nmetrics: {}", serde_json::Value::Object(metrics));
+    crate::outln!("\nmetrics: {}", serde_json::Value::Object(metrics));
     if let Some(path) = flag_value("--trace-out") {
         match write_chrome_trace(&path, collectors) {
-            Ok(()) => println!("chrome trace written to {path}"),
+            Ok(()) => crate::outln!("chrome trace written to {path}"),
             Err(e) => {
                 eprintln!("error: failed to write chrome trace to {path}: {e}");
                 std::process::exit(1);

@@ -334,7 +334,7 @@ pub fn emit_scenario_json(
     );
     let doc = bench_document(name, quick, vec![(name.to_string(), scenario)]);
     match std::fs::write(&path, doc.to_string()) {
-        Ok(()) => println!("bench record written to {path}"),
+        Ok(()) => crate::outln!("bench record written to {path}"),
         Err(e) => {
             eprintln!("error: failed to write bench record to {path}: {e}");
             std::process::exit(1);

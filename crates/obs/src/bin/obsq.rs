@@ -19,6 +19,7 @@
 //! byte-identical across runs — queries are part of the determinism
 //! surface.
 
+use std::io::Write;
 use std::process::ExitCode;
 
 use swf_obs::{
@@ -178,6 +179,18 @@ fn run(args: &Args) -> Result<String, String> {
     Ok(out)
 }
 
+/// Write `text` to stdout. A reader that stopped reading (`obsq folded …
+/// | head -1`) has what it wanted: that is success, not a panic.
+fn print_out(text: &str) -> ExitCode {
+    match std::io::stdout().lock().write_all(text.as_bytes()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("obsq: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        _ => ExitCode::SUCCESS,
+    }
+}
+
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
@@ -188,18 +201,16 @@ fn main() -> ExitCode {
         }
     };
     match run(&args) {
-        Ok(output) => {
-            if let Some(path) = &args.out {
+        Ok(output) => match &args.out {
+            Some(path) => {
                 if let Err(e) = std::fs::write(path, &output) {
                     eprintln!("obsq: cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }
-                println!("wrote {path}");
-            } else {
-                print!("{output}");
+                print_out(&format!("wrote {path}\n"))
             }
-            ExitCode::SUCCESS
-        }
+            None => print_out(&output),
+        },
         Err(e) => {
             eprintln!("obsq: {e}");
             ExitCode::FAILURE
