@@ -5,10 +5,9 @@
 
 use bytes::Bytes;
 
-use swf_core::{ExperimentConfig, Provisioning, TestBed};
-use swf_knative::Knative;
-use swf_pegasus::{Pegasus, ReplicaLocation, Transformation};
-use swf_simcore::{secs, Sim};
+use swf_core::{harness, ExperimentConfig, Provisioning};
+use swf_pegasus::{Pegasus, ReplicaLocation};
+use swf_simcore::secs;
 use swf_workloads::ExecEnv;
 
 use crate::dynamic::{run_dynamic, DynamicReport};
@@ -71,26 +70,9 @@ pub struct AppOutcome {
     pub output: Bytes,
     /// FNV-1a fingerprint of `output` — the cross-venue equality witness.
     pub output_fingerprint: u64,
-    /// The observability handle the run recorded into (disabled when
-    /// `trace` was off).
+    /// The observability handle the run recorded into (the run harness's
+    /// collector rule: enabled when `trace` is on).
     pub obs: swf_obs::Obs,
-}
-
-fn register_functions(knative: &Knative, config: &ExperimentConfig, ts: &[Transformation]) {
-    for t in ts {
-        swf_core::FunctionBuilder::new(
-            &t.name,
-            swf_container::ImageRef::parse(ExperimentConfig::image_name()),
-            t,
-        )
-        .container_concurrency(config.container_concurrency)
-        // One warm pod per service: the bed hosts one service per
-        // transformation, so the experiment-level min-scale (sized for a
-        // single matmul service) would oversubscribe the worker nodes.
-        .provisioning(config.provisioning, 1)
-        .serialization_rate(config.serialization_rate)
-        .register(knative);
-    }
 }
 
 /// Run an application end to end. See [`run_app_with`].
@@ -107,32 +89,33 @@ pub fn run_app_with(
     mutate: impl FnOnce(&mut AppSpec) + 'static,
 ) -> Result<AppOutcome, String> {
     let run = *run;
-    let sim = Sim::new();
-    sim.block_on(async move {
-        let mut config = if run.quick {
-            ExperimentConfig::quick()
-        } else {
-            ExperimentConfig::paper()
-        };
-        config.trace = run.trace;
-        let obs = if config.trace {
-            swf_obs::Obs::enabled()
-        } else {
-            swf_obs::Obs::disabled()
-        };
-        let _guard = swf_obs::install(obs.clone());
-
-        let bed = TestBed::boot(&config);
+    let mut config = if run.quick {
+        ExperimentConfig::quick()
+    } else {
+        ExperimentConfig::paper()
+    };
+    config.trace = run.trace;
+    let (outcome, obs) = harness::run(&config, async move |bed| {
         let mut spec = build_app(run.kind, run.env, run.seed, run.quick);
         mutate(&mut spec);
 
-        let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
+        let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(bed.config.dagman);
         for t in &spec.transformations {
             pegasus.transformations().register(t.clone());
         }
         if run.env == ExecEnv::Serverless {
-            register_functions(&bed.knative, &config, &spec.transformations);
-            if config.provisioning == Provisioning::PreStage {
+            for t in &spec.transformations {
+                swf_core::FunctionBuilder::new(&t.name, bed.image.clone(), t)
+                    .container_concurrency(bed.config.container_concurrency)
+                    // One warm pod per service: the bed hosts one service per
+                    // transformation, so the experiment-level min-scale (sized
+                    // for a single matmul service) would oversubscribe the
+                    // worker nodes.
+                    .provisioning(bed.config.provisioning, 1)
+                    .serialization_rate(bed.config.serialization_rate)
+                    .register(&bed.knative);
+            }
+            if bed.config.provisioning == Provisioning::PreStage {
                 for t in &spec.transformations {
                     bed.knative
                         .wait_ready(&t.name, 1, secs(600.0))
@@ -162,12 +145,14 @@ pub fn run_app_with(
             .read(&spec.final_output)
             .await
             .map_err(|e| format!("final output {}: {e}", spec.final_output))?;
-        Ok(AppOutcome {
-            output_fingerprint: fnv1a(&output),
-            report,
-            output,
-            obs,
-        })
+        Ok::<_, String>((report, output))
+    });
+    let (report, output) = outcome?;
+    Ok(AppOutcome {
+        output_fingerprint: fnv1a(&output),
+        report,
+        output,
+        obs,
     })
 }
 
@@ -175,6 +160,7 @@ pub fn run_app_with(
 mod tests {
     use super::*;
     use crate::AppKind;
+    use swf_pegasus::Transformation;
 
     #[test]
     fn unrescued_validator_failure_is_reported_after_its_siblings_finish() {

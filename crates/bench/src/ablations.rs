@@ -12,11 +12,11 @@ use bytes::Bytes;
 use swf_cluster::{NodeId, Request};
 use swf_container::Workload;
 use swf_core::experiments::{run_once, ConcurrentParams};
-use swf_core::{ExperimentConfig, Provisioning, TestBed};
+use swf_core::{harness, ExperimentConfig, Provisioning};
 use swf_knative::{KService, RoutingPolicy};
 use swf_metrics::Table;
 use swf_pegasus::PlanOptions;
-use swf_simcore::{now, secs, Sim};
+use swf_simcore::{now, secs};
 use swf_workloads::EnvMix;
 
 /// One measured ablation row.
@@ -83,131 +83,102 @@ impl AblationsResult {
     }
 }
 
-fn scale(quick: bool) -> (usize, usize) {
-    if quick {
-        (3, 4)
-    } else {
-        (6, 8)
+/// The ablations' concurrent-workflow shape at the given scale.
+fn params(quick: bool, mix: EnvMix) -> ConcurrentParams {
+    let (workflows, tasks_per_workflow) = if quick { (3, 4) } else { (6, 8) };
+    ConcurrentParams {
+        workflows,
+        tasks_per_workflow,
+        mix,
+        ..ConcurrentParams::default()
     }
+}
+
+/// Run one traced `run_once` row and record its slowest makespan under
+/// `(group, variant)` and its collector under `collector`.
+fn concurrent_row(
+    out: &mut AblationsResult,
+    (group, variant, collector): (&'static str, String, String),
+    mut config: ExperimentConfig,
+    params: ConcurrentParams,
+) {
+    config.trace = true;
+    let o = run_once(&config, params, 0);
+    out.rows.push(AblationRow {
+        group,
+        variant,
+        metric_s: o.slowest,
+    });
+    out.collectors.push((collector, o.obs));
 }
 
 /// Ablation 1 — container concurrency: shared containers (cc=0) vs
 /// strict one-request-per-container (cc=1) on the all-serverless workload.
 fn ablate_reuse(quick: bool, out: &mut AblationsResult) {
-    let (workflows, tasks) = scale(quick);
     for (label, cc) in [
         ("containerConcurrency=1", 1u32),
         ("containerConcurrency=0 (shared)", 0),
     ] {
         let mut config = ExperimentConfig::quick();
         config.container_concurrency = cc;
-        config.trace = true;
-        let o = run_once(
-            &config,
-            ConcurrentParams {
-                workflows,
-                tasks_per_workflow: tasks,
-                mix: EnvMix::ALL_SERVERLESS,
-                ..ConcurrentParams::default()
-            },
-            0,
+        let row = (
+            "container concurrency",
+            label.into(),
+            format!("reuse/{label}"),
         );
-        out.rows.push(AblationRow {
-            group: "container concurrency",
-            variant: label.into(),
-            metric_s: o.slowest,
-        });
-        out.collectors.push((format!("reuse/{label}"), o.obs));
+        concurrent_row(out, row, config, params(quick, EnvMix::ALL_SERVERLESS));
     }
 }
 
 /// Ablation 2 — provisioning: pre-staged warm pods vs deferred downloads.
 fn ablate_provisioning(quick: bool, out: &mut AblationsResult) {
-    let (workflows, tasks) = scale(quick);
     for (label, mode) in [
         ("min-scale pre-staged", Provisioning::PreStage),
         ("initial-scale=0 deferred", Provisioning::Deferred),
     ] {
         let mut config = ExperimentConfig::quick();
         config.provisioning = mode;
-        config.trace = true;
-        let o = run_once(
-            &config,
-            ConcurrentParams {
-                workflows,
-                tasks_per_workflow: tasks,
-                mix: EnvMix::ALL_SERVERLESS,
-                ..ConcurrentParams::default()
-            },
-            0,
+        let row = (
+            "provisioning",
+            label.into(),
+            format!("provisioning/{label}"),
         );
-        out.rows.push(AblationRow {
-            group: "provisioning",
-            variant: label.into(),
-            metric_s: o.slowest,
-        });
-        out.collectors
-            .push((format!("provisioning/{label}"), o.obs));
+        concurrent_row(out, row, config, params(quick, EnvMix::ALL_SERVERLESS));
     }
 }
 
 /// Ablation 3 — pass-by-value serialization on vs off (node-resident data).
 fn ablate_payload(quick: bool, out: &mut AblationsResult) {
-    let (workflows, tasks) = scale(quick);
     for (label, rate) in [
         ("pass-by-value (4 MB/s ser.)", 4.0e6),
         ("node-resident data", 0.0),
     ] {
         let mut config = ExperimentConfig::quick();
         config.serialization_rate = rate;
-        config.trace = true;
         // Use paper-sized matrices so payload costs are visible.
         config.matrix_dim = if quick { 64 } else { 350 };
-        let o = run_once(
-            &config,
-            ConcurrentParams {
-                workflows,
-                tasks_per_workflow: tasks,
-                mix: EnvMix::ALL_SERVERLESS,
-                ..ConcurrentParams::default()
-            },
-            0,
-        );
-        out.rows.push(AblationRow {
-            group: "file management",
-            variant: label.into(),
-            metric_s: o.slowest,
-        });
-        out.collectors.push((format!("payload/{label}"), o.obs));
+        let row = ("file management", label.into(), format!("payload/{label}"));
+        concurrent_row(out, row, config, params(quick, EnvMix::ALL_SERVERLESS));
     }
 }
 
 /// Ablation 4 — task clustering levels (§IX-C task resizing).
 fn ablate_clustering(quick: bool, out: &mut AblationsResult) {
-    let (workflows, tasks) = scale(quick);
     for level in [1usize, 2, 4] {
-        let mut config = ExperimentConfig::quick();
-        config.trace = true;
-        let o = run_once(
-            &config,
-            ConcurrentParams {
-                workflows,
-                tasks_per_workflow: tasks,
-                mix: EnvMix::ALL_NATIVE,
-                plan: PlanOptions {
-                    cluster_level: level,
-                    retries: 0,
-                },
-            },
-            0,
+        let row = (
+            "task clustering (§IX-C)",
+            format!("cluster level {level}"),
+            format!("clustering/level-{level}"),
         );
-        out.rows.push(AblationRow {
-            group: "task clustering (§IX-C)",
-            variant: format!("cluster level {level}"),
-            metric_s: o.slowest,
-        });
-        out.collectors
-            .push((format!("clustering/level-{level}"), o.obs));
+        let plan = PlanOptions {
+            cluster_level: level,
+            retries: 0,
+        };
+        let params = ConcurrentParams {
+            plan,
+            ..params(quick, EnvMix::ALL_NATIVE)
+        };
+        concurrent_row(out, row, ExperimentConfig::quick(), params);
     }
 }
 
@@ -218,14 +189,10 @@ fn ablate_routing(out: &mut AblationsResult) {
         ("round-robin", RoutingPolicy::RoundRobin),
         ("least-loaded (§IX-D)", RoutingPolicy::LeastLoaded),
     ] {
-        let obs = swf_obs::Obs::enabled();
-        let obs2 = obs.clone();
-        let sim = Sim::new();
-        let mean_latency = sim.block_on(async move {
-            let _obs_guard = swf_obs::install(obs2);
-            let mut config = ExperimentConfig::quick();
-            config.knative.routing = policy;
-            let bed = TestBed::boot(&config);
+        let mut config = ExperimentConfig::quick();
+        config.knative.routing = policy;
+        config.trace = true;
+        let (mean_latency, obs) = harness::run(&config, async |bed| {
             bed.knative.register_fn(
                 KService::new("fn", bed.image.clone())
                     .with_min_scale(2)

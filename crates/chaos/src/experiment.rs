@@ -29,13 +29,13 @@ use swf_condor::{
 };
 use swf_container::Workload;
 use swf_core::config::ExperimentConfig;
-use swf_core::TestBed;
+use swf_core::{harness, TestBed};
 use swf_knative::{BreakerConfig, KService};
 use swf_simcore::{
-    join_all, now, secs, sleep, spawn, timeout, Elapsed, RetryPolicy, Sim, SimDuration, SimTime,
+    join_all, now, secs, sleep, spawn, timeout, Elapsed, RetryPolicy, SimDuration, SimTime,
 };
 
-use crate::inject::{Disruptor, Injector, Stack};
+use crate::inject::{Disruptor, Injector};
 use crate::plan::FaultPlan;
 
 /// The KService chaos workflows invoke for their serverless tasks.
@@ -92,6 +92,28 @@ impl ChaosRunConfig {
         c.rescue = true;
         c.max_rescue_rounds = 16;
         c
+    }
+
+    /// The testbed a run of this shape boots: [`experiment_config`] of its
+    /// seed, the self-healing stack armed under `rescue`, and tracing on,
+    /// so that with no enabled ambient collector the run harness records
+    /// into a fresh enabled one and the outcome's metrics are populated.
+    pub fn testbed_config(&self) -> ExperimentConfig {
+        let mut config = experiment_config(self.seed);
+        config.trace = true;
+        if self.rescue {
+            // Arm the self-healing stack: liveness probes on function
+            // pods, the per-revision circuit breaker, and a bounded
+            // queue-proxy depth with typed overload 503s.
+            config.knative.pod_probe = Some(swf_k8s::ProbeSpec {
+                period: secs(1.0),
+                unready_threshold: 1,
+                failure_threshold: 2,
+            });
+            config.knative.breaker = BreakerConfig::enabled(5, secs(8.0));
+            config.knative.data_plane.queue_depth = 8;
+        }
+        config
     }
 }
 
@@ -245,150 +267,122 @@ pub fn experiment_config(seed: u64) -> ExperimentConfig {
 /// `Err` only on harness setup failure (e.g. the function never became
 /// ready); workflow failures are data, not errors.
 pub fn run_chaos(cfg: &ChaosRunConfig, plan: &FaultPlan) -> Result<ChaosOutcome, String> {
-    run_chaos_with(cfg, plan, |_| {})
+    let (run_cfg, plan) = (cfg.clone(), plan.clone());
+    harness::run(&cfg.testbed_config(), async move |bed| {
+        run_chaos_on(bed, &run_cfg, plan).await
+    })
+    .0
 }
 
-/// [`run_chaos`] with a setup hook that runs inside the simulation right
-/// after the testbed boots, before the service registers and workflows
-/// start. Elastic infrastructure (autoscalers, cost ledgers) attaches
-/// here; `run_chaos` itself passes a no-op, so runs without a hook are
-/// bit-identical to runs before the hook existed.
-pub fn run_chaos_with(
+/// The chaos run on a booted bed: register the service, spawn the
+/// injector, run the chains, collect the outcome. [`run_chaos`] hands it to
+/// the run harness as its whole body; `swf-elastic` attaches its ledger and
+/// autoscaler first, in its own body, then calls it.
+pub async fn run_chaos_on(
+    bed: &TestBed,
     cfg: &ChaosRunConfig,
-    plan: &FaultPlan,
-    setup: impl FnOnce(&TestBed) + 'static,
+    plan: FaultPlan,
 ) -> Result<ChaosOutcome, String> {
-    let sim = Sim::new();
-    let cfg = cfg.clone();
-    let plan = plan.clone();
-    sim.block_on(async move {
-        // Reuse an ambient enabled collector (so a tracing CLI run sees the
-        // injector's spans); otherwise install a private enabled one so the
-        // outcome's metrics snapshot is always populated.
-        let ambient = swf_obs::current();
-        let (obs, _obs_guard) = if ambient.is_enabled() {
-            (ambient, None)
-        } else {
-            let o = swf_obs::Obs::enabled();
-            let g = swf_obs::install(o.clone());
-            (o, Some(g))
-        };
-        let mut config = experiment_config(cfg.seed);
-        if cfg.rescue {
-            // Arm the self-healing stack: liveness probes on function
-            // pods, the per-revision circuit breaker, and a bounded
-            // queue-proxy depth with typed overload 503s.
-            config.knative.pod_probe = Some(swf_k8s::ProbeSpec {
-                period: secs(1.0),
-                unready_threshold: 1,
-                failure_threshold: 2,
-            });
-            config.knative.breaker = BreakerConfig::enabled(5, secs(8.0));
-            config.knative.data_plane.queue_depth = 8;
-        }
-        let bed = TestBed::boot(&config);
-        setup(&bed);
-        let disruptor = Disruptor::new(cfg.seed);
+    let disruptor = Disruptor::new(cfg.seed);
 
-        let d = disruptor.clone();
-        bed.knative.register_fn(
-            KService::new(SERVICE, bed.image.clone()).with_min_scale(1),
-            move |req| {
-                let body = req.body.clone();
-                let dur = d.scale_compute(TASK_COMPUTE);
-                Workload::new(dur, move || Ok(body))
-            },
-        );
-        bed.knative
-            .wait_ready(SERVICE, 1, secs(3600.0))
-            .await
-            .map_err(|e| format!("chaos harness: {SERVICE} never became ready: {e}"))?;
+    let d = disruptor.clone();
+    bed.knative.register_fn(
+        KService::new(SERVICE, bed.image.clone()).with_min_scale(1),
+        move |req| {
+            let body = req.body.clone();
+            let dur = d.scale_compute(TASK_COMPUTE);
+            Workload::new(dur, move || Ok(body))
+        },
+    );
+    bed.knative
+        .wait_ready(SERVICE, 1, secs(3600.0))
+        .await
+        .map_err(|e| format!("chaos harness: {SERVICE} never became ready: {e}"))?;
 
-        let t0 = now();
-        let injector = Injector::new(plan.clone());
-        let inj_handle = spawn(injector.run(Stack::of(&bed), Some(disruptor.clone())));
+    let t0 = now();
+    let injector = Injector::new(plan.clone());
+    let inj_handle = spawn(injector.run(bed.clone(), Some(disruptor.clone())));
 
-        let mut handles = Vec::new();
-        for w in 0..cfg.workflows {
-            // Per-node execution counters: every job closure bumps its
-            // node's entry, so the sweep can prove salvaged nodes never
-            // re-execute after a resume.
-            let execs: Rc<RefCell<BTreeMap<String, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
-            let dag = build_chain(&cfg, w, &bed, &disruptor, &execs)?;
-            let condor = bed.condor.clone();
-            let dagman = config.dagman;
-            let max_rounds = cfg.max_rescue_rounds;
-            // Deterministic stagger stands in for the zeroed phase jitter.
-            let stagger = SimDuration::from_secs_f64(0.25 * w as f64);
-            handles.push(spawn(async move {
-                sleep(stagger).await;
-                let run = run_workflow(condor, dag, dagman, max_rounds, execs);
-                let (outcome, stats) = match timeout(DEADLINE, run).await {
-                    Ok(pair) => pair,
-                    Err(Elapsed) => (
-                        WorkflowOutcome::Failed {
-                            error: "workflow deadline elapsed".to_string(),
-                        },
-                        WorkflowStats::default(),
-                    ),
-                };
-                (outcome, now(), stats)
-            }));
+    let mut handles = Vec::new();
+    for w in 0..cfg.workflows {
+        // Per-node execution counters: every job closure bumps its
+        // node's entry, so the sweep can prove salvaged nodes never
+        // re-execute after a resume.
+        let execs: Rc<RefCell<BTreeMap<String, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
+        let dag = build_chain(cfg, w, bed, &disruptor, &execs)?;
+        let condor = bed.condor.clone();
+        let dagman = bed.config.dagman;
+        let max_rounds = cfg.max_rescue_rounds;
+        // Deterministic stagger stands in for the zeroed phase jitter.
+        let stagger = SimDuration::from_secs_f64(0.25 * w as f64);
+        handles.push(spawn(async move {
+            sleep(stagger).await;
+            let run = run_workflow(condor, dag, dagman, max_rounds, execs);
+            let (outcome, stats) = match timeout(DEADLINE, run).await {
+                Ok(pair) => pair,
+                Err(Elapsed) => (
+                    WorkflowOutcome::Failed {
+                        error: "workflow deadline elapsed".to_string(),
+                    },
+                    WorkflowStats::default(),
+                ),
+            };
+            (outcome, now(), stats)
+        }));
+    }
+    let settled = join_all(handles).await;
+    let injected = inj_handle.await;
+    let settle_at = settled.iter().map(|(_, t, _)| *t).fold(t0, SimTime::max);
+    let mut goodput = GoodputReport::default();
+    let mut rescue_dags = Vec::new();
+    let mut recovery_sum = 0.0;
+    let mut recovered = 0u64;
+    let mut outcomes = Vec::new();
+    for (w, (outcome, _, stats)) in settled.into_iter().enumerate() {
+        goodput.salvaged_task_s += stats.salvaged_s;
+        goodput.wasted_task_s += stats.wasted_s;
+        goodput.rescue_rounds += stats.rounds;
+        goodput.nodes_salvaged += stats.nodes_salvaged;
+        goodput.reexecuted_nodes += stats.reexecuted;
+        goodput.output_mismatches += stats.output_mismatches;
+        if stats.rounds > 0 {
+            goodput.workflows_rescued += 1;
         }
-        let settled = join_all(handles).await;
-        let injected = inj_handle.await;
-        let settle_at = settled.iter().map(|(_, t, _)| *t).fold(t0, SimTime::max);
-        let mut goodput = GoodputReport::default();
-        let mut rescue_dags = Vec::new();
-        let mut recovery_sum = 0.0;
-        let mut recovered = 0u64;
-        let mut outcomes = Vec::new();
-        for (w, (outcome, _, stats)) in settled.into_iter().enumerate() {
-            goodput.salvaged_task_s += stats.salvaged_s;
-            goodput.wasted_task_s += stats.wasted_s;
-            goodput.rescue_rounds += stats.rounds;
-            goodput.nodes_salvaged += stats.nodes_salvaged;
-            goodput.reexecuted_nodes += stats.reexecuted;
-            goodput.output_mismatches += stats.output_mismatches;
-            if stats.rounds > 0 {
-                goodput.workflows_rescued += 1;
-            }
-            if let Some(s) = stats.recovery_s {
-                recovery_sum += s;
-                recovered += 1;
-            }
-            if let Some(json) = stats.rescue_json {
-                rescue_dags.push((format!("chaos-wf{w}"), json));
-            }
-            outcomes.push(outcome);
+        if let Some(s) = stats.recovery_s {
+            recovery_sum += s;
+            recovered += 1;
         }
-        if recovered > 0 {
-            goodput.mean_recovery_s = recovery_sum / recovered as f64;
+        if let Some(json) = stats.rescue_json {
+            rescue_dags.push((format!("chaos-wf{w}"), json));
         }
-        Ok(ChaosOutcome {
-            plan,
-            outcomes,
-            makespan: settle_at - t0,
-            started_at: t0,
-            settled_at: settle_at,
-            injected,
-            task_failures: disruptor.injected_failures(),
-            registry_ledger: bed
-                .registry
-                .bytes_ledger()
-                .into_iter()
-                .map(|(n, b)| (n.0, b))
-                .collect(),
-            registry_bytes_served: bed.registry.bytes_served(),
-            registry_failed_pulls: bed.registry.failed_pulls(),
-            metrics: obs.metrics(),
-            goodput,
-            rescue_dags,
-        })
+        outcomes.push(outcome);
+    }
+    if recovered > 0 {
+        goodput.mean_recovery_s = recovery_sum / recovered as f64;
+    }
+    Ok(ChaosOutcome {
+        plan,
+        outcomes,
+        makespan: settle_at - t0,
+        started_at: t0,
+        settled_at: settle_at,
+        injected,
+        task_failures: disruptor.injected_failures(),
+        registry_ledger: bed
+            .registry
+            .bytes_ledger()
+            .into_iter()
+            .map(|(n, b)| (n.0, b))
+            .collect(),
+        registry_bytes_served: bed.registry.bytes_served(),
+        registry_failed_pulls: bed.registry.failed_pulls(),
+        metrics: swf_obs::current().metrics(),
+        goodput,
+        rescue_dags,
     })
 }
 
-/// Per-workflow bookkeeping [`run_workflow`] threads back to [`run_chaos`].
+/// Per-workflow bookkeeping [`run_workflow`] threads back to [`run_chaos_on`].
 #[derive(Clone, Debug, Default)]
 struct WorkflowStats {
     rounds: u64,

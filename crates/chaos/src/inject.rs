@@ -5,41 +5,12 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swf_cluster::{Cluster, LinkQuality, NodeId};
-use swf_condor::Condor;
-use swf_container::Registry;
+use swf_cluster::{LinkQuality, NodeId};
 use swf_core::TestBed;
-use swf_k8s::K8s;
 use swf_knative::Revision;
 use swf_simcore::{now, sleep, DetRng, SimDuration, SimTime};
 
 use crate::plan::{FaultKind, FaultPlan};
-
-/// Cloneable handles to every subsystem the injector can fault. Extracted
-/// from a [`TestBed`] so the injector can run as a spawned task.
-#[derive(Clone)]
-pub struct Stack {
-    /// The cluster fabric (partitions, link degradation).
-    pub cluster: Cluster,
-    /// The image registry (outages).
-    pub registry: Registry,
-    /// The HTCondor pool (crashes, drains).
-    pub condor: Condor,
-    /// The Kubernetes control plane (node failures, pod kills).
-    pub k8s: K8s,
-}
-
-impl Stack {
-    /// Borrow the handles out of a booted testbed.
-    pub fn of(bed: &TestBed) -> Stack {
-        Stack {
-            cluster: bed.cluster.clone(),
-            registry: bed.registry.clone(),
-            condor: bed.condor.clone(),
-            k8s: bed.k8s.clone(),
-        }
-    }
-}
 
 struct DisruptorState {
     flaky_until: SimTime,
@@ -118,7 +89,7 @@ impl Disruptor {
     }
 }
 
-/// Replays a [`FaultPlan`] against a [`Stack`] on the virtual clock.
+/// Replays a [`FaultPlan`] against a booted [`TestBed`] on the virtual clock.
 pub struct Injector {
     plan: FaultPlan,
 }
@@ -141,8 +112,9 @@ impl Injector {
     /// Paired start/end faults additionally observe the outage duration as
     /// `chaos.outage_s.<class>` when the end event lands, so goodput
     /// reports can relate salvage to how long each disruption lasted.
-    /// Returns the number of injections applied.
-    pub async fn run(self, stack: Stack, disruptor: Option<Disruptor>) -> u64 {
+    /// Returns the number of injections applied. Takes the bed by value
+    /// (a clone) so it can run as a spawned task.
+    pub async fn run(self, bed: TestBed, disruptor: Option<Disruptor>) -> u64 {
         let obs = swf_obs::current();
         let start = now();
         let mut injected = 0u64;
@@ -160,7 +132,7 @@ impl Injector {
                 format!("inject:{label}"),
                 swf_obs::Category::Other,
             );
-            Self::apply(&ev.kind, &stack, disruptor.as_ref()).await;
+            Self::apply(&ev.kind, &bed, disruptor.as_ref()).await;
             Self::track_outage(&ev.kind, &mut open, &obs);
             obs.counter_add("chaos.injected", 1);
             // Per-kind counter: the name set is the closed FaultKind::label()
@@ -232,27 +204,27 @@ impl Injector {
         }
     }
 
-    async fn apply(kind: &FaultKind, stack: &Stack, disruptor: Option<&Disruptor>) {
+    async fn apply(kind: &FaultKind, bed: &TestBed, disruptor: Option<&Disruptor>) {
         match kind {
             FaultKind::NodeCrash { node } => {
-                stack.condor.fail_node(NodeId(*node));
-                stack.k8s.fail_node(NodeId(*node));
+                bed.condor.fail_node(NodeId(*node));
+                bed.k8s.fail_node(NodeId(*node));
             }
             FaultKind::NodeRecover { node } => {
-                stack.k8s.recover_node(NodeId(*node));
-                stack.condor.recover_node(NodeId(*node));
+                bed.k8s.recover_node(NodeId(*node));
+                bed.condor.recover_node(NodeId(*node));
             }
             FaultKind::CondorDrain { node } => {
-                stack.condor.drain_node(NodeId(*node));
+                bed.condor.drain_node(NodeId(*node));
             }
             FaultKind::CondorResume { node } => {
-                stack.condor.undrain_node(NodeId(*node));
+                bed.condor.undrain_node(NodeId(*node));
             }
             FaultKind::PodKill { service } => {
                 // Kill the first (name-ordered) pod of the service's active
                 // revision; the ReplicaSet controller replaces it.
                 let rev = format!("{service}-00001");
-                let victim = stack
+                let victim = bed
                     .k8s
                     .api()
                     .pods()
@@ -261,14 +233,14 @@ impl Injector {
                     .map(|p| p.meta.name)
                     .next();
                 if let Some(name) = victim {
-                    let _ = stack.k8s.api().delete_pod(&name).await;
+                    let _ = bed.k8s.api().delete_pod(&name).await;
                 }
             }
             FaultKind::Partition { a, b } => {
-                stack.cluster.network().partition(NodeId(*a), NodeId(*b));
+                bed.cluster.network().partition(NodeId(*a), NodeId(*b));
             }
             FaultKind::Heal { a, b } => {
-                stack.cluster.network().heal(NodeId(*a), NodeId(*b));
+                bed.cluster.network().heal(NodeId(*a), NodeId(*b));
             }
             FaultKind::DegradeLink {
                 a,
@@ -276,7 +248,7 @@ impl Injector {
                 latency_factor,
                 bandwidth_factor,
             } => {
-                stack.cluster.network().degrade_link(
+                bed.cluster.network().degrade_link(
                     NodeId(*a),
                     NodeId(*b),
                     LinkQuality {
@@ -286,13 +258,13 @@ impl Injector {
                 );
             }
             FaultKind::RestoreLink { a, b } => {
-                stack.cluster.network().restore_link(NodeId(*a), NodeId(*b));
+                bed.cluster.network().restore_link(NodeId(*a), NodeId(*b));
             }
             FaultKind::RegistryOutageStart => {
-                stack.registry.set_outage(true);
+                bed.registry.set_outage(true);
             }
             FaultKind::RegistryOutageEnd => {
-                stack.registry.set_outage(false);
+                bed.registry.set_outage(false);
             }
             FaultKind::FlakyTasks {
                 window,
@@ -318,19 +290,19 @@ impl Injector {
                 // claim-epoch requeue and rescue-resume remain the safety
                 // net for whatever the drain could not finish in time.
                 let id = NodeId(*node);
-                stack.condor.drain_node(id);
-                stack.k8s.fail_node(id);
+                bed.condor.drain_node(id);
+                bed.k8s.fail_node(id);
                 let grace = *grace;
-                let stack = stack.clone();
+                let bed = bed.clone();
                 swf_simcore::spawn(async move {
                     sleep(grace).await;
-                    if stack.k8s.node_is_ready(id) {
+                    if bed.k8s.node_is_ready(id) {
                         // Revocation was rescinded before the grace ran
                         // out; the node was never lost.
-                        stack.condor.undrain_node(id);
+                        bed.condor.undrain_node(id);
                         return;
                     }
-                    let idle = stack
+                    let idle = bed
                         .condor
                         .startd(id)
                         .is_none_or(|s| s.free_slots() == s.total_slots());
@@ -340,10 +312,10 @@ impl Injector {
                     } else {
                         obs.counter_add("chaos.spot_forced_kills", 1);
                     }
-                    stack.condor.fail_node(id);
+                    bed.condor.fail_node(id);
                     // Clear the drain flag so the eventual NodeRecover
                     // restores the node to full service.
-                    stack.condor.undrain_node(id);
+                    bed.condor.undrain_node(id);
                 });
             }
             FaultKind::ContainerCrash { service } => {
@@ -351,7 +323,7 @@ impl Injector {
                 // running pod of the service's active revision. The pod
                 // object stays; only a liveness probe brings it back.
                 let rev = format!("{service}-00001");
-                let victim = stack
+                let victim = bed
                     .k8s
                     .api()
                     .pods()
@@ -363,7 +335,7 @@ impl Injector {
                     .next();
                 if let Some(pod) = victim {
                     if let (Some(node), Some(container)) = (pod.status.node, pod.status.container) {
-                        if let Some(rt) = stack.k8s.runtime(node) {
+                        if let Some(rt) = bed.k8s.runtime(node) {
                             let _ = rt.crash(container);
                         }
                     }
@@ -377,13 +349,12 @@ impl Injector {
 mod tests {
     use super::*;
     use swf_core::config::ExperimentConfig;
+    use swf_core::harness;
     use swf_simcore::{secs, Sim};
 
     #[test]
     fn explicit_plan_drives_every_hook_and_recovers() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let bed = TestBed::boot(&ExperimentConfig::quick());
+        harness::run(&ExperimentConfig::quick(), async |bed| {
             let mut plan = FaultPlan::calm();
             plan.push(secs(1.0), FaultKind::NodeCrash { node: 2 });
             plan.push(secs(1.0), FaultKind::Partition { a: 0, b: 1 });
@@ -393,27 +364,24 @@ mod tests {
             plan.push(secs(2.0), FaultKind::Heal { a: 0, b: 1 });
             plan.push(secs(2.0), FaultKind::RegistryOutageEnd);
             plan.push(secs(2.0), FaultKind::CondorResume { node: 3 });
-            let stack = Stack::of(&bed);
-            let handle = swf_simcore::spawn(Injector::new(plan).run(stack.clone(), None));
+            let handle = swf_simcore::spawn(Injector::new(plan).run(bed.clone(), None));
             swf_simcore::sleep(secs(1.5)).await;
-            assert!(stack.condor.node_is_failed(NodeId(2)));
-            assert!(!stack.k8s.node_is_ready(NodeId(2)));
-            assert!(stack.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
-            assert!(stack.registry.is_under_outage());
+            assert!(bed.condor.node_is_failed(NodeId(2)));
+            assert!(!bed.k8s.node_is_ready(NodeId(2)));
+            assert!(bed.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
+            assert!(bed.registry.is_under_outage());
             let injected = handle.await;
             assert_eq!(injected, 8);
-            assert!(!stack.condor.node_is_failed(NodeId(2)));
-            assert!(stack.k8s.node_is_ready(NodeId(2)));
-            assert!(!stack.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
-            assert!(!stack.registry.is_under_outage());
+            assert!(!bed.condor.node_is_failed(NodeId(2)));
+            assert!(bed.k8s.node_is_ready(NodeId(2)));
+            assert!(!bed.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
+            assert!(!bed.registry.is_under_outage());
         });
     }
 
     #[test]
     fn spot_revocation_drains_gracefully_then_falls_back_to_the_crash_path() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let bed = TestBed::boot(&ExperimentConfig::quick());
+        harness::run(&ExperimentConfig::quick(), async |bed| {
             let mut plan = FaultPlan::calm();
             plan.push(
                 secs(1.0),
@@ -423,11 +391,10 @@ mod tests {
                 },
             );
             plan.push(secs(20.0), FaultKind::NodeRecover { node: 2 });
-            let stack = Stack::of(&bed);
-            let handle = swf_simcore::spawn(Injector::new(plan).run(stack.clone(), None));
+            let handle = swf_simcore::spawn(Injector::new(plan).run(bed.clone(), None));
             swf_simcore::sleep(secs(2.0)).await;
             // Inside the grace window: draining and evicted, but not crashed.
-            let draining = |s: &Stack| {
+            let draining = |s: &TestBed| {
                 s.condor
                     .startds()
                     .iter()
@@ -435,25 +402,23 @@ mod tests {
                     .map(|d| d.is_draining())
                     .unwrap()
             };
-            assert!(draining(&stack), "notice must drain the startd");
-            assert!(!stack.condor.node_is_failed(NodeId(2)));
-            assert!(!stack.k8s.node_is_ready(NodeId(2)), "pods must be evicted");
+            assert!(draining(bed), "notice must drain the startd");
+            assert!(!bed.condor.node_is_failed(NodeId(2)));
+            assert!(!bed.k8s.node_is_ready(NodeId(2)), "pods must be evicted");
             swf_simcore::sleep(secs(6.0)).await;
             // Grace expired: the crash path took over.
-            assert!(stack.condor.node_is_failed(NodeId(2)));
-            assert!(!draining(&stack), "drain flag cleared for recovery");
+            assert!(bed.condor.node_is_failed(NodeId(2)));
+            assert!(!draining(bed), "drain flag cleared for recovery");
             let injected = handle.await;
             assert_eq!(injected, 2);
-            assert!(!stack.condor.node_is_failed(NodeId(2)));
-            assert!(stack.k8s.node_is_ready(NodeId(2)));
+            assert!(!bed.condor.node_is_failed(NodeId(2)));
+            assert!(bed.k8s.node_is_ready(NodeId(2)));
         });
     }
 
     #[test]
     fn rescinded_revocation_never_crashes_the_node() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let bed = TestBed::boot(&ExperimentConfig::quick());
+        harness::run(&ExperimentConfig::quick(), async |bed| {
             let mut plan = FaultPlan::calm();
             plan.push(
                 secs(1.0),
@@ -464,13 +429,12 @@ mod tests {
             );
             // The provider hands the capacity back before grace expires.
             plan.push(secs(4.0), FaultKind::NodeRecover { node: 3 });
-            let stack = Stack::of(&bed);
-            let handle = swf_simcore::spawn(Injector::new(plan).run(stack.clone(), None));
+            let handle = swf_simcore::spawn(Injector::new(plan).run(bed.clone(), None));
             handle.await;
             swf_simcore::sleep(secs(15.0)).await;
-            assert!(!stack.condor.node_is_failed(NodeId(3)));
-            assert!(stack.k8s.node_is_ready(NodeId(3)));
-            let startd = stack
+            assert!(!bed.condor.node_is_failed(NodeId(3)));
+            assert!(bed.k8s.node_is_ready(NodeId(3)));
+            let startd = bed
                 .condor
                 .startds()
                 .iter()

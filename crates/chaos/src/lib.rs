@@ -41,9 +41,9 @@ pub mod plan;
 pub mod profile;
 
 pub use experiment::{
-    experiment_config, run_chaos, run_chaos_with, ChaosOutcome, ChaosRunConfig, GoodputReport,
+    experiment_config, run_chaos, run_chaos_on, ChaosOutcome, ChaosRunConfig, GoodputReport,
     WorkflowOutcome, SERVICE, TASK_COMPUTE,
 };
-pub use inject::{Disruptor, Injector, Stack};
+pub use inject::{Disruptor, Injector};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use profile::{ChaosProfile, UnknownProfile};

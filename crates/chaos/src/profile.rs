@@ -116,7 +116,7 @@ impl ChaosProfile {
     }
 
     /// Frequent, overlapping disruptions across every class — the storm
-    /// profile used by `examples/chaos_storm.rs`.
+    /// profile of `chaos --profile heavy` and the rescue sweeps.
     pub fn heavy() -> ChaosProfile {
         ChaosProfile {
             node_crash_interval: 30.0,

@@ -26,6 +26,15 @@ pub fn matmul_transformation(config: &ExperimentConfig) -> Transformation {
     .with_container(ExperimentConfig::image_name())
 }
 
+/// Two random `matrix_dim`-square input matrices drawn, in order, from the
+/// named stream of the config's seed.
+pub(crate) fn input_pair(config: &ExperimentConfig, stream: &str) -> (Matrix, Matrix) {
+    let mut rng = DetRng::new(config.seed, stream);
+    let dim = config.matrix_dim;
+    let a = Matrix::random(dim, dim, &mut rng, -100, 100);
+    (a, Matrix::random(dim, dim, &mut rng, -100, 100))
+}
+
 /// Stage a chain workflow's seed matrices (real random data at the
 /// configured dimension) and register them as replicas. Returns the
 /// abstract workflow ready for planning.

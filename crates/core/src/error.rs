@@ -3,10 +3,11 @@
 //! The experiment harnesses drive every layer of the stack — cluster
 //! filesystems, the container runtime, and the Knative data plane — so a
 //! failed run can originate anywhere. [`ExperimentError`] wraps each
-//! substrate's error type and adds the two failure modes the harness
-//! itself can detect (a worker without a runtime, a non-2xx function
-//! response), so `experiments::*::run` can return `Result` instead of
-//! panicking mid-measurement.
+//! substrate's error type and adds the failure modes the experiments
+//! themselves can detect (a worker without a runtime, a non-2xx function
+//! response, a service that never became ready, a failed workflow or job),
+//! so `experiments::*::run` can return `Result` instead of panicking
+//! mid-measurement.
 
 use std::fmt;
 
@@ -32,6 +33,12 @@ pub enum ExperimentError {
         /// The HTTP status code of the response.
         status: u16,
     },
+    /// The named KService did not reach its ready pod count before its
+    /// deadline.
+    ServiceNotReady(String),
+    /// A workflow or a directly submitted job failed (the message says
+    /// which and why).
+    WorkflowFailed(String),
 }
 
 impl fmt::Display for ExperimentError {
@@ -46,6 +53,10 @@ impl fmt::Display for ExperimentError {
             ExperimentError::FailedResponse { service, status } => {
                 write!(f, "{service} returned HTTP {status}")
             }
+            ExperimentError::ServiceNotReady(service) => {
+                write!(f, "service {service} not ready within its deadline")
+            }
+            ExperimentError::WorkflowFailed(msg) => write!(f, "workflow failed: {msg}"),
         }
     }
 }
@@ -92,6 +103,11 @@ mod tests {
             status: 503,
         };
         assert_eq!(e.to_string(), "matmul returned HTTP 503");
+        let e = ExperimentError::ServiceNotReady("matmul".into());
+        assert_eq!(
+            e.to_string(),
+            "service matmul not ready within its deadline"
+        );
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! function whose image is already on the workers.
 
 use swf_cluster::{NodeId, Request};
-use swf_simcore::{now, secs, Sim};
-use swf_workloads::{encode, Matrix};
+use swf_simcore::{now, secs};
+use swf_workloads::encode;
 
+use crate::builder::input_pair;
 use crate::config::{ExperimentConfig, Provisioning};
 use crate::error::ExperimentError;
 use crate::function::{encode_payload, register_matmul};
-use crate::testbed::TestBed;
+use crate::harness;
 
 /// Cold-start measurement result.
 #[derive(Clone, Copy, Debug)]
@@ -23,24 +24,21 @@ pub struct ColdStartResult {
 
 /// Measure one cold start followed by one warm request.
 pub fn run(config: &ExperimentConfig) -> Result<ColdStartResult, ExperimentError> {
-    let sim = Sim::new();
     let mut config = config.clone();
     config.provisioning = Provisioning::Deferred;
     // §III-B stores input data on the node; the measured request carries no
     // bulky payload, so pass-by-value serialization does not apply.
     config.serialization_rate = 0.0;
-    sim.block_on(async move {
-        let bed = TestBed::boot(&config);
+    harness::run(&config, async move |bed| {
+        let config = &bed.config;
         // Image cached on workers; pods deferred — §III-B's setup.
         for node in bed.k8s.schedulable_nodes() {
             bed.registry.pull(node, &bed.image).await?;
         }
-        register_matmul(&bed.knative, &config);
+        register_matmul(&bed.knative, config);
         swf_simcore::sleep(secs(1.0)).await;
 
-        let mut rng = swf_simcore::DetRng::new(config.seed, "coldstart");
-        let a = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
-        let b = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
+        let (a, b) = input_pair(config, "coldstart");
         let payload = encode_payload(&[encode(&a), encode(&b)]);
         let compute = config.compute.for_dim(config.matrix_dim).as_secs_f64();
 
@@ -66,6 +64,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ColdStartResult, ExperimentError
             warm_request,
         })
     })
+    .0
 }
 
 #[cfg(test)]

@@ -7,13 +7,12 @@
 
 use std::rc::Rc;
 
-use swf_pegasus::{Pegasus, ReplicaLocation};
-use swf_simcore::{secs, Sim};
 use swf_workloads::{concurrent_workflows, EnvMix};
 
-use crate::builder::{matmul_transformation, stage_chain_workflow};
-use crate::config::{ExperimentConfig, Provisioning};
-use crate::function::register_matmul;
+use crate::builder::stage_chain_workflow;
+use crate::config::ExperimentConfig;
+use crate::error::ExperimentError;
+use crate::harness::{self, matmul_pegasus};
 use crate::testbed::TestBed;
 
 /// Result of one concurrent-workflow run.
@@ -27,8 +26,8 @@ pub struct ConcurrentOutcome {
     pub mean: f64,
     /// Total tasks executed.
     pub tasks: usize,
-    /// Span collector for this run — enabled (and populated) only when
-    /// `config.trace` is set; a disabled handle otherwise.
+    /// Span collector for this run, chosen by the [`crate::harness`]
+    /// collector rule: enabled and populated when `config.trace` is set.
     pub obs: swf_obs::Obs,
 }
 
@@ -68,90 +67,73 @@ impl ConcurrentParams {
 
 /// Run one repetition in a fresh simulation; `rep` perturbs the RNG streams
 /// (the paper redraws the random environment assignment per instance).
+///
+/// # Panics
+///
+/// If the matmul function never becomes ready or a workflow fails: the
+/// figure has no value without every workflow, and the calm testbed this
+/// runs on produces neither.
 pub fn run_once(
     config: &ExperimentConfig,
     params: ConcurrentParams,
     rep: u64,
 ) -> ConcurrentOutcome {
-    let sim = Sim::new();
-    let config = config.clone();
-    let obs = if config.trace {
-        swf_obs::Obs::enabled()
-    } else {
-        swf_obs::Obs::disabled()
-    };
-    let obs2 = obs.clone();
-    sim.block_on(async move {
-        let obs = obs2;
-        let _obs_guard = swf_obs::install(obs.clone());
-        let bed = TestBed::boot(&config);
-        let (factory, tarball) = bed.factory();
-        let factory = Rc::new(factory);
-        register_matmul(&bed.knative, &config);
-        if config.provisioning == Provisioning::PreStage {
-            #[expect(
-                clippy::expect_used,
-                reason = "experiment harness: a failed boot or workflow leaves no figure to report"
-            )]
-            bed.knative
-                .wait_ready("matmul", config.min_scale as usize, secs(3600.0))
-                .await
-                .expect("function pods ready");
-        }
-        let pegasus = Rc::new(
-            Pegasus::new(bed.condor.clone())
-                .with_dagman(config.dagman)
-                .with_plan_options(params.plan),
-        );
-        pegasus
-            .transformations()
-            .register(matmul_transformation(&config));
-        pegasus
-            .replicas()
-            .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
+    let (makespans, obs) =
+        harness::run(config, async move |bed| run_chains(bed, params, rep).await);
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented `# Panics` above; the signature stays infallible for its callers"
+    )]
+    let workflow_makespans = makespans.expect("concurrent workflows complete");
+    let slowest = workflow_makespans.iter().copied().fold(0.0, f64::max);
+    let mean = workflow_makespans.iter().sum::<f64>() / workflow_makespans.len().max(1) as f64;
+    ConcurrentOutcome {
+        slowest,
+        mean,
+        tasks: params.workflows * params.tasks_per_workflow,
+        workflow_makespans,
+        obs,
+    }
+}
 
-        let chains = concurrent_workflows(
-            params.workflows,
-            params.tasks_per_workflow,
-            params.mix,
-            config.seed ^ (rep.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-        );
-        let mut phase_rng =
-            swf_simcore::DetRng::new(config.seed ^ rep.wrapping_mul(31), "dagman-phase");
-        let poll = config.dagman.poll_interval.as_secs_f64();
-        let mut handles = Vec::new();
-        for chain in &chains {
-            let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), chain, &config);
-            let pegasus = Rc::clone(&pegasus);
-            let factory = Rc::clone(&factory);
-            // Each DAGMan instance starts at its own phase within the poll
-            // interval (real workflows are submitted at slightly different
-            // moments); this desynchronizes the concurrent chains.
-            let phase = swf_simcore::SimDuration::from_secs_f64(phase_rng.uniform(0.0, poll));
-            handles.push(swf_simcore::spawn(async move {
-                swf_simcore::sleep(phase).await;
-                #[expect(
-                    clippy::expect_used,
-                    reason = "experiment harness: a failed boot or workflow leaves no figure to report"
-                )]
-                let (stats, _report) = pegasus
-                    .run(&wf, factory.as_ref())
-                    .await
-                    .expect("workflow completes");
-                stats.makespan.as_secs_f64()
-            }));
-        }
-        let workflow_makespans = swf_simcore::join_all(handles).await;
-        let slowest = workflow_makespans.iter().copied().fold(0.0, f64::max);
-        let mean = workflow_makespans.iter().sum::<f64>() / workflow_makespans.len().max(1) as f64;
-        ConcurrentOutcome {
-            slowest,
-            mean,
-            tasks: params.workflows * params.tasks_per_workflow,
-            workflow_makespans,
-            obs,
-        }
-    })
+/// Run `params.workflows` chains concurrently on `bed`; per-workflow
+/// makespans in workflow order.
+async fn run_chains(
+    bed: &TestBed,
+    params: ConcurrentParams,
+    rep: u64,
+) -> Result<Vec<f64>, ExperimentError> {
+    let config = &bed.config;
+    let (pegasus, factory) = matmul_pegasus(bed, params.plan).await?;
+    let (pegasus, factory) = (Rc::new(pegasus), Rc::new(factory));
+    let chains = concurrent_workflows(
+        params.workflows,
+        params.tasks_per_workflow,
+        params.mix,
+        config.seed ^ (rep.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+    );
+    let mut phase_rng =
+        swf_simcore::DetRng::new(config.seed ^ rep.wrapping_mul(31), "dagman-phase");
+    let poll = config.dagman.poll_interval.as_secs_f64();
+    let mut handles = Vec::new();
+    for chain in &chains {
+        let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), chain, config);
+        let pegasus = Rc::clone(&pegasus);
+        let factory = Rc::clone(&factory);
+        // Each DAGMan instance starts at its own phase within the poll
+        // interval (real workflows are submitted at slightly different
+        // moments); this desynchronizes the concurrent chains.
+        let phase = swf_simcore::SimDuration::from_secs_f64(phase_rng.uniform(0.0, poll));
+        handles.push(swf_simcore::spawn(async move {
+            swf_simcore::sleep(phase).await;
+            let (stats, _report) = pegasus
+                .run(&wf, factory.as_ref())
+                .await
+                .map_err(|e| ExperimentError::WorkflowFailed(e.to_string()))?;
+            Ok::<_, ExperimentError>(stats.makespan.as_secs_f64())
+        }));
+    }
+    swf_simcore::join_all(handles).await.into_iter().collect()
 }
 
 /// Average the slowest-workflow makespan over `repeats` repetitions.

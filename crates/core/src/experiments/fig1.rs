@@ -8,12 +8,13 @@
 use swf_cluster::{NodeId, Request};
 use swf_container::{DockerCli, PullPolicy, ResourceLimits, Workload};
 use swf_metrics::{fit, Line};
-use swf_simcore::{now, secs, DetRng, Sim};
-use swf_workloads::{encode, Kernel, Matrix};
+use swf_simcore::{now, secs};
+use swf_workloads::{encode, Kernel};
 
+use crate::builder::input_pair;
 use crate::config::{ExperimentConfig, Provisioning};
 use crate::error::ExperimentError;
-use crate::testbed::TestBed;
+use crate::harness;
 
 /// One measured row of Fig. 1.
 #[derive(Clone, Copy, Debug)]
@@ -47,10 +48,8 @@ pub struct Fig1Result {
 
 /// Run the Docker arm: N sequential `docker run` invocations on a worker.
 fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), ExperimentError> {
-    let sim = Sim::new();
-    let config = config.clone();
-    sim.block_on(async move {
-        let bed = TestBed::boot(&config);
+    harness::run(config, async move |bed| {
+        let config = &bed.config;
         let node = bed.cluster.worker_nodes()[0].clone();
         let runtime = bed
             .k8s
@@ -61,9 +60,7 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
         runtime.ensure_image(&bed.image).await?;
         let cli = DockerCli::new(runtime);
         // Stage the two input matrices on the node's local disk.
-        let mut rng = DetRng::new(config.seed, "fig1-inputs");
-        let a = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
-        let b = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
+        let (a, b) = input_pair(config, "fig1-inputs");
         node.fs().stage("in_a.mat", encode(&a));
         node.fs().stage("in_b.mat", encode(&b));
         let compute = config.compute.for_dim(config.matrix_dim);
@@ -90,12 +87,12 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
         }
         Ok(((now() - t0).as_secs_f64(), exec_time / n as f64))
     })
+    .0
 }
 
 /// Run the Knative arm: one deferred-start function, N sequential HTTP
 /// invocations from the submit node. Returns (total, mean exec, cold start).
 fn knative_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64, f64), ExperimentError> {
-    let sim = Sim::new();
     let mut config = config.clone();
     // The §III-B measurement defers provisioning so the first request pays
     // the cold start, but pre-caches the image on workers, and "the input
@@ -103,16 +100,14 @@ fn knative_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64, f64), E
     // pass-by-value serialization applies here.
     config.provisioning = Provisioning::Deferred;
     config.serialization_rate = 0.0;
-    sim.block_on(async move {
-        let bed = TestBed::boot(&config);
+    harness::run(&config, async move |bed| {
+        let config = &bed.config;
         for node in bed.k8s.schedulable_nodes() {
             bed.registry.pull(node, &bed.image).await?;
         }
         // Register a function whose inputs live on the node (captured at
         // registration), exactly like the paper's Fig. 1 Knative setup.
-        let mut rng = DetRng::new(config.seed, "fig1-inputs");
-        let a = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
-        let b = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
+        let (a, b) = input_pair(config, "fig1-inputs");
         let (ea, eb) = (encode(&a), encode(&b));
         let node_local = swf_pegasus::Transformation::new(
             "matmul",
@@ -157,6 +152,7 @@ fn knative_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64, f64), E
         let total = (now() - t0).as_secs_f64();
         Ok((total, compute, cold_start))
     })
+    .0
 }
 
 /// Run Fig. 1 over the given task counts.

@@ -9,12 +9,14 @@
 use swf_condor::JobSpec;
 use swf_metrics::{fit, Line};
 use swf_pegasus::PlannedTask;
-use swf_simcore::{now, secs, Sim};
+use swf_simcore::now;
 use swf_workloads::ExecEnv;
 
-use crate::config::{ExperimentConfig, Provisioning};
+use crate::builder::{input_pair, matmul_transformation};
+use crate::config::ExperimentConfig;
+use crate::error::ExperimentError;
 use crate::function::register_matmul;
-use crate::testbed::TestBed;
+use crate::harness::{self, matmul_ready};
 
 use swf_pegasus::JobFactory;
 
@@ -47,7 +49,7 @@ pub struct Fig2Result {
 /// Build one parallel matmul task: reads the two shared input matrices,
 /// multiplies, writes a per-task output.
 fn parallel_task(i: usize, env: ExecEnv, config: &ExperimentConfig) -> PlannedTask {
-    let t = crate::builder::matmul_transformation(config);
+    let t = matmul_transformation(config);
     PlannedTask {
         name: format!("p{i}"),
         inputs: vec!["fig2_in_a.mat".into(), "fig2_in_b.mat".into()],
@@ -68,53 +70,28 @@ fn parallel_task(i: usize, env: ExecEnv, config: &ExperimentConfig) -> PlannedTa
 /// multiple concurrent requests per container ("multiple tasks to be
 /// co-located within the same container") and are pre-staged on every
 /// worker, with the autoscaler free to add pods under load.
-fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> f64 {
-    let sim = Sim::new();
+fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> Result<f64, ExperimentError> {
     let mut config = config.clone();
     if env == ExecEnv::Serverless {
         config.container_concurrency = 0;
         config.min_scale = config.cluster.nodes.saturating_sub(1).max(1) as u32;
     }
-    sim.block_on(async move {
-        let bed = TestBed::boot(&config);
+    harness::run(&config, async move |bed| {
+        let config = &bed.config;
         let (factory, _tarball) = bed.factory();
-        register_matmul(&bed.knative, &config);
-        if env == ExecEnv::Serverless && config.provisioning == Provisioning::PreStage {
-            #[expect(
-                clippy::expect_used,
-                reason = "experiment harness: a failed boot or workflow leaves no figure to report"
-            )]
-            bed.knative
-                .wait_ready("matmul", config.min_scale as usize, secs(3600.0))
-                .await
-                .expect("function ready");
+        register_matmul(&bed.knative, config);
+        if env == ExecEnv::Serverless {
+            matmul_ready(bed).await?;
         }
         // Stage the shared input matrices (real data) on the submit node.
-        let mut rng = swf_simcore::DetRng::new(config.seed, "fig2-inputs");
-        let a = swf_workloads::Matrix::random(
-            config.matrix_dim,
-            config.matrix_dim,
-            &mut rng,
-            -100,
-            100,
-        );
-        let b = swf_workloads::Matrix::random(
-            config.matrix_dim,
-            config.matrix_dim,
-            &mut rng,
-            -100,
-            100,
-        );
-        bed.cluster
-            .shared_fs()
-            .stage("fig2_in_a.mat", swf_workloads::encode(&a));
-        bed.cluster
-            .shared_fs()
-            .stage("fig2_in_b.mat", swf_workloads::encode(&b));
+        let (a, b) = input_pair(config, "fig2-inputs");
+        let fs = bed.cluster.shared_fs();
+        fs.stage("fig2_in_a.mat", swf_workloads::encode(&a));
+        fs.stage("fig2_in_b.mat", swf_workloads::encode(&b));
         let t0 = now();
         let mut ids = Vec::with_capacity(k);
         for i in 0..k {
-            let task = parallel_task(i, env, &config);
+            let task = parallel_task(i, env, config);
             let program = factory.build(&task);
             let mut input_files = task.inputs.clone();
             input_files.extend(factory.extra_inputs(&task));
@@ -122,28 +99,45 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> f64 {
             ids.push(bed.condor.submit(spec));
         }
         for id in ids {
-            #[expect(
-                clippy::expect_used,
-                reason = "experiment harness: a failed boot or workflow leaves no figure to report"
-            )]
-            let r = bed.condor.wait(id).await.expect("job completes");
-            assert!(r.success, "{}", String::from_utf8_lossy(&r.output));
+            let failed = |why: String| ExperimentError::WorkflowFailed(format!("job {id}: {why}"));
+            let r = bed
+                .condor
+                .wait(id)
+                .await
+                .map_err(|e| failed(e.to_string()))?;
+            if !r.success {
+                return Err(failed(String::from_utf8_lossy(&r.output).into_owned()));
+            }
         }
-        (now() - t0).as_secs_f64()
+        Ok((now() - t0).as_secs_f64())
     })
+    .0
 }
 
 /// Run Fig. 2 over the given parallel task counts.
+///
+/// # Panics
+///
+/// If an arm fails (its function never becomes ready, or a job fails):
+/// the figure has no value without every arm, and the calm testbed it runs
+/// on produces neither.
 pub fn run(config: &ExperimentConfig, counts: &[usize]) -> Fig2Result {
-    let mut rows = Vec::new();
-    for &k in counts {
-        rows.push(Fig2Row {
-            tasks: k,
-            native: arm(config, ExecEnv::Native, k),
-            knative: arm(config, ExecEnv::Serverless, k),
-            container: arm(config, ExecEnv::Container, k),
-        });
-    }
+    let rows: Result<Vec<Fig2Row>, ExperimentError> = counts
+        .iter()
+        .map(|&k| {
+            Ok(Fig2Row {
+                tasks: k,
+                native: arm(config, ExecEnv::Native, k)?,
+                knative: arm(config, ExecEnv::Serverless, k)?,
+                container: arm(config, ExecEnv::Container, k)?,
+            })
+        })
+        .collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "the documented `# Panics` above; the signature stays infallible for its callers"
+    )]
+    let rows = rows.expect("every fig2 arm completes");
     let series = |f: &dyn Fn(&Fig2Row) -> f64| {
         fit(&rows
             .iter()
@@ -176,7 +170,7 @@ mod tests {
         let arm_with_order = |order: &[usize], env: ExecEnv| {
             let mut c = config.clone();
             c.k8s.schedulable_nodes = Some(order.iter().map(|&n| NodeId(n)).collect());
-            arm(&c, env, 6)
+            arm(&c, env, 6).unwrap()
         };
         for env in [ExecEnv::Serverless, ExecEnv::Container] {
             let forward = arm_with_order(&[1, 2, 3], env);

@@ -283,42 +283,25 @@ impl JobFactory for IntegratedFactory {
 
 #[cfg(test)]
 mod tests {
-    use crate::config::{ExperimentConfig, Provisioning};
-    use crate::testbed::TestBed;
-    use swf_pegasus::{NativeFactory, Pegasus, ReplicaLocation};
-    use swf_simcore::{secs, Sim};
+    use crate::config::ExperimentConfig;
+    use crate::harness::{self, matmul_pegasus};
+    use swf_pegasus::{NativeFactory, Pegasus, PlanOptions};
     use swf_workloads::{chain_workflow, decode, EnvMix};
 
     /// Run a 3-task chain in the given mix end to end; return final matrix.
     fn run_mix(mix: EnvMix) -> (swf_workloads::Matrix, swf_workloads::Matrix) {
-        let sim = Sim::new();
-        sim.block_on(async move {
-            let config = ExperimentConfig::quick();
-            let bed = TestBed::boot(&config);
-            let (factory, tarball) = bed.factory();
-            crate::function::register_matmul(&bed.knative, &config);
-            if config.provisioning == Provisioning::PreStage {
-                bed.knative
-                    .wait_ready("matmul", 1, secs(600.0))
-                    .await
-                    .unwrap();
-            }
-            let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
-            pegasus
-                .transformations()
-                .register(crate::builder::matmul_transformation(&config));
+        let config = ExperimentConfig::quick();
+        harness::run(&config, async move |bed| {
+            let config = &bed.config;
+            let (pegasus, factory) = matmul_pegasus(bed, PlanOptions::default()).await.unwrap();
             let mut rng = swf_simcore::DetRng::new(config.seed, "mix");
             let chain = chain_workflow(0, 3, mix, &mut rng);
             let wf = crate::builder::stage_chain_workflow(
                 &bed.cluster,
                 pegasus.replicas(),
                 &chain,
-                &config,
+                config,
             );
-            // The tarball must be discoverable as a replica too.
-            pegasus
-                .replicas()
-                .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
             let (_stats, _report) = pegasus.run(&wf, &factory).await.unwrap();
             // Reference result via pure native execution on a fresh bed is
             // overkill; recompute expected product directly instead.
@@ -344,6 +327,7 @@ mod tests {
             }
             (got, acc)
         })
+        .0
     }
 
     #[test]
@@ -377,21 +361,19 @@ mod tests {
     fn native_factory_matches_integrated_native() {
         // Sanity: the pegasus-native factory and the integrated factory's
         // native arm run the same path.
-        let sim = Sim::new();
-        sim.block_on(async {
-            let config = ExperimentConfig::quick();
-            let bed = TestBed::boot(&config);
+        harness::run(&ExperimentConfig::quick(), async |bed| {
+            let config = &bed.config;
             let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
             pegasus
                 .transformations()
-                .register(crate::builder::matmul_transformation(&config));
+                .register(crate::builder::matmul_transformation(config));
             let mut rng = swf_simcore::DetRng::new(9, "nf");
             let chain = chain_workflow(1, 2, EnvMix::ALL_NATIVE, &mut rng);
             let wf = crate::builder::stage_chain_workflow(
                 &bed.cluster,
                 pegasus.replicas(),
                 &chain,
-                &config,
+                config,
             );
             let (stats, _) = pegasus.run(&wf, &NativeFactory).await.unwrap();
             assert_eq!(stats.tasks, 2);

@@ -19,17 +19,16 @@
 //!    which then synchronously invoke the pre-registered function.
 //!
 //! [`experiments`] regenerates every figure of the evaluation;
-//! [`testbed::TestBed`] boots the full §V-A software stack in one call.
+//! [`harness::run`] boots the full §V-A software stack
+//! ([`testbed::TestBed`]) in a fresh simulation and runs one body on it.
 //!
 //! ```
-//! use swf_core::{ExperimentConfig, TestBed};
-//! use swf_simcore::Sim;
+//! use swf_core::{harness, ExperimentConfig};
 //!
-//! let sim = Sim::new();
-//! sim.block_on(async {
-//!     let bed = TestBed::boot(&ExperimentConfig::quick());
-//!     assert_eq!(bed.condor.total_slots(), 24);
+//! let (slots, _obs) = harness::run(&ExperimentConfig::quick(), async |bed| {
+//!     bed.condor.total_slots()
 //! });
+//! assert_eq!(slots, 24);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,6 +43,7 @@ pub mod error;
 pub mod experiments;
 pub mod factory;
 pub mod function;
+pub mod harness;
 pub mod testbed;
 
 pub use breakdown::{render_mix_breakdown, slowest_workflow_breakdown};

@@ -10,7 +10,9 @@ use swf_knative::Knative;
 use crate::config::ExperimentConfig;
 use crate::factory::IntegratedFactory;
 
-/// A fully booted reproduction of the paper's environment.
+/// A fully booted reproduction of the paper's environment. Clones share
+/// the same subsystems (every handle is reference-counted).
+#[derive(Clone)]
 pub struct TestBed {
     /// The 4-VM cluster.
     pub cluster: Cluster,
@@ -105,13 +107,11 @@ impl TestBed {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swf_simcore::Sim;
+    use crate::harness;
 
     #[test]
     fn boot_brings_up_all_subsystems() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let bed = TestBed::boot(&ExperimentConfig::quick());
+        harness::run(&ExperimentConfig::quick(), async |bed| {
             assert_eq!(bed.cluster.nodes().len(), 4);
             assert_eq!(bed.condor.total_slots(), 24);
             assert_eq!(bed.k8s.schedulable_nodes().len(), 3);
@@ -121,9 +121,7 @@ mod tests {
 
     #[test]
     fn image_tarball_has_image_size() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let bed = TestBed::boot(&ExperimentConfig::quick());
+        harness::run(&ExperimentConfig::quick(), async |bed| {
             let name = bed.stage_image_tarball();
             let expected = bed.registry.manifest(&bed.image).unwrap().total_size();
             assert_eq!(bed.cluster.shared_fs().size(&name), Some(expected));

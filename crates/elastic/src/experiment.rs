@@ -1,15 +1,17 @@
 //! The elastic experiment: the chaos harness with autoscalers, spot
 //! pools, and the cost ledger attached.
 //!
-//! [`run_elastic`] wraps [`swf_chaos::run_chaos_with`]: same testbed,
-//! same workflow chains, same injector — plus, through the setup hook, a
-//! [`PoolAutoscaler`] over the spot pool and a [`CostLedger`] billing
-//! every pooled node. With an all-on-demand pool set there is nothing to
+//! [`run_elastic`] runs the chaos body ([`swf_chaos::run_chaos_on`]) on the
+//! same testbed through the same run harness: same workflow chains, same
+//! injector — plus, attached at the start of its own body, a
+//! [`PoolAutoscaler`] over the spot pool and a [`CostLedger`] billing every
+//! pooled node. With an all-on-demand pool set there is nothing to
 //! scale, and the run is the plain chaos run plus passive billing: same
 //! fingerprint, same outcomes.
 
 use swf_chaos::{ChaosOutcome, ChaosProfile, ChaosRunConfig, FaultPlan};
 use swf_cluster::NodeId;
+use swf_core::harness;
 use swf_simcore::SimDuration;
 
 use crate::autoscaler::PoolAutoscaler;
@@ -115,19 +117,20 @@ impl ElasticOutcome {
 /// with [`swf_chaos::run_chaos`].
 pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOutcome, String> {
     let ledger = CostLedger::new(cfg.pools.clone(), CostModel::default());
-    let hook_ledger = ledger.clone();
-    let pools = cfg.pools.clone();
-    let hook_plan = plan.clone();
-    let chaos = swf_chaos::run_chaos_with(&cfg.chaos, plan, move |bed| {
-        hook_ledger.open_all();
-        swf_simcore::spawn(hook_ledger.clone().track_plan(hook_plan));
+    let body_ledger = ledger.clone();
+    let (chaos_cfg, pools, plan) = (cfg.chaos.clone(), cfg.pools.clone(), plan.clone());
+    let chaos = harness::run(&cfg.chaos.testbed_config(), async move |bed| {
+        body_ledger.open_all();
+        swf_simcore::spawn(body_ledger.clone().track_plan(plan.clone()));
         let spot: Vec<NodeId> = pools.spot_nodes().into_iter().map(NodeId).collect();
         if !spot.is_empty() {
             let api = bed.k8s.api().clone();
-            let scaler = PoolAutoscaler::new(bed.condor.clone(), api, spot, hook_ledger);
+            let scaler = PoolAutoscaler::new(bed.condor.clone(), api, spot, body_ledger);
             swf_simcore::spawn(scaler.run());
         }
-    })?;
+        swf_chaos::run_chaos_on(bed, &chaos_cfg, plan).await
+    })
+    .0?;
     let useful_task_s = chaos.completed() as f64
         * cfg.chaos.tasks_per_workflow as f64
         * swf_chaos::TASK_COMPUTE.as_secs_f64();

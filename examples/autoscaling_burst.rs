@@ -9,15 +9,12 @@ use bytes::Bytes;
 
 use swf_cluster::{NodeId, Request};
 use swf_container::Workload;
-use swf_core::{ExperimentConfig, TestBed};
+use swf_core::{harness, ExperimentConfig};
 use swf_knative::KService;
-use swf_simcore::{join_all, now, secs, sleep, spawn, Sim};
+use swf_simcore::{join_all, now, secs, sleep, spawn};
 
 fn main() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         bed.knative.register_fn(
             KService::new("burst", bed.image.clone())
                 .with_container_concurrency(1)

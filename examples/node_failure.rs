@@ -8,15 +8,12 @@ use bytes::Bytes;
 
 use swf_cluster::{NodeId, Request};
 use swf_container::Workload;
-use swf_core::{ExperimentConfig, TestBed};
+use swf_core::{harness, ExperimentConfig, TestBed};
 use swf_knative::KService;
-use swf_simcore::{now, secs, sleep, Sim};
+use swf_simcore::{now, secs, sleep};
 
 fn main() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         bed.knative.register_fn(
             KService::new("svc", bed.image.clone()).with_min_scale(2),
             |req| {
@@ -39,7 +36,7 @@ fn main() {
                 .collect()
         };
 
-        let before = placement(&bed);
+        let before = placement(bed);
         println!("[{}] pods ready on {:?}", now(), before);
 
         let victim = before[0];
@@ -61,7 +58,7 @@ fn main() {
         println!("[{}] {ok}/10 invocations succeeded during fail-over", now());
 
         bed.knative.wait_ready("svc", 2, secs(600.0)).await.unwrap();
-        let after = placement(&bed);
+        let after = placement(bed);
         println!("[{}] pods ready on {:?} (victim excluded)", now(), after);
         assert!(!after.contains(&victim));
 

@@ -6,19 +6,16 @@
 use bytes::Bytes;
 
 use swf_cluster::{NodeId, Request};
-use swf_core::{ExperimentConfig, TestBed};
+use swf_core::{harness, ExperimentConfig};
 use swf_knative::KService;
-use swf_simcore::{now, secs, Sim};
+use swf_simcore::{now, secs};
 use swf_workloads::{decode, encode, matmul, Kernel, Matrix};
 
 fn main() {
-    // Everything runs inside one deterministic virtual-time simulation.
-    let sim = Sim::new();
-    sim.block_on(async {
-        // 1. Boot the paper's testbed: 4 nodes, HTCondor, Kubernetes,
-        //    Knative, an image registry with the matmul image pushed.
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    // 1. Boot the paper's testbed — 4 nodes, HTCondor, Kubernetes, Knative,
+    //    an image registry with the matmul image pushed — inside one
+    //    deterministic virtual-time simulation, and run the body on it.
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         println!(
             "booted: {} nodes, {} condor slots",
             bed.cluster.nodes().len(),

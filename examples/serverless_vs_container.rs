@@ -4,37 +4,20 @@
 //!
 //! Run with: `cargo run --release --example serverless_vs_container`
 
-use swf_core::{
-    matmul_transformation, register_matmul, stage_chain_workflow, ExperimentConfig, TestBed,
-};
-use swf_pegasus::{Pegasus, ReplicaLocation};
-use swf_simcore::{secs, Sim};
+use swf_core::harness::{self, matmul_pegasus};
+use swf_core::{stage_chain_workflow, ExperimentConfig};
+use swf_pegasus::PlanOptions;
 use swf_workloads::{chain_workflow, EnvMix};
 
-fn run_venue(label: &str, mix: EnvMix) -> (f64, u64) {
-    let label = label.to_string();
-    let sim = Sim::new();
-    sim.block_on(async move {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
-        let (factory, tarball) = bed.factory();
-        register_matmul(&bed.knative, &config);
-        bed.knative
-            .wait_ready("matmul", config.min_scale as usize, secs(600.0))
+fn run_venue(label: &'static str, mix: EnvMix) -> (f64, u64) {
+    harness::run(&ExperimentConfig::quick(), async move |bed| {
+        let (pegasus, factory) = matmul_pegasus(bed, PlanOptions::default())
             .await
             .expect("function pods ready");
 
-        let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
-        pegasus
-            .transformations()
-            .register(matmul_transformation(&config));
-        pegasus
-            .replicas()
-            .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
-
         let mut rng = swf_simcore::DetRng::new(11, "example");
         let chain = chain_workflow(0, 6, mix, &mut rng);
-        let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &config);
+        let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &bed.config);
         let (stats, _report) = pegasus.run(&wf, &factory).await.expect("workflow");
         let bytes_moved = bed.cluster.network().bytes_moved();
         println!(
@@ -44,6 +27,7 @@ fn run_venue(label: &str, mix: EnvMix) -> (f64, u64) {
         );
         (stats.makespan.as_secs_f64(), bytes_moved)
     })
+    .0
 }
 
 fn main() {

@@ -3,8 +3,8 @@
 //! byte counts and container lifecycle counters — bit for bit.
 
 use swf_core::experiments::{run_once, ConcurrentParams};
-use swf_core::{ExperimentConfig, TestBed};
-use swf_simcore::{secs, Sim};
+use swf_core::{harness, ExperimentConfig};
+use swf_simcore::secs;
 use swf_workloads::EnvMix;
 
 #[test]
@@ -46,11 +46,8 @@ fn different_reps_actually_differ() {
 #[test]
 fn testbed_boot_is_reproducible_to_the_byte() {
     let observe = || {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let config = ExperimentConfig::quick();
-            let bed = TestBed::boot(&config);
-            swf_core::register_matmul(&bed.knative, &config);
+        harness::run(&ExperimentConfig::quick(), async |bed| {
+            swf_core::register_matmul(&bed.knative, &bed.config);
             bed.knative
                 .wait_ready("matmul", 1, secs(600.0))
                 .await
@@ -62,6 +59,7 @@ fn testbed_boot_is_reproducible_to_the_byte() {
                 bed.k8s.api().pods().len(),
             )
         })
+        .0
     };
     let a = observe();
     let b = observe();

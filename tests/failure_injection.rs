@@ -11,28 +11,25 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use swf_chaos::{FaultKind, FaultPlan, Injector, Stack};
+use swf_chaos::{FaultKind, FaultPlan, Injector};
 use swf_cluster::{NodeId, Request};
 use swf_condor::{run_dag, DagSpec, DagmanConfig, JobContext, JobSpec};
 use swf_container::Workload;
-use swf_core::{ExperimentConfig, TestBed};
+use swf_core::{harness, ExperimentConfig, TestBed};
 use swf_knative::KService;
-use swf_simcore::{secs, Sim, SimDuration};
+use swf_simcore::{secs, SimDuration};
 
 /// Apply one fault immediately through the chaos injector.
 async fn inject_now(bed: &TestBed, kind: FaultKind) {
     let mut plan = FaultPlan::calm();
     plan.push(SimDuration::ZERO, kind);
-    let injected = Injector::new(plan).run(Stack::of(bed), None).await;
+    let injected = Injector::new(plan).run(bed.clone(), None).await;
     assert_eq!(injected, 1);
 }
 
 #[test]
 fn dagman_retries_recover_transient_task_failures_at_full_stack() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         let attempts = Rc::new(Cell::new(0u32));
         let attempts2 = Rc::clone(&attempts);
         let flaky = JobSpec::new(move |ctx: JobContext| {
@@ -60,10 +57,7 @@ fn dagman_retries_recover_transient_task_failures_at_full_stack() {
 
 #[test]
 fn router_survives_pod_deletion_between_requests() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         bed.knative.register_fn(
             KService::new("svc", bed.image.clone()).with_min_scale(2),
             |req| {
@@ -74,7 +68,7 @@ fn router_survives_pod_deletion_between_requests() {
         bed.knative.wait_ready("svc", 2, secs(600.0)).await.unwrap();
         // Kill one backing pod behind the router's back.
         inject_now(
-            &bed,
+            bed,
             FaultKind::PodKill {
                 service: "svc".into(),
             },
@@ -98,10 +92,7 @@ fn router_survives_pod_deletion_between_requests() {
 
 #[test]
 fn node_failure_fails_over_function_pods_and_service_recovers() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         bed.knative.register_fn(
             KService::new("resilient", bed.image.clone()).with_min_scale(2),
             |req| {
@@ -129,7 +120,7 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
             })
             .expect("a function pod is placed");
         inject_now(
-            &bed,
+            bed,
             FaultKind::NodeCrash {
                 node: victim_node.0,
             },
@@ -174,7 +165,7 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
         }
         // Recovery: the node can host pods again.
         inject_now(
-            &bed,
+            bed,
             FaultKind::NodeRecover {
                 node: victim_node.0,
             },
@@ -186,10 +177,7 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
 
 #[test]
 fn missing_staged_input_fails_cleanly_with_diagnostics() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         let job = JobSpec::new(|_ctx| Box::pin(async { Ok(Bytes::new()) }))
             .with_inputs(vec!["never-staged.mat".into()]);
         let result = bed.condor.submit_and_wait(job).await.unwrap();
@@ -204,10 +192,7 @@ fn missing_staged_input_fails_cleanly_with_diagnostics() {
 
 #[test]
 fn draining_a_condor_worker_mid_workflow_still_completes() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         let victim = bed.condor.startds()[0].node().id();
         // A batch of compute jobs; drain one worker while they queue.
         let mk = || {
@@ -218,7 +203,7 @@ fn draining_a_condor_worker_mid_workflow_still_completes() {
                 })
             })
         };
-        inject_now(&bed, FaultKind::CondorDrain { node: victim.0 }).await;
+        inject_now(bed, FaultKind::CondorDrain { node: victim.0 }).await;
         assert!(!bed.condor.drain_node(swf_cluster::NodeId(99)));
         let ids: Vec<_> = (0..12).map(|_| bed.condor.submit(mk())).collect();
         for id in ids {
@@ -232,10 +217,7 @@ fn draining_a_condor_worker_mid_workflow_still_completes() {
 
 #[test]
 fn function_error_fails_the_workflow_task_not_the_platform() {
-    let sim = Sim::new();
-    sim.block_on(async {
-        let config = ExperimentConfig::quick();
-        let bed = TestBed::boot(&config);
+    harness::run(&ExperimentConfig::quick(), async |bed| {
         bed.knative.register_fn(
             KService::new("faulty", bed.image.clone()).with_min_scale(1),
             |_req| Workload::new(secs(0.05), || Err("simulated numerical failure".into())),

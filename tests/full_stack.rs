@@ -2,14 +2,9 @@
 //! DAGMan, HTCondor matchmaking, Kubernetes, Knative, container runtime —
 //! executing real matrix workflows end to end.
 
-use std::rc::Rc;
-
-use swf_core::{
-    matmul_transformation, register_matmul, stage_chain_workflow, ContainerStaging,
-    ExperimentConfig, Provisioning, TestBed,
-};
-use swf_pegasus::{Pegasus, PlanOptions, ReplicaLocation};
-use swf_simcore::{secs, Sim};
+use swf_core::harness::{self, matmul_pegasus};
+use swf_core::{stage_chain_workflow, ContainerStaging, ExperimentConfig, Provisioning};
+use swf_pegasus::PlanOptions;
 use swf_workloads::{chain_workflow, decode, matmul, ChainWorkflow, EnvMix, Kernel, Matrix};
 
 /// Run one chain workflow through the integrated stack; returns
@@ -20,32 +15,11 @@ fn run_chain(
     length: usize,
     plan_options: PlanOptions,
 ) -> (f64, Matrix, Matrix) {
-    let sim = Sim::new();
-    let config = config.clone();
-    sim.block_on(async move {
-        let bed = TestBed::boot(&config);
-        let (factory, tarball) = bed.factory();
-        register_matmul(&bed.knative, &config);
-        if config.provisioning == Provisioning::PreStage {
-            bed.knative
-                .wait_ready("matmul", config.min_scale as usize, secs(3600.0))
-                .await
-                .unwrap();
-        }
-        let pegasus = Rc::new(
-            Pegasus::new(bed.condor.clone())
-                .with_dagman(config.dagman)
-                .with_plan_options(plan_options),
-        );
-        pegasus
-            .transformations()
-            .register(matmul_transformation(&config));
-        pegasus
-            .replicas()
-            .register(&tarball, ReplicaLocation::SharedFs(tarball.clone()));
+    harness::run(config, async move |bed| {
+        let (pegasus, factory) = matmul_pegasus(bed, plan_options).await.unwrap();
         let mut rng = swf_simcore::DetRng::new(99, "itest");
         let chain: ChainWorkflow = chain_workflow(0, length, mix, &mut rng);
-        let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &config);
+        let wf = stage_chain_workflow(&bed.cluster, pegasus.replicas(), &chain, &bed.config);
         let (stats, _report) = pegasus.run(&wf, &factory).await.unwrap();
 
         // Recompute the expected final product from the staged seeds.
@@ -71,6 +45,7 @@ fn run_chain(
         .unwrap();
         (stats.makespan.as_secs_f64(), got, expected)
     })
+    .0
 }
 
 #[test]
