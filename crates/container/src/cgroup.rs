@@ -28,7 +28,7 @@ impl Default for ResourceLimits {
 
 impl ResourceLimits {
     /// One full core with `memory_mib` MiB.
-    pub fn one_core(memory_mib: u64) -> Self {
+    pub const fn one_core(memory_mib: u64) -> Self {
         ResourceLimits {
             cpu_millis: 1000,
             memory: swf_cluster::mib(memory_mib),

@@ -6,7 +6,7 @@
 //! reduction of "up to 30%".
 
 use swf_cluster::{NodeId, Request};
-use swf_container::{DockerCli, PullPolicy, ResourceLimits, Workload};
+use swf_container::{DockerCli, PullPolicy, Workload};
 use swf_metrics::{fit, Line};
 use swf_simcore::{now, secs};
 use swf_workloads::{encode, Kernel};
@@ -14,6 +14,7 @@ use swf_workloads::{encode, Kernel};
 use crate::builder::input_pair;
 use crate::config::{ExperimentConfig, Provisioning};
 use crate::error::ExperimentError;
+use crate::function::TASK_LIMITS;
 use crate::harness;
 
 /// One measured row of Fig. 1.
@@ -75,7 +76,7 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
             let report = cli
                 .run(
                     &bed.image,
-                    ResourceLimits::one_core(512),
+                    TASK_LIMITS,
                     Workload::new(compute, move || {
                         swf_workloads::multiply_encoded(ea, eb, Kernel::Blocked)
                     }),

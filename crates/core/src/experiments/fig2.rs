@@ -6,9 +6,8 @@
 //! containers are shared and scaled automatically, while the container path
 //! pays per-job image staging.
 
-use swf_condor::JobSpec;
 use swf_metrics::{fit, Line};
-use swf_pegasus::PlannedTask;
+use swf_pegasus::{JobFactory, PlannedTask};
 use swf_simcore::now;
 use swf_workloads::ExecEnv;
 
@@ -17,8 +16,6 @@ use crate::config::ExperimentConfig;
 use crate::error::ExperimentError;
 use crate::function::register_matmul;
 use crate::harness::{self, matmul_ready};
-
-use swf_pegasus::JobFactory;
 
 /// Measured makespans for one task count.
 #[derive(Clone, Copy, Debug)]
@@ -92,11 +89,7 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> Result<f64, Experim
         let mut ids = Vec::with_capacity(k);
         for i in 0..k {
             let task = parallel_task(i, env, config);
-            let program = factory.build(&task);
-            let mut input_files = task.inputs.clone();
-            input_files.extend(factory.extra_inputs(&task));
-            let spec = JobSpec::new(move |ctx| program(ctx)).with_inputs(input_files);
-            ids.push(bed.condor.submit(spec));
+            ids.push(bed.condor.submit(factory.build(&task)));
         }
         for id in ids {
             let failed = |why: String| ExperimentError::WorkflowFailed(format!("job {id}: {why}"));

@@ -1,37 +1,49 @@
 //! The integrated execution-venue factory (§IV-2..4 of the paper).
 //!
-//! Dispatches each planned task to its venue:
+//! Every venue runs a task through the same sandbox path
+//! ([`swf_pegasus::run_in_sandbox`]: read the staged inputs, execute, check
+//! the output count, write the outputs for stage-out); the venues differ
+//! only in the execute step and what comes before it:
 //!
-//! - **Native** — read sandbox inputs, compute, write outputs (Setup 1).
+//! - **Native** — compute on the claimed core (Setup 1).
 //! - **Container** — fresh `docker run` per task on the matched worker;
 //!   with [`ContainerStaging::PerJob`] the image tarball rides HTCondor's
-//!   file transfer with every job, exactly like Pegasus' container support
-//!   (Setup 2).
-//! - **Serverless** — the *wrapper task*: an HTCondor job that reads the
-//!   staged inputs, embeds them pass-by-value in an HTTP request, invokes
-//!   the pre-registered Knative function synchronously, and writes the
-//!   response to the sandbox for stage-out (Setup 3). The wrapper holds its
-//!   Condor slot for the whole round trip — the paper's "critical path of
-//!   execution now has been extended".
+//!   file transfer with every job and is `docker load`ed before the inputs
+//!   are read, exactly like Pegasus' container support (Setup 2).
+//! - **Serverless** — the *wrapper task*: an HTCondor job that embeds the
+//!   staged inputs pass-by-value in an HTTP request and invokes the
+//!   pre-registered Knative function synchronously
+//!   ([`IntegratedFactory::invoke`]). The wrapper holds its Condor slot for
+//!   the whole round trip — the paper's "critical path of execution now has
+//!   been extended".
 
 use std::rc::Rc;
 
 use bytes::Bytes;
 
-use swf_cluster::Request;
-use swf_container::{ContainerError, DockerCli, ImageRef, PullPolicy, ResourceLimits, Workload};
+use swf_cluster::{Node, Request};
+use swf_condor::{JobContext, JobSpec, LocalBoxFuture};
+use swf_container::{DockerCli, ImageRef, PullPolicy, Workload};
 use swf_k8s::K8s;
 use swf_knative::Knative;
-use swf_pegasus::{run_native, JobFactory, PlannedTask};
+use swf_obs::{Category, SpanContext};
+use swf_pegasus::{run_in_sandbox, run_native, JobFactory, PlannedTask};
+use swf_simcore::SimDuration;
 use swf_workloads::ExecEnv;
 
-use swf_condor::{JobContext, JobFn};
-
 use crate::config::ContainerStaging;
-use crate::function::{decode_outputs, encode_payload};
+use crate::function::{decode_payload, encode_payload, TASK_LIMITS};
 
-/// The paper's integrated factory.
+/// The paper's integrated factory. Every job program holds a clone, so
+/// clones share one set of venue handles.
+#[derive(Clone)]
 pub struct IntegratedFactory {
+    venues: Rc<Venues>,
+}
+
+/// The handles and settings the venues run on.
+#[derive(Clone)]
+struct Venues {
     knative: Knative,
     k8s: K8s,
     image: ImageRef,
@@ -44,8 +56,13 @@ pub struct IntegratedFactory {
     serialization_rate: f64,
 }
 
+/// A venue's job program, over the factory and the task it runs.
+type Venue =
+    fn(Rc<(IntegratedFactory, PlannedTask)>, JobContext) -> LocalBoxFuture<Result<Bytes, String>>;
+
 impl IntegratedFactory {
-    /// Build the factory.
+    /// Build the factory. Under [`ContainerStaging::PerJob`] without an
+    /// `image_tarball`, container jobs fail with a typed job error.
     pub fn new(
         knative: Knative,
         k8s: K8s,
@@ -53,238 +70,161 @@ impl IntegratedFactory {
         staging: ContainerStaging,
         image_tarball: Option<String>,
     ) -> Self {
-        if staging == ContainerStaging::PerJob {
-            assert!(
-                image_tarball.is_some(),
-                "PerJob staging requires a staged image tarball"
-            );
-        }
-        IntegratedFactory {
+        let venues = Venues {
             knative,
             k8s,
             image,
             staging,
             image_tarball,
             serialization_rate: 0.0,
+        };
+        IntegratedFactory {
+            venues: Rc::new(venues),
         }
     }
 
     /// Set the wrapper-side serialization throughput (builder style).
     pub fn with_serialization_rate(mut self, rate: f64) -> Self {
-        self.serialization_rate = rate;
+        Rc::make_mut(&mut self.venues).serialization_rate = rate;
         self
     }
 
-    fn serverless_job(&self, task: &PlannedTask) -> JobFn {
-        let knative = self.knative.clone();
-        let service = task.transformation.clone();
-        let task = task.clone();
-        let ser_rate = self.serialization_rate;
-        Rc::new(move |ctx: JobContext| {
-            let knative = knative.clone();
-            let service = service.clone();
-            let task = task.clone();
-            Box::pin(async move {
-                // Gather staged inputs from the sandbox (they were moved
-                // submit node → this worker by Condor; the invocation now
-                // moves them again worker → function pod: the paper's
-                // redundant data movement).
-                let mut inputs = Vec::with_capacity(task.inputs.len());
-                for f in &task.inputs {
-                    let data = ctx
-                        .node
-                        .fs()
-                        .read(&ctx.sandbox_path(f))
-                        .await
-                        .map_err(|e| e.to_string())?;
-                    inputs.push(data);
-                }
-                let obs = swf_obs::current();
-                let wrapper = format!("{}/wrapper", ctx.node.name());
-                let payload = encode_payload(&inputs);
-                // Client-side serialization of the pass-by-value request
-                // (the paper's Python wrapper JSON-encodes the matrices).
-                if ser_rate > 0.0 {
-                    let ser = obs.span(
-                        ctx.span,
-                        &wrapper,
-                        "serialize:request",
-                        swf_obs::Category::Serialize,
-                    );
-                    swf_simcore::sleep(swf_simcore::SimDuration::from_secs_f64(
-                        payload.len() as f64 / ser_rate,
-                    ))
-                    .await;
-                    drop(ser);
-                }
-                let mut request = Request::post("/invoke", payload);
-                if !ctx.span.is_none() {
-                    request = request.with_header(swf_obs::TRACE_HEADER, ctx.span.to_header());
-                }
-                let response = knative
-                    .invoke(ctx.node_id(), &service, request)
-                    .await
-                    .map_err(|e| e.to_string())?;
-                // Client-side deserialization of the response.
-                if ser_rate > 0.0 {
-                    let ser = obs.span(
-                        ctx.span,
-                        &wrapper,
-                        "serialize:response",
-                        swf_obs::Category::Serialize,
-                    );
-                    swf_simcore::sleep(swf_simcore::SimDuration::from_secs_f64(
-                        response.body.len() as f64 / ser_rate,
-                    ))
-                    .await;
-                    drop(ser);
-                }
-                let outputs = decode_outputs(response.body)?;
-                if outputs.len() != task.outputs.len() {
-                    return Err(format!(
-                        "function returned {} outputs, expected {}",
-                        outputs.len(),
-                        task.outputs.len()
-                    ));
-                }
-                for (name, data) in task.outputs.iter().zip(outputs) {
-                    ctx.node.fs().write(ctx.sandbox_path(name), data).await;
-                }
-                Ok(Bytes::new())
-            })
-        })
+    /// The serverless venue's execute step, which needs no Condor job:
+    /// encode `inputs` pass-by-value into one request, invoke `service`
+    /// from `from`, and decode the outputs from the response. The inputs
+    /// already crossed the network once to reach `from`; the request moves
+    /// them again to the function pod — the paper's redundant data
+    /// movement. Client-side serialization is charged under `parent`.
+    pub async fn invoke(
+        &self,
+        from: &Node,
+        parent: SpanContext,
+        service: &str,
+        inputs: &[Bytes],
+    ) -> Result<Vec<Bytes>, String> {
+        let wrapper = format!("{}/wrapper", from.name());
+        let payload = encode_payload(inputs);
+        self.serialize(parent, &wrapper, "serialize:request", payload.len())
+            .await;
+        let mut request = Request::post("/invoke", payload);
+        if !parent.is_none() {
+            request = request.with_header(swf_obs::TRACE_HEADER, parent.to_header());
+        }
+        let response = self
+            .venues
+            .knative
+            .invoke(from.id(), service, request)
+            .await
+            .map_err(|e| e.to_string())?;
+        self.serialize(parent, &wrapper, "serialize:response", response.body.len())
+            .await;
+        decode_payload(response.body)
     }
 
-    fn container_job(&self, task: &PlannedTask) -> JobFn {
-        let k8s = self.k8s.clone();
-        let image = self.image.clone();
-        let staging = self.staging;
-        let tarball = self.image_tarball.clone();
-        let task = task.clone();
-        Rc::new(move |ctx: JobContext| {
-            let k8s = k8s.clone();
-            let image = image.clone();
-            let tarball = tarball.clone();
-            let task = task.clone();
-            Box::pin(async move {
-                let runtime = k8s
-                    .runtime(ctx.node_id())
-                    .cloned()
-                    .ok_or_else(|| format!("no container runtime on {}", ctx.node_id()))?;
-                let obs = swf_obs::current();
-                match staging {
-                    ContainerStaging::PerJob => {
-                        // The tarball arrived via Condor file transfer; a
-                        // `docker load` reads it off the local disk and
-                        // registers the layers.
-                        let load = obs.span(
-                            ctx.span,
-                            &format!("{}/docker", ctx.node.name()),
-                            "docker-load",
-                            swf_obs::Category::Pull,
-                        );
-                        let tar = tarball
-                            .as_deref()
-                            .ok_or_else(|| "image tarball was not staged".to_string())?;
-                        ctx.node
-                            .fs()
-                            .read(&ctx.sandbox_path(tar))
-                            .await
-                            .map_err(|e| format!("image tarball: {e}"))?;
-                        runtime
-                            .registry()
-                            .mark_cached(ctx.node_id(), &image)
-                            .map_err(|e| e.to_string())?;
-                        drop(load);
-                    }
-                    ContainerStaging::PullIfMissing => {
-                        let pull = obs.span(
-                            ctx.span,
-                            &format!("{}/docker", ctx.node.name()),
-                            "ensure-image",
-                            swf_obs::Category::Pull,
-                        );
-                        runtime
-                            .ensure_image(&image)
-                            .await
-                            .map_err(|e| e.to_string())?;
-                        drop(pull);
-                    }
-                }
-                // Read inputs, then run the task inside a fresh container.
-                let mut inputs = Vec::with_capacity(task.inputs.len());
-                for f in &task.inputs {
-                    let data = ctx
-                        .node
-                        .fs()
-                        .read(&ctx.sandbox_path(f))
-                        .await
-                        .map_err(|e| e.to_string())?;
-                    inputs.push(data);
-                }
-                let logic = task.logic.clone();
-                let workload = Workload::new(task.compute, move || {
-                    let outs = logic(inputs)?;
-                    Ok(crate::function::encode_outputs(&outs))
-                });
-                let cli = DockerCli::new(runtime);
-                let report = cli
-                    .run_with_span(
-                        ctx.span,
-                        &image,
-                        ResourceLimits::one_core(512),
-                        workload,
-                        PullPolicy::Never,
-                    )
+    /// Charge the wrapper's (de)serialization of `bytes` as a span (the
+    /// paper's Python wrapper JSON-encodes the matrices).
+    async fn serialize(&self, parent: SpanContext, wrapper: &str, name: &str, bytes: usize) {
+        let rate = self.venues.serialization_rate;
+        if rate > 0.0 {
+            let _span = swf_obs::current().span(parent, wrapper, name, Category::Serialize);
+            swf_simcore::sleep(SimDuration::from_secs_f64(bytes as f64 / rate)).await;
+        }
+    }
+
+    /// The container venue: make the image present on the worker, then run
+    /// the task in a fresh container. The image step reads the worker's
+    /// disk too, so it comes before the task's inputs are read.
+    async fn run_container(&self, task: &PlannedTask, ctx: &JobContext) -> Result<Bytes, String> {
+        let venues = &*self.venues;
+        let runtime = venues
+            .k8s
+            .runtime(ctx.node_id())
+            .cloned()
+            .ok_or_else(|| format!("no container runtime on {}", ctx.node_id()))?;
+        let docker = format!("{}/docker", ctx.node.name());
+        let obs = swf_obs::current();
+        match venues.staging {
+            ContainerStaging::PerJob => {
+                // The tarball arrived via Condor file transfer; a `docker
+                // load` reads it off the local disk and registers the layers.
+                let _load = obs.span(ctx.span, &docker, "docker-load", Category::Pull);
+                let tar = venues
+                    .image_tarball
+                    .as_deref()
+                    .ok_or("image tarball was not staged")?;
+                ctx.node
+                    .fs()
+                    .read(&ctx.sandbox_path(tar))
                     .await
-                    .map_err(|e: ContainerError| e.to_string())?;
-                let outputs = decode_outputs(report.exec.output)?;
-                if outputs.len() != task.outputs.len() {
-                    return Err(format!(
-                        "container task returned {} outputs, expected {}",
-                        outputs.len(),
-                        task.outputs.len()
-                    ));
-                }
-                for (name, data) in task.outputs.iter().zip(outputs) {
-                    ctx.node.fs().write(ctx.sandbox_path(name), data).await;
-                }
-                Ok(Bytes::new())
-            })
+                    .map_err(|e| format!("image tarball: {e}"))?;
+                runtime
+                    .registry()
+                    .mark_cached(ctx.node_id(), &venues.image)
+                    .map_err(|e| e.to_string())?;
+            }
+            ContainerStaging::PullIfMissing => {
+                let _pull = obs.span(ctx.span, &docker, "ensure-image", Category::Pull);
+                runtime
+                    .ensure_image(&venues.image)
+                    .await
+                    .map_err(|e| e.to_string())?;
+            }
+        }
+        run_in_sandbox(task, ctx, async |inputs| {
+            let logic = Rc::clone(&task.logic);
+            let workload = Workload::new(task.compute, move || Ok(encode_payload(&logic(inputs)?)));
+            let report = DockerCli::new(runtime)
+                .run_with_span(
+                    ctx.span,
+                    &venues.image,
+                    TASK_LIMITS,
+                    workload,
+                    PullPolicy::Never,
+                )
+                .await
+                .map_err(|e| e.to_string())?;
+            decode_payload(report.exec.output)
         })
+        .await
     }
 }
 
 impl JobFactory for IntegratedFactory {
-    fn build(&self, task: &PlannedTask) -> JobFn {
-        match task.env {
-            ExecEnv::Native => {
-                let task = task.clone();
-                Rc::new(move |ctx: JobContext| {
-                    let task = task.clone();
-                    Box::pin(async move { run_native(&task, &ctx).await })
-                })
+    fn build(&self, task: &PlannedTask) -> JobSpec {
+        let mut inputs = task.inputs.clone();
+        let venue: Venue = match task.env {
+            ExecEnv::Native => |job, ctx| Box::pin(async move { run_native(&job.1, &ctx).await }),
+            ExecEnv::Container => {
+                if self.venues.staging == ContainerStaging::PerJob {
+                    inputs.extend(self.venues.image_tarball.clone());
+                }
+                |job, ctx| Box::pin(async move { job.0.run_container(&job.1, &ctx).await })
             }
-            ExecEnv::Serverless => self.serverless_job(task),
-            ExecEnv::Container => self.container_job(task),
-        }
-    }
-
-    fn extra_inputs(&self, task: &PlannedTask) -> Vec<String> {
-        if task.env == ExecEnv::Container && self.staging == ContainerStaging::PerJob {
-            // A missing tarball surfaces later as a typed MissingInput error
-            // on the job rather than a panic here.
-            self.image_tarball.clone().into_iter().collect()
-        } else {
-            Vec::new()
-        }
+            ExecEnv::Serverless => |job, ctx| {
+                Box::pin(async move {
+                    let (factory, task) = &*job;
+                    run_in_sandbox(task, &ctx, async |inputs| {
+                        let service = &task.transformation;
+                        factory.invoke(&ctx.node, ctx.span, service, &inputs).await
+                    })
+                    .await
+                })
+            },
+        };
+        let job = Rc::new((self.clone(), task.clone()));
+        JobSpec::new(move |ctx| venue(Rc::clone(&job), ctx)).with_inputs(inputs)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::config::ExperimentConfig;
-    use crate::harness::{self, matmul_pegasus};
+    use crate::function::register_matmul;
+    use crate::harness::{self, matmul_pegasus, matmul_ready};
+    use crate::testbed::TestBed;
+    use swf_condor::{JobId, JobResult};
+    use swf_obs::Obs;
     use swf_pegasus::{NativeFactory, Pegasus, PlanOptions};
     use swf_workloads::{chain_workflow, decode, EnvMix};
 
@@ -359,24 +299,170 @@ mod tests {
 
     #[test]
     fn native_factory_matches_integrated_native() {
-        // Sanity: the pegasus-native factory and the integrated factory's
-        // native arm run the same path.
-        harness::run(&ExperimentConfig::quick(), async |bed| {
+        // The same two-task native chain through each factory, each on a
+        // fresh bed: one sandbox path, so the same makespan and bytes.
+        let run = |integrated: bool| {
+            harness::run(&ExperimentConfig::quick(), async move |bed| {
+                let config = &bed.config;
+                let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
+                pegasus
+                    .transformations()
+                    .register(crate::builder::matmul_transformation(config));
+                let mut rng = swf_simcore::DetRng::new(9, "nf");
+                let chain = chain_workflow(1, 2, EnvMix::ALL_NATIVE, &mut rng);
+                let wf = crate::builder::stage_chain_workflow(
+                    &bed.cluster,
+                    pegasus.replicas(),
+                    &chain,
+                    config,
+                );
+                let (stats, _) = if integrated {
+                    pegasus.run(&wf, &bed.factory().0).await.unwrap()
+                } else {
+                    pegasus.run(&wf, &NativeFactory).await.unwrap()
+                };
+                assert_eq!(stats.tasks, 2);
+                let last = &chain.tasks.last().unwrap().output;
+                let out = bed.cluster.shared_fs().read(last).await.unwrap();
+                (stats.makespan.as_secs_f64().to_bits(), out)
+            })
+            .0
+        };
+        assert_eq!(run(false), run(true));
+    }
+
+    /// One matmul task in `env` over the staged pair `a.mat`, `b.mat`,
+    /// declaring `outputs` output files.
+    fn matmul_task(env: ExecEnv, outputs: usize, config: &ExperimentConfig) -> PlannedTask {
+        let t = crate::builder::matmul_transformation(config);
+        PlannedTask {
+            name: "t".into(),
+            inputs: vec!["a.mat".into(), "b.mat".into()],
+            outputs: (0..outputs).map(|i| format!("out{i}.mat")).collect(),
+            compute: t.compute,
+            logic: t.logic,
+            container_image: t.container_image,
+            env,
+            clustered: 1,
+            transformation: "matmul".into(),
+        }
+    }
+
+    const VENUES: [ExecEnv; 3] = [ExecEnv::Native, ExecEnv::Container, ExecEnv::Serverless];
+
+    /// On a quick bed (traced iff `trace`) with the matmul function ready
+    /// and `a.mat`, `b.mat` staged, run one task per venue in [`VENUES`]
+    /// order, each as one Condor job built by `factory`. Returns each
+    /// job's id and result, and the run's collector.
+    fn run_venues(
+        trace: bool,
+        outputs: usize,
+        factory: impl FnOnce(&TestBed) -> IntegratedFactory + 'static,
+    ) -> (Vec<(JobId, JobResult)>, Obs) {
+        let mut config = ExperimentConfig::quick();
+        config.trace = trace;
+        harness::run(&config, async move |bed| {
             let config = &bed.config;
-            let pegasus = Pegasus::new(bed.condor.clone()).with_dagman(config.dagman);
-            pegasus
-                .transformations()
-                .register(crate::builder::matmul_transformation(config));
-            let mut rng = swf_simcore::DetRng::new(9, "nf");
-            let chain = chain_workflow(1, 2, EnvMix::ALL_NATIVE, &mut rng);
-            let wf = crate::builder::stage_chain_workflow(
-                &bed.cluster,
-                pegasus.replicas(),
-                &chain,
-                config,
-            );
-            let (stats, _) = pegasus.run(&wf, &NativeFactory).await.unwrap();
-            assert_eq!(stats.tasks, 2);
+            let factory = factory(bed);
+            register_matmul(&bed.knative, config);
+            matmul_ready(bed).await.unwrap();
+            let (a, b) = crate::builder::input_pair(config, "venues");
+            let fs = bed.cluster.shared_fs();
+            fs.stage("a.mat", swf_workloads::encode(&a));
+            fs.stage("b.mat", swf_workloads::encode(&b));
+            let mut results = Vec::new();
+            for env in VENUES {
+                let task = matmul_task(env, outputs, config);
+                let id = bed.condor.submit(factory.build(&task));
+                results.push((id, bed.condor.wait(id).await.unwrap()));
+            }
+            results
+        })
+    }
+
+    /// The task error a failed job reports, without the Condor preamble.
+    fn job_error(result: &JobResult) -> String {
+        assert!(!result.success);
+        let output = String::from_utf8_lossy(&result.output);
+        output.split_once("): ").unwrap().1.to_string()
+    }
+
+    #[test]
+    fn every_venue_reports_a_wrong_output_count_the_same_way() {
+        let (results, _) = run_venues(false, 2, |bed| bed.factory().0);
+        let errors: Vec<String> = results.iter().map(|(_, r)| job_error(r)).collect();
+        assert_eq!(errors, vec!["t produced 1 outputs, expected 2"; 3]);
+    }
+
+    #[test]
+    fn per_job_staging_without_a_tarball_fails_only_container_jobs() {
+        let (results, _) = run_venues(false, 1, |bed| {
+            IntegratedFactory::new(
+                bed.knative.clone(),
+                bed.k8s.clone(),
+                bed.image.clone(),
+                ContainerStaging::PerJob,
+                None,
+            )
         });
+        let [(_, native), (_, container), (_, serverless)] = &results[..] else {
+            panic!("one job per venue");
+        };
+        assert!(native.success && serverless.success);
+        assert_eq!(job_error(container), "image tarball was not staged");
+    }
+
+    /// Each venue's spans under its job's execute span: name, category,
+    /// start and end (virtual seconds).
+    #[test]
+    fn venue_spans_are_pinned() {
+        use Category::*;
+        let (results, obs) = run_venues(true, 1, |bed| bed.factory().0);
+        let children = |id: JobId| {
+            obs.with_spans(|spans| {
+                let execute = format!("execute:{id}");
+                let exec = spans.iter().find(|s| s.name == execute).unwrap().id;
+                spans
+                    .iter()
+                    .filter(|s| s.parent == exec)
+                    .map(|s| {
+                        let (start, end) = (s.start.as_secs_f64(), s.end_or_start().as_secs_f64());
+                        (s.name.clone(), s.category, start, end)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        let expected: [&[(&str, Category, f64, f64)]; 3] = [
+            &[],
+            &[
+                ("docker-load", Pull, 42.078990881, 43.022809281),
+                (
+                    "create:dockerhub.io/hpc/matmul:1.0",
+                    Create,
+                    43.023017521,
+                    43.148017521,
+                ),
+                ("exec", Compute, 43.148017521, 43.606017521),
+                (
+                    "destroy:dockerhub.io/hpc/matmul:1.0",
+                    Destroy,
+                    43.606017521,
+                    43.648017521,
+                ),
+            ],
+            &[
+                ("serialize:request", Serialize, 69.155961186, 69.156996185),
+                ("invoke:matmul", Transfer, 69.156996185, 69.624588685),
+                ("serialize:response", Serialize, 69.624588685, 69.625106685),
+            ],
+        ];
+        for ((id, result), (env, expected)) in results.iter().zip(VENUES.iter().zip(expected)) {
+            assert!(result.success, "{env:?}");
+            let expected: Vec<_> = expected
+                .iter()
+                .map(|&(n, c, a, b)| (n.into(), c, a, b))
+                .collect();
+            assert_eq!(children(*id), expected, "{env:?}");
+        }
     }
 }

@@ -25,9 +25,12 @@ pub struct FunctionBuilder {
     container_concurrency: u32,
     provisioning: Provisioning,
     min_scale: u32,
-    resources: ResourceLimits,
     serialization_rate: f64,
 }
+
+/// Limits of the container a task runs in, function pod and `docker run`
+/// alike: one core, 512 MiB.
+pub(crate) const TASK_LIMITS: ResourceLimits = ResourceLimits::one_core(512);
 
 impl FunctionBuilder {
     /// Wrap `transformation` for service `name` backed by `image`.
@@ -40,7 +43,6 @@ impl FunctionBuilder {
             container_concurrency: 1,
             provisioning: Provisioning::PreStage,
             min_scale: 1,
-            resources: ResourceLimits::one_core(512),
             serialization_rate: 0.0,
         }
     }
@@ -71,15 +73,12 @@ impl FunctionBuilder {
     /// in the request body), charges the modelled compute, runs the real
     /// logic, and returns the concatenated outputs.
     pub fn register(self, knative: &Knative) {
+        let ksvc = KService::new(&self.service_name, self.image)
+            .with_container_concurrency(self.container_concurrency)
+            .with_resources(TASK_LIMITS);
         let ksvc = match self.provisioning {
-            Provisioning::PreStage => KService::new(&self.service_name, self.image.clone())
-                .with_container_concurrency(self.container_concurrency)
-                .with_resources(self.resources)
-                .with_min_scale(self.min_scale),
-            Provisioning::Deferred => KService::new(&self.service_name, self.image.clone())
-                .with_container_concurrency(self.container_concurrency)
-                .with_resources(self.resources)
-                .with_initial_scale(0),
+            Provisioning::PreStage => ksvc.with_min_scale(self.min_scale),
+            Provisioning::Deferred => ksvc.with_initial_scale(0),
         };
         let compute = self.compute;
         let logic = self.logic;
@@ -99,14 +98,14 @@ impl FunctionBuilder {
             Workload::new(busy, move || {
                 let inputs = decode_payload(payload)?;
                 let outputs = logic(inputs)?;
-                Ok(encode_outputs(&outputs))
+                Ok(encode_payload(&outputs))
             })
         });
     }
 }
 
-/// Encode a list of input payloads into one request body (pass-by-value
-/// invocation, §IV-3).
+/// Encode a list of payloads into one body: a request's inputs
+/// (pass-by-value invocation, §IV-3) or a response's outputs.
 pub fn encode_payload(inputs: &[Bytes]) -> Bytes {
     use bytes::BufMut;
     let total: usize = inputs.iter().map(|b| 8 + b.len()).sum();
@@ -119,7 +118,7 @@ pub fn encode_payload(inputs: &[Bytes]) -> Bytes {
     buf.freeze()
 }
 
-/// Decode a request body into its input payloads.
+/// Decode a body written by [`encode_payload`] into its payloads.
 pub fn decode_payload(mut data: Bytes) -> Result<Vec<Bytes>, String> {
     use bytes::Buf;
     if data.len() < 4 {
@@ -138,16 +137,6 @@ pub fn decode_payload(mut data: Bytes) -> Result<Vec<Bytes>, String> {
         out.push(data.split_to(len));
     }
     Ok(out)
-}
-
-/// Encode function outputs into one response body.
-pub fn encode_outputs(outputs: &[Bytes]) -> Bytes {
-    encode_payload(outputs)
-}
-
-/// Decode a response body into output payloads.
-pub fn decode_outputs(data: Bytes) -> Result<Vec<Bytes>, String> {
-    decode_payload(data)
 }
 
 /// Register the experiment's matmul function per the configuration.

@@ -22,6 +22,6 @@ pub use abstract_wf::{AbstractJob, AbstractWorkflow, TaskLogic, Transformation, 
 pub use catalog::{ReplicaCatalog, ReplicaLocation, TransformationCatalog};
 pub use pegasus::{Pegasus, PegasusError, WorkflowRunStats};
 pub use planner::{
-    plan, run_native, ExecutableWorkflow, JobFactory, NativeFactory, PlanError, PlanOptions,
-    PlannedTask,
+    plan, run_in_sandbox, run_native, ExecutableWorkflow, JobFactory, NativeFactory, PlanError,
+    PlanOptions, PlannedTask,
 };

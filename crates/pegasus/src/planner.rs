@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 
-use swf_condor::{DagSpec, JobContext, JobFn, JobSpec};
+use swf_condor::{DagSpec, JobContext, JobSpec};
 use swf_simcore::SimDuration;
 use swf_workloads::ExecEnv;
 
@@ -42,17 +42,13 @@ pub struct PlannedTask {
     pub transformation: String,
 }
 
-/// Builds the Condor job program for one planned task.
+/// Builds the Condor job for one planned task.
 pub trait JobFactory {
-    /// Produce the job function for `task`.
-    fn build(&self, task: &PlannedTask) -> JobFn;
-
-    /// Extra files the venue needs staged into the sandbox alongside the
-    /// task's declared inputs (e.g. a container image tarball transferred
-    /// per job, as Pegasus does for containerized tasks).
-    fn extra_inputs(&self, _task: &PlannedTask) -> Vec<String> {
-        Vec::new()
-    }
+    /// The job for `task`: its program and every file to stage into its
+    /// sandbox — the task's declared inputs plus any the venue brings (e.g.
+    /// a container image tarball transferred per job, as Pegasus does for
+    /// containerized tasks). [`plan`] adds the declared outputs.
+    fn build(&self, task: &PlannedTask) -> JobSpec;
 }
 
 /// Planner errors.
@@ -172,12 +168,7 @@ pub fn plan(
     // Emit the Condor DAG.
     let mut dag = DagSpec::named(wf.name.clone());
     for task in &tasks {
-        let program = factory.build(task);
-        let mut input_files = task.inputs.clone();
-        input_files.extend(factory.extra_inputs(task));
-        let spec = JobSpec::new(move |ctx| program(ctx))
-            .with_inputs(input_files)
-            .with_outputs(task.outputs.clone());
+        let spec = factory.build(task).with_outputs(task.outputs.clone());
         dag.add_node_with_retries(task.name.clone(), spec, options.retries);
     }
     for (p, c) in edges {
@@ -343,18 +334,36 @@ fn cluster_chains(
 pub struct NativeFactory;
 
 impl JobFactory for NativeFactory {
-    fn build(&self, task: &PlannedTask) -> JobFn {
-        let task = task.clone();
-        Rc::new(move |ctx: JobContext| {
-            let task = task.clone();
+    fn build(&self, task: &PlannedTask) -> JobSpec {
+        let inputs = task.inputs.clone();
+        let task = Rc::new(task.clone());
+        JobSpec::new(move |ctx: JobContext| {
+            let task = Rc::clone(&task);
             Box::pin(async move { run_native(&task, &ctx).await })
         })
+        .with_inputs(inputs)
     }
 }
 
-/// Shared native execution path (also used as the tail of other venues).
+/// The native venue's job body: charge the task's compute on the claimed
+/// core, then run its logic on the sandbox inputs.
 pub async fn run_native(task: &PlannedTask, ctx: &JobContext) -> Result<Bytes, String> {
-    let mut payloads = Vec::with_capacity(task.inputs.len());
+    run_in_sandbox(task, ctx, async |inputs| {
+        ctx.compute(task.compute).await;
+        (task.logic)(inputs)
+    })
+    .await
+}
+
+/// The sandbox path every venue shares: read the task's declared inputs in
+/// order, hand them to `execute`, check it returned one output per
+/// declared output, and write those for stage-out.
+pub async fn run_in_sandbox(
+    task: &PlannedTask,
+    ctx: &JobContext,
+    execute: impl AsyncFnOnce(Vec<Bytes>) -> Result<Vec<Bytes>, String>,
+) -> Result<Bytes, String> {
+    let mut inputs = Vec::with_capacity(task.inputs.len());
     for f in &task.inputs {
         let data = ctx
             .node
@@ -362,10 +371,9 @@ pub async fn run_native(task: &PlannedTask, ctx: &JobContext) -> Result<Bytes, S
             .read(&ctx.sandbox_path(f))
             .await
             .map_err(|e| e.to_string())?;
-        payloads.push(data);
+        inputs.push(data);
     }
-    ctx.compute(task.compute).await;
-    let outs = (task.logic)(payloads)?;
+    let outs = execute(inputs).await?;
     if outs.len() != task.outputs.len() {
         return Err(format!(
             "{} produced {} outputs, expected {}",
