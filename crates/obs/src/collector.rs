@@ -8,21 +8,49 @@
 //! zero-cost (and runs bit-identical) when off.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use swf_simcore::{now, SimTime};
 
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::series::{SeriesConfig, SeriesStore};
-use crate::span::{Category, Span, SpanContext, SpanId};
+use crate::span::{intern, Category, Span, SpanContext, SpanId};
 
 #[derive(Default)]
 struct Inner {
     spans: Vec<Span>,
+    /// Every distinct span component, shared by the spans that name it.
+    components: BTreeSet<Rc<str>>,
     anchors: BTreeMap<String, SpanId>,
     metrics: Metrics,
     series: SeriesStore,
+}
+
+impl Inner {
+    fn push(
+        &mut self,
+        parent: SpanContext,
+        component: &str,
+        name: String,
+        category: Category,
+        start: SimTime,
+        end: Option<SimTime>,
+    ) -> SpanContext {
+        let id = SpanId(self.spans.len() as u64 + 1);
+        let component = intern(&mut self.components, component);
+        self.spans.push(Span {
+            id,
+            parent: parent.id,
+            component,
+            name,
+            category,
+            start,
+            end,
+            links: Vec::new(),
+        });
+        SpanContext { id }
+    }
 }
 
 /// Handle to a run's span tree and metrics registry.
@@ -72,19 +100,10 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return SpanContext::NONE;
         };
-        let mut inner = inner.borrow_mut();
-        let id = SpanId(inner.spans.len() as u64 + 1);
-        inner.spans.push(Span {
-            id,
-            parent: parent.id,
-            component: component.to_string(),
-            name: name.into(),
-            category,
-            start: now(),
-            end: None,
-            links: Vec::new(),
-        });
-        SpanContext { id }
+        let start = now();
+        inner
+            .borrow_mut()
+            .push(parent, component, name.into(), category, start, None)
     }
 
     /// Open a scope-bound span: ends when the guard drops.
@@ -138,19 +157,14 @@ impl Obs {
         let Some(inner) = &self.inner else {
             return SpanContext::NONE;
         };
-        let mut inner = inner.borrow_mut();
-        let id = SpanId(inner.spans.len() as u64 + 1);
-        inner.spans.push(Span {
-            id,
-            parent: parent.id,
-            component: component.to_string(),
-            name: name.into(),
+        inner.borrow_mut().push(
+            parent,
+            component,
+            name.into(),
             category,
             start,
-            end: Some(end.max(start)),
-            links: Vec::new(),
-        });
-        SpanContext { id }
+            Some(end.max(start)),
+        )
     }
 
     /// Record that `span` causally depends on `upstream` (a span from
@@ -420,5 +434,28 @@ mod tests {
         let spans = obs.spans();
         assert_eq!(spans[1].links, vec![spans[0].id]);
         assert!(obs.anchor("pod/unknown").is_none());
+    }
+
+    #[test]
+    fn spans_share_one_copy_of_each_component() {
+        let obs = Obs::enabled();
+        for component in ["condor/schedd", "node-0/startd", "condor/schedd"] {
+            let at = SimTime::ZERO;
+            obs.record_span(SpanContext::NONE, component, "s", Category::Queue, at, at);
+        }
+        let shared = |spans: &[Span]| {
+            let same = |a: usize, b: usize| Rc::ptr_eq(&spans[a].component, &spans[b].component);
+            (same(0, 2), same(0, 1))
+        };
+        assert_eq!(shared(&obs.spans()), (true, false));
+        // An import shares one copy per document, across its groups.
+        let doc = crate::spans_to_json(&[("a", &obs), ("b", &obs)]);
+        let groups = crate::spans_from_json(&doc).unwrap();
+        assert_eq!(shared(&groups[0].1), (true, false));
+        assert_eq!(shared(&groups[1].1), (true, false));
+        assert!(Rc::ptr_eq(
+            &groups[0].1[0].component,
+            &groups[1].1[2].component
+        ));
     }
 }

@@ -271,7 +271,7 @@ impl<'a> Analyzer<'a> {
         self.steps.push(CritStep {
             span: s.id,
             name: s.name.clone(),
-            component: s.component.clone(),
+            component: s.component.to_string(),
             category: s.category,
             enter_s: enter,
             exit_s: exit,

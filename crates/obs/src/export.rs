@@ -16,9 +16,12 @@
 //!      "start_ns": 0, "end_ns": 1000000000, "links": []}, ..]}]}
 //! ```
 
+use std::collections::BTreeSet;
+use std::rc::Rc;
+
 use swf_simcore::SimTime;
 
-use crate::span::{Category, Span, SpanId};
+use crate::span::{intern, Category, Span, SpanId};
 use crate::Obs;
 
 /// Format tag written into every export.
@@ -28,55 +31,42 @@ fn time_ns(t: SimTime) -> u64 {
     t.as_nanos()
 }
 
+/// One span as an object of its eight fields, inserted in key order so
+/// that each insert appends.
 fn span_to_json(span: &Span) -> serde_json::Value {
-    let mut obj = serde_json::Map::new();
-    obj.insert("id".to_string(), serde_json::Value::from(span.id.0));
-    obj.insert("parent".to_string(), serde_json::Value::from(span.parent.0));
-    obj.insert(
-        "component".to_string(),
-        serde_json::Value::from(span.component.clone()),
-    );
-    obj.insert(
-        "name".to_string(),
-        serde_json::Value::from(span.name.clone()),
-    );
-    obj.insert(
-        "category".to_string(),
-        serde_json::Value::from(span.category.label()),
-    );
-    obj.insert(
-        "start_ns".to_string(),
-        serde_json::Value::from(time_ns(span.start)),
-    );
-    obj.insert(
-        "end_ns".to_string(),
-        serde_json::Value::from(span.end.map(time_ns)),
-    );
-    obj.insert(
-        "links".to_string(),
-        serde_json::Value::Array(
-            span.links
-                .iter()
-                .map(|l| serde_json::Value::from(l.0))
-                .collect(),
-        ),
-    );
+    let links = span.links.iter().map(|l| serde_json::Value::from(l.0));
+    let mut obj = serde_json::Map::with_capacity(8);
+    obj.insert("category", serde_json::Value::from(span.category.label()));
+    obj.insert("component", serde_json::Value::from(&*span.component));
+    obj.insert("end_ns", serde_json::Value::from(span.end.map(time_ns)));
+    obj.insert("id", serde_json::Value::from(span.id.0));
+    obj.insert("links", serde_json::Value::Array(links.collect()));
+    obj.insert("name", serde_json::Value::from(span.name.clone()));
+    obj.insert("parent", serde_json::Value::from(span.parent.0));
+    obj.insert("start_ns", serde_json::Value::from(time_ns(span.start)));
     serde_json::Value::Object(obj)
 }
 
-fn span_from_json(v: &serde_json::Value) -> Option<Span> {
+/// A span from its object: all eight fields present and of their type
+/// (`end_ns` `null` for an open span), or `None`.
+fn span_from_json(v: &serde_json::Value, components: &mut BTreeSet<Rc<str>>) -> Option<Span> {
+    let end = match v.get("end_ns")? {
+        serde_json::Value::Null => None,
+        end => Some(SimTime::from_nanos(end.as_u64()?)),
+    };
     Some(Span {
         id: SpanId(v["id"].as_u64()?),
-        parent: SpanId(v["parent"].as_u64().unwrap_or(0)),
-        component: v["component"].as_str()?.to_string(),
+        parent: SpanId(v["parent"].as_u64()?),
+        component: intern(components, v["component"].as_str()?),
         name: v["name"].as_str()?.to_string(),
         category: Category::from_label(v["category"].as_str()?)?,
         start: SimTime::from_nanos(v["start_ns"].as_u64()?),
-        end: v["end_ns"].as_u64().map(SimTime::from_nanos),
+        end,
         links: v["links"]
-            .as_array()
-            .map(|a| a.iter().filter_map(|l| l.as_u64().map(SpanId)).collect())
-            .unwrap_or_default(),
+            .as_array()?
+            .iter()
+            .map(|l| l.as_u64().map(SpanId))
+            .collect::<Option<_>>()?,
     })
 }
 
@@ -102,17 +92,19 @@ pub fn spans_to_json(groups: &[(&str, &Obs)]) -> serde_json::Value {
 /// Parse a `swf-spans/v1` document back into labelled span lists.
 /// Returns `None` when the format tag is missing/wrong or any span is
 /// malformed (a truncated file should fail loudly, not half-parse).
+/// The spans of one document share one copy of each component.
 pub fn spans_from_json(doc: &serde_json::Value) -> Option<Vec<(String, Vec<Span>)>> {
     if doc["format"].as_str() != Some(SPANS_FORMAT) {
         return None;
     }
+    let mut components = BTreeSet::new();
     let mut out = Vec::new();
     for group in doc["groups"].as_array()? {
         let label = group["label"].as_str()?.to_string();
         let spans: Option<Vec<Span>> = group["spans"]
             .as_array()?
             .iter()
-            .map(span_from_json)
+            .map(|span| span_from_json(span, &mut components))
             .collect();
         out.push((label, spans?));
     }
@@ -123,6 +115,8 @@ pub fn spans_from_json(doc: &serde_json::Value) -> Option<Vec<(String, Vec<Span>
 mod tests {
     use super::*;
     use crate::span::SpanContext;
+    use proptest::prelude::*;
+    use serde_json::{json, Value};
     use swf_simcore::{secs, sleep, Sim};
 
     #[test]
@@ -152,16 +146,133 @@ mod tests {
         assert_eq!(back[0].1[1].links, vec![original[0].id]);
     }
 
+    /// A one-group `swf-spans/v1` document of these span objects.
+    fn document(spans: Vec<Value>) -> Value {
+        json!({"format": SPANS_FORMAT, "groups": [{"label": "t", "spans": (spans)}]})
+    }
+
     #[test]
     fn bad_documents_are_rejected() {
-        assert!(spans_from_json(&serde_json::json!({})).is_none());
-        assert!(
-            spans_from_json(&serde_json::json!({"format": "other/v1", "groups": []})).is_none()
-        );
-        let truncated = serde_json::json!({
-            "format": SPANS_FORMAT,
-            "groups": [{"label": "t", "spans": [{"id": 1}]}],
+        assert!(spans_from_json(&json!({})).is_none());
+        assert!(spans_from_json(&json!({"format": "other/v1", "groups": []})).is_none());
+        assert!(spans_from_json(&document(vec![json!({"id": 1})])).is_none());
+        let valid = json!({
+            "category": "queue", "component": "a/b", "end_ns": 5, "id": 1,
+            "links": [2], "name": "s", "parent": 0, "start_ns": 1
         });
-        assert!(spans_from_json(&truncated).is_none());
+        assert!(spans_from_json(&document(vec![valid.clone()])).is_some());
+        for (field, wrong) in [
+            ("parent", json!("0")),
+            ("end_ns", json!("5")),
+            ("end_ns", json!(5.5)),
+            ("links", json!(2)),
+            ("links", json!([2, "3"])),
+        ] {
+            let mut span = valid.clone();
+            *span.get_mut(field).unwrap() = wrong.clone();
+            assert!(
+                spans_from_json(&document(vec![span])).is_none(),
+                "{field}: {wrong}"
+            );
+        }
+        let mut no_end = valid;
+        no_end.as_object_mut().unwrap().remove("end_ns");
+        assert!(spans_from_json(&document(vec![no_end])).is_none());
+    }
+
+    const FIELDS: [&str; 8] = [
+        "category",
+        "component",
+        "end_ns",
+        "id",
+        "links",
+        "name",
+        "parent",
+        "start_ns",
+    ];
+
+    /// Values `field` must not hold.
+    fn wrong_values(field: &str) -> Vec<Value> {
+        let not_integers = vec![
+            json!(true),
+            json!(-1),
+            json!(1.5),
+            json!("7"),
+            json!([7]),
+            json!({}),
+        ];
+        let not_strings = vec![json!(null), json!(7), json!(["a"]), json!({})];
+        match field {
+            // `null` is how an open span writes its end.
+            "end_ns" => not_integers,
+            "id" | "parent" | "start_ns" => [vec![json!(null)], not_integers].concat(),
+            "component" | "name" => not_strings,
+            "category" => [vec![json!("queues")], not_strings].concat(),
+            "links" => vec![
+                json!(null),
+                json!(7),
+                json!("[]"),
+                json!({}),
+                json!([1, null]),
+                json!([1.5]),
+                json!([(-1)]),
+            ],
+            other => panic!("{other} is not a span field"),
+        }
+    }
+
+    const COMPONENTS: [&str; 4] = ["condor/dagman", "node-1/kubelet", "nœud \"2\"/\u{0}", ""];
+    const NAMES: [&str; 3] = ["workflow:w0", "pull \"img\" é→ü", ""];
+
+    /// Span lists of a length drawn from the range: ids that repeat or
+    /// skip, any parent, open spans, links to any id.
+    struct SpanLists(std::ops::Range<u64>);
+
+    impl Strategy for SpanLists {
+        type Value = Vec<Span>;
+        fn generate(&self, rng: &mut TestRng) -> Vec<Span> {
+            (0..self.0.generate(rng))
+                .map(|_| {
+                    let start = rng.next_u64() >> 1;
+                    Span {
+                        id: SpanId(rng.next_u64() % 16),
+                        parent: SpanId(rng.next_u64() % 16),
+                        component: COMPONENTS[(rng.next_u64() % 4) as usize].into(),
+                        name: NAMES[(rng.next_u64() % 3) as usize].to_string(),
+                        category: Category::ALL[(rng.next_u64() % 12) as usize],
+                        start: SimTime::from_nanos(start),
+                        end: (rng.next_u64() % 3 < 2)
+                            .then(|| SimTime::from_nanos(start + rng.next_u64() % 1_000)),
+                        links: (0..rng.next_u64() % 3)
+                            .map(|_| SpanId(rng.next_u64()))
+                            .collect(),
+                    }
+                })
+                .collect()
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn span_lists_round_trip_through_text(spans in SpanLists(0..13)) {
+            let text = document(spans.iter().map(span_to_json).collect()).to_string();
+            let back = serde_json::from_str(&text).ok().and_then(|doc| spans_from_json(&doc));
+            prop_assert_eq!(back, Some(vec![("t".to_string(), spans)]));
+        }
+
+        #[test]
+        fn a_field_of_the_wrong_type_is_rejected(
+            spans in SpanLists(1..13),
+            at in any::<usize>(),
+            field in 0..FIELDS.len(),
+        ) {
+            let objects: Vec<Value> = spans.iter().map(span_to_json).collect();
+            let (at, field) = (at % objects.len(), FIELDS[field]);
+            for wrong in wrong_values(field) {
+                let mut objects = objects.clone();
+                *objects[at].get_mut(field).unwrap() = wrong.clone();
+                prop_assert!(spans_from_json(&document(objects)).is_none(), "{field}: {wrong}");
+            }
+        }
     }
 }

@@ -113,7 +113,7 @@ impl GroupKey {
 
     fn of(self, span: &Span) -> String {
         match self {
-            GroupKey::Component => span.component.clone(),
+            GroupKey::Component => span.component.to_string(),
             GroupKey::Category => span.category.label().to_string(),
             GroupKey::Name => span.name.clone(),
         }

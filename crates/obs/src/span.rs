@@ -1,6 +1,7 @@
 //! Span types: identities, contexts, categories and the span record.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use swf_simcore::SimTime;
 
@@ -140,8 +141,10 @@ pub struct Span {
     /// Enclosing span (NONE for roots).
     pub parent: SpanId,
     /// `process/thread` location, e.g. `node-2/kubelet` or
-    /// `condor/negotiator`.
-    pub component: String,
+    /// `condor/negotiator`. A run has a few dozen distinct components
+    /// over hundreds of thousands of spans, so a collector (and an import)
+    /// keeps one copy of each, which its spans share.
+    pub component: Rc<str>,
     /// Human-readable operation name.
     pub name: String,
     /// Time category for breakdown attribution.
@@ -181,6 +184,16 @@ impl Span {
 /// the first `/`, or the whole path twice when it has none.
 pub(crate) fn split_component(component: &str) -> (&str, &str) {
     component.split_once('/').unwrap_or((component, component))
+}
+
+/// The one shared copy of `component` in `components`, added on first use.
+pub(crate) fn intern(components: &mut BTreeSet<Rc<str>>, component: &str) -> Rc<str> {
+    if let Some(shared) = components.get(component) {
+        return Rc::clone(shared);
+    }
+    let shared = Rc::<str>::from(component);
+    components.insert(Rc::clone(&shared));
+    shared
 }
 
 /// Finds the spans of one slice by id.

@@ -70,7 +70,7 @@ fn escapes_group() -> Vec<Span> {
         .map(|(&(component, name, parent, start, end, links), id)| Span {
             id: SpanId(id),
             parent: SpanId(parent),
-            component: component.to_string(),
+            component: component.into(),
             name: name.to_string(),
             category: Category::ALL[id as usize % Category::ALL.len()],
             start: ms(start),

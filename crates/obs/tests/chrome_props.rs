@@ -53,7 +53,7 @@ impl Strategy for Forests {
                 Span {
                     id: SpanId(id),
                     parent: SpanId(rng.next_u64() % id),
-                    component: pick(rng, &COMPONENTS).to_string(),
+                    component: pick(rng, &COMPONENTS).into(),
                     name: pick(rng, &NAMES).to_string(),
                     category: pick(rng, &Category::ALL),
                     start: SimTime::from_nanos(start),

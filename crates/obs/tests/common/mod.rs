@@ -9,6 +9,19 @@ use swf_simcore::SimTime;
 pub const WORKFLOWS: u64 = 200;
 const TASKS: u64 = 100;
 
+/// Peak resident set size of this process in bytes (`VmHWM` of
+/// `/proc/self/status`, so Linux only).
+pub fn vm_hwm() -> usize {
+    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
+    let kib = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim().strip_suffix("kB"))
+        .and_then(|n| n.trim().parse::<usize>().ok())
+        .expect("VmHWM line in kB");
+    kib * 1024
+}
+
 /// 200 workflows of 100 four-wide tasks: per workflow a root, a detached
 /// pod cold start (with its image pull) that every claim activation links
 /// to, and per task a job span over negotiate / activation / transfer /

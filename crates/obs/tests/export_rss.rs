@@ -13,20 +13,8 @@
 
 mod common;
 
+use common::vm_hwm;
 use swf_obs::chrome_trace_to_string;
-
-/// Peak resident set size of this process in bytes (`VmHWM` of
-/// `/proc/self/status`).
-fn vm_hwm() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs is mounted");
-    let kib = status
-        .lines()
-        .find_map(|line| line.strip_prefix("VmHWM:"))
-        .and_then(|rest| rest.trim().strip_suffix("kB"))
-        .and_then(|n| n.trim().parse::<usize>().ok())
-        .expect("VmHWM line in kB");
-    kib * 1024
-}
 
 #[test]
 fn a_chrome_export_grows_the_process_by_its_text() {

@@ -122,7 +122,7 @@ impl<'a> Reference<'a> {
         self.steps.push(CritStep {
             span: s.id,
             name: s.name.clone(),
-            component: s.component.clone(),
+            component: s.component.to_string(),
             category: s.category,
             enter_s: enter,
             exit_s: exit,
