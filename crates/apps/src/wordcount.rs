@@ -97,8 +97,8 @@ const VOCAB: [&str; 24] = [
     "merge",
 ];
 
-/// Generate the corpus: whitespace-separated words drawn from [`VOCAB`]
-/// with a Zipf-ish skew.
+/// Generate the corpus: whitespace-separated words drawn from a fixed
+/// vocabulary of workflow terms with a Zipf-ish skew.
 pub fn generate_corpus(params: &WordCountParams, seed: u64) -> Vec<(String, Bytes)> {
     let mut rng = DetRng::new(seed, "wordcount-corpus");
     let mut text = String::new();

@@ -172,7 +172,6 @@ fn ablate_clustering(quick: bool, out: &mut AblationsResult) {
         );
         let plan = PlanOptions {
             cluster_level: level,
-            retries: 0,
         };
         let params = ConcurrentParams {
             plan,

@@ -11,9 +11,12 @@
 //! documents: any leaf that differs is drift, and drift exits 1.
 //!
 //! Usage:
-//!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--only <name>[,<name>…]] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
-//!   cargo run --release -p swf-bench --bin suite -- --list
-//!   cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json>
+//!
+//! ```text
+//! cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--only <name>[,<name>…]] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
+//! cargo run --release -p swf-bench --bin suite -- --list
+//! cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json>
+//! ```
 //!
 //! `--only fig6` (or `--only fig2,coldstart`) runs just those scenarios
 //! of the label: the way to regenerate one figure. A name the label does

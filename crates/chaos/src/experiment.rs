@@ -12,7 +12,7 @@
 //! Every workflow takes the same path whatever the configuration: DAGMan
 //! runs it, a node out of retries halts its descendants and a rescue DAG is
 //! written, and [`swf_condor::run_with_resumes`] resumes it from that rescue
-//! up to [`ChaosRunConfig::max_rescue_rounds`] times — 0 in
+//! up to 16 times under [`ChaosRunConfig::rescue`] — never in
 //! [`ChaosRunConfig::quick`], where a halt is simply the workflow's typed
 //! failure. The harness adds its invariants around each run: nodes a rescue
 //! records done never execute again, and their outputs never change.
@@ -46,6 +46,12 @@ pub const SERVICE: &str = "chaos-fn";
 const SERVERLESS_EVERY: usize = 4;
 /// Nominal per-task compute.
 pub const TASK_COMPUTE: SimDuration = SimDuration::from_secs(2);
+/// Tasks per workflow chain.
+pub const TASKS_PER_WORKFLOW: usize = 4;
+/// Times a halted workflow is resumed from its rescue DAG (persisted
+/// through a JSON round-trip each round) before it counts as failed, when
+/// [`ChaosRunConfig::rescue`] is set.
+const RESCUE_ROUNDS: u32 = 16;
 /// DAGMan retries per node.
 const NODE_RETRIES: u32 = 4;
 /// Per-workflow liveness deadline; exceeding it is a typed failure.
@@ -56,31 +62,25 @@ const DEADLINE: SimDuration = SimDuration::from_secs(3600);
 pub struct ChaosRunConfig {
     /// Concurrent workflow chains.
     pub workflows: usize,
-    /// Tasks per chain.
-    pub tasks_per_workflow: usize,
     /// Root seed: drives the testbed, the disruptor coin flips, and the
     /// router's retry jitter.
     pub seed: u64,
-    /// Arm the self-healing stack: liveness probes on function pods, the
-    /// per-revision circuit breaker, and a bounded queue-proxy depth.
+    /// Arm the self-healing stack — liveness probes on function pods, the
+    /// per-revision circuit breaker, a bounded queue-proxy depth — and
+    /// resume halted workflows from their rescue DAGs (16 rounds at most).
+    /// Unset, a halt is the workflow's typed failure.
     pub rescue: bool,
-    /// Times a halted workflow is resumed from its rescue DAG (persisted
-    /// through a JSON round-trip each round) before it counts as failed;
-    /// 0 = never resume.
-    pub max_rescue_rounds: u32,
 }
 
 impl ChaosRunConfig {
-    /// The seed-sweep shape: 3 chains × 4 tasks with a serverless task in
-    /// each chain — small enough that 24 slots never contend, so faults
-    /// compose monotonically into the makespan.
+    /// The seed-sweep shape: 3 chains × [`TASKS_PER_WORKFLOW`] tasks with a
+    /// serverless task in each chain — small enough that 24 slots never
+    /// contend, so faults compose monotonically into the makespan.
     pub fn quick(seed: u64) -> ChaosRunConfig {
         ChaosRunConfig {
             workflows: 3,
-            tasks_per_workflow: 4,
             seed,
             rescue: false,
-            max_rescue_rounds: 0,
         }
     }
 
@@ -88,10 +88,10 @@ impl ChaosRunConfig {
     /// round budget, for sweeps that must complete every workflow even
     /// under the heavy profile.
     pub fn rescue(seed: u64) -> ChaosRunConfig {
-        let mut c = ChaosRunConfig::quick(seed);
-        c.rescue = true;
-        c.max_rescue_rounds = 16;
-        c
+        ChaosRunConfig {
+            rescue: true,
+            ..ChaosRunConfig::quick(seed)
+        }
     }
 
     /// The testbed a run of this shape boots: [`experiment_config`] of its
@@ -309,10 +309,10 @@ pub async fn run_chaos_on(
         // node's entry, so the sweep can prove salvaged nodes never
         // re-execute after a resume.
         let execs: Rc<RefCell<BTreeMap<String, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
-        let dag = build_chain(cfg, w, bed, &disruptor, &execs)?;
+        let dag = build_chain(w, bed, &disruptor, &execs)?;
         let condor = bed.condor.clone();
         let dagman = bed.config.dagman;
-        let max_rounds = cfg.max_rescue_rounds;
+        let max_rounds = if cfg.rescue { RESCUE_ROUNDS } else { 0 };
         // Deterministic stagger stands in for the zeroed phase jitter.
         let stagger = SimDuration::from_secs_f64(0.25 * w as f64);
         handles.push(spawn(async move {
@@ -480,12 +480,11 @@ async fn run_workflow(
     }
 }
 
-/// One workflow: a sequential chain of `tasks_per_workflow` tasks, every
+/// One workflow: a sequential chain of [`TASKS_PER_WORKFLOW`] tasks, every
 /// [`SERVERLESS_EVERY`]-th one invoking the Knative function from the node
 /// the wrapper job landed on, the rest computing natively. Every task
 /// consults the disruptor.
 fn build_chain(
-    cfg: &ChaosRunConfig,
     w: usize,
     bed: &TestBed,
     disruptor: &Disruptor,
@@ -493,7 +492,7 @@ fn build_chain(
 ) -> Result<DagSpec, String> {
     let mut dag = DagSpec::named(format!("chaos-wf{w}"));
     let mut prev: Option<usize> = None;
-    for t in 0..cfg.tasks_per_workflow {
+    for t in 0..TASKS_PER_WORKFLOW {
         let serverless = (t + 1) % SERVERLESS_EVERY == 0;
         let name = format!("wf{w}-t{t}");
         let job = if serverless {

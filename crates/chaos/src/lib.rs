@@ -42,7 +42,7 @@ pub mod profile;
 
 pub use experiment::{
     experiment_config, run_chaos, run_chaos_on, ChaosOutcome, ChaosRunConfig, GoodputReport,
-    WorkflowOutcome, SERVICE, TASK_COMPUTE,
+    WorkflowOutcome, SERVICE, TASKS_PER_WORKFLOW, TASK_COMPUTE,
 };
 pub use inject::{Disruptor, Injector};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};

@@ -441,7 +441,8 @@ impl FaultPlan {
         Value::Object(root)
     }
 
-    /// Parse a plan back from [`FaultPlan::to_json`] output.
+    /// Parse a plan back from [`FaultPlan::to_json`] output. A field that
+    /// is missing or of the wrong type is an error.
     pub fn from_json(v: &Value) -> Result<FaultPlan, String> {
         let seed = get_u64(v, "seed")?;
         let events = v
@@ -612,22 +613,32 @@ fn get_u64(v: &Value, name: &str) -> Result<u64, String> {
 }
 
 fn get_usize(v: &Value, name: &str) -> Result<usize, String> {
-    Ok(get_u64(v, name)? as usize)
+    usize::try_from(get_u64(v, name)?).map_err(|_| format!("fault plan: {name:?} out of range"))
 }
 
-/// Read an f64 field, preferring the exact `<name>_bits` encoding.
+/// Read an f64 field, preferring the exact `<name>_bits` encoding. Both
+/// forms are optional, but one that is present must be well typed: the bits
+/// an integer, the decimal a number or `null` (how a non-finite one prints).
 fn get_f64(v: &Value, name: &str) -> Result<f64, String> {
-    if let Some(bits) = v.get(&format!("{name}_bits")).and_then(|x| x.as_u64()) {
-        return Ok(f64::from_bits(bits));
-    }
-    v.get(name)
-        .and_then(|x| x.as_f64())
+    let bad = || format!("fault plan: bad float field {name:?}");
+    let bits = match v.get(&format!("{name}_bits")) {
+        Some(x) => Some(x.as_u64().ok_or_else(bad)?),
+        None => None,
+    };
+    let decimal = match v.get(name) {
+        Some(Value::Null) | None => None,
+        Some(x) => Some(x.as_f64().ok_or_else(bad)?),
+    };
+    bits.map(f64::from_bits)
+        .or(decimal)
         .ok_or_else(|| format!("fault plan: missing float field {name:?}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use serde_json::json;
     use swf_simcore::secs;
 
     fn sample_heavy(seed: u64) -> FaultPlan {
@@ -771,5 +782,141 @@ mod tests {
         plan.push(secs(1.0), FaultKind::RegistryOutageStart);
         assert!(plan.is_ordered());
         assert_eq!(plan.events[0].kind, FaultKind::RegistryOutageStart);
+    }
+
+    const SERVICES: [&str; 3] = ["chaos-fn", "nœud \"2\"/\u{0}", ""];
+
+    /// A finite f64 from any bit pattern: a non-finite one prints as `null`
+    /// and only its bits carry it.
+    fn finite(rng: &mut TestRng) -> f64 {
+        let x = f64::from_bits(rng.next_u64());
+        if x.is_finite() {
+            x
+        } else {
+            rng.next_f64()
+        }
+    }
+
+    /// Plans of an event count drawn from the range: every kind, any node,
+    /// instant, window and factor, events in any order.
+    struct Plans(std::ops::Range<usize>);
+
+    impl Strategy for Plans {
+        type Value = FaultPlan;
+        fn generate(&self, rng: &mut TestRng) -> FaultPlan {
+            let events = (0..self.0.generate(rng))
+                .map(|_| {
+                    let (node, a, b) = (
+                        rng.next_u64() as usize,
+                        rng.next_u64() as usize,
+                        rng.next_u64() as usize,
+                    );
+                    let window = SimDuration::from_nanos(rng.next_u64());
+                    let service = SERVICES[(rng.next_u64() % 3) as usize].to_string();
+                    let kind = match rng.next_u64() % 15 {
+                        0 => FaultKind::NodeCrash { node },
+                        1 => FaultKind::NodeRecover { node },
+                        2 => FaultKind::CondorDrain { node },
+                        3 => FaultKind::CondorResume { node },
+                        4 => FaultKind::PodKill { service },
+                        5 => FaultKind::Partition { a, b },
+                        6 => FaultKind::Heal { a, b },
+                        7 => FaultKind::DegradeLink {
+                            a,
+                            b,
+                            latency_factor: finite(rng),
+                            bandwidth_factor: finite(rng),
+                        },
+                        8 => FaultKind::RestoreLink { a, b },
+                        9 => FaultKind::RegistryOutageStart,
+                        10 => FaultKind::RegistryOutageEnd,
+                        11 => FaultKind::FlakyTasks {
+                            window,
+                            fail_chance: finite(rng),
+                        },
+                        12 => FaultKind::SlowTasks {
+                            window,
+                            factor: finite(rng),
+                        },
+                        13 => FaultKind::ContainerCrash { service },
+                        _ => FaultKind::SpotRevoke {
+                            node,
+                            grace: window,
+                        },
+                    };
+                    FaultEvent {
+                        at: SimDuration::from_nanos(rng.next_u64()),
+                        kind,
+                    }
+                })
+                .collect();
+            FaultPlan {
+                seed: rng.next_u64(),
+                events,
+            }
+        }
+    }
+
+    /// Values `field` must not hold.
+    fn wrong_values(field: &str) -> Vec<Value> {
+        let not_integers = vec![
+            json!(null),
+            json!(true),
+            json!(-1),
+            json!(1.5),
+            json!("7"),
+            json!([7]),
+            json!({}),
+        ];
+        let not_strings = vec![json!(null), json!(7), json!(true), json!(["a"]), json!({})];
+        match field {
+            "seed" | "at_ns" | "node" | "a" | "b" | "window_ns" | "grace_ns" => not_integers,
+            f if f.ends_with("_bits") => not_integers,
+            // `null` is how the decimal of a non-finite factor prints.
+            "latency_factor" | "bandwidth_factor" | "fail_chance" | "factor" => {
+                vec![json!(true), json!("1.5"), json!([1.5]), json!({})]
+            }
+            "kind" => [vec![json!("node-explode")], not_strings].concat(),
+            "service" => not_strings,
+            "events" => vec![json!(null), json!(7), json!("[]"), json!({}), json!([7])],
+            other => panic!("{other} is not a fault plan field"),
+        }
+    }
+
+    /// The field names of an object, in order.
+    fn keys(v: &Value) -> Vec<String> {
+        v.as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn plans_round_trip_through_text(plan in Plans(0..9)) {
+            prop_assert_eq!(FaultPlan::parse(&plan.to_string()), Ok(plan));
+        }
+
+        #[test]
+        fn a_field_of_the_wrong_type_is_rejected(plan in Plans(1..9), at in any::<usize>()) {
+            let doc = plan.to_json();
+            let at = at % plan.len();
+            for field in keys(&doc) {
+                for wrong in wrong_values(&field) {
+                    let mut doc = doc.clone();
+                    *doc.get_mut(&field).unwrap() = wrong.clone();
+                    prop_assert!(FaultPlan::from_json(&doc).is_err(), "{field}: {wrong}");
+                }
+            }
+            for field in keys(&doc["events"][at]) {
+                for wrong in wrong_values(&field) {
+                    let mut doc = doc.clone();
+                    let events = doc.get_mut("events").unwrap().as_array_mut().unwrap();
+                    *events[at].get_mut(&field).unwrap() = wrong.clone();
+                    prop_assert!(FaultPlan::from_json(&doc).is_err(), "event {at} {field}: {wrong}");
+                }
+            }
+        }
     }
 }

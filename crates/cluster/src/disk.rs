@@ -46,16 +46,6 @@ impl Disk {
         let wait = self.channel.serve(service).await;
         wait + service
     }
-
-    /// Completed I/O operations.
-    pub fn ops(&self) -> u64 {
-        self.channel.served()
-    }
-
-    /// Fraction of time busy.
-    pub fn utilization(&self) -> f64 {
-        self.channel.utilization(swf_simcore::now())
-    }
 }
 
 #[cfg(test)]
@@ -99,7 +89,6 @@ mod tests {
             let times = join_all(handles).await;
             // Each op takes 1s of service; total observed latencies are 1,2,3.
             assert_eq!(times, vec![secs(1.0), secs(2.0), secs(3.0)]);
-            assert_eq!(d.ops(), 3);
         });
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Pegasus plans abstract workflows into DAGMan DAGs; DAGMan submits a node
 //! once all its parents completed, polls the queue on a fixed interval
-//! (real DAGMan tails the job log every few seconds), retries failed nodes,
-//! and throttles concurrently submitted jobs.
+//! (real DAGMan tails the job log every few seconds) and retries failed
+//! nodes.
 
 use std::collections::BTreeMap;
 
@@ -136,8 +136,6 @@ impl DagSpec {
 pub struct DagmanConfig {
     /// Queue polling interval (job-log tail cadence in real DAGMan).
     pub poll_interval: SimDuration,
-    /// Maximum concurrently submitted jobs (0 = unlimited).
-    pub max_jobs: usize,
     /// Lognormal jitter on each poll sleep (real DAGMan reacts to job-log
     /// events with variable latency; 0 = strictly periodic). The jitter
     /// stream is seeded from the run's start instant, so concurrent DAG
@@ -158,7 +156,6 @@ impl Default for DagmanConfig {
     fn default() -> Self {
         DagmanConfig {
             poll_interval: SimDuration::from_secs(5),
-            max_jobs: 0,
             poll_jitter_cv: 0.0,
             retry: RetryPolicy::immediate(1),
         }
@@ -376,17 +373,13 @@ pub async fn run_dag_resumable(
     let mut in_flight: Vec<usize> = Vec::new();
 
     while done < dag.nodes.len() {
-        // Submit every ready node — and every node whose backoff expired —
-        // within the throttle.
+        // Submit every ready node — and every node whose backoff expired.
         ready.retain(|&i| {
             let attempt = match states[i] {
                 NodeState::Ready => 0,
                 NodeState::Backoff { until, attempt } if now() >= until => attempt,
                 _ => return true,
             };
-            if config.max_jobs != 0 && in_flight.len() >= config.max_jobs {
-                return true;
-            }
             if attempt == 0 {
                 // First submission opens the node span; resubmissions reuse
                 // it so retries stay attributed to the node.
@@ -455,7 +448,7 @@ pub async fn run_dag_resumable(
                 obs.counter_add("dagman.node_retries", 1);
                 // A zero delay is due at once: the submit scan the loop
                 // returns to without sleeping resubmits it at this same
-                // instant, within the throttle.
+                // instant.
                 let delay = config.retry.delay_for(attempt + 1, &mut retry_rng);
                 states[i] = NodeState::Backoff {
                     until: now() + delay,
@@ -707,11 +700,9 @@ mod tests {
             let mut dag = DagSpec::new();
             dag.add_node_with_retries("flaky", flaky, 3);
             dag.add_node("other", compute_job(0.1));
-            let config = DagmanConfig {
-                max_jobs: 1,
-                ..DagmanConfig::default()
-            };
-            let report = run_dag(&condor, &dag, config).await.unwrap();
+            let report = run_dag(&condor, &dag, DagmanConfig::default())
+                .await
+                .unwrap();
             assert_eq!(report.jobs_submitted, 4);
             // A zero-delay retry is resubmitted at the poll that saw the
             // failure, not one later: attempt k starts within a negotiation
@@ -724,10 +715,6 @@ mod tests {
                     "{starts:?}"
                 );
             }
-            // And it keeps its place in the throttle: the slot a failure
-            // frees goes back to the retry, `other` runs after the last one.
-            let results = &report.node_results;
-            assert!(results["other"].started >= results["flaky"].finished);
         });
     }
 
@@ -851,34 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn throttle_limits_in_flight_jobs() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let condor = fast_pool();
-            let mut dag = DagSpec::new();
-            for i in 0..6 {
-                dag.add_node(format!("p{i}"), compute_job(3.0));
-            }
-            let t0 = now();
-            let report = run_dag(
-                &condor,
-                &dag,
-                DagmanConfig {
-                    poll_interval: secs(1.0),
-                    max_jobs: 2,
-                    ..DagmanConfig::default()
-                },
-            )
-            .await
-            .unwrap();
-            // 6 jobs, 2 at a time, 3s each → at least 9s of pure compute.
-            assert!((now() - t0).as_secs_f64() >= 9.0);
-            assert_eq!(report.node_results.len(), 6);
-        });
-    }
-
-    #[test]
-    fn throttled_wide_dag_with_backoff_submits_in_node_order() {
+    fn wide_dag_with_backoff_submits_in_node_order() {
         let sim = Sim::new();
         sim.block_on(async {
             let condor = fast_pool();
@@ -908,7 +868,6 @@ mod tests {
             }
             let config = DagmanConfig {
                 poll_interval: secs(1.0),
-                max_jobs: 2,
                 retry: RetryPolicy::exponential(3, secs(1.0), secs(10.0)),
                 ..DagmanConfig::default()
             };

@@ -3,8 +3,8 @@
 //! HTCondor-style batch system for the *Serverless Computing for Dynamic HPC
 //! Workflows* reproduction: a schedd job queue, slot-fit matchmaking in
 //! periodic negotiation cycles, per-node startds with slot claims and
-//! sandbox file transfer, and a DAGMan engine with dependencies, retries and
-//! throttles.
+//! sandbox file transfer, and a DAGMan engine with dependencies and
+//! retries.
 //!
 //! The paper schedules every workflow task — including the serverless
 //! wrapper tasks that synchronously invoke Knative — through HTCondor, so

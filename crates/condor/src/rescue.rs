@@ -144,7 +144,8 @@ impl RescueDag {
         Value::Object(root)
     }
 
-    /// Parse a rescue DAG back from [`RescueDag::to_json`] output.
+    /// Parse a rescue DAG back from [`RescueDag::to_json`] output. A field
+    /// that is missing, of the wrong type or out of range is an error.
     pub fn from_json(v: &Value) -> Result<RescueDag, String> {
         let workflow = get_str(v, "workflow")?.to_string();
         let written_at = SimTime::from_nanos(get_u64(v, "written_at_ns")?);
@@ -158,18 +159,15 @@ impl RescueDag {
             let outcome = match get_str(n, "state")? {
                 "done" => NodeOutcome::Done {
                     result: JobResult {
-                        success: match n.get("success") {
-                            Some(Value::Bool(b)) => *b,
-                            _ => true,
-                        },
+                        success: get_bool(n, "success")?,
                         output: from_hex(get_str(n, "output_hex")?)?,
-                        node: NodeId(get_u64(n, "exec_node")? as usize),
+                        node: NodeId(get_int(n, "exec_node")?),
                         started: SimTime::from_nanos(get_u64(n, "started_ns")?),
                         finished: SimTime::from_nanos(get_u64(n, "finished_ns")?),
                     },
                 },
                 "failed" => NodeOutcome::Failed {
-                    attempts: get_u64(n, "attempts")? as u32,
+                    attempts: get_int(n, "attempts")?,
                     last_error: get_str(n, "last_error")?.to_string(),
                 },
                 "pending" => NodeOutcome::Pending,
@@ -243,7 +241,7 @@ impl<E: std::fmt::Display> std::fmt::Display for ResumeError<E> {
 /// once, never resume). `run_once` is one DAGMan run against the rescue it
 /// is handed (`None` first). Each halt persists its rescue as JSON text and
 /// resumes from the parsed copy — the path a rescue file takes through a
-/// submit node's disk — after [`RESUME_WAIT`].
+/// submit node's disk — after a five-second wait.
 pub async fn run_with_resumes<E>(
     budget: u32,
     mut run_once: impl AsyncFnMut(Option<&RescueDag>) -> Result<DagRun, E>,
@@ -308,6 +306,17 @@ fn get_u64(v: &Value, name: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("rescue dag: missing integer field {name:?}"))
 }
 
+/// An integer field that must fit `T`.
+fn get_int<T: TryFrom<u64>>(v: &Value, name: &str) -> Result<T, String> {
+    T::try_from(get_u64(v, name)?).map_err(|_| format!("rescue dag: {name:?} out of range"))
+}
+
+fn get_bool(v: &Value, name: &str) -> Result<bool, String> {
+    v.get(name)
+        .and_then(|x| x.as_bool())
+        .ok_or_else(|| format!("rescue dag: missing boolean field {name:?}"))
+}
+
 fn get_str<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
     v.get(name)
         .and_then(|x| x.as_str())
@@ -318,6 +327,8 @@ fn get_str<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
 mod tests {
     use super::*;
     use crate::dagman::DagReport;
+    use proptest::prelude::*;
+    use serde_json::json;
     use swf_simcore::{now, Sim};
 
     /// A run that halted with `sample()`, or completed.
@@ -444,5 +455,135 @@ mod tests {
         };
         assert_eq!(text, bad_hex);
         assert!(error.contains("hex"), "{error}");
+        // A done node's `success` is read, never assumed: missing or not a
+        // bool, the node is rejected rather than salvaged as a success.
+        let mut doc = sample().to_json();
+        *node_mut(&mut doc, 0).get_mut("success").unwrap() = Value::from("false");
+        assert!(RescueDag::from_json(&doc).is_err());
+        node_mut(&mut doc, 0)
+            .as_object_mut()
+            .unwrap()
+            .remove("success");
+        assert!(RescueDag::from_json(&doc).is_err());
+        // An attempt count past `u32` is an error, not a truncation.
+        let mut doc = sample().to_json();
+        *node_mut(&mut doc, 1).get_mut("attempts").unwrap() = Value::from(u64::from(u32::MAX) + 5);
+        assert!(RescueDag::from_json(&doc).is_err());
+    }
+
+    /// Node `i` of a rescue DAG document.
+    fn node_mut(doc: &mut Value, i: usize) -> &mut Value {
+        &mut doc.get_mut("nodes").unwrap().as_array_mut().unwrap()[i]
+    }
+
+    const NAMES: [&str; 4] = ["a", "wf0-t1", "nœud \"2\"/\u{0}", ""];
+    const ERRORS: [&str; 3] = ["always fails", "boom: \"quoted\" and 🦀", ""];
+
+    /// Rescue DAGs of a node count drawn from the range: every outcome, any
+    /// output bytes, executing node, timestamps and attempt count.
+    struct Rescues(std::ops::Range<usize>);
+
+    impl Strategy for Rescues {
+        type Value = RescueDag;
+        fn generate(&self, rng: &mut TestRng) -> RescueDag {
+            let nodes = (0..self.0.generate(rng))
+                .map(|_| {
+                    let outcome = match rng.next_u64() % 3 {
+                        0 => NodeOutcome::Done {
+                            result: JobResult {
+                                success: rng.next_u64().is_multiple_of(2),
+                                output: (0..rng.next_u64() % 9)
+                                    .map(|_| rng.next_u64() as u8)
+                                    .collect::<Vec<u8>>()
+                                    .into(),
+                                node: NodeId(rng.next_u64() as usize),
+                                started: SimTime::from_nanos(rng.next_u64()),
+                                finished: SimTime::from_nanos(rng.next_u64()),
+                            },
+                        },
+                        1 => NodeOutcome::Failed {
+                            attempts: rng.next_u64() as u32,
+                            last_error: ERRORS[(rng.next_u64() % 3) as usize].to_string(),
+                        },
+                        _ => NodeOutcome::Pending,
+                    };
+                    RescueNode {
+                        name: NAMES[(rng.next_u64() % 4) as usize].to_string(),
+                        outcome,
+                    }
+                })
+                .collect();
+            RescueDag {
+                workflow: NAMES[(rng.next_u64() % 4) as usize].to_string(),
+                written_at: SimTime::from_nanos(rng.next_u64()),
+                nodes,
+            }
+        }
+    }
+
+    /// Values `field` must not hold.
+    fn wrong_values(field: &str) -> Vec<Value> {
+        let not_integers = vec![
+            json!(null),
+            json!(true),
+            json!(-1),
+            json!(1.5),
+            json!("7"),
+            json!([7]),
+            json!({}),
+        ];
+        let not_strings = vec![json!(null), json!(7), json!(true), json!(["a"]), json!({})];
+        match field {
+            "written_at_ns" | "exec_node" | "started_ns" | "finished_ns" => not_integers,
+            "attempts" => [vec![json!(u64::from(u32::MAX) + 1)], not_integers].concat(),
+            "workflow" | "name" | "last_error" => not_strings,
+            "state" => [vec![json!("queued")], not_strings].concat(),
+            "output_hex" => [vec![json!("zz"), json!("abc")], not_strings].concat(),
+            "success" => vec![
+                json!(null),
+                json!(1),
+                json!("true"),
+                json!([true]),
+                json!({}),
+            ],
+            "nodes" => vec![json!(null), json!(7), json!("[]"), json!({}), json!([7])],
+            other => panic!("{other} is not a rescue DAG field"),
+        }
+    }
+
+    /// The field names of an object, in order.
+    fn keys(v: &Value) -> Vec<String> {
+        v.as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn rescue_dags_round_trip_through_text(dag in Rescues(0..9)) {
+            prop_assert_eq!(RescueDag::parse(&dag.to_string()), Ok(dag));
+        }
+
+        #[test]
+        fn a_field_of_the_wrong_type_is_rejected(dag in Rescues(1..9), at in any::<usize>()) {
+            let doc = dag.to_json();
+            let at = at % dag.nodes.len();
+            for field in keys(&doc) {
+                for wrong in wrong_values(&field) {
+                    let mut doc = doc.clone();
+                    *doc.get_mut(&field).unwrap() = wrong.clone();
+                    prop_assert!(RescueDag::from_json(&doc).is_err(), "{field}: {wrong}");
+                }
+            }
+            for field in keys(&doc["nodes"][at]) {
+                for wrong in wrong_values(&field) {
+                    let mut doc = doc.clone();
+                    *node_mut(&mut doc, at).get_mut(&field).unwrap() = wrong.clone();
+                    prop_assert!(RescueDag::from_json(&doc).is_err(), "node {at} {field}: {wrong}");
+                }
+            }
+        }
     }
 }

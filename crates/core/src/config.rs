@@ -132,7 +132,6 @@ impl ExperimentConfig {
             },
             dagman: DagmanConfig {
                 poll_interval: secs(5.0),
-                max_jobs: 0,
                 poll_jitter_cv: 0.30,
                 // Immediate resubmission — the pre-chaos behaviour; chaos
                 // experiments opt into spaced backoff explicitly.

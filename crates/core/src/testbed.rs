@@ -46,9 +46,7 @@ impl TestBed {
                 // Start the telemetry snapshot scheduler for this run. The
                 // sampler only reads the registry, so virtual-time results
                 // stay bit-identical whether or not it runs.
-                obs.configure_series(swf_obs::SeriesConfig::every(swf_simcore::secs(
-                    config.series_interval_s,
-                )));
+                obs.configure_series(swf_simcore::secs(config.series_interval_s));
                 swf_obs::spawn_sampler(&obs);
             }
         }

@@ -132,7 +132,7 @@ pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOu
     })
     .0?;
     let useful_task_s = chaos.completed() as f64
-        * cfg.chaos.tasks_per_workflow as f64
+        * swf_chaos::TASKS_PER_WORKFLOW as f64
         * swf_chaos::TASK_COMPUTE.as_secs_f64();
     let cost = ledger.report_at(chaos.settled_at);
     let perf_per_dollar = cost.perf_per_dollar(useful_task_s);

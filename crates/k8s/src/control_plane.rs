@@ -10,7 +10,7 @@ use swf_simcore::{spawn, timeout, Elapsed, SimDuration};
 
 use crate::api::{ApiConfig, ApiServer};
 use crate::error::K8sError;
-use crate::kubelet::{Kubelet, KubeletConfig};
+use crate::kubelet::Kubelet;
 use crate::pod::PodPhase;
 use crate::scheduler::{NodeCapacity, Scheduler, SchedulerConfig};
 
@@ -60,7 +60,7 @@ impl K8s {
                 seed ^ node_id.0 as u64,
             );
             runtimes.insert(*node_id, runtime.clone());
-            let kubelet = Kubelet::new(api.clone(), runtime, KubeletConfig::default());
+            let kubelet = Kubelet::new(api.clone(), runtime);
             spawn(kubelet.run());
         }
 

@@ -17,18 +17,8 @@ use crate::pod::{Pod, PodPhase};
 
 use swf_container::{ContainerPhase, ContainerRuntime};
 
-/// Kubelet parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct KubeletConfig {
-    /// First port handed to pods on this node.
-    pub port_base: u16,
-}
-
-impl Default for KubeletConfig {
-    fn default() -> Self {
-        KubeletConfig { port_base: 30000 }
-    }
-}
+/// First port handed to pods on a node.
+const PORT_BASE: u16 = 30000;
 
 /// The per-node kubelet.
 #[derive(Clone)]
@@ -41,11 +31,11 @@ pub struct Kubelet {
 
 impl Kubelet {
     /// Kubelet for `runtime`'s node.
-    pub fn new(api: ApiServer, runtime: ContainerRuntime, config: KubeletConfig) -> Self {
+    pub fn new(api: ApiServer, runtime: ContainerRuntime) -> Self {
         Kubelet {
             api,
             runtime,
-            next_port: Rc::new(Cell::new(config.port_base)),
+            next_port: Rc::new(Cell::new(PORT_BASE)),
             inflight: Rc::new(RefCell::new(BTreeSet::new())),
         }
     }
@@ -316,7 +306,7 @@ mod tests {
     use crate::pod::PodSpec;
     use swf_cluster::{mib, Node, NodeId, NodeSpec};
     use swf_container::{Image, ImageRef, OverheadModel, Registry, RegistryConfig, ResourceLimits};
-    use swf_simcore::{millis, now, secs, Sim, SimDuration};
+    use swf_simcore::{millis, now, secs, Sim};
 
     fn setup() -> (ApiServer, Kubelet, Registry, ImageRef) {
         let api = ApiServer::default();
@@ -325,7 +315,7 @@ mod tests {
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::single_layer(image.clone(), 1, mib(100)));
         let runtime = ContainerRuntime::new(node, registry.clone(), OverheadModel::default(), 3);
-        let kubelet = Kubelet::new(api.clone(), runtime, KubeletConfig::default());
+        let kubelet = Kubelet::new(api.clone(), runtime);
         (api, kubelet, registry, image)
     }
 
@@ -347,7 +337,7 @@ mod tests {
             assert_eq!(p.status.phase, PodPhase::Running);
             assert!(p.status.ready);
             assert!(p.status.container.is_some());
-            assert!(p.status.port >= 30000);
+            assert!(p.status.port >= PORT_BASE);
         });
     }
 
@@ -534,12 +524,5 @@ mod tests {
             assert!(api.pods().get("p").is_none());
             assert_eq!(kubelet.runtime().container_count(), 0);
         });
-    }
-
-    /// The check uses SimDuration to silence unused-import pedantry.
-    #[test]
-    fn config_default() {
-        let _ = SimDuration::ZERO;
-        assert_eq!(KubeletConfig::default().port_base, 30000);
     }
 }

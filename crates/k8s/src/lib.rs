@@ -35,7 +35,7 @@ pub use api::{ApiConfig, ApiServer};
 pub use control_plane::{K8s, K8sConfig};
 pub use controllers::{DeploymentController, EndpointsController, ReplicaSetController};
 pub use error::K8sError;
-pub use kubelet::{Kubelet, KubeletConfig};
+pub use kubelet::Kubelet;
 pub use meta::{LabelSelector, ObjectMeta, Uid};
 pub use nodes::{NodeController, NodeStatus};
 pub use pod::{Pod, PodPhase, PodSpec, PodStatus};

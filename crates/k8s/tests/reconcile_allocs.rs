@@ -19,10 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use swf_cluster::{Node, NodeId, NodeSpec};
 use swf_container::{ContainerRuntime, ImageRef, OverheadModel, Registry, RegistryConfig};
-use swf_k8s::{
-    ApiServer, Kubelet, KubeletConfig, NodeController, NodeStatus, ObjectMeta, Pod, PodPhase,
-    PodSpec,
-};
+use swf_k8s::{ApiServer, Kubelet, NodeController, NodeStatus, ObjectMeta, Pod, PodPhase, PodSpec};
 
 /// `System`, counting every block it hands out.
 struct Counting;
@@ -84,7 +81,7 @@ fn a_pass_over_dead_pods_copies_none_of_them() {
         OverheadModel::default(),
         3,
     );
-    let kubelet = Kubelet::new(api.clone(), runtime, KubeletConfig::default());
+    let kubelet = Kubelet::new(api.clone(), runtime);
     let nodes = NodeController::new(api.clone());
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);

@@ -144,9 +144,6 @@ impl Autoscaler {
         if rev.max_scale > 0 {
             desired = desired.min(rev.max_scale);
         }
-        if self.config.max_scale > 0 {
-            desired = desired.min(self.config.max_scale);
-        }
 
         ScaleDecision {
             stable,

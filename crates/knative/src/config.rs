@@ -18,8 +18,6 @@ pub struct AutoscalerConfig {
     pub scale_to_zero_grace: SimDuration,
     /// Default per-pod concurrency target when a revision specifies none.
     pub default_target: f64,
-    /// Upper bound on pods per revision (0 = limited by cluster only).
-    pub max_scale: u32,
 }
 
 impl Default for AutoscalerConfig {
@@ -31,7 +29,6 @@ impl Default for AutoscalerConfig {
             panic_threshold: 2.0,
             scale_to_zero_grace: SimDuration::from_secs(30),
             default_target: 1.0,
-            max_scale: 0,
         }
     }
 }
@@ -133,6 +130,13 @@ mod tests {
         assert_eq!(a.scale_to_zero_grace, SimDuration::from_secs(30));
         assert_eq!(a.default_target, 1.0);
         assert!(a.panic_threshold > 1.0);
+        let k = KnativeConfig::default();
+        assert_eq!(k.invoke_retry.attempts(), 8);
+        assert!(
+            k.invoke_retry.base.is_zero(),
+            "default retries are immediate"
+        );
+        assert!(k.attempt_timeout.is_none());
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use ksvc::{KService, Revision};
 pub use metrics::MetricHub;
 pub use platform::Knative;
 pub use pod_server::PodServers;
-pub use router::{Router, RouterConfig, RoutingPolicy};
+pub use router::{Router, RoutingPolicy};
 pub use serving::ServingController;

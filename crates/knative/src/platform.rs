@@ -12,7 +12,7 @@ use crate::handlers::{Handler, HandlerRegistry};
 use crate::ksvc::{KService, Revision};
 use crate::metrics::MetricHub;
 use crate::pod_server::PodServers;
-use crate::router::{Router, RouterConfig};
+use crate::router::Router;
 use crate::serving::ServingController;
 
 /// A running Knative platform.
@@ -59,15 +59,7 @@ impl Knative {
             cluster.http().clone(),
             revisions.clone(),
             hub.clone(),
-            config.data_plane,
-            RouterConfig {
-                policy: config.routing,
-                retry: config.invoke_retry,
-                attempt_timeout: config.attempt_timeout,
-                seed: config.seed,
-                breaker: config.breaker,
-                ..RouterConfig::default()
-            },
+            config,
         );
         Knative {
             ksvcs,

@@ -12,10 +12,10 @@ use std::rc::Rc;
 
 use swf_cluster::{ClusterError, HttpStack, NodeId, Request, Response};
 use swf_k8s::{RoundRobin, Store};
-use swf_simcore::{millis, sleep, timeout, DetRng, Elapsed, RetryPolicy, SimDuration};
+use swf_simcore::{millis, sleep, timeout, DetRng, Elapsed, SimDuration};
 
-use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::config::DataPlaneConfig;
+use crate::breaker::CircuitBreaker;
+use crate::config::KnativeConfig;
 use crate::error::KnativeError;
 use crate::ksvc::Revision;
 use crate::metrics::MetricHub;
@@ -31,39 +31,8 @@ pub enum RoutingPolicy {
     LeastLoaded,
 }
 
-/// Router parameters beyond the shared data-plane config.
-#[derive(Clone, Copy, Debug)]
-pub struct RouterConfig {
-    /// Give up on a cold start after this long.
-    pub cold_start_deadline: SimDuration,
-    /// Retry schedule for forwarding attempts: `retry.attempts()` tries in
-    /// total, spaced by `retry.delay_for`. The default — eight immediate
-    /// attempts — reproduces the historical router bitwise (no sleeps, no
-    /// RNG draws on the calm path).
-    pub retry: RetryPolicy,
-    /// Per-attempt forwarding deadline (`None` = wait indefinitely). An
-    /// elapsed deadline is retryable, like a reset connection.
-    pub attempt_timeout: Option<SimDuration>,
-    /// Seed for the retry-jitter stream.
-    pub seed: u64,
-    /// Endpoint selection policy.
-    pub policy: RoutingPolicy,
-    /// Per-revision circuit breaker (disabled by default — no drift).
-    pub breaker: BreakerConfig,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        RouterConfig {
-            cold_start_deadline: SimDuration::from_secs(300),
-            retry: RetryPolicy::immediate(8),
-            attempt_timeout: None,
-            seed: 0,
-            policy: RoutingPolicy::RoundRobin,
-            breaker: BreakerConfig::default(),
-        }
-    }
-}
+/// Give up on a cold start after this long.
+const COLD_START_DEADLINE: SimDuration = SimDuration::from_secs(300);
 
 /// The ingress router.
 #[derive(Clone)]
@@ -72,29 +41,27 @@ pub struct Router {
     http: HttpStack,
     revisions: Store<Revision>,
     hub: MetricHub,
-    data_plane: DataPlaneConfig,
-    config: RouterConfig,
+    config: KnativeConfig,
     balancers: Rc<RefCell<BTreeMap<String, RoundRobin>>>,
     retry_rng: Rc<RefCell<DetRng>>,
     breakers: Rc<RefCell<BTreeMap<String, Rc<CircuitBreaker>>>>,
 }
 
 impl Router {
-    /// New router.
+    /// New router: routing policy, retry schedule, attempt deadline, jitter
+    /// seed, breaker and activator latency all come from `config`.
     pub fn new(
         k8s: swf_k8s::K8s,
         http: HttpStack,
         revisions: Store<Revision>,
         hub: MetricHub,
-        data_plane: DataPlaneConfig,
-        config: RouterConfig,
+        config: KnativeConfig,
     ) -> Self {
         Router {
             k8s,
             http,
             revisions,
             hub,
-            data_plane,
             config,
             balancers: Rc::new(RefCell::new(BTreeMap::new())),
             retry_rng: Rc::new(RefCell::new(DetRng::new(config.seed, "router-retry"))),
@@ -160,7 +127,7 @@ impl Router {
                 Err(wait) => {
                     attempts += 1;
                     obs.counter_add("knative.breaker_fast_fail", 1);
-                    if attempts >= self.config.retry.attempts() {
+                    if attempts >= self.config.invoke_retry.attempts() {
                         return Err(KnativeError::Overloaded {
                             service: service.to_string(),
                             attempts,
@@ -169,7 +136,7 @@ impl Router {
                     }
                     let delay = self
                         .config
-                        .retry
+                        .invoke_retry
                         .delay_for(attempts, &mut self.retry_rng.borrow_mut());
                     // An immediate retry policy would spin against an open
                     // circuit without advancing virtual time; wait out the
@@ -190,7 +157,7 @@ impl Router {
                     .endpoints()
                     .get(&eps_name)
                     .unwrap_or_default();
-                match self.config.policy {
+                match self.config.routing {
                     RoutingPolicy::RoundRobin => {
                         let mut balancers = self.balancers.borrow_mut();
                         let rr = balancers.entry(revision.meta.name.clone()).or_default();
@@ -262,7 +229,7 @@ impl Router {
                     };
                     attempts += 1;
                     obs.counter_add("knative.request_retries", 1);
-                    if attempts >= self.config.retry.attempts() {
+                    if attempts >= self.config.invoke_retry.attempts() {
                         return Err(if last_was_overload {
                             KnativeError::Overloaded {
                                 service: service.to_string(),
@@ -279,7 +246,7 @@ impl Router {
                     }
                     let delay = self
                         .config
-                        .retry
+                        .invoke_retry
                         .delay_for(attempts, &mut self.retry_rng.borrow_mut());
                     if !delay.is_zero() {
                         // Backed-off retry; the immediate default never
@@ -327,7 +294,7 @@ impl Router {
         obs.counter_add("knative.cold_starts", 1);
         let t_cold = swf_simcore::now();
         let _buffered = self.hub.buffer_request(&revision.meta.name);
-        sleep(self.data_plane.activator_latency).await;
+        sleep(self.config.data_plane.activator_latency).await;
         // Poke: ensure the deployment wants at least one replica without
         // waiting for the next autoscaler tick (Knative's activator sends
         // a scale-up hint to the autoscaler).
@@ -338,10 +305,8 @@ impl Router {
             let _ = self.k8s.api().scale_deployment(&dep, floor).await;
         }
         let eps_name = revision.k8s_service_name();
-        let wait = self
-            .k8s
-            .wait_endpoints(&eps_name, 1, self.config.cold_start_deadline);
-        match timeout(self.config.cold_start_deadline, wait).await {
+        let wait = self.k8s.wait_endpoints(&eps_name, 1, COLD_START_DEADLINE);
+        match timeout(COLD_START_DEADLINE, wait).await {
             Ok(Ok(())) => {
                 obs.observe(
                     "knative.cold_wait_s",
@@ -365,19 +330,5 @@ impl Router {
             Ok(Err(e)) => Err(KnativeError::K8s(e.to_string())),
             Err(Elapsed) => Err(KnativeError::ColdStartTimeout(revision.service.clone())),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn router_config_defaults() {
-        let c = RouterConfig::default();
-        assert_eq!(c.retry.attempts(), 8);
-        assert!(c.retry.base.is_zero(), "default retries are immediate");
-        assert!(c.attempt_timeout.is_none());
-        assert!(c.cold_start_deadline > SimDuration::from_secs(60));
     }
 }

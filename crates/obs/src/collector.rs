@@ -14,7 +14,7 @@ use std::rc::Rc;
 use swf_simcore::{now, SimTime};
 
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::series::{SeriesConfig, SeriesStore};
+use crate::series::SeriesStore;
 use crate::span::{intern, Category, Span, SpanContext, SpanId};
 
 #[derive(Default)]
@@ -257,18 +257,19 @@ impl Obs {
         self.metrics().to_json()
     }
 
-    /// Install a time-series configuration; the snapshot scheduler
-    /// ([`crate::spawn_sampler`]) reads it. A no-op on disabled handles.
-    pub fn configure_series(&self, config: SeriesConfig) {
+    /// Sample every registered metric each `interval` of virtual time; the
+    /// snapshot scheduler ([`crate::spawn_sampler`]) reads it. A no-op on
+    /// disabled handles.
+    pub fn configure_series(&self, interval: swf_simcore::SimDuration) {
         let Some(inner) = &self.inner else { return };
-        inner.borrow_mut().series.config = Some(config);
+        inner.borrow_mut().series.interval = Some(interval);
     }
 
     /// The configured sampling interval, if any.
     pub fn series_interval(&self) -> Option<swf_simcore::SimDuration> {
         let inner = self.inner.as_ref()?;
         let inner = inner.borrow();
-        inner.series.config.as_ref().map(|c| c.interval)
+        inner.series.interval
     }
 
     /// Take one time-series sample at the current virtual time. Returns

@@ -15,7 +15,7 @@
 //! - A **metrics registry** (counters, gauges, virtual-time histograms
 //!   backed by bounded-memory log buckets, [`LogHistogram`]) dumped as
 //!   JSON with deterministic p50/p90/p95/p99/p999.
-//! - A **snapshot scheduler** ([`spawn_sampler`], [`SeriesConfig`])
+//! - A **snapshot scheduler** ([`spawn_sampler`], [`Obs::configure_series`])
 //!   sampling the registry at a virtual interval into ring-buffered
 //!   time series, so runs produce trajectories, not just totals.
 //! - A **deterministic SLO engine** ([`SloSpec`], [`SloReport`],
@@ -62,7 +62,7 @@ pub use query::{
     folded_stacks, group_by, group_rows_json, top_offender, top_slowest, GroupKey, GroupRow,
     SpanFilter,
 };
-pub use series::{spawn_sampler, SeriesConfig};
+pub use series::spawn_sampler;
 pub use slo::{
     evaluate as evaluate_slo, LatencyObjective, ObjectiveOutcome, Pctl, SloReport, SloSpec,
     WorkflowOutcome,

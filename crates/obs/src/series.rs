@@ -10,51 +10,20 @@
 //! mutates simulated state, it cannot perturb virtual-time results; when
 //! the driving future of `Sim::block_on` completes, the sampler's pending
 //! timer is simply abandoned without advancing the clock. A hard
-//! `max_samples` cap guarantees termination even under `run_until_idle`.
+//! [`MAX_SAMPLES`] cap guarantees termination even under `run_until_idle`.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use swf_simcore::SimDuration;
 
-/// Configuration of the snapshot scheduler.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SeriesConfig {
-    /// Virtual time between samples.
-    pub interval: SimDuration,
-    /// Ring capacity per series: when full, the oldest point is dropped
-    /// (and counted), bounding memory for arbitrarily long runs.
-    pub capacity: usize,
-    /// Hard cap on total sampler ticks per collector — the sampler task
-    /// exits once reached, guaranteeing termination under
-    /// `run_until_idle`-style drivers.
-    pub max_samples: u64,
-    /// Metric names to sample; empty = every registered metric.
-    pub tracked: Vec<String>,
-}
+/// Ring capacity per series: when full, the oldest point is dropped (and
+/// counted), bounding memory for arbitrarily long runs.
+const CAPACITY: usize = 128;
 
-impl SeriesConfig {
-    /// Sample every registered metric at `interval` with the default
-    /// ring capacity (128 points) and tick cap (4096).
-    pub fn every(interval: SimDuration) -> SeriesConfig {
-        SeriesConfig {
-            interval,
-            capacity: 128,
-            max_samples: 4096,
-            tracked: Vec::new(),
-        }
-    }
-
-    /// Restrict sampling to a named metric (repeatable). Nothing checks the
-    /// name: one that no component emits yields no series.
-    pub fn track(mut self, name: &str) -> SeriesConfig {
-        self.tracked.push(name.to_string());
-        self
-    }
-
-    fn wants(&self, name: &str) -> bool {
-        self.tracked.is_empty() || self.tracked.iter().any(|t| t == name)
-    }
-}
+/// Hard cap on total sampler ticks per collector — the sampler task exits
+/// once reached, guaranteeing termination under `run_until_idle`-style
+/// drivers.
+const MAX_SAMPLES: u64 = 4096;
 
 /// One ring-buffered series of `(virtual nanoseconds, value)` points.
 #[derive(Clone, Debug, Default)]
@@ -64,12 +33,8 @@ pub(crate) struct RingSeries {
 }
 
 impl RingSeries {
-    fn push(&mut self, capacity: usize, t_ns: u64, v: f64) {
-        if capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.points.len() == capacity {
+    fn push(&mut self, t_ns: u64, v: f64) {
+        if self.points.len() == CAPACITY {
             self.points.pop_front();
             self.dropped += 1;
         }
@@ -77,12 +42,12 @@ impl RingSeries {
     }
 }
 
-/// The collector-side series store: configuration plus every sampled
-/// series, keyed by metric name (histograms contribute `<name>.count`
-/// and `<name>.p99` sub-series).
+/// The collector-side series store: the sampling interval plus every
+/// sampled series, keyed by metric name (histograms contribute
+/// `<name>.count` and `<name>.p99` sub-series).
 #[derive(Default)]
 pub(crate) struct SeriesStore {
-    pub(crate) config: Option<SeriesConfig>,
+    pub(crate) interval: Option<SimDuration>,
     series: BTreeMap<String, RingSeries>,
     samples: u64,
 }
@@ -91,41 +56,28 @@ impl SeriesStore {
     /// Take one sample of the registry at `t_ns`. Returns `false` once
     /// the tick cap is reached (the sampler task uses this to exit).
     pub(crate) fn sample(&mut self, metrics: &crate::metrics::Metrics, t_ns: u64) -> bool {
-        let Some(config) = self.config.clone() else {
-            return false;
-        };
-        if self.samples >= config.max_samples {
+        if self.interval.is_none() || self.samples >= MAX_SAMPLES {
             return false;
         }
         self.samples += 1;
         for (name, v) in metrics.counters() {
-            if config.wants(name) {
-                self.series
-                    .entry(name.clone())
-                    .or_default()
-                    .push(config.capacity, t_ns, v as f64);
-            }
+            self.series
+                .entry(name.clone())
+                .or_default()
+                .push(t_ns, v as f64);
         }
         for (name, v) in metrics.gauges() {
-            if config.wants(name) {
-                self.series
-                    .entry(name.clone())
-                    .or_default()
-                    .push(config.capacity, t_ns, v);
-            }
+            self.series.entry(name.clone()).or_default().push(t_ns, v);
         }
         for (name, h) in metrics.histograms() {
-            if config.wants(name) {
-                self.series
-                    .entry(format!("{name}.count"))
-                    .or_default()
-                    .push(config.capacity, t_ns, h.count as f64);
-                self.series.entry(format!("{name}.p99")).or_default().push(
-                    config.capacity,
-                    t_ns,
-                    h.percentile(0.99),
-                );
-            }
+            self.series
+                .entry(format!("{name}.count"))
+                .or_default()
+                .push(t_ns, h.count as f64);
+            self.series
+                .entry(format!("{name}.p99"))
+                .or_default()
+                .push(t_ns, h.percentile(0.99));
         }
         true
     }
@@ -158,11 +110,7 @@ impl SeriesStore {
         let mut root = serde_json::Map::new();
         root.insert(
             "interval_s".to_string(),
-            serde_json::Value::from(
-                self.config
-                    .as_ref()
-                    .map_or(0.0, |c| c.interval.as_secs_f64()),
-            ),
+            serde_json::Value::from(self.interval.map_or(0.0, |i| i.as_secs_f64())),
         );
         root.insert("samples".to_string(), serde_json::Value::from(self.samples));
         root.insert("series".to_string(), serde_json::Value::Object(series));
@@ -205,7 +153,7 @@ mod tests {
     #[test]
     fn sampler_records_trajectories_on_the_virtual_clock() {
         let obs = Obs::enabled();
-        obs.configure_series(SeriesConfig::every(secs(1.0)));
+        obs.configure_series(secs(1.0));
         let sim = Sim::new();
         let h = obs.clone();
         sim.block_on(async move {
@@ -230,21 +178,20 @@ mod tests {
     #[test]
     fn ring_drops_oldest_beyond_capacity() {
         let mut ring = RingSeries::default();
-        for i in 0..10u64 {
-            ring.push(4, i, i as f64);
+        let n = CAPACITY as u64 + 6;
+        for i in 0..n {
+            ring.push(i, i as f64);
         }
         assert_eq!(ring.dropped, 6);
-        assert_eq!(ring.points.len(), 4);
+        assert_eq!(ring.points.len(), CAPACITY);
         assert_eq!(ring.points.front().copied(), Some((6, 6.0)));
-        assert_eq!(ring.points.back().copied(), Some((9, 9.0)));
+        assert_eq!(ring.points.back().copied(), Some((n - 1, (n - 1) as f64)));
     }
 
     #[test]
     fn tick_cap_terminates_the_sampler() {
         let obs = Obs::enabled();
-        let mut cfg = SeriesConfig::every(secs(1.0));
-        cfg.max_samples = 3;
-        obs.configure_series(cfg);
+        obs.configure_series(secs(1.0));
         let sim = Sim::new();
         let h = obs.clone();
         sim.block_on(async move {
@@ -253,27 +200,10 @@ mod tests {
         });
         // The driving future finished immediately, but the sampler's
         // pending timers remain; run_until_idle must terminate because of
-        // the cap (3 ticks + the final refused one).
+        // the cap (MAX_SAMPLES ticks + the final refused one).
         sim.run_until_idle();
         let json = obs.series_json();
-        assert_eq!(json["samples"].as_u64(), Some(3));
-    }
-
-    #[test]
-    fn tracked_filter_restricts_series() {
-        let obs = Obs::enabled();
-        obs.configure_series(SeriesConfig::every(secs(1.0)).track("test.kept"));
-        let sim = Sim::new();
-        let h = obs.clone();
-        sim.block_on(async move {
-            spawn_sampler(&h);
-            h.counter_add("test.kept", 1);
-            h.counter_add("test.ignored", 1);
-            sleep(secs(2.5)).await;
-        });
-        let json = obs.series_json();
-        assert!(json["series"]["test.kept"]["points"].is_array());
-        assert!(json["series"]["test.ignored"].is_null());
+        assert_eq!(json["samples"].as_u64(), Some(MAX_SAMPLES));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The Pegasus facade: plan, submit to DAGMan, collect statistics.
 
 use swf_condor::{run_dag_resumable, Condor, DagReport, DagRun, DagmanConfig, RescueDag};
-use swf_simcore::{SimDuration, SimTime};
+use swf_simcore::SimDuration;
 
 use crate::abstract_wf::AbstractWorkflow;
 use crate::catalog::{ReplicaCatalog, TransformationCatalog};
@@ -30,44 +30,10 @@ impl std::error::Error for PegasusError {}
 /// Per-run statistics (pegasus-statistics equivalent).
 #[derive(Clone, Debug)]
 pub struct WorkflowRunStats {
-    /// Workflow name.
-    pub name: String,
     /// End-to-end makespan.
     pub makespan: SimDuration,
-    /// Submission instant.
-    pub started: SimTime,
-    /// Completion instant.
-    pub finished: SimTime,
     /// Planned task count (after clustering).
     pub tasks: usize,
-    /// Condor jobs submitted (includes retries).
-    pub jobs_submitted: u32,
-    /// Mean per-task execution time (queueing excluded).
-    pub mean_task_execution: SimDuration,
-}
-
-impl WorkflowRunStats {
-    fn from_report(name: &str, tasks: usize, report: &DagReport) -> Self {
-        let execs: Vec<SimDuration> = report
-            .node_results
-            .values()
-            .map(|r| r.execution_time())
-            .collect();
-        let mean = if execs.is_empty() {
-            SimDuration::ZERO
-        } else {
-            execs.iter().copied().sum::<SimDuration>() / execs.len() as u64
-        };
-        WorkflowRunStats {
-            name: name.to_string(),
-            makespan: report.makespan(),
-            started: report.started,
-            finished: report.finished,
-            tasks,
-            jobs_submitted: report.jobs_submitted,
-            mean_task_execution: mean,
-        }
-    }
 }
 
 /// The workflow management system instance.
@@ -146,14 +112,14 @@ impl Pegasus {
     ) -> Result<(WorkflowRunStats, DagRun), PegasusError> {
         let exec = plan(wf, &self.tcat, &self.rcat, factory, self.plan_options)
             .map_err(PegasusError::Plan)?;
-        let task_count = exec.tasks.len();
         let run = run_dag_resumable(&self.condor, &exec.dag, self.dagman, resume)
             .await
             .map_err(PegasusError::Execution)?;
-        Ok((
-            WorkflowRunStats::from_report(&wf.name, task_count, run.report()),
-            run,
-        ))
+        let stats = WorkflowRunStats {
+            makespan: run.report().makespan(),
+            tasks: exec.tasks.len(),
+        };
+        Ok((stats, run))
     }
 }
 
@@ -193,7 +159,6 @@ mod tests {
             let condor = fast_condor(&cluster);
             let pegasus = Pegasus::new(condor).with_dagman(DagmanConfig {
                 poll_interval: secs(1.0),
-                max_jobs: 0,
                 ..DagmanConfig::default()
             });
             pegasus.transformations().register(Transformation::new(
@@ -244,7 +209,10 @@ mod tests {
             assert_eq!(stats.tasks, 3);
             assert_eq!(report.node_results.len(), 3);
             assert!(stats.makespan > SimDuration::ZERO);
-            assert!(stats.mean_task_execution >= secs(0.458));
+            assert!(report
+                .node_results
+                .values()
+                .all(|r| r.execution_time() >= secs(0.458)));
             // The final product staged back to the shared fs is correct.
             let out = cluster.shared_fs().read("out2").await.unwrap();
             assert_eq!(decode(out).unwrap(), expected);
@@ -258,7 +226,6 @@ mod tests {
             let cluster = Cluster::new(&ClusterConfig::default());
             let pegasus = Pegasus::new(fast_condor(&cluster)).with_dagman(DagmanConfig {
                 poll_interval: secs(1.0),
-                max_jobs: 0,
                 ..DagmanConfig::default()
             });
             pegasus

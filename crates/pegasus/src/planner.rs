@@ -88,16 +88,11 @@ impl From<WorkflowError> for PlanError {
 pub struct PlanOptions {
     /// Maximum tasks merged per linear cluster (1 disables clustering).
     pub cluster_level: usize,
-    /// Condor-level retries per DAG node.
-    pub retries: u32,
 }
 
 impl Default for PlanOptions {
     fn default() -> Self {
-        PlanOptions {
-            cluster_level: 1,
-            retries: 0,
-        }
+        PlanOptions { cluster_level: 1 }
     }
 }
 
@@ -169,7 +164,7 @@ pub fn plan(
     let mut dag = DagSpec::named(wf.name.clone());
     for task in &tasks {
         let spec = factory.build(task).with_outputs(task.outputs.clone());
-        dag.add_node_with_retries(task.name.clone(), spec, options.retries);
+        dag.add_node(task.name.clone(), spec);
     }
     for (p, c) in edges {
         dag.add_edge(p, c).map_err(PlanError::Dag)?;
@@ -479,10 +474,7 @@ mod tests {
             &tcat,
             &rcat,
             &NativeFactory,
-            PlanOptions {
-                cluster_level: 5,
-                retries: 0,
-            },
+            PlanOptions { cluster_level: 5 },
         )
         .unwrap();
         assert_eq!(exec.dag.len(), 2);
@@ -527,10 +519,7 @@ mod tests {
             &tcat,
             &rcat,
             &NativeFactory,
-            PlanOptions {
-                cluster_level: 4,
-                retries: 0,
-            },
+            PlanOptions { cluster_level: 4 },
         )
         .unwrap();
         // Two clusters of two: env boundary blocks the merge.
@@ -547,10 +536,7 @@ mod tests {
             &tcat,
             &rcat,
             &NativeFactory,
-            PlanOptions {
-                cluster_level: 3,
-                retries: 0,
-            },
+            PlanOptions { cluster_level: 3 },
         )
         .unwrap();
         assert_eq!(exec.tasks.len(), 1);
@@ -595,10 +581,7 @@ mod tests {
             &tcat,
             &rcat,
             &NativeFactory,
-            PlanOptions {
-                cluster_level: 3,
-                retries: 0,
-            },
+            PlanOptions { cluster_level: 3 },
         )
         .unwrap();
         assert_eq!(exec.dag.len(), 3); // no merging across the fan-out

@@ -24,8 +24,6 @@ struct State {
     available: usize,
     capacity: usize,
     queue: VecDeque<Rc<RefCell<Waiter>>>,
-    /// Peak queue length, for model diagnostics.
-    max_queue: usize,
 }
 
 /// FIFO counting semaphore.
@@ -48,7 +46,6 @@ impl Semaphore {
                 available: capacity,
                 capacity,
                 queue: VecDeque::new(),
-                max_queue: 0,
             })),
         }
     }
@@ -58,29 +55,13 @@ impl Semaphore {
         self.acquire_many(1)
     }
 
-    /// Acquire `n` permits atomically. A request exceeding the current
-    /// capacity waits until [`Semaphore::add_permits`] grows the semaphore
-    /// (the executor's deadlock detector fires if that never happens).
+    /// Acquire `n` permits atomically. A request exceeding the capacity
+    /// never fits, and the executor's deadlock detector fires.
     pub fn acquire_many(&self, n: usize) -> Acquire {
         Acquire {
             state: Rc::clone(&self.state),
             want: n,
             waiter: None,
-        }
-    }
-
-    /// Try to acquire without waiting; respects FIFO (fails if anyone is
-    /// already queued).
-    pub fn try_acquire(&self) -> Option<Permit> {
-        let mut s = self.state.borrow_mut();
-        if s.queue.is_empty() && s.available >= 1 {
-            s.available -= 1;
-            Some(Permit {
-                state: Rc::clone(&self.state),
-                count: 1,
-            })
-        } else {
-            None
         }
     }
 
@@ -97,21 +78,6 @@ impl Semaphore {
     /// Requests currently queued.
     pub fn queue_len(&self) -> usize {
         self.state.borrow().queue.len()
-    }
-
-    /// Peak queue length observed.
-    pub fn max_queue_len(&self) -> usize {
-        self.state.borrow().max_queue
-    }
-
-    /// Grow capacity by `n`, waking waiters that now fit.
-    pub fn add_permits(&self, n: usize) {
-        {
-            let mut s = self.state.borrow_mut();
-            s.available += n;
-            s.capacity += n;
-        }
-        grant_waiters(&self.state);
     }
 }
 
@@ -197,8 +163,6 @@ impl Future for Acquire {
                 abandoned: false,
             }));
             s.queue.push_back(Rc::clone(&waiter));
-            let qlen = s.queue.len();
-            s.max_queue = s.max_queue.max(qlen);
             drop(s);
             self.waiter = Some(waiter);
         }
@@ -323,38 +287,6 @@ mod tests {
         assert_eq!(order, vec!["big", "small"]);
     }
 
-    #[test]
-    fn try_acquire_respects_queue() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let sem = Semaphore::new(1);
-            let p = sem.try_acquire().unwrap();
-            assert!(sem.try_acquire().is_none());
-            drop(p);
-            assert!(sem.try_acquire().is_some());
-        });
-    }
-
-    #[test]
-    fn add_permits_wakes_waiters() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let sem = Semaphore::new(0);
-            let h = {
-                let sem = sem.clone();
-                spawn(async move {
-                    let _p = sem.acquire().await;
-                    now()
-                })
-            };
-            sleep(secs(5.0)).await;
-            sem.add_permits(1);
-            let t = h.await;
-            assert_eq!(t, SimTime::ZERO + secs(5.0));
-            assert_eq!(sem.capacity(), 1);
-        });
-    }
-
     /// Polls the wrapped future exactly once, then resolves.
     struct PollOnce<F: Future + Unpin>(F);
     impl<F: Future + Unpin> Future for PollOnce<F> {
@@ -390,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn queue_stats_track_peak() {
+    fn queue_len_counts_waiters() {
         let sim = Sim::new();
         sim.block_on(async {
             let sem = Semaphore::new(1);
@@ -403,7 +335,6 @@ mod tests {
             }
             sleep(secs(0.1)).await;
             assert_eq!(sem.queue_len(), 5);
-            assert_eq!(sem.max_queue_len(), 5);
         });
     }
 }

@@ -71,10 +71,7 @@ fn task_clustering_preserves_results_and_reduces_jobs() {
         &config,
         EnvMix::ALL_NATIVE,
         6,
-        PlanOptions {
-            cluster_level: 3,
-            retries: 0,
-        },
+        PlanOptions { cluster_level: 3 },
     );
     assert_eq!(got, expected);
     let (unclustered_makespan, got2, expected2) =
