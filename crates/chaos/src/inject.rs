@@ -230,7 +230,7 @@ impl Injector {
                     .pods()
                     .filter(|p| p.meta.labels.get(Revision::pod_label()) == Some(&rev))
                     .into_iter()
-                    .map(|p| p.meta.name)
+                    .map(|p| p.meta.name.clone())
                     .next();
                 if let Some(name) = victim {
                     let _ = bed.k8s.api().delete_pod(&name).await;

@@ -122,7 +122,7 @@ impl K8s {
                 match api.pods().get(&name_owned) {
                     Some(p) if p.is_routable() => return Ok(()),
                     Some(p) if p.status.phase == PodPhase::Failed => {
-                        return Err(K8sError::Runtime(p.status.message));
+                        return Err(K8sError::Runtime(p.status.message.clone()));
                     }
                     Some(_) => {}
                     None => return Err(K8sError::NotFound(name_owned.clone())),

@@ -39,7 +39,7 @@ impl DeploymentController {
         // Ensure each deployment has its ReplicaSet at the right scale.
         for d in self.api.deployments().list() {
             let rs_name = format!("{}-rs", d.meta.name);
-            match self.api.replicasets().get(&rs_name) {
+            match self.api.replicasets().get(&rs_name).map(|rs| rs.replicas) {
                 None => {
                     self.api.replicasets().put(
                         rs_name.clone(),
@@ -55,7 +55,7 @@ impl DeploymentController {
                         },
                     );
                 }
-                Some(rs) if rs.replicas != d.replicas => {
+                Some(replicas) if replicas != d.replicas => {
                     self.api
                         .replicasets()
                         .update(&rs_name, |rs| rs.replicas = d.replicas);
@@ -64,10 +64,10 @@ impl DeploymentController {
             }
         }
         // Garbage-collect ReplicaSets whose deployment is gone.
-        for (name, rs) in self.api.replicasets().entries() {
+        for rs in self.api.replicasets().list() {
             if let Some(owner) = &rs.meta.owner {
                 if !self.api.deployments().contains(owner) {
-                    self.api.replicasets().delete(&name);
+                    self.api.replicasets().delete(&rs.meta.name);
                 }
             }
         }
@@ -101,22 +101,30 @@ impl ReplicaSetController {
 
     /// One pass.
     pub async fn reconcile(&self) {
-        for (rs_name, rs) in self.api.replicasets().entries() {
-            let owned: Vec<Pod> = self.api.pods().filter(|p| {
-                p.meta.owner.as_deref() == Some(rs_name.as_str())
+        for rs in self.api.replicasets().list() {
+            let rs_name = rs.meta.name.as_str();
+            // Its live pods are looked at in place: snapshots of them held
+            // across the `.await`s below would turn each kubelet write to
+            // one into a copy.
+            let is_live = |p: &Pod| {
+                p.meta.owner.as_deref() == Some(rs_name)
                     && !p.meta.deletion_requested
                     && p.status.phase != PodPhase::Failed
-            });
-            let live = owned.len() as u32;
+            };
+            let live = self
+                .api
+                .pods()
+                .read(|pods| pods.values().filter(|p| is_live(p)).count())
+                as u32;
             if live < rs.replicas {
                 for _ in 0..(rs.replicas - live) {
-                    let seq = self.next_pod_seq(&rs_name);
+                    let seq = self.next_pod_seq(rs_name);
                     let pod_name = format!("{rs_name}-{seq}");
                     let meta = ObjectMeta {
                         name: pod_name.clone(),
                         labels: rs.template.meta.labels.clone(),
                         annotations: rs.template.meta.annotations.clone(),
-                        owner: Some(rs_name.clone()),
+                        owner: Some(rs_name.to_string()),
                         ..Default::default()
                     };
                     let _ = self
@@ -127,26 +135,36 @@ impl ReplicaSetController {
             } else if live > rs.replicas {
                 // Scale down: victims are the not-ready first, then the
                 // newest (highest name sorts last with zero-padded seq).
-                let mut victims = owned;
-                victims.sort_by(|a, b| {
-                    b.is_routable()
-                        .cmp(&a.is_routable())
-                        .then(a.meta.name.cmp(&b.meta.name))
-                });
                 let n_delete = (live - rs.replicas) as usize;
-                for p in victims.into_iter().rev().take(n_delete) {
-                    let _ = self.api.delete_pod(&p.meta.name).await;
+                let victims: Vec<String> = self.api.pods().read(|pods| {
+                    let mut owned: Vec<&Pod> =
+                        pods.values().map(|p| &**p).filter(|p| is_live(p)).collect();
+                    owned.sort_by(|a, b| {
+                        b.is_routable()
+                            .cmp(&a.is_routable())
+                            .then(a.meta.name.cmp(&b.meta.name))
+                    });
+                    owned
+                        .iter()
+                        .rev()
+                        .take(n_delete)
+                        .map(|p| p.meta.name.clone())
+                        .collect()
+                });
+                for name in victims {
+                    let _ = self.api.delete_pod(&name).await;
                 }
             }
             // Status write-on-change.
             let ready = self.api.pods().read(|pods| {
                 pods.values()
-                    .filter(|p| {
-                        p.meta.owner.as_deref() == Some(rs_name.as_str()) && p.is_routable()
-                    })
+                    .filter(|p| p.meta.owner.as_deref() == Some(rs_name) && p.is_routable())
                     .count() as u32
             });
             if rs.ready_replicas != ready {
+                // The snapshot goes first, so the write lands in place.
+                let rs_name = rs.meta.name.clone();
+                drop(rs);
                 self.api
                     .replicasets()
                     .update(&rs_name, |rs| rs.ready_replicas = ready);
@@ -214,23 +232,30 @@ impl EndpointsController {
 
     /// One pass.
     pub fn reconcile(&self) {
-        for (svc_name, svc) in self.api.services().entries() {
-            let mut ready: Vec<Endpoint> = self.api.pods().read(|pods| {
-                pods.values()
-                    .filter(|p| p.is_routable() && svc.selector.matches(&p.meta.labels))
-                    .filter_map(|p| {
-                        // `is_routable` implies a node assignment; a pod
-                        // without one simply isn't an endpoint yet.
-                        p.status.node.map(|node| Endpoint {
-                            node,
-                            port: p.status.port,
-                        })
-                    })
-                    .collect()
+        for svc in self.api.services().list() {
+            let svc_name = &svc.meta.name;
+            let current = self.api.endpoints().get(svc_name);
+            // Sized by the current list, which a converged service's new one
+            // matches: an idle pass allocates once however many pods it walks.
+            let mut ready = Vec::with_capacity(current.as_ref().map_or(0, |c| c.ready.len()));
+            self.api.pods().read(|pods| {
+                ready.extend(
+                    pods.values()
+                        .filter(|p| p.is_routable() && svc.selector.matches(&p.meta.labels))
+                        .filter_map(|p| {
+                            // `is_routable` implies a node assignment; a pod
+                            // without one simply isn't an endpoint yet.
+                            p.status.node.map(|node| Endpoint {
+                                node,
+                                port: p.status.port,
+                            })
+                        }),
+                );
             });
-            ready.sort_by_key(|e| (e.node, e.port));
-            let current = self.api.endpoints().get(&svc_name);
-            let changed = current.map(|c| c.ready != ready).unwrap_or(true);
+            // Endpoints with equal keys are equal, so the unstable sort,
+            // which needs no scratch buffer, orders them as a stable one.
+            ready.sort_unstable_by_key(|e| (e.node, e.port));
+            let changed = current.is_none_or(|current| current.ready != ready);
             if changed {
                 self.api.endpoints().put(
                     svc_name.clone(),
@@ -333,7 +358,7 @@ mod tests {
             spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(2)).await.unwrap();
             sleep(secs(1.0)).await;
-            let victim = api.pods().entries()[0].0.clone();
+            let victim = api.pods().list()[0].meta.name.clone();
             api.pods()
                 .update(&victim, |p| p.status.phase = PodPhase::Failed);
             sleep(secs(1.0)).await;
@@ -395,12 +420,12 @@ mod tests {
             spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(1)).await.unwrap();
             sleep(secs(1.0)).await;
-            let first = api.pods().entries()[0].0.clone();
+            let first = api.pods().list()[0].meta.name.clone();
             api.scale_deployment("d", 0).await.unwrap();
             sleep(secs(1.0)).await;
             api.scale_deployment("d", 1).await.unwrap();
             sleep(secs(1.0)).await;
-            let second = api.pods().entries()[0].0.clone();
+            let second = api.pods().list()[0].meta.name.clone();
             assert_ne!(first, second);
         });
     }

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use swf_simcore::{sleep, spawn};
 
 use crate::api::ApiServer;
-use crate::pod::{Pod, PodPhase};
+use crate::pod::PodPhase;
 
 use swf_container::{ContainerPhase, ContainerRuntime};
 
@@ -165,6 +165,9 @@ impl Kubelet {
             self.next_port.set(p.wrapping_add(1).max(1024));
             p
         };
+        let probe = pod.spec.probe;
+        // Drop the snapshot before writing, so the write is in place.
+        drop(pod);
         obs.counter_add("k8s.pods_started", 1);
         self.api.pods().update(name, |p| {
             p.status.phase = PodPhase::Running;
@@ -172,7 +175,7 @@ impl Kubelet {
             p.status.container = Some(container);
             p.status.port = port;
         });
-        if let Some(probe) = pod.spec.probe {
+        if let Some(probe) = probe {
             let this = self.clone();
             let name = name.to_string();
             spawn(async move {
@@ -190,31 +193,31 @@ impl Kubelet {
         let mut failures = 0u32;
         loop {
             sleep(probe.period).await;
-            let Some(pod) = self.api.pods().get(name) else {
+            let running = self.api.pods().read(|pods| {
+                pods.get(name)
+                    .filter(|p| !p.meta.deletion_requested && p.status.phase == PodPhase::Running)
+                    .map(|p| (p.status.container, p.status.ready))
+            });
+            let Some((container, ready)) = running else {
                 return;
             };
-            if pod.meta.deletion_requested || pod.status.phase != PodPhase::Running {
-                return;
-            }
-            let healthy = pod
-                .status
-                .container
+            let healthy = container
                 .map(|c| matches!(self.runtime.phase(c), Ok(ContainerPhase::Running)))
                 .unwrap_or(false);
             if healthy {
                 failures = 0;
-                if !pod.status.ready {
+                if !ready {
                     self.api.pods().update(name, |p| p.status.ready = true);
                 }
                 continue;
             }
             failures += 1;
-            if failures == probe.unready_threshold && pod.status.ready {
+            if failures == probe.unready_threshold && ready {
                 obs.counter_add("k8s.probe_unready", 1);
                 self.api.pods().update(name, |p| p.status.ready = false);
             }
             if failures >= probe.failure_threshold {
-                self.restart(name, &pod).await;
+                self.restart(name).await;
                 failures = 0;
             }
         }
@@ -223,7 +226,10 @@ impl Kubelet {
     /// Liveness-triggered container restart: replace the backing container
     /// without touching the pod object. Marks the pod ready again once the
     /// new container passes its readiness delay.
-    async fn restart(&self, name: &str, pod: &Pod) {
+    async fn restart(&self, name: &str) {
+        let Some(pod) = self.api.pods().get(name) else {
+            return;
+        };
         let obs = swf_obs::current();
         let component = format!("{}/kubelet", self.runtime.node().name());
         let span = obs.span(
@@ -270,6 +276,8 @@ impl Kubelet {
             let _ = self.runtime.remove(container).await;
             return;
         }
+        // Drop the snapshot before writing, so the write is in place.
+        drop(pod);
         self.api.pods().update(name, |p| {
             p.status.ready = true;
             p.status.container = Some(container);
@@ -303,7 +311,7 @@ impl Kubelet {
 mod tests {
     use super::*;
     use crate::meta::ObjectMeta;
-    use crate::pod::PodSpec;
+    use crate::pod::{Pod, PodSpec};
     use swf_cluster::{mib, Node, NodeId, NodeSpec};
     use swf_container::{Image, ImageRef, OverheadModel, Registry, RegistryConfig, ResourceLimits};
     use swf_simcore::{millis, now, secs, Sim};

@@ -79,7 +79,7 @@ impl Scheduler {
     /// One pass: bind every currently pending pod it can.
     pub async fn schedule_pass(&self) {
         loop {
-            let pending: Vec<Pod> = self.api.pods().filter(|p| {
+            let pending = self.api.pods().filter(|p| {
                 p.status.phase == PodPhase::Pending
                     && p.status.node.is_none()
                     && !p.meta.deletion_requested
@@ -89,30 +89,34 @@ impl Scheduler {
             }
             let mut bound_any = false;
             for pod in pending {
-                if let Some(node) = self.pick_node(&pod) {
-                    sleep(self.config.bind_latency).await;
-                    // Re-check the pod still wants scheduling (it may have
-                    // been deleted while we slept).
-                    let still_pending = self
-                        .api
-                        .pods()
-                        .get(&pod.meta.name)
-                        .map(|p| p.status.phase == PodPhase::Pending && !p.meta.deletion_requested)
-                        .unwrap_or(false);
-                    if still_pending {
-                        self.api.pods().update(&pod.meta.name, |p| {
-                            p.status.node = Some(node);
-                            p.status.phase = PodPhase::Scheduled;
-                            p.status.message.clear();
-                        });
-                        bound_any = true;
-                    }
-                } else if pod.status.message.is_empty() {
+                let node = self.pick_node(&pod);
+                if node.is_none() && !pod.status.message.is_empty() {
                     // Write-on-change only: rewriting the same message every
                     // pass would re-trigger our own watch forever.
-                    self.api.pods().update(&pod.meta.name, |p| {
+                    continue;
+                }
+                // Drop the snapshot before writing, so the write is in place.
+                let name = pod.meta.name.clone();
+                drop(pod);
+                let Some(node) = node else {
+                    self.api.pods().update(&name, |p| {
                         p.status.message = "0 nodes available: insufficient resources".into();
                     });
+                    continue;
+                };
+                sleep(self.config.bind_latency).await;
+                // Re-check the pod still wants scheduling (it may have
+                // been deleted while we slept).
+                let still_pending = self.api.pods().get(&name).is_some_and(|p| {
+                    p.status.phase == PodPhase::Pending && !p.meta.deletion_requested
+                });
+                if still_pending {
+                    self.api.pods().update(&name, |p| {
+                        p.status.node = Some(node);
+                        p.status.phase = PodPhase::Scheduled;
+                        p.status.message.clear();
+                    });
+                    bound_any = true;
                 }
             }
             if !bound_any {

@@ -3,13 +3,16 @@
 //!
 //! Nothing collects `Failed` pods (a refused image pull during a registry
 //! outage mints one per retry), so every controller pass walks them for
-//! the rest of the run. Walking is cheap; `Store::{list, entries, filter}`
-//! *clone* what they walk, and a `Pod` is a dozen heap objects. The passes
-//! below go through `Store::read` and allocate only for what they act on.
+//! the rest of the run. Walking is cheap. The passes below go through
+//! `Store::read`, which takes no snapshot, and allocate only for what they
+//! act on.
 //!
 //! Measured over the window below (5,000 dead pods, three kinds of pass):
-//! 91,014 allocations with the snapshot reads this replaced, 1 with the
-//! borrowed ones — the `Vec` naming the one not-ready node.
+//! 91,014 allocations with the snapshot reads this replaced, which then
+//! deep-copied every pod they returned (a `Pod` is a dozen heap objects);
+//! 1 with the borrowed ones — the `Vec` naming the one not-ready node.
+//! Snapshots have since become shared `Rc`s (`controller_allocs.rs`), but
+//! a snapshot list still costs a `Vec` and a count per pod it holds.
 //!
 //! This file holds one test so that the counting allocator sees no other
 //! test's threads.

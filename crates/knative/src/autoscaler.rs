@@ -67,8 +67,8 @@ impl Autoscaler {
 
     /// One scaling pass over every revision.
     pub async fn tick(&self) {
-        for (rev_name, rev) in self.revisions.entries() {
-            let decision = self.decide(&rev_name, &rev);
+        for rev in self.revisions.list() {
+            let decision = self.decide(&rev.meta.name, &rev);
             let dep_name = rev.deployment_name();
             if let Some(current) = self.replicas(&dep_name) {
                 if current != decision.desired {

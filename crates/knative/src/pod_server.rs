@@ -63,16 +63,13 @@ impl PodServers {
     }
 
     fn attach_new(self: &Rc<Self>) {
-        let candidates: Vec<Pod> = self
-            .k8s
-            .api()
-            .pods()
-            .filter(|p| p.is_routable() && p.meta.labels.contains_key(Revision::pod_label()));
+        let candidates = self.k8s.api().pods().filter(|p| {
+            p.is_routable()
+                && p.meta.labels.contains_key(Revision::pod_label())
+                && !self.serving.borrow().contains(&p.meta.name)
+        });
         for pod in candidates {
             let name = pod.meta.name.clone();
-            if self.serving.borrow().contains(&name) {
-                continue;
-            }
             self.serving.borrow_mut().insert(name.clone());
             let this = Rc::clone(self);
             spawn(async move {
@@ -83,7 +80,7 @@ impl PodServers {
     }
 
     /// Serve one pod until it is deleted.
-    async fn queue_proxy(self: &Rc<Self>, pod: Pod) {
+    async fn queue_proxy(self: &Rc<Self>, pod: Rc<Pod>) {
         let Some(rev_name) = pod.meta.labels.get(Revision::pod_label()).cloned() else {
             return;
         };
@@ -119,6 +116,9 @@ impl PodServers {
         let pending = Rc::new(Cell::new(0usize));
         let mut rx = self.http.listen(node, port);
         let pod_name = pod.meta.name.clone();
+        // The proxy outlives many writes to its pod; a snapshot held that
+        // long would turn each of them into a copy.
+        drop(pod);
         let mut pod_watch = self.k8s.api().pods().watch();
         loop {
             // Exit when the pod is deleted, marked for deletion, or failed

@@ -80,7 +80,7 @@ impl Router {
     }
 
     /// Resolve the single active revision of a KService.
-    pub fn active_revision(&self, service: &str) -> Result<Revision, KnativeError> {
+    pub fn active_revision(&self, service: &str) -> Result<Rc<Revision>, KnativeError> {
         self.revisions
             .get(&format!("{service}-00001"))
             .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))

@@ -43,8 +43,8 @@ impl ServingController {
     /// One pass.
     pub async fn reconcile(&self) {
         // Materialize revisions and their Kubernetes backing.
-        for (name, ksvc) in self.ksvcs.entries() {
-            let rev_name = format!("{name}-00001");
+        for ksvc in self.ksvcs.list() {
+            let rev_name = format!("{}-00001", ksvc.meta.name);
             if !self.revisions.contains(&rev_name) {
                 let rev = Revision::from_service(&ksvc, self.config.autoscaler.default_target);
                 self.materialize(&rev).await;
@@ -52,14 +52,14 @@ impl ServingController {
             }
         }
         // Tear down revisions whose KService is gone.
-        for (rev_name, rev) in self.revisions.entries() {
+        for rev in self.revisions.list() {
             if !self.ksvcs.contains(&rev.service) {
                 let _ = self
                     .k8s
                     .api()
                     .delete_deployment(&rev.deployment_name())
                     .await;
-                self.revisions.delete(&rev_name);
+                self.revisions.delete(&rev.meta.name);
             }
         }
     }
