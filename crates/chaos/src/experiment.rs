@@ -177,12 +177,8 @@ pub struct ChaosOutcome {
     pub registry_ledger: Vec<(usize, u64)>,
     /// Total bytes the registry served (ledger conservation partner).
     pub registry_bytes_served: u64,
-    /// Pulls refused during registry outages.
-    pub registry_failed_pulls: u64,
-    /// Virtual instant the workflow batch started (after harness setup).
-    pub started_at: SimTime,
-    /// Virtual instant the last workflow outcome settled. Billing spans
-    /// `[started_at, settled_at]`; `makespan` is their difference.
+    /// Virtual instant the last workflow outcome settled; billing ends
+    /// here.
     pub settled_at: SimTime,
     /// Full metrics registry snapshot (fault counters live here).
     pub metrics: swf_obs::MetricsSnapshot,
@@ -254,8 +250,6 @@ pub fn experiment_config(seed: u64) -> ExperimentConfig {
     c.condor.negotiator.activation_delay = SimDuration::ZERO;
     c.dagman.poll_jitter_cv = 0.0;
     c.dagman.retry = RetryPolicy::exponential(4, secs(1.0), secs(8.0));
-    c.overheads.jitter_cv = 0.0;
-    c.k8s.overheads.jitter_cv = 0.0;
     c.knative.invoke_retry = RetryPolicy::exponential(12, secs(0.25), secs(4.0));
     c.knative.attempt_timeout = Some(secs(30.0));
     c.knative.seed = seed;
@@ -364,7 +358,6 @@ pub async fn run_chaos_on(
         plan,
         outcomes,
         makespan: settle_at - t0,
-        started_at: t0,
         settled_at: settle_at,
         injected,
         task_failures: disruptor.injected_failures(),
@@ -375,7 +368,6 @@ pub async fn run_chaos_on(
             .map(|(n, b)| (n.0, b))
             .collect(),
         registry_bytes_served: bed.registry.bytes_served(),
-        registry_failed_pulls: bed.registry.failed_pulls(),
         metrics: swf_obs::current().metrics(),
         goodput,
         rescue_dags,

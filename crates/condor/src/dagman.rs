@@ -176,8 +176,6 @@ pub struct DagReport {
     /// Execution time spent on attempts that ended in failure — the
     /// "wasted task-seconds" side of goodput accounting.
     pub wasted_compute: SimDuration,
-    /// Root span of the workflow trace (`NONE` when tracing is disabled).
-    pub root_span: swf_obs::SpanContext,
 }
 
 impl DagReport {
@@ -488,7 +486,6 @@ pub async fn run_dag_resumable(
         finished: now(),
         jobs_submitted,
         wasted_compute: wasted,
-        root_span: root,
     };
     if failures.is_empty() {
         return Ok(DagRun::Completed(report));

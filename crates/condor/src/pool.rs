@@ -54,12 +54,6 @@ impl Condor {
         self.schedd.wait(id).await
     }
 
-    /// Submit then await.
-    pub async fn submit_and_wait(&self, spec: JobSpec) -> Result<JobResult, CondorError> {
-        let id = self.submit(spec);
-        self.wait(id).await
-    }
-
     /// The schedd (queue inspection).
     pub fn schedd(&self) -> &Schedd {
         &self.schedd
@@ -226,15 +220,13 @@ mod tests {
                 },
             );
             assert_eq!(condor.total_slots(), 24);
-            let r = condor
-                .submit_and_wait(JobSpec::new(|ctx: JobContext| {
-                    Box::pin(async move {
-                        ctx.compute(secs(0.458)).await;
-                        Ok(Bytes::from_static(b"matmul"))
-                    })
-                }))
-                .await
-                .unwrap();
+            let id = condor.submit(JobSpec::new(|ctx: JobContext| {
+                Box::pin(async move {
+                    ctx.compute(secs(0.458)).await;
+                    Ok(Bytes::from_static(b"matmul"))
+                })
+            }));
+            let r = condor.wait(id).await.unwrap();
             assert!(r.success);
             assert_eq!(&r.output[..], b"matmul");
             assert_eq!(condor.free_slots(), 24);

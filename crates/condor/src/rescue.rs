@@ -339,7 +339,6 @@ mod tests {
             finished: now(),
             jobs_submitted: 0,
             wasted_compute: SimDuration::ZERO,
-            root_span: swf_obs::SpanContext::NONE,
         };
         match halted {
             true => DagRun::Halted {

@@ -1,10 +1,10 @@
 //! The schedd: job queue, status tracking, completion waiting.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
-use swf_simcore::sync::Notify;
+use swf_simcore::sync::Watch;
 use swf_simcore::SimTime;
 
 use crate::error::CondorError;
@@ -78,8 +78,8 @@ impl State {
 #[derive(Clone)]
 pub struct Schedd {
     state: Rc<RefCell<State>>,
-    changed: Notify,
-    version: Rc<Cell<u64>>,
+    /// Bumped by every status change; [`Schedd::wait`] waits on it.
+    watch: Rc<Watch>,
 }
 
 impl Default for Schedd {
@@ -97,29 +97,7 @@ impl Schedd {
                 idle: BTreeSet::new(),
                 completed_total: 0,
             })),
-            changed: Notify::new(),
-            version: Rc::new(Cell::new(0)),
-        }
-    }
-
-    fn bump(&self) {
-        self.version.set(self.version.get() + 1);
-        self.changed.notify_waiters();
-    }
-
-    /// Queue version (bumps on every status change).
-    pub fn version(&self) -> u64 {
-        self.version.get()
-    }
-
-    /// Wait for any queue change since `seen`; returns the new version.
-    pub async fn changed(&self, seen: u64) -> u64 {
-        loop {
-            let v = self.version.get();
-            if v > seen {
-                return v;
-            }
-            self.changed.notified().await;
+            watch: Rc::new(Watch::new()),
         }
     }
 
@@ -141,7 +119,7 @@ impl Schedd {
         let id = JobId(s.jobs.len() as u64);
         s.idle.insert(id);
         drop(s);
-        self.bump();
+        self.watch.bump();
         id
     }
 
@@ -175,7 +153,7 @@ impl Schedd {
     /// Update a job's status.
     pub fn set_status(&self, id: JobId, status: JobStatus) {
         self.state.borrow_mut().set_status(id, None, status);
-        self.bump();
+        self.watch.bump();
     }
 
     /// The job's current claim epoch (see [`Schedd::set_status_epoch`]).
@@ -190,7 +168,7 @@ impl Schedd {
     pub fn set_status_epoch(&self, id: JobId, epoch: u64, status: JobStatus) -> bool {
         let accepted = self.state.borrow_mut().set_status(id, Some(epoch), status);
         if accepted {
-            self.bump();
+            self.watch.bump();
         }
         accepted
     }
@@ -216,7 +194,7 @@ impl Schedd {
         if !requeued.is_empty() {
             let obs = swf_obs::current();
             obs.counter_add("condor.jobs_requeued", requeued.len() as u64);
-            self.bump();
+            self.watch.bump();
         }
         requeued
     }
@@ -229,19 +207,20 @@ impl Schedd {
         }
         s.set_status(id, None, JobStatus::Removed);
         drop(s);
-        self.bump();
+        self.watch.bump();
         Ok(())
     }
 
     /// Await a job's completion.
     pub async fn wait(&self, id: JobId) -> Result<JobResult, CondorError> {
         loop {
+            let seen = self.watch.version();
             match self.status(id)? {
                 JobStatus::Completed(r) => return Ok(r),
                 JobStatus::Removed => return Err(CondorError::JobRemoved(id)),
                 _ => {}
             }
-            self.changed.notified().await;
+            self.watch.changed(seen).await;
         }
     }
 
@@ -457,17 +436,24 @@ mod tests {
     }
 
     #[test]
-    fn changed_wakes_watchers() {
+    fn wait_wakes_on_every_change_and_returns_on_its_own() {
         let sim = Sim::new();
         sim.block_on(async {
             let s = Schedd::new();
-            let v0 = s.version();
-            let s2 = s.clone();
-            let h = spawn(async move { s2.changed(v0).await });
+            let id = s.submit(noop_spec());
+            let waiter = {
+                let s = s.clone();
+                spawn(async move { (s.wait(id).await, swf_simcore::now()) })
+            };
+            // A change to another job wakes the waiter, which looks at its
+            // job and waits again.
             sleep(secs(1.0)).await;
             s.submit(noop_spec());
-            let v = h.await;
-            assert!(v > v0);
+            sleep(secs(1.0)).await;
+            s.remove(id).unwrap();
+            let (result, at) = waiter.await;
+            assert!(matches!(result, Err(CondorError::JobRemoved(j)) if j == id));
+            assert_eq!(at, SimTime::ZERO + secs(2.0));
         });
     }
 }

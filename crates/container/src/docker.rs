@@ -198,7 +198,6 @@ mod tests {
                 node,
                 registry,
                 OverheadModel::default(),
-                7,
             )),
             image,
         )

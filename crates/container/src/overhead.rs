@@ -6,9 +6,9 @@
 //! (create + start + app boot + stop + remove) at ≈ 0.17 s beyond compute,
 //! and the one-off Knative cold start at 1.48 s (stated directly in §III-B).
 
-use swf_simcore::{DetRng, SimDuration};
+use swf_simcore::SimDuration;
 
-/// Fixed lifecycle costs with optional multiplicative jitter.
+/// Fixed, deterministic lifecycle costs.
 #[derive(Clone, Copy, Debug)]
 pub struct OverheadModel {
     /// `create`: namespace/cgroup/rootfs snapshot setup.
@@ -19,8 +19,6 @@ pub struct OverheadModel {
     pub stop: SimDuration,
     /// `remove`: rootfs + metadata cleanup.
     pub remove: SimDuration,
-    /// Coefficient of variation of lognormal jitter (0 = deterministic).
-    pub jitter_cv: f64,
 }
 
 impl Default for OverheadModel {
@@ -30,46 +28,31 @@ impl Default for OverheadModel {
             start: SimDuration::from_millis(80),
             stop: SimDuration::from_millis(25),
             remove: SimDuration::from_millis(17),
-            jitter_cv: 0.0,
         }
     }
 }
 
 impl OverheadModel {
-    /// A deterministic model with every phase set to `d`.
-    pub fn uniform(d: SimDuration) -> Self {
+    /// Zero overhead (for isolating other effects in tests/ablations).
+    pub fn zero() -> Self {
+        let d = SimDuration::ZERO;
         OverheadModel {
             create: d,
             start: d,
             stop: d,
             remove: d,
-            jitter_cv: 0.0,
         }
-    }
-
-    /// Zero overhead (for isolating other effects in tests/ablations).
-    pub fn zero() -> Self {
-        OverheadModel::uniform(SimDuration::ZERO)
     }
 
     /// Total fixed cost of one full lifecycle.
     pub fn lifecycle_total(&self) -> SimDuration {
         self.create + self.start + self.stop + self.remove
     }
-
-    /// Sample a phase duration with jitter.
-    pub fn sample(&self, base: SimDuration, rng: &mut DetRng) -> SimDuration {
-        if self.jitter_cv <= 0.0 || base.is_zero() {
-            return base;
-        }
-        SimDuration::from_secs_f64(rng.lognormal(base.as_secs_f64(), self.jitter_cv))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swf_simcore::secs;
 
     #[test]
     fn default_lifecycle_matches_fig1_calibration() {
@@ -81,27 +64,5 @@ mod tests {
     #[test]
     fn zero_model() {
         assert_eq!(OverheadModel::zero().lifecycle_total(), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn deterministic_sampling_without_jitter() {
-        let m = OverheadModel::default();
-        let mut rng = DetRng::new(1, "t");
-        assert_eq!(m.sample(secs(1.0), &mut rng), secs(1.0));
-    }
-
-    #[test]
-    fn jittered_sampling_varies_but_centers() {
-        let m = OverheadModel {
-            jitter_cv: 0.2,
-            ..OverheadModel::default()
-        };
-        let mut rng = DetRng::new(1, "t");
-        let n = 5000;
-        let sum: f64 = (0..n)
-            .map(|_| m.sample(secs(0.1), &mut rng).as_secs_f64())
-            .sum();
-        let mean = sum / f64::from(n);
-        assert!((mean - 0.1).abs() < 0.01, "mean {mean}");
     }
 }

@@ -60,8 +60,6 @@ struct State {
     bytes_by_node: BTreeMap<NodeId, u64>,
     /// Fault injection: while set, pulls fail after manifest resolution.
     outage: bool,
-    /// Pulls refused because of an outage.
-    failed_pulls: u64,
 }
 
 /// The registry.
@@ -84,7 +82,6 @@ impl Registry {
                 bytes_served: 0,
                 bytes_by_node: BTreeMap::new(),
                 outage: false,
-                failed_pulls: 0,
             })),
         }
     }
@@ -133,7 +130,6 @@ impl Registry {
         // trip (the client paid the connection attempt), before any bytes
         // move — the conservation ledger stays balanced.
         if self.state.borrow().outage {
-            self.state.borrow_mut().failed_pulls += 1;
             return Err(ContainerError::RegistryUnavailable(format!(
                 "pull of {reference} from {node} refused: registry outage"
             )));
@@ -217,11 +213,6 @@ impl Registry {
         self.state.borrow().outage
     }
 
-    /// Pulls refused by fault-injected outages.
-    pub fn failed_pulls(&self) -> u64 {
-        self.state.borrow().failed_pulls
-    }
-
     /// The conservation ledger: per-node streamed bytes, ascending node id.
     /// Its sum always equals [`Registry::bytes_served`].
     pub fn bytes_ledger(&self) -> Vec<(NodeId, u64)> {
@@ -293,7 +284,6 @@ mod tests {
             assert!(r.is_under_outage());
             let err = r.pull(NodeId(2), &ImageRef::parse("m")).await.unwrap_err();
             assert!(matches!(err, ContainerError::RegistryUnavailable(_)));
-            assert_eq!(r.failed_pulls(), 1);
             // Cached layers stay usable during the outage: the node that
             // already holds everything "pulls" without streaming.
             let cached = r.is_cached(NodeId(1), &ImageRef::parse("m"));

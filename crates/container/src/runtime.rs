@@ -13,7 +13,7 @@ use std::rc::Rc;
 use bytes::Bytes;
 
 use swf_cluster::{MemoryLease, Node};
-use swf_simcore::{now, sleep, DetRng, SimDuration};
+use swf_simcore::{now, sleep, SimDuration};
 
 use crate::cgroup::ResourceLimits;
 use crate::error::ContainerError;
@@ -111,19 +111,16 @@ pub struct ContainerRuntime {
     node: Node,
     registry: Registry,
     overheads: OverheadModel,
-    rng: Rc<RefCell<DetRng>>,
     state: Rc<RefCell<RtState>>,
 }
 
 impl ContainerRuntime {
     /// Runtime on `node` pulling from `registry`.
-    pub fn new(node: Node, registry: Registry, overheads: OverheadModel, seed: u64) -> Self {
-        let stream = format!("container-runtime/{}", node.name());
+    pub fn new(node: Node, registry: Registry, overheads: OverheadModel) -> Self {
         ContainerRuntime {
             node,
             registry,
             overheads,
-            rng: Rc::new(RefCell::new(DetRng::new(seed, &stream))),
             state: Rc::new(RefCell::new(RtState {
                 containers: BTreeMap::new(),
                 next_id: 0,
@@ -169,11 +166,7 @@ impl ContainerRuntime {
             )));
         }
         let memory = self.node.memory().reserve(limits.memory)?;
-        let d = {
-            let mut rng = self.rng.borrow_mut();
-            self.overheads.sample(self.overheads.create, &mut rng)
-        };
-        sleep(d).await;
+        sleep(self.overheads.create).await;
         let mut s = self.state.borrow_mut();
         let id = s.next_id;
         s.next_id += 1;
@@ -192,11 +185,7 @@ impl ContainerRuntime {
     /// Start a created container (boot the entrypoint).
     pub async fn start(&self, id: ContainerId) -> Result<(), ContainerError> {
         self.expect_phase(id, ContainerPhase::Created, "start")?;
-        let d = {
-            let mut rng = self.rng.borrow_mut();
-            self.overheads.sample(self.overheads.start, &mut rng)
-        };
-        sleep(d).await;
+        sleep(self.overheads.start).await;
         self.set_phase(id, ContainerPhase::Running)
     }
 
@@ -236,11 +225,7 @@ impl ContainerRuntime {
     /// Stop a running container.
     pub async fn stop(&self, id: ContainerId) -> Result<(), ContainerError> {
         self.expect_phase(id, ContainerPhase::Running, "stop")?;
-        let d = {
-            let mut rng = self.rng.borrow_mut();
-            self.overheads.sample(self.overheads.stop, &mut rng)
-        };
-        sleep(d).await;
+        sleep(self.overheads.stop).await;
         self.set_phase(id, ContainerPhase::Exited)
     }
 
@@ -269,11 +254,7 @@ impl ContainerRuntime {
                 });
             }
         }
-        let d = {
-            let mut rng = self.rng.borrow_mut();
-            self.overheads.sample(self.overheads.remove, &mut rng)
-        };
-        sleep(d).await;
+        sleep(self.overheads.remove).await;
         let mut s = self.state.borrow_mut();
         s.containers.remove(&id.0);
         s.removed_total += 1;
@@ -366,7 +347,7 @@ mod tests {
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("hpc/matmul:1.0");
         registry.push(Image::single_layer(image.clone(), 1, mib(100)));
-        let rt = ContainerRuntime::new(node, registry, OverheadModel::default(), 42);
+        let rt = ContainerRuntime::new(node, registry, OverheadModel::default());
         (rt, image)
     }
 
@@ -549,7 +530,7 @@ mod tests {
             let registry = Registry::new(RegistryConfig::default());
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 1, mib(1)));
-            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero(), 1);
+            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero());
             rt.ensure_image(&image).await.unwrap();
             let _a = rt
                 .create(
@@ -627,7 +608,7 @@ mod tests {
             let registry = Registry::new(RegistryConfig::default());
             let image = ImageRef::parse("z");
             registry.push(Image::single_layer(image.clone(), 2, 0));
-            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero(), 1);
+            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero());
             rt.ensure_image(&image).await.unwrap();
             let id = rt.create(&image, ResourceLimits::default()).await.unwrap();
             rt.start(id).await.unwrap();

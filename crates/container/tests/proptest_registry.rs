@@ -93,7 +93,7 @@ proptest! {
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 9, mib(64)));
             let runtime =
-                ContainerRuntime::new(node.clone(), registry, OverheadModel::default(), 3);
+                ContainerRuntime::new(node.clone(), registry, OverheadModel::default());
             let cli = DockerCli::new(runtime.clone());
             for ms in runs.iter().copied() {
                 cli.run(
@@ -124,7 +124,7 @@ proptest! {
             let registry = Registry::new(RegistryConfig::default());
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 4, mib(16)));
-            let runtime = ContainerRuntime::new(node, registry, OverheadModel::default(), 1);
+            let runtime = ContainerRuntime::new(node, registry, OverheadModel::default());
             runtime.ensure_image(&image).await.unwrap();
             let cli = DockerCli::new(runtime);
             let t0 = swf_simcore::now();

@@ -9,7 +9,7 @@
 
 use swf_cluster::ClusterConfig;
 use swf_condor::{CondorConfig, DagmanConfig, NegotiatorConfig, StartdConfig};
-use swf_container::{OverheadModel, RegistryConfig};
+use swf_container::RegistryConfig;
 use swf_k8s::K8sConfig;
 use swf_knative::{AutoscalerConfig, KnativeConfig};
 use swf_simcore::{millis, secs, RetryPolicy};
@@ -46,8 +46,6 @@ pub struct ExperimentConfig {
     pub cluster: ClusterConfig,
     /// Image registry behaviour.
     pub registry: RegistryConfig,
-    /// Container lifecycle overheads.
-    pub overheads: OverheadModel,
     /// Kubernetes control-plane parameters.
     pub k8s: K8sConfig,
     /// Knative parameters.
@@ -94,20 +92,10 @@ pub struct ExperimentConfig {
 impl ExperimentConfig {
     /// The paper's calibrated configuration.
     pub fn paper() -> Self {
-        let k8s = K8sConfig {
-            overheads: OverheadModel::default(),
-            ..K8sConfig::default()
-        };
         ExperimentConfig {
             cluster: ClusterConfig::default(),
             registry: RegistryConfig::default(),
-            overheads: OverheadModel {
-                // Mild lifecycle jitter desynchronizes concurrent
-                // workflows, as on the real testbed.
-                jitter_cv: 0.10,
-                ..OverheadModel::default()
-            },
-            k8s,
+            k8s: K8sConfig::default(),
             knative: KnativeConfig::default(),
             condor: CondorConfig {
                 negotiator: NegotiatorConfig {

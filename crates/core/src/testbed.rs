@@ -38,7 +38,7 @@ impl TestBed {
         let image = ImageRef::parse(ExperimentConfig::image_name());
         registry.push(Image::python_scientific(image.clone(), 1));
         let condor = Condor::start(&cluster, config.condor);
-        let k8s = K8s::start(&cluster, registry.clone(), config.k8s.clone(), config.seed);
+        let k8s = K8s::start(&cluster, registry.clone(), config.k8s.clone());
         let knative = Knative::start(&cluster, k8s.clone(), config.knative);
         if config.trace && config.series_interval_s > 0.0 {
             let obs = swf_obs::current();

@@ -39,7 +39,7 @@ impl K8s {
     /// Start the control plane: spawns the scheduler, the deployment /
     /// replicaset / endpoints controllers and one kubelet per schedulable
     /// node. Returns a handle for API access.
-    pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig, seed: u64) -> K8s {
+    pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig) -> K8s {
         let api = ApiServer::new(config.api);
         // Resolve the schedulable set once; node ids in the config that
         // don't exist in the cluster are ignored rather than panicking.
@@ -53,12 +53,7 @@ impl K8s {
 
         let mut runtimes = BTreeMap::new();
         for (node_id, node) in &schedulable {
-            let runtime = ContainerRuntime::new(
-                node.clone(),
-                registry.clone(),
-                config.overheads,
-                seed ^ node_id.0 as u64,
-            );
+            let runtime = ContainerRuntime::new(node.clone(), registry.clone(), config.overheads);
             runtimes.insert(*node_id, runtime.clone());
             let kubelet = Kubelet::new(api.clone(), runtime);
             spawn(kubelet.run());
@@ -203,7 +198,7 @@ mod tests {
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default(), 42);
+        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
         (cluster, k8s, image)
     }
 

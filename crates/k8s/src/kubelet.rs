@@ -322,7 +322,7 @@ mod tests {
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::single_layer(image.clone(), 1, mib(100)));
-        let runtime = ContainerRuntime::new(node, registry.clone(), OverheadModel::default(), 3);
+        let runtime = ContainerRuntime::new(node, registry.clone(), OverheadModel::default());
         let kubelet = Kubelet::new(api.clone(), runtime);
         (api, kubelet, registry, image)
     }

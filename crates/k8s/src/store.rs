@@ -16,23 +16,23 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swf_simcore::sync::Notify;
+use swf_simcore::sync::Watch;
 
-struct Inner<T> {
-    objects: BTreeMap<String, Rc<T>>,
-    version: u64,
-    notify: Notify,
+struct Shared<T> {
+    objects: RefCell<BTreeMap<String, Rc<T>>>,
+    /// Bumped by every write; its version is the store's.
+    watch: Watch,
 }
 
 /// A watchable map of named objects.
 pub struct Store<T: Clone> {
-    inner: Rc<RefCell<Inner<T>>>,
+    shared: Rc<Shared<T>>,
 }
 
 impl<T: Clone> Clone for Store<T> {
     fn clone(&self) -> Self {
         Store {
-            inner: Rc::clone(&self.inner),
+            shared: Rc::clone(&self.shared),
         }
     }
 }
@@ -47,39 +47,34 @@ impl<T: Clone> Store<T> {
     /// Empty store at version 0.
     pub fn new() -> Self {
         Store {
-            inner: Rc::new(RefCell::new(Inner {
-                objects: BTreeMap::new(),
-                version: 0,
-                notify: Notify::new(),
-            })),
+            shared: Rc::new(Shared {
+                objects: RefCell::new(BTreeMap::new()),
+                watch: Watch::new(),
+            }),
         }
-    }
-
-    fn bump(inner: &mut Inner<T>) {
-        inner.version += 1;
-        inner.notify.notify_waiters();
     }
 
     /// Insert or replace an object.
     pub fn put(&self, name: impl Into<String>, object: T) {
-        let mut inner = self.inner.borrow_mut();
-        inner.objects.insert(name.into(), Rc::new(object));
-        Self::bump(&mut inner);
+        self.shared
+            .objects
+            .borrow_mut()
+            .insert(name.into(), Rc::new(object));
+        self.shared.watch.bump();
     }
 
     /// Remove an object; returns it if present.
     pub fn delete(&self, name: &str) -> Option<Rc<T>> {
-        let mut inner = self.inner.borrow_mut();
-        let removed = inner.objects.remove(name);
+        let removed = self.shared.objects.borrow_mut().remove(name);
         if removed.is_some() {
-            Self::bump(&mut inner);
+            self.shared.watch.bump();
         }
         removed
     }
 
     /// A snapshot of one object.
     pub fn get(&self, name: &str) -> Option<Rc<T>> {
-        self.inner.borrow().objects.get(name).cloned()
+        self.shared.objects.borrow().get(name).cloned()
     }
 
     /// Mutate an object; bumps the version if the closure ran. Returns
@@ -87,10 +82,11 @@ impl<T: Clone> Store<T> {
     /// snapshot of the object is alive, which it copies first: a caller
     /// about to write what it read drops its snapshot before the write.
     pub fn update<R>(&self, name: &str, f: impl FnOnce(&mut T) -> R) -> Option<R> {
-        let mut inner = self.inner.borrow_mut();
-        let r = inner.objects.get_mut(name).map(|o| f(Rc::make_mut(o)));
+        let mut objects = self.shared.objects.borrow_mut();
+        let r = objects.get_mut(name).map(|o| f(Rc::make_mut(o)));
+        drop(objects);
         if r.is_some() {
-            Self::bump(&mut inner);
+            self.shared.watch.bump();
         }
         r
     }
@@ -102,19 +98,19 @@ impl<T: Clone> Store<T> {
     /// ([`get`](Self::get), [`filter`](Self::filter)) instead; that costs
     /// a reference count, not a copy.
     pub fn read<R>(&self, f: impl FnOnce(&BTreeMap<String, Rc<T>>) -> R) -> R {
-        f(&self.inner.borrow().objects)
+        f(&self.shared.objects.borrow())
     }
 
     /// Snapshot all objects (sorted by name).
     pub fn list(&self) -> Vec<Rc<T>> {
-        self.inner.borrow().objects.values().cloned().collect()
+        self.shared.objects.borrow().values().cloned().collect()
     }
 
     /// Snapshot the objects satisfying a predicate (sorted by name).
     pub fn filter(&self, pred: impl Fn(&T) -> bool) -> Vec<Rc<T>> {
-        self.inner
-            .borrow()
+        self.shared
             .objects
+            .borrow()
             .values()
             .filter(|o| pred(o))
             .cloned()
@@ -123,7 +119,7 @@ impl<T: Clone> Store<T> {
 
     /// Number of stored objects.
     pub fn len(&self) -> usize {
-        self.inner.borrow().objects.len()
+        self.shared.objects.borrow().len()
     }
 
     /// True when empty.
@@ -133,12 +129,12 @@ impl<T: Clone> Store<T> {
 
     /// Current version.
     pub fn version(&self) -> u64 {
-        self.inner.borrow().version
+        self.shared.watch.version()
     }
 
     /// Does the name exist?
     pub fn contains(&self, name: &str) -> bool {
-        self.inner.borrow().objects.contains_key(name)
+        self.shared.objects.borrow().contains_key(name)
     }
 
     /// Create a watcher positioned at the current version.
@@ -160,28 +156,8 @@ impl<T: Clone> Watcher<T> {
     /// Wait until the store has changed since the last `changed` (or since
     /// watcher creation). Returns the new version.
     pub async fn changed(&mut self) -> u64 {
-        loop {
-            let notified = {
-                let inner = self.store.inner.borrow();
-                if inner.version > self.seen {
-                    self.seen = inner.version;
-                    return inner.version;
-                }
-                inner.notify.notified()
-            };
-            notified.await;
-        }
-    }
-
-    /// Non-blocking check; advances the seen version when changed.
-    pub fn check(&mut self) -> bool {
-        let v = self.store.version();
-        if v > self.seen {
-            self.seen = v;
-            true
-        } else {
-            false
-        }
+        self.seen = self.store.shared.watch.changed(self.seen).await;
+        self.seen
     }
 }
 
@@ -189,7 +165,8 @@ impl<T: Clone> Watcher<T> {
 mod tests {
     use super::*;
     use std::cell::Cell;
-    use swf_simcore::{now, secs, sleep, spawn, Sim, SimTime};
+    use std::future::Future;
+    use swf_simcore::{now, race, secs, sleep, spawn, Either, Sim, SimTime};
 
     /// The values of a snapshot list.
     fn values(objects: &[Rc<u32>]) -> Vec<u32> {
@@ -247,10 +224,53 @@ mod tests {
             for i in 0..5 {
                 s.put(format!("k{i}"), i);
             }
-            // One changed() observes all five.
+            // One changed() observes all five, and nothing is left over.
             let v = w.changed().await;
             assert_eq!(v, 5);
-            assert!(!w.check());
+            let next = race(w.changed(), sleep(secs(1.0))).await;
+            assert!(matches!(next, Either::Right(())));
+        });
+    }
+
+    /// A controller races two watchers and both stores change: it takes
+    /// the left one and drops the right one woken but unobserved. That
+    /// wake is not handed to anyone: a watcher that started waiting on
+    /// the right store in between is not polled until that store really
+    /// changes again.
+    #[test]
+    fn a_race_loser_passes_no_wake_on() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let (left, right): (Store<u32>, Store<u32>) = (Store::new(), Store::new());
+            let racer = {
+                let (mut l, mut r) = (left.watch(), right.watch());
+                spawn(async move {
+                    let _ = race(l.changed(), r.changed()).await;
+                })
+            };
+            sleep(secs(1.0)).await;
+            left.put("a", 1);
+            right.put("b", 2);
+            // Start waiting on `right` before the racer runs.
+            let mut third = right.watch();
+            let mut changed = std::pin::pin!(third.changed());
+            let polls = Cell::new(0);
+            let woke = std::future::poll_fn(|cx| {
+                polls.set(polls.get() + 1);
+                changed.as_mut().poll(cx)
+            });
+            let writer = {
+                let right = right.clone();
+                spawn(async move {
+                    sleep(secs(5.0)).await;
+                    right.put("c", 3);
+                })
+            };
+            assert_eq!(woke.await, 2);
+            assert_eq!(now(), SimTime::ZERO + secs(6.0));
+            assert_eq!(polls.get(), 2, "registered once, woken once");
+            racer.await;
+            writer.await;
         });
     }
 

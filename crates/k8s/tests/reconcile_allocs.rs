@@ -82,7 +82,6 @@ fn a_pass_over_dead_pods_copies_none_of_them() {
         Node::new(node, NodeSpec::default()),
         Registry::new(RegistryConfig::default()),
         OverheadModel::default(),
-        3,
     );
     let kubelet = Kubelet::new(api.clone(), runtime);
     let nodes = NodeController::new(api.clone());

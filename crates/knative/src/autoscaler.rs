@@ -173,7 +173,7 @@ mod tests {
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default(), 5);
+        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
         let ksvcs: Store<crate::ksvc::KService> = Store::new();
         let revisions: Store<Revision> = Store::new();
         let hub = MetricHub::new();

@@ -176,7 +176,7 @@ mod tests {
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("hpc/matmul:1.0");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default(), 11);
+        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
         let kn = Knative::start(&cluster, k8s, config);
         (cluster, kn, image)
     }
@@ -338,7 +338,7 @@ mod tests {
             let registry = Registry::new(RegistryConfig::default());
             let image = ImageRef::parse("hpc/matmul:1.0");
             registry.push(Image::python_scientific(image.clone(), 1));
-            let k8s = K8s::start(&cluster, registry, K8sConfig::default(), 11);
+            let k8s = K8s::start(&cluster, registry, K8sConfig::default());
             let kn = Knative::start(
                 &cluster,
                 k8s.clone(),

@@ -47,12 +47,12 @@ pub mod time;
 /// Synchronization primitives in virtual time.
 pub mod sync {
     pub mod mpsc;
-    pub mod notify;
     pub mod oneshot;
     pub mod semaphore;
+    pub mod watch;
 
-    pub use notify::Notify;
     pub use semaphore::{Permit, Semaphore};
+    pub use watch::Watch;
 }
 
 pub use combinators::{join_all, race, timeout, Either, Elapsed};

@@ -180,7 +180,8 @@ fn missing_staged_input_fails_cleanly_with_diagnostics() {
     harness::run(&ExperimentConfig::quick(), async |bed| {
         let job = JobSpec::new(|_ctx| Box::pin(async { Ok(Bytes::new()) }))
             .with_inputs(vec!["never-staged.mat".into()]);
-        let result = bed.condor.submit_and_wait(job).await.unwrap();
+        let id = bed.condor.submit(job);
+        let result = bed.condor.wait(id).await.unwrap();
         assert!(!result.success);
         assert!(
             String::from_utf8_lossy(&result.output).contains("missing input"),
