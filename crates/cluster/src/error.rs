@@ -25,8 +25,6 @@ pub enum ClusterError {
         /// Target port.
         port: u16,
     },
-    /// The remote listener dropped the request without responding.
-    ConnectionReset,
     /// The link between two nodes is partitioned (fault injection): no
     /// traffic passes until the partition heals.
     Partitioned {
@@ -53,7 +51,6 @@ impl fmt::Display for ClusterError {
             ClusterError::ConnectionRefused { node, port } => {
                 write!(f, "connection refused: {node}:{port}")
             }
-            ClusterError::ConnectionReset => write!(f, "connection reset by peer"),
             ClusterError::Partitioned { from, to } => {
                 write!(f, "network partition: {from} -/- {to}")
             }

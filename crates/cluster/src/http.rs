@@ -1,38 +1,26 @@
 //! Simulated HTTP layer over the cluster network.
 //!
-//! Listeners bind `(node, port)` and receive [`Incoming`] requests on an
-//! mpsc mailbox; clients call [`HttpStack::request`] which charges network
-//! time for the request and response payloads. This is the invocation path
-//! the paper uses for Knative functions ("input data is sent in the function
-//! invocation as part of the invocation network request").
+//! A handler bound at `(node, port)` ([`HttpStack::listen`]) is called with
+//! each request delivered there; clients call [`HttpStack::request`], which
+//! charges network time for the request and response payloads. This is the
+//! invocation path the paper uses for Knative functions ("input data is sent
+//! in the function invocation as part of the invocation network request").
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::future::Future;
 use std::rc::Rc;
 
 use bytes::Bytes;
 
-use swf_simcore::sync::{mpsc, oneshot};
+use swf_simcore::{spawn, JoinHandle};
 
 use crate::error::ClusterError;
 use crate::network::{Network, NodeId};
 
-/// HTTP request method (only what the reproduction needs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Method {
-    /// Retrieve a resource.
-    Get,
-    /// Invoke / submit a payload.
-    Post,
-    /// Remove a resource.
-    Delete,
-}
-
 /// A simulated HTTP request.
 #[derive(Clone, Debug)]
 pub struct Request {
-    /// Request method.
-    pub method: Method,
     /// Request path, e.g. `/invoke/matmul`.
     pub path: String,
     /// Request body (real bytes — tasks compute on them).
@@ -42,22 +30,11 @@ pub struct Request {
 }
 
 impl Request {
-    /// A POST with a body.
+    /// A request to `path` carrying `body` (an invocation's input).
     pub fn post(path: impl Into<String>, body: Bytes) -> Self {
         Request {
-            method: Method::Post,
             path: path.into(),
             body,
-            headers: BTreeMap::new(),
-        }
-    }
-
-    /// A GET.
-    pub fn get(path: impl Into<String>) -> Self {
-        Request {
-            method: Method::Get,
-            path: path.into(),
-            body: Bytes::new(),
             headers: BTreeMap::new(),
         }
     }
@@ -108,29 +85,16 @@ impl Response {
     }
 }
 
-/// A request delivered to a listener, with its response channel.
-pub struct Incoming {
-    /// The request.
-    pub request: Request,
-    /// Originating node.
-    pub from: NodeId,
-    responder: oneshot::Sender<Response>,
-}
-
-impl Incoming {
-    /// Send the response back to the caller.
-    pub fn respond(self, response: Response) {
-        let _ = self.responder.send(response);
-    }
-}
-
-type ListenerMap = BTreeMap<(NodeId, u16), mpsc::Sender<Incoming>>;
+/// A bound listener: runs its handler on one request as a task of its own,
+/// so a caller that gives up on a request does not cancel the work it
+/// started.
+type Listener = Rc<dyn Fn(Request) -> JoinHandle<Response>>;
 
 /// The cluster-wide HTTP fabric.
 #[derive(Clone)]
 pub struct HttpStack {
     network: Network,
-    listeners: Rc<RefCell<ListenerMap>>,
+    listeners: Rc<RefCell<BTreeMap<(NodeId, u16), Listener>>>,
 }
 
 impl HttpStack {
@@ -142,12 +106,16 @@ impl HttpStack {
         }
     }
 
-    /// Bind a listener at `(node, port)`; returns its request mailbox.
-    /// Rebinding an existing address replaces the previous listener.
-    pub fn listen(&self, node: NodeId, port: u16) -> mpsc::Receiver<Incoming> {
-        let (tx, rx) = mpsc::channel();
-        self.listeners.borrow_mut().insert((node, port), tx);
-        rx
+    /// Bind `handler` at `(node, port)`: each request delivered there is
+    /// answered by `handler(request)`, run as a task of its own. Rebinding
+    /// an existing address replaces the previous listener.
+    pub fn listen<F, Fut>(&self, node: NodeId, port: u16, handler: F)
+    where
+        F: Fn(Request) -> Fut + 'static,
+        Fut: Future<Output = Response> + 'static,
+    {
+        let listener: Listener = Rc::new(move |request| spawn(handler(request)));
+        self.listeners.borrow_mut().insert((node, port), listener);
     }
 
     /// Remove a listener; true if one was bound.
@@ -166,27 +134,14 @@ impl HttpStack {
         let req_size = request.wire_size();
         // Charge the request payload on the wire.
         self.network.transfer(from, to, req_size).await?;
-        let tx = {
-            let listeners = self.listeners.borrow();
-            listeners
-                .get(&(to, port))
-                .cloned()
-                .ok_or(ClusterError::ConnectionRefused {
-                    node: to.to_string(),
-                    port,
-                })?
-        };
-        let (resp_tx, resp_rx) = oneshot::channel();
-        tx.send(Incoming {
-            request,
-            from,
-            responder: resp_tx,
-        })
-        .map_err(|_| ClusterError::ConnectionRefused {
-            node: to.to_string(),
-            port,
-        })?;
-        let response = resp_rx.await.map_err(|_| ClusterError::ConnectionReset)?;
+        let listener = self.listeners.borrow().get(&(to, port)).cloned().ok_or(
+            ClusterError::ConnectionRefused {
+                node: to.to_string(),
+                port,
+            },
+        )?;
+        // The handler's task runs on if this request is abandoned.
+        let response = listener(request).await;
         // Charge the response payload on the wire back.
         self.network
             .transfer(to, from, response.wire_size())
@@ -205,7 +160,8 @@ mod tests {
     use super::*;
     use crate::network::NetworkConfig;
     use crate::units::Rate;
-    use swf_simcore::{now, secs, spawn, Sim, SimDuration, SimTime};
+    use std::cell::Cell;
+    use swf_simcore::{now, secs, sleep, timeout, Sim, SimDuration, SimTime};
 
     fn stack(nodes: usize) -> HttpStack {
         HttpStack::new(Network::new(
@@ -218,19 +174,11 @@ mod tests {
         ))
     }
 
-    /// Spawn an echo server at (node, port) that doubles each body byte.
-    fn spawn_echo(stack: &HttpStack, node: NodeId, port: u16) {
-        let mut rx = stack.listen(node, port);
-        spawn(async move {
-            while let Some(incoming) = rx.recv().await {
-                let doubled: Vec<u8> = incoming
-                    .request
-                    .body
-                    .iter()
-                    .map(|b| b.wrapping_mul(2))
-                    .collect();
-                incoming.respond(Response::ok(Bytes::from(doubled)));
-            }
+    /// Bind an echo server at (node, port) that doubles each body byte.
+    fn listen_echo(stack: &HttpStack, node: NodeId, port: u16) {
+        stack.listen(node, port, |request: Request| async move {
+            let doubled: Vec<u8> = request.body.iter().map(|b| b.wrapping_mul(2)).collect();
+            Response::ok(Bytes::from(doubled))
         });
     }
 
@@ -239,7 +187,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let st = stack(2);
-            spawn_echo(&st, NodeId(1), 8080);
+            listen_echo(&st, NodeId(1), 8080);
             let resp = st
                 .request(
                     NodeId(0),
@@ -260,7 +208,7 @@ mod tests {
         sim.block_on(async {
             let st = stack(2);
             let err = st
-                .request(NodeId(0), NodeId(1), 9999, Request::get("/"))
+                .request(NodeId(0), NodeId(1), 9999, Request::post("/", Bytes::new()))
                 .await
                 .unwrap_err();
             assert!(matches!(err, ClusterError::ConnectionRefused { .. }));
@@ -268,21 +216,25 @@ mod tests {
     }
 
     #[test]
-    fn connection_reset_when_listener_drops_request() {
+    fn abandoned_request_still_runs_to_completion() {
         let sim = Sim::new();
         sim.block_on(async {
             let st = stack(2);
-            let mut rx = st.listen(NodeId(1), 80);
-            spawn(async move {
-                // Take the request and drop it without responding.
-                let incoming = rx.recv().await.unwrap();
-                drop(incoming);
+            let done = Rc::new(Cell::new(false));
+            let flag = Rc::clone(&done);
+            st.listen(NodeId(1), 80, move |_request| {
+                let flag = Rc::clone(&flag);
+                async move {
+                    sleep(secs(2.0)).await;
+                    flag.set(true);
+                    Response::status(204)
+                }
             });
-            let err = st
-                .request(NodeId(0), NodeId(1), 80, Request::get("/"))
-                .await
-                .unwrap_err();
-            assert_eq!(err, ClusterError::ConnectionReset);
+            let request = st.request(NodeId(0), NodeId(1), 80, Request::post("/", Bytes::new()));
+            assert!(timeout(secs(1.0), request).await.is_err());
+            assert!(!done.get(), "the handler cannot have finished yet");
+            sleep(secs(2.0)).await;
+            assert!(done.get(), "dropping the request cancelled its handler");
         });
     }
 
@@ -291,7 +243,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let st = stack(2);
-            spawn_echo(&st, NodeId(1), 8080);
+            listen_echo(&st, NodeId(1), 8080);
             let body = crate::bulk::zeroed_bytes(100_000_000);
             st.request(NodeId(0), NodeId(1), 8080, Request::post("/", body))
                 .await
@@ -306,11 +258,11 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let st = stack(1);
-            let _rx = st.listen(NodeId(0), 80);
+            listen_echo(&st, NodeId(0), 80);
             assert!(st.unlisten(NodeId(0), 80));
             assert!(!st.unlisten(NodeId(0), 80));
             let err = st
-                .request(NodeId(0), NodeId(0), 80, Request::get("/"))
+                .request(NodeId(0), NodeId(0), 80, Request::post("/", Bytes::new()))
                 .await
                 .unwrap_err();
             assert!(matches!(err, ClusterError::ConnectionRefused { .. }));

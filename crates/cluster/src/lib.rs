@@ -30,7 +30,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use disk::Disk;
 pub use error::ClusterError;
 pub use fs::SimFs;
-pub use http::{HttpStack, Incoming, Method, Request, Response};
+pub use http::{HttpStack, Request, Response};
 pub use memory::{MemoryLease, MemoryPool};
 pub use network::{LinkQuality, Network, NetworkConfig, NodeId};
 pub use node::{Node, NodeSpec};

@@ -19,8 +19,6 @@ pub enum PullPolicy {
     /// Pull only when layers are missing locally (docker's default).
     #[default]
     IfNotPresent,
-    /// Always re-resolve and pull (cached layers still skip transfer).
-    Always,
     /// Never pull; fail if the image is not local.
     Never,
 }
@@ -121,22 +119,6 @@ impl DockerCli {
                     drop(span);
                     (Some(stats), now() - s)
                 }
-            }
-            PullPolicy::Always => {
-                let s = now();
-                let span = obs.span(
-                    parent,
-                    &component,
-                    format!("pull:{image}"),
-                    swf_obs::Category::Pull,
-                );
-                let stats = self
-                    .runtime
-                    .registry()
-                    .pull(self.runtime.node().id(), image)
-                    .await?;
-                drop(span);
-                (Some(stats), now() - s)
             }
         };
 

@@ -643,7 +643,7 @@ mod tests {
         sim.block_on(async {
             let (_cluster, kn, _image) = boot();
             let err = kn
-                .invoke(NodeId(0), "ghost", Request::get("/"))
+                .invoke(NodeId(0), "ghost", Request::post("/", Bytes::new()))
                 .await
                 .unwrap_err();
             assert!(matches!(err, KnativeError::ServiceNotFound(_)));
@@ -661,7 +661,7 @@ mod tests {
             );
             kn.wait_ready("bad", 1, secs(300.0)).await.unwrap();
             let err = kn
-                .invoke(NodeId(0), "bad", Request::get("/"))
+                .invoke(NodeId(0), "bad", Request::post("/", Bytes::new()))
                 .await
                 .unwrap_err();
             assert!(matches!(err, KnativeError::FunctionFailed(_)));

@@ -1,26 +1,28 @@
-//! Queue-proxy manager: one serving loop per ready revision pod.
+//! Queue-proxy manager: one request handler per ready revision pod.
 //!
-//! Each revision pod gets a queue-proxy task that binds the pod's HTTP port,
-//! enforces `containerConcurrency` with a FIFO semaphore, reports in-flight
-//! metrics to the autoscaler, and execs the function workload inside the
-//! pod's container. This is where the paper's *container reuse* happens: one
-//! container serves many requests without being recreated.
+//! Each revision pod gets a queue-proxy, bound as the listener at the pod's
+//! HTTP port: it enforces `containerConcurrency` with a FIFO semaphore,
+//! reports in-flight metrics to the autoscaler, and execs the function
+//! workload inside the pod's container. This is where the paper's
+//! *container reuse* happens: one container serves many requests without
+//! being recreated.
 
-use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use swf_cluster::{HttpStack, Incoming, Response};
+use swf_cluster::{HttpStack, NodeId, Request, Response};
+use swf_container::ContainerRuntime;
 use swf_k8s::{Pod, Store};
 use swf_simcore::sync::Semaphore;
-use swf_simcore::{race, sleep, spawn, Either};
+use swf_simcore::{sleep, SimDuration};
 
 use crate::config::DataPlaneConfig;
-use crate::handlers::HandlerRegistry;
+use crate::handlers::{Handler, HandlerRegistry};
 use crate::ksvc::Revision;
 use crate::metrics::MetricHub;
 
-/// Watches revision pods and runs queue-proxies for them.
+/// Watches revision pods and binds a queue-proxy at each routable one.
 pub struct PodServers {
     k8s: swf_k8s::K8s,
     http: HttpStack,
@@ -28,7 +30,8 @@ pub struct PodServers {
     handlers: HandlerRegistry,
     hub: MetricHub,
     config: DataPlaneConfig,
-    serving: Rc<RefCell<BTreeSet<String>>>,
+    /// Pods with a bound queue-proxy, by name, and the address it listens at.
+    serving: BTreeMap<String, (NodeId, u16)>,
 }
 
 impl PodServers {
@@ -48,62 +51,68 @@ impl PodServers {
             handlers,
             hub,
             config,
-            serving: Rc::new(RefCell::new(BTreeSet::new())),
+            serving: BTreeMap::new(),
         }
     }
 
-    /// Run forever, attaching queue-proxies to newly ready pods.
-    pub async fn run(self) {
-        let rc = Rc::new(self);
-        let mut watcher = rc.k8s.api().pods().watch();
+    /// Run forever: on every pod change, unbind the queue-proxies of pods
+    /// that are gone, then bind one at each newly routable pod.
+    pub async fn run(mut self) {
+        let mut watcher = self.k8s.api().pods().watch();
         loop {
-            rc.attach_new();
+            self.unbind_gone();
+            self.bind_new();
             watcher.changed().await;
         }
     }
 
-    fn attach_new(self: &Rc<Self>) {
+    /// Unbind pods that were deleted, marked for deletion, or failed over
+    /// by the node controller.
+    fn unbind_gone(&mut self) {
+        let pods = self.k8s.api().pods();
+        let http = &self.http;
+        self.serving.retain(|name, &mut (node, port)| {
+            let gone = pods
+                .get(name)
+                .map(|p| p.meta.deletion_requested || p.status.phase == swf_k8s::PodPhase::Failed)
+                .unwrap_or(true);
+            if gone {
+                http.unlisten(node, port);
+            }
+            !gone
+        });
+    }
+
+    fn bind_new(&mut self) {
         let candidates = self.k8s.api().pods().filter(|p| {
             p.is_routable()
                 && p.meta.labels.contains_key(Revision::pod_label())
-                && !self.serving.borrow().contains(&p.meta.name)
+                && !self.serving.contains_key(&p.meta.name)
         });
         for pod in candidates {
-            let name = pod.meta.name.clone();
-            self.serving.borrow_mut().insert(name.clone());
-            let this = Rc::clone(self);
-            spawn(async move {
-                this.queue_proxy(pod).await;
-                this.serving.borrow_mut().remove(&name);
-            });
+            let (Some(node), Some(proxy)) = (pod.status.node, self.queue_proxy(&pod)) else {
+                continue;
+            };
+            let port = pod.status.port;
+            let proxy = Rc::new(proxy);
+            self.http
+                .listen(node, port, move |request| Rc::clone(&proxy).serve(request));
+            self.serving.insert(pod.meta.name.clone(), (node, port));
         }
     }
 
-    /// Serve one pod until it is deleted.
-    async fn queue_proxy(self: &Rc<Self>, pod: Rc<Pod>) {
-        let Some(rev_name) = pod.meta.labels.get(Revision::pod_label()).cloned() else {
-            return;
-        };
-        let Some(revision) = self.revisions.get(&rev_name) else {
-            return;
-        };
-        let Some(node) = pod.status.node else {
-            return;
-        };
-        let port = pod.status.port;
-        if pod.status.container.is_none() {
-            return;
-        }
-        let Some(runtime) = self.k8s.runtime(node).cloned() else {
-            return;
-        };
-        let handler = self.handlers.get(&revision.service);
+    /// The queue-proxy for `pod`, or `None` while it cannot serve yet.
+    fn queue_proxy(&self, pod: &Pod) -> Option<QueueProxy> {
+        let rev_name = pod.meta.labels.get(Revision::pod_label())?;
+        let revision = self.revisions.get(rev_name)?;
+        let node = pod.status.node?;
+        pod.status.container?;
+        let runtime = self.k8s.runtime(node)?.clone();
         let cc = if revision.container_concurrency == 0 {
             usize::MAX / 2
         } else {
             revision.container_concurrency as usize
         };
-        let gate = Semaphore::new(cc);
         // The queue-proxy breaker: `cc` requests in service plus
         // `queue_depth` waiting; past that, new arrivals are shed with a
         // typed 503 instead of queueing unboundedly (queue_depth 0 keeps
@@ -113,118 +122,107 @@ impl PodServers {
         } else {
             cc.saturating_add(self.config.queue_depth as usize)
         };
-        let pending = Rc::new(Cell::new(0usize));
-        let mut rx = self.http.listen(node, port);
-        let pod_name = pod.meta.name.clone();
-        // The proxy outlives many writes to its pod; a snapshot held that
-        // long would turn each of them into a copy.
-        drop(pod);
-        let mut pod_watch = self.k8s.api().pods().watch();
-        loop {
-            // Exit when the pod is deleted, marked for deletion, or failed
-            // over by the node controller.
-            let gone = self
-                .k8s
-                .api()
-                .pods()
-                .get(&pod_name)
-                .map(|p| p.meta.deletion_requested || p.status.phase == swf_k8s::PodPhase::Failed)
-                .unwrap_or(true);
-            if gone {
-                break;
-            }
-            match race(rx.recv(), pod_watch.changed()).await {
-                Either::Left(Some(incoming)) => {
-                    if pending.get() >= capacity {
-                        swf_obs::current().counter_add("knative.queue_proxy_shed", 1);
-                        incoming.respond(Response {
-                            status: 503,
-                            body: bytes::Bytes::from(format!(
-                                "overloaded: queue-proxy at capacity {capacity}"
-                            )),
-                        });
-                        continue;
-                    }
-                    pending.set(pending.get() + 1);
-                    let pending = Rc::clone(&pending);
-                    let this = Rc::clone(self);
-                    let gate = gate.clone();
-                    let runtime = runtime.clone();
-                    let handler = handler.clone();
-                    let rev_name = rev_name.clone();
-                    let service = revision.service.clone();
-                    let pod_name = pod_name.clone();
-                    spawn(async move {
-                        // Demand is reported at proxy ingress — queued
-                        // requests count toward autoscaler concurrency,
-                        // as in Knative's queue-proxy breaker.
-                        let obs = swf_obs::current();
-                        let parent = incoming
-                            .request
-                            .headers
-                            .get(swf_obs::TRACE_HEADER)
-                            .map(|h| swf_obs::SpanContext::from_header(h))
-                            .unwrap_or(swf_obs::SpanContext::NONE);
-                        let component = format!("{rev_name}/queue-proxy");
-                        let queued =
-                            obs.span(parent, &component, "queue-proxy", swf_obs::Category::Queue);
-                        let guard = this.hub.start_request(&rev_name);
-                        let _slot = gate.acquire().await;
-                        sleep(this.config.queue_proxy_overhead).await;
-                        drop(queued);
-                        let exec = obs.span(
-                            parent,
-                            &component,
-                            format!("exec:{service}"),
-                            swf_obs::Category::Compute,
-                        );
-                        // Re-resolve the backing container at serve time:
-                        // a liveness restart swaps it while the pod (and
-                        // this proxy) live on.
-                        let container = this
-                            .k8s
-                            .api()
-                            .pods()
-                            .get(&pod_name)
-                            .and_then(|p| p.status.container);
-                        let response =
-                            Self::serve_one(&runtime, container, handler, &service, &incoming)
-                                .await;
-                        drop(exec);
-                        incoming.respond(response);
-                        drop(guard);
-                        pending.set(pending.get().saturating_sub(1));
-                    });
-                }
-                Either::Left(None) => break, // listener torn down
-                Either::Right(_) => continue,
-            }
+        Some(QueueProxy {
+            k8s: self.k8s.clone(),
+            hub: self.hub.clone(),
+            overhead: self.config.queue_proxy_overhead,
+            runtime,
+            handler: self.handlers.get(&revision.service),
+            rev_name: rev_name.clone(),
+            service: revision.service.clone(),
+            pod_name: pod.meta.name.clone(),
+            gate: Semaphore::new(cc),
+            capacity,
+            pending: Cell::new(0),
+        })
+    }
+}
+
+/// One pod's queue-proxy: the handler bound at the pod's HTTP port.
+struct QueueProxy {
+    k8s: swf_k8s::K8s,
+    hub: MetricHub,
+    overhead: SimDuration,
+    runtime: ContainerRuntime,
+    handler: Option<Handler>,
+    rev_name: String,
+    service: String,
+    pod_name: String,
+    gate: Semaphore,
+    capacity: usize,
+    /// Requests admitted and not yet answered.
+    pending: Cell<usize>,
+}
+
+impl QueueProxy {
+    async fn serve(self: Rc<Self>, request: Request) -> Response {
+        if self.pending.get() >= self.capacity {
+            swf_obs::current().counter_add("knative.queue_proxy_shed", 1);
+            return Response {
+                status: 503,
+                body: bytes::Bytes::from(format!(
+                    "overloaded: queue-proxy at capacity {}",
+                    self.capacity
+                )),
+            };
         }
-        self.http.unlisten(node, port);
+        self.pending.set(self.pending.get() + 1);
+        // Demand is reported at proxy ingress — queued requests count
+        // toward autoscaler concurrency, as in Knative's queue-proxy
+        // breaker.
+        let obs = swf_obs::current();
+        let parent = request
+            .headers
+            .get(swf_obs::TRACE_HEADER)
+            .map(|h| swf_obs::SpanContext::from_header(h))
+            .unwrap_or(swf_obs::SpanContext::NONE);
+        let component = format!("{}/queue-proxy", self.rev_name);
+        let queued = obs.span(parent, &component, "queue-proxy", swf_obs::Category::Queue);
+        let guard = self.hub.start_request(&self.rev_name);
+        let _slot = self.gate.acquire().await;
+        sleep(self.overhead).await;
+        drop(queued);
+        let exec = obs.span(
+            parent,
+            &component,
+            format!("exec:{}", self.service),
+            swf_obs::Category::Compute,
+        );
+        // Re-resolve the backing container at serve time: a liveness
+        // restart swaps it while the pod (and this proxy) live on.
+        let container = self
+            .k8s
+            .api()
+            .pods()
+            .get(&self.pod_name)
+            .and_then(|p| p.status.container);
+        let response = self.run_handler(container, &request).await;
+        drop(exec);
+        drop(guard);
+        self.pending.set(self.pending.get().saturating_sub(1));
+        response
     }
 
-    async fn serve_one(
-        runtime: &swf_container::ContainerRuntime,
+    async fn run_handler(
+        &self,
         container: Option<swf_container::ContainerId>,
-        handler: Option<crate::handlers::Handler>,
-        service: &str,
-        incoming: &Incoming,
+        request: &Request,
     ) -> Response {
-        let Some(handler) = handler else {
+        let Some(handler) = &self.handler else {
             return Response {
                 status: 404,
-                body: bytes::Bytes::from(format!("no handler for {service}")),
+                body: bytes::Bytes::from(format!("no handler for {}", self.service)),
             };
         };
         let Some(container) = container else {
             // Mid-restart: the pod currently has no backing container.
             return Response {
                 status: 503,
-                body: bytes::Bytes::from(format!("no backing container for {service}")),
+                body: bytes::Bytes::from(format!("no backing container for {}", self.service)),
             };
         };
-        let workload = handler(&incoming.request);
-        match runtime.exec(container, workload).await {
+        let workload = handler(request);
+        match self.runtime.exec(container, workload).await {
             // The function itself failed: a real 500, never retried.
             Err(swf_container::ContainerError::TaskFailed(e)) => Response {
                 status: 500,
@@ -245,10 +243,11 @@ impl PodServers {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use swf_cluster::{Cluster, ClusterConfig, NodeId, Request};
+    use std::cell::RefCell;
+    use swf_cluster::{Cluster, ClusterConfig};
     use swf_container::{Image, ImageRef, Registry, RegistryConfig, Workload};
     use swf_k8s::{K8s, K8sConfig};
-    use swf_simcore::{secs, Sim};
+    use swf_simcore::{secs, spawn, Sim};
 
     /// Boot k8s + serving + pod servers and one ready KService pod.
     fn boot(cc: u32) -> (Sim, Rc<RefCell<Option<Env>>>) {

@@ -206,7 +206,6 @@ impl Router {
                             if matches!(
                                 e,
                                 ClusterError::ConnectionRefused { .. }
-                                    | ClusterError::ConnectionReset
                                     | ClusterError::Partitioned { .. }
                             ) =>
                         {

@@ -886,7 +886,7 @@ mod tests {
     fn deadlock_is_detected() {
         let sim = Sim::new();
         sim.block_on(async {
-            // A oneshot-like hole: pending forever with no timer.
+            // A hole: pending forever with no timer.
             std::future::pending::<()>().await;
         });
     }

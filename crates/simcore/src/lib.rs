@@ -6,9 +6,9 @@
 //! The kernel is a single-threaded async executor whose clock is **virtual**:
 //! `sleep(d)` costs zero wall time and advances a logical clock only when no
 //! task is runnable. Model code is ordinary `async` Rust — a container pull
-//! is `registry.serve(bytes / bandwidth).await`, an HTTP round trip is two
-//! channel sends separated by modelled latency — which keeps the substrate
-//! code structured like the real systems it stands in for.
+//! is `registry.serve(bytes / bandwidth).await`, an HTTP round trip is a
+//! handler call between two modelled wire transfers — which keeps the
+//! substrate code structured like the real systems it stands in for.
 //!
 //! Guarantees:
 //! - **Determinism**: FIFO ready queue, stable timer ordering, per-stream
@@ -46,8 +46,6 @@ pub mod time;
 
 /// Synchronization primitives in virtual time.
 pub mod sync {
-    pub mod mpsc;
-    pub mod oneshot;
     pub mod semaphore;
     pub mod watch;
 

@@ -229,7 +229,7 @@ fn function_error_fails_the_workflow_task_not_the_platform() {
             .unwrap();
         let err = bed
             .knative
-            .invoke(NodeId(0), "faulty", Request::get("/"))
+            .invoke(NodeId(0), "faulty", Request::post("/", Bytes::new()))
             .await
             .unwrap_err();
         assert!(err.to_string().contains("numerical failure"));
