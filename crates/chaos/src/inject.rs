@@ -222,7 +222,7 @@ impl Injector {
             }
             FaultKind::PodKill { service } => {
                 // Kill the first (name-ordered) pod of the service's active
-                // revision; the ReplicaSet controller replaces it.
+                // revision; the Deployment controller replaces it.
                 let rev = format!("{service}-00001");
                 let victim = bed
                     .k8s

@@ -1,18 +1,14 @@
 //! The API server: typed, watchable object stores plus admission
-//! (uid allocation, duplicate rejection) and a modelled call latency.
-
-use std::cell::Cell;
-use std::rc::Rc;
+//! (duplicate rejection) and a modelled call latency.
 
 use swf_simcore::{sleep, SimDuration};
 
 use crate::error::K8sError;
-use crate::meta::Uid;
 use crate::nodes::NodeStatus;
 use crate::pod::Pod;
 use crate::service::{Endpoints, Service};
 use crate::store::Store;
-use crate::workload_api::{Deployment, ReplicaSet};
+use crate::workload_api::Deployment;
 
 /// API server parameters.
 #[derive(Clone, Copy, Debug)]
@@ -34,12 +30,10 @@ impl Default for ApiConfig {
 pub struct ApiServer {
     config: ApiConfig,
     pods: Store<Pod>,
-    replicasets: Store<ReplicaSet>,
     deployments: Store<Deployment>,
     services: Store<Service>,
     endpoints: Store<Endpoints>,
     nodes: Store<NodeStatus>,
-    next_uid: Rc<Cell<u64>>,
 }
 
 impl Default for ApiServer {
@@ -54,19 +48,11 @@ impl ApiServer {
         ApiServer {
             config,
             pods: Store::new(),
-            replicasets: Store::new(),
             deployments: Store::new(),
             services: Store::new(),
             endpoints: Store::new(),
             nodes: Store::new(),
-            next_uid: Rc::new(Cell::new(1)),
         }
-    }
-
-    fn alloc_uid(&self) -> Uid {
-        let u = self.next_uid.get();
-        self.next_uid.set(u + 1);
-        Uid(u)
     }
 
     async fn charge(&self) {
@@ -76,11 +62,6 @@ impl ApiServer {
     /// Pod store (reads and watches are informer-cache-free of latency).
     pub fn pods(&self) -> &Store<Pod> {
         &self.pods
-    }
-
-    /// ReplicaSet store.
-    pub fn replicasets(&self) -> &Store<ReplicaSet> {
-        &self.replicasets
     }
 
     /// Deployment store.
@@ -111,21 +92,19 @@ impl ApiServer {
             .unwrap_or(true)
     }
 
-    /// Create a pod; rejects duplicates; assigns a uid.
-    pub async fn create_pod(&self, mut pod: Pod) -> Result<Uid, K8sError> {
+    /// Create a pod; rejects duplicates.
+    pub async fn create_pod(&self, mut pod: Pod) -> Result<(), K8sError> {
         self.charge().await;
         if self.pods.contains(&pod.meta.name) {
             return Err(K8sError::AlreadyExists(pod.meta.name));
         }
-        let uid = self.alloc_uid();
-        pod.meta.uid = uid;
         // A pre-pinned pod skips the scheduler.
         if let Some(node) = pod.spec.node_name {
             pod.status.node = Some(node);
             pod.status.phase = crate::pod::PodPhase::Scheduled;
         }
         self.pods.put(pod.meta.name.clone(), pod);
-        Ok(uid)
+        Ok(())
     }
 
     /// Request graceful deletion of a pod (kubelet finalizes).
@@ -214,13 +193,13 @@ mod tests {
     }
 
     #[test]
-    fn create_pod_assigns_uid_and_charges_latency() {
+    fn create_pod_charges_latency() {
         let sim = Sim::new();
         sim.block_on(async {
             let api = ApiServer::default();
-            let u1 = api.create_pod(pod("a")).await.unwrap();
-            let u2 = api.create_pod(pod("b")).await.unwrap();
-            assert_ne!(u1, u2);
+            api.create_pod(pod("a")).await.unwrap();
+            api.create_pod(pod("b")).await.unwrap();
+            assert_eq!(api.pods().len(), 2);
             assert!(now() > SimTime::ZERO);
         });
     }

@@ -36,9 +36,9 @@ pub struct K8s {
 }
 
 impl K8s {
-    /// Start the control plane: spawns the scheduler, the deployment /
-    /// replicaset / endpoints controllers and one kubelet per schedulable
-    /// node. Returns a handle for API access.
+    /// Start the control plane: spawns the scheduler, the deployment,
+    /// endpoints and node controllers and one kubelet per schedulable node.
+    /// Returns a handle for API access.
     pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig) -> K8s {
         let api = ApiServer::new(config.api);
         // Resolve the schedulable set once; node ids in the config that
@@ -74,7 +74,6 @@ impl K8s {
         }
         spawn(Scheduler::new(api.clone(), registry.clone(), capacities, config.scheduler).run());
         spawn(crate::controllers::DeploymentController::new(api.clone()).run());
-        spawn(crate::controllers::ReplicaSetController::new(api.clone()).run());
         spawn(crate::controllers::EndpointsController::new(api.clone()).run());
         spawn(crate::nodes::NodeController::new(api.clone()).run());
 
@@ -163,8 +162,8 @@ impl K8s {
     }
 
     /// Failure injection: mark a node not ready. The node controller fails
-    /// its pods; ReplicaSets replace them on healthy nodes; the scheduler
-    /// stops binding there.
+    /// its pods; the Deployment controller replaces them on healthy nodes;
+    /// the scheduler stops binding there.
     pub fn fail_node(&self, id: NodeId) {
         self.api
             .nodes()
@@ -211,7 +210,6 @@ mod tests {
                 .create_deployment(Deployment::new(
                     ObjectMeta::named("fn"),
                     3,
-                    LabelSelector::eq("app", "fn"),
                     PodTemplate {
                         meta: ObjectMeta::default().with_label("app", "fn"),
                         spec: PodSpec::new(image.clone()),
@@ -252,7 +250,6 @@ mod tests {
                 .create_deployment(Deployment::new(
                     ObjectMeta::named("fn"),
                     2,
-                    LabelSelector::eq("app", "fn"),
                     PodTemplate {
                         meta: ObjectMeta::default().with_label("app", "fn"),
                         spec: PodSpec::new(image.clone()),

@@ -1,9 +1,12 @@
-//! Deployment, ReplicaSet and Endpoints controllers.
+//! Deployment and Endpoints controllers.
 //!
-//! All three follow the level-triggered reconcile pattern: wake on any
-//! relevant store change, list, diff desired vs observed, act. Status
-//! updates are write-on-change only, so reconciles converge instead of
-//! re-triggering themselves forever.
+//! Both follow the level-triggered reconcile pattern: wake on any relevant
+//! store change, list, diff desired vs observed, act. Neither writes the
+//! objects it watches unless it has something to change, so reconciles
+//! converge instead of re-triggering themselves forever.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 use swf_simcore::race;
 
@@ -11,103 +14,47 @@ use crate::api::ApiServer;
 use crate::meta::ObjectMeta;
 use crate::pod::{Pod, PodPhase};
 use crate::service::{Endpoint, Endpoints};
-use crate::workload_api::{PodTemplate, ReplicaSet};
 
-/// Deployment → ReplicaSet reconciliation.
+/// Deployment → Pods reconciliation.
+///
+/// A Deployment owns its pods directly: this model has one revision per
+/// Deployment and no rollouts, so the replica set Kubernetes keeps between
+/// the two would be a pass-through copy. Pods are named
+/// `{deployment}-rs-{seq}`; the `-rs-` infix stands where Kubernetes puts
+/// the pod-template hash.
 pub struct DeploymentController {
     api: ApiServer,
+    counters: RefCell<BTreeMap<String, u64>>,
 }
 
 impl DeploymentController {
     /// New controller.
     pub fn new(api: ApiServer) -> Self {
-        DeploymentController { api }
+        DeploymentController {
+            api,
+            counters: RefCell::new(BTreeMap::new()),
+        }
     }
 
     /// Run forever.
     pub async fn run(self) {
         let mut deps = self.api.deployments().watch();
-        let mut sets = self.api.replicasets().watch();
-        loop {
-            self.reconcile();
-            race(deps.changed(), sets.changed()).await;
-        }
-    }
-
-    /// One pass.
-    pub fn reconcile(&self) {
-        // Ensure each deployment has its ReplicaSet at the right scale.
-        for d in self.api.deployments().list() {
-            let rs_name = format!("{}-rs", d.meta.name);
-            match self.api.replicasets().get(&rs_name).map(|rs| rs.replicas) {
-                None => {
-                    self.api.replicasets().put(
-                        rs_name.clone(),
-                        ReplicaSet {
-                            meta: ObjectMeta::named(&rs_name).owned_by(&d.meta.name),
-                            replicas: d.replicas,
-                            selector: d.selector.clone(),
-                            template: PodTemplate {
-                                meta: d.template.meta.clone(),
-                                spec: d.template.spec.clone(),
-                            },
-                            ready_replicas: 0,
-                        },
-                    );
-                }
-                Some(replicas) if replicas != d.replicas => {
-                    self.api
-                        .replicasets()
-                        .update(&rs_name, |rs| rs.replicas = d.replicas);
-                }
-                Some(_) => {}
-            }
-        }
-        // Garbage-collect ReplicaSets whose deployment is gone.
-        for rs in self.api.replicasets().list() {
-            if let Some(owner) = &rs.meta.owner {
-                if !self.api.deployments().contains(owner) {
-                    self.api.replicasets().delete(&rs.meta.name);
-                }
-            }
-        }
-    }
-}
-
-/// ReplicaSet → Pods reconciliation.
-pub struct ReplicaSetController {
-    api: ApiServer,
-    counters: std::cell::RefCell<std::collections::BTreeMap<String, u64>>,
-}
-
-impl ReplicaSetController {
-    /// New controller.
-    pub fn new(api: ApiServer) -> Self {
-        ReplicaSetController {
-            api,
-            counters: std::cell::RefCell::new(std::collections::BTreeMap::new()),
-        }
-    }
-
-    /// Run forever.
-    pub async fn run(self) {
-        let mut sets = self.api.replicasets().watch();
         let mut pods = self.api.pods().watch();
         loop {
             self.reconcile().await;
-            race(sets.changed(), pods.changed()).await;
+            race(deps.changed(), pods.changed()).await;
         }
     }
 
     /// One pass.
     pub async fn reconcile(&self) {
-        for rs in self.api.replicasets().list() {
-            let rs_name = rs.meta.name.as_str();
+        for d in self.api.deployments().list() {
+            let d_name = d.meta.name.as_str();
             // Its live pods are looked at in place: snapshots of them held
             // across the `.await`s below would turn each kubelet write to
             // one into a copy.
             let is_live = |p: &Pod| {
-                p.meta.owner.as_deref() == Some(rs_name)
+                p.meta.owner.as_deref() == Some(d_name)
                     && !p.meta.deletion_requested
                     && p.status.phase != PodPhase::Failed
             };
@@ -116,26 +63,26 @@ impl ReplicaSetController {
                 .pods()
                 .read(|pods| pods.values().filter(|p| is_live(p)).count())
                 as u32;
-            if live < rs.replicas {
-                for _ in 0..(rs.replicas - live) {
-                    let seq = self.next_pod_seq(rs_name);
-                    let pod_name = format!("{rs_name}-{seq}");
+            if live < d.replicas {
+                for _ in 0..(d.replicas - live) {
+                    let seq = self.next_pod_seq(d_name);
                     let meta = ObjectMeta {
-                        name: pod_name.clone(),
-                        labels: rs.template.meta.labels.clone(),
-                        annotations: rs.template.meta.annotations.clone(),
-                        owner: Some(rs_name.to_string()),
+                        name: format!("{d_name}-rs-{seq}"),
+                        labels: d.template.meta.labels.clone(),
+                        annotations: d.template.meta.annotations.clone(),
+                        owner: Some(d_name.to_string()),
                         ..Default::default()
                     };
                     let _ = self
                         .api
-                        .create_pod(Pod::new(meta, rs.template.spec.clone()))
+                        .create_pod(Pod::new(meta, d.template.spec.clone()))
                         .await;
                 }
-            } else if live > rs.replicas {
-                // Scale down: victims are the not-ready first, then the
-                // newest (highest name sorts last with zero-padded seq).
-                let n_delete = (live - rs.replicas) as usize;
+            } else if live > d.replicas {
+                // Scale down: victims are the not-routable first, then the
+                // last in lexicographic name order. Sequence numbers are not
+                // zero-padded, so `…-rs-10` sorts before `…-rs-9`.
+                let n_delete = (live - d.replicas) as usize;
                 let victims: Vec<String> = self.api.pods().read(|pods| {
                     let mut owned: Vec<&Pod> =
                         pods.values().map(|p| &**p).filter(|p| is_live(p)).collect();
@@ -155,28 +102,14 @@ impl ReplicaSetController {
                     let _ = self.api.delete_pod(&name).await;
                 }
             }
-            // Status write-on-change.
-            let ready = self.api.pods().read(|pods| {
-                pods.values()
-                    .filter(|p| p.meta.owner.as_deref() == Some(rs_name) && p.is_routable())
-                    .count() as u32
-            });
-            if rs.ready_replicas != ready {
-                // The snapshot goes first, so the write lands in place.
-                let rs_name = rs.meta.name.clone();
-                drop(rs);
-                self.api
-                    .replicasets()
-                    .update(&rs_name, |rs| rs.ready_replicas = ready);
-            }
         }
-        // Orphan cleanup: pods owned by a vanished ReplicaSet.
+        // Orphan cleanup: pods owned by a vanished Deployment.
         let orphans: Vec<String> = self.api.pods().read(|pods| {
             pods.iter()
                 .filter(|(_, p)| {
                     let owner = p.meta.owner.as_ref();
                     !p.meta.deletion_requested
-                        && owner.is_some_and(|o| !self.api.replicasets().contains(o))
+                        && owner.is_some_and(|o| !self.api.deployments().contains(o))
                 })
                 .map(|(name, _)| name.clone())
                 .collect()
@@ -186,11 +119,11 @@ impl ReplicaSetController {
         }
     }
 
-    /// Monotonic per-ReplicaSet pod sequence. Seeded from existing pod names
+    /// Monotonic per-Deployment pod sequence. Seeded from existing pod names
     /// so a restarted controller never duplicates a live name, then kept in
     /// memory so names are not reused even after pods are deleted.
-    fn next_pod_seq(&self, rs_name: &str) -> u64 {
-        let prefix = format!("{rs_name}-");
+    fn next_pod_seq(&self, d_name: &str) -> u64 {
+        let prefix = format!("{d_name}-rs-");
         let observed = self
             .api
             .pods()
@@ -202,7 +135,7 @@ impl ReplicaSetController {
             .map(|m| m + 1)
             .unwrap_or(0);
         let mut counters = self.counters.borrow_mut();
-        let counter = counters.entry(rs_name.to_string()).or_insert(0);
+        let counter = counters.entry(d_name.to_string()).or_insert(0);
         let next = (*counter).max(observed);
         *counter = next + 1;
         next
@@ -274,7 +207,7 @@ mod tests {
     use super::*;
     use crate::meta::LabelSelector;
     use crate::pod::PodSpec;
-    use crate::workload_api::Deployment;
+    use crate::workload_api::{Deployment, PodTemplate};
     use swf_cluster::NodeId;
     use swf_container::ImageRef;
     use swf_simcore::{secs, sleep, spawn, Sim};
@@ -287,27 +220,21 @@ mod tests {
     }
 
     fn deployment(replicas: u32) -> Deployment {
-        Deployment::new(
-            ObjectMeta::named("d"),
-            replicas,
-            LabelSelector::eq("app", "m"),
-            template(),
-        )
+        Deployment::new(ObjectMeta::named("d"), replicas, template())
     }
 
     #[test]
-    fn deployment_creates_replicaset_creates_pods() {
+    fn deployment_creates_pods() {
         let sim = Sim::new();
         sim.block_on(async {
             let api = ApiServer::default();
             spawn(DeploymentController::new(api.clone()).run());
-            spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(3)).await.unwrap();
             sleep(secs(1.0)).await;
-            assert!(api.replicasets().contains("d-rs"));
             assert_eq!(api.pods().len(), 3);
-            for p in api.pods().list() {
-                assert_eq!(p.meta.owner.as_deref(), Some("d-rs"));
+            for (n, p) in api.pods().list().iter().enumerate() {
+                assert_eq!(p.meta.name, format!("d-rs-{n}"));
+                assert_eq!(p.meta.owner.as_deref(), Some("d"));
                 assert_eq!(p.meta.labels["app"], "m");
             }
         });
@@ -319,7 +246,6 @@ mod tests {
         sim.block_on(async {
             let api = ApiServer::default();
             spawn(DeploymentController::new(api.clone()).run());
-            spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(2)).await.unwrap();
             sleep(secs(1.0)).await;
             assert_eq!(api.pods().len(), 2);
@@ -339,12 +265,10 @@ mod tests {
         sim.block_on(async {
             let api = ApiServer::default();
             spawn(DeploymentController::new(api.clone()).run());
-            spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(3)).await.unwrap();
             sleep(secs(1.0)).await;
             api.delete_deployment("d").await.unwrap();
             sleep(secs(1.0)).await;
-            assert!(!api.replicasets().contains("d-rs"));
             assert_eq!(api.pods().len(), 0);
         });
     }
@@ -355,7 +279,6 @@ mod tests {
         sim.block_on(async {
             let api = ApiServer::default();
             spawn(DeploymentController::new(api.clone()).run());
-            spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(2)).await.unwrap();
             sleep(secs(1.0)).await;
             let victim = api.pods().list()[0].meta.name.clone();
@@ -417,7 +340,6 @@ mod tests {
         sim.block_on(async {
             let api = ApiServer::default();
             spawn(DeploymentController::new(api.clone()).run());
-            spawn(ReplicaSetController::new(api.clone()).run());
             api.create_deployment(deployment(1)).await.unwrap();
             sleep(secs(1.0)).await;
             let first = api.pods().list()[0].meta.name.clone();

@@ -4,8 +4,8 @@
 //! Dynamic HPC Workflows* reproduction: an API server with versioned,
 //! watchable object stores; a filter/score/bind scheduler with image-locality
 //! scoring; per-node kubelets that pull images and drive container
-//! lifecycles; Deployment/ReplicaSet controllers; and Services/Endpoints
-//! with a deterministic round-robin balancer.
+//! lifecycles; a Deployment controller that owns its pods directly; and
+//! Services/Endpoints with a deterministic round-robin balancer.
 //!
 //! The paper runs Kubernetes v1.30 under Knative; this crate reproduces the
 //! control loops that matter to the paper's mechanisms — pod scale-up
@@ -33,14 +33,14 @@ pub mod workload_api;
 
 pub use api::{ApiConfig, ApiServer};
 pub use control_plane::{K8s, K8sConfig};
-pub use controllers::{DeploymentController, EndpointsController, ReplicaSetController};
+pub use controllers::{DeploymentController, EndpointsController};
 pub use error::K8sError;
 pub use kubelet::Kubelet;
-pub use meta::{LabelSelector, ObjectMeta, Uid};
+pub use meta::{LabelSelector, ObjectMeta};
 pub use nodes::{NodeController, NodeStatus};
 pub use pod::{Pod, PodPhase, PodSpec, PodStatus};
 pub use probe::ProbeSpec;
 pub use scheduler::{NodeCapacity, Scheduler, SchedulerConfig};
 pub use service::{Endpoint, Endpoints, RoundRobin, Service};
 pub use store::{Store, Watcher};
-pub use workload_api::{Deployment, PodTemplate, ReplicaSet};
+pub use workload_api::{Deployment, PodTemplate};

@@ -2,10 +2,6 @@
 
 use std::collections::BTreeMap;
 
-/// Unique id assigned by the API server.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
-pub struct Uid(pub u64);
-
 /// Metadata common to every API object.
 #[derive(Clone, Debug, Default)]
 pub struct ObjectMeta {
@@ -15,8 +11,6 @@ pub struct ObjectMeta {
     pub labels: BTreeMap<String, String>,
     /// Annotations (e.g. Knative autoscaling knobs).
     pub annotations: BTreeMap<String, String>,
-    /// Server-assigned uid (0 until created).
-    pub uid: Uid,
     /// Name of the controller object that owns this one, if any.
     pub owner: Option<String>,
     /// Set when deletion has been requested; object is torn down async.

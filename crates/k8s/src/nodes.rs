@@ -2,7 +2,7 @@
 //! fail-over.
 //!
 //! The simulation can kill a node (`K8s::fail_node`); the node controller
-//! then marks every pod bound to it as Failed, which makes the ReplicaSet
+//! then marks every pod bound to it as Failed, which makes the Deployment
 //! controller replace them on healthy nodes and the endpoints controller
 //! stop routing to them — Kubernetes' node-lifecycle behaviour collapsed
 //! into one level-triggered loop.

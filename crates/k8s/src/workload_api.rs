@@ -1,9 +1,9 @@
-//! Deployments and ReplicaSets.
+//! Deployments.
 
-use crate::meta::{LabelSelector, ObjectMeta};
+use crate::meta::ObjectMeta;
 use crate::pod::PodSpec;
 
-/// Template stamped onto pods created by a ReplicaSet.
+/// Template stamped onto pods created for a Deployment.
 #[derive(Clone, Debug)]
 pub struct PodTemplate {
     /// Labels applied to created pods.
@@ -12,47 +12,25 @@ pub struct PodTemplate {
     pub spec: PodSpec,
 }
 
-/// A ReplicaSet keeps `replicas` matching pods alive.
-#[derive(Clone, Debug)]
-pub struct ReplicaSet {
-    /// Metadata.
-    pub meta: ObjectMeta,
-    /// Desired replica count.
-    pub replicas: u32,
-    /// Which pods this set owns.
-    pub selector: LabelSelector,
-    /// Template for new pods.
-    pub template: PodTemplate,
-    /// Observed ready replicas (status).
-    pub ready_replicas: u32,
-}
-
-/// A Deployment manages a ReplicaSet (single revision in this model —
-/// rollout strategies are out of scope for the paper's experiments).
+/// A Deployment keeps `replicas` pods from its template alive and owns
+/// them directly (single revision in this model — rollout strategies are
+/// out of scope for the paper's experiments).
 #[derive(Clone, Debug)]
 pub struct Deployment {
     /// Metadata.
     pub meta: ObjectMeta,
     /// Desired replica count.
     pub replicas: u32,
-    /// Pod selector.
-    pub selector: LabelSelector,
     /// Pod template.
     pub template: PodTemplate,
 }
 
 impl Deployment {
     /// Convenience constructor.
-    pub fn new(
-        meta: ObjectMeta,
-        replicas: u32,
-        selector: LabelSelector,
-        template: PodTemplate,
-    ) -> Self {
+    pub fn new(meta: ObjectMeta, replicas: u32, template: PodTemplate) -> Self {
         Deployment {
             meta,
             replicas,
-            selector,
             template,
         }
     }
@@ -68,13 +46,12 @@ mod tests {
         let d = Deployment::new(
             ObjectMeta::named("fn-matmul"),
             2,
-            LabelSelector::eq("app", "matmul"),
             PodTemplate {
                 meta: ObjectMeta::default().with_label("app", "matmul"),
                 spec: PodSpec::new(ImageRef::parse("matmul")),
             },
         );
         assert_eq!(d.replicas, 2);
-        assert!(d.selector.matches(&d.template.meta.labels));
+        assert_eq!(d.template.meta.labels["app"], "matmul");
     }
 }

@@ -4,14 +4,15 @@
 //! `Store::{get, list, filter}` hand out `Rc` snapshots, so a pass that
 //! walks pods pays reference counts, not copies, and a write drops its
 //! snapshot first so that it lands in place. Before, each read deep-copied
-//! what it returned: the ReplicaSet controller copied every pod it owns on
-//! every pass, and a `Pod` is a dozen heap objects.
+//! what it returned: the loop that keeps a Deployment's pods copied every
+//! pod it owns on every pass, and a `Pod` is a dozen heap objects.
 //!
-//! Measured over the window below (one pass each of the ReplicaSet,
-//! Endpoints and Deployment controllers and of the scheduler, all with
-//! nothing to do): 966 allocations at 100 pods and 9,073 at 1,000 with the
-//! deep-copying store (9,077 in a release build); 7 at either size with
-//! the sharing one, in debug and release alike.
+//! Measured over the window below (one pass each of the controllers and
+//! of the scheduler, all with nothing to do): 966 allocations at 100 pods
+//! and 9,073 at 1,000 with the deep-copying store (9,077 in a release
+//! build); 7 at either size with the sharing one, in debug and release
+//! alike, while a replica-set controller sat between the Deployment and
+//! its pods; 3 since the Deployment controller owns its pods directly.
 //!
 //! This file holds one test so that the counting allocator sees no other
 //! test's threads.
@@ -23,8 +24,8 @@ use swf_cluster::NodeId;
 use swf_container::{ImageRef, Registry, RegistryConfig};
 use swf_k8s::{
     ApiServer, Deployment, DeploymentController, Endpoint, Endpoints, EndpointsController,
-    LabelSelector, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec, PodTemplate, ReplicaSet,
-    ReplicaSetController, Scheduler, SchedulerConfig, Service,
+    LabelSelector, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec, PodTemplate, Scheduler,
+    SchedulerConfig, Service,
 };
 use swf_simcore::Sim;
 
@@ -60,11 +61,10 @@ const MANY_PODS: usize = 1_000;
 const MAY_ALLOCATE: usize = 16;
 
 /// An API server in a converged state: one Deployment at `pods` replicas,
-/// its ReplicaSet with every replica ready, the live labelled pods it owns
-/// spread over four nodes, and a Service whose Endpoints list them all.
+/// the live, ready, labelled pods it owns spread over four nodes, and a
+/// Service whose Endpoints list them all.
 fn converged(pods: usize) -> ApiServer {
     let api = ApiServer::default();
-    let selector = LabelSelector::eq("app", "fn");
     let template = PodTemplate {
         meta: ObjectMeta::default().with_label("app", "fn"),
         spec: PodSpec::new(ImageRef::parse("fn:v1")),
@@ -73,25 +73,16 @@ fn converged(pods: usize) -> ApiServer {
     let deployment = Deployment::new(
         ObjectMeta::named("fn-deployment"),
         replicas,
-        selector.clone(),
         template.clone(),
     );
     api.deployments().put("fn-deployment", deployment);
-    let rs = ReplicaSet {
-        meta: ObjectMeta::named("fn-deployment-rs").owned_by("fn-deployment"),
-        replicas,
-        selector: selector.clone(),
-        template: template.clone(),
-        ready_replicas: replicas,
-    };
-    api.replicasets().put("fn-deployment-rs", rs);
     let mut ready = Vec::new();
     for i in 0..pods {
         let name = format!("fn-deployment-rs-{i}");
         let meta = ObjectMeta::named(&name)
             .with_label("app", "fn")
             .with_label("serving.knative.dev/revision", "fn-00001")
-            .owned_by("fn-deployment-rs");
+            .owned_by("fn-deployment");
         let mut pod = Pod::new(meta, template.spec.clone());
         let endpoint = Endpoint {
             node: NodeId(1 + i % 4),
@@ -107,7 +98,7 @@ fn converged(pods: usize) -> ApiServer {
     ready.sort_by_key(|e| (e.node, e.port));
     let service = Service {
         meta: ObjectMeta::named("fn"),
-        selector,
+        selector: LabelSelector::eq("app", "fn"),
     };
     api.services().put("fn", service);
     let endpoints = Endpoints {
@@ -121,7 +112,6 @@ fn converged(pods: usize) -> ApiServer {
 /// Allocations of one idle pass of each controller and the scheduler.
 fn idle_pass_allocations(pods: usize) -> usize {
     let api = converged(pods);
-    let replicasets = ReplicaSetController::new(api.clone());
     let endpoints = EndpointsController::new(api.clone());
     let deployments = DeploymentController::new(api.clone());
     let nodes = (1..=4)
@@ -141,9 +131,8 @@ fn idle_pass_allocations(pods: usize) -> usize {
 
     Sim::new().block_on(async move {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        replicasets.reconcile().await;
+        deployments.reconcile().await;
         endpoints.reconcile();
-        deployments.reconcile();
         scheduler.schedule_pass().await;
         let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(api.pods().len(), pods);

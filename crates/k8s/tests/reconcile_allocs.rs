@@ -71,7 +71,7 @@ fn a_pass_over_dead_pods_copies_none_of_them() {
         let name = format!("fn-00001-deployment-rs-{i}");
         let meta = ObjectMeta::named(&name)
             .with_label("serving.knative.dev/revision", "fn-00001")
-            .owned_by("fn-00001-deployment-rs");
+            .owned_by("fn-00001-deployment");
         let mut pod = Pod::new(meta, PodSpec::new(image.clone()));
         pod.status.node = Some(node);
         pod.status.phase = PodPhase::Failed;

@@ -74,14 +74,12 @@ impl ServingController {
         if let Some(probe) = self.config.pod_probe {
             pod_spec = pod_spec.with_probe(probe);
         }
-        let selector = LabelSelector::eq(Revision::pod_label(), &rev.meta.name);
         let _ = self
             .k8s
             .api()
             .create_deployment(Deployment::new(
                 ObjectMeta::named(rev.deployment_name()),
                 rev.initial_scale,
-                selector.clone(),
                 PodTemplate {
                     meta: pod_labels,
                     spec: pod_spec,
@@ -93,7 +91,7 @@ impl ServingController {
             .api()
             .create_service(Service {
                 meta: ObjectMeta::named(rev.k8s_service_name()),
-                selector,
+                selector: LabelSelector::eq(Revision::pod_label(), &rev.meta.name),
             })
             .await;
     }

@@ -74,7 +74,7 @@ fn router_survives_pod_deletion_between_requests() {
             },
         )
         .await;
-        // Requests keep succeeding (ReplicaSet replaces the pod; the router
+        // Requests keep succeeding (its Deployment replaces the pod; the router
         // retries around endpoints that disappear mid-flight).
         for i in 0..6u8 {
             let resp = bed
@@ -128,7 +128,7 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
         .await;
         assert!(!bed.k8s.node_is_ready(victim_node));
         // Let the node controller fail the stranded pods, then wait for the
-        // ReplicaSet to replace them on healthy nodes.
+        // Deployment controller to replace them on healthy nodes.
         swf_simcore::sleep(secs(1.0)).await;
         bed.knative
             .wait_ready("resilient", 2, secs(600.0))
