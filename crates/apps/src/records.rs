@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use bytes::{BufMut, Bytes};
+use swf_workloads::codec::{cells, put_cells};
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -71,20 +72,6 @@ fn header(magic: &[u8; 4], count: usize, body: usize) -> Vec<u8> {
     buf.put_slice(magic);
     buf.put_u32_le(u32::try_from(count).unwrap_or(u32::MAX));
     buf
-}
-
-/// Append 8-byte cells in one pass over a buffer sized once.
-fn put_cells(buf: &mut Vec<u8>, cells: impl ExactSizeIterator<Item = [u8; 8]>) {
-    let start = buf.len();
-    buf.resize(start + cells.len() * 8, 0);
-    for (dst, cell) in buf[start..].as_chunks_mut::<8>().0.iter_mut().zip(cells) {
-        *dst = cell;
-    }
-}
-
-/// The 8-byte cells of a region whose length the caller validated.
-fn cells(region: &[u8]) -> impl Iterator<Item = [u8; 8]> + '_ {
-    region.as_chunks::<8>().0.iter().copied()
 }
 
 /// Validate a `magic, u32 count, count × 8 B` list; return its cells.

@@ -125,7 +125,9 @@ pub fn decode_payload(mut data: Bytes) -> Result<Vec<Bytes>, String> {
         return Err("payload too short".into());
     }
     let n = data.get_u32_le() as usize;
-    let mut out = Vec::with_capacity(n);
+    // Every item takes at least its 8-byte length, so a count the body
+    // cannot hold reserves no more than the body could.
+    let mut out = Vec::with_capacity(n.min(data.len() / 8));
     for i in 0..n {
         if data.len() < 8 {
             return Err(format!("payload truncated at item {i}"));
@@ -191,5 +193,13 @@ mod tests {
             b.freeze()
         };
         assert!(decode_payload(enc).is_err());
+    }
+
+    #[test]
+    fn huge_item_count_is_an_error_not_an_abort() {
+        // A count of u32::MAX items in a 4-byte body: reserving that many
+        // slots up front fails the allocation and aborts the process.
+        let err = decode_payload(Bytes::from_static(&[0xff; 4])).unwrap_err();
+        assert_eq!(err, "payload truncated at item 0");
     }
 }

@@ -3,10 +3,12 @@
 //! The paper's tasks read/write matrices as files; this codec is the wire
 //! and disk representation used across the simulated filesystems and HTTP
 //! payloads: magic `SWFM`, u32 rows, u32 cols, little-endian i64 entries.
+//! [`put_cells`] and [`cells`] write and read those 8-byte entries a slice
+//! at a time; `swf-apps`' record formats use the same two.
 
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::matrix::Matrix;
 
@@ -43,18 +45,31 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Append 8-byte cells in one pass over a buffer sized once.
+pub fn put_cells(buf: &mut Vec<u8>, cells: impl ExactSizeIterator<Item = [u8; 8]>) {
+    let start = buf.len();
+    buf.resize(start + cells.len() * 8, 0);
+    for (dst, cell) in buf[start..].as_chunks_mut::<8>().0.iter_mut().zip(cells) {
+        *dst = cell;
+    }
+}
+
+/// The 8-byte cells of a region whose length the caller validated (a
+/// trailing partial cell is not read).
+pub fn cells(region: &[u8]) -> impl Iterator<Item = [u8; 8]> + '_ {
+    region.as_chunks::<8>().0.iter().copied()
+}
+
 /// Encode a matrix.
 pub fn encode(m: &Matrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(m.as_slice().len().saturating_mul(8).saturating_add(12));
+    let mut buf = Vec::with_capacity(m.as_slice().len().saturating_mul(8).saturating_add(12));
     buf.put_slice(MAGIC);
     // A dimension past u32 saturates instead of wrapping into a different
     // shape; `decode`'s length check then refuses the payload.
     buf.put_u32_le(u32::try_from(m.rows()).unwrap_or(u32::MAX));
     buf.put_u32_le(u32::try_from(m.cols()).unwrap_or(u32::MAX));
-    for &v in m.as_slice() {
-        buf.put_i64_le(v);
-    }
-    buf.freeze()
+    put_cells(&mut buf, m.as_slice().iter().map(|v| v.to_le_bytes()));
+    Bytes::from(buf)
 }
 
 /// Decode a matrix.
@@ -77,10 +92,7 @@ pub fn decode(mut data: Bytes) -> Result<Matrix, CodecError> {
             actual: data.len(),
         });
     }
-    let mut v = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        v.push(data.get_i64_le());
-    }
+    let v = cells(&data).map(i64::from_le_bytes).collect();
     Ok(Matrix::from_vec(rows, cols, v))
 }
 
@@ -92,6 +104,7 @@ pub const fn encoded_size(r: usize, c: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
     use proptest::prelude::*;
     use swf_simcore::DetRng;
 
@@ -102,6 +115,24 @@ mod tests {
         let enc = encode(&m);
         assert_eq!(enc.len(), encoded_size(13, 7));
         assert_eq!(decode(enc).unwrap(), m);
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        // Round trips cannot see a layout change that encode and decode
+        // make together; these bytes can.
+        let m = Matrix::from_vec(1, 3, vec![-2, i64::MIN, 0x0102]);
+        #[rustfmt::skip]
+        let wire: &[u8] = &[
+            b'S', b'W', b'F', b'M',
+            1, 0, 0, 0,
+            3, 0, 0, 0,
+            0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            0, 0, 0, 0, 0, 0, 0, 0x80,
+            2, 1, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(&encode(&m)[..], wire);
+        assert_eq!(decode(Bytes::from_static(wire)).unwrap(), m);
     }
 
     #[test]

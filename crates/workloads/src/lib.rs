@@ -1,10 +1,12 @@
 //! # swf-workloads
 //!
 //! The paper's workload, for real: dense integer matrices (350×350, entries
-//! in [-100, 100]), two agreeing matmul kernels (naive / blocked), a binary
-//! codec for files and pass-by-value request payloads, workflow-shape
-//! generators (Fig. 3 chains, Fig. 4 concurrent sets with random
-//! environment assignment), and the compute-time model that charges
+//! in [-100, 100]), two matmul kernels that agree bit for bit (a naive
+//! triple loop, and a row-axpy loop the optimiser vectorises — AVX2 when
+//! the CPU has it), a binary codec for files and pass-by-value request
+//! payloads that reads and writes a slice of 8-byte cells at a time,
+//! workflow-shape generators (Fig. 3 chains, Fig. 4 concurrent sets with
+//! random environment assignment), and the compute-time model that charges
 //! virtual time for a task.
 
 #![warn(missing_docs)]

@@ -72,11 +72,6 @@ impl Matrix {
         &self.data
     }
 
-    /// One full row.
-    pub fn row(&self, r: usize) -> &[i64] {
-        &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Transpose.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -100,7 +95,6 @@ mod tests {
         assert_eq!(m.cols(), 3);
         assert_eq!(m.get(0, 2), 3);
         assert_eq!(m.get(1, 0), 4);
-        assert_eq!(m.row(1), &[4, 5, 6]);
     }
 
     #[test]
