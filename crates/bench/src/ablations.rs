@@ -203,13 +203,7 @@ fn ablate_routing(out: &mut AblationsResult) {
             );
             bed.knative.wait_ready("fn", 2, secs(600.0)).await.unwrap();
             // Saturate the first pod's node with foreign compute.
-            let rev = bed.knative.revisions().get("fn-00001").unwrap();
-            let eps = bed
-                .k8s
-                .api()
-                .endpoints()
-                .get(&rev.k8s_service_name())
-                .unwrap();
+            let eps = bed.knative.endpoints("fn").unwrap();
             let busy = bed.k8s.runtime(eps.ready[0].node).unwrap().node().clone();
             for _ in 0..busy.cores().capacity() {
                 let busy = busy.clone();

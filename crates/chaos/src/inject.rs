@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use swf_cluster::{LinkQuality, NodeId};
 use swf_core::TestBed;
-use swf_knative::Revision;
+use swf_knative::ksvc::SERVICE_LABEL;
 use swf_simcore::{now, sleep, DetRng, SimDuration, SimTime};
 
 use crate::plan::{FaultKind, FaultPlan};
@@ -221,14 +221,13 @@ impl Injector {
                 bed.condor.undrain_node(NodeId(*node));
             }
             FaultKind::PodKill { service } => {
-                // Kill the first (name-ordered) pod of the service's active
-                // revision; the Deployment controller replaces it.
-                let rev = format!("{service}-00001");
+                // Kill the first (name-ordered) pod of the service; the
+                // Deployment controller replaces it.
                 let victim = bed
                     .k8s
                     .api()
                     .pods()
-                    .filter(|p| p.meta.labels.get(Revision::pod_label()) == Some(&rev))
+                    .filter(|p| p.meta.labels.get(SERVICE_LABEL) == Some(service))
                     .into_iter()
                     .map(|p| p.meta.name.clone())
                     .next();
@@ -320,15 +319,14 @@ impl Injector {
             }
             FaultKind::ContainerCrash { service } => {
                 // Crash the backing container of the first (name-ordered)
-                // running pod of the service's active revision. The pod
-                // object stays; only a liveness probe brings it back.
-                let rev = format!("{service}-00001");
+                // running pod of the service. The pod object stays; only a
+                // liveness probe brings it back.
                 let victim = bed
                     .k8s
                     .api()
                     .pods()
                     .filter(|p| {
-                        p.meta.labels.get(Revision::pod_label()) == Some(&rev)
+                        p.meta.labels.get(SERVICE_LABEL) == Some(service)
                             && p.status.container.is_some()
                     })
                     .into_iter()

@@ -55,7 +55,7 @@ impl Cluster {
         let network = Network::new(config.network, config.nodes);
         let http = HttpStack::new(network.clone());
         // The shared filesystem lives on the submit node's disk.
-        let shared_fs = SimFs::new("shared-fs", Disk::standard_ssd("shared-fs-disk"));
+        let shared_fs = SimFs::new("shared-fs", Disk::standard_ssd());
         Cluster {
             nodes: Rc::new(nodes),
             network,

@@ -18,17 +18,17 @@ pub struct Disk {
 
 impl Disk {
     /// Disk with the given sequential bandwidth and per-op latency.
-    pub fn new(name: impl Into<String>, bandwidth: Rate, latency: SimDuration) -> Self {
+    pub fn new(bandwidth: Rate, latency: SimDuration) -> Self {
         Disk {
-            channel: Resource::new(name.into(), 1),
+            channel: Resource::new(1),
             bandwidth,
             latency,
         }
     }
 
     /// A typical datacenter SSD: 500 MB/s, 100 µs per op.
-    pub fn standard_ssd(name: impl Into<String>) -> Self {
-        Disk::new(name, Rate::mb_per_s(500.0), SimDuration::from_micros(100))
+    pub fn standard_ssd() -> Self {
+        Disk::new(Rate::mb_per_s(500.0), SimDuration::from_micros(100))
     }
 
     /// Charge virtual time for reading `bytes`.
@@ -57,7 +57,7 @@ mod tests {
     fn read_time_scales_with_size() {
         let sim = Sim::new();
         sim.block_on(async {
-            let d = Disk::new("d", Rate::mb_per_s(100.0), SimDuration::ZERO);
+            let d = Disk::new(Rate::mb_per_s(100.0), SimDuration::ZERO);
             let t = d.read(100_000_000).await;
             assert_eq!(t, secs(1.0));
             assert_eq!(now(), SimTime::ZERO + secs(1.0));
@@ -68,7 +68,7 @@ mod tests {
     fn latency_applies_per_op() {
         let sim = Sim::new();
         sim.block_on(async {
-            let d = Disk::new("d", Rate::mb_per_s(1e12), SimDuration::from_millis(5));
+            let d = Disk::new(Rate::mb_per_s(1e12), SimDuration::from_millis(5));
             d.read(10).await;
             d.write(10).await;
             assert_eq!(now(), SimTime::ZERO + SimDuration::from_millis(10));
@@ -79,7 +79,7 @@ mod tests {
     fn concurrent_ops_serialize() {
         let sim = Sim::new();
         sim.block_on(async {
-            let d = Disk::new("d", Rate::mb_per_s(100.0), SimDuration::ZERO);
+            let d = Disk::new(Rate::mb_per_s(100.0), SimDuration::ZERO);
             let handles: Vec<_> = (0..3)
                 .map(|_| {
                     let d = d.clone();

@@ -98,10 +98,7 @@ mod tests {
     use swf_simcore::{now, secs, Sim, SimDuration, SimTime};
 
     fn fast_fs() -> SimFs {
-        SimFs::new(
-            "t",
-            Disk::new("d", Rate::mb_per_s(100.0), SimDuration::ZERO),
-        )
+        SimFs::new("t", Disk::new(Rate::mb_per_s(100.0), SimDuration::ZERO))
     }
 
     #[test]

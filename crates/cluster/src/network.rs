@@ -98,8 +98,8 @@ impl Network {
             nics.insert(
                 NodeId(i),
                 Nic {
-                    egress: Resource::new(format!("nic-{i}-out"), 1),
-                    ingress: Resource::new(format!("nic-{i}-in"), 1),
+                    egress: Resource::new(1),
+                    ingress: Resource::new(1),
                 },
             );
         }

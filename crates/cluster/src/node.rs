@@ -42,10 +42,10 @@ impl Node {
     /// Build a node from a spec.
     pub fn new(id: NodeId, spec: NodeSpec) -> Self {
         let name = id.to_string();
-        let disk = Disk::standard_ssd(format!("{name}-disk"));
+        let disk = Disk::standard_ssd();
         Node {
             id,
-            cores: Resource::new(format!("{name}-cores"), spec.cores),
+            cores: Resource::new(spec.cores),
             memory: MemoryPool::new(name.clone(), spec.memory),
             local_fs: SimFs::new(format!("{name}-fs"), disk.clone()),
             disk,

@@ -74,7 +74,7 @@ impl Registry {
     /// Empty registry.
     pub fn new(config: RegistryConfig) -> Self {
         Registry {
-            egress: Resource::new("registry-egress", config.concurrent_streams),
+            egress: Resource::new(config.concurrent_streams),
             config,
             state: Rc::new(RefCell::new(State {
                 images: BTreeMap::new(),

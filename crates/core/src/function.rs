@@ -2,9 +2,9 @@
 //!
 //! A Pegasus transformation is wrapped in an HTTP event listener (the
 //! paper's Flask route) and registered with Knative *before* workflow
-//! execution, with autoscaling annotations controlling provisioning:
-//! `min-scale = N` pre-stages containers on N workers, `initial-scale = 0`
-//! defers downloads until the first invocation.
+//! execution as a KService whose typed scale settings control
+//! provisioning: `min-scale = N` pre-stages containers on N workers,
+//! `initial-scale = 0` defers downloads until the first invocation.
 
 use bytes::Bytes;
 

@@ -69,7 +69,6 @@ impl DeploymentController {
                     let meta = ObjectMeta {
                         name: format!("{d_name}-rs-{seq}"),
                         labels: d.template.meta.labels.clone(),
-                        annotations: d.template.meta.annotations.clone(),
                         owner: Some(d_name.to_string()),
                         ..Default::default()
                     };

@@ -9,8 +9,6 @@ pub struct ObjectMeta {
     pub name: String,
     /// Labels used by selectors.
     pub labels: BTreeMap<String, String>,
-    /// Annotations (e.g. Knative autoscaling knobs).
-    pub annotations: BTreeMap<String, String>,
     /// Name of the controller object that owns this one, if any.
     pub owner: Option<String>,
     /// Set when deletion has been requested; object is torn down async.
@@ -36,11 +34,6 @@ impl ObjectMeta {
     pub fn owned_by(mut self, owner: impl Into<String>) -> Self {
         self.owner = Some(owner.into());
         self
-    }
-
-    /// Read an annotation parsed as `T`.
-    pub fn annotation<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
-        self.annotations.get(key).and_then(|v| v.parse().ok())
     }
 }
 
@@ -83,19 +76,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_and_annotation_parse() {
-        let mut m = ObjectMeta::named("p")
+    fn builder_sets_name_labels_and_owner() {
+        let m = ObjectMeta::named("p")
             .with_label("app", "matmul")
             .owned_by("rs-1");
-        m.annotations
-            .insert("autoscaling.knative.dev/min-scale".into(), "3".into());
         assert_eq!(m.name, "p");
         assert_eq!(m.labels["app"], "matmul");
-        assert_eq!(
-            m.annotation::<u32>("autoscaling.knative.dev/min-scale"),
-            Some(3)
-        );
-        assert_eq!(m.annotation::<u32>("missing"), None);
         assert_eq!(m.owner.as_deref(), Some("rs-1"));
     }
 

@@ -14,7 +14,7 @@ use swf_k8s::Store;
 use swf_simcore::{now, sleep, SimTime};
 
 use crate::config::AutoscalerConfig;
-use crate::ksvc::Revision;
+use crate::ksvc::KService;
 use crate::metrics::MetricHub;
 
 /// One scaling decision (exposed for tests/ablations).
@@ -32,7 +32,7 @@ pub struct ScaleDecision {
 
 /// The autoscaler control loop.
 pub struct Autoscaler {
-    revisions: Store<Revision>,
+    ksvcs: Store<KService>,
     k8s: swf_k8s::K8s,
     hub: MetricHub,
     config: AutoscalerConfig,
@@ -43,13 +43,13 @@ pub struct Autoscaler {
 impl Autoscaler {
     /// New autoscaler.
     pub fn new(
-        revisions: Store<Revision>,
+        ksvcs: Store<KService>,
         k8s: swf_k8s::K8s,
         hub: MetricHub,
         config: AutoscalerConfig,
     ) -> Self {
         Autoscaler {
-            revisions,
+            ksvcs,
             k8s,
             hub,
             config,
@@ -65,19 +65,22 @@ impl Autoscaler {
         }
     }
 
-    /// One scaling pass over every revision.
+    /// One scaling pass over every service whose Deployment exists.
     pub async fn tick(&self) {
-        for rev in self.revisions.list() {
-            let decision = self.decide(&rev.meta.name, &rev);
-            let dep_name = rev.deployment_name();
-            if let Some(current) = self.replicas(&dep_name) {
-                if current != decision.desired {
-                    let _ = self
-                        .k8s
-                        .api()
-                        .scale_deployment(&dep_name, decision.desired)
-                        .await;
-                }
+        for ksvc in self.ksvcs.list() {
+            let deployment = ksvc.deployment_name();
+            // Not backed yet: no replicas to scale, and no demand to
+            // account before the serving controller creates them.
+            let Some(current) = self.replicas(&deployment) else {
+                continue;
+            };
+            let decision = self.decide(&ksvc, current);
+            if current != decision.desired {
+                let _ = self
+                    .k8s
+                    .api()
+                    .scale_deployment(&deployment, decision.desired)
+                    .await;
             }
         }
     }
@@ -90,18 +93,18 @@ impl Autoscaler {
             .read(|deployments| deployments.get(deployment).map(|d| d.replicas))
     }
 
-    /// Compute the decision for one revision (pure given metrics state).
-    pub fn decide(&self, rev_name: &str, rev: &Revision) -> ScaleDecision {
+    /// Compute the decision for one service at `current` replicas (pure
+    /// given metrics state).
+    pub fn decide(&self, ksvc: &KService, current: u32) -> ScaleDecision {
+        let rev_name = ksvc.revision();
         let stable = self
             .hub
-            .average_concurrency(rev_name, self.config.stable_window);
+            .average_concurrency(&rev_name, self.config.stable_window);
         let panic = self
             .hub
-            .average_concurrency(rev_name, self.config.panic_window);
-        let instant = self.hub.concurrency(rev_name);
-        let target = rev.target.max(0.01);
-
-        let current = self.replicas(&rev.deployment_name()).unwrap_or(0);
+            .average_concurrency(&rev_name, self.config.panic_window);
+        let instant = self.hub.concurrency(&rev_name);
+        let target = ksvc.target.max(0.01);
 
         let desired_stable = (stable / target).ceil() as u32;
         let desired_panic = (panic / target).ceil() as u32;
@@ -126,13 +129,13 @@ impl Autoscaler {
         if instant > 0.0 || stable > 0.0 {
             self.last_active
                 .borrow_mut()
-                .insert(rev_name.to_string(), now());
+                .insert(rev_name.clone(), now());
         }
         if desired == 0 && current > 0 {
             let last = self
                 .last_active
                 .borrow()
-                .get(rev_name)
+                .get(&rev_name)
                 .copied()
                 .unwrap_or(SimTime::ZERO);
             if now().since(last) < self.config.scale_to_zero_grace {
@@ -140,9 +143,9 @@ impl Autoscaler {
             }
         }
 
-        desired = desired.max(rev.min_scale);
-        if rev.max_scale > 0 {
-            desired = desired.min(rev.max_scale);
+        desired = desired.max(ksvc.min_scale);
+        if ksvc.max_scale > 0 {
+            desired = desired.min(ksvc.max_scale);
         }
 
         ScaleDecision {
@@ -164,7 +167,6 @@ mod tests {
 
     struct Rig {
         k8s: K8s,
-        revisions: Store<Revision>,
         hub: MetricHub,
     }
 
@@ -174,36 +176,23 @@ mod tests {
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
         let k8s = K8s::start(&cluster, registry, K8sConfig::default());
-        let ksvcs: Store<crate::ksvc::KService> = Store::new();
-        let revisions: Store<Revision> = Store::new();
+        let ksvcs: Store<KService> = Store::new();
         let hub = MetricHub::new();
         let config = crate::config::KnativeConfig::default();
-        spawn(
-            crate::serving::ServingController::new(
-                ksvcs.clone(),
-                revisions.clone(),
-                k8s.clone(),
-                config,
-            )
-            .run(),
-        );
+        spawn(crate::serving::ServingController::new(ksvcs.clone(), k8s.clone(), config).run());
         let autoscaler_cfg = AutoscalerConfig {
             stable_window: secs(10.0),
             panic_window: secs(2.0),
             scale_to_zero_grace: secs(5.0),
             ..AutoscalerConfig::default()
         };
-        spawn(Autoscaler::new(revisions.clone(), k8s.clone(), hub.clone(), autoscaler_cfg).run());
-        let ksvc = crate::ksvc::KService::new("fn", image)
+        spawn(Autoscaler::new(ksvcs.clone(), k8s.clone(), hub.clone(), autoscaler_cfg).run());
+        let ksvc = KService::new("fn", image)
             .with_min_scale(min_scale)
             .with_initial_scale(min_scale)
             .with_target(cc_target);
         ksvcs.put("fn", ksvc);
-        Rig {
-            k8s,
-            revisions,
-            hub,
-        }
+        Rig { k8s, hub }
     }
 
     fn replicas(rig: &Rig) -> u32 {
@@ -221,7 +210,7 @@ mod tests {
         sim.block_on(async {
             let rig = rig(0, 1.0);
             swf_simcore::sleep(secs(1.0)).await;
-            assert!(rig.revisions.contains("fn-00001"));
+            assert!(rig.k8s.api().deployments().contains("fn-00001-deployment"));
             // Hold 4 concurrent requests for a while.
             let guards: Vec<_> = (0..4).map(|_| rig.hub.start_request("fn-00001")).collect();
             swf_simcore::sleep(secs(15.0)).await;

@@ -4,8 +4,8 @@
 //! hammering a revision that keeps failing: after a run of consecutive
 //! transport-level failures the circuit **opens** and requests fast-fail
 //! without touching the network; once a virtual-time cooldown elapses the
-//! circuit goes **half-open** and admits a bounded number of probe
-//! requests — one success re-closes it, one failure re-opens it.
+//! circuit goes **half-open** and admits one probe request at a time —
+//! one success re-closes it, one failure re-opens it.
 //!
 //! The breaker sees *transport and overload* outcomes (connection resets,
 //! 503s, attempt timeouts). Application-level 500s count as successes:
@@ -26,16 +26,16 @@ pub struct BreakerConfig {
     pub failure_threshold: u32,
     /// How long an open circuit fast-fails before going half-open.
     pub cooldown: SimDuration,
-    /// Probe requests admitted concurrently while half-open.
-    pub half_open_probes: u32,
 }
+
+/// Probe requests admitted concurrently while half-open.
+const HALF_OPEN_PROBES: u32 = 1;
 
 impl Default for BreakerConfig {
     fn default() -> Self {
         BreakerConfig {
             failure_threshold: 0,
             cooldown: SimDuration::from_secs(10),
-            half_open_probes: 1,
         }
     }
 }
@@ -47,7 +47,6 @@ impl BreakerConfig {
         BreakerConfig {
             failure_threshold,
             cooldown,
-            half_open_probes: 1,
         }
     }
 
@@ -59,7 +58,7 @@ impl BreakerConfig {
 
 /// Breaker state, in the classic closed → open → half-open cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BreakerState {
+enum BreakerState {
     /// Normal operation; counting consecutive failures.
     Closed,
     /// Fast-failing until the cooldown elapses.
@@ -85,7 +84,6 @@ pub struct CircuitBreaker {
     consecutive_failures: Cell<u32>,
     open_until: Cell<SimTime>,
     probes_inflight: Cell<u32>,
-    trips: Cell<u64>,
 }
 
 impl CircuitBreaker {
@@ -97,19 +95,7 @@ impl CircuitBreaker {
             consecutive_failures: Cell::new(0),
             open_until: Cell::new(SimTime::from_nanos(0)),
             probes_inflight: Cell::new(0),
-            trips: Cell::new(0),
         }
-    }
-
-    /// Current state (open circuits report `HalfOpen` once cooled down).
-    pub fn state(&self) -> BreakerState {
-        self.refresh();
-        self.state.get()
-    }
-
-    /// Times the circuit has opened.
-    pub fn trips(&self) -> u64 {
-        self.trips.get()
     }
 
     /// Ask to send a request. `Ok` carries a permit that must be resolved;
@@ -123,7 +109,7 @@ impl CircuitBreaker {
             BreakerState::Closed => Ok(Permit { probe: false }),
             BreakerState::Open => Err(self.open_until.get() - now()),
             BreakerState::HalfOpen => {
-                if self.probes_inflight.get() < self.config.half_open_probes {
+                if self.probes_inflight.get() < HALF_OPEN_PROBES {
                     self.probes_inflight.set(self.probes_inflight.get() + 1);
                     Ok(Permit { probe: true })
                 } else {
@@ -175,7 +161,6 @@ impl CircuitBreaker {
         self.state.set(BreakerState::Open);
         self.open_until.set(now() + self.config.cooldown);
         self.consecutive_failures.set(0);
-        self.trips.set(self.trips.get() + 1);
         swf_obs::current().counter_add("knative.breaker_trips", 1);
     }
 
@@ -193,23 +178,43 @@ mod tests {
     use super::*;
     use swf_simcore::{secs, sleep, Sim};
 
+    /// A simulation recording into an enabled collector, which counts the
+    /// breaker's trips.
+    fn sim() -> (Sim, swf_obs::InstallGuard) {
+        (Sim::new(), swf_obs::install(swf_obs::Obs::enabled()))
+    }
+
+    /// Times a circuit has opened, as the collector counted them.
+    fn trips() -> u64 {
+        swf_obs::current()
+            .metrics()
+            .counter("knative.breaker_trips")
+            .unwrap_or(0)
+    }
+
+    /// Current state (open circuits report `HalfOpen` once cooled down).
+    fn state(b: &CircuitBreaker) -> BreakerState {
+        b.refresh();
+        b.state.get()
+    }
+
     #[test]
     fn disabled_breaker_never_trips() {
-        let sim = Sim::new();
+        let (sim, _installed) = sim();
         sim.block_on(async {
             let b = CircuitBreaker::new(BreakerConfig::default());
             for _ in 0..100 {
                 let p = b.admit().unwrap();
                 b.record(p, false);
             }
-            assert_eq!(b.state(), BreakerState::Closed);
-            assert_eq!(b.trips(), 0);
+            assert_eq!(state(&b), BreakerState::Closed);
+            assert_eq!(trips(), 0);
         });
     }
 
     #[test]
     fn consecutive_failures_open_then_cooldown_half_opens() {
-        let sim = Sim::new();
+        let (sim, _installed) = sim();
         sim.block_on(async {
             let b = CircuitBreaker::new(BreakerConfig::enabled(3, secs(10.0)));
             // Two failures then a success: counter resets, still closed.
@@ -219,25 +224,25 @@ mod tests {
             }
             let p = b.admit().unwrap();
             b.record(p, true);
-            assert_eq!(b.state(), BreakerState::Closed);
+            assert_eq!(state(&b), BreakerState::Closed);
             // Three straight failures trip it.
             for _ in 0..3 {
                 let p = b.admit().unwrap();
                 b.record(p, false);
             }
-            assert_eq!(b.state(), BreakerState::Open);
-            assert_eq!(b.trips(), 1);
+            assert_eq!(state(&b), BreakerState::Open);
+            assert_eq!(trips(), 1);
             let wait = b.admit().unwrap_err();
             assert_eq!(wait, secs(10.0));
             // Cooldown elapses on the virtual clock.
             sleep(secs(10.0)).await;
-            assert_eq!(b.state(), BreakerState::HalfOpen);
+            assert_eq!(state(&b), BreakerState::HalfOpen);
         });
     }
 
     #[test]
     fn half_open_probe_success_closes_failure_reopens() {
-        let sim = Sim::new();
+        let (sim, _installed) = sim();
         sim.block_on(async {
             let b = CircuitBreaker::new(BreakerConfig::enabled(1, secs(5.0)));
             let p = b.admit().unwrap();
@@ -247,12 +252,12 @@ mod tests {
             let probe = b.admit().unwrap();
             assert!(b.admit().is_err(), "second probe must be rejected");
             b.record(probe, false);
-            assert_eq!(b.state(), BreakerState::Open);
-            assert_eq!(b.trips(), 2);
+            assert_eq!(state(&b), BreakerState::Open);
+            assert_eq!(trips(), 2);
             sleep(secs(5.0)).await;
             let probe = b.admit().unwrap();
             b.record(probe, true);
-            assert_eq!(b.state(), BreakerState::Closed);
+            assert_eq!(state(&b), BreakerState::Closed);
             // Closed again: normal admits flow.
             let p = b.admit().unwrap();
             b.record(p, true);
@@ -261,7 +266,7 @@ mod tests {
 
     #[test]
     fn cancel_releases_a_probe_slot() {
-        let sim = Sim::new();
+        let (sim, _installed) = sim();
         sim.block_on(async {
             let b = CircuitBreaker::new(BreakerConfig::enabled(1, secs(1.0)));
             let p = b.admit().unwrap();
@@ -272,9 +277,9 @@ mod tests {
             b.cancel(probe);
             // Slot released; a new probe is admitted and still half-open.
             let probe = b.admit().unwrap();
-            assert_eq!(b.state(), BreakerState::HalfOpen);
+            assert_eq!(state(&b), BreakerState::HalfOpen);
             b.record(probe, true);
-            assert_eq!(b.state(), BreakerState::Closed);
+            assert_eq!(state(&b), BreakerState::Closed);
         });
     }
 }

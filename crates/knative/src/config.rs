@@ -16,8 +16,6 @@ pub struct AutoscalerConfig {
     pub panic_threshold: f64,
     /// Keep the last pod for this long after concurrency reaches zero.
     pub scale_to_zero_grace: SimDuration,
-    /// Default per-pod concurrency target when a revision specifies none.
-    pub default_target: f64,
 }
 
 impl Default for AutoscalerConfig {
@@ -28,7 +26,6 @@ impl Default for AutoscalerConfig {
             panic_window: SimDuration::from_secs(6),
             panic_threshold: 2.0,
             scale_to_zero_grace: SimDuration::from_secs(30),
-            default_target: 1.0,
         }
     }
 }
@@ -110,15 +107,6 @@ impl Default for KnativeConfig {
     }
 }
 
-/// Annotation key: minimum replica count (pre-staging).
-pub const MIN_SCALE_ANNOTATION: &str = "autoscaling.knative.dev/min-scale";
-/// Annotation key: replica count at revision creation (0 defers downloads).
-pub const INITIAL_SCALE_ANNOTATION: &str = "autoscaling.knative.dev/initial-scale";
-/// Annotation key: per-pod concurrency target.
-pub const TARGET_ANNOTATION: &str = "autoscaling.knative.dev/target";
-/// Annotation key: maximum replica count.
-pub const MAX_SCALE_ANNOTATION: &str = "autoscaling.knative.dev/max-scale";
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,7 +116,6 @@ mod tests {
         let a = AutoscalerConfig::default();
         assert_eq!(a.stable_window, SimDuration::from_secs(60));
         assert_eq!(a.scale_to_zero_grace, SimDuration::from_secs(30));
-        assert_eq!(a.default_target, 1.0);
         assert!(a.panic_threshold > 1.0);
         let k = KnativeConfig::default();
         assert_eq!(k.invoke_retry.attempts(), 8);

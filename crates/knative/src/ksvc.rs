@@ -1,18 +1,27 @@
-//! Knative Services and Revisions.
+//! Knative Services: the one object the platform keeps per function.
 
-use swf_container::{ImageRef, ResourceLimits};
-use swf_k8s::ObjectMeta;
+use std::rc::Rc;
 
-use crate::config::{
-    INITIAL_SCALE_ANNOTATION, MAX_SCALE_ANNOTATION, MIN_SCALE_ANNOTATION, TARGET_ANNOTATION,
-};
+use swf_cluster::Request;
+use swf_container::{ImageRef, ResourceLimits, Workload};
+use swf_simcore::SimDuration;
 
-/// A Knative Service: the user-facing object. Creating one materializes a
-/// Revision, a Kubernetes Deployment and a routable endpoint.
-#[derive(Clone, Debug)]
+/// Builds a workload from a request: the simulated analogue of the
+/// paper's Flask route calling the matmul code.
+pub type Handler = Rc<dyn Fn(&Request) -> Workload>;
+
+/// Pod label naming the revision a pod serves, `{service}-00001`.
+pub const REVISION_LABEL: &str = "serving.knative.dev/revision";
+/// Pod label naming the KService a pod serves.
+pub const SERVICE_LABEL: &str = "serving.knative.dev/service";
+
+/// A Knative Service: everything the platform knows about one registered
+/// function. The serving controller backs it with a Kubernetes Deployment
+/// and Service, named after its one revision.
+#[derive(Clone)]
 pub struct KService {
-    /// Metadata; autoscaling annotations live here.
-    pub meta: ObjectMeta,
+    /// Service name, unique per platform.
+    pub name: String,
     /// Function container image.
     pub image: ImageRef,
     /// Maximum concurrent requests per container (0 = unlimited,
@@ -20,16 +29,36 @@ pub struct KService {
     pub container_concurrency: u32,
     /// Resource requests/limits of each function pod.
     pub resources: ResourceLimits,
+    /// `autoscaling.knative.dev/min-scale`: floor on replicas; `N`
+    /// pre-stages the image on `N` workers.
+    pub min_scale: u32,
+    /// `autoscaling.knative.dev/initial-scale`: replicas at creation
+    /// before the `min_scale` floor (Knative's default 1; 0 defers the
+    /// download to the first request).
+    pub initial_scale: u32,
+    /// `autoscaling.knative.dev/target`: per-pod concurrency the
+    /// autoscaler aims for.
+    pub target: f64,
+    /// `autoscaling.knative.dev/max-scale`: cap on replicas (0 = uncapped).
+    pub max_scale: u32,
+    /// The function. [`Knative::register`](crate::Knative::register) sets
+    /// it; until then every request fails.
+    pub handler: Handler,
 }
 
 impl KService {
-    /// Service with default annotations.
+    /// Service with Knative's default scale settings and no function.
     pub fn new(name: impl Into<String>, image: ImageRef) -> Self {
         KService {
-            meta: ObjectMeta::named(name),
+            name: name.into(),
             image,
             container_concurrency: 0,
             resources: ResourceLimits::default(),
+            min_scale: 0,
+            initial_scale: 1,
+            target: 1.0,
+            max_scale: 0,
+            handler: Rc::new(unregistered),
         }
     }
 
@@ -47,109 +76,56 @@ impl KService {
 
     /// Set `autoscaling.knative.dev/min-scale` (builder style).
     pub fn with_min_scale(mut self, n: u32) -> Self {
-        self.meta
-            .annotations
-            .insert(MIN_SCALE_ANNOTATION.into(), n.to_string());
+        self.min_scale = n;
         self
     }
 
     /// Set `autoscaling.knative.dev/initial-scale` (builder style).
     pub fn with_initial_scale(mut self, n: u32) -> Self {
-        self.meta
-            .annotations
-            .insert(INITIAL_SCALE_ANNOTATION.into(), n.to_string());
+        self.initial_scale = n;
         self
     }
 
     /// Set `autoscaling.knative.dev/target` (builder style).
     pub fn with_target(mut self, target: f64) -> Self {
-        self.meta
-            .annotations
-            .insert(TARGET_ANNOTATION.into(), target.to_string());
+        self.target = target;
         self
     }
 
     /// Set `autoscaling.knative.dev/max-scale` (builder style).
     pub fn with_max_scale(mut self, n: u32) -> Self {
-        self.meta
-            .annotations
-            .insert(MAX_SCALE_ANNOTATION.into(), n.to_string());
+        self.max_scale = n;
         self
     }
-}
 
-/// A materialized revision of a KService.
-#[derive(Clone, Debug)]
-pub struct Revision {
-    /// Metadata (name = `<ksvc>-00001`).
-    pub meta: ObjectMeta,
-    /// Owning KService name.
-    pub service: String,
-    /// Image deployed.
-    pub image: ImageRef,
-    /// Per-container concurrency limit (0 = unlimited).
-    pub container_concurrency: u32,
-    /// Floor on replicas.
-    pub min_scale: u32,
-    /// Replicas at creation.
-    pub initial_scale: u32,
-    /// Per-pod concurrency target for the autoscaler.
-    pub target: f64,
-    /// Cap on replicas (0 = uncapped).
-    pub max_scale: u32,
-    /// Pod resources.
-    pub resources: ResourceLimits,
-}
+    /// Replicas the Deployment starts with: `initial-scale`, raised to
+    /// `min-scale`.
+    pub(crate) fn initial_replicas(&self) -> u32 {
+        self.initial_scale.max(self.min_scale)
+    }
 
-impl Revision {
-    /// Derive the revision from a KService, applying annotation defaults.
-    pub fn from_service(ksvc: &KService, default_target: f64) -> Self {
-        let min_scale = ksvc
-            .meta
-            .annotation::<u32>(MIN_SCALE_ANNOTATION)
-            .unwrap_or(0);
-        // Knative defaults initial-scale to 1 (a revision starts one pod
-        // unless explicitly deferred to 0).
-        let initial_scale = ksvc
-            .meta
-            .annotation::<u32>(INITIAL_SCALE_ANNOTATION)
-            .unwrap_or(1)
-            .max(min_scale);
-        let target = ksvc
-            .meta
-            .annotation::<f64>(TARGET_ANNOTATION)
-            .unwrap_or(default_target);
-        let max_scale = ksvc
-            .meta
-            .annotation::<u32>(MAX_SCALE_ANNOTATION)
-            .unwrap_or(0);
-        Revision {
-            meta: ObjectMeta::named(format!("{}-00001", ksvc.meta.name)).owned_by(&ksvc.meta.name),
-            service: ksvc.meta.name.clone(),
-            image: ksvc.image.clone(),
-            container_concurrency: ksvc.container_concurrency,
-            min_scale,
-            initial_scale,
-            target,
-            max_scale,
-            resources: ksvc.resources,
-        }
+    /// The service's one revision, `{name}-00001`: its pods'
+    /// [`REVISION_LABEL`], the key of its demand metrics, circuit breaker
+    /// and balancer, and the name its spans carry. Every other name of the
+    /// service's backing objects is built from it.
+    pub(crate) fn revision(&self) -> String {
+        format!("{}-00001", self.name)
     }
 
     /// Name of the backing Kubernetes Deployment.
-    pub fn deployment_name(&self) -> String {
-        format!("{}-deployment", self.meta.name)
+    pub(crate) fn deployment_name(&self) -> String {
+        format!("{}-deployment", self.revision())
     }
 
-    /// Name of the backing Kubernetes Service (endpoints source).
-    pub fn k8s_service_name(&self) -> String {
-        format!("{}-private", self.meta.name)
+    /// Name of the backing Kubernetes Service, and of its endpoints.
+    pub(crate) fn endpoints_name(&self) -> String {
+        format!("{}-private", self.revision())
     }
+}
 
-    /// The label selecting this revision's pods.
-    pub fn pod_label() -> &'static str {
-        "serving.knative.dev/revision"
-    }
+/// The handler of a service built but not registered.
+fn unregistered(_: &Request) -> Workload {
+    Workload::new(SimDuration::ZERO, || Err("no handler registered".into()))
 }
 
 #[cfg(test)]
@@ -157,36 +133,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_annotations_flow_into_revision() {
+    fn builders_set_the_typed_scale_settings() {
         let ksvc = KService::new("matmul", ImageRef::parse("hpc/matmul"))
             .with_container_concurrency(1)
             .with_min_scale(3)
             .with_target(2.0)
             .with_max_scale(8);
-        let rev = Revision::from_service(&ksvc, 1.0);
-        assert_eq!(rev.meta.name, "matmul-00001");
-        assert_eq!(rev.service, "matmul");
-        assert_eq!(rev.container_concurrency, 1);
-        assert_eq!(rev.min_scale, 3);
-        assert_eq!(rev.initial_scale, 3); // floored by min-scale
-        assert_eq!(rev.target, 2.0);
-        assert_eq!(rev.max_scale, 8);
-        assert_eq!(rev.deployment_name(), "matmul-00001-deployment");
+        assert_eq!(ksvc.container_concurrency, 1);
+        assert_eq!(ksvc.min_scale, 3);
+        assert_eq!(ksvc.initial_replicas(), 3); // floored by min-scale
+        assert_eq!(ksvc.target, 2.0);
+        assert_eq!(ksvc.max_scale, 8);
+        assert_eq!(ksvc.revision(), "matmul-00001");
+        assert_eq!(ksvc.deployment_name(), "matmul-00001-deployment");
+        assert_eq!(ksvc.endpoints_name(), "matmul-00001-private");
     }
 
     #[test]
     fn initial_scale_zero_defers_downloads() {
         let ksvc = KService::new("m", ImageRef::parse("i")).with_initial_scale(0);
-        let rev = Revision::from_service(&ksvc, 1.0);
-        assert_eq!(rev.initial_scale, 0);
-        assert_eq!(rev.min_scale, 0);
+        assert_eq!(ksvc.initial_replicas(), 0);
+        assert_eq!(ksvc.min_scale, 0);
+        // The min-scale floor applies whichever builder runs last.
+        assert_eq!(ksvc.with_min_scale(2).initial_replicas(), 2);
     }
 
     #[test]
-    fn default_initial_scale_is_one() {
+    fn defaults_are_knatives() {
         let ksvc = KService::new("m", ImageRef::parse("i"));
-        let rev = Revision::from_service(&ksvc, 1.0);
-        assert_eq!(rev.initial_scale, 1);
-        assert_eq!(rev.target, 1.0);
+        assert_eq!(ksvc.initial_replicas(), 1);
+        assert_eq!(ksvc.target, 1.0);
+        assert_eq!(ksvc.max_scale, 0);
+    }
+
+    #[test]
+    fn an_unregistered_service_fails_every_request() {
+        let ksvc = KService::new("m", ImageRef::parse("i"));
+        let workload = (ksvc.handler)(&Request::post("/", bytes::Bytes::new()));
+        assert_eq!(workload.compute, SimDuration::ZERO);
+        assert_eq!((workload.run)().unwrap_err(), "no handler registered");
     }
 }

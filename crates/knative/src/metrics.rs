@@ -11,8 +11,9 @@ use std::rc::Rc;
 
 use swf_simcore::{now, SimDuration, SimTime};
 
+/// One revision's demand.
 #[derive(Default)]
-struct RevisionMetric {
+struct Demand {
     /// Requests currently being served by queue-proxies.
     in_flight: u64,
     /// Requests buffered at the activator (count toward demand).
@@ -28,7 +29,7 @@ struct RevisionMetric {
 /// Shared metric collector.
 #[derive(Clone, Default)]
 pub struct MetricHub {
-    revisions: Rc<RefCell<BTreeMap<String, RevisionMetric>>>,
+    revisions: Rc<RefCell<BTreeMap<String, Demand>>>,
 }
 
 /// RAII guard for one in-flight request.
@@ -49,7 +50,7 @@ impl MetricHub {
         Self::default()
     }
 
-    fn with<R>(&self, revision: &str, f: impl FnOnce(&mut RevisionMetric) -> R) -> R {
+    fn with<R>(&self, revision: &str, f: impl FnOnce(&mut Demand) -> R) -> R {
         let mut map = self.revisions.borrow_mut();
         if let Some(m) = map.get_mut(revision) {
             return f(m);
@@ -57,7 +58,7 @@ impl MetricHub {
         f(map.entry(revision.to_string()).or_default())
     }
 
-    fn record_sample(m: &mut RevisionMetric) {
+    fn record_sample(m: &mut Demand) {
         let c = (m.in_flight + m.buffered) as f64;
         debug_assert!(
             m.samples.back().is_none_or(|&(t, _)| t <= now()),

@@ -1,15 +1,16 @@
 //! Platform assembly: one call boots serving, autoscaling, pod servers and
 //! routing on top of a running Kubernetes control plane.
 
+use std::rc::Rc;
+
 use swf_cluster::{Cluster, NodeId, Request, Response};
-use swf_k8s::Store;
+use swf_k8s::{Endpoints, Store};
 use swf_simcore::{spawn, SimDuration};
 
 use crate::autoscaler::Autoscaler;
 use crate::config::KnativeConfig;
 use crate::error::KnativeError;
-use crate::handlers::{Handler, HandlerRegistry};
-use crate::ksvc::{KService, Revision};
+use crate::ksvc::{Handler, KService};
 use crate::metrics::MetricHub;
 use crate::pod_server::PodServers;
 use crate::router::Router;
@@ -19,9 +20,6 @@ use crate::serving::ServingController;
 #[derive(Clone)]
 pub struct Knative {
     ksvcs: Store<KService>,
-    revisions: Store<Revision>,
-    handlers: HandlerRegistry,
-    hub: MetricHub,
     router: Router,
     k8s: swf_k8s::K8s,
 }
@@ -30,25 +28,14 @@ impl Knative {
     /// Boot the platform over `k8s`, spawning all control loops.
     pub fn start(cluster: &Cluster, k8s: swf_k8s::K8s, config: KnativeConfig) -> Knative {
         let ksvcs: Store<KService> = Store::new();
-        let revisions: Store<Revision> = Store::new();
-        let handlers = HandlerRegistry::new();
         let hub = MetricHub::new();
-        spawn(ServingController::new(ksvcs.clone(), revisions.clone(), k8s.clone(), config).run());
-        spawn(
-            Autoscaler::new(
-                revisions.clone(),
-                k8s.clone(),
-                hub.clone(),
-                config.autoscaler,
-            )
-            .run(),
-        );
+        spawn(ServingController::new(ksvcs.clone(), k8s.clone(), config).run());
+        spawn(Autoscaler::new(ksvcs.clone(), k8s.clone(), hub.clone(), config.autoscaler).run());
         spawn(
             PodServers::new(
                 k8s.clone(),
                 cluster.http().clone(),
-                revisions.clone(),
-                handlers.clone(),
+                ksvcs.clone(),
                 hub.clone(),
                 config.data_plane,
             )
@@ -57,26 +44,19 @@ impl Knative {
         let router = Router::new(
             k8s.clone(),
             cluster.http().clone(),
-            revisions.clone(),
-            hub.clone(),
+            ksvcs.clone(),
+            hub,
             config,
         );
-        Knative {
-            ksvcs,
-            revisions,
-            handlers,
-            hub,
-            router,
-            k8s,
-        }
+        Knative { ksvcs, router, k8s }
     }
 
-    /// Register a KService together with its function handler — the paper's
+    /// Register a KService with its function handler — the paper's
     /// pre-execution registration step ("task registration with the
     /// serverless system was done manually before the execution").
     pub fn register(&self, ksvc: KService, handler: Handler) {
-        self.handlers.register(&ksvc.meta.name, handler);
-        self.ksvcs.put(ksvc.meta.name.clone(), ksvc);
+        self.ksvcs
+            .put(ksvc.name.clone(), KService { handler, ..ksvc });
     }
 
     /// Register with a plain closure handler.
@@ -85,8 +65,7 @@ impl Knative {
         ksvc: KService,
         f: impl Fn(&Request) -> swf_container::Workload + 'static,
     ) {
-        self.handlers.register_fn(&ksvc.meta.name, f);
-        self.ksvcs.put(ksvc.meta.name.clone(), ksvc);
+        self.register(ksvc, Rc::new(f));
     }
 
     /// Synchronously invoke a function from `from`.
@@ -99,57 +78,29 @@ impl Knative {
         self.router.invoke(from, service, request).await
     }
 
-    /// Wait until the service has at least `n` ready pods (also waits for
-    /// the serving controller to materialize the revision first).
+    /// Wait until the service has at least `n` ready pods. A name that was
+    /// never registered fails at once.
     pub async fn wait_ready(
         &self,
         service: &str,
         n: usize,
         deadline: SimDuration,
     ) -> Result<(), KnativeError> {
-        let rev_name = format!("{service}-00001");
-        let revisions = self.revisions.clone();
-        let wait_rev = async {
-            let mut w = revisions.watch();
-            loop {
-                if let Some(rev) = revisions.get(&rev_name) {
-                    return rev;
-                }
-                w.changed().await;
-            }
-        };
-        let rev = match swf_simcore::timeout(deadline, wait_rev).await {
-            Ok(rev) => rev,
-            Err(_) => return Err(KnativeError::ServiceNotFound(service.to_string())),
-        };
+        let ksvc = self
+            .ksvcs
+            .get(service)
+            .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))?;
         self.k8s
-            .wait_endpoints(&rev.k8s_service_name(), n, deadline)
+            .wait_endpoints(&ksvc.endpoints_name(), n, deadline)
             .await
             .map_err(Into::into)
     }
 
-    /// Current ready pod count of a service.
-    pub fn ready_pods(&self, service: &str) -> usize {
-        self.revisions
-            .get(&format!("{service}-00001"))
-            .and_then(|rev| self.k8s.api().endpoints().get(&rev.k8s_service_name()))
-            .map(|e| e.ready.len())
-            .unwrap_or(0)
-    }
-
-    /// The metric hub (demand accounting).
-    pub fn metrics(&self) -> &MetricHub {
-        &self.hub
-    }
-
-    /// The circuit breaker guarding a revision (created on first use).
-    pub fn breaker(&self, revision: &str) -> std::rc::Rc<crate::breaker::CircuitBreaker> {
-        self.router.breaker(revision)
-    }
-
-    /// The revision store.
-    pub fn revisions(&self) -> &Store<Revision> {
-        &self.revisions
+    /// The endpoints of a registered service, once the serving controller
+    /// has created them.
+    pub fn endpoints(&self, service: &str) -> Option<Rc<Endpoints>> {
+        let ksvc = self.ksvcs.get(service)?;
+        self.k8s.api().endpoints().get(&ksvc.endpoints_name())
     }
 
     /// The underlying orchestrator handle.
@@ -208,7 +159,7 @@ mod tests {
                 KService::new("matmul", image.clone()).with_initial_scale(0),
             );
             swf_simcore::sleep(secs(1.0)).await;
-            assert_eq!(kn.ready_pods("matmul"), 0);
+            assert_eq!(kn.endpoints("matmul").unwrap().ready.len(), 0);
             let t0 = now();
             let resp = kn
                 .invoke(
@@ -324,7 +275,7 @@ mod tests {
             let responses = swf_simcore::join_all(handles).await;
             assert!(responses.iter().all(|r| r.is_success()));
             // The burst forced scale-out beyond the single warm pod.
-            assert!(kn.ready_pods("matmul") > 1);
+            assert!(kn.endpoints("matmul").unwrap().ready.len() > 1);
         });
     }
 
@@ -357,14 +308,7 @@ mod tests {
                 },
             );
             kn.wait_ready("fn", 2, secs(600.0)).await.unwrap();
-            let eps = {
-                let rev = kn.revisions().get("fn-00001").unwrap();
-                kn.k8s()
-                    .api()
-                    .endpoints()
-                    .get(&rev.k8s_service_name())
-                    .unwrap()
-            };
+            let eps = kn.endpoints("fn").unwrap();
             assert_eq!(eps.ready.len(), 2);
             let (busy_node, idle_node) = (eps.ready[0].node, eps.ready[1].node);
             // Saturate every core of the busy node with foreign work.
@@ -595,6 +539,8 @@ mod tests {
     /// attempts fast-fail without touching the network.
     #[test]
     fn sustained_overload_trips_the_breaker() {
+        let obs = swf_obs::Obs::enabled();
+        let _installed = swf_obs::install(obs.clone());
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
@@ -631,22 +577,31 @@ mod tests {
             assert!(results
                 .iter()
                 .any(|r| matches!(r, Err(KnativeError::Overloaded { .. }))));
-            let b = kn.breaker("slow-00001");
-            assert!(b.trips() >= 1, "breaker must have tripped");
-            assert_ne!(b.state(), crate::breaker::BreakerState::Closed);
         });
+        let metrics = obs.metrics();
+        let trips = metrics.counter("knative.breaker_trips").unwrap_or(0);
+        let fast_fails = metrics.counter("knative.breaker_fast_fail").unwrap_or(0);
+        assert!(trips >= 1, "breaker must have tripped");
+        assert!(fast_fails >= 1, "an open circuit must fast-fail");
     }
 
+    /// A name that was never registered is refused at the instant of the
+    /// call: the invocation, and the readiness wait without spending its
+    /// deadline.
     #[test]
-    fn unknown_service_errors() {
+    fn an_unregistered_name_fails_at_once() {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, _image) = boot();
+            let t0 = now();
             let err = kn
                 .invoke(NodeId(0), "ghost", Request::post("/", Bytes::new()))
                 .await
                 .unwrap_err();
             assert!(matches!(err, KnativeError::ServiceNotFound(_)));
+            let err = kn.wait_ready("ghost", 1, secs(300.0)).await.unwrap_err();
+            assert!(matches!(err, KnativeError::ServiceNotFound(_)));
+            assert_eq!(now(), t0);
         });
     }
 

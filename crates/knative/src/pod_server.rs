@@ -1,6 +1,6 @@
-//! Queue-proxy manager: one request handler per ready revision pod.
+//! Queue-proxy manager: one request handler per ready function pod.
 //!
-//! Each revision pod gets a queue-proxy, bound as the listener at the pod's
+//! Each function pod gets a queue-proxy, bound as the listener at the pod's
 //! HTTP port: it enforces `containerConcurrency` with a FIFO semaphore,
 //! reports in-flight metrics to the autoscaler, and execs the function
 //! workload inside the pod's container. This is where the paper's
@@ -18,16 +18,14 @@ use swf_simcore::sync::Semaphore;
 use swf_simcore::{sleep, SimDuration};
 
 use crate::config::DataPlaneConfig;
-use crate::handlers::{Handler, HandlerRegistry};
-use crate::ksvc::Revision;
+use crate::ksvc::{Handler, KService, SERVICE_LABEL};
 use crate::metrics::MetricHub;
 
-/// Watches revision pods and binds a queue-proxy at each routable one.
+/// Watches function pods and binds a queue-proxy at each routable one.
 pub struct PodServers {
     k8s: swf_k8s::K8s,
     http: HttpStack,
-    revisions: Store<Revision>,
-    handlers: HandlerRegistry,
+    ksvcs: Store<KService>,
     hub: MetricHub,
     config: DataPlaneConfig,
     /// Pods with a bound queue-proxy, by name, and the address it listens at.
@@ -39,16 +37,14 @@ impl PodServers {
     pub fn new(
         k8s: swf_k8s::K8s,
         http: HttpStack,
-        revisions: Store<Revision>,
-        handlers: HandlerRegistry,
+        ksvcs: Store<KService>,
         hub: MetricHub,
         config: DataPlaneConfig,
     ) -> Self {
         PodServers {
             k8s,
             http,
-            revisions,
-            handlers,
+            ksvcs,
             hub,
             config,
             serving: BTreeMap::new(),
@@ -86,7 +82,7 @@ impl PodServers {
     fn bind_new(&mut self) {
         let candidates = self.k8s.api().pods().filter(|p| {
             p.is_routable()
-                && p.meta.labels.contains_key(Revision::pod_label())
+                && p.meta.labels.contains_key(SERVICE_LABEL)
                 && !self.serving.contains_key(&p.meta.name)
         });
         for pod in candidates {
@@ -103,15 +99,14 @@ impl PodServers {
 
     /// The queue-proxy for `pod`, or `None` while it cannot serve yet.
     fn queue_proxy(&self, pod: &Pod) -> Option<QueueProxy> {
-        let rev_name = pod.meta.labels.get(Revision::pod_label())?;
-        let revision = self.revisions.get(rev_name)?;
+        let ksvc = self.ksvcs.get(pod.meta.labels.get(SERVICE_LABEL)?)?;
         let node = pod.status.node?;
         pod.status.container?;
         let runtime = self.k8s.runtime(node)?.clone();
-        let cc = if revision.container_concurrency == 0 {
+        let cc = if ksvc.container_concurrency == 0 {
             usize::MAX / 2
         } else {
-            revision.container_concurrency as usize
+            ksvc.container_concurrency as usize
         };
         // The queue-proxy breaker: `cc` requests in service plus
         // `queue_depth` waiting; past that, new arrivals are shed with a
@@ -127,9 +122,9 @@ impl PodServers {
             hub: self.hub.clone(),
             overhead: self.config.queue_proxy_overhead,
             runtime,
-            handler: self.handlers.get(&revision.service),
-            rev_name: rev_name.clone(),
-            service: revision.service.clone(),
+            handler: ksvc.handler.clone(),
+            rev_name: ksvc.revision(),
+            service: ksvc.name.clone(),
             pod_name: pod.meta.name.clone(),
             gate: Semaphore::new(cc),
             capacity,
@@ -144,7 +139,7 @@ struct QueueProxy {
     hub: MetricHub,
     overhead: SimDuration,
     runtime: ContainerRuntime,
-    handler: Option<Handler>,
+    handler: Handler,
     rev_name: String,
     service: String,
     pod_name: String,
@@ -208,12 +203,6 @@ impl QueueProxy {
         container: Option<swf_container::ContainerId>,
         request: &Request,
     ) -> Response {
-        let Some(handler) = &self.handler else {
-            return Response {
-                status: 404,
-                body: bytes::Bytes::from(format!("no handler for {}", self.service)),
-            };
-        };
         let Some(container) = container else {
             // Mid-restart: the pod currently has no backing container.
             return Response {
@@ -221,7 +210,7 @@ impl QueueProxy {
                 body: bytes::Bytes::from(format!("no backing container for {}", self.service)),
             };
         };
-        let workload = handler(request);
+        let workload = (self.handler)(request);
         match self.runtime.exec(container, workload).await {
             // The function itself failed: a real 500, never retried.
             Err(swf_container::ContainerError::TaskFailed(e)) => Response {
@@ -249,8 +238,17 @@ mod tests {
     use swf_k8s::{K8s, K8sConfig};
     use swf_simcore::{secs, spawn, Sim};
 
-    /// Boot k8s + serving + pod servers and one ready KService pod.
-    fn boot(cc: u32) -> (Sim, Rc<RefCell<Option<Env>>>) {
+    /// The paper's function shape: echo the body after 0.458 s of compute.
+    fn echo() -> Handler {
+        Rc::new(|req| {
+            let body = req.body.clone();
+            Workload::new(secs(0.458), move || Ok(body))
+        })
+    }
+
+    /// Boot k8s + serving + pod servers and one ready pod of an `echo`
+    /// KService running `handler`.
+    fn boot(cc: u32, handler: Handler) -> (Sim, Rc<RefCell<Option<Env>>>) {
         let sim = Sim::new();
         let out = Rc::new(RefCell::new(None));
         let out2 = Rc::clone(&out);
@@ -260,39 +258,22 @@ mod tests {
             let image = ImageRef::parse("fn:v1");
             registry.push(Image::python_scientific(image.clone(), 1));
             let k8s = K8s::start(&cluster, registry, K8sConfig::default());
-            let ksvcs: Store<crate::ksvc::KService> = Store::new();
-            let revisions: Store<Revision> = Store::new();
-            let handlers = HandlerRegistry::new();
+            let ksvcs: Store<KService> = Store::new();
             let hub = MetricHub::new();
             let config = crate::config::KnativeConfig::default();
-            spawn(
-                crate::serving::ServingController::new(
-                    ksvcs.clone(),
-                    revisions.clone(),
-                    k8s.clone(),
-                    config,
-                )
-                .run(),
-            );
+            spawn(crate::serving::ServingController::new(ksvcs.clone(), k8s.clone(), config).run());
             let ps = PodServers::new(
                 k8s.clone(),
                 cluster.http().clone(),
-                revisions.clone(),
-                handlers.clone(),
+                ksvcs.clone(),
                 hub.clone(),
                 config.data_plane,
             );
             spawn(ps.run());
-            handlers.register_fn("echo", |req| {
-                let body = req.body.clone();
-                Workload::new(secs(0.458), move || Ok(body))
-            });
-            ksvcs.put(
-                "echo",
-                crate::ksvc::KService::new("echo", image)
-                    .with_min_scale(1)
-                    .with_container_concurrency(cc),
-            );
+            let ksvc = KService::new("echo", image)
+                .with_min_scale(1)
+                .with_container_concurrency(cc);
+            ksvcs.put("echo", KService { handler, ..ksvc });
             k8s.wait_endpoints("echo-00001-private", 1, secs(120.0))
                 .await
                 .unwrap();
@@ -309,7 +290,7 @@ mod tests {
 
     #[test]
     fn warm_pod_serves_requests_with_container_reuse() {
-        let (sim, env) = boot(0);
+        let (sim, env) = boot(0, echo());
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
@@ -345,7 +326,7 @@ mod tests {
 
     #[test]
     fn container_concurrency_one_serializes() {
-        let (sim, env) = boot(1);
+        let (sim, env) = boot(1, echo());
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
@@ -376,7 +357,7 @@ mod tests {
 
     #[test]
     fn unlimited_concurrency_overlaps_requests() {
-        let (sim, env) = boot(0);
+        let (sim, env) = boot(0, echo());
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
@@ -402,6 +383,39 @@ mod tests {
             let elapsed = (swf_simcore::now() - t0).as_secs_f64();
             // Node has 8 cores: the three 0.458s tasks overlap.
             assert!(elapsed < 1.0, "elapsed {elapsed}");
+        });
+    }
+
+    /// The queue-proxy runs the service's own handler on each request:
+    /// the workload it builds from the request is what the pod executes.
+    #[test]
+    fn the_pod_runs_the_workload_the_handler_builds() {
+        let handler: Handler = Rc::new(|req| {
+            let n = req.body.len();
+            Workload::new(secs(0.1), move || Ok(Bytes::from(vec![n as u8])))
+        });
+        let (sim, env) = boot(0, handler);
+        let env2 = Rc::clone(&env);
+        sim.block_on(async move {
+            let e = env2.borrow_mut().take().unwrap();
+            let eps = e.k8s.api().endpoints().get("echo-00001-private").unwrap();
+            let ep = eps.ready[0];
+            let t0 = swf_simcore::now();
+            let resp = e
+                .cluster
+                .http()
+                .request(
+                    NodeId(0),
+                    ep.node,
+                    ep.port,
+                    Request::post("/", Bytes::from_static(b"abc")),
+                )
+                .await
+                .unwrap();
+            assert_eq!(&resp.body[..], &[3]);
+            // The handler's compute is charged, plus the proxy overhead.
+            let elapsed = (swf_simcore::now() - t0).as_secs_f64();
+            assert!((0.1..0.15).contains(&elapsed), "elapsed {elapsed}");
         });
     }
 }

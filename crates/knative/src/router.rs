@@ -1,6 +1,6 @@
 //! Ingress router + activator.
 //!
-//! Warm path: resolve the revision's ready endpoints, round-robin, forward.
+//! Warm path: resolve the service's ready endpoints, round-robin, forward.
 //! Cold path (no endpoints): buffer the request at the activator — the
 //! buffered demand counts toward autoscaler concurrency — poke the
 //! Deployment to at least one replica, wait for an endpoint, then forward.
@@ -17,7 +17,7 @@ use swf_simcore::{millis, sleep, timeout, DetRng, Elapsed, SimDuration};
 use crate::breaker::CircuitBreaker;
 use crate::config::KnativeConfig;
 use crate::error::KnativeError;
-use crate::ksvc::Revision;
+use crate::ksvc::{KService, SERVICE_LABEL};
 use crate::metrics::MetricHub;
 
 /// How the router chooses among ready endpoints.
@@ -39,7 +39,7 @@ const COLD_START_DEADLINE: SimDuration = SimDuration::from_secs(300);
 pub struct Router {
     k8s: swf_k8s::K8s,
     http: HttpStack,
-    revisions: Store<Revision>,
+    ksvcs: Store<KService>,
     hub: MetricHub,
     config: KnativeConfig,
     balancers: Rc<RefCell<BTreeMap<String, RoundRobin>>>,
@@ -53,14 +53,14 @@ impl Router {
     pub fn new(
         k8s: swf_k8s::K8s,
         http: HttpStack,
-        revisions: Store<Revision>,
+        ksvcs: Store<KService>,
         hub: MetricHub,
         config: KnativeConfig,
     ) -> Self {
         Router {
             k8s,
             http,
-            revisions,
+            ksvcs,
             hub,
             config,
             balancers: Rc::new(RefCell::new(BTreeMap::new())),
@@ -70,20 +70,13 @@ impl Router {
     }
 
     /// The circuit breaker guarding a revision (created on first use).
-    pub fn breaker(&self, revision: &str) -> Rc<CircuitBreaker> {
+    fn breaker(&self, revision: &str) -> Rc<CircuitBreaker> {
         Rc::clone(
             self.breakers
                 .borrow_mut()
                 .entry(revision.to_string())
                 .or_insert_with(|| Rc::new(CircuitBreaker::new(self.config.breaker))),
         )
-    }
-
-    /// Resolve the single active revision of a KService.
-    pub fn active_revision(&self, service: &str) -> Result<Rc<Revision>, KnativeError> {
-        self.revisions
-            .get(&format!("{service}-00001"))
-            .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))
     }
 
     /// Invoke `service` from `from`, synchronously returning the response.
@@ -112,9 +105,13 @@ impl Router {
         }
         obs.counter_add("knative.invocations", 1);
         let t0 = swf_simcore::now();
-        let revision = self.active_revision(service)?;
-        let eps_name = revision.k8s_service_name();
-        let breaker = self.breaker(&revision.meta.name);
+        let ksvc = self
+            .ksvcs
+            .get(service)
+            .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))?;
+        let revision = ksvc.revision();
+        let eps_name = ksvc.endpoints_name();
+        let breaker = self.breaker(&revision);
         let mut attempts = 0;
         // Whether the final failed attempt was an overload signal (503 or
         // open circuit); every retryable match arm below assigns it.
@@ -160,7 +157,7 @@ impl Router {
                 match self.config.routing {
                     RoutingPolicy::RoundRobin => {
                         let mut balancers = self.balancers.borrow_mut();
-                        let rr = balancers.entry(revision.meta.name.clone()).or_default();
+                        let rr = balancers.entry(revision.clone()).or_default();
                         rr.pick(&eps)
                     }
                     RoutingPolicy::LeastLoaded => self.pick_least_loaded(&eps),
@@ -258,7 +255,7 @@ impl Router {
                     // forwarding attempt was made, so the permit is
                     // released without a breaker transition.
                     breaker.cancel(permit);
-                    self.activate(&revision, span.ctx()).await?;
+                    self.activate(&ksvc, &revision, span.ctx()).await?;
                 }
             }
         }
@@ -280,30 +277,31 @@ impl Router {
     /// wait for at least one ready endpoint.
     async fn activate(
         &self,
-        revision: &Revision,
+        ksvc: &KService,
+        revision: &str,
         parent: swf_obs::SpanContext,
     ) -> Result<(), KnativeError> {
         let obs = swf_obs::current();
         let cold = obs.span(
             parent,
             "knative/activator",
-            format!("cold-wait:{}", revision.meta.name),
+            format!("cold-wait:{revision}"),
             swf_obs::Category::ColdStart,
         );
         obs.counter_add("knative.cold_starts", 1);
         let t_cold = swf_simcore::now();
-        let _buffered = self.hub.buffer_request(&revision.meta.name);
+        let _buffered = self.hub.buffer_request(revision);
         sleep(self.config.data_plane.activator_latency).await;
         // Poke: ensure the deployment wants at least one replica without
         // waiting for the next autoscaler tick (Knative's activator sends
         // a scale-up hint to the autoscaler).
-        let dep = revision.deployment_name();
+        let dep = ksvc.deployment_name();
         let current = self.k8s.api().deployments().get(&dep).map(|d| d.replicas);
         if current == Some(0) {
-            let floor = revision.min_scale.max(1);
+            let floor = ksvc.min_scale.max(1);
             let _ = self.k8s.api().scale_deployment(&dep, floor).await;
         }
-        let eps_name = revision.k8s_service_name();
+        let eps_name = ksvc.endpoints_name();
         let wait = self.k8s.wait_endpoints(&eps_name, 1, COLD_START_DEADLINE);
         match timeout(COLD_START_DEADLINE, wait).await {
             Ok(Ok(())) => {
@@ -313,12 +311,11 @@ impl Router {
                 );
                 // Causally link the wait to the pod boot(s) it waited on.
                 if !cold.ctx().is_none() {
-                    let rev_name = revision.meta.name.clone();
                     for pod in self
                         .k8s
                         .api()
                         .pods()
-                        .filter(|p| p.meta.labels.get(Revision::pod_label()) == Some(&rev_name))
+                        .filter(|p| p.meta.labels.get(SERVICE_LABEL) == Some(&ksvc.name))
                     {
                         let anchor = obs.anchor(&format!("pod/{}", pod.meta.name));
                         obs.link_from(cold.ctx(), anchor);
@@ -327,7 +324,7 @@ impl Router {
                 Ok(())
             }
             Ok(Err(e)) => Err(KnativeError::K8s(e.to_string())),
-            Err(Elapsed) => Err(KnativeError::ColdStartTimeout(revision.service.clone())),
+            Err(Elapsed) => Err(KnativeError::ColdStartTimeout(ksvc.name.clone())),
         }
     }
 }

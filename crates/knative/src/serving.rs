@@ -1,75 +1,54 @@
-//! The serving controller: KService → Revision → Deployment + Service.
+//! The serving controller: each KService gets a Deployment and a Service.
 
 use swf_k8s::{Deployment, LabelSelector, ObjectMeta, PodSpec, PodTemplate, Service, Store};
-use swf_simcore::race;
 
 use crate::config::KnativeConfig;
-use crate::ksvc::{KService, Revision};
+use crate::ksvc::{KService, REVISION_LABEL, SERVICE_LABEL};
 
-/// Reconciles KServices into revisions and Kubernetes objects.
+/// Backs every KService with its Kubernetes objects.
 pub struct ServingController {
     ksvcs: Store<KService>,
-    revisions: Store<Revision>,
     k8s: swf_k8s::K8s,
     config: KnativeConfig,
 }
 
 impl ServingController {
-    /// New controller over the given stores.
-    pub fn new(
-        ksvcs: Store<KService>,
-        revisions: Store<Revision>,
-        k8s: swf_k8s::K8s,
-        config: KnativeConfig,
-    ) -> Self {
-        ServingController {
-            ksvcs,
-            revisions,
-            k8s,
-            config,
-        }
+    /// New controller over the KService store.
+    pub fn new(ksvcs: Store<KService>, k8s: swf_k8s::K8s, config: KnativeConfig) -> Self {
+        ServingController { ksvcs, k8s, config }
     }
 
     /// Run forever.
     pub async fn run(self) {
         let mut ksvcs = self.ksvcs.watch();
-        let mut revisions = self.revisions.watch();
         loop {
             self.reconcile().await;
-            race(ksvcs.changed(), revisions.changed()).await;
+            ksvcs.changed().await;
         }
     }
 
-    /// One pass.
-    pub async fn reconcile(&self) {
-        // Materialize revisions and their Kubernetes backing.
+    /// One pass: create the Deployment and Service of every KService whose
+    /// Deployment does not exist yet.
+    async fn reconcile(&self) {
         for ksvc in self.ksvcs.list() {
-            let rev_name = format!("{}-00001", ksvc.meta.name);
-            if !self.revisions.contains(&rev_name) {
-                let rev = Revision::from_service(&ksvc, self.config.autoscaler.default_target);
-                self.materialize(&rev).await;
-                self.revisions.put(rev_name, rev);
-            }
-        }
-        // Tear down revisions whose KService is gone.
-        for rev in self.revisions.list() {
-            if !self.ksvcs.contains(&rev.service) {
-                let _ = self
-                    .k8s
-                    .api()
-                    .delete_deployment(&rev.deployment_name())
-                    .await;
-                self.revisions.delete(&rev.meta.name);
+            if !self
+                .k8s
+                .api()
+                .deployments()
+                .contains(&ksvc.deployment_name())
+            {
+                self.materialize(&ksvc).await;
             }
         }
     }
 
-    async fn materialize(&self, rev: &Revision) {
+    async fn materialize(&self, ksvc: &KService) {
+        let revision = ksvc.revision();
         let pod_labels = ObjectMeta::default()
-            .with_label(Revision::pod_label(), &rev.meta.name)
-            .with_label("serving.knative.dev/service", &rev.service);
-        let mut pod_spec = PodSpec::new(rev.image.clone())
-            .with_resources(rev.resources)
+            .with_label(REVISION_LABEL, &revision)
+            .with_label(SERVICE_LABEL, &ksvc.name);
+        let mut pod_spec = PodSpec::new(ksvc.image.clone())
+            .with_resources(ksvc.resources)
             .with_readiness_delay(self.config.data_plane.app_boot);
         if let Some(probe) = self.config.pod_probe {
             pod_spec = pod_spec.with_probe(probe);
@@ -78,8 +57,8 @@ impl ServingController {
             .k8s
             .api()
             .create_deployment(Deployment::new(
-                ObjectMeta::named(rev.deployment_name()),
-                rev.initial_scale,
+                ObjectMeta::named(ksvc.deployment_name()),
+                ksvc.initial_replicas(),
                 PodTemplate {
                     meta: pod_labels,
                     spec: pod_spec,
@@ -90,8 +69,8 @@ impl ServingController {
             .k8s
             .api()
             .create_service(Service {
-                meta: ObjectMeta::named(rev.k8s_service_name()),
-                selector: LabelSelector::eq(Revision::pod_label(), &rev.meta.name),
+                meta: ObjectMeta::named(ksvc.endpoints_name()),
+                selector: LabelSelector::eq(REVISION_LABEL, revision),
             })
             .await;
     }
@@ -105,35 +84,25 @@ mod tests {
     use swf_k8s::{K8s, K8sConfig};
     use swf_simcore::{secs, sleep, spawn, Sim};
 
-    fn boot() -> (swf_k8s::K8s, Store<KService>, Store<Revision>, ImageRef) {
+    fn boot() -> (swf_k8s::K8s, Store<KService>, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());
         let registry = Registry::new(RegistryConfig::default());
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
         let k8s = K8s::start(&cluster, registry, K8sConfig::default());
         let ksvcs: Store<KService> = Store::new();
-        let revisions: Store<Revision> = Store::new();
-        spawn(
-            ServingController::new(
-                ksvcs.clone(),
-                revisions.clone(),
-                k8s.clone(),
-                KnativeConfig::default(),
-            )
-            .run(),
-        );
-        (k8s, ksvcs, revisions, image)
+        spawn(ServingController::new(ksvcs.clone(), k8s.clone(), KnativeConfig::default()).run());
+        (k8s, ksvcs, image)
     }
 
     #[test]
     fn kservice_materializes_deployment_and_service() {
         let sim = Sim::new();
         sim.block_on(async {
-            let (k8s, ksvcs, revisions, image) = boot();
+            let (k8s, ksvcs, image) = boot();
             let ksvc = KService::new("matmul", image).with_min_scale(2);
             ksvcs.put("matmul", ksvc);
             sleep(secs(1.0)).await;
-            assert!(revisions.contains("matmul-00001"));
             let dep = k8s
                 .api()
                 .deployments()
@@ -152,30 +121,15 @@ mod tests {
     fn initial_scale_zero_creates_no_pods() {
         let sim = Sim::new();
         sim.block_on(async {
-            let (k8s, ksvcs, _revisions, image) = boot();
+            let (k8s, ksvcs, image) = boot();
             ksvcs.put("lazy", KService::new("lazy", image).with_initial_scale(0));
             sleep(secs(5.0)).await;
+            assert!(k8s.api().deployments().contains("lazy-00001-deployment"));
             assert_eq!(k8s.api().pods().len(), 0);
             // Deferred download: nothing pulled anywhere.
             for n in k8s.schedulable_nodes() {
                 assert!(!k8s.registry().is_cached(n, &ImageRef::parse("fn:v1")));
             }
-        });
-    }
-
-    #[test]
-    fn deleting_kservice_cascades() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let (k8s, ksvcs, revisions, image) = boot();
-            ksvcs.put("m", KService::new("m", image));
-            sleep(secs(30.0)).await;
-            assert!(revisions.contains("m-00001"));
-            ksvcs.delete("m");
-            sleep(secs(30.0)).await;
-            assert!(!revisions.contains("m-00001"));
-            assert!(!k8s.api().deployments().contains("m-00001-deployment"));
-            assert_eq!(k8s.api().pods().len(), 0);
         });
     }
 }

@@ -31,7 +31,7 @@ fn polls_for_one_pod_write(pods: u32) -> u64 {
         kn.wait_ready("echo", pods as usize, secs(300.0))
             .await
             .unwrap();
-        assert_eq!(kn.ready_pods("echo"), pods as usize);
+        assert_eq!(kn.endpoints("echo").unwrap().ready.len(), pods as usize);
         sleep(secs(5.0)).await;
         let api = k8s.api();
         let name = api.pods().list()[0].meta.name.clone();

@@ -1,10 +1,8 @@
 //! A capacity-`k` FIFO service station.
 //!
-//! This wraps [`Semaphore`] with a name and a timed `serve`. It is the
+//! This wraps [`Semaphore`] with a timed `serve`. It is the
 //! standard building block for modelled hardware: CPU cores, disk channels,
 //! network links, registry bandwidth.
-
-use std::rc::Rc;
 
 use crate::executor::{now, sleep};
 use crate::sync::semaphore::{Permit, Semaphore};
@@ -13,7 +11,6 @@ use crate::time::SimDuration;
 /// FIFO resource with `capacity` parallel servers.
 #[derive(Clone)]
 pub struct Resource {
-    name: Rc<str>,
     sem: Semaphore,
 }
 
@@ -23,17 +20,11 @@ pub struct Claim {
 }
 
 impl Resource {
-    /// Create a named resource with `capacity` servers.
-    pub fn new(name: impl Into<String>, capacity: usize) -> Self {
+    /// Create a resource with `capacity` servers.
+    pub fn new(capacity: usize) -> Self {
         Resource {
-            name: Rc::from(name.into()),
             sem: Semaphore::new(capacity),
         }
-    }
-
-    /// The resource's diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Total server count.
@@ -44,11 +35,6 @@ impl Resource {
     /// Servers currently free.
     pub fn available(&self) -> usize {
         self.sem.available()
-    }
-
-    /// Requests waiting in the FIFO queue.
-    pub fn queue_len(&self) -> usize {
-        self.sem.queue_len()
     }
 
     /// Acquire one server, FIFO behind earlier requests.
@@ -81,7 +67,7 @@ mod tests {
     fn serve_serializes_on_single_server() {
         let sim = Sim::new();
         let waits = sim.block_on(async {
-            let r = Resource::new("disk", 1);
+            let r = Resource::new(1);
             let handles: Vec<_> = (0..3)
                 .map(|_| {
                     let r = r.clone();
@@ -97,7 +83,7 @@ mod tests {
     fn acquire_claim_holds_until_drop() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = Resource::new("slot", 1);
+            let r = Resource::new(1);
             let c = r.acquire().await;
             assert_eq!(r.available(), 0);
             drop(c);

@@ -87,7 +87,7 @@ proptest! {
     fn resource_is_fifo(n in 1usize..25, cap in 1usize..4) {
         let sim = Sim::new();
         let order = sim.block_on(async move {
-            let r = Resource::new("r", cap);
+            let r = Resource::new(cap);
             let order = Rc::new(RefCell::new(Vec::new()));
             let handles: Vec<_> = (0..n)
                 .map(|i| {

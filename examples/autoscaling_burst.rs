@@ -10,8 +10,13 @@ use bytes::Bytes;
 use swf_cluster::{NodeId, Request};
 use swf_container::Workload;
 use swf_core::{harness, ExperimentConfig};
-use swf_knative::KService;
+use swf_knative::{KService, Knative};
 use swf_simcore::{join_all, now, secs, sleep, spawn};
+
+/// Ready pods of the `burst` service.
+fn ready_pods(kn: &Knative) -> usize {
+    kn.endpoints("burst").map_or(0, |e| e.ready.len())
+}
 
 fn main() {
     harness::run(&ExperimentConfig::quick(), async |bed| {
@@ -28,7 +33,7 @@ fn main() {
             .wait_ready("burst", 1, secs(600.0))
             .await
             .unwrap();
-        println!("[{}] warm pods: {}", now(), bed.knative.ready_pods("burst"));
+        println!("[{}] warm pods: {}", now(), ready_pods(&bed.knative));
 
         // Fire 16 concurrent requests at one cc=1 pod.
         let t0 = now();
@@ -53,7 +58,7 @@ fn main() {
                 let mut peak = 0usize;
                 for _ in 0..40 {
                     sleep(secs(0.5)).await;
-                    let pods = kn.ready_pods("burst");
+                    let pods = ready_pods(&kn);
                     peak = peak.max(pods);
                 }
                 peak
@@ -72,7 +77,7 @@ fn main() {
 
         // Let the scale-to-zero grace pass; min-scale floors at 1.
         sleep(secs(60.0)).await;
-        let settled = bed.knative.ready_pods("burst");
+        let settled = ready_pods(&bed.knative);
         println!(
             "[{}] settled pods after grace: {settled} (min-scale floor)",
             now()

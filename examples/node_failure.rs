@@ -24,11 +24,8 @@ fn main() {
         bed.knative.wait_ready("svc", 2, secs(600.0)).await.unwrap();
 
         let placement = |bed: &TestBed| -> Vec<NodeId> {
-            let rev = bed.knative.revisions().get("svc-00001").unwrap();
-            bed.k8s
-                .api()
-                .endpoints()
-                .get(&rev.k8s_service_name())
+            bed.knative
+                .endpoints("svc")
                 .unwrap()
                 .ready
                 .iter()

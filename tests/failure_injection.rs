@@ -86,7 +86,7 @@ fn router_survives_pod_deletion_between_requests() {
         }
         // The deployment heals back to min-scale.
         swf_simcore::sleep(secs(60.0)).await;
-        assert!(bed.knative.ready_pods("svc") >= 2);
+        assert!(bed.knative.endpoints("svc").unwrap().ready.len() >= 2);
     });
 }
 
@@ -134,18 +134,14 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
             .wait_ready("resilient", 2, secs(600.0))
             .await
             .unwrap();
-        let endpoints_nodes: Vec<_> = {
-            let rev = bed.knative.revisions().get("resilient-00001").unwrap();
-            bed.k8s
-                .api()
-                .endpoints()
-                .get(&rev.k8s_service_name())
-                .unwrap()
-                .ready
-                .iter()
-                .map(|e| e.node)
-                .collect()
-        };
+        let endpoints_nodes: Vec<_> = bed
+            .knative
+            .endpoints("resilient")
+            .unwrap()
+            .ready
+            .iter()
+            .map(|e| e.node)
+            .collect();
         assert!(
             !endpoints_nodes.contains(&victim_node),
             "no routable endpoint may remain on the dead node"
