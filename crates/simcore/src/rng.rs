@@ -101,6 +101,19 @@ impl DetRng {
         lo.wrapping_add(self.rng.below(hi.wrapping_sub(lo) as u64) as i64)
     }
 
+    /// Uniform integer in `[lo, hi]` (i64), `hi == i64::MAX` included.
+    /// Wherever `hi + 1` fits, the same draw as `uniform_i64(lo, hi + 1)`;
+    /// the full-width range takes 64 raw bits.
+    pub fn uniform_i64_inclusive(&mut self, lo: i64, hi: i64) -> i64 {
+        if hi < lo {
+            return lo;
+        }
+        match (hi.wrapping_sub(lo) as u64).checked_add(1) {
+            Some(width) => lo.wrapping_add(self.rng.below(width) as i64),
+            None => self.rng.next_u64() as i64,
+        }
+    }
+
     /// Exponential with the given mean.
     pub fn exponential(&mut self, mean: f64) -> f64 {
         if mean <= 0.0 {
@@ -187,6 +200,37 @@ mod tests {
             assert!(r.index(4) < 4);
         }
         assert!((i64::MIN..i64::MAX).contains(&r.uniform_i64(i64::MIN, i64::MAX)));
+    }
+
+    #[test]
+    fn inclusive_draws_match_exclusive_ones_below_i64_max() {
+        for (lo, hi) in [
+            (-100, 100),
+            (5, 5),
+            (i64::MIN, i64::MAX - 1),
+            (-3, i64::MAX - 1),
+        ] {
+            let mut inclusive = DetRng::new(3, "inclusive");
+            let mut exclusive = DetRng::new(3, "inclusive");
+            for _ in 0..64 {
+                let x = inclusive.uniform_i64_inclusive(lo, hi);
+                assert_eq!(x, exclusive.uniform_i64(lo, hi + 1));
+                assert!((lo..=hi).contains(&x));
+            }
+        }
+        // Ranges ending at `i64::MAX`: the full width is the raw stream.
+        let mut r = DetRng::new(3, "inclusive");
+        let mut raw = Xoshiro256::seeded(3 ^ hash_label("inclusive").rotate_left(17));
+        for _ in 0..64 {
+            assert_eq!(
+                r.uniform_i64_inclusive(i64::MIN, i64::MAX),
+                raw.next_u64() as i64
+            );
+        }
+        let tops: Vec<i64> = (0..64)
+            .map(|_| r.uniform_i64_inclusive(i64::MAX - 1, i64::MAX))
+            .collect();
+        assert!(tops.contains(&i64::MAX) && tops.contains(&(i64::MAX - 1)));
     }
 
     #[test]

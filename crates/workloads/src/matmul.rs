@@ -1,11 +1,25 @@
 //! Matrix multiplication kernels.
 //!
-//! Two implementations of the paper's task: a naive triple loop (the
-//! honest Python-equivalent) and a row-axpy kernel that adds `a[i,l]`
-//! times row `l` of B into row `i` of the product, vectorised by the
-//! optimiser (and compiled a second time for AVX2, picked when the CPU
-//! has it). All wrapping, so every path produces identical bits;
-//! property tests pin that and the algebra.
+//! Three bodies compute the paper's task, all in wrapping `i64`
+//! arithmetic, which is exact in any order, so every path produces
+//! identical bits; property tests pin that and the algebra:
+//!
+//! - a naive triple loop (the honest Python-equivalent);
+//! - a row-axpy loop that adds `a[i,l]` times row `l` of B into row `i`
+//!   of the product, vectorised by the optimiser (and compiled a second
+//!   time for AVX2, picked when the CPU has it);
+//! - a 16-bit limb loop for AVX2, taken when B is narrow. A is split
+//!   into balanced 16-bit limbs `a_t` (`A ≡ Σ_t a_t·2^16t` mod 2^64,
+//!   each `a_t ∈ [−2^15, 2^15)`), `vpmaddwd` sums each limb product
+//!   `P_t = a_t·B` in `i32` lanes, and the product is
+//!   `Σ_t (P_t as i64) << 16t`, wrapping. `P_t` is exact when
+//!   `max|B| < 2^15` and `k·max|B| < 2^16`, since every partial sum is
+//!   then below `k·2^15·max|B| < 2^31`: the paper's 350-wide seeds in
+//!   [-100, 100] give 35,000, and the bound holds up to k = 655.
+//!
+//! [`Kernel::Blocked`] takes the limb loop whenever the operands allow
+//! it and the CPU has AVX2, with as few limbs as cover every entry of A;
+//! every other product runs the row-axpy loop.
 
 use crate::matrix::Matrix;
 
@@ -15,9 +29,11 @@ pub enum Kernel {
     /// Triple nested loop, row-major (closest to the paper's NumPy-free
     /// baseline semantics).
     Naive,
-    /// Row-axpy: row `i` of the product accumulates `a[i,l]` times row
-    /// `l` of B, so every access runs along a row (cache friendly and
-    /// vectorised; AVX2 when the CPU has it, same bits either way).
+    /// The 16-bit limb loop when B is narrow (`k·max|B| < 2^16`) and the
+    /// CPU has AVX2; otherwise row-axpy: row `i` of the product
+    /// accumulates `a[i,l]` times row `l` of B, so every access runs
+    /// along a row (vectorised; AVX2 when the CPU has it). Same bits on
+    /// every path.
     #[default]
     Blocked,
 }
@@ -62,9 +78,9 @@ fn blocked(a: &Matrix, b: &Matrix) -> Matrix {
     let mut out = vec![0; n * m];
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
-        // SAFETY: `axpy_rows_avx2` needs nothing but AVX2, and the check
+        // SAFETY: `blocked_avx2` needs nothing but AVX2, and the check
         // above found it on this CPU.
-        unsafe { axpy_rows_avx2(a, b, &mut out) };
+        unsafe { blocked_avx2(a, b, &mut out) };
         return Matrix::from_vec(n, m, out);
     }
     axpy_rows(a, b, &mut out);
@@ -94,11 +110,190 @@ fn axpy_rows(a: &Matrix, b: &Matrix, out: &mut [i64]) {
     }
 }
 
-/// [`axpy_rows`] compiled for AVX2: the same body, four lanes wide.
+/// `Blocked` on an AVX2 CPU: the limb loop where [`limb::limb_count`] allows
+/// it, else [`axpy_rows`] compiled for AVX2 (four `i64` lanes).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn axpy_rows_avx2(a: &Matrix, b: &Matrix, out: &mut [i64]) {
-    axpy_rows(a, b, out);
+fn blocked_avx2(a: &Matrix, b: &Matrix, out: &mut [i64]) {
+    match limb::limb_count(a, b) {
+        Some(limbs) => limb::limbs_avx2(a, b, limbs, out),
+        None => axpy_rows(a, b, out),
+    }
+}
+
+/// The 16-bit limb loop. x86-64 only: its one body is AVX2, and a CPU
+/// without AVX2 runs the portable row-axpy loop.
+#[cfg(target_arch = "x86_64")]
+mod limb {
+    use std::arch::x86_64::{
+        _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
+        _mm256_setzero_si256, _mm256_storeu_si256,
+    };
+
+    use crate::matrix::Matrix;
+
+    /// Makes limb `t` of `x` the unsigned digit `t` of `x + BIAS`: a balanced
+    /// digit is the unsigned one minus `0x8000`, so no limb carries into the
+    /// next.
+    const BIAS: u64 = 0x8000_8000_8000_8000;
+
+    /// How many balanced 16-bit limbs the limb loop needs for `a × b`, or
+    /// `None` when the row-axpy loop should run: B is too wide for the limb
+    /// products to sum exactly in `i32` ([`sums_fit_i32`]), or narrower than
+    /// one panel (an 8-column B leaves half of every lane idle, and row-axpy
+    /// measured faster at 8×8). A pure function of the operands, always
+    /// inlined so its scans compile for the caller's target features.
+    #[inline(always)]
+    pub(super) fn limb_count(a: &Matrix, b: &Matrix) -> Option<usize> {
+        (b.cols() >= PANEL && sums_fit_i32(a.cols(), b)).then(|| limbs_covering(a))
+    }
+
+    /// Whether every limb product `a_t · B` over an inner dimension `k` sums
+    /// exactly in `i32`: `max|B| < 2^15` (B fits `i16`; it binds only at
+    /// `k = 1`) and `k·max|B| < 2^16`.
+    #[inline(always)]
+    pub(super) fn sums_fit_i32(k: usize, b: &Matrix) -> bool {
+        let max_b = b
+            .as_slice()
+            .iter()
+            .map(|x| x.unsigned_abs())
+            .max()
+            .unwrap_or(0);
+        max_b < 1 << 15 && (k as u64).saturating_mul(max_b) < 1 << 16
+    }
+
+    /// The fewest balanced 16-bit limbs that cover every entry of A: `L`
+    /// limbs cover `[−2^15·R_L, (2^15−1)·R_L]` with
+    /// `R_L = (2^16L − 1)/(2^16 − 1)`, and four cover every `i64`.
+    #[inline(always)]
+    pub(super) fn limbs_covering(a: &Matrix) -> usize {
+        let (lo, hi) = a
+            .as_slice()
+            .iter()
+            .fold((0, 0), |(lo, hi), &x| (x.min(lo), x.max(hi)));
+        let fits = |limbs: usize| {
+            let r = ((1i64 << (16 * limbs)) - 1) / 0xFFFF;
+            -(1 << 15) * r <= lo && hi <= ((1 << 15) - 1) * r
+        };
+        (1..4).find(|&limbs| fits(limbs)).unwrap_or(4)
+    }
+
+    /// Rows of A per register tile of the limb loop.
+    const TILE_ROWS: usize = 4;
+    /// Columns of B per packed panel: two vectors of eight `i32` lanes.
+    const PANEL: usize = 16;
+
+    /// Two `i16` lanes of one `i32`, `lo` first, as `vpmaddwd` reads them.
+    fn pair(lo: u16, hi: u16) -> i32 {
+        (u32::from(lo) | u32::from(hi) << 16) as i32
+    }
+
+    /// The limb loop: `out += a × b`, exact and wrapping, for a B inside
+    /// the bound of [`sums_fit_i32`] and `limbs` limbs that cover every
+    /// entry of A.
+    ///
+    /// B is packed once into panels of 16 columns, each a run of pair-rows
+    /// `(b[2p,j], b[2p+1,j])` in `i16` (a zero row pads an odd `k`). A is
+    /// never copied: a tile of four rows at a time has its limb pairs
+    /// `(a_t[i,2p], a_t[i,2p+1])` computed into a fixed scratch of
+    /// `4·limbs·⌈k/2⌉` words, which [`limb_tile`] broadcasts against each
+    /// panel in turn (a panel is 11 KB at k = 350, so it stays in L1).
+    #[target_feature(enable = "avx2")]
+    pub(super) fn limbs_avx2(a: &Matrix, b: &Matrix, limbs: usize, out: &mut [i64]) {
+        let (k, m) = (a.cols(), b.cols());
+        if k == 0 || m == 0 {
+            return;
+        }
+        let steps = k.div_ceil(2);
+        let mut panels = vec![0; m.div_ceil(PANEL) * steps * PANEL];
+        // Truncating to `u16` keeps every entry: B fits `i16`.
+        for (p, rows) in b.as_slice().chunks(2 * m).enumerate() {
+            let (row0, row1) = rows.split_at(m);
+            for (j, &x) in row0.iter().enumerate() {
+                let y = row1.get(j).copied().unwrap_or(0);
+                panels[((j / PANEL) * steps + p) * PANEL + j % PANEL] = pair(x as u16, y as u16);
+            }
+        }
+        let mut pairs = vec![0; TILE_ROWS * limbs * steps];
+        for (a_tile, out_tile) in a
+            .as_slice()
+            .chunks(TILE_ROWS * k)
+            .zip(out.chunks_mut(TILE_ROWS * m))
+        {
+            let rows = a_tile.len() / k;
+            // Limb pairs laid out `[t][p][row]`: one step of a tile reads its
+            // rows' words side by side.
+            let pairs = &mut pairs[..rows * limbs * steps];
+            for (r, a_row) in a_tile.chunks_exact(k).enumerate() {
+                for (p, xs) in a_row.chunks(2).enumerate() {
+                    let y0 = (xs[0] as u64).wrapping_add(BIAS);
+                    let y1 = xs.get(1).map_or(BIAS, |&x| (x as u64).wrapping_add(BIAS));
+                    for t in 0..limbs {
+                        let digit = |y: u64| (y >> (16 * t)) as u16 ^ 0x8000;
+                        pairs[(t * steps + p) * rows + r] = pair(digit(y0), digit(y1));
+                    }
+                }
+            }
+            for (c, panel) in panels.chunks_exact(steps * PANEL).enumerate() {
+                for (t, limb) in pairs.chunks_exact(steps * rows).enumerate() {
+                    let at = (c * PANEL, 16 * t as u32);
+                    match rows {
+                        4 => limb_tile::<4>(limb, panel, out_tile, m, at),
+                        3 => limb_tile::<3>(limb, panel, out_tile, m, at),
+                        2 => limb_tile::<2>(limb, panel, out_tile, m, at),
+                        _ => limb_tile::<1>(limb, panel, out_tile, m, at),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One limb of one `R × 16` tile: `P = a_t · panel` in eight `i32`
+    /// accumulators (`vpmaddwd` multiplies 16 `i16` pairs and sums each pair
+    /// into a lane), then `out[r, j0..] += (P as i64) << shift`, wrapping.
+    /// `pairs` holds the tile's limb pairs `[p][row]`, `out` its rows of
+    /// width `m`, and `(j0, shift)` places the panel and the limb.
+    #[target_feature(enable = "avx2")]
+    fn limb_tile<const R: usize>(
+        pairs: &[i32],
+        panel: &[i32],
+        out: &mut [i64],
+        m: usize,
+        (j0, shift): (usize, u32),
+    ) {
+        let mut acc = [[_mm256_setzero_si256(); 2]; R];
+        let (steps, _) = pairs.as_chunks::<R>();
+        let (b_rows, _) = panel.as_chunks::<PANEL>();
+        for (xs, b_row) in steps.iter().zip(b_rows) {
+            // SAFETY: `b_row` is a `[i32; 16]`, 64 bytes; the loads read its
+            // two 32-byte halves, and `loadu` needs no alignment.
+            let b = unsafe {
+                [
+                    _mm256_loadu_si256(b_row.as_ptr().cast()),
+                    _mm256_loadu_si256(b_row[8..].as_ptr().cast()),
+                ]
+            };
+            for (acc, &x) in acc.iter_mut().zip(xs) {
+                let x = _mm256_set1_epi32(x);
+                for (acc, &b) in acc.iter_mut().zip(&b) {
+                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, b));
+                }
+            }
+        }
+        let width = PANEL.min(m - j0);
+        for (acc, out_row) in acc.iter().zip(out.chunks_exact_mut(m)) {
+            let mut lanes = [0i32; PANEL];
+            // SAFETY: `lanes` is a `[i32; 16]`, 64 bytes; the stores write
+            // its two 32-byte halves, and `storeu` needs no alignment.
+            unsafe {
+                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+                _mm256_storeu_si256(lanes[8..].as_mut_ptr().cast(), acc[1]);
+            }
+            for (o, &p) in out_row[j0..j0 + width].iter_mut().zip(&lanes) {
+                *o = o.wrapping_add(i64::from(p) << shift);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -110,6 +305,128 @@ mod tests {
     fn random_matrix(r: usize, c: usize, seed: u64) -> Matrix {
         let mut rng = DetRng::new(seed, "mm");
         Matrix::random(r, c, &mut rng, -100, 100)
+    }
+
+    /// `Blocked` equals `Naive`, and so does the limb body called directly
+    /// (where the CPU has AVX2) at the fewest limbs that cover A and at
+    /// four. B must be inside the limb bound; any shape goes, below one
+    /// panel too.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_limbs_exact(a: &Matrix, b: &Matrix) {
+        assert!(limb::sums_fit_i32(a.cols(), b));
+        let want = matmul(a, b, Kernel::Naive);
+        assert_eq!(matmul(a, b, Kernel::Blocked), want);
+        if is_x86_feature_detected!("avx2") {
+            for limbs in [limb::limbs_covering(a), 4] {
+                let mut out = vec![0; want.as_slice().len()];
+                // SAFETY: `limbs_avx2` needs nothing but AVX2, and the
+                // check above found it on this CPU.
+                unsafe { limb::limbs_avx2(a, b, limbs, &mut out) };
+                assert_eq!(out, want.as_slice(), "{limbs} limbs");
+            }
+        }
+    }
+
+    /// The widest B entries the limb bound allows at inner dimension `k`.
+    #[cfg(target_arch = "x86_64")]
+    fn widest_narrow(k: usize) -> i64 {
+        (((1 << 16) - 1) / k.max(1) as i64).min((1 << 15) - 1)
+    }
+
+    /// The limb bound at its edge: `k·max|B| = 2^16 − 1` takes the limb
+    /// path and is exact with every limb of A at `−2^15` (the largest
+    /// partial sums there are); `2^16` falls back. At `k = 1` the bound
+    /// is `max|B| < 2^15`, so B fits `i16`.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn limb_bound_edges() {
+        // Every balanced limb `−2^15`: `x + BIAS ≡ 0`.
+        let all_low = 0x7FFF_7FFF_7FFF_8000;
+        for (k, edge) in [(1, (1 << 15) - 1), (3, 21_845), (5, 13_107), (7, 9_362)] {
+            for sign in [1, -1] {
+                let a = Matrix::from_vec(3, k, vec![all_low; 3 * k]);
+                let b = Matrix::from_vec(k, 16, vec![sign * edge; k * 16]);
+                assert_eq!(limb::limb_count(&a, &b), Some(4));
+                assert_limbs_exact(&a, &b);
+                let a = Matrix::from_vec(3, k, [i64::MIN, i64::MAX, -1].repeat(k));
+                assert_limbs_exact(&a, &b);
+            }
+        }
+        for (k, over) in [(1, 1 << 15), (2, 1 << 15), (4, 1 << 14), (5, 13_108)] {
+            for sign in [1, -1] {
+                let a = random_matrix(3, k, 1);
+                let b = Matrix::from_vec(k, 16, vec![sign * over; k * 16]);
+                assert_eq!(limb::limb_count(&a, &b), None, "k = {k}, |b| = {over}");
+                assert_eq!(
+                    matmul(&a, &b, Kernel::Blocked),
+                    matmul(&a, &b, Kernel::Naive)
+                );
+            }
+        }
+    }
+
+    /// The limb count at each edge of each range `[−2^15·R_L,
+    /// (2^15−1)·R_L]`, one past it, and the extremes; every such A stays
+    /// exact.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn limb_count_edges() {
+        let one = |x: i64| Matrix::from_vec(1, 1, vec![x]);
+        let mut entries = vec![];
+        for limbs in 1..=3usize {
+            let r = ((1i64 << (16 * limbs)) - 1) / 0xFFFF;
+            let (lo, hi) = (-(1 << 15) * r, ((1 << 15) - 1) * r);
+            for (x, want) in [
+                (lo, limbs),
+                (hi, limbs),
+                (-hi, limbs),
+                (lo - 1, limbs + 1),
+                (hi + 1, limbs + 1),
+            ] {
+                assert_eq!(limb::limbs_covering(&one(x)), want, "{x:#x}");
+                entries.push(x);
+            }
+        }
+        for (x, want) in [(0, 1), (0x7FFF_8000, 3), (i64::MIN, 4), (i64::MAX, 4)] {
+            assert_eq!(limb::limbs_covering(&one(x)), want, "{x:#x}");
+            entries.push(x);
+        }
+        let k = entries.len();
+        let a = Matrix::from_vec(
+            2,
+            k,
+            [entries.clone(), entries.into_iter().rev().collect()].concat(),
+        );
+        let mut rng = DetRng::new(1, "edges");
+        let b = Matrix::random(k, 19, &mut rng, -widest_narrow(k), widest_narrow(k));
+        assert_limbs_exact(&a, &b);
+    }
+
+    /// The fast path is taken where the paper needs it: a falling-back
+    /// kernel gives the same bits, so only the plan shows it. Two seeds at
+    /// 350 take one limb; a ten-task chain (each product times a fresh
+    /// seed) takes the counts below; a wide B, or one narrower than a
+    /// panel, falls back.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn plan_takes_the_limb_path_at_paper_scale() {
+        let seed = |s: u64| random_matrix(350, 350, s);
+        let mut a = seed(0);
+        let mut counts = vec![];
+        for task in 1..=10 {
+            let b = seed(task);
+            counts.push(limb::limb_count(&a, &b));
+            a = matmul(&a, &b, Kernel::Blocked);
+        }
+        let want = [1, 2, 2, 3, 4, 4, 4, 4, 4, 4];
+        assert_eq!(counts, want.map(Some));
+        let mut wide = seed(1);
+        wide.set(349, 0, 1 << 15);
+        assert_eq!(limb::limb_count(&seed(0), &wide), None);
+        assert_eq!(
+            limb::limb_count(&random_matrix(8, 8, 0), &random_matrix(8, 8, 1)),
+            None
+        );
     }
 
     #[test]
@@ -215,6 +532,36 @@ mod tests {
                     axpy_rows(&a, &b, &mut portable);
                     prop_assert_eq!(x.as_slice(), &portable[..]);
                 }
+            }
+        }
+
+        /// The limb path agrees with `Naive` bit for bit: A over the full
+        /// range (four limbs) or narrow (one), B as wide as the limb bound
+        /// allows; odd and even `k`, row counts off the tile of four, and
+        /// every width up to 37 (a partial panel, and below one).
+        #[test]
+        #[cfg(target_arch = "x86_64")]
+        fn limbs_agree_prop(seed in 0u64..1000, n in 0usize..10, k in 0usize..40) {
+            let edge = widest_narrow(k);
+            for (lo, hi) in [(i64::MIN, i64::MAX), (-edge, edge)] {
+                for m in 0..=37 {
+                    let a = Matrix::random(n, k, &mut DetRng::new(seed, "la"), lo, hi);
+                    let b = Matrix::random(k, m, &mut DetRng::new(seed, "lb"), -edge, edge);
+                    assert_limbs_exact(&a, &b);
+                }
+            }
+        }
+
+        /// Chain-shaped operands: each product times a fresh seed, so A
+        /// grows through every limb count and then wraps.
+        #[test]
+        #[cfg(target_arch = "x86_64")]
+        fn limb_chains_agree(seed in 0u64..1000, dim in 16usize..40) {
+            let mut a = random_matrix(dim, dim, seed);
+            for task in 1..8 {
+                let b = random_matrix(dim, dim, seed ^ (task << 32));
+                assert_limbs_exact(&a, &b);
+                a = matmul(&a, &b, Kernel::Naive);
             }
         }
     }

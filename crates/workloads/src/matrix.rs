@@ -39,10 +39,11 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Random matrix with entries in `[lo, hi]` (the paper: [-100, 100]).
+    /// Random matrix with entries in `[lo, hi]` (the paper: [-100, 100]),
+    /// `hi == i64::MAX` included.
     pub fn random(rows: usize, cols: usize, rng: &mut DetRng, lo: i64, hi: i64) -> Self {
         let data = (0..rows * cols)
-            .map(|_| rng.uniform_i64(lo, hi + 1))
+            .map(|_| rng.uniform_i64_inclusive(lo, hi))
             .collect();
         Matrix { rows, cols, data }
     }
@@ -119,6 +120,50 @@ mod tests {
         let b = Matrix::random(10, 10, &mut r2, -100, 100);
         assert_eq!(a, b);
         assert!(a.as_slice().iter().all(|&v| (-100..=100).contains(&v)));
+    }
+
+    /// Every recorded result is a function of these draws: ranges below
+    /// `i64::MAX` keep the values they have always had.
+    #[test]
+    fn random_values_are_pinned() {
+        let draw = |lo, hi| Matrix::random(2, 3, &mut DetRng::new(42, "pin"), lo, hi);
+        assert_eq!(draw(-100, 100).as_slice(), &[-13, 15, -68, -42, 29, 78]);
+        assert_eq!(
+            draw(i64::MIN / 2, i64::MAX / 2).as_slice(),
+            &[
+                3683397026015857977,
+                926127691292136586,
+                4171585350666046085,
+                -4420702052359514340,
+                539169309285310826,
+                -2419287478275078798
+            ]
+        );
+        assert_eq!(
+            draw(i64::MIN, i64::MAX - 1).as_slice(),
+            &[
+                8295083044443245881,
+                5537813709719524490,
+                8783271369093433989,
+                -9032388070786902244,
+                -4072516709142077078,
+                -7030973496702466702
+            ]
+        );
+    }
+
+    /// `hi == i64::MAX` is a range like any other, not `hi + 1` wrapped
+    /// to an empty one (which gave `lo` in every cell).
+    #[test]
+    fn random_reaches_i64_max() {
+        let mut rng = DetRng::new(42, "max");
+        let full = Matrix::random(8, 8, &mut rng, i64::MIN, i64::MAX);
+        assert!(full.as_slice().iter().any(|&x| x < 0) && full.as_slice().iter().any(|&x| x > 0));
+        let top = Matrix::random(8, 8, &mut rng, i64::MAX - 1, i64::MAX);
+        assert!(top.as_slice().contains(&i64::MAX) && top.as_slice().contains(&(i64::MAX - 1)));
+        let upper = Matrix::random(8, 8, &mut rng, 0, i64::MAX);
+        assert!(upper.as_slice().iter().all(|&x| x >= 0));
+        assert!(upper.as_slice().iter().any(|&x| x > i64::MAX / 2));
     }
 
     #[test]
