@@ -203,8 +203,8 @@ fn ablate_routing(out: &mut AblationsResult) {
             );
             bed.knative.wait_ready("fn", 2, secs(600.0)).await.unwrap();
             // Saturate the first pod's node with foreign compute.
-            let eps = bed.knative.endpoints("fn").unwrap();
-            let busy = bed.k8s.runtime(eps.ready[0].node).unwrap().node().clone();
+            let eps = bed.knative.endpoints("fn");
+            let busy = bed.k8s.runtime(eps[0].node).unwrap().node().clone();
             for _ in 0..busy.cores().capacity() {
                 let busy = busy.clone();
                 swf_simcore::spawn(async move {

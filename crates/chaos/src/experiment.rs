@@ -62,8 +62,7 @@ const DEADLINE: SimDuration = SimDuration::from_secs(3600);
 pub struct ChaosRunConfig {
     /// Concurrent workflow chains.
     pub workflows: usize,
-    /// Root seed: drives the testbed, the disruptor coin flips, and the
-    /// router's retry jitter.
+    /// Root seed: drives the testbed and the disruptor coin flips.
     pub seed: u64,
     /// Arm the self-healing stack — liveness probes on function pods, the
     /// per-revision circuit breaker, a bounded queue-proxy depth — and
@@ -252,7 +251,6 @@ pub fn experiment_config(seed: u64) -> ExperimentConfig {
     c.dagman.retry = RetryPolicy::exponential(4, secs(1.0), secs(8.0));
     c.knative.invoke_retry = RetryPolicy::exponential(12, secs(0.25), secs(4.0));
     c.knative.attempt_timeout = Some(secs(30.0));
-    c.knative.seed = seed;
     c
 }
 

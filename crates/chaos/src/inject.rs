@@ -282,8 +282,8 @@ impl Injector {
                 // Revocation notice. Graceful drain starts immediately: the
                 // startd stops matching (running jobs may finish inside the
                 // grace window) and the k8s node goes unready so the node
-                // controller evicts its pods and the endpoints controller
-                // drops them from the revision router. A grace-expiry task
+                // controller evicts its pods, which leaves the revision's
+                // ready endpoints the router reads. A grace-expiry task
                 // then hard-fails the node unless the provider returned it
                 // early — that fallback is the ordinary crash path, so
                 // claim-epoch requeue and rescue-resume remain the safety

@@ -1,12 +1,13 @@
 //! The API server: typed, watchable object stores plus admission
-//! (duplicate rejection) and a modelled call latency.
+//! (duplicate rejection) and a modelled call latency, and the ready
+//! endpoints of a labelled set of pods, read from the pod store.
 
+use swf_cluster::NodeId;
 use swf_simcore::{sleep, SimDuration};
 
 use crate::error::K8sError;
 use crate::nodes::NodeStatus;
 use crate::pod::Pod;
-use crate::service::{Endpoints, Service};
 use crate::store::Store;
 use crate::workload_api::Deployment;
 
@@ -31,9 +32,29 @@ pub struct ApiServer {
     config: ApiConfig,
     pods: Store<Pod>,
     deployments: Store<Deployment>,
-    services: Store<Service>,
-    endpoints: Store<Endpoints>,
     nodes: Store<NodeStatus>,
+}
+
+/// One routable backend: the address of a ready pod.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Endpoint {
+    /// Node hosting the pod.
+    pub node: NodeId,
+    /// Pod serving port.
+    pub port: u16,
+}
+
+/// The endpoint of `pod` if it is routable and labelled `key=value`.
+/// `is_routable` implies a node assignment; a pod without one simply
+/// isn't an endpoint yet.
+fn endpoint(pod: &Pod, key: &str, value: &str) -> Option<Endpoint> {
+    if !pod.is_routable() || pod.meta.labels.get(key).is_none_or(|v| v != value) {
+        return None;
+    }
+    pod.status.node.map(|node| Endpoint {
+        node,
+        port: pod.status.port,
+    })
 }
 
 impl Default for ApiServer {
@@ -49,8 +70,6 @@ impl ApiServer {
             config,
             pods: Store::new(),
             deployments: Store::new(),
-            services: Store::new(),
-            endpoints: Store::new(),
             nodes: Store::new(),
         }
     }
@@ -69,24 +88,40 @@ impl ApiServer {
         &self.deployments
     }
 
-    /// Service store.
-    pub fn services(&self) -> &Store<Service> {
-        &self.services
-    }
-
-    /// Endpoints store.
-    pub fn endpoints(&self) -> &Store<Endpoints> {
-        &self.endpoints
-    }
-
     /// Node status store.
     pub fn nodes(&self) -> &Store<NodeStatus> {
         &self.nodes
     }
 
+    /// The ready endpoints of the pods labelled `key=value`: one per
+    /// routable pod, in ascending `(node, port)` order. What Kubernetes
+    /// keeps as an Endpoints object is read here from the pod store in
+    /// place, so it is never behind a pod write and allocates only the
+    /// list it returns.
+    pub fn ready_endpoints(&self, key: &str, value: &str) -> Vec<Endpoint> {
+        let mut ready = Vec::with_capacity(self.ready_endpoint_count(key, value));
+        self.pods.read(|pods| {
+            ready.extend(pods.values().filter_map(|p| endpoint(p, key, value)));
+        });
+        // Endpoints with equal keys are equal, so the unstable sort, which
+        // needs no scratch buffer, orders them as a stable one.
+        ready.sort_unstable_by_key(|e| (e.node, e.port));
+        ready
+    }
+
+    /// How many pods labelled `key=value` are routable: the length of
+    /// [`ready_endpoints`](Self::ready_endpoints), without the list.
+    pub(crate) fn ready_endpoint_count(&self, key: &str, value: &str) -> usize {
+        self.pods.read(|pods| {
+            pods.values()
+                .filter(|p| endpoint(p, key, value).is_some())
+                .count()
+        })
+    }
+
     /// Is the node ready? Nodes never registered count as ready so
     /// components work in partial test setups without a node store.
-    pub fn node_ready(&self, id: swf_cluster::NodeId) -> bool {
+    pub fn node_ready(&self, id: NodeId) -> bool {
         self.nodes
             .read(|nodes| nodes.values().find(|n| n.id == id).map(|n| n.ready))
             .unwrap_or(true)
@@ -157,23 +192,6 @@ impl ApiServer {
             .map(|_| ())
             .ok_or_else(|| K8sError::NotFound(name.to_string()))
     }
-
-    /// Create a service (its endpoints object appears immediately, empty).
-    pub async fn create_service(&self, s: Service) -> Result<(), K8sError> {
-        self.charge().await;
-        if self.services.contains(&s.meta.name) {
-            return Err(K8sError::AlreadyExists(s.meta.name));
-        }
-        self.endpoints.put(
-            s.meta.name.clone(),
-            Endpoints {
-                service: s.meta.name.clone(),
-                ready: Vec::new(),
-            },
-        );
-        self.services.put(s.meta.name.clone(), s);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -181,7 +199,6 @@ mod tests {
     use super::*;
     use crate::meta::ObjectMeta;
     use crate::pod::{PodPhase, PodSpec};
-    use swf_cluster::NodeId;
     use swf_container::ImageRef;
     use swf_simcore::{now, Sim, SimTime};
 
@@ -260,20 +277,50 @@ mod tests {
         });
     }
 
+    /// A pod on `node` at `port`, labelled `rev=<rev>`, routable.
+    fn ready_pod(name: &str, rev: &str, node: usize, port: u16) -> Pod {
+        let mut p = Pod::new(
+            ObjectMeta::named(name).with_label("rev", rev),
+            PodSpec::new(ImageRef::parse("img")),
+        );
+        p.status.node = Some(NodeId(node));
+        p.status.phase = PodPhase::Running;
+        p.status.ready = true;
+        p.status.port = port;
+        p
+    }
+
     #[test]
-    fn service_creation_seeds_empty_endpoints() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let api = ApiServer::default();
-            api.create_service(Service {
-                meta: ObjectMeta::named("svc"),
-                selector: crate::meta::LabelSelector::eq("app", "x"),
-            })
-            .await
-            .unwrap();
-            let eps = api.endpoints().get("svc").unwrap();
-            assert!(eps.ready.is_empty());
-        });
+    fn ready_endpoints_are_the_routable_pods_of_the_label_in_address_order() {
+        let api = ApiServer::default();
+        // Name order (a, b, c) is not address order.
+        api.pods().put("a", ready_pod("a", "r1", 3, 30000));
+        api.pods().put("b", ready_pod("b", "r1", 1, 30002));
+        api.pods().put("c", ready_pod("c", "r1", 1, 30001));
+        api.pods().put("other", ready_pod("other", "r2", 2, 30003));
+        let at = |node, port| Endpoint {
+            node: NodeId(node),
+            port,
+        };
+        assert_eq!(
+            api.ready_endpoints("rev", "r1"),
+            [at(1, 30001), at(1, 30002), at(3, 30000)]
+        );
+        assert_eq!(api.ready_endpoint_count("rev", "r1"), 3);
+        assert_eq!(api.ready_endpoints("rev", "r2"), [at(2, 30003)]);
+        assert!(api.ready_endpoints("rev", "r3").is_empty());
+        assert!(api.ready_endpoints("app", "r1").is_empty());
+
+        // Unready, terminating and failed pods are not endpoints, and the
+        // view shows each write at once.
+        api.pods().update("a", |p| p.status.ready = false);
+        api.pods().update("b", |p| p.meta.deletion_requested = true);
+        api.pods()
+            .update("c", |p| p.status.phase = PodPhase::Failed);
+        assert!(api.ready_endpoints("rev", "r1").is_empty());
+        assert_eq!(api.ready_endpoint_count("rev", "r1"), 0);
+        api.pods().update("a", |p| p.status.ready = true);
+        assert_eq!(api.ready_endpoints("rev", "r1"), [at(3, 30000)]);
     }
 
     #[test]

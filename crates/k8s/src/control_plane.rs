@@ -36,9 +36,9 @@ pub struct K8s {
 }
 
 impl K8s {
-    /// Start the control plane: spawns the scheduler, the deployment,
-    /// endpoints and node controllers and one kubelet per schedulable node.
-    /// Returns a handle for API access.
+    /// Start the control plane: spawns the scheduler, the deployment and
+    /// node controllers and one kubelet per schedulable node. Returns a
+    /// handle for API access.
     pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig) -> K8s {
         let api = ApiServer::new(config.api);
         // Resolve the schedulable set once; node ids in the config that
@@ -74,7 +74,6 @@ impl K8s {
         }
         spawn(Scheduler::new(api.clone(), registry.clone(), capacities, config.scheduler).run());
         spawn(crate::controllers::DeploymentController::new(api.clone()).run());
-        spawn(crate::controllers::EndpointsController::new(api.clone()).run());
         spawn(crate::nodes::NodeController::new(api.clone()).run());
 
         K8s {
@@ -130,35 +129,25 @@ impl K8s {
         }
     }
 
-    /// Wait until a service has at least `n` ready endpoints.
-    pub async fn wait_endpoints(
+    /// Wait until at least `n` pods labelled `key=value` are routable
+    /// ([`ApiServer::ready_endpoints`]): checked now, then on each pod
+    /// write. `n = 0` returns at once.
+    pub async fn wait_ready_endpoints(
         &self,
-        service: &str,
+        key: &str,
+        value: &str,
         n: usize,
         deadline: SimDuration,
     ) -> Result<(), K8sError> {
-        let api = self.api.clone();
-        let svc = service.to_string();
-        let wait = async move {
-            let mut w = api.endpoints().watch();
-            loop {
-                if api
-                    .endpoints()
-                    .get(&svc)
-                    .map(|e| e.ready.len() >= n)
-                    .unwrap_or(false)
-                {
-                    return;
-                }
+        let wait = async {
+            let mut w = self.api.pods().watch();
+            while self.api.ready_endpoint_count(key, value) < n {
                 w.changed().await;
             }
         };
-        match timeout(deadline, wait).await {
-            Ok(()) => Ok(()),
-            Err(Elapsed) => Err(K8sError::Timeout(format!(
-                "service {service} did not reach {n} endpoints"
-            ))),
-        }
+        timeout(deadline, wait).await.map_err(|Elapsed| {
+            K8sError::Timeout(format!("{key}={value} did not reach {n} ready endpoints"))
+        })
     }
 
     /// Failure injection: mark a node not ready. The node controller fails
@@ -184,9 +173,8 @@ impl K8s {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::{LabelSelector, ObjectMeta};
+    use crate::meta::ObjectMeta;
     use crate::pod::PodSpec;
-    use crate::service::Service;
     use crate::workload_api::{Deployment, PodTemplate};
     use swf_cluster::{mib, ClusterConfig};
     use swf_container::{Image, ImageRef, RegistryConfig};
@@ -217,18 +205,13 @@ mod tests {
                 ))
                 .await
                 .unwrap();
-            k8s.api()
-                .create_service(Service {
-                    meta: ObjectMeta::named("fn"),
-                    selector: LabelSelector::eq("app", "fn"),
-                })
+            k8s.wait_ready_endpoints("app", "fn", 3, secs(120.0))
                 .await
                 .unwrap();
-            k8s.wait_endpoints("fn", 3, secs(120.0)).await.unwrap();
-            let eps = k8s.api().endpoints().get("fn").unwrap();
-            assert_eq!(eps.ready.len(), 3);
+            let eps = k8s.api().ready_endpoints("app", "fn");
+            assert_eq!(eps.len(), 3);
             // All on worker nodes (1..=3), spread by least-allocated.
-            for e in &eps.ready {
+            for e in &eps {
                 assert!(e.node.0 >= 1 && e.node.0 <= 3);
             }
             // Containers exist on the nodes.
@@ -257,14 +240,9 @@ mod tests {
                 ))
                 .await
                 .unwrap();
-            k8s.api()
-                .create_service(Service {
-                    meta: ObjectMeta::named("fn"),
-                    selector: LabelSelector::eq("app", "fn"),
-                })
+            k8s.wait_ready_endpoints("app", "fn", 2, secs(120.0))
                 .await
                 .unwrap();
-            k8s.wait_endpoints("fn", 2, secs(120.0)).await.unwrap();
             k8s.api().scale_deployment("fn", 0).await.unwrap();
             sleep(secs(10.0)).await;
             let total: usize = k8s
@@ -273,7 +251,7 @@ mod tests {
                 .map(|n| k8s.runtime(*n).unwrap().container_count())
                 .sum();
             assert_eq!(total, 0);
-            assert!(k8s.api().endpoints().get("fn").unwrap().ready.is_empty());
+            assert!(k8s.api().ready_endpoints("app", "fn").is_empty());
         });
     }
 

@@ -1,9 +1,9 @@
-//! Deployment and Endpoints controllers.
+//! The Deployment controller.
 //!
-//! Both follow the level-triggered reconcile pattern: wake on any relevant
-//! store change, list, diff desired vs observed, act. Neither writes the
-//! objects it watches unless it has something to change, so reconciles
-//! converge instead of re-triggering themselves forever.
+//! It follows the level-triggered reconcile pattern: wake on any relevant
+//! store change, list, diff desired vs observed, act. It writes pods only
+//! when it has something to change, so reconciles converge instead of
+//! re-triggering themselves forever.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -13,7 +13,6 @@ use swf_simcore::race;
 use crate::api::ApiServer;
 use crate::meta::ObjectMeta;
 use crate::pod::{Pod, PodPhase};
-use crate::service::{Endpoint, Endpoints};
 
 /// Deployment → Pods reconciliation.
 ///
@@ -141,73 +140,11 @@ impl DeploymentController {
     }
 }
 
-/// Service → Endpoints reconciliation.
-pub struct EndpointsController {
-    api: ApiServer,
-}
-
-impl EndpointsController {
-    /// New controller.
-    pub fn new(api: ApiServer) -> Self {
-        EndpointsController { api }
-    }
-
-    /// Run forever.
-    pub async fn run(self) {
-        let mut services = self.api.services().watch();
-        let mut pods = self.api.pods().watch();
-        loop {
-            self.reconcile();
-            race(services.changed(), pods.changed()).await;
-        }
-    }
-
-    /// One pass.
-    pub fn reconcile(&self) {
-        for svc in self.api.services().list() {
-            let svc_name = &svc.meta.name;
-            let current = self.api.endpoints().get(svc_name);
-            // Sized by the current list, which a converged service's new one
-            // matches: an idle pass allocates once however many pods it walks.
-            let mut ready = Vec::with_capacity(current.as_ref().map_or(0, |c| c.ready.len()));
-            self.api.pods().read(|pods| {
-                ready.extend(
-                    pods.values()
-                        .filter(|p| p.is_routable() && svc.selector.matches(&p.meta.labels))
-                        .filter_map(|p| {
-                            // `is_routable` implies a node assignment; a pod
-                            // without one simply isn't an endpoint yet.
-                            p.status.node.map(|node| Endpoint {
-                                node,
-                                port: p.status.port,
-                            })
-                        }),
-                );
-            });
-            // Endpoints with equal keys are equal, so the unstable sort,
-            // which needs no scratch buffer, orders them as a stable one.
-            ready.sort_unstable_by_key(|e| (e.node, e.port));
-            let changed = current.is_none_or(|current| current.ready != ready);
-            if changed {
-                self.api.endpoints().put(
-                    svc_name.clone(),
-                    Endpoints {
-                        service: svc_name.clone(),
-                        ready,
-                    },
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::meta::LabelSelector;
     use crate::pod::PodSpec;
     use crate::workload_api::{Deployment, PodTemplate};
-    use swf_cluster::NodeId;
     use swf_container::ImageRef;
     use swf_simcore::{secs, sleep, spawn, Sim};
 
@@ -289,47 +226,6 @@ mod tests {
                 .filter(|p| p.status.phase != PodPhase::Failed)
                 .len();
             assert_eq!(live, 2);
-        });
-    }
-
-    #[test]
-    fn endpoints_track_ready_pods() {
-        let sim = Sim::new();
-        sim.block_on(async {
-            let api = ApiServer::default();
-            spawn(EndpointsController::new(api.clone()).run());
-            api.create_service(crate::service::Service {
-                meta: ObjectMeta::named("svc"),
-                selector: LabelSelector::eq("app", "m"),
-            })
-            .await
-            .unwrap();
-            let mut pod = Pod::new(
-                ObjectMeta::named("p1").with_label("app", "m"),
-                PodSpec::new(ImageRef::parse("img")),
-            );
-            pod.spec.node_name = Some(NodeId(1));
-            api.create_pod(pod).await.unwrap();
-            sleep(secs(0.1)).await;
-            assert!(api.endpoints().get("svc").unwrap().ready.is_empty());
-            api.pods().update("p1", |p| {
-                p.status.phase = PodPhase::Running;
-                p.status.ready = true;
-                p.status.port = 31000;
-            });
-            sleep(secs(0.1)).await;
-            let eps = api.endpoints().get("svc").unwrap();
-            assert_eq!(
-                eps.ready,
-                vec![Endpoint {
-                    node: NodeId(1),
-                    port: 31000
-                }]
-            );
-            // Marking unready removes it.
-            api.pods().update("p1", |p| p.status.ready = false);
-            sleep(secs(0.1)).await;
-            assert!(api.endpoints().get("svc").unwrap().ready.is_empty());
         });
     }
 

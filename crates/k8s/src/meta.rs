@@ -1,4 +1,4 @@
-//! Object metadata and label selectors.
+//! Object metadata.
 
 use std::collections::BTreeMap;
 
@@ -7,7 +7,8 @@ use std::collections::BTreeMap;
 pub struct ObjectMeta {
     /// Object name, unique per kind.
     pub name: String,
-    /// Labels used by selectors.
+    /// Labels; a revision's ready endpoints are the routable pods that
+    /// carry its label.
     pub labels: BTreeMap<String, String>,
     /// Name of the controller object that owns this one, if any.
     pub owner: Option<String>,
@@ -37,40 +38,6 @@ impl ObjectMeta {
     }
 }
 
-/// An equality-based label selector (the subset Kubernetes controllers use).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct LabelSelector {
-    /// All of these key/value pairs must match.
-    pub match_labels: BTreeMap<String, String>,
-}
-
-impl LabelSelector {
-    /// Selector over one label.
-    pub fn eq(k: impl Into<String>, v: impl Into<String>) -> Self {
-        let mut match_labels = BTreeMap::new();
-        match_labels.insert(k.into(), v.into());
-        LabelSelector { match_labels }
-    }
-
-    /// Add another required pair.
-    pub fn and(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.match_labels.insert(k.into(), v.into());
-        self
-    }
-
-    /// Does `labels` satisfy this selector? An empty selector matches
-    /// nothing (Kubernetes semantics for services without selectors differ,
-    /// but controllers treat empty as non-selecting).
-    pub fn matches(&self, labels: &BTreeMap<String, String>) -> bool {
-        if self.match_labels.is_empty() {
-            return false;
-        }
-        self.match_labels
-            .iter()
-            .all(|(k, v)| labels.get(k) == Some(v))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,23 +50,5 @@ mod tests {
         assert_eq!(m.name, "p");
         assert_eq!(m.labels["app"], "matmul");
         assert_eq!(m.owner.as_deref(), Some("rs-1"));
-    }
-
-    #[test]
-    fn selector_matching() {
-        let sel = LabelSelector::eq("app", "m").and("rev", "r1");
-        let mut labels = BTreeMap::new();
-        labels.insert("app".to_string(), "m".to_string());
-        assert!(!sel.matches(&labels));
-        labels.insert("rev".to_string(), "r1".to_string());
-        assert!(sel.matches(&labels));
-        labels.insert("extra".to_string(), "x".to_string());
-        assert!(sel.matches(&labels));
-    }
-
-    #[test]
-    fn empty_selector_matches_nothing() {
-        let sel = LabelSelector::default();
-        assert!(!sel.matches(&BTreeMap::new()));
     }
 }

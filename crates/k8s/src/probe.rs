@@ -1,10 +1,10 @@
 //! Health probes: periodic kubelet checks that drive self-healing.
 //!
 //! Real kubelets run readiness and liveness probes against each container.
-//! Readiness failures pull the pod out of service endpoints (the knative
-//! router only targets ready pods); liveness failures restart the
-//! container in place, bumping `restart_count` — the pod object, its node
-//! binding and its port all survive the restart.
+//! Readiness failures take the pod out of its revision's ready endpoints
+//! (the knative router only targets ready pods); liveness failures restart
+//! the container in place, bumping `restart_count` — the pod object, its
+//! node binding and its port all survive the restart.
 //!
 //! This model folds both into one periodic check of the backing
 //! container's phase (a crashed container fails both probes, exactly the

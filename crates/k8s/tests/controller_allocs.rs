@@ -1,5 +1,7 @@
 //! Regression guard for the controllers' steady state: a pass with nothing
-//! to do allocates as much over 1,000 live pods as over 100.
+//! to do allocates as much over 1,000 live pods as over 100, and so does a
+//! read of a revision's ready endpoints, which allocates only the list it
+//! returns.
 //!
 //! `Store::{get, list, filter}` hand out `Rc` snapshots, so a pass that
 //! walks pods pays reference counts, not copies, and a write drops its
@@ -12,7 +14,12 @@
 //! and 9,073 at 1,000 with the deep-copying store (9,077 in a release
 //! build); 7 at either size with the sharing one, in debug and release
 //! alike, while a replica-set controller sat between the Deployment and
-//! its pods; 3 since the Deployment controller owns its pods directly.
+//! its pods; 3 since the Deployment controller owns its pods directly, two
+//! of them an Endpoints controller's (its list of services and the
+//! endpoints list it rebuilt and compared on every pass). That controller
+//! is gone: the list is built when it is read, and one read is the
+//! window's third input, so the window allocates 2 at either size, one of
+//! them the read's list.
 //!
 //! This file holds one test so that the counting allocator sees no other
 //! test's threads.
@@ -23,9 +30,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use swf_cluster::NodeId;
 use swf_container::{ImageRef, Registry, RegistryConfig};
 use swf_k8s::{
-    ApiServer, Deployment, DeploymentController, Endpoint, Endpoints, EndpointsController,
-    LabelSelector, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec, PodTemplate, Scheduler,
-    SchedulerConfig, Service,
+    ApiServer, Deployment, DeploymentController, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec,
+    PodTemplate, Scheduler, SchedulerConfig,
 };
 use swf_simcore::Sim;
 
@@ -59,10 +65,11 @@ static ALLOCATOR: Counting = Counting;
 const FEW_PODS: usize = 100;
 const MANY_PODS: usize = 1_000;
 const MAY_ALLOCATE: usize = 16;
+const REVISION_LABEL: &str = "serving.knative.dev/revision";
 
-/// An API server in a converged state: one Deployment at `pods` replicas,
-/// the live, ready, labelled pods it owns spread over four nodes, and a
-/// Service whose Endpoints list them all.
+/// An API server in a converged state: one Deployment at `pods` replicas
+/// and the live, ready pods it owns, spread over four nodes and all
+/// labelled with one revision.
 fn converged(pods: usize) -> ApiServer {
     let api = ApiServer::default();
     let template = PodTemplate {
@@ -76,43 +83,26 @@ fn converged(pods: usize) -> ApiServer {
         template.clone(),
     );
     api.deployments().put("fn-deployment", deployment);
-    let mut ready = Vec::new();
     for i in 0..pods {
         let name = format!("fn-deployment-rs-{i}");
         let meta = ObjectMeta::named(&name)
             .with_label("app", "fn")
-            .with_label("serving.knative.dev/revision", "fn-00001")
+            .with_label(REVISION_LABEL, "fn-00001")
             .owned_by("fn-deployment");
         let mut pod = Pod::new(meta, template.spec.clone());
-        let endpoint = Endpoint {
-            node: NodeId(1 + i % 4),
-            port: 30_000 + u16::try_from(i).unwrap_or(u16::MAX),
-        };
-        pod.status.node = Some(endpoint.node);
+        pod.status.node = Some(NodeId(1 + i % 4));
         pod.status.phase = PodPhase::Running;
         pod.status.ready = true;
-        pod.status.port = endpoint.port;
+        pod.status.port = 30_000 + u16::try_from(i).unwrap_or(u16::MAX);
         api.pods().put(name, pod);
-        ready.push(endpoint);
     }
-    ready.sort_by_key(|e| (e.node, e.port));
-    let service = Service {
-        meta: ObjectMeta::named("fn"),
-        selector: LabelSelector::eq("app", "fn"),
-    };
-    api.services().put("fn", service);
-    let endpoints = Endpoints {
-        service: "fn".to_string(),
-        ready,
-    };
-    api.endpoints().put("fn", endpoints);
     api
 }
 
-/// Allocations of one idle pass of each controller and the scheduler.
-fn idle_pass_allocations(pods: usize) -> usize {
+/// Allocations of one idle pass of each controller and the scheduler plus
+/// one read of the revision's ready endpoints, and of the read alone.
+fn idle_pass_allocations(pods: usize) -> (usize, usize) {
     let api = converged(pods);
-    let endpoints = EndpointsController::new(api.clone());
     let deployments = DeploymentController::new(api.clone());
     let nodes = (1..=4)
         .map(|n| NodeCapacity {
@@ -132,19 +122,34 @@ fn idle_pass_allocations(pods: usize) -> usize {
     Sim::new().block_on(async move {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         deployments.reconcile().await;
-        endpoints.reconcile();
+        let before_read = ALLOCATIONS.load(Ordering::Relaxed);
+        let ready = api.ready_endpoints(REVISION_LABEL, "fn-00001");
+        let read = ALLOCATIONS.load(Ordering::Relaxed) - before_read;
         scheduler.schedule_pass().await;
         let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(ready.len(), pods, "every pod is a ready endpoint");
+        assert!(
+            ready
+                .windows(2)
+                .all(|w| (w[0].node, w[0].port) < (w[1].node, w[1].port)),
+            "endpoints in ascending (node, port) order"
+        );
         assert_eq!(api.pods().len(), pods);
         assert_eq!(api.pods().version(), version, "no pass wrote a pod");
-        allocated
+        (allocated, read)
     })
 }
 
 #[test]
 fn an_idle_pass_allocates_the_same_over_many_pods_as_over_few() {
-    let few = idle_pass_allocations(FEW_PODS);
-    let many = idle_pass_allocations(MANY_PODS);
+    let (few, few_read) = idle_pass_allocations(FEW_PODS);
+    let (many, many_read) = idle_pass_allocations(MANY_PODS);
+    assert_eq!(
+        (few_read, many_read),
+        (1, 1),
+        "a read of the ready endpoints allocated {few_read} times over {FEW_PODS} pods \
+         and {many_read} over {MANY_PODS}: it should allocate its result list once"
+    );
     assert_eq!(
         few, many,
         "an idle pass allocated {few} times over {FEW_PODS} pods and {many} over \

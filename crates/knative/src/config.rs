@@ -73,14 +73,14 @@ pub struct KnativeConfig {
     /// redirection).
     pub routing: crate::router::RoutingPolicy,
     /// Retry schedule for the router's invoke path. The default preserves
-    /// the historical behaviour — eight immediate attempts, no RNG draws —
-    /// so calm runs do not drift; chaos experiments opt into spaced,
-    /// jittered backoff.
+    /// the historical behaviour — eight immediate attempts — so calm runs
+    /// do not drift; chaos experiments opt into spaced backoff.
     pub invoke_retry: RetryPolicy,
     /// Per-attempt forwarding deadline (`None` = wait indefinitely). A
     /// timed-out attempt counts as retryable, like a reset connection.
     pub attempt_timeout: Option<SimDuration>,
-    /// Seed for the router's retry-jitter stream.
+    /// Unread: retries no longer draw jitter, so nothing takes a seed from
+    /// here. Kept because the host-time benchmark package writes it.
     pub seed: u64,
     /// Per-revision circuit breaker on the router's invoke path. Disabled
     /// by default (`failure_threshold == 0`), so calm runs keep the

@@ -17,7 +17,8 @@ pub const SERVICE_LABEL: &str = "serving.knative.dev/service";
 
 /// A Knative Service: everything the platform knows about one registered
 /// function. The serving controller backs it with a Kubernetes Deployment
-/// and Service, named after its one revision.
+/// named after its one revision; the revision's ready endpoints are the
+/// routable pods that carry its [`REVISION_LABEL`].
 #[derive(Clone)]
 pub struct KService {
     /// Service name, unique per platform.
@@ -116,11 +117,6 @@ impl KService {
     pub(crate) fn deployment_name(&self) -> String {
         format!("{}-deployment", self.revision())
     }
-
-    /// Name of the backing Kubernetes Service, and of its endpoints.
-    pub(crate) fn endpoints_name(&self) -> String {
-        format!("{}-private", self.revision())
-    }
 }
 
 /// The handler of a service built but not registered.
@@ -146,7 +142,6 @@ mod tests {
         assert_eq!(ksvc.max_scale, 8);
         assert_eq!(ksvc.revision(), "matmul-00001");
         assert_eq!(ksvc.deployment_name(), "matmul-00001-deployment");
-        assert_eq!(ksvc.endpoints_name(), "matmul-00001-private");
     }
 
     #[test]

@@ -4,13 +4,13 @@
 use std::rc::Rc;
 
 use swf_cluster::{Cluster, NodeId, Request, Response};
-use swf_k8s::{Endpoints, Store};
+use swf_k8s::{Endpoint, Store};
 use swf_simcore::{spawn, SimDuration};
 
 use crate::autoscaler::Autoscaler;
 use crate::config::KnativeConfig;
 use crate::error::KnativeError;
-use crate::ksvc::{Handler, KService};
+use crate::ksvc::{Handler, KService, REVISION_LABEL};
 use crate::metrics::MetricHub;
 use crate::pod_server::PodServers;
 use crate::router::Router;
@@ -91,16 +91,20 @@ impl Knative {
             .get(service)
             .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))?;
         self.k8s
-            .wait_endpoints(&ksvc.endpoints_name(), n, deadline)
+            .wait_ready_endpoints(REVISION_LABEL, &ksvc.revision(), n, deadline)
             .await
             .map_err(Into::into)
     }
 
-    /// The endpoints of a registered service, once the serving controller
-    /// has created them.
-    pub fn endpoints(&self, service: &str) -> Option<Rc<Endpoints>> {
-        let ksvc = self.ksvcs.get(service)?;
-        self.k8s.api().endpoints().get(&ksvc.endpoints_name())
+    /// The ready endpoints of a service's revision — its routable pods, in
+    /// ascending `(node, port)` order — as the router sees them now. Empty
+    /// for a name that was never registered.
+    pub fn endpoints(&self, service: &str) -> Vec<Endpoint> {
+        self.ksvcs.get(service).map_or_else(Vec::new, |ksvc| {
+            self.k8s
+                .api()
+                .ready_endpoints(REVISION_LABEL, &ksvc.revision())
+        })
     }
 
     /// The underlying orchestrator handle.
@@ -159,7 +163,7 @@ mod tests {
                 KService::new("matmul", image.clone()).with_initial_scale(0),
             );
             swf_simcore::sleep(secs(1.0)).await;
-            assert_eq!(kn.endpoints("matmul").unwrap().ready.len(), 0);
+            assert!(kn.endpoints("matmul").is_empty());
             let t0 = now();
             let resp = kn
                 .invoke(
@@ -275,7 +279,7 @@ mod tests {
             let responses = swf_simcore::join_all(handles).await;
             assert!(responses.iter().all(|r| r.is_success()));
             // The burst forced scale-out beyond the single warm pod.
-            assert!(kn.endpoints("matmul").unwrap().ready.len() > 1);
+            assert!(kn.endpoints("matmul").len() > 1);
         });
     }
 
@@ -308,9 +312,9 @@ mod tests {
                 },
             );
             kn.wait_ready("fn", 2, secs(600.0)).await.unwrap();
-            let eps = kn.endpoints("fn").unwrap();
-            assert_eq!(eps.ready.len(), 2);
-            let (busy_node, idle_node) = (eps.ready[0].node, eps.ready[1].node);
+            let eps = kn.endpoints("fn");
+            assert_eq!(eps.len(), 2);
+            let (busy_node, idle_node) = (eps[0].node, eps[1].node);
             // Saturate every core of the busy node with foreign work.
             let busy = kn.k8s().runtime(busy_node).unwrap().node().clone();
             let cores = busy.cores().capacity();
@@ -602,6 +606,72 @@ mod tests {
             let err = kn.wait_ready("ghost", 1, secs(300.0)).await.unwrap_err();
             assert!(matches!(err, KnativeError::ServiceNotFound(_)));
             assert_eq!(now(), t0);
+        });
+    }
+
+    /// A cold start whose pod can never be placed gives up at the
+    /// activator's deadline with the typed `ColdStartTimeout`.
+    #[test]
+    fn an_unschedulable_cold_start_times_out_with_its_typed_error() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let (_cluster, kn, image) = boot();
+            // More cores than any node has: the pod stays Pending.
+            let huge = swf_container::ResourceLimits {
+                cpu_millis: 64_000,
+                memory: swf_cluster::mib(1),
+            };
+            echo_service(
+                &kn,
+                &image,
+                "huge",
+                KService::new("huge", image.clone()).with_resources(huge),
+            );
+            let t0 = now();
+            let err = kn
+                .invoke(NodeId(0), "huge", Request::post("/", Bytes::new()))
+                .await
+                .unwrap_err();
+            assert!(
+                matches!(&err, KnativeError::ColdStartTimeout(s) if s == "huge"),
+                "expected ColdStartTimeout, got {err}"
+            );
+            let activator = KnativeConfig::default().data_plane.activator_latency;
+            assert_eq!(now() - t0, activator + secs(300.0));
+        });
+    }
+
+    /// The ready endpoints are read from the pod store when asked, so a
+    /// pod that stops being ready leaves them at the instant of the write.
+    #[test]
+    fn an_unready_pod_leaves_the_endpoints_at_once() {
+        let sim = Sim::new();
+        sim.block_on(async {
+            let (_cluster, kn, image) = boot();
+            echo_service(
+                &kn,
+                &image,
+                "matmul",
+                KService::new("matmul", image.clone()).with_min_scale(2),
+            );
+            kn.wait_ready("matmul", 2, secs(600.0)).await.unwrap();
+            let before = kn.endpoints("matmul");
+            assert_eq!(before.len(), 2);
+            let pods = kn.k8s().api().pods().filter(|p| p.is_routable());
+            let victim = &pods[0];
+            let gone = swf_k8s::Endpoint {
+                node: victim.status.node.unwrap(),
+                port: victim.status.port,
+            };
+            assert!(before.contains(&gone));
+            kn.k8s()
+                .api()
+                .pods()
+                .update(&victim.meta.name, |p| p.status.ready = false);
+            // No `.await` between the write and the read.
+            let after = kn.endpoints("matmul");
+            assert_eq!(after.len(), 1);
+            assert!(!after.contains(&gone));
         });
     }
 

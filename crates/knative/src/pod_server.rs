@@ -231,6 +231,7 @@ impl QueueProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ksvc::REVISION_LABEL;
     use bytes::Bytes;
     use std::cell::RefCell;
     use swf_cluster::{Cluster, ClusterConfig};
@@ -274,7 +275,7 @@ mod tests {
                 .with_min_scale(1)
                 .with_container_concurrency(cc);
             ksvcs.put("echo", KService { handler, ..ksvc });
-            k8s.wait_endpoints("echo-00001-private", 1, secs(120.0))
+            k8s.wait_ready_endpoints(REVISION_LABEL, "echo-00001", 1, secs(120.0))
                 .await
                 .unwrap();
             *out2.borrow_mut() = Some(Env { cluster, k8s, hub });
@@ -294,8 +295,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
-            let eps = e.k8s.api().endpoints().get("echo-00001-private").unwrap();
-            let ep = eps.ready[0];
+            let ep = e.k8s.api().ready_endpoints(REVISION_LABEL, "echo-00001")[0];
             let t0 = swf_simcore::now();
             for i in 0..5u8 {
                 let resp = e
@@ -330,8 +330,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
-            let eps = e.k8s.api().endpoints().get("echo-00001-private").unwrap();
-            let ep = eps.ready[0];
+            let ep = e.k8s.api().ready_endpoints(REVISION_LABEL, "echo-00001")[0];
             let t0 = swf_simcore::now();
             let handles: Vec<_> = (0..3u8)
                 .map(|i| {
@@ -361,8 +360,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
-            let eps = e.k8s.api().endpoints().get("echo-00001-private").unwrap();
-            let ep = eps.ready[0];
+            let ep = e.k8s.api().ready_endpoints(REVISION_LABEL, "echo-00001")[0];
             let t0 = swf_simcore::now();
             let handles: Vec<_> = (0..3u8)
                 .map(|i| {
@@ -398,8 +396,7 @@ mod tests {
         let env2 = Rc::clone(&env);
         sim.block_on(async move {
             let e = env2.borrow_mut().take().unwrap();
-            let eps = e.k8s.api().endpoints().get("echo-00001-private").unwrap();
-            let ep = eps.ready[0];
+            let ep = e.k8s.api().ready_endpoints(REVISION_LABEL, "echo-00001")[0];
             let t0 = swf_simcore::now();
             let resp = e
                 .cluster

@@ -1,9 +1,10 @@
 //! Ingress router + activator.
 //!
-//! Warm path: resolve the service's ready endpoints, round-robin, forward.
+//! Warm path: read the revision's ready endpoints — its routable pods, from
+//! the pod store at each attempt — pick one round-robin, forward.
 //! Cold path (no endpoints): buffer the request at the activator — the
 //! buffered demand counts toward autoscaler concurrency — poke the
-//! Deployment to at least one replica, wait for an endpoint, then forward.
+//! Deployment to at least one replica, wait for a routable pod, then forward.
 //! This is the 1.48 s cold start measured in the paper's §III-B.
 
 use std::cell::RefCell;
@@ -11,13 +12,13 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use swf_cluster::{ClusterError, HttpStack, NodeId, Request, Response};
-use swf_k8s::{RoundRobin, Store};
-use swf_simcore::{millis, sleep, timeout, DetRng, Elapsed, SimDuration};
+use swf_k8s::{Endpoint, Store};
+use swf_simcore::{millis, sleep, timeout, SimDuration};
 
 use crate::breaker::CircuitBreaker;
 use crate::config::KnativeConfig;
 use crate::error::KnativeError;
-use crate::ksvc::{KService, SERVICE_LABEL};
+use crate::ksvc::{KService, REVISION_LABEL, SERVICE_LABEL};
 use crate::metrics::MetricHub;
 
 /// How the router chooses among ready endpoints.
@@ -42,14 +43,14 @@ pub struct Router {
     ksvcs: Store<KService>,
     hub: MetricHub,
     config: KnativeConfig,
-    balancers: Rc<RefCell<BTreeMap<String, RoundRobin>>>,
-    retry_rng: Rc<RefCell<DetRng>>,
+    /// Round-robin cursor per revision.
+    cursors: Rc<RefCell<BTreeMap<String, usize>>>,
     breakers: Rc<RefCell<BTreeMap<String, Rc<CircuitBreaker>>>>,
 }
 
 impl Router {
-    /// New router: routing policy, retry schedule, attempt deadline, jitter
-    /// seed, breaker and activator latency all come from `config`.
+    /// New router: routing policy, retry schedule, attempt deadline, breaker
+    /// and activator latency all come from `config`.
     pub fn new(
         k8s: swf_k8s::K8s,
         http: HttpStack,
@@ -63,8 +64,7 @@ impl Router {
             ksvcs,
             hub,
             config,
-            balancers: Rc::new(RefCell::new(BTreeMap::new())),
-            retry_rng: Rc::new(RefCell::new(DetRng::new(config.seed, "router-retry"))),
+            cursors: Rc::new(RefCell::new(BTreeMap::new())),
             breakers: Rc::new(RefCell::new(BTreeMap::new())),
         }
     }
@@ -110,7 +110,6 @@ impl Router {
             .get(service)
             .ok_or_else(|| KnativeError::ServiceNotFound(service.to_string()))?;
         let revision = ksvc.revision();
-        let eps_name = ksvc.endpoints_name();
         let breaker = self.breaker(&revision);
         let mut attempts = 0;
         // Whether the final failed attempt was an overload signal (503 or
@@ -131,10 +130,7 @@ impl Router {
                             last: "circuit open".to_string(),
                         });
                     }
-                    let delay = self
-                        .config
-                        .invoke_retry
-                        .delay_for(attempts, &mut self.retry_rng.borrow_mut());
+                    let delay = self.config.invoke_retry.delay_for(attempts);
                     // An immediate retry policy would spin against an open
                     // circuit without advancing virtual time; wait out the
                     // remaining cooldown instead.
@@ -148,19 +144,13 @@ impl Router {
                 }
             };
             let endpoint = {
-                let eps = self
-                    .k8s
-                    .api()
-                    .endpoints()
-                    .get(&eps_name)
-                    .unwrap_or_default();
+                let ready = self.k8s.api().ready_endpoints(REVISION_LABEL, &revision);
                 match self.config.routing {
                     RoutingPolicy::RoundRobin => {
-                        let mut balancers = self.balancers.borrow_mut();
-                        let rr = balancers.entry(revision.clone()).or_default();
-                        rr.pick(&eps)
+                        let mut cursors = self.cursors.borrow_mut();
+                        round_robin(cursors.entry(revision.clone()).or_default(), &ready)
                     }
-                    RoutingPolicy::LeastLoaded => self.pick_least_loaded(&eps),
+                    RoutingPolicy::LeastLoaded => self.pick_least_loaded(&ready),
                 }
             };
             match endpoint {
@@ -240,10 +230,7 @@ impl Router {
                             }
                         });
                     }
-                    let delay = self
-                        .config
-                        .invoke_retry
-                        .delay_for(attempts, &mut self.retry_rng.borrow_mut());
+                    let delay = self.config.invoke_retry.delay_for(attempts);
                     if !delay.is_zero() {
                         // Backed-off retry; the immediate default never
                         // sleeps, keeping the calm path bit-identical.
@@ -264,8 +251,8 @@ impl Router {
     /// §IX-D task redirection: route to the endpoint whose node currently
     /// has the most free cores, falling back to round-robin order on ties
     /// (sorted endpoint lists keep this deterministic).
-    fn pick_least_loaded(&self, eps: &swf_k8s::Endpoints) -> Option<swf_k8s::Endpoint> {
-        eps.ready.iter().copied().max_by_key(|ep| {
+    fn pick_least_loaded(&self, ready: &[Endpoint]) -> Option<Endpoint> {
+        ready.iter().copied().max_by_key(|ep| {
             self.k8s
                 .runtime(ep.node)
                 .map(|rt| rt.node().cores().available())
@@ -274,7 +261,7 @@ impl Router {
     }
 
     /// The activator path: register buffered demand, poke the deployment,
-    /// wait for at least one ready endpoint.
+    /// wait for at least one routable pod of the revision.
     async fn activate(
         &self,
         ksvc: &KService,
@@ -301,30 +288,75 @@ impl Router {
             let floor = ksvc.min_scale.max(1);
             let _ = self.k8s.api().scale_deployment(&dep, floor).await;
         }
-        let eps_name = ksvc.endpoints_name();
-        let wait = self.k8s.wait_endpoints(&eps_name, 1, COLD_START_DEADLINE);
-        match timeout(COLD_START_DEADLINE, wait).await {
-            Ok(Ok(())) => {
-                obs.observe(
-                    "knative.cold_wait_s",
-                    (swf_simcore::now() - t_cold).as_secs_f64(),
-                );
-                // Causally link the wait to the pod boot(s) it waited on.
-                if !cold.ctx().is_none() {
-                    for pod in self
-                        .k8s
-                        .api()
-                        .pods()
-                        .filter(|p| p.meta.labels.get(SERVICE_LABEL) == Some(&ksvc.name))
-                    {
-                        let anchor = obs.anchor(&format!("pod/{}", pod.meta.name));
-                        obs.link_from(cold.ctx(), anchor);
-                    }
-                }
-                Ok(())
-            }
-            Ok(Err(e)) => Err(KnativeError::K8s(e.to_string())),
-            Err(Elapsed) => Err(KnativeError::ColdStartTimeout(ksvc.name.clone())),
+        // The wait's one error is its deadline.
+        if self
+            .k8s
+            .wait_ready_endpoints(REVISION_LABEL, revision, 1, COLD_START_DEADLINE)
+            .await
+            .is_err()
+        {
+            return Err(KnativeError::ColdStartTimeout(ksvc.name.clone()));
         }
+        obs.observe(
+            "knative.cold_wait_s",
+            (swf_simcore::now() - t_cold).as_secs_f64(),
+        );
+        // Causally link the wait to the pod boot(s) it waited on.
+        if !cold.ctx().is_none() {
+            for pod in self
+                .k8s
+                .api()
+                .pods()
+                .filter(|p| p.meta.labels.get(SERVICE_LABEL) == Some(&ksvc.name))
+            {
+                let anchor = obs.anchor(&format!("pod/{}", pod.meta.name));
+                obs.link_from(cold.ctx(), anchor);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The next of `ready` in round-robin order: the cursor advances on every
+/// pick and wraps modulo the current list, so it survives a change of
+/// backends. No pick, and no advance, from an empty list.
+fn round_robin(cursor: &mut usize, ready: &[Endpoint]) -> Option<Endpoint> {
+    if ready.is_empty() {
+        return None;
+    }
+    let i = *cursor;
+    *cursor = i.wrapping_add(1);
+    Some(ready[i % ready.len()])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use swf_cluster::NodeId;
+
+    fn ready(n: usize) -> Vec<Endpoint> {
+        (0..n)
+            .map(|i| Endpoint {
+                node: NodeId(i),
+                port: 8080,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn round_robin_cycles_skips_empty_lists_and_survives_backend_changes() {
+        let mut cursor = 0;
+        let mut pick = |ready: &[Endpoint]| round_robin(&mut cursor, ready).map(|e| e.node.0);
+        let three = ready(3);
+        let picks: Vec<_> = (0..6).map(|_| pick(&three)).collect();
+        assert_eq!(picks, [0, 1, 2, 0, 1, 2].map(Some));
+        // An empty list yields nothing and leaves the cursor where it was.
+        assert_eq!(pick(&[]), None);
+        assert_eq!(pick(&three), Some(0));
+        assert_eq!(pick(&three), Some(1));
+        // The cursor keeps advancing; the modulo applies to the new list.
+        let two = ready(2);
+        assert_eq!(pick(&two), Some(0));
+        assert_eq!(pick(&two), Some(1));
     }
 }

@@ -1,6 +1,9 @@
-//! The serving controller: each KService gets a Deployment and a Service.
+//! The serving controller: each KService gets a Deployment. Its pods carry
+//! the revision label, and the revision's ready endpoints are read from
+//! them ([`swf_k8s::ApiServer::ready_endpoints`]), so no Kubernetes Service
+//! stands in front of them.
 
-use swf_k8s::{Deployment, LabelSelector, ObjectMeta, PodSpec, PodTemplate, Service, Store};
+use swf_k8s::{Deployment, ObjectMeta, PodSpec, PodTemplate, Store};
 
 use crate::config::KnativeConfig;
 use crate::ksvc::{KService, REVISION_LABEL, SERVICE_LABEL};
@@ -27,8 +30,8 @@ impl ServingController {
         }
     }
 
-    /// One pass: create the Deployment and Service of every KService whose
-    /// Deployment does not exist yet.
+    /// One pass: create the Deployment of every KService that has none
+    /// yet.
     async fn reconcile(&self) {
         for ksvc in self.ksvcs.list() {
             if !self
@@ -43,9 +46,8 @@ impl ServingController {
     }
 
     async fn materialize(&self, ksvc: &KService) {
-        let revision = ksvc.revision();
         let pod_labels = ObjectMeta::default()
-            .with_label(REVISION_LABEL, &revision)
+            .with_label(REVISION_LABEL, ksvc.revision())
             .with_label(SERVICE_LABEL, &ksvc.name);
         let mut pod_spec = PodSpec::new(ksvc.image.clone())
             .with_resources(ksvc.resources)
@@ -64,14 +66,6 @@ impl ServingController {
                     spec: pod_spec,
                 },
             ))
-            .await;
-        let _ = self
-            .k8s
-            .api()
-            .create_service(Service {
-                meta: ObjectMeta::named(ksvc.endpoints_name()),
-                selector: LabelSelector::eq(REVISION_LABEL, revision),
-            })
             .await;
     }
 }
@@ -96,7 +90,7 @@ mod tests {
     }
 
     #[test]
-    fn kservice_materializes_deployment_and_service() {
+    fn kservice_materializes_a_deployment_whose_pods_become_endpoints() {
         let sim = Sim::new();
         sim.block_on(async {
             let (k8s, ksvcs, image) = boot();
@@ -109,9 +103,8 @@ mod tests {
                 .get("matmul-00001-deployment")
                 .unwrap();
             assert_eq!(dep.replicas, 2);
-            assert!(k8s.api().services().contains("matmul-00001-private"));
             // Pods eventually become ready with the app-boot readiness delay.
-            k8s.wait_endpoints("matmul-00001-private", 2, secs(120.0))
+            k8s.wait_ready_endpoints(REVISION_LABEL, "matmul-00001", 2, secs(120.0))
                 .await
                 .unwrap();
         });

@@ -2,35 +2,27 @@
 //!
 //! HTCondor's DAGMan, Knative's router/activator and the chaos harness all
 //! need the same thing: a bounded number of attempts separated by
-//! exponentially growing, deterministically jittered delays. Centralizing
-//! the policy keeps retry timing reproducible (all jitter flows through
-//! [`DetRng`]) and keeps the calm path bit-identical: the default policy
-//! produces zero-length delays and draws nothing from the RNG.
+//! exponentially growing delays. Centralizing the policy keeps retry timing
+//! one rule, and keeps the calm path bit-identical: the default policy
+//! produces zero-length delays.
 
-use crate::rng::DetRng;
 use crate::time::SimDuration;
 
 /// A deterministic exponential-backoff schedule.
 ///
-/// `delay_for(attempt)` returns `min(base · multiplier^attempt, max_delay)`,
-/// optionally jittered lognormally (coefficient of variation `jitter_cv`)
-/// through a caller-supplied [`DetRng`]. A zero `base` means "retry
-/// immediately" and never touches the RNG, so components configured with
+/// `delay_for(retry)` returns `min(base · 2^(retry-1), max_delay)`. A zero
+/// `base` means "retry immediately", so components configured with
 /// [`RetryPolicy::immediate`] behave byte-identically to their pre-policy
 /// selves.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts allowed in total (first try included). 0 is treated as 1.
     pub max_attempts: u32,
-    /// Delay before the first retry (attempt 1). Zero = immediate retries.
+    /// Delay before the first retry (attempt 1), doubling per retry. Zero =
+    /// immediate retries.
     pub base: SimDuration,
-    /// Growth factor per retry (1.0 = constant delay).
-    pub multiplier: f64,
     /// Upper bound on any single delay.
     pub max_delay: SimDuration,
-    /// Lognormal jitter (coefficient of variation) on each non-zero delay;
-    /// 0 = deterministic schedule, no RNG draws.
-    pub jitter_cv: f64,
 }
 
 impl RetryPolicy {
@@ -40,28 +32,18 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts,
             base: SimDuration::ZERO,
-            multiplier: 1.0,
             max_delay: SimDuration::ZERO,
-            jitter_cv: 0.0,
         }
     }
 
     /// Exponential backoff: `base`, doubling per retry, capped at
-    /// `max_delay`, no jitter.
+    /// `max_delay`.
     pub fn exponential(max_attempts: u32, base: SimDuration, max_delay: SimDuration) -> Self {
         RetryPolicy {
             max_attempts,
             base,
-            multiplier: 2.0,
             max_delay,
-            jitter_cv: 0.0,
         }
-    }
-
-    /// Builder: set the jitter coefficient of variation.
-    pub fn with_jitter(mut self, cv: f64) -> Self {
-        self.jitter_cv = cv;
-        self
     }
 
     /// Attempts allowed (never less than one).
@@ -70,26 +52,17 @@ impl RetryPolicy {
     }
 
     /// The delay to sleep before retry number `retry` (1-based: the delay
-    /// between attempt N and attempt N+1 is `delay_for(N, rng)`). Draws
-    /// from `rng` only when both the nominal delay and `jitter_cv` are
-    /// non-zero, so an immediate policy consumes no randomness.
-    pub fn delay_for(&self, retry: u32, rng: &mut DetRng) -> SimDuration {
+    /// between attempt N and attempt N+1 is `delay_for(N)`).
+    pub fn delay_for(&self, retry: u32) -> SimDuration {
         if self.base.is_zero() {
             return SimDuration::ZERO;
         }
-        let factor = self
-            .multiplier
-            .max(0.0)
-            .powi(retry.saturating_sub(1) as i32);
-        let mut nominal = self.base.mul_f64(factor);
+        let factor = 2.0_f64.powi(retry.saturating_sub(1) as i32);
+        let nominal = self.base.mul_f64(factor);
         if !self.max_delay.is_zero() && nominal > self.max_delay {
-            nominal = self.max_delay;
+            return self.max_delay;
         }
-        if nominal.is_zero() || self.jitter_cv <= 0.0 {
-            return nominal;
-        }
-        let jittered = rng.lognormal(nominal.as_secs_f64(), self.jitter_cv);
-        SimDuration::from_secs_f64(jittered)
+        nominal
     }
 }
 
@@ -105,39 +78,21 @@ mod tests {
     use crate::time::{millis, secs};
 
     #[test]
-    fn immediate_policy_never_sleeps_or_draws() {
+    fn immediate_policy_never_sleeps() {
         let p = RetryPolicy::immediate(8);
-        let mut rng = DetRng::new(1, "t");
-        let mut probe = DetRng::new(1, "t");
         for retry in 1..10 {
-            assert_eq!(p.delay_for(retry, &mut rng), SimDuration::ZERO);
+            assert_eq!(p.delay_for(retry), SimDuration::ZERO);
         }
-        // No draws happened: the stream is still aligned with a fresh one.
-        assert_eq!(rng.uniform_u64(0, 1 << 30), probe.uniform_u64(0, 1 << 30));
     }
 
     #[test]
     fn exponential_growth_caps_at_max_delay() {
         let p = RetryPolicy::exponential(5, millis(100), secs(1.0));
-        let mut rng = DetRng::new(1, "t");
-        assert_eq!(p.delay_for(1, &mut rng), millis(100));
-        assert_eq!(p.delay_for(2, &mut rng), millis(200));
-        assert_eq!(p.delay_for(3, &mut rng), millis(400));
-        assert_eq!(p.delay_for(5, &mut rng), secs(1.0));
-        assert_eq!(p.delay_for(30, &mut rng), secs(1.0));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let p = RetryPolicy::exponential(5, millis(100), secs(10.0)).with_jitter(0.3);
-        let mut a = DetRng::new(7, "retry");
-        let mut b = DetRng::new(7, "retry");
-        for retry in 1..5 {
-            let da = p.delay_for(retry, &mut a);
-            let db = p.delay_for(retry, &mut b);
-            assert_eq!(da.as_nanos(), db.as_nanos());
-            assert!(!da.is_zero());
-        }
+        assert_eq!(p.delay_for(1), millis(100));
+        assert_eq!(p.delay_for(2), millis(200));
+        assert_eq!(p.delay_for(3), millis(400));
+        assert_eq!(p.delay_for(5), secs(1.0));
+        assert_eq!(p.delay_for(30), secs(1.0));
     }
 
     #[test]
@@ -148,26 +103,20 @@ mod tests {
 
     /// Golden values: the exact delay sequences the shipped policies
     /// produce, pinned to the nanosecond. Any change to the backoff
-    /// arithmetic, the lognormal transform, or the `DetRng` stream layout
-    /// shows up here as a bit-level diff — the same drift contract the
-    /// bench baselines enforce for whole runs, at policy granularity.
+    /// arithmetic shows up here as a bit-level diff — the same drift
+    /// contract the bench baselines enforce for whole runs, at policy
+    /// granularity.
     #[test]
     fn golden_immediate_sequence() {
         let p = RetryPolicy::immediate(4);
-        let mut rng = DetRng::new(42, "golden-retry");
-        let seq: Vec<u64> = (1..=4)
-            .map(|r| p.delay_for(r, &mut rng).as_nanos())
-            .collect();
+        let seq: Vec<u64> = (1..=4).map(|r| p.delay_for(r).as_nanos()).collect();
         assert_eq!(seq, [0, 0, 0, 0]);
     }
 
     #[test]
     fn golden_exponential_sequence_unjittered() {
         let p = RetryPolicy::exponential(6, millis(250), secs(4.0));
-        let mut rng = DetRng::new(42, "golden-retry");
-        let seq: Vec<u64> = (1..=6)
-            .map(|r| p.delay_for(r, &mut rng).as_nanos())
-            .collect();
+        let seq: Vec<u64> = (1..=6).map(|r| p.delay_for(r).as_nanos()).collect();
         // 0.25 s doubling, capped at 4 s from retry 5 on.
         assert_eq!(
             seq,
@@ -178,44 +127,6 @@ mod tests {
                 2_000_000_000,
                 4_000_000_000,
                 4_000_000_000
-            ]
-        );
-    }
-
-    #[test]
-    fn golden_exponential_sequence_with_seeded_jitter() {
-        // The cap bounds the *nominal* delay; lognormal jitter (cv 0.25)
-        // then scatters around it, so late draws may exceed 4 s. Two
-        // different seeds pin two different exact sequences.
-        let p = RetryPolicy::exponential(6, millis(250), secs(4.0)).with_jitter(0.25);
-        let mut rng = DetRng::new(42, "golden-retry");
-        let seq: Vec<u64> = (1..=6)
-            .map(|r| p.delay_for(r, &mut rng).as_nanos())
-            .collect();
-        assert_eq!(
-            seq,
-            [
-                428_333_219,
-                499_412_673,
-                970_465_235,
-                2_739_515_161,
-                5_545_389_067,
-                3_038_886_645
-            ]
-        );
-        let mut rng = DetRng::new(7, "golden-retry");
-        let seq: Vec<u64> = (1..=6)
-            .map(|r| p.delay_for(r, &mut rng).as_nanos())
-            .collect();
-        assert_eq!(
-            seq,
-            [
-                304_015_689,
-                737_972_206,
-                1_274_638_566,
-                2_260_333_304,
-                4_448_110_125,
-                3_891_031_406
             ]
         );
     }

@@ -15,7 +15,7 @@ use swf_simcore::{join_all, now, secs, sleep, spawn};
 
 /// Ready pods of the `burst` service.
 fn ready_pods(kn: &Knative) -> usize {
-    kn.endpoints("burst").map_or(0, |e| e.ready.len())
+    kn.endpoints("burst").len()
 }
 
 fn main() {

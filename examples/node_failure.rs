@@ -26,8 +26,6 @@ fn main() {
         let placement = |bed: &TestBed| -> Vec<NodeId> {
             bed.knative
                 .endpoints("svc")
-                .unwrap()
-                .ready
                 .iter()
                 .map(|e| e.node)
                 .collect()
