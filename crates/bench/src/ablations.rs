@@ -149,14 +149,15 @@ fn ablate_provisioning(quick: bool, out: &mut AblationsResult) {
 
 /// Ablation 3 — pass-by-value serialization on vs off (node-resident data).
 fn ablate_payload(quick: bool, out: &mut AblationsResult) {
+    let paper = ExperimentConfig::paper();
     for (label, rate) in [
-        ("pass-by-value (4 MB/s ser.)", 4.0e6),
+        ("pass-by-value (4 MB/s ser.)", paper.serialization_rate),
         ("node-resident data", 0.0),
     ] {
         let mut config = ExperimentConfig::quick();
         config.serialization_rate = rate;
         // Use paper-sized matrices so payload costs are visible.
-        config.matrix_dim = if quick { 64 } else { 350 };
+        config.matrix_dim = if quick { 64 } else { paper.matrix_dim };
         let row = ("file management", label.into(), format!("payload/{label}"));
         concurrent_row(out, row, config, params(quick, EnvMix::ALL_SERVERLESS));
     }
@@ -191,14 +192,15 @@ fn ablate_routing(out: &mut AblationsResult) {
         let mut config = ExperimentConfig::quick();
         config.knative.routing = policy;
         config.trace = true;
-        let (mean_latency, obs) = harness::run(&config, async |bed| {
+        let compute = config.compute.per_task;
+        let (mean_latency, obs) = harness::run(&config, async move |bed| {
             bed.knative.register_fn(
                 KService::new("fn", bed.image.clone())
                     .with_min_scale(2)
                     .with_max_scale(2),
-                |req| {
+                move |req| {
                     let b = req.body.clone();
-                    Workload::new(secs(0.458), move || Ok(b))
+                    Workload::new(compute, move || Ok(b))
                 },
             );
             bed.knative.wait_ready("fn", 2, secs(600.0)).await.unwrap();

@@ -95,14 +95,20 @@ fn scenario_fig1(quick: bool) -> ScenarioOutput {
     )
 }
 
-fn scenario_fig2(quick: bool) -> ScenarioOutput {
+/// The fig2 scenario's config: [`suite_config`] with the negotiator
+/// override the figure is calibrated with. The parallel experiment submits
+/// one burst of independent jobs: no DAGMan, no claim reuse — per-job
+/// latency is negotiation-bound, not activation-bound. Calibrated so the
+/// native slope lands near the paper's 0.28 s/task.
+pub fn fig2_config(quick: bool) -> ExperimentConfig {
     let mut config = suite_config(quick);
-    // The parallel experiment submits one burst of independent jobs: no
-    // DAGMan, no claim reuse — per-job latency is negotiation-bound, not
-    // activation-bound. Calibrated so the native slope lands near the
-    // paper's 0.28 s/task.
     config.condor.negotiator.cycle_interval = swf_simcore::secs(5.0);
     config.condor.negotiator.activation_delay = swf_simcore::SimDuration::ZERO;
+    config
+}
+
+fn scenario_fig2(quick: bool) -> ScenarioOutput {
+    let config = fig2_config(quick);
     let obs = swf_obs::Obs::enabled();
     let _guard = swf_obs::install(obs.clone());
     let counts: Vec<usize> = if quick {

@@ -110,7 +110,7 @@ impl ChaosRunConfig {
                 failure_threshold: 2,
             });
             config.knative.breaker = BreakerConfig::enabled(5, secs(8.0));
-            config.knative.data_plane.queue_depth = 8;
+            config.knative.queue_depth = 8;
         }
         config
     }

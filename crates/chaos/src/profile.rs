@@ -210,12 +210,6 @@ impl std::fmt::Display for UnknownProfile {
 
 impl std::error::Error for UnknownProfile {}
 
-impl Default for ChaosProfile {
-    fn default() -> Self {
-        ChaosProfile::light()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,7 +222,7 @@ mod tests {
         assert_eq!(calm.node_crash_interval, 0.0);
         assert!(light.node_crash_interval > heavy.node_crash_interval);
         assert!(heavy.flaky_fail_chance >= light.flaky_fail_chance);
-        assert_eq!(ChaosProfile::default(), light);
+        assert_eq!(ChaosProfile::by_name("light"), Ok(light));
     }
 
     #[test]

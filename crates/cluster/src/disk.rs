@@ -8,6 +8,12 @@ use swf_simcore::{secs, Resource, SimDuration};
 
 use crate::units::Rate;
 
+/// A typical datacenter SSD's sequential bandwidth, in MB/s.
+pub const SSD_MB_PER_S: f64 = 500.0;
+
+/// A typical datacenter SSD's per-operation latency.
+pub const SSD_LATENCY: SimDuration = SimDuration::from_micros(100);
+
 /// A node-local disk.
 #[derive(Clone)]
 pub struct Disk {
@@ -26,9 +32,9 @@ impl Disk {
         }
     }
 
-    /// A typical datacenter SSD: 500 MB/s, 100 µs per op.
+    /// A typical datacenter SSD: [`SSD_MB_PER_S`], [`SSD_LATENCY`] per op.
     pub fn standard_ssd() -> Self {
-        Disk::new(Rate::mb_per_s(500.0), SimDuration::from_micros(100))
+        Disk::new(Rate::mb_per_s(SSD_MB_PER_S), SSD_LATENCY)
     }
 
     /// Charge virtual time for reading `bytes`.

@@ -143,8 +143,8 @@ pub struct DagmanConfig {
     /// deterministic.
     pub poll_jitter_cv: f64,
     /// Backoff schedule between a node's failure and its resubmission.
-    /// The default immediate policy resubmits within the same poll tick —
-    /// the historical DAGMan behaviour — so calm runs do not drift.
+    /// The default resubmits on the poll tick that observes the failure,
+    /// as DAGMan's `RETRY` does; chaos experiments opt into spaced backoff.
     /// Non-zero delays round up to the poll tick on which DAGMan next
     /// observes the node (real DAGMan re-reads its job log on the same
     /// cadence). The per-node retry *count* stays
@@ -153,10 +153,12 @@ pub struct DagmanConfig {
 }
 
 impl Default for DagmanConfig {
+    /// The paper's calibration: a 5 s poll with 0.30 lognormal jitter, one
+    /// input to the negotiator's stage-latency fit.
     fn default() -> Self {
         DagmanConfig {
             poll_interval: SimDuration::from_secs(5),
-            poll_jitter_cv: 0.0,
+            poll_jitter_cv: 0.30,
             retry: RetryPolicy::immediate(1),
         }
     }
@@ -578,6 +580,8 @@ mod tests {
                 negotiator: crate::negotiator::NegotiatorConfig {
                     cycle_interval: secs(1.0),
                     match_latency: SimDuration::ZERO,
+                    cycle_jitter_cv: 0.0,
+                    activation_delay: SimDuration::ZERO,
                     ..crate::negotiator::NegotiatorConfig::default()
                 },
                 startd: crate::startd::StartdConfig {
@@ -696,9 +700,11 @@ mod tests {
             let mut dag = DagSpec::new();
             dag.add_node_with_retries("flaky", flaky, 3);
             dag.add_node("other", compute_job(0.1));
-            let report = run_dag(&condor, &dag, DagmanConfig::default())
-                .await
-                .unwrap();
+            let steady = DagmanConfig {
+                poll_jitter_cv: 0.0,
+                ..DagmanConfig::default()
+            };
+            let report = run_dag(&condor, &dag, steady).await.unwrap();
             assert_eq!(report.jobs_submitted, 4);
             // A zero-delay retry is resubmitted at the poll that saw the
             // failure, not one later: attempt k starts within a negotiation
@@ -765,8 +771,8 @@ mod tests {
                     &dag,
                     DagmanConfig {
                         poll_interval: secs(1.0),
+                        poll_jitter_cv: 0.0,
                         retry,
-                        ..DagmanConfig::default()
                     },
                 )
                 .await
@@ -819,8 +825,8 @@ mod tests {
             }
             let config = DagmanConfig {
                 poll_interval: secs(1.0),
+                poll_jitter_cv: 0.0,
                 retry: RetryPolicy::exponential(3, secs(1.0), secs(10.0)),
-                ..DagmanConfig::default()
             };
             let report = run_dag(&condor, &dag, config).await.unwrap();
             assert_eq!(report.node_results.len(), 9);
@@ -868,7 +874,11 @@ mod tests {
                     }
                 }
             });
-            let run = run_dag_resumable(&condor, &dag, DagmanConfig::default(), None)
+            let steady = DagmanConfig {
+                poll_jitter_cv: 0.0,
+                ..DagmanConfig::default()
+            };
+            let run = run_dag_resumable(&condor, &dag, steady, None)
                 .await
                 .unwrap();
             let DagRun::Halted { rescue, report } = run else {

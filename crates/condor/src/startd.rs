@@ -24,6 +24,7 @@ pub struct StartdConfig {
 }
 
 impl Default for StartdConfig {
+    /// The paper's calibration.
     fn default() -> Self {
         StartdConfig {
             job_start_overhead: SimDuration::from_millis(800),

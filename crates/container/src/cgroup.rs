@@ -19,10 +19,7 @@ pub struct ResourceLimits {
 
 impl Default for ResourceLimits {
     fn default() -> Self {
-        ResourceLimits {
-            cpu_millis: 1000,
-            memory: swf_cluster::mib(512),
-        }
+        Self::one_core(512)
     }
 }
 

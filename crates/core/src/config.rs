@@ -1,18 +1,23 @@
-//! Experiment configuration: every calibrated constant in one place.
+//! Experiment configuration: the paper's §V setup, composed.
 //!
-//! `ExperimentConfig::paper()` reproduces the paper's §V setup — a 4-VM
-//! cluster (8 cores / 32 GiB each), Pegasus 5.0.7-style planning onto
-//! HTCondor 23.8-style matchmaking, Knative-style serving — with timing
-//! constants calibrated against the published numbers (1.48 s cold start,
-//! Fig. 1 slopes, Fig. 6 native ≈ 250 s). `ExperimentConfig::quick()`
+//! Each model constant is written once, at the component that charges it:
+//! a component config's `Default` is its paper calibration, and a constant
+//! no experiment varies is a `const` at its one use. DESIGN.md §5 tables
+//! them all — value, unit, source, file — and `tests/calibration.rs` holds
+//! that table to the code. `ExperimentConfig::paper()` composes the
+//! component defaults — a 4-VM cluster (8 cores / 32 GiB each), Pegasus
+//! 5.0.7-style planning onto HTCondor 23.8-style matchmaking,
+//! Knative-style serving — and sets only what belongs to the experiment:
+//! matrix size, `min-scale`, payload serialization rate, container
+//! concurrency, staging, provisioning and seed. `ExperimentConfig::quick()`
 //! shrinks matrices and waits for fast unit/integration tests.
 
 use swf_cluster::ClusterConfig;
-use swf_condor::{CondorConfig, DagmanConfig, NegotiatorConfig, StartdConfig};
+use swf_condor::{CondorConfig, DagmanConfig};
 use swf_container::RegistryConfig;
 use swf_k8s::K8sConfig;
 use swf_knative::{AutoscalerConfig, KnativeConfig};
-use swf_simcore::{millis, secs, RetryPolicy};
+use swf_simcore::{millis, secs, DEFAULT_SEED};
 use swf_workloads::ComputeModel;
 
 /// How Pegasus provisions container images for traditional-container tasks.
@@ -97,58 +102,32 @@ impl ExperimentConfig {
             registry: RegistryConfig::default(),
             k8s: K8sConfig::default(),
             knative: KnativeConfig::default(),
-            condor: CondorConfig {
-                negotiator: NegotiatorConfig {
-                    // Frequent matching with a per-job claim-activation
-                    // latency (shadow spawn + claim handshake + transfer
-                    // queue), calibrated with the 5 s DAGMan poll so one
-                    // workflow stage averages ≈ 25 s and Fig. 6's
-                    // all-native bar lands near the paper's 250 s. The
-                    // activation delay is continuous (sampled per job), so
-                    // per-venue overheads remain visible in makespans, as
-                    // they are in the paper.
-                    cycle_interval: secs(3.0),
-                    match_latency: millis(30),
-                    cycle_jitter_cv: 0.20,
-                    activation_delay: secs(16.0),
-                    activation_jitter_cv: 0.35,
-                    seed: 0x5EED_CAFE,
-                },
-                startd: StartdConfig {
-                    job_start_overhead: millis(800),
-                },
-            },
-            dagman: DagmanConfig {
-                poll_interval: secs(5.0),
-                poll_jitter_cv: 0.30,
-                // Immediate resubmission — the pre-chaos behaviour; chaos
-                // experiments opt into spaced backoff explicitly.
-                retry: RetryPolicy::immediate(1),
-            },
+            condor: CondorConfig::default(),
+            dagman: DagmanConfig::default(),
             matrix_dim: 350,
             compute: ComputeModel::paper(),
             container_staging: ContainerStaging::PerJob,
             provisioning: Provisioning::PreStage,
             container_concurrency: 1,
-            // One pre-staged warm pod; the autoscaler adds more under load
-            // (overlapping stages from concurrent workflows then queue
-            // briefly or ride a scale-out — the source of the serverless
-            // premium over native in Fig. 6).
+            // One pre-staged warm pod per worker; the autoscaler adds more
+            // under load (overlapping stages from concurrent workflows
+            // then queue briefly or ride a scale-out — the source of the
+            // serverless premium over native in Fig. 6).
             min_scale: 3,
             serialization_rate: 4.0e6,
-            seed: 0x5EED_CAFE,
+            seed: DEFAULT_SEED,
             trace: false,
             series_interval_s: 0.0,
         }
     }
 
     /// Small and fast: 16×16 matrices, short waits — for tests. The
-    /// compute model stays at the paper's 0.458 s per task (fixed, not
-    /// dimension-scaled) so virtual timings keep the paper's shape.
+    /// compute model stays at the paper's per-task time, fixed rather
+    /// than dimension-scaled, so virtual timings keep the paper's shape.
     pub fn quick() -> Self {
         let mut c = Self::paper();
         c.matrix_dim = 16;
-        c.compute = ComputeModel::fixed(millis(458));
+        c.compute.scale_with_dim = false;
         c.condor.negotiator.cycle_interval = secs(1.0);
         c.condor.startd.job_start_overhead = millis(50);
         c.dagman.poll_interval = secs(0.5);
@@ -157,7 +136,6 @@ impl ExperimentConfig {
             stable_window: secs(10.0),
             panic_window: secs(2.0),
             scale_to_zero_grace: secs(10.0),
-            ..AutoscalerConfig::default()
         };
         c
     }
@@ -165,12 +143,6 @@ impl ExperimentConfig {
     /// The function image reference used by every experiment.
     pub fn image_name() -> &'static str {
         "dockerhub.io/hpc/matmul:1.0"
-    }
-}
-
-impl Default for ExperimentConfig {
-    fn default() -> Self {
-        Self::paper()
     }
 }
 

@@ -207,7 +207,6 @@ impl PoolAutoscaler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::CostModel;
     use crate::pool::PoolSet;
     use bytes::Bytes;
     use swf_condor::{JobContext, JobSpec};
@@ -230,7 +229,7 @@ mod tests {
         let installed = swf_obs::install(obs.clone());
         let bed = TestBed::boot(&swf_chaos::experiment_config(7));
         let fixed = (1..=3).filter(|n| !spot.contains(n)).collect();
-        let ledger = CostLedger::new(PoolSet::split(fixed, spot.to_vec()), CostModel::default());
+        let ledger = CostLedger::new(PoolSet::split(fixed, spot.to_vec()));
         ledger.open_all();
         let nodes = spot.iter().copied().map(NodeId).collect();
         let api = bed.k8s.api().clone();

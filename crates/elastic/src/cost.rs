@@ -19,33 +19,19 @@ use swf_simcore::{now, sleep, SimDuration, SimTime};
 
 use crate::pool::{PoolSet, PriceClass};
 
-/// Per-price-class prices, in dollars per node-hour (the unit cloud
-/// price sheets quote).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CostModel {
-    /// Reserved capacity price.
-    pub on_demand_per_node_h: f64,
-    /// Preemptible capacity price.
-    pub spot_per_node_h: f64,
-}
+/// Reserved capacity price, in dollars per node-hour (the unit cloud price
+/// sheets quote).
+pub const ON_DEMAND_PER_NODE_H: f64 = 0.40;
 
-impl Default for CostModel {
-    /// A 70% spot discount, the ballpark across providers.
-    fn default() -> Self {
-        CostModel {
-            on_demand_per_node_h: 0.40,
-            spot_per_node_h: 0.12,
-        }
-    }
-}
+/// Preemptible capacity price, in dollars per node-hour: a 70% spot
+/// discount, the ballpark across providers.
+pub const SPOT_PER_NODE_H: f64 = 0.12;
 
-impl CostModel {
-    /// Dollars per node-second at a class.
-    pub fn rate_per_s(&self, class: PriceClass) -> f64 {
-        match class {
-            PriceClass::OnDemand => self.on_demand_per_node_h / 3600.0,
-            PriceClass::Spot => self.spot_per_node_h / 3600.0,
-        }
+/// Dollars per node-second at a class.
+fn rate_per_s(class: PriceClass) -> f64 {
+    match class {
+        PriceClass::OnDemand => ON_DEMAND_PER_NODE_H / 3600.0,
+        PriceClass::Spot => SPOT_PER_NODE_H / 3600.0,
     }
 }
 
@@ -61,18 +47,17 @@ struct LedgerState {
 #[derive(Clone)]
 pub struct CostLedger {
     pools: PoolSet,
-    model: CostModel,
     state: Rc<RefCell<LedgerState>>,
 }
 
 impl CostLedger {
-    /// A ledger over `pools` at `model` prices. Nothing is billed until
+    /// A ledger over `pools` at [`ON_DEMAND_PER_NODE_H`] and
+    /// [`SPOT_PER_NODE_H`]. Nothing is billed until
     /// [`open_all`](Self::open_all) (or a `set_active(_, true)`) runs
     /// inside the simulation.
-    pub fn new(pools: PoolSet, model: CostModel) -> CostLedger {
+    pub fn new(pools: PoolSet) -> CostLedger {
         CostLedger {
             pools,
-            model,
             state: Rc::new(RefCell::new(LedgerState {
                 open: std::collections::BTreeMap::new(),
                 on_demand_s: 0.0,
@@ -184,8 +169,8 @@ impl CostLedger {
                 None => {}
             }
         }
-        let on_demand_dollars = on_demand_s * self.model.rate_per_s(PriceClass::OnDemand);
-        let spot_dollars = spot_s * self.model.rate_per_s(PriceClass::Spot);
+        let on_demand_dollars = on_demand_s * rate_per_s(PriceClass::OnDemand);
+        let spot_dollars = spot_s * rate_per_s(PriceClass::Spot);
         CostReport {
             on_demand_node_s: on_demand_s,
             spot_node_s: spot_s,
@@ -239,7 +224,7 @@ mod tests {
     fn intervals_bill_per_class_and_transitions_are_idempotent() {
         let sim = Sim::new();
         sim.block_on(async {
-            let ledger = CostLedger::new(pools(), CostModel::default());
+            let ledger = CostLedger::new(pools());
             ledger.open_all();
             ledger.set_active(2, true); // already open: no-op
             sleep(secs(100.0)).await;
@@ -285,7 +270,7 @@ mod tests {
                 },
             );
             plan.push(secs(25.0), FaultKind::NodeRecover { node: 3 });
-            let ledger = CostLedger::new(pools(), CostModel::default());
+            let ledger = CostLedger::new(pools());
             ledger.open_all();
             let h = spawn(ledger.clone().track_plan(plan));
             sleep(secs(100.0)).await;

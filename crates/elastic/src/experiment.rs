@@ -15,7 +15,7 @@ use swf_core::harness;
 use swf_simcore::SimDuration;
 
 use crate::autoscaler::PoolAutoscaler;
-use crate::cost::{CostLedger, CostModel, CostReport};
+use crate::cost::{CostLedger, CostReport};
 use crate::pool::PoolSet;
 
 /// Shape of one elastic experiment run.
@@ -116,7 +116,7 @@ impl ElasticOutcome {
 /// Run one elastic experiment. `Err` only on harness setup failure, as
 /// with [`swf_chaos::run_chaos`].
 pub fn run_elastic(cfg: &ElasticRunConfig, plan: &FaultPlan) -> Result<ElasticOutcome, String> {
-    let ledger = CostLedger::new(cfg.pools.clone(), CostModel::default());
+    let ledger = CostLedger::new(cfg.pools.clone());
     let body_ledger = ledger.clone();
     let (chaos_cfg, pools, plan) = (cfg.chaos.clone(), cfg.pools.clone(), plan.clone());
     let chaos = harness::run(&cfg.chaos.testbed_config(), async move |bed| {

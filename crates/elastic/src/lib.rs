@@ -42,6 +42,6 @@ pub mod experiment;
 pub mod pool;
 
 pub use autoscaler::PoolAutoscaler;
-pub use cost::{CostLedger, CostModel, CostReport};
+pub use cost::{CostLedger, CostReport};
 pub use experiment::{elastic_plan, run_elastic, ElasticOutcome, ElasticRunConfig};
 pub use pool::{NodePool, PoolSet, PriceClass};

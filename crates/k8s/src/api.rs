@@ -11,25 +11,12 @@ use crate::pod::Pod;
 use crate::store::Store;
 use crate::workload_api::Deployment;
 
-/// API server parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct ApiConfig {
-    /// Latency charged to each mutating API call.
-    pub call_latency: SimDuration,
-}
-
-impl Default for ApiConfig {
-    fn default() -> Self {
-        ApiConfig {
-            call_latency: SimDuration::from_micros(500),
-        }
-    }
-}
+/// Latency charged to each mutating API call.
+pub const CALL_LATENCY: SimDuration = SimDuration::from_micros(500);
 
 /// The API server.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ApiServer {
-    config: ApiConfig,
     pods: Store<Pod>,
     deployments: Store<Deployment>,
     nodes: Store<NodeStatus>,
@@ -57,25 +44,9 @@ fn endpoint(pod: &Pod, key: &str, value: &str) -> Option<Endpoint> {
     })
 }
 
-impl Default for ApiServer {
-    fn default() -> Self {
-        Self::new(ApiConfig::default())
-    }
-}
-
 impl ApiServer {
-    /// Fresh API server.
-    pub fn new(config: ApiConfig) -> Self {
-        ApiServer {
-            config,
-            pods: Store::new(),
-            deployments: Store::new(),
-            nodes: Store::new(),
-        }
-    }
-
     async fn charge(&self) {
-        sleep(self.config.call_latency).await;
+        sleep(CALL_LATENCY).await;
     }
 
     /// Pod store (reads and watches are informer-cache-free of latency).

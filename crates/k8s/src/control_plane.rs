@@ -8,19 +8,15 @@ use swf_cluster::{Cluster, NodeId};
 use swf_container::{ContainerRuntime, OverheadModel, Registry};
 use swf_simcore::{spawn, timeout, Elapsed, SimDuration};
 
-use crate::api::{ApiConfig, ApiServer};
+use crate::api::ApiServer;
 use crate::error::K8sError;
 use crate::kubelet::Kubelet;
 use crate::pod::PodPhase;
-use crate::scheduler::{NodeCapacity, Scheduler, SchedulerConfig};
+use crate::scheduler::{NodeCapacity, Scheduler};
 
 /// Whole-control-plane configuration.
 #[derive(Clone, Debug, Default)]
 pub struct K8sConfig {
-    /// API server parameters.
-    pub api: ApiConfig,
-    /// Scheduler parameters.
-    pub scheduler: SchedulerConfig,
     /// Container lifecycle overheads used by every node runtime.
     pub overheads: OverheadModel,
     /// Nodes pods may run on; `None` = all worker nodes of the cluster.
@@ -40,7 +36,7 @@ impl K8s {
     /// node controllers and one kubelet per schedulable node. Returns a
     /// handle for API access.
     pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig) -> K8s {
-        let api = ApiServer::new(config.api);
+        let api = ApiServer::default();
         // Resolve the schedulable set once; node ids in the config that
         // don't exist in the cluster are ignored rather than panicking.
         let schedulable: Vec<_> = config
@@ -72,7 +68,7 @@ impl K8s {
             api.nodes()
                 .put(id.to_string(), crate::nodes::NodeStatus { id, ready: true });
         }
-        spawn(Scheduler::new(api.clone(), registry.clone(), capacities, config.scheduler).run());
+        spawn(Scheduler::new(api.clone(), registry.clone(), capacities).run());
         spawn(crate::controllers::DeploymentController::new(api.clone()).run());
         spawn(crate::nodes::NodeController::new(api.clone()).run());
 

@@ -31,7 +31,7 @@ pub mod scheduler;
 pub mod store;
 pub mod workload_api;
 
-pub use api::{ApiConfig, ApiServer, Endpoint};
+pub use api::{ApiServer, Endpoint};
 pub use control_plane::{K8s, K8sConfig};
 pub use controllers::DeploymentController;
 pub use error::K8sError;
@@ -40,6 +40,6 @@ pub use meta::ObjectMeta;
 pub use nodes::{NodeController, NodeStatus};
 pub use pod::{Pod, PodPhase, PodSpec, PodStatus};
 pub use probe::ProbeSpec;
-pub use scheduler::{NodeCapacity, Scheduler, SchedulerConfig};
+pub use scheduler::{NodeCapacity, Scheduler};
 pub use store::{Store, Watcher};
 pub use workload_api::{Deployment, PodTemplate};

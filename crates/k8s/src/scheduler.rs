@@ -15,20 +15,8 @@ use swf_simcore::{sleep, SimDuration};
 use crate::api::ApiServer;
 use crate::pod::{Pod, PodPhase};
 
-/// Scheduler parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SchedulerConfig {
-    /// Latency of one bind operation.
-    pub bind_latency: SimDuration,
-}
-
-impl Default for SchedulerConfig {
-    fn default() -> Self {
-        SchedulerConfig {
-            bind_latency: SimDuration::from_millis(5),
-        }
-    }
-}
+/// Latency of one bind operation.
+pub const BIND_LATENCY: SimDuration = SimDuration::from_millis(5);
 
 /// Allocatable capacity of one schedulable node.
 #[derive(Clone, Copy, Debug)]
@@ -46,22 +34,15 @@ pub struct Scheduler {
     api: ApiServer,
     registry: Registry,
     nodes: Vec<NodeCapacity>,
-    config: SchedulerConfig,
 }
 
 impl Scheduler {
     /// Build a scheduler over the given nodes.
-    pub fn new(
-        api: ApiServer,
-        registry: Registry,
-        nodes: Vec<NodeCapacity>,
-        config: SchedulerConfig,
-    ) -> Self {
+    pub fn new(api: ApiServer, registry: Registry, nodes: Vec<NodeCapacity>) -> Self {
         Scheduler {
             api,
             registry,
             nodes,
-            config,
         }
     }
 
@@ -104,7 +85,7 @@ impl Scheduler {
                     });
                     continue;
                 };
-                sleep(self.config.bind_latency).await;
+                sleep(BIND_LATENCY).await;
                 // Re-check the pod still wants scheduling (it may have
                 // been deleted while we slept).
                 let still_pending = self.api.pods().get(&name).is_some_and(|p| {
@@ -211,12 +192,7 @@ mod tests {
             1,
             swf_cluster::mib(10),
         ));
-        let sched = Scheduler::new(
-            api.clone(),
-            registry.clone(),
-            capacities(nodes),
-            SchedulerConfig::default(),
-        );
+        let sched = Scheduler::new(api.clone(), registry.clone(), capacities(nodes));
         (api, registry, sched)
     }
 

@@ -31,7 +31,7 @@ use swf_cluster::NodeId;
 use swf_container::{ImageRef, Registry, RegistryConfig};
 use swf_k8s::{
     ApiServer, Deployment, DeploymentController, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec,
-    PodTemplate, Scheduler, SchedulerConfig,
+    PodTemplate, Scheduler,
 };
 use swf_simcore::Sim;
 
@@ -111,12 +111,7 @@ fn idle_pass_allocations(pods: usize) -> (usize, usize) {
             memory: swf_cluster::gib(256),
         })
         .collect();
-    let scheduler = Scheduler::new(
-        api.clone(),
-        Registry::new(RegistryConfig::default()),
-        nodes,
-        SchedulerConfig::default(),
-    );
+    let scheduler = Scheduler::new(api.clone(), Registry::new(RegistryConfig::default()), nodes);
     let version = api.pods().version();
 
     Sim::new().block_on(async move {

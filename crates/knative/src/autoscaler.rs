@@ -17,6 +17,11 @@ use crate::config::AutoscalerConfig;
 use crate::ksvc::KService;
 use crate::metrics::MetricHub;
 
+/// Panic trigger: scale on the panic window once its demand reaches this
+/// multiple of current capacity (Knative's `panic-threshold-percentage`
+/// default, 200%).
+pub const PANIC_THRESHOLD: f64 = 2.0;
+
 /// One scaling decision (exposed for tests/ablations).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScaleDecision {
@@ -111,7 +116,7 @@ impl Autoscaler {
 
         // Panic when short-window demand is ≥ threshold × current capacity.
         let capacity = (current as f64) * target;
-        let panicking = current > 0 && panic >= self.config.panic_threshold * capacity.max(target);
+        let panicking = current > 0 && panic >= PANIC_THRESHOLD * capacity.max(target);
         let mut desired = if panicking {
             // Never scale down while panicking.
             desired_panic.max(current)

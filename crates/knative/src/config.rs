@@ -1,4 +1,9 @@
 //! Knative platform configuration, calibrated to the paper's measurements.
+//! The data-plane constants no experiment varies live at their one use:
+//! [`QUEUE_PROXY_OVERHEAD`](crate::pod_server::QUEUE_PROXY_OVERHEAD),
+//! [`ACTIVATOR_LATENCY`](crate::router::ACTIVATOR_LATENCY),
+//! [`APP_BOOT`](crate::serving::APP_BOOT) and
+//! [`PANIC_THRESHOLD`](crate::autoscaler::PANIC_THRESHOLD).
 
 use swf_simcore::{millis, RetryPolicy, SimDuration};
 
@@ -10,54 +15,21 @@ pub struct AutoscalerConfig {
     /// Stable window: concurrency is averaged over this span.
     pub stable_window: SimDuration,
     /// Panic window: if short-term concurrency is at least
-    /// `panic_threshold ×` current capacity, scale on the short window.
+    /// [`PANIC_THRESHOLD`](crate::autoscaler::PANIC_THRESHOLD) × current
+    /// capacity, scale on the short window.
     pub panic_window: SimDuration,
-    /// Panic trigger as a multiple of current capacity.
-    pub panic_threshold: f64,
     /// Keep the last pod for this long after concurrency reaches zero.
     pub scale_to_zero_grace: SimDuration,
 }
 
 impl Default for AutoscalerConfig {
+    /// Knative's KPA defaults.
     fn default() -> Self {
         AutoscalerConfig {
             tick: millis(2000),
             stable_window: SimDuration::from_secs(60),
             panic_window: SimDuration::from_secs(6),
-            panic_threshold: 2.0,
             scale_to_zero_grace: SimDuration::from_secs(30),
-        }
-    }
-}
-
-/// Data-plane and activator parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct DataPlaneConfig {
-    /// Queue-proxy handling overhead per request.
-    pub queue_proxy_overhead: SimDuration,
-    /// Activator decision latency on the cold-start path (poking the
-    /// autoscaler and re-resolving endpoints).
-    pub activator_latency: SimDuration,
-    /// Application boot time from container start to readiness (Flask
-    /// importing NumPy in the paper's functions).
-    pub app_boot: SimDuration,
-    /// Queue-proxy admission bound: requests held beyond
-    /// `containerConcurrency` before new arrivals are shed with a typed
-    /// 503 (`0` = unbounded queue, the historical behaviour).
-    pub queue_depth: u32,
-}
-
-impl Default for DataPlaneConfig {
-    fn default() -> Self {
-        DataPlaneConfig {
-            // Calibrated so a warm invocation adds ≈ 20 ms beyond compute
-            // (Fig. 1: Knative per-task ≈ compute + 0.02 s).
-            queue_proxy_overhead: millis(8),
-            activator_latency: millis(50),
-            // Calibrated so the end-to-end cold start with a cached image
-            // lands at the paper's 1.48 s (§III-B).
-            app_boot: millis(1250),
-            queue_depth: 0,
         }
     }
 }
@@ -67,14 +39,18 @@ impl Default for DataPlaneConfig {
 pub struct KnativeConfig {
     /// Autoscaler parameters.
     pub autoscaler: AutoscalerConfig,
-    /// Data-plane parameters.
-    pub data_plane: DataPlaneConfig,
+    /// Queue-proxy admission bound: requests held beyond
+    /// `containerConcurrency` before new arrivals are shed with a typed
+    /// 503. `0` leaves the queue unbounded, as the paper's runs do: their
+    /// load never overruns the pods, so nothing is shed.
+    pub queue_depth: u32,
     /// Ingress routing policy (round-robin, or the §IX-D least-loaded
     /// redirection).
     pub routing: crate::router::RoutingPolicy,
-    /// Retry schedule for the router's invoke path. The default preserves
-    /// the historical behaviour — eight immediate attempts — so calm runs
-    /// do not drift; chaos experiments opt into spaced backoff.
+    /// Retry schedule for the router's invoke path. The default is eight
+    /// immediate attempts: a refused or reset connection is re-routed to
+    /// the next ready endpoint at once. Chaos experiments opt into spaced
+    /// backoff.
     pub invoke_retry: RetryPolicy,
     /// Per-attempt forwarding deadline (`None` = wait indefinitely). A
     /// timed-out attempt counts as retryable, like a reset connection.
@@ -83,12 +59,12 @@ pub struct KnativeConfig {
     /// here. Kept because the host-time benchmark package writes it.
     pub seed: u64,
     /// Per-revision circuit breaker on the router's invoke path. Disabled
-    /// by default (`failure_threshold == 0`), so calm runs keep the
-    /// historical path bit-for-bit.
+    /// by default (`failure_threshold == 0`): a calm pod fails no request,
+    /// so there is nothing to trip on. The self-healing chaos stack arms it.
     pub breaker: crate::breaker::BreakerConfig,
-    /// Health probe attached to every revision pod (`None` = no probing,
-    /// the historical behaviour). Chaos experiments enable it so crashed
-    /// containers go unready and get restarted in place.
+    /// Health probe attached to every revision pod (`None` = no probing:
+    /// a calm container never crashes). Chaos experiments enable it so
+    /// crashed containers go unready and get restarted in place.
     pub pod_probe: Option<swf_k8s::ProbeSpec>,
 }
 
@@ -96,7 +72,7 @@ impl Default for KnativeConfig {
     fn default() -> Self {
         KnativeConfig {
             autoscaler: AutoscalerConfig::default(),
-            data_plane: DataPlaneConfig::default(),
+            queue_depth: 0,
             routing: crate::router::RoutingPolicy::default(),
             invoke_retry: RetryPolicy::immediate(8),
             attempt_timeout: None,
@@ -110,13 +86,16 @@ impl Default for KnativeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autoscaler::PANIC_THRESHOLD;
+    use crate::router::ACTIVATOR_LATENCY;
+    use crate::serving::APP_BOOT;
 
     #[test]
     fn defaults_match_knative_conventions() {
         let a = AutoscalerConfig::default();
         assert_eq!(a.stable_window, SimDuration::from_secs(60));
         assert_eq!(a.scale_to_zero_grace, SimDuration::from_secs(30));
-        assert!(a.panic_threshold > 1.0);
+        const { assert!(PANIC_THRESHOLD > 1.0) };
         let k = KnativeConfig::default();
         assert_eq!(k.invoke_retry.attempts(), 8);
         assert!(
@@ -128,10 +107,9 @@ mod tests {
 
     #[test]
     fn cold_start_calibration_sums_toward_paper_value() {
-        let d = DataPlaneConfig::default();
         // activator + app boot dominate; container create/start and
         // scheduling add the rest (see swf-container OverheadModel).
-        let partial = d.activator_latency + d.app_boot;
+        let partial = ACTIVATOR_LATENCY + APP_BOOT;
         assert!(partial < SimDuration::from_secs_f64(1.48));
         assert!(partial > SimDuration::from_secs_f64(1.2));
     }

@@ -30,7 +30,7 @@ pub mod serving;
 
 pub use autoscaler::{Autoscaler, ScaleDecision};
 pub use breaker::{BreakerConfig, CircuitBreaker};
-pub use config::{AutoscalerConfig, DataPlaneConfig, KnativeConfig};
+pub use config::{AutoscalerConfig, KnativeConfig};
 pub use error::KnativeError;
 pub use ksvc::{Handler, KService};
 pub use metrics::MetricHub;

@@ -37,7 +37,7 @@ impl Knative {
                 cluster.http().clone(),
                 ksvcs.clone(),
                 hub.clone(),
-                config.data_plane,
+                config.queue_depth,
             )
             .run(),
         );
@@ -500,10 +500,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
-                data_plane: crate::config::DataPlaneConfig {
-                    queue_depth: 1,
-                    ..crate::config::DataPlaneConfig::default()
-                },
+                queue_depth: 1,
                 ..KnativeConfig::default()
             });
             kn.register_fn(
@@ -548,10 +545,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
-                data_plane: crate::config::DataPlaneConfig {
-                    queue_depth: 1,
-                    ..crate::config::DataPlaneConfig::default()
-                },
+                queue_depth: 1,
                 breaker: crate::breaker::BreakerConfig::enabled(3, secs(8.0)),
                 ..KnativeConfig::default()
             });
@@ -636,8 +630,7 @@ mod tests {
                 matches!(&err, KnativeError::ColdStartTimeout(s) if s == "huge"),
                 "expected ColdStartTimeout, got {err}"
             );
-            let activator = KnativeConfig::default().data_plane.activator_latency;
-            assert_eq!(now() - t0, activator + secs(300.0));
+            assert_eq!(now() - t0, crate::router::ACTIVATOR_LATENCY + secs(300.0));
         });
     }
 

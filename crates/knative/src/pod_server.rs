@@ -17,9 +17,12 @@ use swf_k8s::{Pod, Store};
 use swf_simcore::sync::Semaphore;
 use swf_simcore::{sleep, SimDuration};
 
-use crate::config::DataPlaneConfig;
 use crate::ksvc::{Handler, KService, SERVICE_LABEL};
 use crate::metrics::MetricHub;
+
+/// Queue-proxy handling overhead per request: a warm invocation adds
+/// ≈ 20 ms beyond compute (Fig. 1: Knative per task ≈ compute + 0.02 s).
+pub const QUEUE_PROXY_OVERHEAD: SimDuration = SimDuration::from_millis(8);
 
 /// Watches function pods and binds a queue-proxy at each routable one.
 pub struct PodServers {
@@ -27,7 +30,9 @@ pub struct PodServers {
     http: HttpStack,
     ksvcs: Store<KService>,
     hub: MetricHub,
-    config: DataPlaneConfig,
+    /// Requests a queue-proxy holds beyond `containerConcurrency`
+    /// (`KnativeConfig::queue_depth`; 0 = unbounded).
+    queue_depth: u32,
     /// Pods with a bound queue-proxy, by name, and the address it listens at.
     serving: BTreeMap<String, (NodeId, u16)>,
 }
@@ -39,14 +44,14 @@ impl PodServers {
         http: HttpStack,
         ksvcs: Store<KService>,
         hub: MetricHub,
-        config: DataPlaneConfig,
+        queue_depth: u32,
     ) -> Self {
         PodServers {
             k8s,
             http,
             ksvcs,
             hub,
-            config,
+            queue_depth,
             serving: BTreeMap::new(),
         }
     }
@@ -110,17 +115,16 @@ impl PodServers {
         };
         // The queue-proxy breaker: `cc` requests in service plus
         // `queue_depth` waiting; past that, new arrivals are shed with a
-        // typed 503 instead of queueing unboundedly (queue_depth 0 keeps
-        // the historical unbounded behaviour).
-        let capacity = if self.config.queue_depth == 0 {
+        // typed 503 instead of queueing unboundedly (queue_depth 0 leaves
+        // the queue unbounded).
+        let capacity = if self.queue_depth == 0 {
             usize::MAX / 2
         } else {
-            cc.saturating_add(self.config.queue_depth as usize)
+            cc.saturating_add(self.queue_depth as usize)
         };
         Some(QueueProxy {
             k8s: self.k8s.clone(),
             hub: self.hub.clone(),
-            overhead: self.config.queue_proxy_overhead,
             runtime,
             handler: ksvc.handler.clone(),
             rev_name: ksvc.revision(),
@@ -137,7 +141,6 @@ impl PodServers {
 struct QueueProxy {
     k8s: swf_k8s::K8s,
     hub: MetricHub,
-    overhead: SimDuration,
     runtime: ContainerRuntime,
     handler: Handler,
     rev_name: String,
@@ -175,7 +178,7 @@ impl QueueProxy {
         let queued = obs.span(parent, &component, "queue-proxy", swf_obs::Category::Queue);
         let guard = self.hub.start_request(&self.rev_name);
         let _slot = self.gate.acquire().await;
-        sleep(self.overhead).await;
+        sleep(QUEUE_PROXY_OVERHEAD).await;
         drop(queued);
         let exec = obs.span(
             parent,
@@ -268,7 +271,7 @@ mod tests {
                 cluster.http().clone(),
                 ksvcs.clone(),
                 hub.clone(),
-                config.data_plane,
+                config.queue_depth,
             );
             spawn(ps.run());
             let ksvc = KService::new("echo", image)

@@ -32,6 +32,10 @@ pub enum RoutingPolicy {
     LeastLoaded,
 }
 
+/// Activator decision latency on the cold-start path (poking the
+/// autoscaler and re-resolving endpoints).
+pub const ACTIVATOR_LATENCY: SimDuration = SimDuration::from_millis(50);
+
 /// Give up on a cold start after this long.
 const COLD_START_DEADLINE: SimDuration = SimDuration::from_secs(300);
 
@@ -278,7 +282,7 @@ impl Router {
         obs.counter_add("knative.cold_starts", 1);
         let t_cold = swf_simcore::now();
         let _buffered = self.hub.buffer_request(revision);
-        sleep(self.config.data_plane.activator_latency).await;
+        sleep(ACTIVATOR_LATENCY).await;
         // Poke: ensure the deployment wants at least one replica without
         // waiting for the next autoscaler tick (Knative's activator sends
         // a scale-up hint to the autoscaler).

@@ -4,9 +4,15 @@
 //! stands in front of them.
 
 use swf_k8s::{Deployment, ObjectMeta, PodSpec, PodTemplate, Store};
+use swf_simcore::SimDuration;
 
 use crate::config::KnativeConfig;
 use crate::ksvc::{KService, REVISION_LABEL, SERVICE_LABEL};
+
+/// Application boot from container start to readiness (Flask importing
+/// NumPy in the paper's functions): the end-to-end cold start with a cached
+/// image lands at the paper's 1.48 s (§III-B).
+pub const APP_BOOT: SimDuration = SimDuration::from_millis(1250);
 
 /// Backs every KService with its Kubernetes objects.
 pub struct ServingController {
@@ -51,7 +57,7 @@ impl ServingController {
             .with_label(SERVICE_LABEL, &ksvc.name);
         let mut pod_spec = PodSpec::new(ksvc.image.clone())
             .with_resources(ksvc.resources)
-            .with_readiness_delay(self.config.data_plane.app_boot);
+            .with_readiness_delay(APP_BOOT);
         if let Some(probe) = self.config.pod_probe {
             pod_spec = pod_spec.with_probe(probe);
         }

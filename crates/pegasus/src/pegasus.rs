@@ -142,6 +142,8 @@ mod tests {
                 negotiator: NegotiatorConfig {
                     cycle_interval: secs(1.0),
                     match_latency: SimDuration::ZERO,
+                    cycle_jitter_cv: 0.0,
+                    activation_delay: SimDuration::ZERO,
                     ..NegotiatorConfig::default()
                 },
                 startd: StartdConfig {

@@ -2,8 +2,8 @@
 //!
 //! HTCondor's DAGMan, Knative's router/activator and the chaos harness all
 //! need the same thing: a bounded number of attempts separated by
-//! exponentially growing delays. Centralizing the policy keeps retry timing
-//! one rule, and keeps the calm path bit-identical: the default policy
+//! exponentially growing delays. One policy type keeps retry timing one
+//! rule; [`RetryPolicy::immediate`], which DAGMan and the router default to,
 //! produces zero-length delays.
 
 use crate::time::SimDuration;
@@ -11,9 +11,8 @@ use crate::time::SimDuration;
 /// A deterministic exponential-backoff schedule.
 ///
 /// `delay_for(retry)` returns `min(base · 2^(retry-1), max_delay)`. A zero
-/// `base` means "retry immediately", so components configured with
-/// [`RetryPolicy::immediate`] behave byte-identically to their pre-policy
-/// selves.
+/// `base` means "retry immediately": [`RetryPolicy::immediate`] never
+/// sleeps.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts allowed in total (first try included). 0 is treated as 1.
@@ -26,8 +25,8 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// `max_attempts` immediate retries — the historical behaviour of the
-    /// router and DAGMan, kept as the default so calm runs do not drift.
+    /// `max_attempts` attempts with no delay between them: the router's
+    /// and DAGMan's default.
     pub fn immediate(max_attempts: u32) -> Self {
         RetryPolicy {
             max_attempts,
@@ -63,12 +62,6 @@ impl RetryPolicy {
             return self.max_delay;
         }
         nominal
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy::immediate(1)
     }
 }
 

@@ -4,6 +4,11 @@
 //! experiment seed plus a stable stream label, so adding a new component
 //! never perturbs the draws of existing ones.
 
+/// The root seed of `ExperimentConfig::paper()` and of the negotiator's
+/// default jitter streams. Re-seeding a run sets both, as
+/// `swf_chaos::experiment_config` does.
+pub const DEFAULT_SEED: u64 = 0x5EED_CAFE;
+
 /// Deterministic RNG with distribution helpers for service-time models.
 pub struct DetRng {
     rng: Xoshiro256,

@@ -50,14 +50,6 @@ impl ComputeModel {
         }
     }
 
-    /// A fixed per-task time regardless of matrix dimension.
-    pub fn fixed(per_task: SimDuration) -> Self {
-        ComputeModel {
-            per_task,
-            scale_with_dim: false,
-        }
-    }
-
     /// Charged time for a `dim × dim` task: matmul is O(n³), so the scaled
     /// model grows cubically from the 350³ baseline.
     pub fn for_dim(&self, dim: usize) -> SimDuration {

@@ -315,12 +315,7 @@ fn production_runs_are_self_deterministic() {
 /// The fig2 scenario exactly as the bench suite runs it (quick scale,
 /// tracing + telemetry series on, negotiation-bound condor config).
 fn fig2_suite_result() -> swf_core::experiments::fig2::Fig2Result {
-    let mut config = swf_core::ExperimentConfig::quick();
-    config.matrix_dim = 32;
-    config.trace = true;
-    config.series_interval_s = 5.0;
-    config.condor.negotiator.cycle_interval = swf_simcore::secs(5.0);
-    config.condor.negotiator.activation_delay = swf_simcore::SimDuration::ZERO;
+    let config = swf_bench::suite::fig2_config(true);
     let obs = swf_obs::Obs::enabled();
     let _guard = swf_obs::install(obs);
     swf_core::experiments::fig2::run(&config, &[4, 8, 16, 24])
