@@ -4,10 +4,11 @@
 //! workflows, generates the real seed matrices, stages them on the shared
 //! filesystem and registers them in the replica catalog.
 
+use bytes::Bytes;
 use swf_cluster::Cluster;
 use swf_pegasus::{AbstractJob, AbstractWorkflow, ReplicaCatalog, ReplicaLocation, Transformation};
 use swf_simcore::DetRng;
-use swf_workloads::{encode, ChainWorkflow, Kernel, Matrix};
+use swf_workloads::{ChainWorkflow, Kernel};
 
 use crate::config::ExperimentConfig;
 
@@ -26,13 +27,19 @@ pub fn matmul_transformation(config: &ExperimentConfig) -> Transformation {
     .with_container(ExperimentConfig::image_name())
 }
 
-/// Two random `matrix_dim`-square input matrices drawn, in order, from the
-/// named stream of the config's seed.
-pub(crate) fn input_pair(config: &ExperimentConfig, stream: &str) -> (Matrix, Matrix) {
-    let mut rng = DetRng::new(config.seed, stream);
+/// One random `matrix_dim`-square seed matrix, entries in [-100, 100],
+/// drawn straight into its file.
+fn draw_seed(config: &ExperimentConfig, rng: &mut DetRng) -> Bytes {
     let dim = config.matrix_dim;
-    let a = Matrix::random(dim, dim, &mut rng, -100, 100);
-    (a, Matrix::random(dim, dim, &mut rng, -100, 100))
+    swf_workloads::codec::random(dim, dim, rng, -100, 100)
+}
+
+/// Two encoded random input matrices drawn, in order, from the named
+/// stream of the config's seed.
+pub(crate) fn input_pair(config: &ExperimentConfig, stream: &str) -> (Bytes, Bytes) {
+    let mut rng = DetRng::new(config.seed, stream);
+    let a = draw_seed(config, &mut rng);
+    (a, draw_seed(config, &mut rng))
 }
 
 /// Stage a chain workflow's seed matrices (real random data at the
@@ -46,8 +53,9 @@ pub fn stage_chain_workflow(
 ) -> AbstractWorkflow {
     let mut rng = DetRng::new(config.seed, &format!("seeds-w{}", chain.index));
     for seed_file in &chain.seed_files {
-        let m = Matrix::random(config.matrix_dim, config.matrix_dim, &mut rng, -100, 100);
-        cluster.shared_fs().stage(seed_file, encode(&m));
+        cluster
+            .shared_fs()
+            .stage(seed_file, draw_seed(config, &mut rng));
         replicas.register(seed_file, ReplicaLocation::SharedFs(seed_file.clone()));
     }
     let mut wf = AbstractWorkflow::new(format!("workflow-{}", chain.index));
@@ -68,7 +76,7 @@ mod tests {
     use super::*;
     use swf_cluster::ClusterConfig;
     use swf_simcore::Sim;
-    use swf_workloads::{chain_workflow, EnvMix};
+    use swf_workloads::{chain_workflow, encode, EnvMix, Matrix};
 
     #[test]
     fn staging_places_all_seeds_and_builds_jobs() {

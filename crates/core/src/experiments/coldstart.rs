@@ -3,7 +3,6 @@
 
 use swf_cluster::{NodeId, Request};
 use swf_simcore::{now, secs};
-use swf_workloads::encode;
 
 use crate::builder::input_pair;
 use crate::config::{ExperimentConfig, Provisioning};
@@ -39,7 +38,7 @@ pub fn run(config: &ExperimentConfig) -> Result<ColdStartResult, ExperimentError
         swf_simcore::sleep(secs(1.0)).await;
 
         let (a, b) = input_pair(config, "coldstart");
-        let payload = encode_payload(&[encode(&a), encode(&b)]);
+        let payload = encode_payload(&[a, b]);
         let compute = config.compute.for_dim(config.matrix_dim).as_secs_f64();
 
         let t0 = now();

@@ -9,7 +9,7 @@ use swf_cluster::{NodeId, Request};
 use swf_container::{DockerCli, PullPolicy, Workload};
 use swf_metrics::{fit, Line};
 use swf_simcore::{now, secs};
-use swf_workloads::{encode, Kernel};
+use swf_workloads::Kernel;
 
 use crate::builder::input_pair;
 use crate::config::{ExperimentConfig, Provisioning};
@@ -62,8 +62,8 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
         let cli = DockerCli::new(runtime);
         // Stage the two input matrices on the node's local disk.
         let (a, b) = input_pair(config, "fig1-inputs");
-        node.fs().stage("in_a.mat", encode(&a));
-        node.fs().stage("in_b.mat", encode(&b));
+        node.fs().stage("in_a.mat", a);
+        node.fs().stage("in_b.mat", b);
         let compute = config.compute.for_dim(config.matrix_dim);
 
         let t0 = now();
@@ -108,8 +108,7 @@ fn knative_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64, f64), E
         }
         // Register a function whose inputs live on the node (captured at
         // registration), exactly like the paper's Fig. 1 Knative setup.
-        let (a, b) = input_pair(config, "fig1-inputs");
-        let (ea, eb) = (encode(&a), encode(&b));
+        let (ea, eb) = input_pair(config, "fig1-inputs");
         let node_local = swf_pegasus::Transformation::new(
             "matmul",
             config.compute.for_dim(config.matrix_dim),

@@ -83,8 +83,8 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> Result<f64, Experim
         // Stage the shared input matrices (real data) on the submit node.
         let (a, b) = input_pair(config, "fig2-inputs");
         let fs = bed.cluster.shared_fs();
-        fs.stage("fig2_in_a.mat", swf_workloads::encode(&a));
-        fs.stage("fig2_in_b.mat", swf_workloads::encode(&b));
+        fs.stage("fig2_in_a.mat", a);
+        fs.stage("fig2_in_b.mat", b);
         let t0 = now();
         let mut ids = Vec::with_capacity(k);
         for i in 0..k {

@@ -368,8 +368,8 @@ mod tests {
             matmul_ready(bed).await.unwrap();
             let (a, b) = crate::builder::input_pair(config, "venues");
             let fs = bed.cluster.shared_fs();
-            fs.stage("a.mat", swf_workloads::encode(&a));
-            fs.stage("b.mat", swf_workloads::encode(&b));
+            fs.stage("a.mat", a);
+            fs.stage("b.mat", b);
             let mut results = Vec::new();
             for env in VENUES {
                 let task = matmul_task(env, outputs, config);

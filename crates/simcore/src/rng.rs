@@ -61,6 +61,62 @@ impl Xoshiro256 {
     }
 }
 
+/// `x % w` without a division (Lemire, Kaser & Kurz, *Faster Remainder by
+/// Direct Computation*, 2019): with `M = ⌈2^128/w⌉`, the remainder is the
+/// high 64 bits of `(M·x mod 2^128)·w`, exactly, for every 64-bit `x` and
+/// every `w ≥ 1`. At `w = 1`, `M` is `2^128`, which wraps to 0 and gives
+/// the right remainder, 0.
+#[derive(Clone, Copy)]
+struct Remainder {
+    m: u128,
+    w: u64,
+}
+
+impl Remainder {
+    fn new(w: u64) -> Self {
+        // `⌈2^128/w⌉ = ⌊(2^128 − 1)/w⌋ + 1` for every `w ≥ 1`.
+        Remainder {
+            m: (u128::MAX / u128::from(w)).wrapping_add(1),
+            w,
+        }
+    }
+
+    fn of(self, x: u64) -> u64 {
+        let frac = self.m.wrapping_mul(u128::from(x));
+        let w = u128::from(self.w);
+        // The high 64 bits of the 192-bit `frac·w`, in two 128-bit halves.
+        let carry = ((frac & u128::from(u64::MAX)) * w) >> 64;
+        (((frac >> 64) * w + carry) >> 64) as u64
+    }
+}
+
+/// What one inclusive draw spans: nothing (`hi < lo`: no draw, `lo`), a
+/// width below 2^64, or all 64 bits.
+enum Width {
+    Empty,
+    Below(Remainder),
+    Full,
+}
+
+/// A batch of inclusive draws from one [`DetRng`]
+/// ([`DetRng::uniform_i64_inclusive_batch`]).
+pub struct InclusiveDraws<'a> {
+    rng: &'a mut Xoshiro256,
+    lo: i64,
+    width: Width,
+}
+
+impl InclusiveDraws<'_> {
+    /// The next draw: what `uniform_i64_inclusive(lo, hi)` would return.
+    pub fn draw(&mut self) -> i64 {
+        match self.width {
+            Width::Below(r) => self.lo.wrapping_add(r.of(self.rng.next_u64()) as i64),
+            Width::Full => self.rng.next_u64() as i64,
+            Width::Empty => self.lo,
+        }
+    }
+}
+
 /// Derive a 64-bit stream id from a label (FNV-1a).
 fn hash_label(label: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -116,6 +172,26 @@ impl DetRng {
         match (hi.wrapping_sub(lo) as u64).checked_add(1) {
             Some(width) => lo.wrapping_add(self.rng.below(width) as i64),
             None => self.rng.next_u64() as i64,
+        }
+    }
+
+    /// Draws of `uniform_i64_inclusive(lo, hi)`, value for value and in
+    /// the same order, for filling a whole matrix: the width's remainder
+    /// is set up once, as an exact division-free multiply (Lemire, Kaser
+    /// & Kurz, 2019), instead of dividing on every draw.
+    pub fn uniform_i64_inclusive_batch(&mut self, lo: i64, hi: i64) -> InclusiveDraws<'_> {
+        let width = if hi < lo {
+            Width::Empty
+        } else {
+            match (hi.wrapping_sub(lo) as u64).checked_add(1) {
+                Some(width) => Width::Below(Remainder::new(width)),
+                None => Width::Full,
+            }
+        };
+        InclusiveDraws {
+            rng: &mut self.rng,
+            lo,
+            width,
         }
     }
 
@@ -236,6 +312,68 @@ mod tests {
             .map(|_| r.uniform_i64_inclusive(i64::MAX - 1, i64::MAX))
             .collect();
         assert!(tops.contains(&i64::MAX) && tops.contains(&(i64::MAX - 1)));
+    }
+
+    /// The division-free remainder at the edges of every width class:
+    /// `x` at 0, around multiples of `w`, and at the top of the range.
+    #[test]
+    fn remainder_is_exact() {
+        let mut widths = vec![1, 2, 3, 7, 201, 1000, u64::MAX, u64::MAX - 1];
+        widths.extend([(1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 63) - 1]);
+        widths.extend([(1 << 63) + 1, 0xFFFF_FFFF_0000_0001, 0x8000_0000_FFFF_FFFF]);
+        widths.extend((0..64).map(|s| 1u64 << s));
+        let mut r = Xoshiro256::seeded(5);
+        for w in widths {
+            let rem = Remainder::new(w);
+            let q = u64::MAX / w;
+            let mut xs = vec![0, 1, w - 1, w, w.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            xs.extend([
+                q * w,
+                q * w - 1,
+                (q / 2) * w + w / 2,
+                ((q / 2) * w).wrapping_sub(1),
+            ]);
+            xs.extend((0..256).map(|_| r.next_u64()));
+            for x in xs {
+                assert_eq!(rem.of(x), x % w, "{x} % {w}");
+            }
+        }
+    }
+
+    /// A batch draws what `uniform_i64_inclusive` draws, value for value,
+    /// at every width class: 1, small, the paper's 201, around 2^32,
+    /// powers of two up to 2^63, 2^64 − 1, the full 64 bits, and an empty
+    /// range (no draw at all, so the stream stays in step).
+    #[test]
+    fn batch_draws_match_single_draws() {
+        let mut ranges = vec![
+            (5, 5),
+            (0, 1),
+            (-1, 1),
+            (-100, 100),
+            (0, (1 << 32) - 2),
+            (0, 1 << 32),
+            (-(1 << 31), (1 << 31) - 1),
+            (i64::MIN, -1),
+            (i64::MIN / 2, i64::MAX / 2),
+            (i64::MIN, i64::MAX - 1),
+            (i64::MIN + 1, i64::MAX),
+            (i64::MIN, i64::MAX),
+            (i64::MAX - 1, i64::MAX),
+            (0, i64::MAX),
+            (3, 2),
+        ];
+        ranges.extend((1..63).step_by(7).map(|s| (-7, (1i64 << s) - 8)));
+        for (lo, hi) in ranges {
+            let mut single = DetRng::new(9, "batch");
+            let mut batch = DetRng::new(9, "batch");
+            let mut draws = batch.uniform_i64_inclusive_batch(lo, hi);
+            for i in 0..500 {
+                let want = single.uniform_i64_inclusive(lo, hi);
+                assert_eq!(draws.draw(), want, "[{lo}, {hi}] draw {i}");
+            }
+            assert_eq!(batch.rng.next_u64(), single.rng.next_u64(), "[{lo}, {hi}]");
+        }
     }
 
     #[test]

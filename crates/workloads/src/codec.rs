@@ -4,12 +4,18 @@
 //! and disk representation used across the simulated filesystems and HTTP
 //! payloads: magic `SWFM`, u32 rows, u32 cols, little-endian i64 entries.
 //! [`put_cells`] and [`cells`] write and read those 8-byte entries a slice
-//! at a time; `swf-apps`' record formats use the same two.
+//! at a time; `swf-apps`' record formats use the same two. The task's
+//! kernel reads an encoding's cells where they lie and writes its product
+//! straight into a new encoding (`crate::multiply_encoded`); [`decode`] is
+//! for callers that want a [`Matrix`], and [`random`] draws a seed matrix
+//! straight into its file.
 
 #![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
+use swf_simcore::DetRng;
 
+use crate::matmul::Operand;
 use crate::matrix::Matrix;
 
 /// Magic prefix of encoded matrices.
@@ -45,13 +51,19 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append 8-byte cells in one pass over a buffer sized once.
+/// Append 8-byte cells into capacity reserved once: each byte is written
+/// once, never zero-filled first.
 pub fn put_cells(buf: &mut Vec<u8>, cells: impl ExactSizeIterator<Item = [u8; 8]>) {
-    let start = buf.len();
-    buf.resize(start + cells.len() * 8, 0);
-    for (dst, cell) in buf[start..].as_chunks_mut::<8>().0.iter_mut().zip(cells) {
-        *dst = cell;
+    buf.reserve(cells.len().saturating_mul(8));
+    let (spare, _) = buf.spare_capacity_mut().as_chunks_mut::<8>();
+    let mut written = 0;
+    for (dst, cell) in spare.iter_mut().zip(cells) {
+        dst.write_copy_of_slice(&cell);
+        written += 8;
     }
+    // SAFETY: the `written` bytes after the old length were initialised
+    // just above, and lie within the capacity (`spare` ends there).
+    unsafe { buf.set_len(buf.len() + written) };
 }
 
 /// The 8-byte cells of a region whose length the caller validated (a
@@ -60,40 +72,89 @@ pub fn cells(region: &[u8]) -> impl Iterator<Item = [u8; 8]> + '_ {
     region.as_chunks::<8>().0.iter().copied()
 }
 
-/// Encode a matrix.
-pub fn encode(m: &Matrix) -> Bytes {
-    let mut buf = Vec::with_capacity(m.as_slice().len().saturating_mul(8).saturating_add(12));
+/// An empty encoding of a `rows × cols` matrix: its header, with capacity
+/// reserved for every cell.
+pub(crate) fn with_header(rows: usize, cols: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
+        rows.saturating_mul(cols)
+            .saturating_mul(8)
+            .saturating_add(12),
+    );
     buf.put_slice(MAGIC);
     // A dimension past u32 saturates instead of wrapping into a different
     // shape; `decode`'s length check then refuses the payload.
-    buf.put_u32_le(u32::try_from(m.rows()).unwrap_or(u32::MAX));
-    buf.put_u32_le(u32::try_from(m.cols()).unwrap_or(u32::MAX));
+    buf.put_u32_le(u32::try_from(rows).unwrap_or(u32::MAX));
+    buf.put_u32_le(u32::try_from(cols).unwrap_or(u32::MAX));
+    buf
+}
+
+/// Encode a matrix.
+pub fn encode(m: &Matrix) -> Bytes {
+    let mut buf = with_header(m.rows(), m.cols());
     put_cells(&mut buf, m.as_slice().iter().map(|v| v.to_le_bytes()));
     Bytes::from(buf)
 }
 
-/// Decode a matrix.
-pub fn decode(mut data: Bytes) -> Result<Matrix, CodecError> {
-    if data.len() < 12 || &data[..4] != MAGIC {
+/// A random `rows × cols` matrix with entries in `[lo, hi]`, drawn straight
+/// into its encoding: the bytes of `encode(&Matrix::random(rows, cols,
+/// rng, lo, hi))`, from the same draws, without the `Matrix`.
+pub fn random(rows: usize, cols: usize, rng: &mut DetRng, lo: i64, hi: i64) -> Bytes {
+    let mut buf = with_header(rows, cols);
+    let mut draws = rng.uniform_i64_inclusive_batch(lo, hi);
+    put_cells(
+        &mut buf,
+        (0..rows * cols).map(|_| draws.draw().to_le_bytes()),
+    );
+    Bytes::from(buf)
+}
+
+/// An encoding as a kernel operand: the header checked against the
+/// length, the body read in place as 8-byte cells.
+pub(crate) fn operand(data: &[u8]) -> Result<Operand<'_, [u8; 8]>, CodecError> {
+    let Some((head, body)) = data.split_first_chunk::<12>() else {
+        return Err(CodecError::BadHeader);
+    };
+    let (magic, shape) = head.split_at(4);
+    if magic != MAGIC {
         return Err(CodecError::BadHeader);
     }
-    data.advance(4);
-    let rows = data.get_u32_le() as usize;
-    let cols = data.get_u32_le() as usize;
+    let dim = |at: usize| {
+        let mut le = [0; 4];
+        le.copy_from_slice(&shape[at..at + 4]);
+        u32::from_le_bytes(le) as usize
+    };
+    let (rows, cols) = (dim(0), dim(4));
     // A crafted header can claim up to (2³²−1)² cells; the byte count must
     // be computed checked or a hostile payload panics the decoder.
     let expected = rows
         .checked_mul(cols)
         .and_then(|cells| cells.checked_mul(8))
         .ok_or(CodecError::BadHeader)?;
-    if data.len() != expected {
+    if body.len() != expected {
         return Err(CodecError::Truncated {
             expected,
-            actual: data.len(),
+            actual: body.len(),
         });
     }
-    let v = cells(&data).map(i64::from_le_bytes).collect();
-    Ok(Matrix::from_vec(rows, cols, v))
+    Ok(Operand {
+        rows,
+        cols,
+        cells: body.as_chunks::<8>().0,
+    })
+}
+
+/// An operand's cells copied into an owned [`Matrix`].
+pub(crate) fn to_matrix(op: Operand<'_, [u8; 8]>) -> Matrix {
+    Matrix::from_vec(
+        op.rows,
+        op.cols,
+        op.cells.iter().map(|&c| i64::from_le_bytes(c)).collect(),
+    )
+}
+
+/// Decode a matrix into an owned copy of its cells.
+pub fn decode(data: Bytes) -> Result<Matrix, CodecError> {
+    operand(&data).map(to_matrix)
 }
 
 /// Size in bytes of an encoded `r × c` matrix (for data-movement models).
@@ -133,6 +194,34 @@ mod tests {
         ];
         assert_eq!(&encode(&m)[..], wire);
         assert_eq!(decode(Bytes::from_static(wire)).unwrap(), m);
+    }
+
+    /// Drawn into the file or into a `Matrix` and encoded: the same bytes,
+    /// over the paper's range, the widest ranges and an empty one.
+    #[test]
+    fn random_is_the_encoded_random_matrix() {
+        for (r, c, lo, hi) in [
+            (7, 5, -100, 100),
+            (3, 4, i64::MIN, i64::MAX),
+            (2, 9, i64::MIN, i64::MAX - 1),
+            (0, 3, -1, 1),
+            (2, 2, 4, 3),
+        ] {
+            let want = encode(&Matrix::random(r, c, &mut DetRng::new(3, "rnd"), lo, hi));
+            assert_eq!(random(r, c, &mut DetRng::new(3, "rnd"), lo, hi), want);
+        }
+    }
+
+    /// `put_cells` appends after what is there, growing the buffer as it
+    /// must, and writes nothing for no cells.
+    #[test]
+    fn put_cells_appends() {
+        let mut buf = vec![9u8];
+        put_cells(&mut buf, [1i64, -1].iter().map(|v| v.to_le_bytes()));
+        put_cells(&mut buf, std::iter::empty::<[u8; 8]>());
+        let mut want = vec![9u8, 1, 0, 0, 0, 0, 0, 0, 0];
+        want.extend([0xff; 8]);
+        assert_eq!(buf, want);
     }
 
     #[test]

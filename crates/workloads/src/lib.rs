@@ -5,11 +5,17 @@
 //! triple loop; a row-axpy loop the optimiser vectorises, AVX2 when the CPU
 //! has it; and, for an AVX2 CPU and a narrow B with `k·max|B| < 2^16`, a
 //! 16-bit limb loop that sums each limb product exactly in `i32` lanes), a
-//! binary codec for files and pass-by-value request
-//! payloads that reads and writes a slice of 8-byte cells at a time,
-//! workflow-shape generators (Fig. 3 chains, Fig. 4 concurrent sets with
-//! random environment assignment), and the compute-time model that charges
-//! virtual time for a task.
+//! binary codec for files and pass-by-value request payloads that reads and
+//! writes a slice of 8-byte cells at a time, workflow-shape generators
+//! (Fig. 3 chains, Fig. 4 concurrent sets with random environment
+//! assignment), and the compute-time model that charges virtual time for a
+//! task.
+//!
+//! The task works on its wire format: [`multiply_encoded`] reads both
+//! operands in place in their encodings and writes each byte of the
+//! product's encoding once, with no decoded copy and no `n × m`
+//! accumulator, and [`codec::random`] draws a seed matrix straight into
+//! its file.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -10,17 +10,23 @@
 //!   time for AVX2, picked when the CPU has it);
 //! - a 16-bit limb loop for AVX2, taken when B is narrow. A is split
 //!   into balanced 16-bit limbs `a_t` (`A ≡ Σ_t a_t·2^16t` mod 2^64,
-//!   each `a_t ∈ [−2^15, 2^15)`), `vpmaddwd` sums each limb product
-//!   `P_t = a_t·B` in `i32` lanes, and the product is
-//!   `Σ_t (P_t as i64) << 16t`, wrapping. `P_t` is exact when
-//!   `max|B| < 2^15` and `k·max|B| < 2^16`, since every partial sum is
-//!   then below `k·2^15·max|B| < 2^31`: the paper's 350-wide seeds in
-//!   [-100, 100] give 35,000, and the bound holds up to k = 655.
+//!   each `a_t ∈ [−2^15, 2^15)`), each limb product `P_t = a_t·B` is
+//!   summed in `i32` lanes, and the product is `Σ_t (P_t as i64) << 16t`,
+//!   wrapping. `P_t` is exact when `max|B| < 2^15` and
+//!   `k·max|B| < 2^16`, since every partial sum is then below
+//!   `k·2^15·max|B| < 2^31`: the paper's 350-wide seeds in [-100, 100]
+//!   give 35,000, and the bound holds up to k = 655.
 //!
 //! [`Kernel::Blocked`] takes the limb loop whenever the operands allow
 //! it and the CPU has AVX2, with as few limbs as cover every entry of A;
-//! every other product runs the row-axpy loop.
+//! every other product runs the row-axpy loop. Its two bodies are written
+//! once over where the cells come from and where they go: a [`Matrix`]
+//! for [`matmul`], an encoding read in place and the product's encoding
+//! for [`crate::multiply_encoded`]. A product is written once, a row at a
+//! time and in order, from a scratch of one tile of rows; there is no
+//! `n × m` accumulator.
 
+use crate::codec::put_cells;
 use crate::matrix::Matrix;
 
 /// Which kernel to run.
@@ -36,6 +42,68 @@ pub enum Kernel {
     /// every path.
     #[default]
     Blocked,
+}
+
+/// An 8-byte cell of an operand, read where it lies: an `i64` of a
+/// [`Matrix`], or the eight little-endian bytes of an encoding.
+pub(crate) trait Cell: Copy {
+    /// The cell's value.
+    fn value(self) -> i64;
+}
+
+impl Cell for i64 {
+    #[inline(always)]
+    fn value(self) -> i64 {
+        self
+    }
+}
+
+impl Cell for [u8; 8] {
+    #[inline(always)]
+    fn value(self) -> i64 {
+        i64::from_le_bytes(self)
+    }
+}
+
+/// A row-major `rows × cols` operand over the cells that hold it
+/// (`cells.len() == rows · cols`).
+#[derive(Clone, Copy)]
+pub(crate) struct Operand<'a, C> {
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) cells: &'a [C],
+}
+
+impl Matrix {
+    /// The matrix as a kernel operand.
+    pub(crate) fn operand(&self) -> Operand<'_, i64> {
+        Operand {
+            rows: self.rows(),
+            cols: self.cols(),
+            cells: self.as_slice(),
+        }
+    }
+}
+
+/// Where a kernel writes the product: its finished rows, each once and
+/// in order.
+pub(crate) trait Sink {
+    /// Append one finished row.
+    fn put_row(&mut self, row: &[i64]);
+}
+
+/// A [`Matrix`]'s cells.
+impl Sink for Vec<i64> {
+    fn put_row(&mut self, row: &[i64]) {
+        self.extend_from_slice(row);
+    }
+}
+
+/// An encoding's body, after its header.
+impl Sink for Vec<u8> {
+    fn put_row(&mut self, row: &[i64]) {
+        put_cells(self, row.iter().map(|v| v.to_le_bytes()));
+    }
 }
 
 /// Multiply `a × b` with the chosen kernel.
@@ -54,7 +122,11 @@ pub fn matmul(a: &Matrix, b: &Matrix, kernel: Kernel) -> Matrix {
     );
     match kernel {
         Kernel::Naive => naive(a, b),
-        Kernel::Blocked => blocked(a, b),
+        Kernel::Blocked => {
+            let mut out = Vec::with_capacity(a.rows() * b.cols());
+            blocked(a.operand(), b.operand(), &mut out);
+            Matrix::from_vec(a.rows(), b.cols(), out)
+        }
     }
 }
 
@@ -73,56 +145,107 @@ fn naive(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn blocked(a: &Matrix, b: &Matrix) -> Matrix {
-    let (n, m) = (a.rows(), b.cols());
-    let mut out = vec![0; n * m];
+/// [`Kernel::Blocked`]: append the `a.rows × b.cols` product to `out`, row
+/// by row. The caller has checked `a.cols == b.rows`.
+pub(crate) fn blocked<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: `blocked_avx2` needs nothing but AVX2, and the check
         // above found it on this CPU.
-        unsafe { blocked_avx2(a, b, &mut out) };
-        return Matrix::from_vec(n, m, out);
-    }
-    axpy_rows(a, b, &mut out);
-    Matrix::from_vec(n, m, out)
-}
-
-/// `out[i,·] += a[i,l] · b[l,·]` for every `i` and `l`, all wrapping, with
-/// `out` the row-major `a.rows() × b.cols()` product. The inner loop runs
-/// along a row of `b` and a row of `out` at once, which the optimiser
-/// turns into vector lanes. Wrapping `i64` arithmetic is exact in any
-/// order, so this agrees with [`naive`] bit for bit. Always inlined, so
-/// each caller compiles the body for its own target features.
-#[inline(always)]
-fn axpy_rows(a: &Matrix, b: &Matrix, out: &mut [i64]) {
-    let (k, m) = (a.cols(), b.cols());
-    // `chunks_exact(0)` panics. With `k == 0` the product is all zeros;
-    // with `m == 0` it is empty.
-    if k == 0 || m == 0 {
+        unsafe { blocked_avx2(a, b, out) };
         return;
     }
-    for (a_row, out_row) in a.as_slice().chunks_exact(k).zip(out.chunks_exact_mut(m)) {
-        for (&x, b_row) in a_row.iter().zip(b.as_slice().chunks_exact(m)) {
-            for (o, &y) in out_row.iter_mut().zip(b_row) {
-                *o = o.wrapping_add(x.wrapping_mul(y));
+    axpy_rows(a, b, out);
+}
+
+/// `out += a[i,l] · b[l,·]` for every `l`, one row `i` of the product at
+/// a time, all wrapping, each finished row appended to `out`. The inner
+/// loop runs along a row of `b` and the row scratch at once, which the
+/// optimiser turns into vector lanes. Wrapping `i64` arithmetic is exact
+/// in any order, so this agrees with [`naive`] bit for bit. Always
+/// inlined, so each caller compiles the body for its own target features.
+#[inline(always)]
+fn axpy_rows<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+    let (k, m) = (a.cols, b.cols);
+    if m == 0 {
+        return;
+    }
+    let mut row = vec![0; m];
+    // `chunks_exact(0)` panics; with `k == 0` every row is zeros.
+    if k == 0 {
+        (0..a.rows).for_each(|_| out.put_row(&row));
+        return;
+    }
+    for a_row in a.cells.chunks_exact(k) {
+        row.fill(0);
+        for (&x, b_row) in a_row.iter().zip(b.cells.chunks_exact(m)) {
+            let x = x.value();
+            for (o, &y) in row.iter_mut().zip(b_row) {
+                *o = o.wrapping_add(x.wrapping_mul(y.value()));
             }
         }
+        out.put_row(&row);
     }
 }
 
-/// `Blocked` on an AVX2 CPU: the limb loop where [`limb::limb_count`] allows
-/// it, else [`axpy_rows`] compiled for AVX2 (four `i64` lanes).
+/// Columns of B per packed panel of the limb loop: two vectors of eight
+/// `i32` lanes.
+const PANEL: usize = 16;
+
+/// How many balanced 16-bit limbs the limb loop needs for `a × b`, or
+/// `None` when the row-axpy loop should run: B is too wide for the limb
+/// products to sum exactly in `i32` ([`sums_fit_i32`]), or narrower than
+/// one panel (an 8-column B leaves half of every lane idle, and row-axpy
+/// measured faster at 8×8). A pure function of the operands, always
+/// inlined so its scans compile for the caller's target features.
+#[inline(always)]
+pub(crate) fn plan<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>) -> Option<usize> {
+    (b.cols >= PANEL && sums_fit_i32(a.cols, b)).then(|| limbs_covering(a))
+}
+
+/// Whether every limb product `a_t · B` over an inner dimension `k` sums
+/// exactly in `i32`: `max|B| < 2^15` (B fits `i16`; it binds only at
+/// `k = 1`) and `k·max|B| < 2^16`.
+#[inline(always)]
+fn sums_fit_i32<C: Cell>(k: usize, b: Operand<'_, C>) -> bool {
+    let max_b = b
+        .cells
+        .iter()
+        .map(|x| x.value().unsigned_abs())
+        .max()
+        .unwrap_or(0);
+    max_b < 1 << 15 && (k as u64).saturating_mul(max_b) < 1 << 16
+}
+
+/// The fewest balanced 16-bit limbs that cover every entry of A: `L`
+/// limbs cover `[−2^15·R_L, (2^15−1)·R_L]` with
+/// `R_L = (2^16L − 1)/(2^16 − 1)`, and four cover every `i64`.
+#[inline(always)]
+fn limbs_covering<C: Cell>(a: Operand<'_, C>) -> usize {
+    let (lo, hi) = a
+        .cells
+        .iter()
+        .fold((0, 0), |(lo, hi), x| (x.value().min(lo), x.value().max(hi)));
+    let fits = |limbs: usize| {
+        let r = ((1i64 << (16 * limbs)) - 1) / 0xFFFF;
+        -(1 << 15) * r <= lo && hi <= ((1 << 15) - 1) * r
+    };
+    (1..4).find(|&limbs| fits(limbs)).unwrap_or(4)
+}
+
+/// `Blocked` on an AVX2 CPU: the limb loop where [`plan`] allows it, else
+/// [`axpy_rows`] compiled for AVX2 (four `i64` lanes).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn blocked_avx2(a: &Matrix, b: &Matrix, out: &mut [i64]) {
-    match limb::limb_count(a, b) {
+fn blocked_avx2<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+    match plan(a, b) {
         Some(limbs) => limb::limbs_avx2(a, b, limbs, out),
         None => axpy_rows(a, b, out),
     }
 }
 
-/// The 16-bit limb loop. x86-64 only: its one body is AVX2, and a CPU
-/// without AVX2 runs the portable row-axpy loop.
+/// The 16-bit limb loop. x86-64 only: its body is AVX2, and a CPU without
+/// AVX2 runs the portable row-axpy loop.
 #[cfg(target_arch = "x86_64")]
 mod limb {
     use std::arch::x86_64::{
@@ -130,168 +253,148 @@ mod limb {
         _mm256_setzero_si256, _mm256_storeu_si256,
     };
 
-    use crate::matrix::Matrix;
+    use super::{Cell, Operand, Sink, PANEL};
 
     /// Makes limb `t` of `x` the unsigned digit `t` of `x + BIAS`: a balanced
     /// digit is the unsigned one minus `0x8000`, so no limb carries into the
     /// next.
     const BIAS: u64 = 0x8000_8000_8000_8000;
 
-    /// How many balanced 16-bit limbs the limb loop needs for `a × b`, or
-    /// `None` when the row-axpy loop should run: B is too wide for the limb
-    /// products to sum exactly in `i32` ([`sums_fit_i32`]), or narrower than
-    /// one panel (an 8-column B leaves half of every lane idle, and row-axpy
-    /// measured faster at 8×8). A pure function of the operands, always
-    /// inlined so its scans compile for the caller's target features.
-    #[inline(always)]
-    pub(super) fn limb_count(a: &Matrix, b: &Matrix) -> Option<usize> {
-        (b.cols() >= PANEL && sums_fit_i32(a.cols(), b)).then(|| limbs_covering(a))
-    }
+    /// Rows of A per register tile: two `i32` accumulators a row, so six
+    /// rows keep 12 in flight, and with the two B vectors and the
+    /// broadcast fill the 16 vector registers. Six measured faster than
+    /// four at every limb count (EXPERIMENTS.md, "The task works on its
+    /// wire format").
+    const TILE_ROWS: usize = 6;
 
-    /// Whether every limb product `a_t · B` over an inner dimension `k` sums
-    /// exactly in `i32`: `max|B| < 2^15` (B fits `i16`; it binds only at
-    /// `k = 1`) and `k·max|B| < 2^16`.
-    #[inline(always)]
-    pub(super) fn sums_fit_i32(k: usize, b: &Matrix) -> bool {
-        let max_b = b
-            .as_slice()
-            .iter()
-            .map(|x| x.unsigned_abs())
-            .max()
-            .unwrap_or(0);
-        max_b < 1 << 15 && (k as u64).saturating_mul(max_b) < 1 << 16
-    }
-
-    /// The fewest balanced 16-bit limbs that cover every entry of A: `L`
-    /// limbs cover `[−2^15·R_L, (2^15−1)·R_L]` with
-    /// `R_L = (2^16L − 1)/(2^16 − 1)`, and four cover every `i64`.
-    #[inline(always)]
-    pub(super) fn limbs_covering(a: &Matrix) -> usize {
-        let (lo, hi) = a
-            .as_slice()
-            .iter()
-            .fold((0, 0), |(lo, hi), &x| (x.min(lo), x.max(hi)));
-        let fits = |limbs: usize| {
-            let r = ((1i64 << (16 * limbs)) - 1) / 0xFFFF;
-            -(1 << 15) * r <= lo && hi <= ((1 << 15) - 1) * r
-        };
-        (1..4).find(|&limbs| fits(limbs)).unwrap_or(4)
-    }
-
-    /// Rows of A per register tile of the limb loop.
-    const TILE_ROWS: usize = 4;
-    /// Columns of B per packed panel: two vectors of eight `i32` lanes.
-    const PANEL: usize = 16;
-
-    /// Two `i16` lanes of one `i32`, `lo` first, as `vpmaddwd` reads them.
+    /// Two `i16` lanes of one `i32`, `lo` first, as the step reads them.
     fn pair(lo: u16, hi: u16) -> i32 {
         (u32::from(lo) | u32::from(hi) << 16) as i32
     }
 
-    /// The limb loop: `out += a × b`, exact and wrapping, for a B inside
-    /// the bound of [`sums_fit_i32`] and `limbs` limbs that cover every
-    /// entry of A.
+    /// The limb loop: append `a × b`, exact and wrapping, to `out`, for a B
+    /// inside the bound of [`super::sums_fit_i32`] and `limbs` limbs that
+    /// cover every entry of A.
     ///
     /// B is packed once into panels of 16 columns, each a run of pair-rows
     /// `(b[2p,j], b[2p+1,j])` in `i16` (a zero row pads an odd `k`). A is
-    /// never copied: a tile of four rows at a time has its limb pairs
+    /// never copied: a tile of [`TILE_ROWS`] rows at a time has its limb pairs
     /// `(a_t[i,2p], a_t[i,2p+1])` computed into a fixed scratch of
-    /// `4·limbs·⌈k/2⌉` words, which [`limb_tile`] broadcasts against each
-    /// panel in turn (a panel is 11 KB at k = 350, so it stays in L1).
+    /// `TILE_ROWS·limbs·⌈k/2⌉` words, which [`tile`] broadcasts against each
+    /// panel in turn (a panel is 11 KB at k = 350, so it stays in L1). Each
+    /// panel's finished cells go into a strip of the tile's rows, and the
+    /// strip's rows into `out`.
     #[target_feature(enable = "avx2")]
-    pub(super) fn limbs_avx2(a: &Matrix, b: &Matrix, limbs: usize, out: &mut [i64]) {
-        let (k, m) = (a.cols(), b.cols());
+    pub(super) fn limbs_avx2<C: Cell>(
+        a: Operand<'_, C>,
+        b: Operand<'_, C>,
+        limbs: usize,
+        out: &mut impl Sink,
+    ) {
+        let (k, m) = (a.cols, b.cols);
         if k == 0 || m == 0 {
-            return;
+            return super::axpy_rows(a, b, out);
         }
         let steps = k.div_ceil(2);
         let mut panels = vec![0; m.div_ceil(PANEL) * steps * PANEL];
         // Truncating to `u16` keeps every entry: B fits `i16`.
-        for (p, rows) in b.as_slice().chunks(2 * m).enumerate() {
+        for (p, rows) in b.cells.chunks(2 * m).enumerate() {
             let (row0, row1) = rows.split_at(m);
-            for (j, &x) in row0.iter().enumerate() {
-                let y = row1.get(j).copied().unwrap_or(0);
-                panels[((j / PANEL) * steps + p) * PANEL + j % PANEL] = pair(x as u16, y as u16);
+            for (j, x) in row0.iter().enumerate() {
+                let y = row1.get(j).map_or(0, |y| y.value());
+                panels[((j / PANEL) * steps + p) * PANEL + j % PANEL] =
+                    pair(x.value() as u16, y as u16);
             }
         }
         let mut pairs = vec![0; TILE_ROWS * limbs * steps];
-        for (a_tile, out_tile) in a
-            .as_slice()
-            .chunks(TILE_ROWS * k)
-            .zip(out.chunks_mut(TILE_ROWS * m))
-        {
+        let mut strip = vec![0; TILE_ROWS * m];
+        for a_tile in a.cells.chunks(TILE_ROWS * k) {
             let rows = a_tile.len() / k;
             // Limb pairs laid out `[t][p][row]`: one step of a tile reads its
             // rows' words side by side.
             let pairs = &mut pairs[..rows * limbs * steps];
             for (r, a_row) in a_tile.chunks_exact(k).enumerate() {
                 for (p, xs) in a_row.chunks(2).enumerate() {
-                    let y0 = (xs[0] as u64).wrapping_add(BIAS);
-                    let y1 = xs.get(1).map_or(BIAS, |&x| (x as u64).wrapping_add(BIAS));
+                    let y0 = (xs[0].value() as u64).wrapping_add(BIAS);
+                    let y1 = xs
+                        .get(1)
+                        .map_or(BIAS, |x| (x.value() as u64).wrapping_add(BIAS));
                     for t in 0..limbs {
                         let digit = |y: u64| (y >> (16 * t)) as u16 ^ 0x8000;
                         pairs[(t * steps + p) * rows + r] = pair(digit(y0), digit(y1));
                     }
                 }
             }
+            let strip = &mut strip[..rows * m];
             for (c, panel) in panels.chunks_exact(steps * PANEL).enumerate() {
-                for (t, limb) in pairs.chunks_exact(steps * rows).enumerate() {
-                    let at = (c * PANEL, 16 * t as u32);
+                // SAFETY: this function runs only where the CPU has AVX2.
+                unsafe {
                     match rows {
-                        4 => limb_tile::<4>(limb, panel, out_tile, m, at),
-                        3 => limb_tile::<3>(limb, panel, out_tile, m, at),
-                        2 => limb_tile::<2>(limb, panel, out_tile, m, at),
-                        _ => limb_tile::<1>(limb, panel, out_tile, m, at),
+                        6 => tile::<6>(pairs, panel, strip, m, c * PANEL),
+                        5 => tile::<5>(pairs, panel, strip, m, c * PANEL),
+                        4 => tile::<4>(pairs, panel, strip, m, c * PANEL),
+                        3 => tile::<3>(pairs, panel, strip, m, c * PANEL),
+                        2 => tile::<2>(pairs, panel, strip, m, c * PANEL),
+                        _ => tile::<1>(pairs, panel, strip, m, c * PANEL),
+                    }
+                }
+            }
+            strip.chunks_exact(m).for_each(|row| out.put_row(row));
+        }
+    }
+
+    /// One `R × 16` tile, every limb: each limb product `P_t = a_t · panel`
+    /// is summed in `2R` `i32` accumulators (`vpmaddwd` then `vpaddd`), and
+    /// `(P_t as i64) << 16t` added, wrapping, into `R × 16` sums on the
+    /// stack; the finished sums are written once into `strip` (`R` rows of
+    /// width `m`) at column `j0`. `pairs` holds the tile's limb pairs
+    /// `[t][p][row]`.
+    ///
+    /// # Safety
+    /// The CPU has AVX2. Always inlined into [`limbs_avx2`], so the
+    /// intrinsics compile for it.
+    #[inline(always)]
+    unsafe fn tile<const R: usize>(
+        pairs: &[i32],
+        panel: &[i32],
+        strip: &mut [i64],
+        m: usize,
+        j0: usize,
+    ) {
+        let (b_rows, _) = panel.as_chunks::<PANEL>();
+        let mut sums = [[0i64; PANEL]; R];
+        for (t, limb) in pairs.chunks_exact(b_rows.len() * R).enumerate() {
+            // SAFETY (this block): the caller vouches for AVX2; `b_row` and `lanes` are `[i32; 16]`, 64 bytes, the
+            // loads and stores touch their two 32-byte halves, and
+            // `loadu`/`storeu` need no alignment.
+            unsafe {
+                let mut acc = [[_mm256_setzero_si256(); 2]; R];
+                let (steps, _) = limb.as_chunks::<R>();
+                for (xs, b_row) in steps.iter().zip(b_rows) {
+                    let b = [
+                        _mm256_loadu_si256(b_row.as_ptr().cast()),
+                        _mm256_loadu_si256(b_row[8..].as_ptr().cast()),
+                    ];
+                    for (acc, &x) in acc.iter_mut().zip(xs) {
+                        let x = _mm256_set1_epi32(x);
+                        for (acc, &b) in acc.iter_mut().zip(&b) {
+                            *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, b));
+                        }
+                    }
+                }
+                for (acc, sum) in acc.iter().zip(&mut sums) {
+                    let mut lanes = [0i32; PANEL];
+                    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
+                    _mm256_storeu_si256(lanes[8..].as_mut_ptr().cast(), acc[1]);
+                    for (s, &p) in sum.iter_mut().zip(&lanes) {
+                        *s = s.wrapping_add(i64::from(p) << (16 * t));
                     }
                 }
             }
         }
-    }
-
-    /// One limb of one `R × 16` tile: `P = a_t · panel` in eight `i32`
-    /// accumulators (`vpmaddwd` multiplies 16 `i16` pairs and sums each pair
-    /// into a lane), then `out[r, j0..] += (P as i64) << shift`, wrapping.
-    /// `pairs` holds the tile's limb pairs `[p][row]`, `out` its rows of
-    /// width `m`, and `(j0, shift)` places the panel and the limb.
-    #[target_feature(enable = "avx2")]
-    fn limb_tile<const R: usize>(
-        pairs: &[i32],
-        panel: &[i32],
-        out: &mut [i64],
-        m: usize,
-        (j0, shift): (usize, u32),
-    ) {
-        let mut acc = [[_mm256_setzero_si256(); 2]; R];
-        let (steps, _) = pairs.as_chunks::<R>();
-        let (b_rows, _) = panel.as_chunks::<PANEL>();
-        for (xs, b_row) in steps.iter().zip(b_rows) {
-            // SAFETY: `b_row` is a `[i32; 16]`, 64 bytes; the loads read its
-            // two 32-byte halves, and `loadu` needs no alignment.
-            let b = unsafe {
-                [
-                    _mm256_loadu_si256(b_row.as_ptr().cast()),
-                    _mm256_loadu_si256(b_row[8..].as_ptr().cast()),
-                ]
-            };
-            for (acc, &x) in acc.iter_mut().zip(xs) {
-                let x = _mm256_set1_epi32(x);
-                for (acc, &b) in acc.iter_mut().zip(&b) {
-                    *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, b));
-                }
-            }
-        }
         let width = PANEL.min(m - j0);
-        for (acc, out_row) in acc.iter().zip(out.chunks_exact_mut(m)) {
-            let mut lanes = [0i32; PANEL];
-            // SAFETY: `lanes` is a `[i32; 16]`, 64 bytes; the stores write
-            // its two 32-byte halves, and `storeu` needs no alignment.
-            unsafe {
-                _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
-                _mm256_storeu_si256(lanes[8..].as_mut_ptr().cast(), acc[1]);
-            }
-            for (o, &p) in out_row[j0..j0 + width].iter_mut().zip(&lanes) {
-                *o = o.wrapping_add(i64::from(p) << shift);
-            }
+        for (sum, row) in sums.iter().zip(strip.chunks_exact_mut(m)) {
+            row[j0..j0 + width].copy_from_slice(&sum[..width]);
         }
     }
 }
@@ -299,6 +402,7 @@ mod limb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{encode, operand};
     use proptest::prelude::*;
     use swf_simcore::DetRng;
 
@@ -307,23 +411,31 @@ mod tests {
         Matrix::random(r, c, &mut rng, -100, 100)
     }
 
-    /// `Blocked` equals `Naive`, and so does the limb body called directly
-    /// (where the CPU has AVX2) at the fewest limbs that cover A and at
-    /// four. B must be inside the limb bound; any shape goes, below one
-    /// panel too.
+    /// `Blocked` equals `Naive`, and so does the limb body where the CPU
+    /// has AVX2, called directly at the fewest limbs that cover A and at
+    /// four, on both operand kinds: a `Matrix`'s cells into a `Matrix`, and
+    /// encodings read in place into an encoding. B must be inside the limb
+    /// bound; any shape goes, below one panel too.
     #[cfg(target_arch = "x86_64")]
     fn assert_limbs_exact(a: &Matrix, b: &Matrix) {
-        assert!(limb::sums_fit_i32(a.cols(), b));
+        assert!(sums_fit_i32(a.cols(), b.operand()));
         let want = matmul(a, b, Kernel::Naive);
         assert_eq!(matmul(a, b, Kernel::Blocked), want);
-        if is_x86_feature_detected!("avx2") {
-            for limbs in [limb::limbs_covering(a), 4] {
-                let mut out = vec![0; want.as_slice().len()];
-                // SAFETY: `limbs_avx2` needs nothing but AVX2, and the
-                // check above found it on this CPU.
-                unsafe { limb::limbs_avx2(a, b, limbs, &mut out) };
-                assert_eq!(out, want.as_slice(), "{limbs} limbs");
+        if !is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let (ea, eb, ew) = (encode(a), encode(b), encode(&want));
+        let (ea, eb) = (operand(&ea).unwrap(), operand(&eb).unwrap());
+        for limbs in [limbs_covering(a.operand()), 4] {
+            let (mut out, mut in_place): (Vec<i64>, Vec<u8>) = (vec![], vec![]);
+            // SAFETY: `limbs_avx2` needs nothing but AVX2, and the check
+            // above found it on this CPU.
+            unsafe {
+                limb::limbs_avx2(a.operand(), b.operand(), limbs, &mut out);
+                limb::limbs_avx2(ea, eb, limbs, &mut in_place);
             }
+            assert_eq!(out, want.as_slice(), "{limbs} limbs");
+            assert_eq!(in_place, ew[12..], "in place, {limbs} limbs");
         }
     }
 
@@ -346,7 +458,7 @@ mod tests {
             for sign in [1, -1] {
                 let a = Matrix::from_vec(3, k, vec![all_low; 3 * k]);
                 let b = Matrix::from_vec(k, 16, vec![sign * edge; k * 16]);
-                assert_eq!(limb::limb_count(&a, &b), Some(4));
+                assert_eq!(plan(a.operand(), b.operand()), Some(4));
                 assert_limbs_exact(&a, &b);
                 let a = Matrix::from_vec(3, k, [i64::MIN, i64::MAX, -1].repeat(k));
                 assert_limbs_exact(&a, &b);
@@ -356,7 +468,11 @@ mod tests {
             for sign in [1, -1] {
                 let a = random_matrix(3, k, 1);
                 let b = Matrix::from_vec(k, 16, vec![sign * over; k * 16]);
-                assert_eq!(limb::limb_count(&a, &b), None, "k = {k}, |b| = {over}");
+                assert_eq!(
+                    plan(a.operand(), b.operand()),
+                    None,
+                    "k = {k}, |b| = {over}"
+                );
                 assert_eq!(
                     matmul(&a, &b, Kernel::Blocked),
                     matmul(&a, &b, Kernel::Naive)
@@ -383,12 +499,12 @@ mod tests {
                 (lo - 1, limbs + 1),
                 (hi + 1, limbs + 1),
             ] {
-                assert_eq!(limb::limbs_covering(&one(x)), want, "{x:#x}");
+                assert_eq!(limbs_covering(one(x).operand()), want, "{x:#x}");
                 entries.push(x);
             }
         }
         for (x, want) in [(0, 1), (0x7FFF_8000, 3), (i64::MIN, 4), (i64::MAX, 4)] {
-            assert_eq!(limb::limbs_covering(&one(x)), want, "{x:#x}");
+            assert_eq!(limbs_covering(one(x).operand()), want, "{x:#x}");
             entries.push(x);
         }
         let k = entries.len();
@@ -415,18 +531,16 @@ mod tests {
         let mut counts = vec![];
         for task in 1..=10 {
             let b = seed(task);
-            counts.push(limb::limb_count(&a, &b));
+            counts.push(plan(a.operand(), b.operand()));
             a = matmul(&a, &b, Kernel::Blocked);
         }
         let want = [1, 2, 2, 3, 4, 4, 4, 4, 4, 4];
         assert_eq!(counts, want.map(Some));
         let mut wide = seed(1);
         wide.set(349, 0, 1 << 15);
-        assert_eq!(limb::limb_count(&seed(0), &wide), None);
-        assert_eq!(
-            limb::limb_count(&random_matrix(8, 8, 0), &random_matrix(8, 8, 1)),
-            None
-        );
+        assert_eq!(plan(seed(0).operand(), wide.operand()), None);
+        let (a8, b8) = (random_matrix(8, 8, 0), random_matrix(8, 8, 1));
+        assert_eq!(plan(a8.operand(), b8.operand()), None);
     }
 
     #[test]
@@ -513,7 +627,8 @@ mod tests {
         /// ten-task chain; every width up to 37, so the vector loop's
         /// tail runs; and empty shapes. `Blocked` runs the AVX2 body
         /// where the CPU has it, so the portable body is also called
-        /// directly and stays tested on an AVX2 machine.
+        /// directly, on a `Matrix` and on encodings read in place, and
+        /// stays tested on an AVX2 machine.
         #[test]
         fn kernels_agree_prop(seed in 0u64..1000, n in 1usize..8, k in 1usize..40) {
             for (n, k) in [(n, k), (0, k), (n, 0)] {
@@ -528,16 +643,20 @@ mod tests {
                     };
                     let x = matmul(&a, &b, Kernel::Naive);
                     prop_assert_eq!(&x, &matmul(&a, &b, Kernel::Blocked));
-                    let mut portable = vec![0; n * m];
-                    axpy_rows(&a, &b, &mut portable);
+                    let mut portable = vec![];
+                    axpy_rows(a.operand(), b.operand(), &mut portable);
                     prop_assert_eq!(x.as_slice(), &portable[..]);
+                    let (ea, eb) = (encode(&a), encode(&b));
+                    let mut in_place = vec![];
+                    axpy_rows(operand(&ea).unwrap(), operand(&eb).unwrap(), &mut in_place);
+                    prop_assert_eq!(&encode(&x)[12..], &in_place[..]);
                 }
             }
         }
 
         /// The limb path agrees with `Naive` bit for bit: A over the full
         /// range (four limbs) or narrow (one), B as wide as the limb bound
-        /// allows; odd and even `k`, row counts off the tile of four, and
+        /// allows; odd and even `k`, row counts off the six-row tile, and
         /// every width up to 37 (a partial panel, and below one).
         #[test]
         #[cfg(target_arch = "x86_64")]

@@ -42,9 +42,8 @@ impl Matrix {
     /// Random matrix with entries in `[lo, hi]` (the paper: [-100, 100]),
     /// `hi == i64::MAX` included.
     pub fn random(rows: usize, cols: usize, rng: &mut DetRng, lo: i64, hi: i64) -> Self {
-        let data = (0..rows * cols)
-            .map(|_| rng.uniform_i64_inclusive(lo, hi))
-            .collect();
+        let mut draws = rng.uniform_i64_inclusive_batch(lo, hi);
+        let data = (0..rows * cols).map(|_| draws.draw()).collect();
         Matrix { rows, cols, data }
     }
 

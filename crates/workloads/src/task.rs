@@ -1,27 +1,36 @@
-//! The paper's task in pure form: decode two matrices, multiply, encode the
-//! product — plus the compute-time model that charges virtual time for it.
+//! The paper's task in pure form: multiply two encoded matrices into an
+//! encoded product — plus the compute-time model that charges virtual time
+//! for it.
 
 use bytes::Bytes;
 
 use swf_simcore::{secs, SimDuration};
 
-use crate::codec::{decode, encode};
-use crate::matmul::{matmul, Kernel};
+use crate::codec::{encode, operand, to_matrix, with_header};
+use crate::matmul::{blocked, matmul, Kernel};
 
 /// Multiply two encoded matrices; returns the encoded product.
+///
+/// With [`Kernel::Blocked`] the kernel reads both operands where they lie
+/// in `a` and `b` and writes each byte of the product's encoding once;
+/// [`Kernel::Naive`] decodes both, multiplies and encodes (the reference).
 pub fn multiply_encoded(a: Bytes, b: Bytes, kernel: Kernel) -> Result<Bytes, String> {
-    let ma = decode(a).map_err(|e| format!("input A: {e}"))?;
-    let mb = decode(b).map_err(|e| format!("input B: {e}"))?;
-    if ma.cols() != mb.rows() {
+    let a = operand(&a).map_err(|e| format!("input A: {e}"))?;
+    let b = operand(&b).map_err(|e| format!("input B: {e}"))?;
+    if a.cols != b.rows {
         return Err(format!(
             "dimension mismatch: {}x{} × {}x{}",
-            ma.rows(),
-            ma.cols(),
-            mb.rows(),
-            mb.cols()
+            a.rows, a.cols, b.rows, b.cols
         ));
     }
-    Ok(encode(&matmul(&ma, &mb, kernel)))
+    Ok(match kernel {
+        Kernel::Naive => encode(&matmul(&to_matrix(a), &to_matrix(b), Kernel::Naive)),
+        Kernel::Blocked => {
+            let mut out = with_header(a.rows, b.cols);
+            blocked(a, b, &mut out);
+            Bytes::from(out)
+        }
+    })
 }
 
 /// Virtual compute time charged for one task.
@@ -65,8 +74,75 @@ impl ComputeModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::decode;
+    use crate::matmul::plan;
     use crate::matrix::Matrix;
     use swf_simcore::DetRng;
+
+    fn random_matrix(r: usize, c: usize, seed: u64) -> Matrix {
+        Matrix::random(r, c, &mut DetRng::new(seed, "task"), -100, 100)
+    }
+
+    /// `multiply_encoded` with each kernel equals the reference
+    /// `encode(matmul(…, Naive))`, byte for byte.
+    fn assert_in_place_exact(a: &Matrix, b: &Matrix) {
+        let want = encode(&matmul(a, b, Kernel::Naive));
+        for kernel in [Kernel::Blocked, Kernel::Naive] {
+            let got = multiply_encoded(encode(a), encode(b), kernel).unwrap();
+            assert_eq!(
+                got,
+                want,
+                "{kernel:?}, {}x{} × {}x{}",
+                a.rows(),
+                a.cols(),
+                b.rows(),
+                b.cols()
+            );
+        }
+    }
+
+    /// At the paper's 350, down a chain in which each product is times a
+    /// fresh seed, the in-place kernel is exact at every limb count: tasks
+    /// 1, 2, 4 and 5 plan one, two, three and four limbs.
+    #[test]
+    fn in_place_products_are_exact_at_every_limb_count() {
+        let mut a = random_matrix(350, 350, 0);
+        for (task, limbs) in [(1, 1), (2, 2), (3, 2), (4, 3), (5, 4)] {
+            let b = random_matrix(350, 350, task);
+            if task != 3 {
+                assert_eq!(plan(a.operand(), b.operand()), Some(limbs));
+                assert_in_place_exact(&a, &b);
+            }
+            a = matmul(&a, &b, Kernel::Blocked);
+        }
+    }
+
+    /// Ragged shapes: row counts off the six-row tile, odd `k`,
+    /// widths off the 16-column panel and below it (row-axpy), and a wide
+    /// B that falls back to row-axpy; A is drawn over the full range, so
+    /// every limb runs.
+    #[test]
+    fn in_place_products_are_exact_on_ragged_shapes() {
+        let full =
+            |r, c, seed| Matrix::random(r, c, &mut DetRng::new(seed, "full"), i64::MIN, i64::MAX);
+        for (n, k, m) in [
+            (7, 9, 16),
+            (13, 35, 37),
+            (1, 1, 17),
+            (23, 3, 48),
+            (5, 16, 15),
+            (11, 7, 8),
+        ] {
+            assert_in_place_exact(&full(n, k, 1), &random_matrix(k, m, 2));
+        }
+        let mut wide = random_matrix(33, 19, 3);
+        wide.set(32, 18, 1 << 15);
+        assert_in_place_exact(&full(9, 33, 4), &wide);
+        assert_in_place_exact(&full(9, 33, 4), &full(33, 19, 5));
+        for (n, k, m) in [(0, 4, 16), (4, 0, 16), (4, 0, 3), (3, 4, 0)] {
+            assert_in_place_exact(&full(n, k, 6), &random_matrix(k, m, 7));
+        }
+    }
 
     #[test]
     fn multiply_encoded_roundtrip() {
