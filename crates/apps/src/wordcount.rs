@@ -121,6 +121,73 @@ fn corpus_text(data: &[u8]) -> Result<&str, String> {
     std::str::from_utf8(data).map_err(|_| "corpus is not UTF-8".to_string())
 }
 
+/// Whether an ASCII byte is whitespace as `char::is_whitespace` sees it:
+/// space and `\t \n \x0B \x0C \r`. (`u8::is_ascii_whitespace` leaves
+/// out U+000B.)
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// Bytes an ASCII scan counts word starts in at a time.
+const BLOCK: usize = 64;
+
+/// Word starts in `block`: bytes that are not whitespace and follow
+/// whitespace, the byte before the block counting as whitespace iff
+/// `after_space`.
+fn word_starts(block: &[u8; BLOCK], after_space: bool) -> usize {
+    let first = after_space & !is_space(block[0]);
+    let rest: u8 = block
+        .iter()
+        .zip(&block[1..])
+        .map(|(&prev, &b)| u8::from(is_space(prev) & !is_space(b)))
+        .sum();
+    usize::from(first) + usize::from(rest)
+}
+
+/// Skip the first `n` words of `text` (`split_whitespace`'s words):
+/// returns the byte offset where word `n` starts, or `text.len()` when
+/// there is no word `n`, with the number of words skipped, `n` or all of
+/// them if fewer. ASCII text is counted a block at a time up to the
+/// block that holds word `n`; other text is walked a `char` at a time.
+fn skip_words(text: &str, n: usize) -> (usize, usize) {
+    let (mut at, mut seen, mut after_space) = (0, 0, true);
+    if text.is_ascii() {
+        let (blocks, _) = text.as_bytes().as_chunks::<BLOCK>();
+        for block in blocks {
+            let starts = word_starts(block, after_space);
+            if seen + starts > n {
+                break;
+            }
+            (at, seen, after_space) = (at + BLOCK, seen + starts, is_space(block[BLOCK - 1]));
+        }
+    }
+    // `at` is 0 or follows an ASCII byte: a char boundary.
+    for (i, c) in text[at..].char_indices() {
+        let space = c.is_whitespace();
+        if after_space && !space {
+            if seen == n {
+                return (at + i, seen);
+            }
+            seen += 1;
+        }
+        after_space = space;
+    }
+    (text.len(), seen)
+}
+
+/// The byte offset of word `n` of `text`, from which `split_whitespace`
+/// yields the words after the first `n` (`text.len()` when there are
+/// exactly `n`), or `None` when `text` has fewer than `n` words.
+fn word_offset(text: &str, n: usize) -> Option<usize> {
+    let (at, seen) = skip_words(text, n);
+    (seen == n).then_some(at)
+}
+
+/// The number of words in `text`: `split_whitespace().count()`.
+fn word_count(text: &str) -> usize {
+    skip_words(text, usize::MAX).1
+}
+
 /// Words `start..end` of `words`, counted into `reducers` buckets by word
 /// hash, or `None` when the range is outside the corpus. A word is copied
 /// only the first time its bucket sees it.
@@ -180,19 +247,20 @@ pub fn transformations(params: &WordCountParams) -> Vec<Transformation> {
         calibrated(15.0, 3.0, params.words_per_map),
         move |inputs| {
             // Validate the corpus before the parameters, as splitting it
-            // into words would, then walk only up to this mapper's range.
+            // into words would, then find this mapper's first word by
+            // offset and walk only its range.
             let text = corpus_text(&inputs[0])?;
             let p = decode_params(&inputs[1])?;
             let [_, start, end] = p[..] else {
                 return Err("map: want [mapper, start, end] params".into());
             };
-            let buckets = bucket_counts(
-                text.split_whitespace(),
-                start as usize,
-                end as usize,
-                reducers,
-            )
-            .ok_or("map: word range outside corpus")?;
+            let (start, end) = (start as usize, end as usize);
+            let buckets = word_offset(text, start)
+                .zip(end.checked_sub(start))
+                .and_then(|(at, len)| {
+                    bucket_counts(text[at..].split_whitespace(), 0, len, reducers)
+                })
+                .ok_or("map: word range outside corpus")?;
             Ok(buckets.iter().map(encode_counts).collect())
         },
     )
@@ -238,7 +306,7 @@ pub fn workflow(params: &WordCountParams) -> DynamicWorkflow {
                 .outputs
                 .get(CLEAN)
                 .ok_or("fanout-map: clean corpus missing")?;
-            let words = corpus_text(clean)?.split_whitespace().count();
+            let words = word_count(corpus_text(clean)?);
             let mappers = words.div_ceil(per_map);
             let mut expansion = Expansion::default();
             for m in 0..mappers {
@@ -397,6 +465,88 @@ mod tests {
             let workflow = workflow(&params);
             let fanout = &workflow.triggers()[0];
             prop_assert_eq!(oracle::fire(fanout, CLEAN, corpus), plan);
+        }
+    }
+
+    /// An ASCII corpus of up to 120 words, several scan blocks long: runs
+    /// of every ASCII byte `split_whitespace` splits on (U+000B and U+000C
+    /// included) between words, and blanks or none at either end.
+    fn ascii_corpus(rng: &mut TestRng) -> String {
+        const WORDS: [&str; 5] = ["the", "pod", "x", "serverless", "a-b_c"];
+        const SPACES: [&str; 9] = [
+            " ",
+            "  ",
+            "\t",
+            "\n",
+            "\r\n",
+            "\x0B",
+            "\x0C",
+            " \x0B\x0C ",
+            "\t\t\n",
+        ];
+        let mut text = String::new();
+        if oracle::below(rng, 2) == 0 {
+            text.push_str(oracle::pick(rng, &SPACES));
+        }
+        for i in 0..oracle::below(rng, 121) {
+            if i > 0 {
+                text.push_str(oracle::pick(rng, &SPACES));
+            }
+            text.push_str(oracle::pick(rng, &WORDS));
+        }
+        if oracle::below(rng, 2) == 0 {
+            text.push_str(oracle::pick(rng, &SPACES));
+        }
+        text
+    }
+
+    /// `word_offset` splits `text` where `split_whitespace` would after
+    /// each number of words, up to one past the last, and `word_count`
+    /// counts what it yields.
+    fn offsets_agree(text: &str) -> Result<(), TestCaseError> {
+        let words: Vec<&str> = text.split_whitespace().collect();
+        prop_assert_eq!(word_count(text), words.len());
+        for n in 0..=words.len() + 1 {
+            let Some(at) = word_offset(text, n) else {
+                prop_assert_eq!(n, words.len() + 1);
+                continue;
+            };
+            prop_assert!(n <= words.len());
+            let (head, rest) = text.split_at(at);
+            prop_assert!(head.split_whitespace().eq(words[..n].iter().copied()));
+            prop_assert!(rest.split_whitespace().eq(words[n..].iter().copied()));
+            prop_assert!(at == text.len() || !rest.starts_with(char::is_whitespace));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #[test]
+        fn word_offsets_match_split_whitespace_on_ascii(seed in any::<u64>()) {
+            offsets_agree(&ascii_corpus(&mut TestRng::new(seed)))?;
+        }
+
+        #[test]
+        fn word_offsets_match_split_whitespace_on_any_text(seed in any::<u64>()) {
+            if let Ok(text) = corpus_text(&oracle::corpus(&mut TestRng::new(seed))) {
+                offsets_agree(text)?;
+            }
+        }
+    }
+
+    #[test]
+    fn word_offsets_at_the_edges() {
+        for text in [
+            "",
+            " ",
+            "\x0B",
+            "a",
+            " a ",
+            "\x0Ba\x0C",
+            &"w ".repeat(64),
+            &"w".repeat(200),
+        ] {
+            offsets_agree(text).unwrap();
         }
     }
 

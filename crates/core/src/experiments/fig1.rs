@@ -9,9 +9,8 @@ use swf_cluster::{NodeId, Request};
 use swf_container::{DockerCli, PullPolicy, Workload};
 use swf_metrics::{fit, Line};
 use swf_simcore::{now, secs};
-use swf_workloads::Kernel;
 
-use crate::builder::input_pair;
+use crate::builder::{input_pair, MatmulTask};
 use crate::config::{ExperimentConfig, Provisioning};
 use crate::error::ExperimentError;
 use crate::function::TASK_LIMITS;
@@ -65,6 +64,7 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
         node.fs().stage("in_a.mat", a);
         node.fs().stage("in_b.mat", b);
         let compute = config.compute.for_dim(config.matrix_dim);
+        let task = MatmulTask::new();
 
         let t0 = now();
         let mut exec_time = 0.0;
@@ -73,13 +73,12 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
             let out_name = format!("out_{i}.mat");
             let ea = fs.read("in_a.mat").await?;
             let eb = fs.read("in_b.mat").await?;
+            let task = task.clone();
             let report = cli
                 .run(
                     &bed.image,
                     TASK_LIMITS,
-                    Workload::new(compute, move || {
-                        swf_workloads::multiply_encoded(ea, eb, Kernel::Blocked)
-                    }),
+                    Workload::new(compute, move || task.multiply(ea, eb)),
                     PullPolicy::IfNotPresent,
                 )
                 .await?;
@@ -109,14 +108,11 @@ fn knative_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64, f64), E
         // Register a function whose inputs live on the node (captured at
         // registration), exactly like the paper's Fig. 1 Knative setup.
         let (ea, eb) = input_pair(config, "fig1-inputs");
+        let task = MatmulTask::new();
         let node_local = swf_pegasus::Transformation::new(
             "matmul",
             config.compute.for_dim(config.matrix_dim),
-            move |_inputs| {
-                let product =
-                    swf_workloads::multiply_encoded(ea.clone(), eb.clone(), Kernel::Blocked)?;
-                Ok(vec![product])
-            },
+            move |_inputs| Ok(vec![task.multiply(ea.clone(), eb.clone())?]),
         );
         crate::function::FunctionBuilder::new("matmul", bed.image.clone(), &node_local)
             .container_concurrency(0)

@@ -7,7 +7,7 @@
 //! pays per-job image staging.
 
 use swf_metrics::{fit, Line};
-use swf_pegasus::{JobFactory, PlannedTask};
+use swf_pegasus::{JobFactory, PlannedTask, Transformation};
 use swf_simcore::now;
 use swf_workloads::ExecEnv;
 
@@ -43,10 +43,10 @@ pub struct Fig2Result {
     pub container_fit: Line,
 }
 
-/// Build one parallel matmul task: reads the two shared input matrices,
-/// multiplies, writes a per-task output.
-fn parallel_task(i: usize, env: ExecEnv, config: &ExperimentConfig) -> PlannedTask {
-    let t = matmul_transformation(config);
+/// Build one parallel task of `t`, the arm's matmul transformation:
+/// reads the two shared input matrices, multiplies, writes a per-task
+/// output.
+fn parallel_task(i: usize, env: ExecEnv, t: &Transformation) -> PlannedTask {
     PlannedTask {
         name: format!("p{i}"),
         inputs: vec!["fig2_in_a.mat".into(), "fig2_in_b.mat".into()],
@@ -85,10 +85,11 @@ fn arm(config: &ExperimentConfig, env: ExecEnv, k: usize) -> Result<f64, Experim
         let fs = bed.cluster.shared_fs();
         fs.stage("fig2_in_a.mat", a);
         fs.stage("fig2_in_b.mat", b);
+        let matmul = matmul_transformation(config);
         let t0 = now();
         let mut ids = Vec::with_capacity(k);
         for i in 0..k {
-            let task = parallel_task(i, env, config);
+            let task = parallel_task(i, env, &matmul);
             ids.push(bed.condor.submit(factory.build(&task)));
         }
         for id in ids {

@@ -47,7 +47,7 @@ pub mod harness;
 pub mod testbed;
 
 pub use breakdown::{render_mix_breakdown, slowest_workflow_breakdown};
-pub use builder::{matmul_transformation, stage_chain_workflow};
+pub use builder::{matmul_transformation, stage_chain_workflow, MatmulTask};
 pub use config::{ContainerStaging, ExperimentConfig, Provisioning};
 pub use error::ExperimentError;
 pub use factory::IntegratedFactory;

@@ -16,6 +16,12 @@
 //! product's encoding once, with no decoded copy and no `n × m`
 //! accumulator, and [`codec::random`] draws a seed matrix straight into
 //! its file.
+//!
+//! The kernel is un-memoised on purpose: every call of
+//! [`multiply_encoded`] computes its product into a buffer of its own,
+//! so a caller that times repeated calls on one pair times real products.
+//! The experiments' task (`swf_core::MatmulTask`) keeps the one-entry
+//! memo that serves a repeated pair.
 
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

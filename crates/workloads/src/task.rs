@@ -153,6 +153,20 @@ mod tests {
         assert_eq!(decode(out).unwrap(), matmul(&a, &b, Kernel::Blocked));
     }
 
+    /// The kernel remembers nothing: a second call on the same operands
+    /// computes a product of its own, so a probe that repeats one pair
+    /// times real products.
+    #[test]
+    fn multiply_encoded_is_not_memoised() {
+        let mut rng = DetRng::new(1, "guard");
+        let a = encode(&Matrix::random(8, 8, &mut rng, -10, 10));
+        let b = encode(&Matrix::random(8, 8, &mut rng, -10, 10));
+        let first = multiply_encoded(a.clone(), b.clone(), Kernel::Blocked).unwrap();
+        let second = multiply_encoded(a, b, Kernel::Blocked).unwrap();
+        assert_eq!(first, second);
+        assert_ne!(first.as_ptr(), second.as_ptr());
+    }
+
     #[test]
     fn dimension_mismatch_is_an_error() {
         let a = Matrix::zeros(2, 3);
