@@ -247,16 +247,16 @@ pub fn fig5_report(r: &Fig5Result) -> String {
         ]);
     }
     let mut s = t.render();
-    let best = r.best();
-    let worst = r.worst();
-    s.push_str(&format!(
-        "\nbest mix: native={:.2} serverless={:.2} container={:.2} at {:.1}s\n",
-        best.mix.native, best.mix.serverless, best.mix.container, best.makespan
-    ));
-    s.push_str(&format!(
-        "worst mix: native={:.2} serverless={:.2} container={:.2} at {:.1}s\n",
-        worst.mix.native, worst.mix.serverless, worst.mix.container, worst.makespan
-    ));
+    if let (Some(best), Some(worst)) = (r.best(), r.worst()) {
+        s.push_str(&format!(
+            "\nbest mix: native={:.2} serverless={:.2} container={:.2} at {:.1}s\n",
+            best.mix.native, best.mix.serverless, best.mix.container, best.makespan
+        ));
+        s.push_str(&format!(
+            "worst mix: native={:.2} serverless={:.2} container={:.2} at {:.1}s\n",
+            worst.mix.native, worst.mix.serverless, worst.mix.container, worst.makespan
+        ));
+    }
     let traced: Vec<_> = r
         .rows
         .iter()

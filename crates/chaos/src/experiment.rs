@@ -30,7 +30,7 @@ use swf_condor::{
 use swf_container::Workload;
 use swf_core::config::ExperimentConfig;
 use swf_core::{harness, TestBed};
-use swf_knative::{BreakerConfig, KService};
+use swf_knative::KService;
 use swf_simcore::{
     join_all, now, secs, sleep, spawn, timeout, Elapsed, RetryPolicy, SimDuration, SimTime,
 };
@@ -100,18 +100,7 @@ impl ChaosRunConfig {
     pub fn testbed_config(&self) -> ExperimentConfig {
         let mut config = experiment_config(self.seed);
         config.trace = true;
-        if self.rescue {
-            // Arm the self-healing stack: liveness probes on function
-            // pods, the per-revision circuit breaker, and a bounded
-            // queue-proxy depth with typed overload 503s.
-            config.knative.pod_probe = Some(swf_k8s::ProbeSpec {
-                period: secs(1.0),
-                unready_threshold: 1,
-                failure_threshold: 2,
-            });
-            config.knative.breaker = BreakerConfig::enabled(5, secs(8.0));
-            config.knative.queue_depth = 8;
-        }
+        config.knative.self_healing = self.rescue;
         config
     }
 }
@@ -538,6 +527,15 @@ fn build_chain(
 mod tests {
     use super::*;
     use crate::profile::ChaosProfile;
+
+    #[test]
+    fn only_rescue_mode_arms_self_healing() {
+        let healing = |c: ChaosRunConfig| c.testbed_config().knative.self_healing;
+        for seed in [0, 7] {
+            assert!(healing(ChaosRunConfig::rescue(seed)));
+            assert!(!healing(ChaosRunConfig::quick(seed)));
+        }
+    }
 
     #[test]
     fn calm_run_completes_everything_and_replays_bitwise() {

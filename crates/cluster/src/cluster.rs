@@ -12,7 +12,7 @@ use crate::disk::Disk;
 use crate::error::ClusterError;
 use crate::fs::SimFs;
 use crate::http::HttpStack;
-use crate::network::{Network, NetworkConfig, NodeId};
+use crate::network::{Network, NodeId};
 use crate::node::{Node, NodeSpec};
 
 /// Whole-cluster configuration.
@@ -22,8 +22,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// Shape of each node.
     pub node_spec: NodeSpec,
-    /// Fabric parameters.
-    pub network: NetworkConfig,
 }
 
 impl Default for ClusterConfig {
@@ -31,7 +29,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 4,
             node_spec: NodeSpec::default(),
-            network: NetworkConfig::default(),
         }
     }
 }
@@ -52,7 +49,7 @@ impl Cluster {
         let nodes: Vec<Node> = (0..config.nodes)
             .map(|i| Node::new(NodeId(i), config.node_spec))
             .collect();
-        let network = Network::new(config.network, config.nodes);
+        let network = Network::new(config.nodes);
         let http = HttpStack::new(network.clone());
         // The shared filesystem lives on the submit node's disk.
         let shared_fs = SimFs::new("shared-fs", Disk::standard_ssd());

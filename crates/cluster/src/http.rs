@@ -158,20 +158,12 @@ impl HttpStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::NetworkConfig;
-    use crate::units::Rate;
+    use crate::network::{BANDWIDTH, LATENCY};
     use std::cell::Cell;
-    use swf_simcore::{now, secs, sleep, timeout, Sim, SimDuration, SimTime};
+    use swf_simcore::{now, secs, sleep, timeout, Sim, SimTime};
 
     fn stack(nodes: usize) -> HttpStack {
-        HttpStack::new(Network::new(
-            NetworkConfig {
-                bandwidth: Rate::mb_per_s(100.0),
-                latency: SimDuration::from_millis(1),
-                loopback_cost: SimDuration::from_micros(10),
-            },
-            nodes,
-        ))
+        HttpStack::new(Network::new(nodes))
     }
 
     /// Bind an echo server at (node, port) that doubles each body byte.
@@ -248,8 +240,9 @@ mod tests {
             st.request(NodeId(0), NodeId(1), 8080, Request::post("/", body))
                 .await
                 .unwrap();
-            // ~1s request + ~1s doubled response + 2 × 1ms latency.
-            assert!(now() >= SimTime::ZERO + secs(2.0), "t = {}", now());
+            // The request's wire time and latency, then the response's.
+            let one_way = secs(BANDWIDTH.time_for(100_000_000)) + LATENCY;
+            assert!(now() >= SimTime::ZERO + one_way + one_way, "t = {}", now());
         });
     }
 

@@ -32,6 +32,6 @@ pub use error::ClusterError;
 pub use fs::SimFs;
 pub use http::{HttpStack, Request, Response};
 pub use memory::{MemoryLease, MemoryPool};
-pub use network::{LinkQuality, Network, NetworkConfig, NodeId};
+pub use network::{LinkQuality, Network, NodeId};
 pub use node::{Node, NodeSpec};
 pub use units::{gib, human_bytes, kib, mib, Rate};

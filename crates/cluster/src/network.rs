@@ -26,26 +26,14 @@ impl std::fmt::Display for NodeId {
     }
 }
 
-/// Configuration of the fabric.
-#[derive(Clone, Copy, Debug)]
-pub struct NetworkConfig {
-    /// Per-NIC bandwidth.
-    pub bandwidth: Rate,
-    /// One-way propagation latency between distinct nodes.
-    pub latency: SimDuration,
-    /// Cost of a loopback round through the kernel.
-    pub loopback_cost: SimDuration,
-}
+/// Per-NIC bandwidth.
+pub const BANDWIDTH: Rate = Rate::gbit_per_s(10.0);
 
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            bandwidth: Rate::gbit_per_s(10.0),
-            latency: SimDuration::from_micros(200),
-            loopback_cost: SimDuration::from_micros(20),
-        }
-    }
-}
+/// One-way propagation latency between distinct nodes.
+pub const LATENCY: SimDuration = SimDuration::from_micros(200);
+
+/// Cost of a loopback round through the kernel.
+pub const LOOPBACK_COST: SimDuration = SimDuration::from_micros(20);
 
 struct Nic {
     egress: Resource,
@@ -86,13 +74,12 @@ fn pair(a: NodeId, b: NodeId) -> (NodeId, NodeId) {
 /// The cluster fabric.
 #[derive(Clone)]
 pub struct Network {
-    config: NetworkConfig,
     state: Rc<RefCell<State>>,
 }
 
 impl Network {
     /// Fabric over `node_count` nodes.
-    pub fn new(config: NetworkConfig, node_count: usize) -> Self {
+    pub fn new(node_count: usize) -> Self {
         let mut nics = BTreeMap::new();
         for i in 0..node_count {
             nics.insert(
@@ -104,7 +91,6 @@ impl Network {
             );
         }
         Network {
-            config,
             state: Rc::new(RefCell::new(State {
                 nics,
                 transfers: 0,
@@ -114,11 +100,6 @@ impl Network {
                 partition_drops: 0,
             })),
         }
-    }
-
-    /// The fabric configuration.
-    pub fn config(&self) -> NetworkConfig {
-        self.config
     }
 
     /// Move `bytes` from `from` to `to`, returning the elapsed transfer time.
@@ -151,19 +132,16 @@ impl Network {
         };
         let start = swf_simcore::now();
         if from == to {
-            swf_simcore::sleep(self.config.loopback_cost).await;
+            swf_simcore::sleep(LOOPBACK_COST).await;
         } else {
             // Degradation multiplies latency and divides bandwidth only
             // when a fault entry exists, so the calm path keeps the exact
             // float arithmetic it always had.
             let (latency, wire) = match quality {
-                None => (
-                    self.config.latency,
-                    secs(self.config.bandwidth.time_for(bytes)),
-                ),
+                None => (LATENCY, secs(BANDWIDTH.time_for(bytes))),
                 Some(q) => (
-                    self.config.latency.mul_f64(q.latency_factor.max(0.0)),
-                    secs(self.config.bandwidth.time_for(bytes) * q.bandwidth_factor.max(1.0)),
+                    LATENCY.mul_f64(q.latency_factor.max(0.0)),
+                    secs(BANDWIDTH.time_for(bytes) * q.bandwidth_factor.max(1.0)),
                 ),
             };
             // Hold source egress while the payload serializes out...
@@ -252,27 +230,19 @@ mod tests {
     use super::*;
     use swf_simcore::{join_all, now, spawn, Sim, SimTime};
 
-    fn testnet(nodes: usize) -> Network {
-        Network::new(
-            NetworkConfig {
-                bandwidth: Rate::mb_per_s(100.0),
-                latency: SimDuration::from_millis(1),
-                loopback_cost: SimDuration::from_micros(10),
-            },
-            nodes,
-        )
-    }
+    /// What 10 Gbit/s moves in exactly one second.
+    const ONE_SECOND_OF_WIRE: u64 = 1_250_000_000;
 
     #[test]
     fn transfer_time_is_latency_plus_wire() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(2);
+            let net = Network::new(2);
             let t = net
-                .transfer(NodeId(0), NodeId(1), 100_000_000)
+                .transfer(NodeId(0), NodeId(1), ONE_SECOND_OF_WIRE)
                 .await
                 .unwrap();
-            assert_eq!(t, secs(1.0) + SimDuration::from_millis(1));
+            assert_eq!(t, secs(1.0) + LATENCY);
         });
     }
 
@@ -280,12 +250,12 @@ mod tests {
     fn loopback_is_cheap() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(1);
+            let net = Network::new(1);
             let t = net
                 .transfer(NodeId(0), NodeId(0), 1_000_000_000)
                 .await
                 .unwrap();
-            assert_eq!(t, SimDuration::from_micros(10));
+            assert_eq!(t, LOOPBACK_COST);
         });
     }
 
@@ -293,7 +263,7 @@ mod tests {
     fn partition_refuses_traffic_until_healed() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(3);
+            let net = Network::new(3);
             net.partition(NodeId(1), NodeId(0));
             assert!(net.is_partitioned(NodeId(0), NodeId(1)));
             // Both directions of the unordered pair are cut.
@@ -319,9 +289,9 @@ mod tests {
     fn degraded_link_slows_latency_and_bandwidth() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(2);
+            let net = Network::new(2);
             let nominal = net
-                .transfer(NodeId(0), NodeId(1), 100_000_000)
+                .transfer(NodeId(0), NodeId(1), ONE_SECOND_OF_WIRE)
                 .await
                 .unwrap();
             net.degrade_link(
@@ -333,16 +303,16 @@ mod tests {
                 },
             );
             let degraded = net
-                .transfer(NodeId(0), NodeId(1), 100_000_000)
+                .transfer(NodeId(0), NodeId(1), ONE_SECOND_OF_WIRE)
                 .await
                 .unwrap();
-            // 1 ms latency → 3 ms; 1 s wire → 2 s.
-            assert_eq!(degraded, secs(2.0) + SimDuration::from_millis(3));
+            // Latency × 3; the 1 s wire → 2 s.
+            assert_eq!(degraded, secs(2.0) + LATENCY.mul_f64(3.0));
             assert!(degraded > nominal);
             assert!(net.restore_link(NodeId(0), NodeId(1)));
             assert!(!net.restore_link(NodeId(0), NodeId(1)));
             let restored = net
-                .transfer(NodeId(0), NodeId(1), 100_000_000)
+                .transfer(NodeId(0), NodeId(1), ONE_SECOND_OF_WIRE)
                 .await
                 .unwrap();
             assert_eq!(restored, nominal);
@@ -353,7 +323,7 @@ mod tests {
     fn unknown_node_is_an_error() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(1);
+            let net = Network::new(1);
             assert!(matches!(
                 net.transfer(NodeId(0), NodeId(9), 1).await,
                 Err(ClusterError::UnknownNode(_))
@@ -369,19 +339,21 @@ mod tests {
     fn concurrent_sends_from_one_node_serialize_on_egress() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(3);
+            let net = Network::new(3);
             let handles: Vec<_> = [NodeId(1), NodeId(2)]
                 .into_iter()
                 .map(|dst| {
                     let net = net.clone();
                     spawn(async move {
-                        net.transfer(NodeId(0), dst, 100_000_000).await.unwrap();
+                        net.transfer(NodeId(0), dst, ONE_SECOND_OF_WIRE)
+                            .await
+                            .unwrap();
                         now()
                     })
                 })
                 .collect();
             let done = join_all(handles).await;
-            let wire = secs(1.0) + SimDuration::from_millis(1);
+            let wire = secs(1.0) + LATENCY;
             assert_eq!(done[0], SimTime::ZERO + wire);
             // Second send waits for the first to clear node-0 egress.
             assert!(done[1] > done[0]);
@@ -392,13 +364,15 @@ mod tests {
     fn fanin_contends_on_ingress() {
         let sim = Sim::new();
         sim.block_on(async {
-            let net = testnet(3);
+            let net = Network::new(3);
             let handles: Vec<_> = [NodeId(1), NodeId(2)]
                 .into_iter()
                 .map(|src| {
                     let net = net.clone();
                     spawn(async move {
-                        net.transfer(src, NodeId(0), 100_000_000).await.unwrap();
+                        net.transfer(src, NodeId(0), ONE_SECOND_OF_WIRE)
+                            .await
+                            .unwrap();
                         now()
                     })
                 })
@@ -406,7 +380,7 @@ mod tests {
             let done = join_all(handles).await;
             assert!(done[1] >= done[0] + secs(1.0), "{:?}", done);
             assert_eq!(net.transfers(), 2);
-            assert_eq!(net.bytes_moved(), 200_000_000);
+            assert_eq!(net.bytes_moved(), 2 * ONE_SECOND_OF_WIRE);
         });
     }
 }

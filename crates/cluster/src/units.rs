@@ -24,12 +24,12 @@ pub struct Rate(pub f64);
 
 impl Rate {
     /// Megabytes (decimal) per second.
-    pub fn mb_per_s(v: f64) -> Rate {
+    pub const fn mb_per_s(v: f64) -> Rate {
         Rate(v * 1e6)
     }
 
     /// Gigabits per second (network convention).
-    pub fn gbit_per_s(v: f64) -> Rate {
+    pub const fn gbit_per_s(v: f64) -> Rate {
         Rate(v * 1e9 / 8.0)
     }
 

@@ -4,19 +4,8 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 
-use swf_cluster::{Cluster, ClusterConfig, Network, NetworkConfig, NodeId, Rate};
-use swf_simcore::{Sim, SimDuration};
-
-fn net(nodes: usize) -> Network {
-    Network::new(
-        NetworkConfig {
-            bandwidth: Rate::mb_per_s(100.0),
-            latency: SimDuration::from_millis(1),
-            loopback_cost: SimDuration::from_micros(10),
-        },
-        nodes,
-    )
-}
+use swf_cluster::{Cluster, ClusterConfig, Network, NodeId};
+use swf_simcore::Sim;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -27,7 +16,7 @@ proptest! {
         let (small, large) = if a <= b { (a, b) } else { (b, a) };
         let sim = Sim::new();
         sim.block_on(async move {
-            let n = net(2);
+            let n = Network::new(2);
             let t_small = n.transfer(NodeId(0), NodeId(1), small).await.unwrap();
             let t_large = n.transfer(NodeId(0), NodeId(1), large).await.unwrap();
             prop_assert!(t_large >= t_small, "{t_large} < {t_small}");
@@ -42,7 +31,7 @@ proptest! {
     ) {
         let sim = Sim::new();
         sim.block_on(async move {
-            let n = net(3);
+            let n = Network::new(3);
             let mut total = 0u64;
             for (from, to, bytes) in transfers.iter().copied() {
                 n.transfer(NodeId(from), NodeId(to), bytes).await.unwrap();
@@ -59,7 +48,7 @@ proptest! {
     fn loopback_never_slower(bytes in 0u64..50_000_000) {
         let sim = Sim::new();
         sim.block_on(async move {
-            let n = net(2);
+            let n = Network::new(2);
             let local = n.transfer(NodeId(0), NodeId(0), bytes).await.unwrap();
             let remote = n.transfer(NodeId(0), NodeId(1), bytes).await.unwrap();
             prop_assert!(local <= remote, "loopback {local} > remote {remote}");

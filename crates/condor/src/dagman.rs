@@ -579,7 +579,6 @@ mod tests {
             CondorConfig {
                 negotiator: crate::negotiator::NegotiatorConfig {
                     cycle_interval: secs(1.0),
-                    match_latency: SimDuration::ZERO,
                     cycle_jitter_cv: 0.0,
                     activation_delay: SimDuration::ZERO,
                     ..crate::negotiator::NegotiatorConfig::default()

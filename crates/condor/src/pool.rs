@@ -124,9 +124,10 @@ impl Condor {
 mod tests {
     use super::*;
     use crate::job::JobContext;
+    use crate::negotiator::MATCH_LATENCY;
     use bytes::Bytes;
     use swf_cluster::ClusterConfig;
-    use swf_simcore::{secs, Sim, SimDuration};
+    use swf_simcore::{millis, secs, Sim, SimDuration, SimTime};
 
     fn crash_rig() -> (Cluster, Condor) {
         let cluster = Cluster::new(&ClusterConfig::default());
@@ -135,7 +136,6 @@ mod tests {
             CondorConfig {
                 negotiator: NegotiatorConfig {
                     cycle_interval: secs(1.0),
-                    match_latency: SimDuration::ZERO,
                     cycle_jitter_cv: 0.0,
                     activation_delay: SimDuration::ZERO,
                     ..NegotiatorConfig::default()
@@ -189,9 +189,13 @@ mod tests {
             ra.finished.as_secs_f64().to_bits(),
             rb.finished.as_secs_f64().to_bits()
         );
-        // Re-matched at the first cycle after the crash (t=2), so the job
-        // finishes at 2 s + 0.8 s start overhead + a fresh 10 s of compute.
-        assert_eq!(ra.finished.as_secs_f64().to_bits(), 12.8f64.to_bits());
+        // The t=1 cycle's match pushed the next cycle to 2 s plus one match
+        // latency, after the crash; the re-match takes another, then 0.8 s
+        // start overhead and a fresh 10 s of compute.
+        assert_eq!(
+            ra.finished,
+            SimTime::ZERO + secs(2.0) + MATCH_LATENCY + MATCH_LATENCY + millis(800) + secs(10.0)
+        );
     }
 
     #[test]
@@ -215,7 +219,6 @@ mod tests {
                 CondorConfig {
                     negotiator: NegotiatorConfig {
                         cycle_interval: secs(2.0),
-                        match_latency: SimDuration::ZERO,
                         ..NegotiatorConfig::default()
                     },
                     ..CondorConfig::default()

@@ -165,24 +165,17 @@ impl DockerCli {
 mod tests {
     use super::*;
     use crate::image::Image;
-    use crate::overhead::OverheadModel;
-    use crate::registry::{Registry, RegistryConfig};
+    use crate::overhead;
+    use crate::registry::Registry;
     use swf_cluster::{mib, Node, NodeId, NodeSpec};
     use swf_simcore::{secs, Sim};
 
     fn cli() -> (DockerCli, ImageRef) {
         let node = Node::new(NodeId(1), NodeSpec::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("hpc/matmul");
         registry.push(Image::single_layer(image.clone(), 3, mib(100)));
-        (
-            DockerCli::new(ContainerRuntime::new(
-                node,
-                registry,
-                OverheadModel::default(),
-            )),
-            image,
-        )
+        (DockerCli::new(ContainerRuntime::new(node, registry)), image)
     }
 
     #[test]
@@ -201,10 +194,17 @@ mod tests {
                 .unwrap();
             assert!(r.pull.is_some());
             assert!(r.pull_time > SimDuration::ZERO);
-            let m = OverheadModel::default();
-            assert_eq!(r.startup_time, m.create + m.start);
-            assert_eq!(r.teardown_time, m.stop + m.remove);
-            assert_eq!(r.total, r.pull_time + m.lifecycle_total() + secs(0.458));
+            assert_eq!(r.startup_time, overhead::CREATE + overhead::START);
+            assert_eq!(r.teardown_time, overhead::STOP + overhead::REMOVE);
+            assert_eq!(
+                r.total,
+                r.pull_time
+                    + overhead::CREATE
+                    + overhead::START
+                    + overhead::STOP
+                    + overhead::REMOVE
+                    + secs(0.458)
+            );
             // Runtime is clean afterwards.
             assert_eq!(cli.runtime().container_count(), 0);
         });

@@ -30,6 +30,5 @@ pub use cgroup::ResourceLimits;
 pub use docker::{DockerCli, DockerRunReport, PullPolicy};
 pub use error::ContainerError;
 pub use image::{Image, ImageRef, Layer, LayerId};
-pub use overhead::OverheadModel;
-pub use registry::{PullStats, Registry, RegistryConfig};
+pub use registry::{PullStats, Registry};
 pub use runtime::{ContainerId, ContainerPhase, ContainerRuntime, ExecResult, Workload};

@@ -18,26 +18,14 @@ use swf_cluster::{NodeId, Rate};
 use crate::error::ContainerError;
 use crate::image::{Image, ImageRef, LayerId};
 
-/// Registry service parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct RegistryConfig {
-    /// Egress bandwidth shared across all concurrent pulls.
-    pub bandwidth: Rate,
-    /// Per-pull control-plane latency (manifest resolution, auth).
-    pub manifest_latency: SimDuration,
-    /// Maximum concurrent layer streams served.
-    pub concurrent_streams: usize,
-}
+/// Egress bandwidth shared across all concurrent pulls.
+pub const BANDWIDTH: Rate = Rate::mb_per_s(120.0);
 
-impl Default for RegistryConfig {
-    fn default() -> Self {
-        RegistryConfig {
-            bandwidth: Rate::mb_per_s(120.0),
-            manifest_latency: SimDuration::from_millis(120),
-            concurrent_streams: 4,
-        }
-    }
-}
+/// Per-pull control-plane latency (manifest resolution, auth).
+pub const MANIFEST_LATENCY: SimDuration = SimDuration::from_millis(120);
+
+/// Maximum concurrent layer streams served.
+pub const CONCURRENT_STREAMS: usize = 4;
 
 /// Outcome of a pull.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,6 +38,7 @@ pub struct PullStats {
     pub bytes_pulled: u64,
 }
 
+#[derive(Default)]
 struct State {
     images: BTreeMap<ImageRef, Image>,
     node_caches: BTreeMap<NodeId, BTreeSet<LayerId>>,
@@ -65,27 +54,21 @@ struct State {
 /// The registry.
 #[derive(Clone)]
 pub struct Registry {
-    config: RegistryConfig,
     egress: Resource,
     state: Rc<RefCell<State>>,
 }
 
-impl Registry {
+impl Default for Registry {
     /// Empty registry.
-    pub fn new(config: RegistryConfig) -> Self {
+    fn default() -> Self {
         Registry {
-            egress: Resource::new(config.concurrent_streams),
-            config,
-            state: Rc::new(RefCell::new(State {
-                images: BTreeMap::new(),
-                node_caches: BTreeMap::new(),
-                bytes_served: 0,
-                bytes_by_node: BTreeMap::new(),
-                outage: false,
-            })),
+            egress: Resource::new(CONCURRENT_STREAMS),
+            state: Rc::default(),
         }
     }
+}
 
+impl Registry {
     /// Publish an image manifest.
     pub fn push(&self, image: Image) {
         self.state
@@ -125,7 +108,7 @@ impl Registry {
     ) -> Result<PullStats, ContainerError> {
         let image = self.manifest(reference)?;
         // Manifest resolution round trip.
-        swf_simcore::sleep(self.config.manifest_latency).await;
+        swf_simcore::sleep(MANIFEST_LATENCY).await;
         // A fault-injected outage refuses the pull after the manifest round
         // trip (the client paid the connection attempt), before any bytes
         // move — the conservation ledger stays balanced.
@@ -147,7 +130,7 @@ impl Registry {
         let cached = image.layers.len() - missing.len();
         let mut bytes = 0;
         for layer in &missing {
-            let stream_time = secs(self.config.bandwidth.time_for(layer.size));
+            let stream_time = secs(BANDWIDTH.time_for(layer.size));
             self.egress.serve(stream_time).await;
             bytes += layer.size;
             // Layer lands in the cache as soon as its stream completes.
@@ -231,19 +214,11 @@ mod tests {
     use swf_cluster::mib;
     use swf_simcore::{join_all, now, spawn, Sim, SimTime};
 
-    fn registry() -> Registry {
-        Registry::new(RegistryConfig {
-            bandwidth: Rate::mb_per_s(100.0),
-            manifest_latency: SimDuration::ZERO,
-            concurrent_streams: 2,
-        })
-    }
-
     #[test]
     fn pull_unknown_image_fails() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             let err = r
                 .pull(NodeId(0), &ImageRef::parse("ghost"))
                 .await
@@ -256,7 +231,7 @@ mod tests {
     fn first_pull_moves_all_layers_second_is_free() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             let img = Image::python_scientific(ImageRef::parse("m"), 1);
             let total = img.total_size();
             r.push(img);
@@ -268,7 +243,8 @@ mod tests {
             let s2 = r.pull(NodeId(1), &ImageRef::parse("m")).await.unwrap();
             assert_eq!(s2.layers_pulled, 0);
             assert_eq!(s2.layers_cached, 3);
-            assert_eq!(now(), t1); // no additional stream time
+            // The manifest round trip again, and no stream time.
+            assert_eq!(now(), t1 + MANIFEST_LATENCY);
             assert!(r.is_cached(NodeId(1), &ImageRef::parse("m")));
         });
     }
@@ -277,7 +253,7 @@ mod tests {
     fn outage_refuses_pulls_but_keeps_the_ledger_balanced() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             r.push(Image::python_scientific(ImageRef::parse("m"), 1));
             r.pull(NodeId(1), &ImageRef::parse("m")).await.unwrap();
             r.set_outage(true);
@@ -300,7 +276,7 @@ mod tests {
     fn distinct_nodes_have_distinct_caches() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             r.push(Image::single_layer(ImageRef::parse("x"), 7, mib(10)));
             r.pull(NodeId(1), &ImageRef::parse("x")).await.unwrap();
             assert!(r.is_cached(NodeId(1), &ImageRef::parse("x")));
@@ -312,7 +288,7 @@ mod tests {
     fn shared_layers_are_deduplicated() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             r.push(Image::python_scientific(ImageRef::parse("a"), 1));
             r.push(Image::python_scientific(ImageRef::parse("b"), 0x100 + 1));
             r.pull(NodeId(1), &ImageRef::parse("a")).await.unwrap();
@@ -328,16 +304,18 @@ mod tests {
     fn concurrent_pulls_contend_on_egress() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
-            // One layer of 100MB = 1s at 100MB/s; 2 streams allowed.
-            for i in 0..4u64 {
+            let r = Registry::default();
+            // One layer of 120 MB streams in 1 s at 120 MB/s; two pulls
+            // per stream.
+            let pulls = 2 * CONCURRENT_STREAMS as u64;
+            for i in 0..pulls {
                 r.push(Image::single_layer(
                     ImageRef::parse(&format!("img{i}")),
                     100 + i,
-                    100_000_000,
+                    120_000_000,
                 ));
             }
-            let handles: Vec<_> = (0..4u64)
+            let handles: Vec<_> = (0..pulls)
                 .map(|i| {
                     let r = r.clone();
                     spawn(async move {
@@ -349,11 +327,12 @@ mod tests {
                 })
                 .collect();
             let done = join_all(handles).await;
-            // Two at a time: finish at ~1s and ~2s.
-            assert_eq!(done[0], SimTime::ZERO + secs(1.0));
-            assert_eq!(done[1], SimTime::ZERO + secs(1.0));
-            assert_eq!(done[2], SimTime::ZERO + secs(2.0));
-            assert_eq!(done[3], SimTime::ZERO + secs(2.0));
+            // Every pull resolves its manifest at once; then the streams
+            // serve them in two waves, ending at 1 s and at 2 s.
+            for (i, t) in done.into_iter().enumerate() {
+                let wave = (i / CONCURRENT_STREAMS) as f64 + 1.0;
+                assert_eq!(t, SimTime::ZERO + MANIFEST_LATENCY + secs(wave), "pull {i}");
+            }
         });
     }
 
@@ -361,7 +340,7 @@ mod tests {
     fn evict_forces_repull() {
         let sim = Sim::new();
         sim.block_on(async {
-            let r = registry();
+            let r = Registry::default();
             r.push(Image::single_layer(ImageRef::parse("x"), 9, mib(10)));
             r.pull(NodeId(0), &ImageRef::parse("x")).await.unwrap();
             r.evict(NodeId(0), &ImageRef::parse("x"));

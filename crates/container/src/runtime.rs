@@ -18,7 +18,7 @@ use swf_simcore::{now, sleep, SimDuration};
 use crate::cgroup::ResourceLimits;
 use crate::error::ContainerError;
 use crate::image::ImageRef;
-use crate::overhead::OverheadModel;
+use crate::overhead;
 use crate::registry::Registry;
 
 /// Identifier of a container on one runtime.
@@ -110,17 +110,15 @@ struct RtState {
 pub struct ContainerRuntime {
     node: Node,
     registry: Registry,
-    overheads: OverheadModel,
     state: Rc<RefCell<RtState>>,
 }
 
 impl ContainerRuntime {
     /// Runtime on `node` pulling from `registry`.
-    pub fn new(node: Node, registry: Registry, overheads: OverheadModel) -> Self {
+    pub fn new(node: Node, registry: Registry) -> Self {
         ContainerRuntime {
             node,
             registry,
-            overheads,
             state: Rc::new(RefCell::new(RtState {
                 containers: BTreeMap::new(),
                 next_id: 0,
@@ -166,7 +164,7 @@ impl ContainerRuntime {
             )));
         }
         let memory = self.node.memory().reserve(limits.memory)?;
-        sleep(self.overheads.create).await;
+        sleep(overhead::CREATE).await;
         let mut s = self.state.borrow_mut();
         let id = s.next_id;
         s.next_id += 1;
@@ -185,7 +183,7 @@ impl ContainerRuntime {
     /// Start a created container (boot the entrypoint).
     pub async fn start(&self, id: ContainerId) -> Result<(), ContainerError> {
         self.expect_phase(id, ContainerPhase::Created, "start")?;
-        sleep(self.overheads.start).await;
+        sleep(overhead::START).await;
         self.set_phase(id, ContainerPhase::Running)
     }
 
@@ -225,7 +223,7 @@ impl ContainerRuntime {
     /// Stop a running container.
     pub async fn stop(&self, id: ContainerId) -> Result<(), ContainerError> {
         self.expect_phase(id, ContainerPhase::Running, "stop")?;
-        sleep(self.overheads.stop).await;
+        sleep(overhead::STOP).await;
         self.set_phase(id, ContainerPhase::Exited)
     }
 
@@ -254,7 +252,7 @@ impl ContainerRuntime {
                 });
             }
         }
-        sleep(self.overheads.remove).await;
+        sleep(overhead::REMOVE).await;
         let mut s = self.state.borrow_mut();
         s.containers.remove(&id.0);
         s.removed_total += 1;
@@ -332,7 +330,6 @@ impl ContainerRuntime {
 mod tests {
     use super::*;
     use crate::image::Image;
-    use crate::registry::RegistryConfig;
     use swf_cluster::{mib, NodeId, NodeSpec};
     use swf_simcore::{secs, Sim, SimTime};
 
@@ -344,10 +341,10 @@ mod tests {
                 memory: mib(4096),
             },
         );
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("hpc/matmul:1.0");
         registry.push(Image::single_layer(image.clone(), 1, mib(100)));
-        let rt = ContainerRuntime::new(node, registry, OverheadModel::default());
+        let rt = ContainerRuntime::new(node, registry);
         (rt, image)
     }
 
@@ -367,8 +364,10 @@ mod tests {
             rt.stop(id).await.unwrap();
             rt.remove(id).await.unwrap();
             let elapsed = now() - t0;
-            let m = OverheadModel::default();
-            assert_eq!(elapsed, m.lifecycle_total() + secs(1.0));
+            assert_eq!(
+                elapsed,
+                overhead::CREATE + overhead::START + overhead::STOP + overhead::REMOVE + secs(1.0)
+            );
             assert_eq!(rt.container_count(), 0);
             assert_eq!(rt.created_total(), 1);
             assert_eq!(rt.removed_total(), 1);
@@ -527,10 +526,10 @@ mod tests {
                     memory: mib(256),
                 },
             );
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 1, mib(1)));
-            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero());
+            let rt = ContainerRuntime::new(node, registry);
             rt.ensure_image(&image).await.unwrap();
             let _a = rt
                 .create(
@@ -605,10 +604,10 @@ mod tests {
         let _ = SimTime::ZERO;
         sim.block_on(async {
             let node = Node::new(NodeId(0), NodeSpec::default());
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("z");
             registry.push(Image::single_layer(image.clone(), 2, 0));
-            let rt = ContainerRuntime::new(node, registry, OverheadModel::zero());
+            let rt = ContainerRuntime::new(node, registry);
             rt.ensure_image(&image).await.unwrap();
             let id = rt.create(&image, ResourceLimits::default()).await.unwrap();
             rt.start(id).await.unwrap();

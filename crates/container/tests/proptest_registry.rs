@@ -6,13 +6,13 @@ use proptest::prelude::*;
 
 use swf_cluster::{mib, Node, NodeId, NodeSpec};
 use swf_container::{
-    ContainerRuntime, DockerCli, Image, ImageRef, OverheadModel, PullPolicy, Registry,
-    RegistryConfig, ResourceLimits, Workload,
+    overhead, ContainerRuntime, DockerCli, Image, ImageRef, PullPolicy, Registry, ResourceLimits,
+    Workload,
 };
 use swf_simcore::{secs, Sim};
 
 fn registry_with_images(n_images: usize) -> (Registry, Vec<ImageRef>) {
-    let registry = Registry::new(RegistryConfig::default());
+    let registry = Registry::default();
     let refs: Vec<ImageRef> = (0..n_images)
         .map(|i| {
             let r = ImageRef::parse(&format!("img{i}"));
@@ -89,11 +89,10 @@ proptest! {
         let sim = Sim::new();
         sim.block_on(async move {
             let node = Node::new(NodeId(2), NodeSpec::default());
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 9, mib(64)));
-            let runtime =
-                ContainerRuntime::new(node.clone(), registry, OverheadModel::default());
+            let runtime = ContainerRuntime::new(node.clone(), registry);
             let cli = DockerCli::new(runtime.clone());
             for ms in runs.iter().copied() {
                 cli.run(
@@ -121,10 +120,10 @@ proptest! {
         let sim = Sim::new();
         sim.block_on(async move {
             let node = Node::new(NodeId(0), NodeSpec::default());
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("m");
             registry.push(Image::single_layer(image.clone(), 4, mib(16)));
-            let runtime = ContainerRuntime::new(node, registry, OverheadModel::default());
+            let runtime = ContainerRuntime::new(node, registry);
             runtime.ensure_image(&image).await.unwrap();
             let cli = DockerCli::new(runtime);
             let t0 = swf_simcore::now();
@@ -140,7 +139,7 @@ proptest! {
             }
             let elapsed = (swf_simcore::now() - t0).as_secs_f64();
             let expected = n as f64
-                * (OverheadModel::default().lifecycle_total().as_secs_f64()
+                * ((overhead::CREATE + overhead::START + overhead::STOP + overhead::REMOVE).as_secs_f64()
                     + compute_ms as f64 / 1000.0);
             prop_assert!((elapsed - expected).abs() < 1e-9, "{elapsed} vs {expected}");
             Ok(())

@@ -14,8 +14,6 @@
 
 use swf_cluster::ClusterConfig;
 use swf_condor::{CondorConfig, DagmanConfig};
-use swf_container::RegistryConfig;
-use swf_k8s::K8sConfig;
 use swf_knative::{AutoscalerConfig, KnativeConfig};
 use swf_simcore::{millis, secs, DEFAULT_SEED};
 use swf_workloads::ComputeModel;
@@ -49,10 +47,6 @@ pub enum Provisioning {
 pub struct ExperimentConfig {
     /// Cluster shape (paper: 4 VMs × 8 cores × 32 GiB).
     pub cluster: ClusterConfig,
-    /// Image registry behaviour.
-    pub registry: RegistryConfig,
-    /// Kubernetes control-plane parameters.
-    pub k8s: K8sConfig,
     /// Knative parameters.
     pub knative: KnativeConfig,
     /// HTCondor parameters.
@@ -99,8 +93,6 @@ impl ExperimentConfig {
     pub fn paper() -> Self {
         ExperimentConfig {
             cluster: ClusterConfig::default(),
-            registry: RegistryConfig::default(),
-            k8s: K8sConfig::default(),
             knative: KnativeConfig::default(),
             condor: CondorConfig::default(),
             dagman: DagmanConfig::default(),

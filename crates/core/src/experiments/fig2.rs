@@ -149,33 +149,6 @@ pub fn run(config: &ExperimentConfig, counts: &[usize]) -> Fig2Result {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swf_cluster::NodeId;
-
-    /// The determinism contract (DESIGN.md): a run is a pure function of
-    /// config + seeds. Feeding the scheduler its node set in two different
-    /// orders must therefore produce *byte-identical* makespans — this is
-    /// the regression test for the HashMap-iteration class of bugs that
-    /// the `disallowed-types` ban in the root `clippy.toml` guards against.
-    #[test]
-    fn makespan_is_invariant_to_node_insertion_order() {
-        let mut config = ExperimentConfig::quick();
-        config.matrix_dim = 8;
-        config.min_scale = 2;
-        let arm_with_order = |order: &[usize], env: ExecEnv| {
-            let mut c = config.clone();
-            c.k8s.schedulable_nodes = Some(order.iter().map(|&n| NodeId(n)).collect());
-            arm(&c, env, 6).unwrap()
-        };
-        for env in [ExecEnv::Serverless, ExecEnv::Container] {
-            let forward = arm_with_order(&[1, 2, 3], env);
-            let reverse = arm_with_order(&[3, 1, 2], env);
-            assert_eq!(
-                forward.to_bits(),
-                reverse.to_bits(),
-                "{env:?} makespan depends on node insertion order: {forward} vs {reverse}"
-            );
-        }
-    }
 
     #[test]
     fn ordering_matches_paper_native_knative_container() {

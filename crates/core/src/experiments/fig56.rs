@@ -36,24 +36,20 @@ pub struct Fig5Result {
 }
 
 impl Fig5Result {
-    /// The fastest sampled mix.
-    #[expect(clippy::expect_used, reason = "`run_fig5` samples at least one mix")]
-    pub fn best(&self) -> Fig5Row {
-        *self
-            .rows
+    /// The fastest sampled mix (`None` for an empty grid).
+    pub fn best(&self) -> Option<Fig5Row> {
+        self.rows
             .iter()
+            .copied()
             .min_by(|a, b| a.makespan.total_cmp(&b.makespan))
-            .expect("non-empty grid")
     }
 
-    /// The slowest sampled mix.
-    #[expect(clippy::expect_used, reason = "`run_fig5` samples at least one mix")]
-    pub fn worst(&self) -> Fig5Row {
-        *self
-            .rows
+    /// The slowest sampled mix (`None` for an empty grid).
+    pub fn worst(&self) -> Option<Fig5Row> {
+        self.rows
             .iter()
+            .copied()
             .max_by(|a, b| a.makespan.total_cmp(&b.makespan))
-            .expect("non-empty grid")
     }
 }
 
@@ -121,20 +117,6 @@ pub struct Fig6Result {
     pub rows: Vec<Fig6Row>,
 }
 
-impl Fig6Result {
-    /// Bar by label.
-    #[expect(
-        clippy::expect_used,
-        reason = "callers pass one of the five fixed bar labels"
-    )]
-    pub fn bar(&self, label: &str) -> &Fig6Row {
-        self.rows
-            .iter()
-            .find(|r| r.label == label)
-            .expect("known bar label")
-    }
-}
-
 /// Run the five Fig. 6 scenarios.
 pub fn run_fig6(
     config: &ExperimentConfig,
@@ -173,15 +155,20 @@ pub fn run_fig6(
 mod tests {
     use super::*;
 
+    /// The bar labelled `label`.
+    fn bar<'a>(result: &'a Fig6Result, label: &str) -> &'a Fig6Row {
+        result.rows.iter().find(|r| r.label == label).unwrap()
+    }
+
     #[test]
     fn fig6_ordering_matches_paper() {
         let config = ExperimentConfig::quick();
         let result = run_fig6(&config, 3, 3, 1);
         assert_eq!(result.rows.len(), 5);
-        let native = result.bar("all-native").makespan;
-        let half_srv = result.bar("half-serverless-half-native").makespan;
-        let all_srv = result.bar("all-serverless").makespan;
-        let all_ctr = result.bar("all-container").makespan;
+        let native = bar(&result, "all-native").makespan;
+        let half_srv = bar(&result, "half-serverless-half-native").makespan;
+        let all_srv = bar(&result, "all-serverless").makespan;
+        let all_ctr = bar(&result, "all-container").makespan;
         // Core orderings the paper reports: native fastest, all-container
         // slowest, serverless between.
         assert!(
@@ -196,7 +183,7 @@ mod tests {
             all_ctr > all_srv,
             "all-container {all_ctr} should exceed all-serverless {all_srv}"
         );
-        assert!((result.bar("all-native").vs_native - 1.0).abs() < 1e-9);
+        assert!((bar(&result, "all-native").vs_native - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -205,8 +192,14 @@ mod tests {
         let result = run_fig5(&config, 1, 2, 2, 1);
         // steps=1 → exactly the three corners.
         assert_eq!(result.rows.len(), 3);
-        let best = result.best();
-        let worst = result.worst();
+        let empty = Fig5Result {
+            rows: Vec::new(),
+            breakdowns: Vec::new(),
+            collectors: Vec::new(),
+        };
+        assert!(empty.best().is_none() && empty.worst().is_none());
+        let best = result.best().unwrap();
+        let worst = result.worst().unwrap();
         assert!(best.makespan <= worst.makespan);
         // At this tiny scale DAGMan-poll quantization blurs the
         // native/serverless gap, but the container corner is robustly the

@@ -28,17 +28,21 @@ pub struct TestBed {
     pub image: ImageRef,
     /// The configuration the bed was built from.
     pub config: ExperimentConfig,
+    /// Bytes of `image`, as pushed at boot.
+    image_size: u64,
 }
 
 impl TestBed {
     /// Boot everything. Must run inside a simulation (`Sim::block_on`).
     pub fn boot(config: &ExperimentConfig) -> TestBed {
         let cluster = Cluster::new(&config.cluster);
-        let registry = Registry::new(config.registry);
+        let registry = Registry::default();
         let image = ImageRef::parse(ExperimentConfig::image_name());
-        registry.push(Image::python_scientific(image.clone(), 1));
+        let pushed = Image::python_scientific(image.clone(), 1);
+        let image_size = pushed.total_size();
+        registry.push(pushed);
         let condor = Condor::start(&cluster, config.condor);
-        let k8s = K8s::start(&cluster, registry.clone(), config.k8s.clone());
+        let k8s = K8s::start(&cluster, registry.clone());
         let knative = Knative::start(&cluster, k8s.clone(), config.knative);
         if config.trace && config.series_interval_s > 0.0 {
             let obs = swf_obs::current();
@@ -58,6 +62,7 @@ impl TestBed {
             knative,
             image,
             config: config.clone(),
+            image_size,
         }
     }
 
@@ -66,21 +71,12 @@ impl TestBed {
     /// Returns the logical file name.
     pub fn stage_image_tarball(&self) -> String {
         let name = "images/matmul.tar".to_string();
-        #[expect(
-            clippy::expect_used,
-            reason = "`boot` pushed this image to this registry"
-        )]
-        let size = self
-            .registry
-            .manifest(&self.image)
-            .expect("image pushed at boot")
-            .total_size();
         // The tarball is opaque bulk data: real size, synthetic content.
         // `zeroed_bytes` shares one never-written backing allocation
         // across boots, so staging is O(1) and the 450 MiB stay virtual.
         self.cluster
             .shared_fs()
-            .stage(&name, swf_cluster::zeroed_bytes(size as usize));
+            .stage(&name, swf_cluster::zeroed_bytes(self.image_size as usize));
         name
     }
 

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use swf_cluster::{Cluster, NodeId};
-use swf_container::{ContainerRuntime, OverheadModel, Registry};
+use swf_container::{ContainerRuntime, Registry};
 use swf_simcore::{spawn, timeout, Elapsed, SimDuration};
 
 use crate::api::ApiServer;
@@ -13,15 +13,6 @@ use crate::error::K8sError;
 use crate::kubelet::Kubelet;
 use crate::pod::PodPhase;
 use crate::scheduler::{NodeCapacity, Scheduler};
-
-/// Whole-control-plane configuration.
-#[derive(Clone, Debug, Default)]
-pub struct K8sConfig {
-    /// Container lifecycle overheads used by every node runtime.
-    pub overheads: OverheadModel,
-    /// Nodes pods may run on; `None` = all worker nodes of the cluster.
-    pub schedulable_nodes: Option<Vec<NodeId>>,
-}
 
 /// A running control plane.
 #[derive(Clone)]
@@ -33,23 +24,19 @@ pub struct K8s {
 
 impl K8s {
     /// Start the control plane: spawns the scheduler, the deployment and
-    /// node controllers and one kubelet per schedulable node. Returns a
-    /// handle for API access.
-    pub fn start(cluster: &Cluster, registry: Registry, config: K8sConfig) -> K8s {
+    /// node controllers and one kubelet per worker node. Returns a handle
+    /// for API access.
+    pub fn start(cluster: &Cluster, registry: Registry) -> K8s {
         let api = ApiServer::default();
-        // Resolve the schedulable set once; node ids in the config that
-        // don't exist in the cluster are ignored rather than panicking.
-        let schedulable: Vec<_> = config
-            .schedulable_nodes
-            .clone()
-            .unwrap_or_else(|| cluster.worker_nodes().iter().map(|n| n.id()).collect())
-            .into_iter()
-            .filter_map(|id| cluster.node(id).ok().map(|n| (id, n.clone())))
+        let schedulable: Vec<_> = cluster
+            .worker_nodes()
+            .iter()
+            .map(|n| (n.id(), n.clone()))
             .collect();
 
         let mut runtimes = BTreeMap::new();
         for (node_id, node) in &schedulable {
-            let runtime = ContainerRuntime::new(node.clone(), registry.clone(), config.overheads);
+            let runtime = ContainerRuntime::new(node.clone(), registry.clone());
             runtimes.insert(*node_id, runtime.clone());
             let kubelet = Kubelet::new(api.clone(), runtime);
             spawn(kubelet.run());
@@ -173,15 +160,15 @@ mod tests {
     use crate::pod::PodSpec;
     use crate::workload_api::{Deployment, PodTemplate};
     use swf_cluster::{mib, ClusterConfig};
-    use swf_container::{Image, ImageRef, RegistryConfig};
+    use swf_container::{Image, ImageRef};
     use swf_simcore::{secs, sleep, Sim};
 
     fn boot() -> (Cluster, K8s, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         (cluster, k8s, image)
     }
 

@@ -313,16 +313,16 @@ mod tests {
     use crate::meta::ObjectMeta;
     use crate::pod::{Pod, PodSpec};
     use swf_cluster::{mib, Node, NodeId, NodeSpec};
-    use swf_container::{Image, ImageRef, OverheadModel, Registry, RegistryConfig, ResourceLimits};
+    use swf_container::{overhead, Image, ImageRef, Registry, ResourceLimits};
     use swf_simcore::{millis, now, secs, Sim};
 
     fn setup() -> (ApiServer, Kubelet, Registry, ImageRef) {
         let api = ApiServer::default();
         let node = Node::new(NodeId(1), NodeSpec::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::single_layer(image.clone(), 1, mib(100)));
-        let runtime = ContainerRuntime::new(node, registry.clone(), OverheadModel::default());
+        let runtime = ContainerRuntime::new(node, registry.clone());
         let kubelet = Kubelet::new(api.clone(), runtime);
         (api, kubelet, registry, image)
     }
@@ -370,9 +370,9 @@ mod tests {
                 w.changed().await;
             }
             let startup = now() - t0;
-            let m = OverheadModel::default();
-            assert!(startup >= m.create + m.start + secs(1.0));
-            assert!(startup < m.create + m.start + secs(1.0) + millis(20));
+            let boot = overhead::CREATE + overhead::START + secs(1.0);
+            assert!(startup >= boot);
+            assert!(startup < boot + millis(20));
         });
     }
 

@@ -32,7 +32,7 @@ pub mod store;
 pub mod workload_api;
 
 pub use api::{ApiServer, Endpoint};
-pub use control_plane::{K8s, K8sConfig};
+pub use control_plane::K8s;
 pub use controllers::DeploymentController;
 pub use error::K8sError;
 pub use kubelet::Kubelet;

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::meta::ObjectMeta;
     use crate::pod::PodSpec;
-    use swf_container::{Image, ImageRef, RegistryConfig, ResourceLimits};
+    use swf_container::{Image, ImageRef, ResourceLimits};
     use swf_simcore::{spawn, Sim};
 
     fn capacities(n: usize) -> Vec<NodeCapacity> {
@@ -186,7 +186,7 @@ mod tests {
 
     fn setup(nodes: usize) -> (ApiServer, Registry, Scheduler) {
         let api = ApiServer::default();
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         registry.push(Image::single_layer(
             ImageRef::parse("img"),
             1,
@@ -249,6 +249,34 @@ mod tests {
                 PodPhase::Scheduled
             );
         });
+    }
+
+    /// A run is a pure function of config and seeds (DESIGN.md §9), so the
+    /// order the scheduler is handed its nodes in must not move a pod: ties
+    /// break on node id, never on list position.
+    #[test]
+    fn binding_is_invariant_to_node_order() {
+        let placements = |order: [usize; 3]| {
+            Sim::new().block_on(async move {
+                let (api, registry, _) = setup(0);
+                let nodes = order.iter().map(|&i| capacities(3)[i - 1]).collect();
+                spawn(Scheduler::new(api.clone(), registry, nodes).run());
+                for i in 0..7 {
+                    api.create_pod(mk_pod(&format!("p{i}"), 3000))
+                        .await
+                        .unwrap();
+                }
+                swf_simcore::sleep(swf_simcore::millis(100)).await;
+                api.pods()
+                    .list()
+                    .iter()
+                    .map(|p| (p.meta.name.clone(), p.status.node))
+                    .collect::<Vec<_>>()
+            })
+        };
+        let forward = placements([1, 2, 3]);
+        assert_eq!(forward.iter().filter(|(_, n)| n.is_some()).count(), 6);
+        assert_eq!(forward, placements([3, 1, 2]));
     }
 
     #[test]

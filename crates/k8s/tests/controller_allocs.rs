@@ -28,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use swf_cluster::NodeId;
-use swf_container::{ImageRef, Registry, RegistryConfig};
+use swf_container::{ImageRef, Registry};
 use swf_k8s::{
     ApiServer, Deployment, DeploymentController, NodeCapacity, ObjectMeta, Pod, PodPhase, PodSpec,
     PodTemplate, Scheduler,
@@ -111,7 +111,7 @@ fn idle_pass_allocations(pods: usize) -> (usize, usize) {
             memory: swf_cluster::gib(256),
         })
         .collect();
-    let scheduler = Scheduler::new(api.clone(), Registry::new(RegistryConfig::default()), nodes);
+    let scheduler = Scheduler::new(api.clone(), Registry::default(), nodes);
     let version = api.pods().version();
 
     Sim::new().block_on(async move {

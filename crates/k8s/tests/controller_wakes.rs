@@ -11,8 +11,8 @@
 //! was one more pod watcher (8, not 7).
 
 use swf_cluster::{Cluster, ClusterConfig};
-use swf_container::{Image, ImageRef, Registry, RegistryConfig};
-use swf_k8s::{Deployment, K8s, K8sConfig, ObjectMeta, PodSpec, PodTemplate};
+use swf_container::{Image, ImageRef, Registry};
+use swf_k8s::{Deployment, K8s, ObjectMeta, PodSpec, PodTemplate};
 use swf_simcore::{current, millis, secs, sleep, Sim};
 
 /// `ClusterConfig::default()` has three workers, one kubelet each.
@@ -25,10 +25,10 @@ const CONTROLLERS: u64 = 3;
 fn polls_for_one_readiness_flip(replicas: u32) -> u64 {
     Sim::new().block_on(async move {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let template = PodTemplate {
             meta: ObjectMeta::default().with_label("app", "fn"),
             spec: PodSpec::new(image),

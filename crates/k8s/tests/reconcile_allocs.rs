@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use swf_cluster::{Node, NodeId, NodeSpec};
-use swf_container::{ContainerRuntime, ImageRef, OverheadModel, Registry, RegistryConfig};
+use swf_container::{ContainerRuntime, ImageRef, Registry};
 use swf_k8s::{ApiServer, Kubelet, NodeController, NodeStatus, ObjectMeta, Pod, PodPhase, PodSpec};
 
 /// `System`, counting every block it hands out.
@@ -78,11 +78,7 @@ fn a_pass_over_dead_pods_copies_none_of_them() {
         pod.status.message = "image pull failed: registry unavailable".to_string();
         api.pods().put(name, pod);
     }
-    let runtime = ContainerRuntime::new(
-        Node::new(node, NodeSpec::default()),
-        Registry::new(RegistryConfig::default()),
-        OverheadModel::default(),
-    );
+    let runtime = ContainerRuntime::new(Node::new(node, NodeSpec::default()), Registry::default());
     let kubelet = Kubelet::new(api.clone(), runtime);
     let nodes = NodeController::new(api.clone());
 

@@ -166,8 +166,8 @@ impl Autoscaler {
 mod tests {
     use super::*;
     use swf_cluster::{Cluster, ClusterConfig};
-    use swf_container::{Image, ImageRef, Registry, RegistryConfig};
-    use swf_k8s::{K8s, K8sConfig};
+    use swf_container::{Image, ImageRef, Registry};
+    use swf_k8s::K8s;
     use swf_simcore::{secs, spawn, Sim};
 
     struct Rig {
@@ -177,10 +177,10 @@ mod tests {
 
     fn rig(min_scale: u32, cc_target: f64) -> Rig {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let ksvcs: Store<KService> = Store::new();
         let hub = MetricHub::new();
         let config = crate::config::KnativeConfig::default();

@@ -11,50 +11,24 @@
 //! 503s, attempt timeouts). Application-level 500s count as successes:
 //! the revision answered, it is the function that is broken.
 //!
-//! The default config is disabled (`failure_threshold == 0`), so calm
-//! runs execute the historical router path bit-for-bit.
+//! A breaker that is not armed ([`KnativeConfig::self_healing`] off, the
+//! default) admits every request and records nothing, so calm runs execute
+//! the historical router path bit-for-bit.
+//!
+//! [`KnativeConfig::self_healing`]: crate::KnativeConfig::self_healing
 
 use std::cell::Cell;
 
 use swf_simcore::{millis, now, SimDuration, SimTime};
 
-/// Circuit-breaker parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Consecutive transport failures that open the circuit. `0` disables
-    /// the breaker entirely (the default — no calm-path drift).
-    pub failure_threshold: u32,
-    /// How long an open circuit fast-fails before going half-open.
-    pub cooldown: SimDuration,
-}
+/// Consecutive transport failures that open an armed circuit.
+pub const FAILURE_THRESHOLD: u32 = 5;
+
+/// How long an open circuit fast-fails before going half-open.
+pub const COOLDOWN: SimDuration = SimDuration::from_secs(8);
 
 /// Probe requests admitted concurrently while half-open.
 const HALF_OPEN_PROBES: u32 = 1;
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 0,
-            cooldown: SimDuration::from_secs(10),
-        }
-    }
-}
-
-impl BreakerConfig {
-    /// An enabled breaker tripping after `failure_threshold` consecutive
-    /// failures and cooling down for `cooldown`.
-    pub fn enabled(failure_threshold: u32, cooldown: SimDuration) -> Self {
-        BreakerConfig {
-            failure_threshold,
-            cooldown,
-        }
-    }
-
-    /// True when the breaker never trips.
-    pub fn is_disabled(&self) -> bool {
-        self.failure_threshold == 0
-    }
-}
 
 /// Breaker state, in the classic closed → open → half-open cycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,7 +53,8 @@ pub struct Permit {
 /// A per-revision circuit breaker on the virtual clock.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
+    /// Whether the breaker ever trips.
+    armed: bool,
     state: Cell<BreakerState>,
     consecutive_failures: Cell<u32>,
     open_until: Cell<SimTime>,
@@ -87,10 +62,10 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// New breaker, closed.
-    pub fn new(config: BreakerConfig) -> Self {
+    /// New breaker, closed; one that is not `armed` never trips.
+    pub fn new(armed: bool) -> Self {
         CircuitBreaker {
-            config,
+            armed,
             state: Cell::new(BreakerState::Closed),
             consecutive_failures: Cell::new(0),
             open_until: Cell::new(SimTime::from_nanos(0)),
@@ -101,7 +76,7 @@ impl CircuitBreaker {
     /// Ask to send a request. `Ok` carries a permit that must be resolved;
     /// `Err` carries the suggested wait before asking again.
     pub fn admit(&self) -> Result<Permit, SimDuration> {
-        if self.config.is_disabled() {
+        if !self.armed {
             return Ok(Permit { probe: false });
         }
         self.refresh();
@@ -122,7 +97,7 @@ impl CircuitBreaker {
 
     /// Resolve a permit with the attempt's transport outcome.
     pub fn record(&self, permit: Permit, success: bool) {
-        if self.config.is_disabled() {
+        if !self.armed {
             return;
         }
         if permit.probe {
@@ -142,7 +117,7 @@ impl CircuitBreaker {
         } else {
             let n = self.consecutive_failures.get() + 1;
             self.consecutive_failures.set(n);
-            if self.state.get() == BreakerState::Closed && n >= self.config.failure_threshold {
+            if self.state.get() == BreakerState::Closed && n >= FAILURE_THRESHOLD {
                 self.trip();
             }
         }
@@ -159,7 +134,7 @@ impl CircuitBreaker {
 
     fn trip(&self) {
         self.state.set(BreakerState::Open);
-        self.open_until.set(now() + self.config.cooldown);
+        self.open_until.set(now() + COOLDOWN);
         self.consecutive_failures.set(0);
         swf_obs::current().counter_add("knative.breaker_trips", 1);
     }
@@ -176,7 +151,7 @@ impl CircuitBreaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swf_simcore::{secs, sleep, Sim};
+    use swf_simcore::{sleep, Sim};
 
     /// A simulation recording into an enabled collector, which counts the
     /// breaker's trips.
@@ -198,15 +173,20 @@ mod tests {
         b.state.get()
     }
 
+    /// Record `n` failed attempts in a row.
+    fn fail(b: &CircuitBreaker, n: u32) {
+        for _ in 0..n {
+            let p = b.admit().unwrap();
+            b.record(p, false);
+        }
+    }
+
     #[test]
     fn disabled_breaker_never_trips() {
         let (sim, _installed) = sim();
         sim.block_on(async {
-            let b = CircuitBreaker::new(BreakerConfig::default());
-            for _ in 0..100 {
-                let p = b.admit().unwrap();
-                b.record(p, false);
-            }
+            let b = CircuitBreaker::new(false);
+            fail(&b, 100);
             assert_eq!(state(&b), BreakerState::Closed);
             assert_eq!(trips(), 0);
         });
@@ -216,26 +196,20 @@ mod tests {
     fn consecutive_failures_open_then_cooldown_half_opens() {
         let (sim, _installed) = sim();
         sim.block_on(async {
-            let b = CircuitBreaker::new(BreakerConfig::enabled(3, secs(10.0)));
-            // Two failures then a success: counter resets, still closed.
-            for _ in 0..2 {
-                let p = b.admit().unwrap();
-                b.record(p, false);
-            }
+            let b = CircuitBreaker::new(true);
+            // One failure short, then a success: counter resets, still closed.
+            fail(&b, FAILURE_THRESHOLD - 1);
             let p = b.admit().unwrap();
             b.record(p, true);
             assert_eq!(state(&b), BreakerState::Closed);
-            // Three straight failures trip it.
-            for _ in 0..3 {
-                let p = b.admit().unwrap();
-                b.record(p, false);
-            }
+            // A full run of failures trips it.
+            fail(&b, FAILURE_THRESHOLD);
             assert_eq!(state(&b), BreakerState::Open);
             assert_eq!(trips(), 1);
             let wait = b.admit().unwrap_err();
-            assert_eq!(wait, secs(10.0));
+            assert_eq!(wait, COOLDOWN);
             // Cooldown elapses on the virtual clock.
-            sleep(secs(10.0)).await;
+            sleep(COOLDOWN).await;
             assert_eq!(state(&b), BreakerState::HalfOpen);
         });
     }
@@ -244,17 +218,16 @@ mod tests {
     fn half_open_probe_success_closes_failure_reopens() {
         let (sim, _installed) = sim();
         sim.block_on(async {
-            let b = CircuitBreaker::new(BreakerConfig::enabled(1, secs(5.0)));
-            let p = b.admit().unwrap();
-            b.record(p, false); // trips
-            sleep(secs(5.0)).await;
+            let b = CircuitBreaker::new(true);
+            fail(&b, FAILURE_THRESHOLD); // trips
+            sleep(COOLDOWN).await;
             // Only one probe admitted while half-open.
             let probe = b.admit().unwrap();
             assert!(b.admit().is_err(), "second probe must be rejected");
             b.record(probe, false);
             assert_eq!(state(&b), BreakerState::Open);
             assert_eq!(trips(), 2);
-            sleep(secs(5.0)).await;
+            sleep(COOLDOWN).await;
             let probe = b.admit().unwrap();
             b.record(probe, true);
             assert_eq!(state(&b), BreakerState::Closed);
@@ -268,10 +241,9 @@ mod tests {
     fn cancel_releases_a_probe_slot() {
         let (sim, _installed) = sim();
         sim.block_on(async {
-            let b = CircuitBreaker::new(BreakerConfig::enabled(1, secs(1.0)));
-            let p = b.admit().unwrap();
-            b.record(p, false);
-            sleep(secs(1.0)).await;
+            let b = CircuitBreaker::new(true);
+            fail(&b, FAILURE_THRESHOLD);
+            sleep(COOLDOWN).await;
             let probe = b.admit().unwrap();
             assert!(b.admit().is_err());
             b.cancel(probe);

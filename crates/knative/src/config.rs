@@ -39,11 +39,6 @@ impl Default for AutoscalerConfig {
 pub struct KnativeConfig {
     /// Autoscaler parameters.
     pub autoscaler: AutoscalerConfig,
-    /// Queue-proxy admission bound: requests held beyond
-    /// `containerConcurrency` before new arrivals are shed with a typed
-    /// 503. `0` leaves the queue unbounded, as the paper's runs do: their
-    /// load never overruns the pods, so nothing is shed.
-    pub queue_depth: u32,
     /// Ingress routing policy (round-robin, or the §IX-D least-loaded
     /// redirection).
     pub routing: crate::router::RoutingPolicy,
@@ -58,27 +53,29 @@ pub struct KnativeConfig {
     /// Unread: retries no longer draw jitter, so nothing takes a seed from
     /// here. Kept because the host-time benchmark package writes it.
     pub seed: u64,
-    /// Per-revision circuit breaker on the router's invoke path. Disabled
-    /// by default (`failure_threshold == 0`): a calm pod fails no request,
-    /// so there is nothing to trip on. The self-healing chaos stack arms it.
-    pub breaker: crate::breaker::BreakerConfig,
-    /// Health probe attached to every revision pod (`None` = no probing:
-    /// a calm container never crashes). Chaos experiments enable it so
-    /// crashed containers go unready and get restarted in place.
-    pub pod_probe: Option<swf_k8s::ProbeSpec>,
+    /// Arm the self-healing data plane: a health probe on every function
+    /// pod ([`POD_PROBE`](crate::serving::POD_PROBE)), so a crashed
+    /// container goes unready and is restarted in place; a bounded
+    /// queue-proxy ([`QUEUE_DEPTH`](crate::pod_server::QUEUE_DEPTH)) that
+    /// sheds overflow with a typed 503; and the per-revision circuit
+    /// breaker on the router's invoke path
+    /// ([`FAILURE_THRESHOLD`](crate::breaker::FAILURE_THRESHOLD),
+    /// [`COOLDOWN`](crate::breaker::COOLDOWN)). Off by default, as in the
+    /// paper's runs: a calm pod never crashes, fails a request or overruns
+    /// its queue, so there is nothing to heal. The chaos stack's rescue
+    /// mode turns it on.
+    pub self_healing: bool,
 }
 
 impl Default for KnativeConfig {
     fn default() -> Self {
         KnativeConfig {
             autoscaler: AutoscalerConfig::default(),
-            queue_depth: 0,
             routing: crate::router::RoutingPolicy::default(),
             invoke_retry: RetryPolicy::immediate(8),
             attempt_timeout: None,
             seed: 0,
-            breaker: crate::breaker::BreakerConfig::default(),
-            pod_probe: None,
+            self_healing: false,
         }
     }
 }
@@ -108,7 +105,7 @@ mod tests {
     #[test]
     fn cold_start_calibration_sums_toward_paper_value() {
         // activator + app boot dominate; container create/start and
-        // scheduling add the rest (see swf-container OverheadModel).
+        // scheduling add the rest (see `swf_container::overhead`).
         let partial = ACTIVATOR_LATENCY + APP_BOOT;
         assert!(partial < SimDuration::from_secs_f64(1.48));
         assert!(partial > SimDuration::from_secs_f64(1.2));

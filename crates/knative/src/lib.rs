@@ -29,7 +29,7 @@ pub mod router;
 pub mod serving;
 
 pub use autoscaler::{Autoscaler, ScaleDecision};
-pub use breaker::{BreakerConfig, CircuitBreaker};
+pub use breaker::CircuitBreaker;
 pub use config::{AutoscalerConfig, KnativeConfig};
 pub use error::KnativeError;
 pub use ksvc::{Handler, KService};

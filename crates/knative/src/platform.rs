@@ -37,7 +37,7 @@ impl Knative {
                 cluster.http().clone(),
                 ksvcs.clone(),
                 hub.clone(),
-                config.queue_depth,
+                config.self_healing,
             )
             .run(),
         );
@@ -116,10 +116,13 @@ impl Knative {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::breaker::{COOLDOWN, FAILURE_THRESHOLD};
+    use crate::pod_server::QUEUE_DEPTH;
+    use crate::serving::POD_PROBE;
     use bytes::Bytes;
     use swf_cluster::ClusterConfig;
-    use swf_container::{Image, ImageRef, Registry, RegistryConfig, Workload};
-    use swf_k8s::{K8s, K8sConfig};
+    use swf_container::{Image, ImageRef, Registry, Workload};
+    use swf_k8s::K8s;
     use swf_simcore::{now, secs, Sim};
 
     fn boot() -> (Cluster, Knative, ImageRef) {
@@ -128,10 +131,10 @@ mod tests {
 
     fn boot_with(config: KnativeConfig) -> (Cluster, Knative, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("hpc/matmul:1.0");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let kn = Knative::start(&cluster, k8s, config);
         (cluster, kn, image)
     }
@@ -290,10 +293,10 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let cluster = Cluster::new(&swf_cluster::ClusterConfig::default());
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("hpc/matmul:1.0");
             registry.push(Image::python_scientific(image.clone(), 1));
-            let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+            let k8s = K8s::start(&cluster, registry);
             let kn = Knative::start(
                 &cluster,
                 k8s.clone(),
@@ -437,11 +440,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
-                pod_probe: Some(swf_k8s::ProbeSpec {
-                    period: secs(1.0),
-                    unready_threshold: 1,
-                    failure_threshold: 2,
-                }),
+                self_healing: true,
                 invoke_retry: swf_simcore::RetryPolicy::exponential(12, secs(0.5), secs(4.0)),
                 attempt_timeout: Some(secs(5.0)),
                 ..KnativeConfig::default()
@@ -492,51 +491,82 @@ mod tests {
         });
     }
 
+    /// Register `slow`: one pod (min = max = 1) serving one request at a
+    /// time, each taking `compute`.
+    fn register_slow(kn: &Knative, image: &ImageRef, compute: f64) {
+        kn.register_fn(
+            KService::new("slow", image.clone())
+                .with_min_scale(1)
+                .with_max_scale(1)
+                .with_container_concurrency(1),
+            move |req| {
+                let body = req.body.clone();
+                Workload::new(secs(compute), move || Ok(body))
+            },
+        );
+    }
+
+    /// Invoke `slow` `n` times at once.
+    fn flood(
+        kn: &Knative,
+        n: usize,
+    ) -> Vec<swf_simcore::JoinHandle<Result<Response, KnativeError>>> {
+        (0..n)
+            .map(|i| {
+                let kn = kn.clone();
+                swf_simcore::spawn(async move {
+                    kn.invoke(
+                        NodeId(0),
+                        "slow",
+                        Request::post("/", Bytes::from(vec![i as u8])),
+                    )
+                    .await
+                })
+            })
+            .collect()
+    }
+
+    /// Successes and typed `Overloaded` errors among `results`.
+    fn tally(results: &[Result<Response, KnativeError>]) -> (usize, usize) {
+        let ok = results.iter().filter(|r| r.is_ok()).count();
+        let overloaded = results
+            .iter()
+            .filter(|r| matches!(r, Err(KnativeError::Overloaded { .. })))
+            .count();
+        (ok, overloaded)
+    }
+
+    /// A counter of the installed collector, 0 when never bumped.
+    fn counter(obs: &swf_obs::Obs, name: &str) -> u64 {
+        obs.metrics().counter(name).unwrap_or(0)
+    }
+
     /// A bounded queue-proxy sheds overflow with typed 503s, which the
     /// router surfaces as the typed `Overloaded` error once retries are
-    /// spent — while admitted requests still complete.
+    /// spent — while admitted requests still complete. One attempt per
+    /// request and fewer sheds than [`FAILURE_THRESHOLD`], so the breaker
+    /// stays closed and every refusal is the queue-proxy's.
     #[test]
     fn queue_depth_sheds_overflow_with_typed_overloaded() {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
-                queue_depth: 1,
+                self_healing: true,
+                invoke_retry: swf_simcore::RetryPolicy::immediate(1),
                 ..KnativeConfig::default()
             });
-            kn.register_fn(
-                KService::new("slow", image.clone())
-                    .with_min_scale(1)
-                    .with_max_scale(1)
-                    .with_container_concurrency(1),
-                |req| {
-                    let body = req.body.clone();
-                    Workload::new(secs(5.0), move || Ok(body))
-                },
-            );
+            register_slow(&kn, &image, 5.0);
             kn.wait_ready("slow", 1, secs(300.0)).await.unwrap();
-            let handles: Vec<_> = (0..6u8)
-                .map(|i| {
-                    let kn = kn.clone();
-                    swf_simcore::spawn(async move {
-                        kn.invoke(NodeId(0), "slow", Request::post("/", Bytes::from(vec![i])))
-                            .await
-                    })
-                })
-                .collect();
-            let results = swf_simcore::join_all(handles).await;
-            let ok = results.iter().filter(|r| r.is_ok()).count();
-            let overloaded = results
-                .iter()
-                .filter(|r| matches!(r, Err(KnativeError::Overloaded { .. })))
-                .count();
-            // Capacity is cc 1 + queue 1 = 2; the other four exhaust their
-            // immediate retries against 503s.
-            assert_eq!(ok, 2, "admitted requests must complete");
-            assert_eq!(overloaded, 4, "overflow must surface as Overloaded");
+            let overflow = FAILURE_THRESHOLD as usize - 1;
+            let results = swf_simcore::join_all(flood(&kn, 1 + QUEUE_DEPTH + overflow)).await;
+            let (ok, overloaded) = tally(&results);
+            // Capacity is cc 1 + `QUEUE_DEPTH`; the rest are shed.
+            assert_eq!(ok, 1 + QUEUE_DEPTH, "admitted requests must complete");
+            assert_eq!(overloaded, overflow, "overflow must surface as Overloaded");
         });
     }
 
-    /// With the breaker enabled, sustained 503s trip the circuit: later
+    /// With the breaker armed, sustained 503s trip the circuit: later
     /// attempts fast-fail without touching the network.
     #[test]
     fn sustained_overload_trips_the_breaker() {
@@ -545,42 +575,125 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let (_cluster, kn, image) = boot_with(KnativeConfig {
-                queue_depth: 1,
-                breaker: crate::breaker::BreakerConfig::enabled(3, secs(8.0)),
+                self_healing: true,
                 ..KnativeConfig::default()
             });
-            kn.register_fn(
-                KService::new("slow", image.clone())
-                    .with_min_scale(1)
-                    .with_max_scale(1)
-                    .with_container_concurrency(1),
-                |req| {
-                    let body = req.body.clone();
-                    Workload::new(secs(30.0), move || Ok(body))
-                },
-            );
+            register_slow(&kn, &image, 30.0);
             kn.wait_ready("slow", 1, secs(300.0)).await.unwrap();
-            // Saturate: 2 admitted (cc+queue), the rest shed 503s that trip
-            // the breaker after 3 consecutive failures.
-            let handles: Vec<_> = (0..8u8)
-                .map(|i| {
-                    let kn = kn.clone();
-                    swf_simcore::spawn(async move {
-                        kn.invoke(NodeId(0), "slow", Request::post("/", Bytes::from(vec![i])))
-                            .await
-                    })
-                })
-                .collect();
-            let results = swf_simcore::join_all(handles).await;
+            // Saturate: cc + queue admitted, the rest shed 503s that trip
+            // the breaker after `FAILURE_THRESHOLD` consecutive failures.
+            let results = swf_simcore::join_all(flood(&kn, 1 + QUEUE_DEPTH + 2)).await;
             assert!(results
                 .iter()
                 .any(|r| matches!(r, Err(KnativeError::Overloaded { .. }))));
         });
-        let metrics = obs.metrics();
-        let trips = metrics.counter("knative.breaker_trips").unwrap_or(0);
-        let fast_fails = metrics.counter("knative.breaker_fast_fail").unwrap_or(0);
-        assert!(trips >= 1, "breaker must have tripped");
-        assert!(fast_fails >= 1, "an open circuit must fast-fail");
+        assert!(
+            counter(&obs, "knative.breaker_trips") >= 1,
+            "breaker must have tripped"
+        );
+        assert!(
+            counter(&obs, "knative.breaker_fast_fail") >= 1,
+            "an open circuit must fast-fail"
+        );
+    }
+
+    /// A flood that overruns a self-healing pod: more requests than its
+    /// queue holds, and more refusals than open a circuit.
+    const FLOOD: usize = 1 + QUEUE_DEPTH + FAILURE_THRESHOLD as usize + 1;
+
+    /// Self-healing off, the default: function pods carry no probe, the
+    /// queue-proxy sheds nothing however deep its queue (every request of
+    /// the flood is served), and the router never opens a circuit, not even
+    /// on a run of failures from a crashed container.
+    #[test]
+    fn self_healing_off_arms_nothing() {
+        let obs = swf_obs::Obs::enabled();
+        let _installed = swf_obs::install(obs.clone());
+        Sim::new().block_on(async {
+            let (_cluster, kn, image) = boot_with(KnativeConfig {
+                invoke_retry: swf_simcore::RetryPolicy::immediate(1),
+                ..KnativeConfig::default()
+            });
+            register_slow(&kn, &image, 5.0);
+            kn.wait_ready("slow", 1, secs(300.0)).await.unwrap();
+            let pods = kn.k8s().api().pods().list();
+            assert!(pods.iter().all(|p| p.spec.probe.is_none()));
+            let results = swf_simcore::join_all(flood(&kn, FLOOD)).await;
+            assert_eq!(tally(&results), (FLOOD, 0));
+            assert_eq!(counter(&swf_obs::current(), "knative.overloaded_503"), 0);
+            // Crash the one container: nothing restarts it, and every
+            // request after is a 503 that reaches the pod, as many in a
+            // row as would open an armed circuit, and one more.
+            let pod = &pods[0];
+            let node = pod.status.node.unwrap();
+            kn.k8s()
+                .runtime(node)
+                .unwrap()
+                .crash(pod.status.container.unwrap())
+                .unwrap();
+            for _ in 0..=FAILURE_THRESHOLD {
+                let err = kn
+                    .invoke(NodeId(0), "slow", Request::post("/", Bytes::new()))
+                    .await
+                    .unwrap_err();
+                assert!(
+                    matches!(&err, KnativeError::Overloaded { last, .. } if last != "circuit open")
+                );
+            }
+        });
+        assert_eq!(
+            counter(&obs, "knative.overloaded_503"),
+            u64::from(FAILURE_THRESHOLD) + 1
+        );
+        assert_eq!(counter(&obs, "knative.queue_proxy_shed"), 0);
+        assert_eq!(counter(&obs, "knative.breaker_trips"), 0);
+        assert_eq!(counter(&obs, "knative.breaker_fast_fail"), 0);
+    }
+
+    /// Self-healing on: function pods carry [`POD_PROBE`], the queue-proxy
+    /// admits `containerConcurrency` + [`QUEUE_DEPTH`] and sheds the rest,
+    /// and [`FAILURE_THRESHOLD`] consecutive sheds open the circuit, which
+    /// then fast-fails a request for [`COOLDOWN`].
+    #[test]
+    fn self_healing_on_arms_probe_queue_bound_and_breaker() {
+        let obs = swf_obs::Obs::enabled();
+        let _installed = swf_obs::install(obs.clone());
+        Sim::new().block_on(async {
+            let (_cluster, kn, image) = boot_with(KnativeConfig {
+                self_healing: true,
+                invoke_retry: swf_simcore::RetryPolicy::immediate(1),
+                ..KnativeConfig::default()
+            });
+            register_slow(&kn, &image, 5.0);
+            kn.wait_ready("slow", 1, secs(300.0)).await.unwrap();
+            for pod in kn.k8s().api().pods().list() {
+                let probe = pod.spec.probe.unwrap();
+                assert_eq!(probe.period, POD_PROBE.period);
+                assert_eq!(probe.unready_threshold, POD_PROBE.unready_threshold);
+                assert_eq!(probe.failure_threshold, POD_PROBE.failure_threshold);
+            }
+            let t0 = now();
+            let flood = flood(&kn, FLOOD);
+            // Inside the cooldown the open circuit refuses at once.
+            swf_simcore::sleep(COOLDOWN / 2).await;
+            let late = kn
+                .invoke(NodeId(0), "slow", Request::post("/", Bytes::new()))
+                .await
+                .unwrap_err();
+            assert!(
+                matches!(&late, KnativeError::Overloaded { last, .. } if last == "circuit open"),
+                "expected a fast fail, got {late}"
+            );
+            assert_eq!(now(), t0 + COOLDOWN / 2);
+            let results = swf_simcore::join_all(flood).await;
+            let shed = FAILURE_THRESHOLD as usize + 1;
+            assert_eq!(tally(&results), (1 + QUEUE_DEPTH, shed));
+        });
+        let shed = u64::from(FAILURE_THRESHOLD) + 1;
+        assert_eq!(counter(&obs, "knative.queue_proxy_shed"), shed);
+        assert_eq!(counter(&obs, "knative.overloaded_503"), shed);
+        assert_eq!(counter(&obs, "knative.breaker_trips"), 1);
+        assert_eq!(counter(&obs, "knative.breaker_fast_fail"), 1);
     }
 
     /// A name that was never registered is refused at the instant of the

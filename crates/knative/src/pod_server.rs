@@ -24,15 +24,21 @@ use crate::metrics::MetricHub;
 /// ≈ 20 ms beyond compute (Fig. 1: Knative per task ≈ compute + 0.02 s).
 pub const QUEUE_PROXY_OVERHEAD: SimDuration = SimDuration::from_millis(8);
 
+/// Requests a self-healing queue-proxy holds beyond `containerConcurrency`
+/// before it sheds new arrivals with a typed 503. Without
+/// [`KnativeConfig::self_healing`] the queue is unbounded.
+///
+/// [`KnativeConfig::self_healing`]: crate::KnativeConfig::self_healing
+pub const QUEUE_DEPTH: usize = 8;
+
 /// Watches function pods and binds a queue-proxy at each routable one.
 pub struct PodServers {
     k8s: swf_k8s::K8s,
     http: HttpStack,
     ksvcs: Store<KService>,
     hub: MetricHub,
-    /// Requests a queue-proxy holds beyond `containerConcurrency`
-    /// (`KnativeConfig::queue_depth`; 0 = unbounded).
-    queue_depth: u32,
+    /// Bound each queue-proxy's queue at [`QUEUE_DEPTH`].
+    self_healing: bool,
     /// Pods with a bound queue-proxy, by name, and the address it listens at.
     serving: BTreeMap<String, (NodeId, u16)>,
 }
@@ -44,14 +50,14 @@ impl PodServers {
         http: HttpStack,
         ksvcs: Store<KService>,
         hub: MetricHub,
-        queue_depth: u32,
+        self_healing: bool,
     ) -> Self {
         PodServers {
             k8s,
             http,
             ksvcs,
             hub,
-            queue_depth,
+            self_healing,
             serving: BTreeMap::new(),
         }
     }
@@ -114,13 +120,12 @@ impl PodServers {
             ksvc.container_concurrency as usize
         };
         // The queue-proxy breaker: `cc` requests in service plus
-        // `queue_depth` waiting; past that, new arrivals are shed with a
-        // typed 503 instead of queueing unboundedly (queue_depth 0 leaves
-        // the queue unbounded).
-        let capacity = if self.queue_depth == 0 {
-            usize::MAX / 2
+        // `QUEUE_DEPTH` waiting; past that, new arrivals are shed with a
+        // typed 503 instead of queueing unboundedly.
+        let capacity = if self.self_healing {
+            cc.saturating_add(QUEUE_DEPTH)
         } else {
-            cc.saturating_add(self.queue_depth as usize)
+            usize::MAX / 2
         };
         Some(QueueProxy {
             k8s: self.k8s.clone(),
@@ -238,8 +243,8 @@ mod tests {
     use bytes::Bytes;
     use std::cell::RefCell;
     use swf_cluster::{Cluster, ClusterConfig};
-    use swf_container::{Image, ImageRef, Registry, RegistryConfig, Workload};
-    use swf_k8s::{K8s, K8sConfig};
+    use swf_container::{Image, ImageRef, Registry, Workload};
+    use swf_k8s::K8s;
     use swf_simcore::{secs, spawn, Sim};
 
     /// The paper's function shape: echo the body after 0.458 s of compute.
@@ -258,10 +263,10 @@ mod tests {
         let out2 = Rc::clone(&out);
         sim.block_on(async move {
             let cluster = Cluster::new(&ClusterConfig::default());
-            let registry = Registry::new(RegistryConfig::default());
+            let registry = Registry::default();
             let image = ImageRef::parse("fn:v1");
             registry.push(Image::python_scientific(image.clone(), 1));
-            let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+            let k8s = K8s::start(&cluster, registry);
             let ksvcs: Store<KService> = Store::new();
             let hub = MetricHub::new();
             let config = crate::config::KnativeConfig::default();
@@ -271,7 +276,7 @@ mod tests {
                 cluster.http().clone(),
                 ksvcs.clone(),
                 hub.clone(),
-                config.queue_depth,
+                config.self_healing,
             );
             spawn(ps.run());
             let ksvc = KService::new("echo", image)

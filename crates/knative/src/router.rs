@@ -79,7 +79,7 @@ impl Router {
             self.breakers
                 .borrow_mut()
                 .entry(revision.to_string())
-                .or_insert_with(|| Rc::new(CircuitBreaker::new(self.config.breaker))),
+                .or_insert_with(|| Rc::new(CircuitBreaker::new(self.config.self_healing))),
         )
     }
 

@@ -3,7 +3,7 @@
 //! them ([`swf_k8s::ApiServer::ready_endpoints`]), so no Kubernetes Service
 //! stands in front of them.
 
-use swf_k8s::{Deployment, ObjectMeta, PodSpec, PodTemplate, Store};
+use swf_k8s::{Deployment, ObjectMeta, PodSpec, PodTemplate, ProbeSpec, Store};
 use swf_simcore::SimDuration;
 
 use crate::config::KnativeConfig;
@@ -13,6 +13,15 @@ use crate::ksvc::{KService, REVISION_LABEL, SERVICE_LABEL};
 /// NumPy in the paper's functions): the end-to-end cold start with a cached
 /// image lands at the paper's 1.48 s (§III-B).
 pub const APP_BOOT: SimDuration = SimDuration::from_millis(1250);
+
+/// The health probe on every function pod under
+/// [`KnativeConfig::self_healing`]: a crashed container is unready after one
+/// failed check and restarted after two, checked every second.
+pub const POD_PROBE: ProbeSpec = ProbeSpec {
+    period: SimDuration::from_secs(1),
+    unready_threshold: 1,
+    failure_threshold: 2,
+};
 
 /// Backs every KService with its Kubernetes objects.
 pub struct ServingController {
@@ -58,8 +67,8 @@ impl ServingController {
         let mut pod_spec = PodSpec::new(ksvc.image.clone())
             .with_resources(ksvc.resources)
             .with_readiness_delay(APP_BOOT);
-        if let Some(probe) = self.config.pod_probe {
-            pod_spec = pod_spec.with_probe(probe);
+        if self.config.self_healing {
+            pod_spec = pod_spec.with_probe(POD_PROBE);
         }
         let _ = self
             .k8s
@@ -80,16 +89,16 @@ impl ServingController {
 mod tests {
     use super::*;
     use swf_cluster::{Cluster, ClusterConfig};
-    use swf_container::{Image, ImageRef, Registry, RegistryConfig};
-    use swf_k8s::{K8s, K8sConfig};
+    use swf_container::{Image, ImageRef, Registry};
+    use swf_k8s::K8s;
     use swf_simcore::{secs, sleep, spawn, Sim};
 
     fn boot() -> (swf_k8s::K8s, Store<KService>, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let ksvcs: Store<KService> = Store::new();
         spawn(ServingController::new(ksvcs.clone(), k8s.clone(), KnativeConfig::default()).run());
         (k8s, ksvcs, image)

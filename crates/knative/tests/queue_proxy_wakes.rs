@@ -9,8 +9,8 @@
 //! with eight, one more per queue-proxy.
 
 use swf_cluster::{Cluster, ClusterConfig};
-use swf_container::{Image, ImageRef, Registry, RegistryConfig, Workload};
-use swf_k8s::{K8s, K8sConfig};
+use swf_container::{Image, ImageRef, Registry, Workload};
+use swf_k8s::K8s;
 use swf_knative::{KService, Knative, KnativeConfig};
 use swf_simcore::{current, secs, sleep, yield_now, Sim};
 
@@ -19,10 +19,10 @@ use swf_simcore::{current, secs, sleep, yield_now, Sim};
 fn polls_for_one_pod_write(pods: u32) -> u64 {
     Sim::new().block_on(async move {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let kn = Knative::start(&cluster, k8s.clone(), KnativeConfig::default());
         kn.register_fn(KService::new("echo", image).with_min_scale(pods), |req| {
             let body = req.body.clone();

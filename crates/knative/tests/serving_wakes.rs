@@ -20,8 +20,8 @@ use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use swf_cluster::{Cluster, ClusterConfig};
-use swf_container::{Image, ImageRef, Registry, RegistryConfig};
-use swf_k8s::{K8s, K8sConfig, Store};
+use swf_container::{Image, ImageRef, Registry};
+use swf_k8s::{K8s, Store};
 use swf_knative::ksvc::{REVISION_LABEL, SERVICE_LABEL};
 use swf_knative::{KService, KnativeConfig, ServingController};
 use swf_simcore::{secs, sleep, spawn, Sim};
@@ -44,10 +44,10 @@ impl<F: Future> Future for Counted<F> {
 fn one_registration_wakes_the_serving_controller_once() {
     Sim::new().block_on(async {
         let cluster = Cluster::new(&ClusterConfig::default());
-        let registry = Registry::new(RegistryConfig::default());
+        let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
         registry.push(Image::python_scientific(image.clone(), 1));
-        let k8s = K8s::start(&cluster, registry, K8sConfig::default());
+        let k8s = K8s::start(&cluster, registry);
         let ksvcs: Store<KService> = Store::new();
         let polls = Rc::new(Cell::new(0));
         let controller =

@@ -141,7 +141,6 @@ mod tests {
             CondorConfig {
                 negotiator: NegotiatorConfig {
                     cycle_interval: secs(1.0),
-                    match_latency: SimDuration::ZERO,
                     cycle_jitter_cv: 0.0,
                     activation_delay: SimDuration::ZERO,
                     ..NegotiatorConfig::default()

@@ -263,8 +263,7 @@ mod limb {
     /// Rows of A per register tile: two `i32` accumulators a row, so six
     /// rows keep 12 in flight, and with the two B vectors and the
     /// broadcast fill the 16 vector registers. Six measured faster than
-    /// four at every limb count (EXPERIMENTS.md, "The task works on its
-    /// wire format").
+    /// four at every limb count (EXPERIMENTS.md, "The task").
     const TILE_ROWS: usize = 6;
 
     /// Two `i16` lanes of one `i32`, `lo` first, as the step reads them.

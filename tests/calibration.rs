@@ -7,6 +7,7 @@
 
 use std::collections::BTreeSet;
 use swf_cluster::{gib, Rate};
+use swf_container::{overhead, registry};
 use swf_core::ExperimentConfig;
 use swf_simcore::{micros, millis, secs, SimDuration};
 
@@ -23,35 +24,34 @@ fn code() -> Vec<(&'static str, f64)> {
     let p = ExperimentConfig::paper();
     let negotiator = p.condor.negotiator;
     let kpa = p.knative.autoscaler;
-    let lifecycle = p.k8s.overheads;
     vec![
         ("ClusterConfig::nodes", p.cluster.nodes as f64),
         ("NodeSpec::cores", p.cluster.node_spec.cores as f64),
         ("NodeSpec::memory", p.cluster.node_spec.memory as f64),
-        ("NetworkConfig::bandwidth", p.cluster.network.bandwidth.0),
-        ("NetworkConfig::latency", nanos(p.cluster.network.latency)),
+        ("network::BANDWIDTH", swf_cluster::network::BANDWIDTH.0),
+        ("network::LATENCY", nanos(swf_cluster::network::LATENCY)),
         (
-            "NetworkConfig::loopback_cost",
-            nanos(p.cluster.network.loopback_cost),
+            "network::LOOPBACK_COST",
+            nanos(swf_cluster::network::LOOPBACK_COST),
         ),
         (
             "disk::SSD_MB_PER_S",
             Rate::mb_per_s(swf_cluster::disk::SSD_MB_PER_S).0,
         ),
         ("disk::SSD_LATENCY", nanos(swf_cluster::disk::SSD_LATENCY)),
-        ("RegistryConfig::bandwidth", p.registry.bandwidth.0),
+        ("registry::BANDWIDTH", registry::BANDWIDTH.0),
         (
-            "RegistryConfig::manifest_latency",
-            nanos(p.registry.manifest_latency),
+            "registry::MANIFEST_LATENCY",
+            nanos(registry::MANIFEST_LATENCY),
         ),
         (
-            "RegistryConfig::concurrent_streams",
-            p.registry.concurrent_streams as f64,
+            "registry::CONCURRENT_STREAMS",
+            registry::CONCURRENT_STREAMS as f64,
         ),
-        ("OverheadModel::create", nanos(lifecycle.create)),
-        ("OverheadModel::start", nanos(lifecycle.start)),
-        ("OverheadModel::stop", nanos(lifecycle.stop)),
-        ("OverheadModel::remove", nanos(lifecycle.remove)),
+        ("overhead::CREATE", nanos(overhead::CREATE)),
+        ("overhead::START", nanos(overhead::START)),
+        ("overhead::STOP", nanos(overhead::STOP)),
+        ("overhead::REMOVE", nanos(overhead::REMOVE)),
         ("api::CALL_LATENCY", nanos(swf_k8s::api::CALL_LATENCY)),
         (
             "scheduler::BIND_LATENCY",
@@ -86,8 +86,8 @@ fn code() -> Vec<(&'static str, f64)> {
             nanos(negotiator.cycle_interval),
         ),
         (
-            "NegotiatorConfig::match_latency",
-            nanos(negotiator.match_latency),
+            "negotiator::MATCH_LATENCY",
+            nanos(swf_condor::negotiator::MATCH_LATENCY),
         ),
         (
             "NegotiatorConfig::cycle_jitter_cv",
