@@ -555,7 +555,7 @@ mod tests {
         v.as_object()
             .unwrap()
             .iter()
-            .map(|(k, _)| k.clone())
+            .map(|(k, _)| k.to_string())
             .collect()
     }
 

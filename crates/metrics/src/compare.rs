@@ -159,7 +159,7 @@ pub fn compare(old: &Value, new: &Value, noise: f64) -> CompareReport {
         .and_then(Value::as_object)
         .unwrap_or(&empty);
 
-    let mut names: Vec<&String> = old_scen.iter().map(|(k, _)| k).collect();
+    let mut names: Vec<&str> = old_scen.iter().map(|(k, _)| k.as_str()).collect();
     for (k, _) in new_scen.iter() {
         if old_scen.get(k).is_none() {
             names.push(k);

@@ -89,9 +89,9 @@ impl Table {
                             .map(|f| {
                                 serde_json::Number::from_f64(f)
                                     .map(serde_json::Value::Number)
-                                    .unwrap_or_else(|| serde_json::Value::String(c.clone()))
+                                    .unwrap_or_else(|| serde_json::Value::from(c.as_str()))
                             })
-                            .unwrap_or_else(|_| serde_json::Value::String(c.clone()));
+                            .unwrap_or_else(|_| serde_json::Value::from(c.as_str()));
                         obj.insert(h.clone(), v);
                     }
                     serde_json::Value::Object(obj)

@@ -11,6 +11,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
+use serde_json::Str;
 use swf_simcore::{now, SimTime};
 
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -32,7 +33,7 @@ impl Inner {
         &mut self,
         parent: SpanContext,
         component: &str,
-        name: String,
+        name: Str,
         category: Category,
         start: SimTime,
         end: Option<SimTime>,
@@ -94,7 +95,7 @@ impl Obs {
         &self,
         parent: SpanContext,
         component: &str,
-        name: impl Into<String>,
+        name: impl Into<Str>,
         category: Category,
     ) -> SpanContext {
         let Some(inner) = &self.inner else {
@@ -111,7 +112,7 @@ impl Obs {
         &self,
         parent: SpanContext,
         component: &str,
-        name: impl Into<String>,
+        name: impl Into<Str>,
         category: Category,
     ) -> SpanGuard {
         SpanGuard {
@@ -149,7 +150,7 @@ impl Obs {
         &self,
         parent: SpanContext,
         component: &str,
-        name: impl Into<String>,
+        name: impl Into<Str>,
         category: Category,
         start: SimTime,
         end: SimTime,

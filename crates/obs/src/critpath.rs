@@ -99,35 +99,20 @@ impl CriticalPath {
             .iter()
             .map(|s| {
                 let mut obj = serde_json::Map::new();
-                obj.insert("name".to_string(), serde_json::Value::from(s.name.clone()));
-                obj.insert(
-                    "component".to_string(),
-                    serde_json::Value::from(s.component.clone()),
-                );
-                obj.insert(
-                    "category".to_string(),
-                    serde_json::Value::from(s.category.label()),
-                );
-                obj.insert("enter_s".to_string(), serde_json::Value::from(s.enter_s));
-                obj.insert("exit_s".to_string(), serde_json::Value::from(s.exit_s));
+                obj.insert("name", serde_json::Value::from(s.name.clone()));
+                obj.insert("component", serde_json::Value::from(s.component.clone()));
+                obj.insert("category", serde_json::Value::from(s.category.label()));
+                obj.insert("enter_s", serde_json::Value::from(s.enter_s));
+                obj.insert("exit_s", serde_json::Value::from(s.exit_s));
                 serde_json::Value::Object(obj)
             })
             .collect();
         let mut root = serde_json::Map::new();
-        root.insert("root".to_string(), serde_json::Value::from(self.root.0));
-        root.insert(
-            "root_name".to_string(),
-            serde_json::Value::from(self.root_name.clone()),
-        );
-        root.insert(
-            "makespan_s".to_string(),
-            serde_json::Value::from(self.makespan_s),
-        );
-        root.insert(
-            "breakdown".to_string(),
-            serde_json::Value::Object(breakdown),
-        );
-        root.insert("steps".to_string(), serde_json::Value::Array(steps));
+        root.insert("root", serde_json::Value::from(self.root.0));
+        root.insert("root_name", serde_json::Value::from(self.root_name.clone()));
+        root.insert("makespan_s", serde_json::Value::from(self.makespan_s));
+        root.insert("breakdown", serde_json::Value::Object(breakdown));
+        root.insert("steps", serde_json::Value::Array(steps));
         serde_json::Value::Object(root)
     }
 
@@ -270,7 +255,7 @@ impl<'a> Analyzer<'a> {
         *self.breakdown.entry(s.category).or_insert(0.0) += exit - enter;
         self.steps.push(CritStep {
             span: s.id,
-            name: s.name.clone(),
+            name: s.name.to_string(),
             component: s.component.to_string(),
             category: s.category,
             enter_s: enter,
@@ -292,7 +277,7 @@ pub fn critical_path(spans: &[Span], root: SpanId) -> CriticalPath {
     if hi <= lo {
         return CriticalPath {
             root,
-            root_name: root_span.name.clone(),
+            root_name: root_span.name.to_string(),
             ..CriticalPath::default()
         };
     }
@@ -300,7 +285,7 @@ pub fn critical_path(spans: &[Span], root: SpanId) -> CriticalPath {
     analyzer.steps.reverse();
     CriticalPath {
         root,
-        root_name: root_span.name.clone(),
+        root_name: root_span.name.to_string(),
         makespan_s: hi - lo,
         steps: analyzer.steps,
         breakdown: analyzer.breakdown,
@@ -319,7 +304,7 @@ mod tests {
             id: SpanId(id),
             parent: SpanId(parent),
             component: "p/t".into(),
-            name: format!("s{id}"),
+            name: format!("s{id}").into(),
             category: cat,
             start: SimTime::ZERO + secs(start),
             end: Some(SimTime::ZERO + secs(end)),

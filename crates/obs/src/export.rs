@@ -41,7 +41,7 @@ fn span_to_json(span: &Span) -> serde_json::Value {
     obj.insert("end_ns", serde_json::Value::from(span.end.map(time_ns)));
     obj.insert("id", serde_json::Value::from(span.id.0));
     obj.insert("links", serde_json::Value::Array(links.collect()));
-    obj.insert("name", serde_json::Value::from(span.name.clone()));
+    obj.insert("name", serde_json::Value::String(span.name.clone()));
     obj.insert("parent", serde_json::Value::from(span.parent.0));
     obj.insert("start_ns", serde_json::Value::from(time_ns(span.start)));
     serde_json::Value::Object(obj)
@@ -58,7 +58,10 @@ fn span_from_json(v: &serde_json::Value, components: &mut BTreeSet<Rc<str>>) -> 
         id: SpanId(v["id"].as_u64()?),
         parent: SpanId(v["parent"].as_u64()?),
         component: intern(components, v["component"].as_str()?),
-        name: v["name"].as_str()?.to_string(),
+        name: match &v["name"] {
+            serde_json::Value::String(name) => name.clone(),
+            _ => return None,
+        },
         category: Category::from_label(v["category"].as_str()?)?,
         start: SimTime::from_nanos(v["start_ns"].as_u64()?),
         end,
@@ -78,14 +81,14 @@ pub fn spans_to_json(groups: &[(&str, &Obs)]) -> serde_json::Value {
         .map(|(label, obs)| {
             let spans = obs.with_spans(|spans| spans.iter().map(span_to_json).collect());
             let mut obj = serde_json::Map::new();
-            obj.insert("label".to_string(), serde_json::Value::from(*label));
-            obj.insert("spans".to_string(), serde_json::Value::Array(spans));
+            obj.insert("label", serde_json::Value::from(*label));
+            obj.insert("spans", serde_json::Value::Array(spans));
             serde_json::Value::Object(obj)
         })
         .collect();
     let mut root = serde_json::Map::new();
-    root.insert("format".to_string(), serde_json::Value::from(SPANS_FORMAT));
-    root.insert("groups".to_string(), serde_json::Value::Array(groups));
+    root.insert("format", serde_json::Value::from(SPANS_FORMAT));
+    root.insert("groups", serde_json::Value::Array(groups));
     serde_json::Value::Object(root)
 }
 
@@ -221,8 +224,24 @@ mod tests {
         }
     }
 
-    const COMPONENTS: [&str; 4] = ["condor/dagman", "node-1/kubelet", "nœud \"2\"/\u{0}", ""];
-    const NAMES: [&str; 3] = ["workflow:w0", "pull \"img\" é→ü", ""];
+    /// Besides escapes and the empty string, one entry of each list is 22
+    /// bytes and one 23, the longest a `serde_json::Str` holds in place
+    /// and the shortest it boxes.
+    const COMPONENTS: [&str; 6] = [
+        "condor/dagman",
+        "node-1/kubelet",
+        "nœud \"2\"/\u{0}",
+        "",
+        "node-12/queue-proxy-ab",
+        "node-12/queue-proxy-abc",
+    ];
+    const NAMES: [&str; 5] = [
+        "workflow:w0",
+        "pull \"img\" é→ü",
+        "",
+        "activator-wait:fn-0001",
+        "activator-wait:fn-00012",
+    ];
 
     /// Span lists of a length drawn from the range: ids that repeat or
     /// skip, any parent, open spans, links to any id.
@@ -237,8 +256,9 @@ mod tests {
                     Span {
                         id: SpanId(rng.next_u64() % 16),
                         parent: SpanId(rng.next_u64() % 16),
-                        component: COMPONENTS[(rng.next_u64() % 4) as usize].into(),
-                        name: NAMES[(rng.next_u64() % 3) as usize].to_string(),
+                        component: COMPONENTS[(rng.next_u64() % COMPONENTS.len() as u64) as usize]
+                            .into(),
+                        name: NAMES[(rng.next_u64() % NAMES.len() as u64) as usize].into(),
                         category: Category::ALL[(rng.next_u64() % 12) as usize],
                         start: SimTime::from_nanos(start),
                         end: (rng.next_u64() % 3 < 2)

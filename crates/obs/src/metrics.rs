@@ -158,24 +158,21 @@ impl MetricsSnapshot {
         let mut histograms = serde_json::Map::new();
         for (k, h) in &self.histograms {
             let mut obj = serde_json::Map::new();
-            obj.insert("count".to_string(), serde_json::Value::from(h.count));
-            obj.insert("mean".to_string(), serde_json::Value::from(h.mean));
-            obj.insert("min".to_string(), serde_json::Value::from(h.min));
-            obj.insert("max".to_string(), serde_json::Value::from(h.max));
-            obj.insert("p50".to_string(), serde_json::Value::from(h.p50));
-            obj.insert("p90".to_string(), serde_json::Value::from(h.p90));
-            obj.insert("p95".to_string(), serde_json::Value::from(h.p95));
-            obj.insert("p99".to_string(), serde_json::Value::from(h.p99));
-            obj.insert("p999".to_string(), serde_json::Value::from(h.p999));
+            obj.insert("count", serde_json::Value::from(h.count));
+            obj.insert("mean", serde_json::Value::from(h.mean));
+            obj.insert("min", serde_json::Value::from(h.min));
+            obj.insert("max", serde_json::Value::from(h.max));
+            obj.insert("p50", serde_json::Value::from(h.p50));
+            obj.insert("p90", serde_json::Value::from(h.p90));
+            obj.insert("p95", serde_json::Value::from(h.p95));
+            obj.insert("p99", serde_json::Value::from(h.p99));
+            obj.insert("p999", serde_json::Value::from(h.p999));
             histograms.insert(k.clone(), serde_json::Value::Object(obj));
         }
         let mut root = serde_json::Map::new();
-        root.insert("counters".to_string(), serde_json::Value::Object(counters));
-        root.insert("gauges".to_string(), serde_json::Value::Object(gauges));
-        root.insert(
-            "histograms".to_string(),
-            serde_json::Value::Object(histograms),
-        );
+        root.insert("counters", serde_json::Value::Object(counters));
+        root.insert("gauges", serde_json::Value::Object(gauges));
+        root.insert("histograms", serde_json::Value::Object(histograms));
         serde_json::Value::Object(root)
     }
 }

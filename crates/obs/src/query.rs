@@ -111,11 +111,11 @@ impl GroupKey {
         }
     }
 
-    fn of(self, span: &Span) -> String {
+    fn of(self, span: &Span) -> &str {
         match self {
-            GroupKey::Component => span.component.to_string(),
-            GroupKey::Category => span.category.label().to_string(),
-            GroupKey::Name => span.name.clone(),
+            GroupKey::Component => &span.component,
+            GroupKey::Category => span.category.label(),
+            GroupKey::Name => &span.name,
         }
     }
 }
@@ -143,7 +143,7 @@ pub struct GroupRow {
 /// Rows come back sorted by descending `total_s` (key order on ties) —
 /// the "where did the time go" view.
 pub fn group_by(spans: &[Span], filter: &SpanFilter, key: GroupKey) -> Vec<GroupRow> {
-    let mut groups: BTreeMap<String, LogHistogram> = BTreeMap::new();
+    let mut groups: BTreeMap<&str, LogHistogram> = BTreeMap::new();
     for span in filter.apply(spans) {
         groups
             .entry(key.of(span))
@@ -153,7 +153,7 @@ pub fn group_by(spans: &[Span], filter: &SpanFilter, key: GroupKey) -> Vec<Group
     let mut rows: Vec<GroupRow> = groups
         .into_iter()
         .map(|(key, h)| GroupRow {
-            key,
+            key: key.to_string(),
             count: h.count,
             total_s: h.sum,
             p50: h.percentile(0.50),
@@ -176,13 +176,13 @@ pub fn group_rows_json(rows: &[GroupRow]) -> serde_json::Value {
         rows.iter()
             .map(|r| {
                 let mut obj = serde_json::Map::new();
-                obj.insert("key".to_string(), serde_json::Value::from(r.key.clone()));
-                obj.insert("count".to_string(), serde_json::Value::from(r.count));
-                obj.insert("total_s".to_string(), serde_json::Value::from(r.total_s));
-                obj.insert("p50".to_string(), serde_json::Value::from(r.p50));
-                obj.insert("p90".to_string(), serde_json::Value::from(r.p90));
-                obj.insert("p99".to_string(), serde_json::Value::from(r.p99));
-                obj.insert("max_s".to_string(), serde_json::Value::from(r.max_s));
+                obj.insert("key", serde_json::Value::from(r.key.clone()));
+                obj.insert("count", serde_json::Value::from(r.count));
+                obj.insert("total_s", serde_json::Value::from(r.total_s));
+                obj.insert("p50", serde_json::Value::from(r.p50));
+                obj.insert("p90", serde_json::Value::from(r.p90));
+                obj.insert("p99", serde_json::Value::from(r.p99));
+                obj.insert("max_s", serde_json::Value::from(r.max_s));
                 serde_json::Value::Object(obj)
             })
             .collect(),

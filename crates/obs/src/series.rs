@@ -103,17 +103,17 @@ impl SeriesStore {
                 })
                 .collect();
             let mut obj = serde_json::Map::new();
-            obj.insert("dropped".to_string(), serde_json::Value::from(ring.dropped));
-            obj.insert("points".to_string(), serde_json::Value::Array(points));
+            obj.insert("dropped", serde_json::Value::from(ring.dropped));
+            obj.insert("points", serde_json::Value::Array(points));
             series.insert(name.clone(), serde_json::Value::Object(obj));
         }
         let mut root = serde_json::Map::new();
         root.insert(
-            "interval_s".to_string(),
+            "interval_s",
             serde_json::Value::from(self.interval.map_or(0.0, |i| i.as_secs_f64())),
         );
-        root.insert("samples".to_string(), serde_json::Value::from(self.samples));
-        root.insert("series".to_string(), serde_json::Value::Object(series));
+        root.insert("samples", serde_json::Value::from(self.samples));
+        root.insert("series", serde_json::Value::Object(series));
         serde_json::Value::Object(root)
     }
 }

@@ -129,32 +129,23 @@ impl SloSpec {
             .iter()
             .map(|o| {
                 let mut obj = serde_json::Map::new();
-                obj.insert(
-                    "metric".to_string(),
-                    serde_json::Value::from(o.metric.clone()),
-                );
-                obj.insert("pctl".to_string(), serde_json::Value::from(o.pctl.label()));
-                obj.insert("max_s".to_string(), serde_json::Value::from(o.max_s));
+                obj.insert("metric", serde_json::Value::from(o.metric.clone()));
+                obj.insert("pctl", serde_json::Value::from(o.pctl.label()));
+                obj.insert("max_s", serde_json::Value::from(o.max_s));
                 serde_json::Value::Object(obj)
             })
             .collect();
         let mut root = serde_json::Map::new();
+        root.insert("objectives", serde_json::Value::Array(objectives));
         root.insert(
-            "objectives".to_string(),
-            serde_json::Value::Array(objectives),
-        );
-        root.insert(
-            "cold_start_rate_max".to_string(),
+            "cold_start_rate_max",
             serde_json::Value::from(self.cold_start_rate_max),
         );
         root.insert(
-            "makespan_max_s".to_string(),
+            "makespan_max_s",
             serde_json::Value::from(self.makespan_max_s),
         );
-        root.insert(
-            "error_budget".to_string(),
-            serde_json::Value::from(self.error_budget),
-        );
+        root.insert("error_budget", serde_json::Value::from(self.error_budget));
         serde_json::Value::Object(root)
     }
 }
@@ -217,22 +208,13 @@ impl SloReport {
             .map(|o| {
                 let mut obj = serde_json::Map::new();
                 obj.insert(
-                    "metric".to_string(),
+                    "metric",
                     serde_json::Value::from(o.objective.metric.clone()),
                 );
-                obj.insert(
-                    "pctl".to_string(),
-                    serde_json::Value::from(o.objective.pctl.label()),
-                );
-                obj.insert(
-                    "max_s".to_string(),
-                    serde_json::Value::from(o.objective.max_s),
-                );
-                obj.insert(
-                    "observed_s".to_string(),
-                    serde_json::Value::from(o.observed_s),
-                );
-                obj.insert("ok".to_string(), serde_json::Value::from(o.ok));
+                obj.insert("pctl", serde_json::Value::from(o.objective.pctl.label()));
+                obj.insert("max_s", serde_json::Value::from(o.objective.max_s));
+                obj.insert("observed_s", serde_json::Value::from(o.observed_s));
+                obj.insert("ok", serde_json::Value::from(o.ok));
                 serde_json::Value::Object(obj)
             })
             .collect();
@@ -241,42 +223,27 @@ impl SloReport {
             .iter()
             .map(|w| {
                 let mut obj = serde_json::Map::new();
-                obj.insert("name".to_string(), serde_json::Value::from(w.name.clone()));
-                obj.insert(
-                    "makespan_s".to_string(),
-                    serde_json::Value::from(w.makespan_s),
-                );
-                obj.insert("ok".to_string(), serde_json::Value::from(w.ok));
+                obj.insert("name", serde_json::Value::from(w.name.clone()));
+                obj.insert("makespan_s", serde_json::Value::from(w.makespan_s));
+                obj.insert("ok", serde_json::Value::from(w.ok));
                 serde_json::Value::Object(obj)
             })
             .collect();
         let mut root = serde_json::Map::new();
+        root.insert("objectives", serde_json::Value::Array(objectives));
         root.insert(
-            "objectives".to_string(),
-            serde_json::Value::Array(objectives),
-        );
-        root.insert(
-            "cold_start_rate".to_string(),
+            "cold_start_rate",
             serde_json::Value::from(self.cold_start_rate),
         );
+        root.insert("cold_start_ok", serde_json::Value::from(self.cold_start_ok));
+        root.insert("workflows", serde_json::Value::Array(workflows));
+        root.insert("evaluated", serde_json::Value::from(self.evaluated));
+        root.insert("violated", serde_json::Value::from(self.violated));
         root.insert(
-            "cold_start_ok".to_string(),
-            serde_json::Value::from(self.cold_start_ok),
-        );
-        root.insert("workflows".to_string(), serde_json::Value::Array(workflows));
-        root.insert(
-            "evaluated".to_string(),
-            serde_json::Value::from(self.evaluated),
-        );
-        root.insert(
-            "violated".to_string(),
-            serde_json::Value::from(self.violated),
-        );
-        root.insert(
-            "error_budget_burn".to_string(),
+            "error_budget_burn",
             serde_json::Value::from(self.error_budget_burn),
         );
-        root.insert("ok".to_string(), serde_json::Value::from(self.ok()));
+        root.insert("ok", serde_json::Value::from(self.ok()));
         serde_json::Value::Object(root)
     }
 }
@@ -333,7 +300,7 @@ pub fn evaluate(spec: &SloSpec, snapshot: &MetricsSnapshot, spans: &[Span]) -> S
             }
         }
         report.workflows.push(WorkflowOutcome {
-            name: root.name.clone(),
+            name: root.name.to_string(),
             makespan_s,
             ok,
         });

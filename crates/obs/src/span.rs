@@ -145,8 +145,10 @@ pub struct Span {
     /// over hundreds of thousands of spans, so a collector (and an import)
     /// keeps one copy of each, which its spans share.
     pub component: Rc<str>,
-    /// Human-readable operation name.
-    pub name: String,
+    /// Human-readable operation name. Most are at most 22 bytes, which a
+    /// [`Str`](serde_json::Str) holds in place: recording, copying,
+    /// exporting or importing such a span allocates nothing for its name.
+    pub name: serde_json::Str,
     /// Time category for breakdown attribution.
     pub category: Category,
     /// Begin (virtual time).
@@ -269,7 +271,7 @@ mod tests {
             id: SpanId(id),
             parent: SpanId::NONE,
             component: "a/b".into(),
-            name: format!("s{id}"),
+            name: format!("s{id}").into(),
             category: Category::Other,
             start: SimTime::ZERO,
             end: None,

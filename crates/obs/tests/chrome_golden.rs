@@ -71,7 +71,7 @@ fn escapes_group() -> Vec<Span> {
             id: SpanId(id),
             parent: SpanId(parent),
             component: component.into(),
-            name: name.to_string(),
+            name: name.into(),
             category: Category::ALL[id as usize % Category::ALL.len()],
             start: ms(start),
             end: end.map(ms),

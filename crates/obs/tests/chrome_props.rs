@@ -54,7 +54,7 @@ impl Strategy for Forests {
                     id: SpanId(id),
                     parent: SpanId(rng.next_u64() % id),
                     component: pick(rng, &COMPONENTS).into(),
-                    name: pick(rng, &NAMES).to_string(),
+                    name: pick(rng, &NAMES).into(),
                     category: pick(rng, &Category::ALL),
                     start: SimTime::from_nanos(start),
                     end: pick(rng, &[Some(start + length), Some(start + length), None])

@@ -121,7 +121,7 @@ impl<'a> Reference<'a> {
         *self.breakdown.entry(s.category).or_insert(0.0) += exit - enter;
         self.steps.push(CritStep {
             span: s.id,
-            name: s.name.clone(),
+            name: s.name.to_string(),
             component: s.component.to_string(),
             category: s.category,
             enter_s: enter,
@@ -146,7 +146,7 @@ impl<'a> Reference<'a> {
         analyzer.steps.reverse();
         CriticalPath {
             root: root.id,
-            root_name: root.name.clone(),
+            root_name: root.name.to_string(),
             makespan_s: hi - lo,
             steps: analyzer.steps,
             breakdown: analyzer.breakdown,
