@@ -3,8 +3,10 @@
 //! The paper's workload, for real: dense integer matrices (350×350, entries
 //! in [-100, 100]), three matmul bodies that agree bit for bit (a naive
 //! triple loop; a row-axpy loop the optimiser vectorises, AVX2 when the CPU
-//! has it; and, for an AVX2 CPU and a narrow B with `k·max|B| < 2^16`, a
-//! 16-bit limb loop that sums each limb product exactly in `i32` lanes), a
+//! has it; and, for a narrow B with `k·max|B| < 2^16`, a 16-bit limb loop
+//! that sums each limb product exactly in `i32` lanes, written once over
+//! the vector width and run at the widest the CPU has: AVX-512 with VNNI,
+//! else AVX2), a
 //! binary codec for files and pass-by-value request payloads that reads and
 //! writes a slice of 8-byte cells at a time, workflow-shape generators
 //! (Fig. 3 chains, Fig. 4 concurrent sets with random environment

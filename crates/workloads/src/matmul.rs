@@ -8,23 +8,28 @@
 //! - a row-axpy loop that adds `a[i,l]` times row `l` of B into row `i`
 //!   of the product, vectorised by the optimiser (and compiled a second
 //!   time for AVX2, picked when the CPU has it);
-//! - a 16-bit limb loop for AVX2, taken when B is narrow. A is split
-//!   into balanced 16-bit limbs `a_t` (`A ≡ Σ_t a_t·2^16t` mod 2^64,
-//!   each `a_t ∈ [−2^15, 2^15)`), each limb product `P_t = a_t·B` is
-//!   summed in `i32` lanes, and the product is `Σ_t (P_t as i64) << 16t`,
-//!   wrapping. `P_t` is exact when `max|B| < 2^15` and
-//!   `k·max|B| < 2^16`, since every partial sum is then below
-//!   `k·2^15·max|B| < 2^31`: the paper's 350-wide seeds in [-100, 100]
-//!   give 35,000, and the bound holds up to k = 655.
+//! - a 16-bit limb loop, taken when B is narrow. A is split into
+//!   balanced 16-bit limbs `a_t` (`A ≡ Σ_t a_t·2^16t` mod 2^64, each
+//!   `a_t ∈ [−2^15, 2^15)`), each limb product `P_t = a_t·B` is summed in
+//!   `i32` lanes, and the product is `Σ_t (P_t as i64) << 16t`, wrapping.
+//!   `P_t` is exact when `max|B| < 2^15` and `k·max|B| < 2^16`, since
+//!   every partial sum is then below `k·2^15·max|B| < 2^31`: the paper's
+//!   350-wide seeds in [-100, 100] give 35,000, and the bound holds up to
+//!   k = 655. It is written once over the vector width and compiled
+//!   twice: AVX-512 (tiles of twelve rows, one `zmm` a row, `vpdpwssd`)
+//!   and AVX2 (tiles of six rows, two `ymm` a row, `vpmaddwd`); the
+//!   set-up (B's panels, A's limb split, the plan's scans) and the
+//!   epilogue (each limb's sums widened, shifted and added) run in the
+//!   same vector lanes.
 //!
-//! [`Kernel::Blocked`] takes the limb loop whenever the operands allow
-//! it and the CPU has AVX2, with as few limbs as cover every entry of A;
-//! every other product runs the row-axpy loop. Its two bodies are written
-//! once over where the cells come from and where they go: a [`Matrix`]
-//! for [`matmul`], an encoding read in place and the product's encoding
-//! for [`crate::multiply_encoded`]. A product is written once, a row at a
-//! time and in order, from a scratch of one tile of rows; there is no
-//! `n × m` accumulator.
+//! [`Kernel::Blocked`] takes the limb loop of the widest body the CPU has
+//! whenever the operands allow it, with as few limbs as cover every entry
+//! of A; every other product runs the row-axpy loop. Its bodies are
+//! written once over where the cells come from and where they go: a
+//! [`Matrix`] for [`matmul`], an encoding read in place and the product's
+//! encoding for [`crate::multiply_encoded`]. A product is written once, a
+//! row at a time and in order, from a scratch of one tile of rows; there
+//! is no `n × m` accumulator.
 
 use crate::codec::put_cells;
 use crate::matrix::Matrix;
@@ -36,10 +41,10 @@ pub enum Kernel {
     /// baseline semantics).
     Naive,
     /// The 16-bit limb loop when B is narrow (`k·max|B| < 2^16`) and the
-    /// CPU has AVX2; otherwise row-axpy: row `i` of the product
-    /// accumulates `a[i,l]` times row `l` of B, so every access runs
-    /// along a row (vectorised; AVX2 when the CPU has it). Same bits on
-    /// every path.
+    /// CPU has AVX2 or AVX-512 (the widest it has); otherwise row-axpy:
+    /// row `i` of the product accumulates `a[i,l]` times row `l` of B, so
+    /// every access runs along a row (vectorised; AVX2 when the CPU has
+    /// it). Same bits on every path.
     #[default]
     Blocked,
 }
@@ -145,17 +150,60 @@ fn naive(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// [`Kernel::Blocked`]: append the `a.rows × b.cols` product to `out`, row
-/// by row. The caller has checked `a.cols == b.rows`.
-pub(crate) fn blocked<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+/// The body [`Kernel::Blocked`] runs: the widest this CPU has, read from
+/// its feature flags (DESIGN.md §9, "The two host reads"). Every body
+/// computes the same bits.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Body {
+    /// Row-axpy compiled for the baseline target.
+    Portable,
+    /// The limb loop in AVX2 (a panel row in two `ymm`, tiles of six rows)
+    /// where [`plan`] allows it, else row-axpy compiled for AVX2.
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: `blocked_avx2` needs nothing but AVX2, and the check
-        // above found it on this CPU.
-        unsafe { blocked_avx2(a, b, out) };
-        return;
+    Avx2,
+    /// The limb loop in AVX-512 with AVX-512BW and AVX-512 VNNI (a panel
+    /// row in one `zmm`, tiles of twelve rows) where [`plan`] allows it,
+    /// else the same AVX2 row-axpy as [`Body::Avx2`].
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Body {
+    /// The widest body this CPU runs.
+    pub(crate) fn detect() -> Body {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx512bw")
+                && is_x86_feature_detected!("avx512vnni")
+            {
+                return Body::Avx512;
+            }
+            if is_x86_feature_detected!("avx2") {
+                return Body::Avx2;
+            }
+        }
+        Body::Portable
     }
-    axpy_rows(a, b, out);
+}
+
+/// [`Kernel::Blocked`]: append the `a.rows × b.cols` product to `out`, row
+/// by row, with the body [`Body::detect`] names. The caller has checked
+/// `a.cols == b.rows`.
+pub(crate) fn blocked<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+    match Body::detect() {
+        // SAFETY: `Body::detect` names `Avx512` only where
+        // `is_x86_feature_detected!` found AVX-512F, AVX-512BW and AVX-512
+        // VNNI, all that `blocked_avx512` needs.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx512 => unsafe { blocked_avx512(a, b, out) },
+        // SAFETY: `Body::detect` names `Avx2` only where
+        // `is_x86_feature_detected!` found AVX2, all that `blocked_avx2`
+        // needs.
+        #[cfg(target_arch = "x86_64")]
+        Body::Avx2 => unsafe { blocked_avx2(a, b, out) },
+        Body::Portable => axpy_rows(a, b, out),
+    }
 }
 
 /// `out += a[i,l] · b[l,·]` for every `l`, one row `i` of the product at
@@ -188,7 +236,7 @@ fn axpy_rows<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink)
     }
 }
 
-/// Columns of B per packed panel of the limb loop: two vectors of eight
+/// Columns of B per packed panel of the limb loop: one vector row of 16
 /// `i32` lanes.
 const PANEL: usize = 16;
 
@@ -233,24 +281,50 @@ fn limbs_covering<C: Cell>(a: Operand<'_, C>) -> usize {
     (1..4).find(|&limbs| fits(limbs)).unwrap_or(4)
 }
 
-/// `Blocked` on an AVX2 CPU: the limb loop where [`plan`] allows it, else
-/// [`axpy_rows`] compiled for AVX2 (four `i64` lanes).
+/// Row-axpy compiled for AVX2 (four `i64` lanes): the fallback of both
+/// vector bodies. Never inlined, so the AVX-512 body's fallback is this
+/// same AVX2 build rather than a copy compiled for AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline(never)]
+fn axpy_avx2<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+    axpy_rows(a, b, out);
+}
+
+/// [`Body::Avx2`]: the limb loop where [`plan`] allows it, else
+/// [`axpy_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn blocked_avx2<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
     match plan(a, b) {
         Some(limbs) => limb::limbs_avx2(a, b, limbs, out),
-        None => axpy_rows(a, b, out),
+        None => axpy_avx2(a, b, out),
     }
 }
 
-/// The 16-bit limb loop. x86-64 only: its body is AVX2, and a CPU without
-/// AVX2 runs the portable row-axpy loop.
+/// [`Body::Avx512`]: the limb loop where [`plan`] allows it (the plan's
+/// scans compiled for AVX-512 too), else [`axpy_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+fn blocked_avx512<C: Cell>(a: Operand<'_, C>, b: Operand<'_, C>, out: &mut impl Sink) {
+    match plan(a, b) {
+        Some(limbs) => limb::limbs_avx512(a, b, limbs, out),
+        None => axpy_avx2(a, b, out),
+    }
+}
+
+/// The 16-bit limb loop, written once over the vector width (`Lanes`)
+/// and compiled twice: for AVX2 and for AVX-512. x86-64 only; a CPU with
+/// neither runs the portable row-axpy loop.
 #[cfg(target_arch = "x86_64")]
 mod limb {
     use std::arch::x86_64::{
-        _mm256_add_epi32, _mm256_loadu_si256, _mm256_madd_epi16, _mm256_set1_epi32,
-        _mm256_setzero_si256, _mm256_storeu_si256,
+        __m256i, __m512i, _mm256_add_epi32, _mm256_add_epi64, _mm256_castsi256_si128,
+        _mm256_cvtepi32_epi64, _mm256_extracti128_si256, _mm256_loadu_si256, _mm256_madd_epi16,
+        _mm256_set1_epi32, _mm256_setzero_si256, _mm256_sll_epi64, _mm256_storeu_si256,
+        _mm512_add_epi64, _mm512_castsi512_si256, _mm512_cvtepi32_epi64, _mm512_dpwssd_epi32,
+        _mm512_extracti64x4_epi64, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
+        _mm512_sll_epi64, _mm512_storeu_si512, _mm_cvtsi32_si128,
     };
 
     use super::{Cell, Operand, Sink, PANEL};
@@ -260,31 +334,202 @@ mod limb {
     /// next.
     const BIAS: u64 = 0x8000_8000_8000_8000;
 
-    /// Rows of A per register tile: two `i32` accumulators a row, so six
-    /// rows keep 12 in flight, and with the two B vectors and the
-    /// broadcast fill the 16 vector registers. Six measured faster than
+    /// Rows of A per AVX2 register tile: two `i32` accumulators a row, so
+    /// six rows keep 12 in flight, and with the two B vectors and the
+    /// broadcast fill the 16 `ymm` registers. Six measured faster than
     /// four at every limb count (EXPERIMENTS.md, "The task").
-    const TILE_ROWS: usize = 6;
+    const AVX2_ROWS: usize = 6;
+
+    /// Rows of A per AVX-512 register tile: one `zmm` accumulator a row.
+    /// Twelve measured no slower than sixteen or twenty-four
+    /// (EXPERIMENTS.md, "The task").
+    const AVX512_ROWS: usize = 12;
+
+    /// Digit pairs per block of a row: 32 digits, one 64-byte line.
+    const BLOCK: usize = 16;
+
+    /// One row's digit pairs in a block.
+    type Pairs = [[u16; 2]; BLOCK];
+
+    /// One panel row of 16 `i32` lanes in the vector registers of one
+    /// width, and the steps the limb loop takes with it. Every method is
+    /// always inlined into a function compiled for the width's features.
+    trait Lanes: Copy {
+        /// All lanes zero.
+        ///
+        /// # Safety
+        /// The CPU has this width's features.
+        unsafe fn zero() -> Self;
+
+        /// One row of a packed panel.
+        ///
+        /// # Safety
+        /// The CPU has this width's features.
+        unsafe fn load(row: &[i32; PANEL]) -> Self;
+
+        /// `self` plus, in each `i32` lane, the dot product of the two
+        /// `i16` halves of `x` with those of `b`'s lane: exact, since the
+        /// limb bound keeps every partial sum inside `i32`.
+        ///
+        /// # Safety
+        /// The CPU has this width's features.
+        unsafe fn madd(self, x: i32, b: Self) -> Self;
+
+        /// `sum[j] += (self[j] as i64) << shift`, wrapping, in vector
+        /// lanes (`vpmovsxdq`, `vpsllq`, `vpaddq`).
+        ///
+        /// # Safety
+        /// The CPU has this width's features.
+        unsafe fn add_shifted(self, shift: u32, sum: &mut [i64; PANEL]);
+    }
+
+    /// AVX2: a panel row in two `ymm` of eight lanes; `madd` is
+    /// `vpmaddwd` then `vpaddd`.
+    impl Lanes for [__m256i; 2] {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY: the caller vouches for AVX2.
+            unsafe { [_mm256_setzero_si256(); 2] }
+        }
+
+        #[inline(always)]
+        unsafe fn load(row: &[i32; PANEL]) -> Self {
+            // SAFETY: the caller vouches for AVX2; `row` is 64 bytes, each
+            // load reads one 32-byte half, and `loadu` needs no alignment.
+            unsafe {
+                [
+                    _mm256_loadu_si256(row.as_ptr().cast()),
+                    _mm256_loadu_si256(row[8..].as_ptr().cast()),
+                ]
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn madd(self, x: i32, b: Self) -> Self {
+            // SAFETY: the caller vouches for AVX2.
+            unsafe {
+                let x = _mm256_set1_epi32(x);
+                [
+                    _mm256_add_epi32(self[0], _mm256_madd_epi16(x, b[0])),
+                    _mm256_add_epi32(self[1], _mm256_madd_epi16(x, b[1])),
+                ]
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn add_shifted(self, shift: u32, sum: &mut [i64; PANEL]) {
+            // SAFETY: the caller vouches for AVX2; `sum` is 128 bytes, each
+            // load and store touches one 32-byte quarter of it, and
+            // `loadu`/`storeu` need no alignment.
+            unsafe {
+                let count = _mm_cvtsi32_si128(shift as i32);
+                let wide = [
+                    _mm256_cvtepi32_epi64(_mm256_castsi256_si128(self[0])),
+                    _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(self[0])),
+                    _mm256_cvtepi32_epi64(_mm256_castsi256_si128(self[1])),
+                    _mm256_cvtepi32_epi64(_mm256_extracti128_si256::<1>(self[1])),
+                ];
+                for (quarter, wide) in sum.chunks_exact_mut(4).zip(wide) {
+                    let at = quarter.as_mut_ptr().cast();
+                    let s = _mm256_add_epi64(_mm256_loadu_si256(at), _mm256_sll_epi64(wide, count));
+                    _mm256_storeu_si256(at, s);
+                }
+            }
+        }
+    }
+
+    /// AVX-512: a panel row in one `zmm` of sixteen lanes; `madd` is one
+    /// `vpdpwssd` (AVX-512 VNNI), the same sums as `vpmaddwd` then
+    /// `vpaddd` in one instruction.
+    impl Lanes for __m512i {
+        #[inline(always)]
+        unsafe fn zero() -> Self {
+            // SAFETY: the caller vouches for AVX-512F.
+            unsafe { _mm512_setzero_si512() }
+        }
+
+        #[inline(always)]
+        unsafe fn load(row: &[i32; PANEL]) -> Self {
+            // SAFETY: the caller vouches for AVX-512F; `row` is the 64
+            // bytes the load reads, and `loadu` needs no alignment.
+            unsafe { _mm512_loadu_si512(row.as_ptr().cast()) }
+        }
+
+        #[inline(always)]
+        unsafe fn madd(self, x: i32, b: Self) -> Self {
+            // SAFETY: the caller vouches for AVX-512F and AVX-512 VNNI.
+            unsafe { _mm512_dpwssd_epi32(self, _mm512_set1_epi32(x), b) }
+        }
+
+        #[inline(always)]
+        unsafe fn add_shifted(self, shift: u32, sum: &mut [i64; PANEL]) {
+            // SAFETY: the caller vouches for AVX-512F; `sum` is 128 bytes,
+            // each load and store touches one 64-byte half of it, and
+            // `loadu`/`storeu` need no alignment.
+            unsafe {
+                let count = _mm_cvtsi32_si128(shift as i32);
+                let wide = [
+                    _mm512_cvtepi32_epi64(_mm512_castsi512_si256(self)),
+                    _mm512_cvtepi32_epi64(_mm512_extracti64x4_epi64::<1>(self)),
+                ];
+                for (half, wide) in sum.chunks_exact_mut(8).zip(wide) {
+                    let at = half.as_mut_ptr().cast();
+                    let s = _mm512_add_epi64(_mm512_loadu_si512(at), _mm512_sll_epi64(wide, count));
+                    _mm512_storeu_si512(at, s);
+                }
+            }
+        }
+    }
+
+    /// The limb loop for AVX2: see [`limbs_in`].
+    #[target_feature(enable = "avx2")]
+    pub(super) fn limbs_avx2<C: Cell>(
+        a: Operand<'_, C>,
+        b: Operand<'_, C>,
+        limbs: usize,
+        out: &mut impl Sink,
+    ) {
+        // SAFETY: this function runs only where the CPU has AVX2, all that
+        // the `[__m256i; 2]` lanes use.
+        unsafe { limbs_in::<C, [__m256i; 2], AVX2_ROWS>(a, b, limbs, out) }
+    }
+
+    /// The limb loop for AVX-512: see [`limbs_in`].
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    pub(super) fn limbs_avx512<C: Cell>(
+        a: Operand<'_, C>,
+        b: Operand<'_, C>,
+        limbs: usize,
+        out: &mut impl Sink,
+    ) {
+        // SAFETY: this function runs only where the CPU has AVX-512F,
+        // AVX-512BW and AVX-512 VNNI, all that the `__m512i` lanes use.
+        unsafe { limbs_in::<C, __m512i, AVX512_ROWS>(a, b, limbs, out) }
+    }
 
     /// Two `i16` lanes of one `i32`, `lo` first, as the step reads them.
+    #[inline(always)]
     fn pair(lo: u16, hi: u16) -> i32 {
         (u32::from(lo) | u32::from(hi) << 16) as i32
     }
 
     /// The limb loop: append `a × b`, exact and wrapping, to `out`, for a B
     /// inside the bound of [`super::sums_fit_i32`] and `limbs` limbs that
-    /// cover every entry of A.
+    /// cover every entry of A, in tiles of `R` rows.
     ///
-    /// B is packed once into panels of 16 columns, each a run of pair-rows
-    /// `(b[2p,j], b[2p+1,j])` in `i16` (a zero row pads an odd `k`). A is
-    /// never copied: a tile of [`TILE_ROWS`] rows at a time has its limb pairs
-    /// `(a_t[i,2p], a_t[i,2p+1])` computed into a fixed scratch of
-    /// `TILE_ROWS·limbs·⌈k/2⌉` words, which [`tile`] broadcasts against each
-    /// panel in turn (a panel is 11 KB at k = 350, so it stays in L1). Each
-    /// panel's finished cells go into a strip of the tile's rows, and the
-    /// strip's rows into `out`.
-    #[target_feature(enable = "avx2")]
-    pub(super) fn limbs_avx2<C: Cell>(
+    /// B is packed once ([`pack`]). A is never copied: a tile of `R` rows
+    /// at a time has its balanced digits written into a fixed scratch
+    /// ([`split`]), and [`tile`] broadcasts its digit pairs against each
+    /// panel in turn (a panel is 11 KB at k = 350, so it stays in L1).
+    /// Each panel's finished cells go into a strip of the tile's rows, and
+    /// the strip's rows into `out`.
+    ///
+    /// # Safety
+    /// The CPU has the features of `L`. Always inlined into the
+    /// `#[target_feature]` function of that width, so the whole body,
+    /// set-up included, compiles for it.
+    #[inline(always)]
+    unsafe fn limbs_in<C: Cell, L: Lanes, const R: usize>(
         a: Operand<'_, C>,
         b: Operand<'_, C>,
         limbs: usize,
@@ -295,106 +540,125 @@ mod limb {
             return super::axpy_rows(a, b, out);
         }
         let steps = k.div_ceil(2);
-        let mut panels = vec![0; m.div_ceil(PANEL) * steps * PANEL];
-        // Truncating to `u16` keeps every entry: B fits `i16`.
-        for (p, rows) in b.cells.chunks(2 * m).enumerate() {
-            let (row0, row1) = rows.split_at(m);
-            for (j, x) in row0.iter().enumerate() {
-                let y = row1.get(j).map_or(0, |y| y.value());
-                panels[((j / PANEL) * steps + p) * PANEL + j % PANEL] =
-                    pair(x.value() as u16, y as u16);
-            }
-        }
-        let mut pairs = vec![0; TILE_ROWS * limbs * steps];
-        let mut strip = vec![0; TILE_ROWS * m];
-        for a_tile in a.cells.chunks(TILE_ROWS * k) {
+        let panels = pack(b, steps);
+        let blocks = steps.div_ceil(BLOCK);
+        let mut digits = vec![[[[0; 2]; BLOCK]; R]; limbs * blocks];
+        let mut strip = vec![0; R * m];
+        for a_tile in a.cells.chunks(R * k) {
             let rows = a_tile.len() / k;
-            // Limb pairs laid out `[t][p][row]`: one step of a tile reads its
-            // rows' words side by side.
-            let pairs = &mut pairs[..rows * limbs * steps];
             for (r, a_row) in a_tile.chunks_exact(k).enumerate() {
-                for (p, xs) in a_row.chunks(2).enumerate() {
-                    let y0 = (xs[0].value() as u64).wrapping_add(BIAS);
-                    let y1 = xs
-                        .get(1)
-                        .map_or(BIAS, |x| (x.value() as u64).wrapping_add(BIAS));
-                    for t in 0..limbs {
-                        let digit = |y: u64| (y >> (16 * t)) as u16 ^ 0x8000;
-                        pairs[(t * steps + p) * rows + r] = pair(digit(y0), digit(y1));
-                    }
-                }
+                split(a_row, r, &mut digits, blocks);
             }
             let strip = &mut strip[..rows * m];
-            for (c, panel) in panels.chunks_exact(steps * PANEL).enumerate() {
-                // SAFETY: this function runs only where the CPU has AVX2.
-                unsafe {
-                    match rows {
-                        6 => tile::<6>(pairs, panel, strip, m, c * PANEL),
-                        5 => tile::<5>(pairs, panel, strip, m, c * PANEL),
-                        4 => tile::<4>(pairs, panel, strip, m, c * PANEL),
-                        3 => tile::<3>(pairs, panel, strip, m, c * PANEL),
-                        2 => tile::<2>(pairs, panel, strip, m, c * PANEL),
-                        _ => tile::<1>(pairs, panel, strip, m, c * PANEL),
-                    }
+            for (c, panel) in panels.chunks_exact(steps).enumerate() {
+                let j0 = c * PANEL;
+                let cols = PANEL.min(m - j0);
+                let mut put = |r: usize, sum: &[i64; PANEL]| {
+                    strip[r * m + j0..][..cols].copy_from_slice(&sum[..cols]);
+                };
+                if rows == R {
+                    // SAFETY: the caller vouches for `L`'s features.
+                    let sums = unsafe { tile::<L, R>(limbs, |i| &digits[i], panel) };
+                    sums.iter().enumerate().for_each(|(r, sum)| put(r, sum));
+                } else {
+                    // The last, partial tile: a row at a time.
+                    (0..rows).for_each(|r| {
+                        let row = |i: usize| std::array::from_ref(&digits[i][r]);
+                        // SAFETY: the caller vouches for `L`'s features.
+                        let [sum] = unsafe { tile::<L, 1>(limbs, row, panel) };
+                        put(r, &sum);
+                    });
                 }
             }
             strip.chunks_exact(m).for_each(|row| out.put_row(row));
         }
     }
 
+    /// B packed into panels of 16 columns, panel `c`'s pair-row `p` at
+    /// `c·steps + p`: `(b[2p,j], b[2p+1,j])` for its columns `j`, as two
+    /// `i16` halves of an `i32` (truncating to `u16` keeps every entry: B
+    /// fits `i16`). A zero row pads an odd `k`, and zero columns a partial
+    /// last panel.
+    #[inline(always)]
+    fn pack<C: Cell>(b: Operand<'_, C>, steps: usize) -> Vec<[i32; PANEL]> {
+        let m = b.cols;
+        let mut panels = vec![[0; PANEL]; m.div_ceil(PANEL) * steps];
+        for (p, rows) in b.cells.chunks(2 * m).enumerate() {
+            let (row0, row1) = rows.split_at(m);
+            let (whole0, _) = row0.as_chunks::<PANEL>();
+            let (whole1, _) = row1.as_chunks::<PANEL>();
+            for (c, dst) in panels.iter_mut().skip(p).step_by(steps).enumerate() {
+                let cell = |row: &[C], j: usize| row.get(c * PANEL + j).map_or(0, |x| x.value());
+                *dst = match (whole0.get(c), whole1.get(c)) {
+                    (Some(x0), Some(x1)) => {
+                        std::array::from_fn(|j| pair(x0[j].value() as u16, x1[j].value() as u16))
+                    }
+                    _ => std::array::from_fn(|j| pair(cell(row0, j) as u16, cell(row1, j) as u16)),
+                };
+            }
+        }
+        panels
+    }
+
+    /// Row `r` of a tile of A split into its balanced limbs: limb `t`'s
+    /// block `q` (cells `32q..32q + 32`) goes to `digits[t·blocks + q][r]`,
+    /// a plain loop over cells that the optimiser turns into vector lanes.
+    /// A partial last block leaves its other digits as they were: the pad
+    /// digit of an odd `k` meets B's zero pad row, and the tile reads no
+    /// pair past `k`.
+    #[inline(always)]
+    fn split<C: Cell, const R: usize>(
+        a_row: &[C],
+        r: usize,
+        digits: &mut [[Pairs; R]],
+        blocks: usize,
+    ) {
+        for (t, limb) in digits.chunks_exact_mut(blocks).enumerate() {
+            for (block, cells) in limb.iter_mut().zip(a_row.chunks(2 * BLOCK)) {
+                for (d, x) in block[r].as_flattened_mut().iter_mut().zip(cells) {
+                    *d = ((x.value() as u64).wrapping_add(BIAS) >> (16 * t)) as u16 ^ 0x8000;
+                }
+            }
+        }
+    }
+
     /// One `R × 16` tile, every limb: each limb product `P_t = a_t · panel`
-    /// is summed in `2R` `i32` accumulators (`vpmaddwd` then `vpaddd`), and
-    /// `(P_t as i64) << 16t` added, wrapping, into `R × 16` sums on the
-    /// stack; the finished sums are written once into `strip` (`R` rows of
-    /// width `m`) at column `j0`. `pairs` holds the tile's limb pairs
-    /// `[t][p][row]`.
+    /// is summed in `R` accumulators of 16 `i32` lanes ([`Lanes::madd`]),
+    /// then `(P_t as i64) << 16t` added, wrapping, into the `R × 16` sums
+    /// returned ([`Lanes::add_shifted`]). `block(t·blocks + q)` is block
+    /// `q` of limb `t`: [`BLOCK`] digit pairs of each of the tile's rows.
     ///
     /// # Safety
-    /// The CPU has AVX2. Always inlined into [`limbs_avx2`], so the
-    /// intrinsics compile for it.
+    /// The CPU has the features of `L`. Always inlined, so the intrinsics
+    /// compile for them.
     #[inline(always)]
-    unsafe fn tile<const R: usize>(
-        pairs: &[i32],
-        panel: &[i32],
-        strip: &mut [i64],
-        m: usize,
-        j0: usize,
-    ) {
-        let (b_rows, _) = panel.as_chunks::<PANEL>();
-        let mut sums = [[0i64; PANEL]; R];
-        for (t, limb) in pairs.chunks_exact(b_rows.len() * R).enumerate() {
-            // SAFETY (this block): the caller vouches for AVX2; `b_row` and `lanes` are `[i32; 16]`, 64 bytes, the
-            // loads and stores touch their two 32-byte halves, and
-            // `loadu`/`storeu` need no alignment.
+    unsafe fn tile<'d, L: Lanes, const R: usize>(
+        limbs: usize,
+        block: impl Fn(usize) -> &'d [Pairs; R],
+        panel: &[[i32; PANEL]],
+    ) -> [[i64; PANEL]; R] {
+        let mut sums = [[0; PANEL]; R];
+        let blocks = panel.len().div_ceil(BLOCK);
+        for t in 0..limbs {
+            // SAFETY (this block): the caller vouches for `L`'s features.
             unsafe {
-                let mut acc = [[_mm256_setzero_si256(); 2]; R];
-                let (steps, _) = limb.as_chunks::<R>();
-                for (xs, b_row) in steps.iter().zip(b_rows) {
-                    let b = [
-                        _mm256_loadu_si256(b_row.as_ptr().cast()),
-                        _mm256_loadu_si256(b_row[8..].as_ptr().cast()),
-                    ];
-                    for (acc, &x) in acc.iter_mut().zip(xs) {
-                        let x = _mm256_set1_epi32(x);
-                        for (acc, &b) in acc.iter_mut().zip(&b) {
-                            *acc = _mm256_add_epi32(*acc, _mm256_madd_epi16(x, b));
+                let mut acc = [L::zero(); R];
+                for (q, b_rows) in panel.chunks(BLOCK).enumerate() {
+                    let xs = block(t * blocks + q);
+                    for (p, b_row) in (0..BLOCK).zip(b_rows) {
+                        let b = L::load(b_row);
+                        for (acc, x) in acc.iter_mut().zip(xs) {
+                            let [lo, hi] = x[p];
+                            *acc = acc.madd(pair(lo, hi), b);
                         }
                     }
                 }
                 for (acc, sum) in acc.iter().zip(&mut sums) {
-                    let mut lanes = [0i32; PANEL];
-                    _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc[0]);
-                    _mm256_storeu_si256(lanes[8..].as_mut_ptr().cast(), acc[1]);
-                    for (s, &p) in sum.iter_mut().zip(&lanes) {
-                        *s = s.wrapping_add(i64::from(p) << (16 * t));
-                    }
+                    acc.add_shifted(16 * t as u32, sum);
                 }
             }
         }
-        let width = PANEL.min(m - j0);
-        for (sum, row) in sums.iter().zip(strip.chunks_exact_mut(m)) {
-            row[j0..j0 + width].copy_from_slice(&sum[..width]);
-        }
+        sums
     }
 }
 
@@ -410,9 +674,37 @@ mod tests {
         Matrix::random(r, c, &mut rng, -100, 100)
     }
 
-    /// `Blocked` equals `Naive`, and so does the limb body where the CPU
-    /// has AVX2, called directly at the fewest limbs that cover A and at
-    /// four, on both operand kinds: a `Matrix`'s cells into a `Matrix`, and
+    /// `a × b` by every limb body this CPU runs, each called directly:
+    /// AVX2, then AVX-512 where the CPU has it, so an AVX-512 CPU still
+    /// tests the AVX2 body.
+    #[cfg(target_arch = "x86_64")]
+    fn limb_products<C: Cell, S: Sink + Default>(
+        a: Operand<'_, C>,
+        b: Operand<'_, C>,
+        limbs: usize,
+    ) -> Vec<(Body, S)> {
+        let mut products = vec![];
+        if is_x86_feature_detected!("avx2") {
+            let mut out = S::default();
+            // SAFETY: `limbs_avx2` needs nothing but AVX2, and the check
+            // above found it on this CPU.
+            unsafe { limb::limbs_avx2(a, b, limbs, &mut out) };
+            products.push((Body::Avx2, out));
+        }
+        if Body::detect() == Body::Avx512 {
+            let mut out = S::default();
+            // SAFETY: `Body::detect` names `Avx512` only where
+            // `is_x86_feature_detected!` found AVX-512F, AVX-512BW and
+            // AVX-512 VNNI, all that `limbs_avx512` needs.
+            unsafe { limb::limbs_avx512(a, b, limbs, &mut out) };
+            products.push((Body::Avx512, out));
+        }
+        products
+    }
+
+    /// `Blocked` equals `Naive`, and so does every limb body the CPU has,
+    /// called directly at the fewest limbs that cover A and at four, on
+    /// both operand kinds: a `Matrix`'s cells into a `Matrix`, and
     /// encodings read in place into an encoding. B must be inside the limb
     /// bound; any shape goes, below one panel too.
     #[cfg(target_arch = "x86_64")]
@@ -420,21 +712,30 @@ mod tests {
         assert!(sums_fit_i32(a.cols(), b.operand()));
         let want = matmul(a, b, Kernel::Naive);
         assert_eq!(matmul(a, b, Kernel::Blocked), want);
-        if !is_x86_feature_detected!("avx2") {
-            return;
-        }
         let (ea, eb, ew) = (encode(a), encode(b), encode(&want));
         let (ea, eb) = (operand(&ea).unwrap(), operand(&eb).unwrap());
         for limbs in [limbs_covering(a.operand()), 4] {
-            let (mut out, mut in_place): (Vec<i64>, Vec<u8>) = (vec![], vec![]);
-            // SAFETY: `limbs_avx2` needs nothing but AVX2, and the check
-            // above found it on this CPU.
-            unsafe {
-                limb::limbs_avx2(a.operand(), b.operand(), limbs, &mut out);
-                limb::limbs_avx2(ea, eb, limbs, &mut in_place);
+            for (body, out) in limb_products::<_, Vec<i64>>(a.operand(), b.operand(), limbs) {
+                assert_eq!(out, want.as_slice(), "{body:?}, {limbs} limbs");
             }
-            assert_eq!(out, want.as_slice(), "{limbs} limbs");
-            assert_eq!(in_place, ew[12..], "in place, {limbs} limbs");
+            for (body, in_place) in limb_products::<_, Vec<u8>>(ea, eb, limbs) {
+                assert_eq!(in_place, ew[12..], "{body:?} in place, {limbs} limbs");
+            }
+        }
+    }
+
+    /// `Blocked` runs the widest body this CPU has, the last one the limb
+    /// tests call directly; run with `--nocapture` to see which.
+    #[test]
+    fn blocked_takes_the_widest_body() {
+        let body = Body::detect();
+        println!("Kernel::Blocked runs the {body:?} body on this CPU");
+        #[cfg(target_arch = "x86_64")]
+        {
+            let (a, b) = (random_matrix(3, 4, 0), random_matrix(4, 16, 1));
+            let bodies = limb_products::<_, Vec<i64>>(a.operand(), b.operand(), 1);
+            let widest = bodies.last().map_or(Body::Portable, |&(body, _)| body);
+            assert_eq!(body, widest);
         }
     }
 
@@ -653,13 +954,14 @@ mod tests {
             }
         }
 
-        /// The limb path agrees with `Naive` bit for bit: A over the full
-        /// range (four limbs) or narrow (one), B as wide as the limb bound
-        /// allows; odd and even `k`, row counts off the six-row tile, and
-        /// every width up to 37 (a partial panel, and below one).
+        /// Every limb body agrees with `Naive` bit for bit: A over the
+        /// full range (four limbs) or narrow (one), B as wide as the limb
+        /// bound allows; odd and even `k`, row counts off both tile heights
+        /// (six and twelve, and past two tiles), and every width up to 37
+        /// (a partial panel, and below one).
         #[test]
         #[cfg(target_arch = "x86_64")]
-        fn limbs_agree_prop(seed in 0u64..1000, n in 0usize..10, k in 0usize..40) {
+        fn limbs_agree_prop(seed in 0u64..1000, n in 0usize..26, k in 0usize..40) {
             let edge = widest_narrow(k);
             for (lo, hi) in [(i64::MIN, i64::MAX), (-edge, edge)] {
                 for m in 0..=37 {

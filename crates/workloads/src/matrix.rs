@@ -21,15 +21,6 @@ impl Matrix {
         }
     }
 
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m.data[i * n + i] = 1;
-        }
-        m
-    }
-
     /// Build from a row-major vector.
     ///
     /// # Panics
@@ -71,9 +62,22 @@ impl Matrix {
     pub fn as_slice(&self) -> &[i64] {
         &self.data
     }
+}
+
+/// Test-only constructions: the algebra the kernel tests check.
+#[cfg(test)]
+impl Matrix {
+    /// Identity matrix.
+    pub(crate) fn identity(n: usize) -> Self {
+        let mut m = Matrix::zeros(n, n);
+        for i in 0..n {
+            m.data[i * n + i] = 1;
+        }
+        m
+    }
 
     /// Transpose.
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         for r in 0..self.rows {
             for c in 0..self.cols {

@@ -117,7 +117,7 @@ mod tests {
         }
     }
 
-    /// Ragged shapes: row counts off the six-row tile, odd `k`,
+    /// Ragged shapes: row counts off both tile heights (six and twelve), odd `k`,
     /// widths off the 16-column panel and below it (row-axpy), and a wide
     /// B that falls back to row-axpy; A is drawn over the full range, so
     /// every limb runs.
