@@ -492,7 +492,7 @@ fn build_chain(
                         .invoke(from, SERVICE, Request::post("/", Bytes::from_static(b"x")))
                         .await
                     {
-                        Ok(resp) if resp.is_success() => Ok(resp.body),
+                        Ok(resp) if resp.is_success() => Ok(resp.body.to_bytes()),
                         Ok(resp) => Err(format!("{SERVICE}: http {}", resp.status)),
                         Err(e) => Err(e.to_string()),
                     }

@@ -13,7 +13,14 @@
 //! (the `bytes` shim's ownership rule) — so nothing ever writes the pool's
 //! pages and the kernel never backs them. `tests/bulk_rss.rs` holds the
 //! data path to that: staging and moving the tarball must not grow the
-//! process.
+//! process. Moving a blob by value moves its handle too: a request
+//! [`Body`](crate::Body) keeps the payloads it is given rather than copying
+//! them into one buffer.
+//!
+//! This pool is unlike the matrix encodings' free list in `swf-workloads`,
+//! which recycles buffers that are written and returns them through
+//! `Bytes::from_owner`: a window here is never written, so nothing is ever
+//! given back; the pool only grows.
 
 use std::cell::RefCell;
 

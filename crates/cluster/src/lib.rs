@@ -30,7 +30,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use disk::Disk;
 pub use error::ClusterError;
 pub use fs::SimFs;
-pub use http::{HttpStack, Request, Response};
+pub use http::{Body, HttpStack, Request, Response};
 pub use memory::{MemoryLease, MemoryPool};
 pub use network::{LinkQuality, Network, NodeId};
 pub use node::{Node, NodeSpec};

@@ -10,9 +10,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use bytes::Bytes;
-
-use swf_cluster::{MemoryLease, Node};
+use swf_cluster::{Body, MemoryLease, Node};
 use swf_simcore::{now, sleep, SimDuration};
 
 use crate::cgroup::ResourceLimits;
@@ -58,15 +56,12 @@ pub struct Workload {
     pub compute: SimDuration,
     /// Real computation executed at the virtual instant the compute window
     /// ends; its output becomes the task output.
-    pub run: Box<dyn FnOnce() -> Result<Bytes, String>>,
+    pub run: Box<dyn FnOnce() -> Result<Body, String>>,
 }
 
 impl Workload {
     /// A workload with modelled time and a real computation.
-    pub fn new(
-        compute: SimDuration,
-        run: impl FnOnce() -> Result<Bytes, String> + 'static,
-    ) -> Self {
+    pub fn new(compute: SimDuration, run: impl FnOnce() -> Result<Body, String> + 'static) -> Self {
         Workload {
             compute,
             run: Box::new(run),
@@ -75,15 +70,15 @@ impl Workload {
 
     /// Purely synthetic workload: charges time, returns empty output.
     pub fn synthetic(compute: SimDuration) -> Self {
-        Workload::new(compute, || Ok(Bytes::new()))
+        Workload::new(compute, || Ok(Body::new()))
     }
 }
 
 /// Result of an exec.
 #[derive(Clone, Debug)]
 pub struct ExecResult {
-    /// Task output bytes.
-    pub output: Bytes,
+    /// Task output: what the workload's computation returned.
+    pub output: Body,
     /// Time spent waiting for a CPU core.
     pub core_wait: SimDuration,
     /// Core time charged (compute scaled by the cgroup quota).
@@ -506,9 +501,9 @@ mod tests {
             rt.ensure_image(&image).await.unwrap();
             let id = rt.create(&image, ResourceLimits::default()).await.unwrap();
             rt.start(id).await.unwrap();
-            let w = Workload::new(secs(0.1), || Ok(Bytes::from(vec![1u8, 2, 3])));
+            let w = Workload::new(secs(0.1), || Ok(bytes::Bytes::from(vec![1u8, 2, 3]).into()));
             let r = rt.exec(id, w).await.unwrap();
-            assert_eq!(&r.output[..], &[1, 2, 3]);
+            assert_eq!(&r.output.to_bytes()[..], &[1, 2, 3]);
             let failing = Workload::new(secs(0.1), || Err("boom".into()));
             let err = rt.exec(id, failing).await.unwrap_err();
             assert_eq!(err, ContainerError::TaskFailed("boom".into()));

@@ -25,6 +25,11 @@ use crate::config::ExperimentConfig;
 /// its result instead. Errors are not remembered. Clones share the one
 /// entry, which lives as long as the last clone: one product and its
 /// operands per task, freed with the experiment that made it.
+///
+/// The same-storage shortcut is sound although encodings' buffers are
+/// recycled: a buffer goes back to `swf_workloads`' pool only when the
+/// last handle to it drops, and the entry holds handles to its operands,
+/// so no new encoding can be written where a remembered one lies.
 #[derive(Clone, Default)]
 pub struct MatmulTask {
     last: Rc<RefCell<Option<Product>>>,
@@ -248,6 +253,27 @@ mod tests {
             let back = task.multiply(a.clone(), b.clone()).unwrap();
             assert!(!shared(&back, &first));
             assert_eq!(back, first);
+        }
+    }
+
+    #[test]
+    fn remembered_operands_are_never_recycled() {
+        let task = MatmulTask::new();
+        let (a, b) = operands(350, "held");
+        let first = task.multiply(a.clone(), b.clone()).unwrap();
+        let a_at = a.as_ptr();
+        // Only the entry holds A now, and the pool has free buffers of
+        // its size.
+        drop((a, operands(350, "spare")));
+        let fresh: Vec<Bytes> = (0..3)
+            .map(|i| operands(350, &format!("new{i}")).0)
+            .collect();
+        for x in &fresh {
+            assert_ne!(x.as_ptr(), a_at, "a remembered operand's buffer was reused");
+            assert_ne!(x.as_ptr(), b.as_ptr());
+            let got = task.multiply(x.clone(), b.clone()).unwrap();
+            assert!(!shared(&got, &first), "a changed operand hits");
+            assert_eq!(got, naive(x, &b));
         }
     }
 

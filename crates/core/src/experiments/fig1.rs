@@ -78,11 +78,11 @@ fn docker_arm(config: &ExperimentConfig, n: usize) -> Result<(f64, f64), Experim
                 .run(
                     &bed.image,
                     TASK_LIMITS,
-                    Workload::new(compute, move || task.multiply(ea, eb)),
+                    Workload::new(compute, move || task.multiply(ea, eb).map(Into::into)),
                     PullPolicy::IfNotPresent,
                 )
                 .await?;
-            fs.write(out_name, report.exec.output).await;
+            fs.write(out_name, report.exec.output.to_bytes()).await;
             exec_time += report.exec.busy.as_secs_f64();
         }
         Ok(((now() - t0).as_secs_f64(), exec_time / n as f64))

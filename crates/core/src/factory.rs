@@ -412,6 +412,82 @@ mod tests {
         assert_eq!(job_error(container), "image tarball was not staged");
     }
 
+    /// The addresses of one call's inputs and of its output.
+    type Call = (Vec<*const u8>, *const u8);
+
+    /// Pass-by-value moves handles, not bytes: through the serverless and
+    /// container venues, the task's logic gets the staged files' own
+    /// buffers, and the buffer it returns is the wrapper's decoded output
+    /// and the stored output file.
+    #[test]
+    fn pass_by_value_copies_no_task_bytes() {
+        let calls: Rc<std::cell::RefCell<Vec<Call>>> = Rc::default();
+        let seen = Rc::clone(&calls);
+        let (staged, invoked, stored) =
+            harness::run(&ExperimentConfig::quick(), async move |bed| {
+                let logic = move |inputs: Vec<Bytes>| {
+                    let out: Vec<u8> = inputs
+                        .iter()
+                        .flat_map(|b| b.iter().rev().copied())
+                        .collect();
+                    let out = Bytes::from(out);
+                    let at = inputs.iter().map(|b| b.as_ptr()).collect();
+                    seen.borrow_mut().push((at, out.as_ptr()));
+                    Ok(vec![out])
+                };
+                let record =
+                    swf_pegasus::Transformation::new("record", swf_simcore::secs(0.1), logic);
+                crate::function::FunctionBuilder::new("record", bed.image.clone(), &record)
+                    .register(&bed.knative);
+                bed.knative
+                    .wait_ready("record", 1, swf_simcore::secs(3600.0))
+                    .await
+                    .unwrap();
+                let (a, b) = crate::builder::input_pair(&bed.config, "no-copy");
+                let fs = bed.cluster.shared_fs();
+                fs.stage("a.mat", a.clone());
+                fs.stage("b.mat", b.clone());
+                let factory = bed.factory().0;
+                let node = &bed.cluster.nodes()[0];
+                let invoked = factory
+                    .invoke(node, SpanContext::NONE, "record", &[a.clone(), b.clone()])
+                    .await
+                    .unwrap();
+                let mut stored = Vec::new();
+                for env in [ExecEnv::Serverless, ExecEnv::Container] {
+                    let out = format!("{env:?}.out");
+                    let task = PlannedTask {
+                        name: "t".into(),
+                        inputs: vec!["a.mat".into(), "b.mat".into()],
+                        outputs: vec![out.clone()],
+                        compute: record.compute,
+                        logic: Rc::clone(&record.logic),
+                        container_image: None,
+                        env,
+                        clustered: 1,
+                        transformation: "record".into(),
+                    };
+                    let spec = factory.build(&task).with_outputs(task.outputs.clone());
+                    let id = bed.condor.submit(spec);
+                    assert!(bed.condor.wait(id).await.unwrap().success, "{env:?}");
+                    stored.push(fs.read(&out).await.unwrap().as_ptr());
+                }
+                ([a.as_ptr(), b.as_ptr()], invoked[0].as_ptr(), stored)
+            })
+            .0;
+        let calls = calls.borrow();
+        assert_eq!(calls.len(), 3, "one direct invocation and two jobs");
+        for (inputs, _) in calls.iter() {
+            assert_eq!(inputs[..], staged[..], "the logic got copies of its inputs");
+        }
+        assert_eq!(invoked, calls[0].1, "the wrapper decoded a copy");
+        assert_eq!(
+            stored,
+            [calls[1].1, calls[2].1],
+            "a stored output is a copy"
+        );
+    }
+
     /// Each venue's spans under its job's execute span: name, category,
     /// start and end (virtual seconds).
     #[test]

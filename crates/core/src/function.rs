@@ -8,7 +8,7 @@
 
 use bytes::Bytes;
 
-use swf_cluster::Request;
+use swf_cluster::{Body, Request};
 use swf_container::{ImageRef, ResourceLimits, Workload};
 use swf_knative::{KService, Knative};
 use swf_pegasus::Transformation;
@@ -71,7 +71,7 @@ impl FunctionBuilder {
     /// Register with Knative: the paper's manual pre-execution step.
     /// The handler decodes the pass-by-value payload (all input files are
     /// in the request body), charges the modelled compute, runs the real
-    /// logic, and returns the concatenated outputs.
+    /// logic, and returns its outputs as one list body.
     pub fn register(self, knative: &Knative) {
         let ksvc = KService::new(&self.service_name, self.image)
             .with_container_concurrency(self.container_concurrency)
@@ -104,23 +104,22 @@ impl FunctionBuilder {
     }
 }
 
-/// Encode a list of payloads into one body: a request's inputs
-/// (pass-by-value invocation, §IV-3) or a response's outputs.
-pub fn encode_payload(inputs: &[Bytes]) -> Bytes {
-    use bytes::BufMut;
-    let total: usize = inputs.iter().map(|b| 8 + b.len()).sum();
-    let mut buf = bytes::BytesMut::with_capacity(4 + total);
-    buf.put_u32_le(inputs.len() as u32);
-    for b in inputs {
-        buf.put_u64_le(b.len() as u64);
-        buf.put_slice(b);
-    }
-    buf.freeze()
+/// Put a list of payloads into one body: a request's inputs
+/// (pass-by-value invocation, §IV-3) or a response's outputs. The body
+/// holds the payloads' own buffers and is charged as their encoding
+/// ([`Body::len`]); no byte of them is copied.
+pub fn encode_payload(inputs: &[Bytes]) -> Body {
+    Body::list(inputs)
 }
 
-/// Decode a body written by [`encode_payload`] into its payloads.
-pub fn decode_payload(mut data: Bytes) -> Result<Vec<Bytes>, String> {
+/// The payloads of a body made by [`encode_payload`], as they were put
+/// in; an opaque body is parsed as that encoding.
+pub fn decode_payload(body: Body) -> Result<Vec<Bytes>, String> {
     use bytes::Buf;
+    if let Some(payloads) = body.payloads() {
+        return Ok(payloads.to_vec());
+    }
+    let mut data = body.to_bytes();
     if data.len() < 4 {
         return Err("payload too short".into());
     }
@@ -160,46 +159,59 @@ pub fn register_matmul(knative: &Knative, config: &ExperimentConfig) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn payload_roundtrip() {
-        let inputs = vec![
+    fn inputs() -> Vec<Bytes> {
+        vec![
             Bytes::from_static(b"alpha"),
             Bytes::new(),
             Bytes::from(vec![9u8; 1000]),
-        ];
-        let enc = encode_payload(&inputs);
-        let dec = decode_payload(enc).unwrap();
+        ]
+    }
+
+    #[test]
+    fn payload_roundtrip() {
+        let inputs = inputs();
+        let dec = decode_payload(encode_payload(&inputs)).unwrap();
         assert_eq!(dec, inputs);
+        for (d, i) in dec.iter().zip(&inputs) {
+            assert_eq!(d.as_ptr(), i.as_ptr(), "decoding a list copied a payload");
+        }
+    }
+
+    #[test]
+    fn a_rendered_payload_decodes_to_equal_payloads() {
+        let inputs = inputs();
+        let body = encode_payload(&inputs);
+        let wire = body.to_bytes();
+        assert_eq!(wire.len(), body.len());
+        assert_eq!(wire.len(), 4 + 3 * 8 + 5 + 1000);
+        assert_eq!(decode_payload(Body::from(wire)).unwrap(), inputs);
+    }
+
+    /// An opaque body with these bytes, decoded.
+    fn decode_opaque(wire: &'static [u8]) -> Result<Vec<Bytes>, String> {
+        decode_payload(Body::from(Bytes::from_static(wire)))
     }
 
     #[test]
     fn payload_bad_inputs() {
-        assert!(decode_payload(Bytes::from_static(b"xx")).is_err());
+        assert_eq!(decode_opaque(b"xx").unwrap_err(), "payload too short");
         // Claim 2 items but provide none.
-        let enc = {
-            use bytes::BufMut;
-            let mut b = bytes::BytesMut::new();
-            b.put_u32_le(2);
-            b.freeze()
-        };
-        assert!(decode_payload(enc).is_err());
+        assert_eq!(
+            decode_opaque(&[2, 0, 0, 0]).unwrap_err(),
+            "payload truncated at item 0"
+        );
         // Item length beyond buffer.
-        let enc = {
-            use bytes::BufMut;
-            let mut b = bytes::BytesMut::new();
-            b.put_u32_le(1);
-            b.put_u64_le(100);
-            b.put_slice(b"short");
-            b.freeze()
-        };
-        assert!(decode_payload(enc).is_err());
+        assert_eq!(
+            decode_opaque(b"\x01\0\0\0\x64\0\0\0\0\0\0\0short").unwrap_err(),
+            "payload item 0 truncated"
+        );
     }
 
     #[test]
     fn huge_item_count_is_an_error_not_an_abort() {
         // A count of u32::MAX items in a 4-byte body: reserving that many
         // slots up front fails the allocation and aborts the process.
-        let err = decode_payload(Bytes::from_static(&[0xff; 4])).unwrap_err();
+        let err = decode_opaque(&[0xff; 4]).unwrap_err();
         assert_eq!(err, "payload truncated at item 0");
     }
 }

@@ -13,7 +13,10 @@
 //!    `min-scale` pre-staging and `initial-scale: 0` deferred downloads.
 //! 3. **File management** — [`function::encode_payload`] passes input files
 //!    by value inside the invocation request; outputs return in the
-//!    response and are written back by the wrapper.
+//!    response and are written back by the wrapper. The body
+//!    ([`swf_cluster::Body`]) keeps the files' own buffers and is charged
+//!    as their encoding's length: the transfer is modelled, the bytes are
+//!    not copied.
 //! 4. **Transparent invocation** — [`factory::IntegratedFactory`] rewrites
 //!    planned jobs into wrapper tasks that HTCondor schedules onto workers,
 //!    which then synchronously invoke the pre-registered function.

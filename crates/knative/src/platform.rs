@@ -209,7 +209,7 @@ mod tests {
                     )
                     .await
                     .unwrap();
-                assert_eq!(&resp.body[..], &[i]);
+                assert_eq!(&resp.body.to_bytes()[..], &[i]);
             }
             let per_task = (now() - t0).as_secs_f64() / 10.0;
             // Warm per-task ≈ compute + ~0.02 s (Fig. 1 calibration).
@@ -485,7 +485,7 @@ mod tests {
                 .await
                 .unwrap();
             assert!(resp.is_success());
-            assert_eq!(&resp.body[..], b"b");
+            assert_eq!(&resp.body.to_bytes()[..], b"b");
             let healed = kn.k8s().api().pods().get(&pod.meta.name).unwrap();
             assert_eq!(healed.status.restart_count, 1);
         });

@@ -163,10 +163,7 @@ impl QueueProxy {
             swf_obs::current().counter_add("knative.queue_proxy_shed", 1);
             return Response {
                 status: 503,
-                body: bytes::Bytes::from(format!(
-                    "overloaded: queue-proxy at capacity {}",
-                    self.capacity
-                )),
+                body: format!("overloaded: queue-proxy at capacity {}", self.capacity).into(),
             };
         }
         self.pending.set(self.pending.get() + 1);
@@ -215,7 +212,7 @@ impl QueueProxy {
             // Mid-restart: the pod currently has no backing container.
             return Response {
                 status: 503,
-                body: bytes::Bytes::from(format!("no backing container for {}", self.service)),
+                body: format!("no backing container for {}", self.service).into(),
             };
         };
         let workload = (self.handler)(request);
@@ -223,13 +220,13 @@ impl QueueProxy {
             // The function itself failed: a real 500, never retried.
             Err(swf_container::ContainerError::TaskFailed(e)) => Response {
                 status: 500,
-                body: bytes::Bytes::from(e),
+                body: e.into(),
             },
             // The container is gone or not running (crashed under the
             // request): retryable unavailability, not an app failure.
             Err(e) => Response {
                 status: 503,
-                body: bytes::Bytes::from(format!("container unavailable: {e}")),
+                body: format!("container unavailable: {e}").into(),
             },
             Ok(result) => Response::ok(result.output),
         }
@@ -318,7 +315,7 @@ mod tests {
                     .await
                     .unwrap();
                 assert!(resp.is_success());
-                assert_eq!(&resp.body[..], &[i]);
+                assert_eq!(&resp.body.to_bytes()[..], &[i]);
             }
             let elapsed = (swf_simcore::now() - t0).as_secs_f64();
             // 5 × (compute 0.458 + ~0.01 overhead): container reused, no
@@ -398,7 +395,7 @@ mod tests {
     fn the_pod_runs_the_workload_the_handler_builds() {
         let handler: Handler = Rc::new(|req| {
             let n = req.body.len();
-            Workload::new(secs(0.1), move || Ok(Bytes::from(vec![n as u8])))
+            Workload::new(secs(0.1), move || Ok(Bytes::from(vec![n as u8]).into()))
         });
         let (sim, env) = boot(0, handler);
         let env2 = Rc::clone(&env);
@@ -417,7 +414,7 @@ mod tests {
                 )
                 .await
                 .unwrap();
-            assert_eq!(&resp.body[..], &[3]);
+            assert_eq!(&resp.body.to_bytes()[..], &[3]);
             // The handler's compute is charged, plus the proxy overhead.
             let elapsed = (swf_simcore::now() - t0).as_secs_f64();
             assert!((0.1..0.15).contains(&elapsed), "elapsed {elapsed}");

@@ -171,7 +171,7 @@ impl Router {
                             // broken — a transport success for the breaker.
                             breaker.record(permit, true);
                             return Err(KnativeError::FunctionFailed(
-                                String::from_utf8_lossy(&resp.body).to_string(),
+                                String::from_utf8_lossy(&resp.body.to_bytes()).to_string(),
                             ));
                         }
                         Some(Ok(resp)) if resp.status == 503 => {
@@ -180,7 +180,7 @@ impl Router {
                             breaker.record(permit, false);
                             obs.counter_add("knative.overloaded_503", 1);
                             last_was_overload = true;
-                            String::from_utf8_lossy(&resp.body).to_string()
+                            String::from_utf8_lossy(&resp.body.to_bytes()).to_string()
                         }
                         Some(Ok(resp)) => {
                             breaker.record(permit, true);

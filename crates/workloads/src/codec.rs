@@ -17,6 +17,7 @@ use swf_simcore::DetRng;
 
 use crate::matmul::Operand;
 use crate::matrix::Matrix;
+use crate::pool::{self, Buffer};
 
 /// Magic prefix of encoded matrices.
 pub const MAGIC: &[u8; 4] = b"SWFM";
@@ -73,9 +74,11 @@ pub fn cells(region: &[u8]) -> impl Iterator<Item = [u8; 8]> + '_ {
 }
 
 /// An empty encoding of a `rows × cols` matrix: its header, with capacity
-/// reserved for every cell.
-pub(crate) fn with_header(rows: usize, cols: usize) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
+/// reserved for every cell. This is where every encoding is allocated: a
+/// large one takes a recycled buffer (`crate::pool`), and its
+/// [`Buffer::freeze`] gives the buffer back when the last handle drops.
+pub(crate) fn with_header(rows: usize, cols: usize) -> Buffer {
+    let mut buf = pool::take(
         rows.saturating_mul(cols)
             .saturating_mul(8)
             .saturating_add(12),
@@ -92,7 +95,7 @@ pub(crate) fn with_header(rows: usize, cols: usize) -> Vec<u8> {
 pub fn encode(m: &Matrix) -> Bytes {
     let mut buf = with_header(m.rows(), m.cols());
     put_cells(&mut buf, m.as_slice().iter().map(|v| v.to_le_bytes()));
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// A random `rows × cols` matrix with entries in `[lo, hi]`, drawn straight
@@ -105,7 +108,7 @@ pub fn random(rows: usize, cols: usize, rng: &mut DetRng, lo: i64, hi: i64) -> B
         &mut buf,
         (0..rows * cols).map(|_| draws.draw().to_le_bytes()),
     );
-    Bytes::from(buf)
+    buf.freeze()
 }
 
 /// An encoding as a kernel operand: the header checked against the

@@ -17,7 +17,10 @@
 //! operands in place in their encodings and writes each byte of the
 //! product's encoding once, with no decoded copy and no `n × m`
 //! accumulator, and [`codec::random`] draws a seed matrix straight into
-//! its file.
+//! its file. Every encoding of 64 KiB or more takes its buffer from a
+//! thread-local free list and gives it back when its last handle drops,
+//! so a paper-scale pass faults its megabyte buffers in once; the list
+//! never holds more than the most its buffers were ever live at once.
 //!
 //! The kernel is un-memoised on purpose: every call of
 //! [`multiply_encoded`] computes its product into a buffer of its own,
@@ -34,6 +37,7 @@ pub mod codec;
 pub mod generator;
 pub mod matmul;
 pub mod matrix;
+mod pool;
 pub mod task;
 
 pub use codec::{decode, encode, encoded_size, CodecError};

@@ -27,8 +27,8 @@ pub fn multiply_encoded(a: Bytes, b: Bytes, kernel: Kernel) -> Result<Bytes, Str
         Kernel::Naive => encode(&matmul(&to_matrix(a), &to_matrix(b), Kernel::Naive)),
         Kernel::Blocked => {
             let mut out = with_header(a.rows, b.cols);
-            blocked(a, b, &mut out);
-            Bytes::from(out)
+            blocked(a, b, &mut *out);
+            out.freeze()
         }
     })
 }

@@ -46,7 +46,7 @@ fn main() {
                 .invoke(NodeId(0), "svc", Request::post("/", Bytes::from(vec![i])))
                 .await
                 .expect("service must keep serving through node loss");
-            assert_eq!(&resp.body[..], &[i]);
+            assert_eq!(&resp.body.to_bytes()[..], &[i]);
             ok += 1;
             sleep(secs(0.5)).await;
         }

@@ -32,9 +32,9 @@ fn main() {
             |req| {
                 let payload = req.body.clone();
                 swf_container::Workload::new(secs(0.458), move || {
-                    let m = decode(payload).map_err(|e| e.to_string())?;
+                    let m = decode(payload.to_bytes()).map_err(|e| e.to_string())?;
                     let sq = matmul(&m, &m, Kernel::Blocked);
-                    Ok(encode(&sq))
+                    Ok(encode(&sq).into())
                 })
             },
         );
@@ -61,7 +61,7 @@ fn main() {
             "cold invocation: {:.3}s (paper cold start: 1.48s + compute)",
             (now() - t0).as_secs_f64()
         );
-        let product = decode(resp.body).expect("valid matrix");
+        let product = decode(resp.body.to_bytes()).expect("valid matrix");
         assert_eq!(product, matmul(&m, &m, Kernel::Blocked));
 
         // 4. ...and warm requests reuse the same container.

@@ -82,7 +82,7 @@ fn router_survives_pod_deletion_between_requests() {
                 .invoke(NodeId(0), "svc", Request::post("/", Bytes::from(vec![i])))
                 .await
                 .expect("invocation survives churn");
-            assert_eq!(&resp.body[..], &[i]);
+            assert_eq!(&resp.body.to_bytes()[..], &[i]);
         }
         // The deployment heals back to min-scale.
         swf_simcore::sleep(secs(60.0)).await;
@@ -155,7 +155,7 @@ fn node_failure_fails_over_function_pods_and_service_recovers() {
                 )
                 .await
                 .expect("service survives node loss");
-            assert_eq!(&resp.body[..], &[i]);
+            assert_eq!(&resp.body.to_bytes()[..], &[i]);
         }
         // Recovery: the node can host pods again.
         inject_now(
@@ -248,6 +248,6 @@ fn function_error_fails_the_workflow_task_not_the_platform() {
             )
             .await
             .unwrap();
-        assert_eq!(&resp.body[..], b"ok");
+        assert_eq!(&resp.body.to_bytes()[..], b"ok");
     });
 }
