@@ -31,9 +31,7 @@ use swf_condor::run_with_resumes;
 use swf_pegasus::{
     AbstractJob, AbstractWorkflow, JobFactory, Pegasus, PegasusError, ReplicaLocation,
 };
-use swf_simcore::{now, SimDuration};
-
-use crate::records::{fnv1a, fnv1a_extend};
+use swf_simcore::{fnv1a, fnv1a_extend, now, SimDuration};
 
 /// One job plus the stage tag trigger conditions refer to.
 #[derive(Clone)]

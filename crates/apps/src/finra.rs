@@ -12,13 +12,13 @@
 use bytes::Bytes;
 
 use swf_pegasus::{AbstractJob, Transformation};
-use swf_simcore::DetRng;
+use swf_simcore::{fnv1a, fnv1a_extend, DetRng};
 use swf_workloads::ExecEnv;
 
 use crate::dynamic::{DynamicWorkflow, Expansion, TriggerOn};
 use crate::records::{
-    decode_params, decode_trade_range, decode_trades, encode_params, encode_trades, fnv1a,
-    fnv1a_extend, trade_count, Trade,
+    decode_params, decode_trade_range, decode_trades, encode_params, encode_trades, trade_count,
+    Trade,
 };
 use crate::{calibrated, AppSpec};
 

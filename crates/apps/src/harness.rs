@@ -7,11 +7,10 @@ use bytes::Bytes;
 
 use swf_core::{harness, ExperimentConfig, Provisioning};
 use swf_pegasus::{Pegasus, ReplicaLocation};
-use swf_simcore::secs;
+use swf_simcore::{fnv1a, secs};
 use swf_workloads::ExecEnv;
 
 use crate::dynamic::{run_dynamic, DynamicReport};
-use crate::records::fnv1a;
 use crate::{build_app, AppKind, AppSpec};
 
 /// One app execution request.
@@ -51,13 +50,6 @@ impl AppRun {
     /// Enable tracing (builder style).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
-        self
-    }
-
-    /// Enable rescue-DAG resumption (builder style).
-    pub fn with_rescue(mut self, max_rounds: u32) -> Self {
-        self.rescue = true;
-        self.max_rescue_rounds = max_rounds;
         self
     }
 }

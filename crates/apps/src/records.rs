@@ -20,26 +20,6 @@ use std::collections::BTreeMap;
 use bytes::{BufMut, Bytes};
 use swf_workloads::codec::{cells, put_cells};
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a hash of a byte slice: the deterministic fingerprint used for
-/// output equality checks, DAG-shape fingerprints and word bucketing.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    fnv1a_extend(FNV_OFFSET, data)
-}
-
-/// Extend an FNV-1a hash with more bytes (order-sensitive chaining).
-pub fn fnv1a_extend(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Fixed-point scale used by the ML kernels (Q47.16).
 pub const FIXED_POINT: i64 = 1 << 16;
 
@@ -508,13 +488,5 @@ mod tests {
         b.insert("beta".to_string(), 2u64);
         assert_eq!(enc, encode_counts(&b));
         assert!(decode_counts(&enc[..enc.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn fnv_is_stable() {
-        // Known FNV-1a vector: empty input hashes to the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"ab"), fnv1a_extend(fnv1a(b"a"), b"b"));
-        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
     }
 }

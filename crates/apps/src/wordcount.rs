@@ -12,11 +12,11 @@ use std::collections::BTreeMap;
 use bytes::Bytes;
 
 use swf_pegasus::{AbstractJob, Transformation};
-use swf_simcore::DetRng;
+use swf_simcore::{fnv1a, DetRng};
 use swf_workloads::ExecEnv;
 
 use crate::dynamic::{DynamicJob, DynamicWorkflow, Expansion, TriggerOn};
-use crate::records::{decode_counts, decode_params, encode_counts, encode_params, fnv1a};
+use crate::records::{decode_counts, decode_params, encode_counts, encode_params};
 use crate::{calibrated, AppSpec};
 
 /// Word-count workload parameters.

@@ -23,10 +23,13 @@
 //! not run exits 2 listing the ones it does. `--label apps` runs the
 //! swf-apps scenario (every application × every venue) instead of the
 //! figure scenarios, writing `BENCH_apps.json`; `--label elastic`
-//! likewise. `--list` enumerates every label and its scenarios. An
-//! unknown label or argument also exits 2 before anything runs: a typo
-//! must not run the figure scenarios. `compare` takes two paths and
-//! nothing else.
+//! likewise. `--label chaos` runs the four fault sweeps (`chaos`,
+//! `rescue`, `heavy`, `heavy-spot`); a rescue sweep that leaves a
+//! workflow incomplete fails the run (exit 1) after its record, its
+//! failing plans and its final rescue DAGs are written. `--list`
+//! enumerates every label and its scenarios. An unknown label or argument
+//! also exits 2 before anything runs: a typo must not run the figure
+//! scenarios. `compare` takes two paths and nothing else.
 //!
 //! `--trace-out` additionally writes every scenario run as one
 //! Chrome-trace file. `--spans-out` writes the lossless `swf-spans/v1`
@@ -162,6 +165,12 @@ fn run_main() {
             std::process::exit(1);
         }
         outln!("series export written to {series_path}");
+    }
+    if !run.failures.is_empty() {
+        for failure in &run.failures {
+            eprintln!("FAIL: {failure}");
+        }
+        std::process::exit(1);
     }
 }
 

@@ -6,18 +6,20 @@
 //! here, printing the reproduced rows, the fitted slopes, and the
 //! paper-reported values side by side). The `suite` binary runs the table,
 //! or the rows chosen with `--only`, and writes the `BENCH_*.json` document
-//! that `suite compare` gates future changes against; the `chaos` binary
-//! is the fault-injection seed sweep.
+//! that `suite compare` gates future changes against. The fault-injection
+//! seed sweeps ([`chaos`]) are rows of the same table, under its `chaos`
+//! label.
 
 #![warn(missing_docs)]
 
 pub mod ablations;
 pub mod apps;
+pub mod chaos;
 pub mod elastic;
 pub mod record;
 pub mod suite;
 
-pub use record::{emit_scenario_json, ScenarioMeter};
+pub use record::ScenarioMeter;
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -121,12 +123,6 @@ pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
 }
 
-/// True when span collection is requested (`--trace`, or implied by
-/// `--trace-out`).
-pub fn is_traced() -> bool {
-    flag_value("--trace-out").is_some() || std::env::args().any(|a| a == "--trace")
-}
-
 /// Merge labelled span collectors into one Chrome-trace JSON array
 /// (Perfetto / `chrome://tracing` loadable) and write it to `path`. Each
 /// label becomes a process-name prefix and each collector gets pids and
@@ -138,29 +134,6 @@ pub fn write_chrome_trace(path: &str, collectors: &[(&str, &swf_obs::Obs)]) -> s
             .map_err(std::io::Error::other)?;
     }
     std::fs::write(path, trace.finish().map_err(std::io::Error::other)?)
-}
-
-/// Honour the tracing CLI flags for a finished run: print the metrics
-/// registry as JSON and write the Chrome-trace file when `--trace-out` was
-/// given. No-op when tracing was not requested.
-pub fn dump_observability(collectors: &[(&str, &swf_obs::Obs)]) {
-    if !is_traced() {
-        return;
-    }
-    let mut metrics = serde_json::Map::new();
-    for (label, obs) in collectors {
-        metrics.insert(label.to_string(), obs.metrics_json());
-    }
-    crate::outln!("\nmetrics: {}", serde_json::Value::Object(metrics));
-    if let Some(path) = flag_value("--trace-out") {
-        match write_chrome_trace(&path, collectors) {
-            Ok(()) => crate::outln!("chrome trace written to {path}"),
-            Err(e) => {
-                eprintln!("error: failed to write chrome trace to {path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
 }
 
 /// Render Fig. 1 as a table plus slope analysis.
@@ -336,13 +309,13 @@ mod tests {
     fn unknown_arguments_are_refused() {
         let unknown = |line: &str| {
             let args: Vec<String> = line.split(' ').map(String::from).collect();
-            let switches = ["--quick", "-q", "--rescue", "--trace"];
-            let valued = ["--seeds", "--profile", "--trace-out", "--json"];
+            let switches = ["--quick", "-q", "--list"];
+            let valued = ["--label", "--only", "--json", "--trace-out"];
             unknown_argument(&args, &switches, &valued).map(String::from)
         };
         for good in [
-            "--quick --seeds 5..6 --profile heavy --rescue --trace",
-            "-q --seeds=8 --json=out.json --trace-out t.json",
+            "--quick --label chaos --only heavy,rescue --list",
+            "-q --only=fig6 --json=out.json --trace-out t.json",
             // A flag's value is never read as a flag.
             "--json --heavy",
         ] {
@@ -351,11 +324,13 @@ mod tests {
         assert_eq!(unknown_argument(&[], &["-q"], &[]), None);
         for (bad, culprit) in [
             ("--quick --heavy", "--heavy"),
-            ("--seed 5", "--seed"),
-            ("--rescue=yes", "--rescue=yes"),
-            ("--profile heavy light", "light"),
-            // Another binary's flag: the lists are the caller's own.
-            ("--quick --label apps", "--label"),
+            ("--labels apps", "--labels"),
+            ("--list=yes", "--list=yes"),
+            ("--label chaos rescue", "rescue"),
+            // The retired sweep binary's flags: the lists are the caller's
+            // own.
+            ("--label chaos --seeds 5..6", "--seeds"),
+            ("--quick --rescue", "--rescue"),
         ] {
             assert_eq!(unknown(bad).as_deref(), Some(culprit), "{bad}");
         }

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark records (`BENCH_*.json`).
 //!
-//! A full suite run, a `suite --only` selection and the `chaos` sweep all
-//! emit the same document shape, so any two records can be fed to
+//! A full suite run and a `suite --only` selection, of any label, emit
+//! the same document shape, so any two records can be fed to
 //! `suite compare`:
 //!
 //! ```json
@@ -309,35 +309,6 @@ pub fn workspace_root() -> std::path::PathBuf {
         }
         if !dir.pop() {
             return cwd;
-        }
-    }
-}
-
-/// Write a single-scenario document to the `--json` path when the flag
-/// is present (the `chaos` sweep's record).
-pub fn emit_scenario_json(
-    name: &str,
-    quick: bool,
-    virtual_section: serde_json::Value,
-    collectors: &[(&str, &swf_obs::Obs)],
-    meter: ScenarioMeter,
-) {
-    let Some(path) = crate::flag_value("--json") else {
-        return;
-    };
-    let scenario = scenario_json(
-        virtual_section,
-        obs_json(collectors),
-        slo_json(collectors),
-        None,
-        meter.finish(),
-    );
-    let doc = bench_document(name, quick, vec![(name.to_string(), scenario)]);
-    match std::fs::write(&path, doc.to_string()) {
-        Ok(()) => crate::outln!("bench record written to {path}"),
-        Err(e) => {
-            eprintln!("error: failed to write bench record to {path}: {e}");
-            std::process::exit(1);
         }
     }
 }

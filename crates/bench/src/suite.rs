@@ -3,11 +3,12 @@
 //! turns a selection of its rows into one machine-readable
 //! `BENCH_<label>.json` document.
 //!
-//! Each scenario runs with span collection enabled and is metered by
-//! [`crate::record::ScenarioMeter`], so the document carries every
-//! section per scenario: `virtual` results, `obs` snapshots, the `host`
-//! engine profile, and (for `elastic`) the `cost` ledger.
+//! Each figure scenario runs with span collection enabled and each is
+//! metered by [`crate::record::ScenarioMeter`], so the document carries
+//! every section per scenario: `virtual` results, `obs` snapshots, the
+//! `host` engine profile, and (for `elastic`) the `cost` ledger.
 
+use swf_chaos::ChaosProfile;
 use swf_core::experiments::{coldstart, fig1, fig2, run_fig5, run_fig6};
 use swf_core::ExperimentConfig;
 
@@ -18,8 +19,8 @@ use crate::record::{
 };
 
 /// What one scenario yields: the deterministic `virtual` section, its
-/// labelled span collectors, the human report, and (for cost-aware
-/// scenarios) the `cost` section.
+/// labelled span collectors, the human report, (for cost-aware scenarios)
+/// the `cost` section, and its verdict.
 pub struct ScenarioOutput {
     /// The `virtual` JSON section.
     pub virtual_section: serde_json::Value,
@@ -30,6 +31,10 @@ pub struct ScenarioOutput {
     pub report: String,
     /// The `cost` JSON section; `None` for scenarios without a ledger.
     pub cost: Option<serde_json::Value>,
+    /// `Err` when the run broke an invariant its scenario holds (a rescue
+    /// sweep that left a workflow incomplete): the record is still
+    /// written, and the run then fails.
+    pub verdict: Result<(), String>,
 }
 
 impl ScenarioOutput {
@@ -43,6 +48,7 @@ impl ScenarioOutput {
             collectors,
             report,
             cost: None,
+            verdict: Ok(()),
         }
     }
 }
@@ -56,6 +62,8 @@ pub struct SuiteRun {
     pub reports: Vec<String>,
     /// Every scenario's labelled collectors, in scenario order.
     pub collectors: Vec<(String, swf_obs::Obs)>,
+    /// `name: reason` of each scenario whose verdict failed.
+    pub failures: Vec<String>,
 }
 
 /// The experiment config every scenario starts from: quick or paper
@@ -192,38 +200,78 @@ fn scenario_elastic(quick: bool) -> ScenarioOutput {
         collectors: r.collectors(),
         report: r.report(),
         cost: Some(r.cost_json()),
+        verdict: Ok(()),
+    }
+}
+
+/// A fault sweep ([`crate::chaos`]) under a disabled ambient collector:
+/// each run records into its own, and the scale does not matter (every
+/// sweep runs [`crate::chaos::SEEDS`]).
+fn scenario_sweep(
+    name: &str,
+    profile: &'static str,
+    faults: ChaosProfile,
+    rescue: bool,
+) -> ScenarioOutput {
+    let obs = swf_obs::Obs::disabled();
+    let _guard = swf_obs::install(obs.clone());
+    let sweep = crate::chaos::run_sweep(profile, &faults, rescue);
+    ScenarioOutput {
+        virtual_section: sweep.to_json(),
+        collectors: vec![(name.to_string(), obs)],
+        report: sweep.report(),
+        cost: None,
+        verdict: sweep.verdict(),
     }
 }
 
 type ScenarioFn = fn(bool) -> ScenarioOutput;
 
-/// Every scenario, in the order a run executes them: the paper's six
-/// figure scenarios, which the `quick`/`paper` labels run, then `apps` and
-/// `elastic`, which run under their own labels so their documents never
-/// perturb the figure baselines.
-const SCENARIOS: [(&str, ScenarioFn); 8] = [
-    ("fig1", scenario_fig1),
-    ("fig2", scenario_fig2),
-    ("fig5", scenario_fig5),
-    ("fig6", scenario_fig6),
-    ("coldstart", scenario_coldstart),
-    ("ablations", scenario_ablations),
-    ("apps", scenario_apps),
-    ("elastic", scenario_elastic),
+/// The label the figure scenarios carry in [`SCENARIOS`]: `quick`,
+/// `paper` and any other label that owns no rows run them.
+const FIGURES: &str = "figures";
+
+/// Every scenario with the label that runs it, in the order a run
+/// executes them: the paper's six figure scenarios, then `apps`,
+/// `elastic` and the four fault sweeps, which run under their own labels
+/// so their documents never perturb the figure baselines.
+const SCENARIOS: [(&str, &str, ScenarioFn); 12] = [
+    (FIGURES, "fig1", scenario_fig1),
+    (FIGURES, "fig2", scenario_fig2),
+    (FIGURES, "fig5", scenario_fig5),
+    (FIGURES, "fig6", scenario_fig6),
+    (FIGURES, "coldstart", scenario_coldstart),
+    (FIGURES, "ablations", scenario_ablations),
+    ("apps", "apps", scenario_apps),
+    ("elastic", "elastic", scenario_elastic),
+    ("chaos", "chaos", |_| {
+        scenario_sweep("chaos", "light", ChaosProfile::light(), false)
+    }),
+    ("chaos", "rescue", |_| {
+        scenario_sweep("rescue", "heavy", ChaosProfile::heavy(), true)
+    }),
+    // The heavy plans with no resume budget: a venue failure ends its
+    // workflow, so this is where a changed failure path shows.
+    ("chaos", "heavy", |_| {
+        scenario_sweep("heavy", "heavy", ChaosProfile::heavy(), false)
+    }),
+    ("chaos", "heavy-spot", |_| {
+        scenario_sweep("heavy-spot", "heavy-spot", ChaosProfile::heavy_spot(), true)
+    }),
 ];
 
-fn table_names() -> impl Iterator<Item = &'static str> {
-    SCENARIOS.iter().map(|(name, _)| *name)
-}
-
 /// The labels `suite --label` accepts, each with the note `--list` prints.
-pub const LABELS: [(&str, &str); 4] = [
+pub const LABELS: [(&str, &str); 5] = [
     ("quick", "figure scenarios at CI scale (--quick default)"),
     ("paper", "figure scenarios at paper scale (default)"),
     ("apps", "swf-apps: every application × every venue"),
     (
         "elastic",
         "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
+    ),
+    (
+        "chaos",
+        "swf-chaos: fault sweeps over seeds 0..32, calm vs faulted (light; heavy with and without rescue; heavy-spot)",
     ),
 ];
 
@@ -241,12 +289,15 @@ pub fn check_label(label: &str) -> Result<(), String> {
 /// The scenario names the given suite label runs when `--only` does not
 /// narrow it (`--list` support).
 pub fn scenario_names(label: &str) -> Vec<&'static str> {
-    let own_label = |n: &&str| matches!(*n, "apps" | "elastic");
-    if own_label(&label) {
-        table_names().filter(|n| *n == label).collect()
-    } else {
-        table_names().filter(|n| !own_label(n)).collect()
-    }
+    // Any label that owns no rows (`quick`, `paper`, a test's own name)
+    // runs the figure scenarios.
+    let owns_rows = SCENARIOS.iter().any(|(l, ..)| *l == label);
+    let row_label = if owns_rows { label } else { FIGURES };
+    SCENARIOS
+        .iter()
+        .filter(|(l, ..)| *l == row_label)
+        .map(|(_, name, _)| *name)
+        .collect()
 }
 
 /// A `--only` entry that names no scenario of its label (an empty list
@@ -295,7 +346,8 @@ pub fn select(label: &str, only: &str) -> Result<Vec<&'static str>, UnknownScena
 /// Run the named scenarios (see [`scenario_names`] and [`select`]) in
 /// table order and assemble the benchmark document. `on_scenario` is
 /// called with each scenario's name as it starts, so callers can narrate
-/// progress.
+/// progress. A failed verdict does not stop the run: it is collected in
+/// [`SuiteRun::failures`].
 pub fn run_suite(
     label: &str,
     quick: bool,
@@ -305,7 +357,8 @@ pub fn run_suite(
     let mut entries = Vec::new();
     let mut reports = Vec::new();
     let mut all_collectors = Vec::new();
-    for &(name, run) in SCENARIOS.iter().filter(|(n, _)| names.contains(n)) {
+    let mut failures = Vec::new();
+    for &(_, name, run) in SCENARIOS.iter().filter(|(_, n, _)| names.contains(n)) {
         on_scenario(name);
         let meter = ScenarioMeter::start();
         let out = run(quick);
@@ -327,11 +380,15 @@ pub fn run_suite(
         ));
         reports.push(out.report);
         all_collectors.extend(out.collectors);
+        if let Err(reason) = out.verdict {
+            failures.push(format!("{name}: {reason}"));
+        }
     }
     SuiteRun {
         document: bench_document(label, quick, entries),
         reports,
         collectors: all_collectors,
+        failures,
     }
 }
 
@@ -383,6 +440,10 @@ mod tests {
             ("apps", "fig1"),
             ("quick", "apps"),
             ("elastic", "apps,elastic"),
+            ("chaos", "fig1"),
+            ("chaos", "heavy,elastic"),
+            ("quick", "rescue"),
+            ("paper", "chaos"),
         ] {
             let err = select(label, only).unwrap_err();
             assert_eq!(err.label, label);
@@ -402,5 +463,16 @@ mod tests {
         assert_eq!(scenario_names("quick").len(), 6);
         assert_eq!(scenario_names("apps"), ["apps"]);
         assert_eq!(scenario_names("elastic"), ["elastic"]);
+        assert_eq!(
+            scenario_names("chaos"),
+            ["chaos", "rescue", "heavy", "heavy-spot"]
+        );
+        assert_eq!(select("chaos", "heavy").unwrap(), ["heavy"]);
+        // Every row belongs to exactly one label's set.
+        let every: usize = ["quick", "apps", "elastic", "chaos"]
+            .map(|l| scenario_names(l).len())
+            .iter()
+            .sum();
+        assert_eq!(every, SCENARIOS.len());
     }
 }

@@ -32,7 +32,8 @@ use swf_core::config::ExperimentConfig;
 use swf_core::{harness, TestBed};
 use swf_knative::KService;
 use swf_simcore::{
-    join_all, now, secs, sleep, spawn, timeout, Elapsed, RetryPolicy, SimDuration, SimTime,
+    fnv1a, fnv1a_extend, join_all, now, secs, sleep, spawn, timeout, Elapsed, RetryPolicy,
+    SimDuration, SimTime,
 };
 
 use crate::inject::{Disruptor, Injector};
@@ -197,13 +198,8 @@ impl ChaosOutcome {
     /// two runs of the same seed must fingerprint identically, bit for
     /// bit. Folds the batch makespan and every per-workflow outcome.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |x: u64| {
-            for byte in x.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = fnv1a(b"");
+        let mut eat = |x: u64| h = fnv1a_extend(h, &x.to_le_bytes());
         eat(self.makespan.as_nanos());
         for o in &self.outcomes {
             match o {

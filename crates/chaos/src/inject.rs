@@ -346,6 +346,8 @@ impl Injector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use swf_cluster::ClusterError;
+    use swf_container::ContainerError;
     use swf_core::config::ExperimentConfig;
     use swf_core::harness;
     use swf_simcore::{secs, Sim};
@@ -364,16 +366,23 @@ mod tests {
             plan.push(secs(2.0), FaultKind::CondorResume { node: 3 });
             let handle = swf_simcore::spawn(Injector::new(plan).run(bed.clone(), None));
             swf_simcore::sleep(secs(1.5)).await;
+            let net = bed.cluster.network();
             assert!(bed.condor.node_is_failed(NodeId(2)));
             assert!(!bed.k8s.node_is_ready(NodeId(2)));
-            assert!(bed.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
-            assert!(bed.registry.is_under_outage());
+            assert!(matches!(
+                net.transfer(NodeId(0), NodeId(1), 1).await,
+                Err(ClusterError::Partitioned { .. })
+            ));
+            assert!(matches!(
+                bed.registry.pull(NodeId(1), &bed.image).await,
+                Err(ContainerError::RegistryUnavailable(_))
+            ));
             let injected = handle.await;
             assert_eq!(injected, 8);
             assert!(!bed.condor.node_is_failed(NodeId(2)));
             assert!(bed.k8s.node_is_ready(NodeId(2)));
-            assert!(!bed.cluster.network().is_partitioned(NodeId(0), NodeId(1)));
-            assert!(!bed.registry.is_under_outage());
+            assert!(net.transfer(NodeId(0), NodeId(1), 1).await.is_ok());
+            assert!(bed.registry.pull(NodeId(1), &bed.image).await.is_ok());
         });
     }
 

@@ -46,4 +46,4 @@ pub use experiment::{
 };
 pub use inject::{Disruptor, Injector};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
-pub use profile::{ChaosProfile, UnknownProfile};
+pub use profile::ChaosProfile;

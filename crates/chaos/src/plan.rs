@@ -174,11 +174,6 @@ impl FaultPlan {
         self.events.sort_by_key(|e| e.at);
     }
 
-    /// True when events are in non-decreasing time order.
-    pub fn is_ordered(&self) -> bool {
-        self.events.windows(2).all(|w| w[0].at <= w[1].at)
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.events.len()
@@ -641,6 +636,11 @@ mod tests {
     use serde_json::json;
     use swf_simcore::secs;
 
+    /// Events in non-decreasing time order.
+    fn ordered(plan: &FaultPlan) -> bool {
+        plan.events.windows(2).all(|w| w[0].at <= w[1].at)
+    }
+
     fn sample_heavy(seed: u64) -> FaultPlan {
         FaultPlan::sample(
             &ChaosProfile::heavy(),
@@ -660,7 +660,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds should draw different plans");
         assert!(!a.is_empty());
-        assert!(a.is_ordered());
+        assert!(ordered(&a));
     }
 
     #[test]
@@ -771,7 +771,7 @@ mod tests {
         let spot_len = spots.len();
         base.merge(spots);
         assert_eq!(base.len(), base_len + spot_len);
-        assert!(base.is_ordered());
+        assert!(ordered(&base));
         assert_eq!(base.seed, 4);
     }
 
@@ -780,7 +780,7 @@ mod tests {
         let mut plan = FaultPlan::calm();
         plan.push(secs(5.0), FaultKind::RegistryOutageEnd);
         plan.push(secs(1.0), FaultKind::RegistryOutageStart);
-        assert!(plan.is_ordered());
+        assert!(ordered(&plan));
         assert_eq!(plan.events[0].kind, FaultKind::RegistryOutageStart);
     }
 

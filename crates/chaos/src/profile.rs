@@ -116,7 +116,7 @@ impl ChaosProfile {
     }
 
     /// Frequent, overlapping disruptions across every class — the storm
-    /// profile of `chaos --profile heavy` and the rescue sweeps.
+    /// profile of the suite's `rescue` and `heavy` sweeps.
     pub fn heavy() -> ChaosProfile {
         ChaosProfile {
             node_crash_interval: 30.0,
@@ -169,46 +169,7 @@ impl ChaosProfile {
             ..ChaosProfile::heavy()
         }
     }
-
-    /// Every named preset the CLIs accept, in intensity order.
-    pub const NAMES: [&'static str; 5] = ["calm", "light", "spot", "heavy", "heavy-spot"];
-
-    /// Look a preset up by its CLI name. Unknown names are a typed
-    /// [`UnknownProfile`] error carrying the valid list, so callers
-    /// reject typos instead of silently falling back to a default.
-    pub fn by_name(name: &str) -> Result<ChaosProfile, UnknownProfile> {
-        match name {
-            "calm" => Ok(ChaosProfile::calm()),
-            "light" => Ok(ChaosProfile::light()),
-            "spot" => Ok(ChaosProfile::spot()),
-            "heavy" => Ok(ChaosProfile::heavy()),
-            "heavy-spot" => Ok(ChaosProfile::heavy_spot()),
-            other => Err(UnknownProfile {
-                name: other.to_string(),
-            }),
-        }
-    }
 }
-
-/// A profile name that matches no preset (see [`ChaosProfile::by_name`]).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownProfile {
-    /// The name that failed to resolve.
-    pub name: String,
-}
-
-impl std::fmt::Display for UnknownProfile {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown chaos profile {:?}; valid profiles: {}",
-            self.name,
-            ChaosProfile::NAMES.join(", ")
-        )
-    }
-}
-
-impl std::error::Error for UnknownProfile {}
 
 #[cfg(test)]
 mod tests {
@@ -222,7 +183,6 @@ mod tests {
         assert_eq!(calm.node_crash_interval, 0.0);
         assert!(light.node_crash_interval > heavy.node_crash_interval);
         assert!(heavy.flaky_fail_chance >= light.flaky_fail_chance);
-        assert_eq!(ChaosProfile::by_name("light"), Ok(light));
     }
 
     #[test]
@@ -243,22 +203,5 @@ mod tests {
             ChaosProfile::heavy().node_crash_interval
         );
         assert!(hs.spot_revoke_interval > 0.0);
-    }
-
-    #[test]
-    fn by_name_resolves_presets_and_rejects_typos() {
-        for name in ChaosProfile::NAMES {
-            assert!(ChaosProfile::by_name(name).is_ok(), "preset {name}");
-        }
-        assert_eq!(
-            ChaosProfile::by_name("heavy").unwrap(),
-            ChaosProfile::heavy()
-        );
-        let err = ChaosProfile::by_name("hevy").unwrap_err();
-        assert_eq!(err.name, "hevy");
-        let msg = err.to_string();
-        for name in ChaosProfile::NAMES {
-            assert!(msg.contains(name), "error must list {name}: {msg}");
-        }
     }
 }

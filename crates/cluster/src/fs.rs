@@ -75,19 +75,9 @@ impl SimFs {
         self.files.borrow().get(path).map(|d| d.len() as u64)
     }
 
-    /// Number of files stored.
-    pub fn file_count(&self) -> usize {
-        self.files.borrow().len()
-    }
-
     /// Paths currently stored (sorted).
     pub fn list(&self) -> Vec<String> {
         self.files.borrow().keys().cloned().collect()
-    }
-
-    /// Total bytes stored.
-    pub fn total_bytes(&self) -> u64 {
-        self.files.borrow().values().map(|d| d.len() as u64).sum()
     }
 }
 
@@ -155,8 +145,6 @@ mod tests {
             fs.stage("b", Bytes::from_static(b"yy"));
             fs.stage("a", Bytes::from_static(b"x"));
             assert_eq!(fs.list(), vec!["a".to_string(), "b".to_string()]);
-            assert_eq!(fs.file_count(), 2);
-            assert_eq!(fs.total_bytes(), 3);
             assert!(fs.remove("a"));
             assert!(!fs.remove("a"));
         });

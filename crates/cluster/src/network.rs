@@ -195,11 +195,6 @@ impl Network {
         self.state.borrow_mut().partitions.remove(&pair(a, b))
     }
 
-    /// Is the link between `a` and `b` currently partitioned?
-    pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        a != b && self.state.borrow().partitions.contains(&pair(a, b))
-    }
-
     /// Fault injection: degrade the link between `a` and `b` — multiply its
     /// propagation latency by `quality.latency_factor` and divide its
     /// bandwidth by `quality.bandwidth_factor`.
@@ -265,7 +260,6 @@ mod tests {
         sim.block_on(async {
             let net = Network::new(3);
             net.partition(NodeId(1), NodeId(0));
-            assert!(net.is_partitioned(NodeId(0), NodeId(1)));
             // Both directions of the unordered pair are cut.
             assert!(matches!(
                 net.transfer(NodeId(0), NodeId(1), 1).await,

@@ -86,8 +86,11 @@ proptest! {
                 prop_assert_eq!(&read_back[..], &content[..]);
                 prop_assert_eq!(cluster.shared_fs().size(&name), Some(content.len() as u64));
             }
-            prop_assert_eq!(cluster.shared_fs().file_count(), files.len());
-            prop_assert_eq!(cluster.shared_fs().total_bytes(), expected_total);
+            let shared = cluster.shared_fs();
+            let stored = shared.list();
+            let stored_total: u64 = stored.iter().filter_map(|p| shared.size(p)).sum();
+            prop_assert_eq!(stored.len(), files.len());
+            prop_assert_eq!(stored_total, expected_total);
             Ok(())
         })?;
     }

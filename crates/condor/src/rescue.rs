@@ -77,7 +77,8 @@ impl RescueDag {
     }
 
     /// Names of nodes recorded as failed.
-    pub fn failed_nodes(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn failed_nodes(&self) -> Vec<&str> {
         self.select(|o| matches!(o, NodeOutcome::Failed { .. }))
     }
 

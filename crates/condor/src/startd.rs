@@ -107,10 +107,11 @@ impl Startd {
     }
 
     /// Execute a matched job to completion, reporting status to `schedd`
-    /// under the claim epoch current at entry. Kept for direct callers
-    /// (tests, ad-hoc rigs); the negotiator captures the epoch at match
-    /// time and calls [`Startd::execute_claim`].
-    pub async fn execute(&self, id: JobId, spec: JobSpec, schedd: Schedd) {
+    /// under the claim epoch current at entry: the tests' shorthand. The
+    /// negotiator captures the epoch at match time and calls
+    /// [`Startd::execute_claim`].
+    #[cfg(test)]
+    pub(crate) async fn execute(&self, id: JobId, spec: JobSpec, schedd: Schedd) {
         let epoch = schedd.epoch(id).unwrap_or(0);
         self.execute_claim(id, epoch, spec, schedd).await;
     }
@@ -297,7 +298,7 @@ mod tests {
             let out = cluster.shared_fs().read("out.mat").await.unwrap();
             assert_eq!(out[0], 14);
             // Sandbox cleaned.
-            assert_eq!(startd.node().fs().file_count(), 0);
+            assert!(startd.node().fs().list().is_empty());
         });
     }
 
@@ -318,7 +319,7 @@ mod tests {
             let r = schedd.wait(id).await.unwrap();
             assert!(!r.success);
             assert!(String::from_utf8_lossy(&r.output).contains("missing input"));
-            assert_eq!(startd.node().fs().file_count(), 0);
+            assert!(startd.node().fs().list().is_empty());
         });
     }
 
@@ -342,7 +343,7 @@ mod tests {
             let r = schedd.wait(id).await.unwrap();
             assert!(!r.success);
             assert!(String::from_utf8_lossy(&r.output).contains("missing output"));
-            assert_eq!(startd.node().fs().file_count(), 0);
+            assert!(startd.node().fs().list().is_empty());
         });
     }
 

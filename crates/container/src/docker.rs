@@ -206,7 +206,7 @@ mod tests {
                     + secs(0.458)
             );
             // Runtime is clean afterwards.
-            assert_eq!(cli.runtime().container_count(), 0);
+            assert_eq!(cli.runtime().created_total(), cli.runtime().removed_total());
         });
     }
 

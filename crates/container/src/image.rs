@@ -93,7 +93,8 @@ impl Image {
     }
 
     /// A minimal image with one layer of `size` bytes.
-    pub fn single_layer(reference: ImageRef, id: u64, size: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn single_layer(reference: ImageRef, id: u64, size: u64) -> Self {
         Image {
             reference,
             layers: vec![Layer {

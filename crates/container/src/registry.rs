@@ -191,11 +191,6 @@ impl Registry {
         self.state.borrow_mut().outage = on;
     }
 
-    /// Is the registry currently refusing pulls?
-    pub fn is_under_outage(&self) -> bool {
-        self.state.borrow().outage
-    }
-
     /// The conservation ledger: per-node streamed bytes, ascending node id.
     /// Its sum always equals [`Registry::bytes_served`].
     pub fn bytes_ledger(&self) -> Vec<(NodeId, u64)> {
@@ -257,7 +252,6 @@ mod tests {
             r.push(Image::python_scientific(ImageRef::parse("m"), 1));
             r.pull(NodeId(1), &ImageRef::parse("m")).await.unwrap();
             r.set_outage(true);
-            assert!(r.is_under_outage());
             let err = r.pull(NodeId(2), &ImageRef::parse("m")).await.unwrap_err();
             assert!(matches!(err, ContainerError::RegistryUnavailable(_)));
             // Cached layers stay usable during the outage: the node that

@@ -264,11 +264,6 @@ impl ContainerRuntime {
             .ok_or(ContainerError::NoSuchContainer(id.0))
     }
 
-    /// Containers currently present (any phase).
-    pub fn container_count(&self) -> usize {
-        self.state.borrow().containers.len()
-    }
-
     /// Containers ever created.
     pub fn created_total(&self) -> u64 {
         self.state.borrow().created_total
@@ -363,7 +358,6 @@ mod tests {
                 elapsed,
                 overhead::CREATE + overhead::START + overhead::STOP + overhead::REMOVE + secs(1.0)
             );
-            assert_eq!(rt.container_count(), 0);
             assert_eq!(rt.created_total(), 1);
             assert_eq!(rt.removed_total(), 1);
         });

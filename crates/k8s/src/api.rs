@@ -156,7 +156,8 @@ impl ApiServer {
     }
 
     /// Delete a deployment (controllers cascade).
-    pub async fn delete_deployment(&self, name: &str) -> Result<(), K8sError> {
+    #[cfg(test)]
+    pub(crate) async fn delete_deployment(&self, name: &str) -> Result<(), K8sError> {
         self.charge().await;
         self.deployments
             .delete(name)

@@ -163,6 +163,18 @@ mod tests {
     use swf_container::{Image, ImageRef};
     use swf_simcore::{secs, sleep, Sim};
 
+    /// Containers on the schedulable nodes that were created and not yet
+    /// removed.
+    fn containers_present(k8s: &K8s) -> u64 {
+        let runtimes = k8s
+            .schedulable_nodes()
+            .into_iter()
+            .map(|n| k8s.runtime(n).unwrap());
+        runtimes
+            .map(|rt| rt.created_total() - rt.removed_total())
+            .sum()
+    }
+
     fn boot() -> (Cluster, K8s, ImageRef) {
         let cluster = Cluster::new(&ClusterConfig::default());
         let registry = Registry::default();
@@ -198,11 +210,7 @@ mod tests {
                 assert!(e.node.0 >= 1 && e.node.0 <= 3);
             }
             // Containers exist on the nodes.
-            let total: usize = k8s
-                .schedulable_nodes()
-                .iter()
-                .map(|n| k8s.runtime(*n).unwrap().container_count())
-                .sum();
+            let total = containers_present(&k8s);
             assert_eq!(total, 3);
         });
     }
@@ -228,11 +236,7 @@ mod tests {
                 .unwrap();
             k8s.api().scale_deployment("fn", 0).await.unwrap();
             sleep(secs(10.0)).await;
-            let total: usize = k8s
-                .schedulable_nodes()
-                .iter()
-                .map(|n| k8s.runtime(*n).unwrap().container_count())
-                .sum();
+            let total = containers_present(&k8s);
             assert_eq!(total, 0);
             assert!(k8s.api().ready_endpoints("app", "fn").is_empty());
         });

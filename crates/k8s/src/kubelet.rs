@@ -313,15 +313,26 @@ mod tests {
     use crate::meta::ObjectMeta;
     use crate::pod::{Pod, PodSpec};
     use swf_cluster::{mib, Node, NodeId, NodeSpec};
-    use swf_container::{overhead, Image, ImageRef, Registry, ResourceLimits};
+    use swf_container::{overhead, Image, ImageRef, Layer, LayerId, Registry, ResourceLimits};
     use swf_simcore::{millis, now, secs, Sim};
+
+    /// Containers created and not yet removed.
+    fn containers_present(kubelet: &Kubelet) -> u64 {
+        kubelet.runtime().created_total() - kubelet.runtime().removed_total()
+    }
 
     fn setup() -> (ApiServer, Kubelet, Registry, ImageRef) {
         let api = ApiServer::default();
         let node = Node::new(NodeId(1), NodeSpec::default());
         let registry = Registry::default();
         let image = ImageRef::parse("fn:v1");
-        registry.push(Image::single_layer(image.clone(), 1, mib(100)));
+        registry.push(Image {
+            reference: image.clone(),
+            layers: vec![Layer {
+                id: LayerId(1),
+                size: mib(100),
+            }],
+        });
         let runtime = ContainerRuntime::new(node, registry.clone());
         let kubelet = Kubelet::new(api.clone(), runtime);
         (api, kubelet, registry, image)
@@ -384,11 +395,11 @@ mod tests {
             swf_simcore::spawn(kubelet.clone().run());
             api.create_pod(scheduled_pod("p", &image)).await.unwrap();
             sleep(secs(30.0)).await;
-            assert_eq!(kubelet.runtime().container_count(), 1);
+            assert_eq!(containers_present(&kubelet), 1);
             api.delete_pod("p").await.unwrap();
             sleep(secs(5.0)).await;
             assert!(api.pods().get("p").is_none());
-            assert_eq!(kubelet.runtime().container_count(), 0);
+            assert_eq!(containers_present(&kubelet), 0);
         });
     }
 
@@ -406,7 +417,7 @@ mod tests {
             api.delete_pod("p").await.unwrap();
             sleep(secs(60.0)).await;
             assert!(api.pods().get("p").is_none());
-            assert_eq!(kubelet.runtime().container_count(), 0);
+            assert_eq!(containers_present(&kubelet), 0);
         });
     }
 
@@ -492,7 +503,7 @@ mod tests {
             assert_eq!(after.status.restart_count, 1);
             assert_ne!(after.status.container, Some(old_container));
             assert_eq!(after.status.port, old_port, "port survives the restart");
-            assert_eq!(kubelet.runtime().container_count(), 1);
+            assert_eq!(containers_present(&kubelet), 1);
         });
     }
 
@@ -530,7 +541,7 @@ mod tests {
             api.delete_pod("p").await.unwrap();
             sleep(secs(60.0)).await;
             assert!(api.pods().get("p").is_none());
-            assert_eq!(kubelet.runtime().container_count(), 0);
+            assert_eq!(containers_present(&kubelet), 0);
         });
     }
 }

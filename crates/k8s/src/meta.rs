@@ -30,12 +30,6 @@ impl ObjectMeta {
         self.labels.insert(k.into(), v.into());
         self
     }
-
-    /// Set the owner (builder style).
-    pub fn owned_by(mut self, owner: impl Into<String>) -> Self {
-        self.owner = Some(owner.into());
-        self
-    }
 }
 
 #[cfg(test)]
@@ -43,12 +37,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builder_sets_name_labels_and_owner() {
-        let m = ObjectMeta::named("p")
-            .with_label("app", "matmul")
-            .owned_by("rs-1");
+    fn builder_sets_name_and_labels() {
+        let m = ObjectMeta::named("p").with_label("app", "matmul");
         assert_eq!(m.name, "p");
         assert_eq!(m.labels["app"], "matmul");
-        assert_eq!(m.owner.as_deref(), Some("rs-1"));
+        assert_eq!(m.owner, None);
     }
 }

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::meta::ObjectMeta;
     use crate::pod::PodSpec;
-    use swf_container::{Image, ImageRef, ResourceLimits};
+    use swf_container::{Image, ImageRef, Layer, LayerId, ResourceLimits};
     use swf_simcore::{spawn, Sim};
 
     fn capacities(n: usize) -> Vec<NodeCapacity> {
@@ -187,11 +187,13 @@ mod tests {
     fn setup(nodes: usize) -> (ApiServer, Registry, Scheduler) {
         let api = ApiServer::default();
         let registry = Registry::default();
-        registry.push(Image::single_layer(
-            ImageRef::parse("img"),
-            1,
-            swf_cluster::mib(10),
-        ));
+        registry.push(Image {
+            reference: ImageRef::parse("img"),
+            layers: vec![Layer {
+                id: LayerId(1),
+                size: swf_cluster::mib(10),
+            }],
+        });
         let sched = Scheduler::new(api.clone(), registry.clone(), capacities(nodes));
         (api, registry, sched)
     }

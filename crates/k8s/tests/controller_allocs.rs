@@ -85,10 +85,12 @@ fn converged(pods: usize) -> ApiServer {
     api.deployments().put("fn-deployment", deployment);
     for i in 0..pods {
         let name = format!("fn-deployment-rs-{i}");
-        let meta = ObjectMeta::named(&name)
-            .with_label("app", "fn")
-            .with_label(REVISION_LABEL, "fn-00001")
-            .owned_by("fn-deployment");
+        let meta = ObjectMeta {
+            owner: Some("fn-deployment".to_string()),
+            ..ObjectMeta::named(&name)
+                .with_label("app", "fn")
+                .with_label(REVISION_LABEL, "fn-00001")
+        };
         let mut pod = Pod::new(meta, template.spec.clone());
         pod.status.node = Some(NodeId(1 + i % 4));
         pod.status.phase = PodPhase::Running;

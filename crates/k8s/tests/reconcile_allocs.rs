@@ -69,9 +69,10 @@ fn a_pass_over_dead_pods_copies_none_of_them() {
     let image = ImageRef::parse("fn:v1");
     for i in 0..DEAD_PODS {
         let name = format!("fn-00001-deployment-rs-{i}");
-        let meta = ObjectMeta::named(&name)
-            .with_label("serving.knative.dev/revision", "fn-00001")
-            .owned_by("fn-00001-deployment");
+        let meta = ObjectMeta {
+            owner: Some("fn-00001-deployment".to_string()),
+            ..ObjectMeta::named(&name).with_label("serving.knative.dev/revision", "fn-00001")
+        };
         let mut pod = Pod::new(meta, PodSpec::new(image.clone()));
         pod.status.node = Some(node);
         pod.status.phase = PodPhase::Failed;

@@ -192,10 +192,10 @@ mod tests {
             ..AutoscalerConfig::default()
         };
         spawn(Autoscaler::new(ksvcs.clone(), k8s.clone(), hub.clone(), autoscaler_cfg).run());
-        let ksvc = KService::new("fn", image)
+        let mut ksvc = KService::new("fn", image)
             .with_min_scale(min_scale)
-            .with_initial_scale(min_scale)
-            .with_target(cc_target);
+            .with_initial_scale(min_scale);
+        ksvc.target = cc_target;
         ksvcs.put("fn", ksvc);
         Rig { k8s, hub }
     }

@@ -87,12 +87,6 @@ impl KService {
         self
     }
 
-    /// Set `autoscaling.knative.dev/target` (builder style).
-    pub fn with_target(mut self, target: f64) -> Self {
-        self.target = target;
-        self
-    }
-
     /// Set `autoscaling.knative.dev/max-scale` (builder style).
     pub fn with_max_scale(mut self, n: u32) -> Self {
         self.max_scale = n;
@@ -133,12 +127,10 @@ mod tests {
         let ksvc = KService::new("matmul", ImageRef::parse("hpc/matmul"))
             .with_container_concurrency(1)
             .with_min_scale(3)
-            .with_target(2.0)
             .with_max_scale(8);
         assert_eq!(ksvc.container_concurrency, 1);
         assert_eq!(ksvc.min_scale, 3);
         assert_eq!(ksvc.initial_replicas(), 3); // floored by min-scale
-        assert_eq!(ksvc.target, 2.0);
         assert_eq!(ksvc.max_scale, 8);
         assert_eq!(ksvc.revision(), "matmul-00001");
         assert_eq!(ksvc.deployment_name(), "matmul-00001-deployment");

@@ -1,6 +1,6 @@
 //! Virtual-time telemetry series: a snapshot scheduler samples the
 //! metrics registry at a fixed virtual interval into per-metric
-//! ring-buffered series, so a run produces *trajectories* (queue depth,
+//! series, so a run produces *trajectories* (queue depth,
 //! in-flight invocations, outage windows over time) instead of only
 //! end-of-run totals.
 //!
@@ -10,37 +10,17 @@
 //! mutates simulated state, it cannot perturb virtual-time results; when
 //! the driving future of `Sim::block_on` completes, the sampler's pending
 //! timer is simply abandoned without advancing the clock. A hard
-//! [`MAX_SAMPLES`] cap guarantees termination even under `run_until_idle`.
+//! [`MAX_SAMPLES`] cap guarantees termination even under `run_until_idle`,
+//! and is the one bound on memory: every sample taken is kept.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use swf_simcore::SimDuration;
 
-/// Ring capacity per series: when full, the oldest point is dropped (and
-/// counted), bounding memory for arbitrarily long runs.
-const CAPACITY: usize = 128;
-
 /// Hard cap on total sampler ticks per collector — the sampler task exits
 /// once reached, guaranteeing termination under `run_until_idle`-style
-/// drivers.
+/// drivers, and bounding each series at this many points.
 const MAX_SAMPLES: u64 = 4096;
-
-/// One ring-buffered series of `(virtual nanoseconds, value)` points.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct RingSeries {
-    points: VecDeque<(u64, f64)>,
-    dropped: u64,
-}
-
-impl RingSeries {
-    fn push(&mut self, t_ns: u64, v: f64) {
-        if self.points.len() == CAPACITY {
-            self.points.pop_front();
-            self.dropped += 1;
-        }
-        self.points.push_back((t_ns, v));
-    }
-}
 
 /// The collector-side series store: the sampling interval plus every
 /// sampled series, keyed by metric name (histograms contribute
@@ -48,7 +28,8 @@ impl RingSeries {
 #[derive(Default)]
 pub(crate) struct SeriesStore {
     pub(crate) interval: Option<SimDuration>,
-    series: BTreeMap<String, RingSeries>,
+    /// `(virtual nanoseconds, value)` points per series, in sample order.
+    series: BTreeMap<String, Vec<(u64, f64)>>,
     samples: u64,
 }
 
@@ -64,20 +45,20 @@ impl SeriesStore {
             self.series
                 .entry(name.clone())
                 .or_default()
-                .push(t_ns, v as f64);
+                .push((t_ns, v as f64));
         }
         for (name, v) in metrics.gauges() {
-            self.series.entry(name.clone()).or_default().push(t_ns, v);
+            self.series.entry(name.clone()).or_default().push((t_ns, v));
         }
         for (name, h) in metrics.histograms() {
             self.series
                 .entry(format!("{name}.count"))
                 .or_default()
-                .push(t_ns, h.count as f64);
+                .push((t_ns, h.count as f64));
             self.series
                 .entry(format!("{name}.p99"))
                 .or_default()
-                .push(t_ns, h.percentile(0.99));
+                .push((t_ns, h.percentile(0.99)));
         }
         true
     }
@@ -88,12 +69,11 @@ impl SeriesStore {
     }
 
     /// Render as JSON:
-    /// `{"interval_s", "samples", "series": {name: {"dropped", "points": [[t_ns, v], ..]}}}`.
+    /// `{"interval_s", "samples", "series": {name: {"points": [[t_ns, v], ..]}}}`.
     pub(crate) fn to_json(&self) -> serde_json::Value {
         let mut series = serde_json::Map::new();
-        for (name, ring) in &self.series {
-            let points: Vec<serde_json::Value> = ring
-                .points
+        for (name, points) in &self.series {
+            let points: Vec<serde_json::Value> = points
                 .iter()
                 .map(|&(t, v)| {
                     serde_json::Value::Array(vec![
@@ -103,7 +83,6 @@ impl SeriesStore {
                 })
                 .collect();
             let mut obj = serde_json::Map::new();
-            obj.insert("dropped", serde_json::Value::from(ring.dropped));
             obj.insert("points", serde_json::Value::Array(points));
             series.insert(name.clone(), serde_json::Value::Object(obj));
         }
@@ -176,16 +155,32 @@ mod tests {
     }
 
     #[test]
-    fn ring_drops_oldest_beyond_capacity() {
-        let mut ring = RingSeries::default();
-        let n = CAPACITY as u64 + 6;
-        for i in 0..n {
-            ring.push(i, i as f64);
+    fn a_long_run_keeps_every_sample() {
+        // 300 intervals: past the 128 points a series once kept.
+        let obs = Obs::enabled();
+        obs.configure_series(secs(1.0));
+        let sim = Sim::new();
+        let h = obs.clone();
+        sim.block_on(async move {
+            spawn_sampler(&h);
+            for i in 0..300u64 {
+                h.gauge_set("test.depth", i as f64);
+                sleep(secs(1.0)).await;
+            }
+        });
+        let json = obs.series_json();
+        let samples = json["samples"].as_u64().expect("sample count");
+        assert!(samples >= 300, "took {samples} samples");
+        let points = json["series"]["test.depth"]["points"]
+            .as_array()
+            .expect("gauge series");
+        assert_eq!(points.len() as u64, samples);
+        // The first interval's point is still there, and none is missing.
+        assert_eq!(points[0][0].as_u64(), Some(1_000_000_000));
+        for (i, p) in points.iter().enumerate() {
+            assert_eq!(p[0].as_u64(), Some((i as u64 + 1) * 1_000_000_000));
         }
-        assert_eq!(ring.dropped, 6);
-        assert_eq!(ring.points.len(), CAPACITY);
-        assert_eq!(ring.points.front().copied(), Some((6, 6.0)));
-        assert_eq!(ring.points.back().copied(), Some((n - 1, (n - 1) as f64)));
+        assert!(json["series"]["test.depth"].get("dropped").is_none());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use executor::{
 };
 pub use resource::{Claim, Resource};
 pub use retry::RetryPolicy;
-pub use rng::{DetRng, InclusiveDraws, DEFAULT_SEED};
+pub use rng::{fnv1a, fnv1a_extend, DetRng, InclusiveDraws, DEFAULT_SEED};
 pub use time::{micros, millis, secs, SimDuration, SimTime};
 
 /// A quiet linter must fail. One deliberate offence per ban of the root

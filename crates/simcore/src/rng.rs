@@ -117,12 +117,19 @@ impl InclusiveDraws<'_> {
     }
 }
 
-/// Derive a 64-bit stream id from a label (FNV-1a).
-fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+/// 64-bit FNV-1a of a byte slice: the workspace's one deterministic
+/// digest (stream ids here, output and DAG-shape fingerprints, word
+/// bucketing, run fingerprints).
+pub fn fnv1a(data: &[u8]) -> u64 {
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, data)
+}
+
+/// Extend an FNV-1a hash with more bytes (order-sensitive chaining):
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub fn fnv1a_extend(mut h: u64, data: &[u8]) -> u64 {
+    for &b in data {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
 }
@@ -131,7 +138,7 @@ impl DetRng {
     /// RNG for `(seed, stream)`; the same pair always produces the same
     /// sequence.
     pub fn new(seed: u64, stream: &str) -> Self {
-        let mixed = seed ^ hash_label(stream).rotate_left(17);
+        let mixed = seed ^ fnv1a(stream.as_bytes()).rotate_left(17);
         DetRng {
             rng: Xoshiro256::seeded(mixed),
         }
@@ -255,6 +262,17 @@ mod tests {
     use super::*;
 
     #[test]
+    fn fnv1a_is_the_published_function() {
+        // Published FNV-1a 64 vectors: the offset basis, then "a" and
+        // "foobar".
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(b"ab"), fnv1a_extend(fnv1a(b"a"), b"b"));
+        assert_ne!(fnv1a(b"ab"), fnv1a(b"ba"));
+    }
+
+    #[test]
     fn seeding_is_deterministic() {
         let mut a = Xoshiro256::seeded(42);
         let mut b = Xoshiro256::seeded(42);
@@ -301,7 +319,7 @@ mod tests {
         }
         // Ranges ending at `i64::MAX`: the full width is the raw stream.
         let mut r = DetRng::new(3, "inclusive");
-        let mut raw = Xoshiro256::seeded(3 ^ hash_label("inclusive").rotate_left(17));
+        let mut raw = Xoshiro256::seeded(3 ^ fnv1a(b"inclusive").rotate_left(17));
         for _ in 0..64 {
             assert_eq!(
                 r.uniform_i64_inclusive(i64::MIN, i64::MAX),

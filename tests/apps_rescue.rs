@@ -47,7 +47,11 @@ fn chaos_interrupted_dynamic_workflow_resumes_without_reexecution() {
     let counter = Rc::new(Cell::new(0usize));
     let in_closure = counter.clone();
     let faulted = run_app_with(
-        &AppRun::quick(AppKind::Finra, ExecEnv::Native).with_rescue(2),
+        &AppRun {
+            rescue: true,
+            max_rescue_rounds: 2,
+            ..AppRun::quick(AppKind::Finra, ExecEnv::Native)
+        },
         move |spec| inject_first_invocation_fault(spec, "finra-validate", in_closure),
     )
     .unwrap();
@@ -95,7 +99,11 @@ fn rescue_also_composes_with_mapreduce_expansion() {
     let counter = Rc::new(Cell::new(0usize));
     let in_closure = counter.clone();
     let faulted = run_app_with(
-        &AppRun::quick(AppKind::WordCount, ExecEnv::Native).with_rescue(2),
+        &AppRun {
+            rescue: true,
+            max_rescue_rounds: 2,
+            ..AppRun::quick(AppKind::WordCount, ExecEnv::Native)
+        },
         move |spec| inject_first_invocation_fault(spec, "wc-map", in_closure),
     )
     .unwrap();
